@@ -265,11 +265,7 @@ def check_roots(ctx: _Context, cfg: RunConfig, rng) -> dict:
 def check_parabolic(ctx: _Context, cfg: RunConfig, rng) -> dict:
     data = ctx.data
     alg = ctx.algebra
-    ortho = 0.0
-    K = alg.killing_matrix
-    for v in np.eye(alg.dim)[list(data.b_indices)]:
-        for x in data.p_filtration_coords:
-            ortho = max(ortho, abs(float(v @ K @ x)))
+    ortho = float(np.max(np.abs(alg.killing_matrix[list(data.b_indices)] @ data.p_filtration_coords.T)))
     half = data.n_dim * 2 == alg.dim - len(data.z_indices)
     # Ad of the compact stabilizer preserves each eigenvalue level
     zk = z_k_coords(data)
@@ -282,9 +278,8 @@ def check_parabolic(ctx: _Context, cfg: RunConfig, rng) -> dict:
             idx = [data.b_indices[j] for j in block]
             span = np.eye(alg.dim)[idx].T
             Q, _ = np.linalg.qr(span)
-            for j in block:
-                v = alg.coords(m @ data.n_basis[j] @ m_inv)
-                ad_inv = max(ad_inv, float(np.max(np.abs(v - Q @ (Q.T @ v)))))
+            v = alg.coords(m @ data.n_basis[block] @ m_inv)
+            ad_inv = max(ad_inv, float(np.max(np.abs(v - (v @ Q) @ Q.T))))
     section = {
         "dim_z": len(data.z_indices),
         "dim_n": data.n_dim,

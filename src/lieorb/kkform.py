@@ -2,9 +2,11 @@
 
 Tangent vectors to the orbit at w = Ad(g)c are kept together with a
 representative X (the tangent value is [X, w]), and the two-form is always
-evaluated on representatives as B(w, [X, Y]).  On realified complex algebras
-the real and imaginary parts of the holomorphic form are recovered through
-the complex structure J:
+evaluated on representatives as B(w, [X, Y]).  Whole Gram matrices of the
+form come from one contraction with the structure constants (kk_gram);
+kk_eval is the independent scalar route through the matrix bracket.  On
+realified complex algebras the real and imaginary parts of the holomorphic
+form are recovered through the complex structure J:
 
     Re Omega = B_R(w, [X, Y]) / 2,      Im Omega = -B_R(w, [J X, Y]) / 2.
 
@@ -76,6 +78,23 @@ def kk_eval(algebra: MatrixLieAlgebra, pt: OrbitPoint, X: np.ndarray, Y: np.ndar
     return float(pt.w_coords @ algebra.killing_matrix @ algebra.coords(algebra.bracket(X, Y)))
 
 
+def kk_gram(
+    algebra: MatrixLieAlgebra, w_coords: np.ndarray, Xc: np.ndarray, Yc: np.ndarray | None = None
+) -> np.ndarray:
+    """B(w, [X_i, Y_j]) for stacks of coordinate rows: Xc . M_w . Yc^T.
+
+    M_w[a, b] = sum_k c_abk (K w)_k is the form on basis pairs; Yc defaults
+    to Xc.
+    """
+    M_w = algebra.structure @ (algebra.killing_matrix @ w_coords)
+    return Xc @ M_w @ (Xc if Yc is None else Yc).T
+
+
+def upper_max(M: np.ndarray) -> float:
+    """max |M_ij| over i < j; 0 when there is no such pair."""
+    return float(np.max(np.abs(M[np.triu_indices(len(M), 1)]), initial=0.0))
+
+
 def closedness_check(
     algebra: MatrixLieAlgebra, pt: OrbitPoint, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
 ) -> float:
@@ -89,16 +108,11 @@ def closedness_check(
     return abs(total)
 
 
-def _translated_directions(algebra, data: HyperbolicData, pt: OrbitPoint) -> list[np.ndarray]:
-    """Representatives Ad(g) of the theta-n + n directions, spanning g/z(w)."""
-    g = pt.g
-    g_inv = np.linalg.inv(g)
-    dirs = []
-    for x in data.nbar_coords:
-        dirs.append(g @ algebra.from_coords(x) @ g_inv)
-    for V in data.n_basis:
-        dirs.append(g @ V @ g_inv)
-    return dirs
+def _omega_svals(algebra: MatrixLieAlgebra, data: HyperbolicData, pt: OrbitPoint) -> np.ndarray:
+    """Singular values of Omega on Ad(g) of the theta-n + n directions, a basis of g/z(w)."""
+    rows = np.concatenate([data.nbar_coords, np.eye(algebra.dim)[list(data.b_indices)]])
+    dirs = algebra.coords(pt.g @ algebra.from_coords(rows) @ np.linalg.inv(pt.g))
+    return np.linalg.svd(kk_gram(algebra, pt.w_coords, dirs), compute_uv=False)
 
 
 def nondegeneracy_check(
@@ -107,28 +121,11 @@ def nondegeneracy_check(
     """Smallest singular value of Omega on a basis of g/z(w) at the point."""
     if pt is None:
         pt = orbit_point(algebra, data.c, np.eye(algebra.d), validate=False)
-    dirs = _translated_directions(algebra, data, pt)
-    m = len(dirs)
-    M = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = kk_eval(algebra, pt, dirs[i], dirs[j])
-            M[i, j] = v
-            M[j, i] = -v
-    svals = np.linalg.svd(M, compute_uv=False)
-    return float(svals[-1])
+    return float(_omega_svals(algebra, data, pt)[-1])
 
 
 def omega_rank(algebra: MatrixLieAlgebra, data: HyperbolicData, pt: OrbitPoint) -> int:
-    dirs = _translated_directions(algebra, data, pt)
-    m = len(dirs)
-    M = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = kk_eval(algebra, pt, dirs[i], dirs[j])
-            M[i, j] = v
-            M[j, i] = -v
-    svals = np.linalg.svd(M, compute_uv=False)
+    svals = _omega_svals(algebra, data, pt)
     return int(np.sum(svals > TOL_EIGEN * max(1.0, svals[0])))
 
 
@@ -136,19 +133,9 @@ def fiber_isotropy_check(
     algebra: MatrixLieAlgebra, data: HyperbolicData, g=None
 ) -> float:
     """max |Omega| over the fiber directions; at the base fiber when g is None."""
-    if g is None:
-        pt = orbit_point(algebra, data.c, np.eye(algebra.d), validate=False)
-        dirs = list(data.n_basis)
-    else:
-        G = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
-        pt = orbit_point(algebra, data.c, G, validate=False)
-        G_inv = np.linalg.inv(G)
-        dirs = [G @ V @ G_inv for V in data.n_basis]
-    worst = 0.0
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            worst = max(worst, abs(kk_eval(algebra, pt, dirs[i], dirs[j])))
-    return worst
+    pt = orbit_point(algebra, data.c, np.eye(algebra.d) if g is None else g, validate=False)
+    dirs = algebra.coords(pt.g @ data.n_basis @ np.linalg.inv(pt.g))
+    return upper_max(kk_gram(algebra, pt.w_coords, dirs))
 
 
 def k_orbit_lagrangian_check(
@@ -169,21 +156,10 @@ def k_orbit_lagrangian_check(
             raise ConfigurationError("real-form mode needs a real form")
     else:
         raise ConfigurationError(f"unknown mode {which!r}")
-    K = algebra.killing_matrix
-    wc = algebra.coords(c)
-    worst = 0.0
-    for i in range(split.k_basis.shape[0]):
-        for j in range(i + 1, split.k_basis.shape[0]):
-            X, Y = split.k_basis[i], split.k_basis[j]
-            if which == "im":
-                X = algebra.J @ X
-                val = -0.5 * float(wc @ K @ algebra.coords(algebra.bracket(X, Y)))
-            elif which == "re":
-                val = 0.5 * float(wc @ K @ algebra.coords(algebra.bracket(X, Y)))
-            else:
-                val = float(wc @ K @ algebra.coords(algebra.bracket(X, Y)))
-            worst = max(worst, abs(val))
-    return worst
+    Yc = split.k_coords
+    Xc = algebra.coords(algebra.J @ split.k_basis) if which == "im" else Yc
+    factor = {"re": 0.5, "im": -0.5, "real-form": 1.0}[which]
+    return upper_max(factor * kk_gram(algebra, algebra.coords(c), Xc, Yc))
 
 
 def exactness_verdict(

@@ -21,11 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .liecore import (
-    TOL_DECOMP,
     TOL_STRUCT,
     ConfigurationError,
     InconsistencyError,
     MatrixLieAlgebra,
+    independent_rows,
 )
 from .rootspace import RestrictedRootSystem, positive_system
 
@@ -48,24 +48,6 @@ def chamber_sort(entries: Sequence) -> tuple[Fraction, ...]:
 
 
 @dataclass
-class GradeProjector:
-    """Projections onto the one-dimensional summands R V_j of n(c)."""
-
-    n_dim: int
-
-    def pr(self, j: int) -> np.ndarray:
-        P = np.zeros((self.n_dim, self.n_dim))
-        P[j, j] = 1.0
-        return P
-
-    def le(self, k: int) -> np.ndarray:
-        return np.diag((np.arange(self.n_dim) <= k).astype(float))
-
-    def gt(self, k: int) -> np.ndarray:
-        return np.diag((np.arange(self.n_dim) > k).astype(float))
-
-
-@dataclass
 class HyperbolicData:
     algebra: MatrixLieAlgebra
     rs: RestrictedRootSystem
@@ -84,7 +66,6 @@ class HyperbolicData:
     T_diag: np.ndarray
     N0: int = 0
     adn: np.ndarray = field(default=None, repr=False)  # adn[i] = ad(V_i) on n-coords
-    projector: GradeProjector = None
 
     @property
     def n_dim(self) -> int:
@@ -93,14 +74,6 @@ class HyperbolicData:
     @property
     def z_coords(self) -> np.ndarray:
         return np.eye(self.algebra.dim)[list(self.z_indices)]
-
-    @property
-    def z_basis(self) -> np.ndarray:
-        return self.algebra.basis[list(self.z_indices)]
-
-    @property
-    def nbar_basis(self) -> np.ndarray:
-        return np.stack([self.algebra.from_coords(x) for x in self.nbar_coords])
 
     @property
     def p_filtration_coords(self) -> np.ndarray:
@@ -122,8 +95,9 @@ class HyperbolicData:
         return v
 
     def n_matrix_of(self, v: np.ndarray) -> np.ndarray:
+        """The element sum_j v_j V_j, over any leading batch axes of v."""
         v = np.asarray(v, dtype=float)
-        return np.einsum("j,jab->ab", v, self.n_basis)
+        return np.einsum("...j,jab->...ab", v, self.n_basis)
 
     @property
     def min_grade(self) -> Fraction:
@@ -222,7 +196,6 @@ def hyperbolic_data(
         levels=tuple(levels),
         blocks=tuple(blocks),
         T_diag=grades.copy(),
-        projector=GradeProjector(n_dim),
     )
     data.adn = adn
     data.N0 = nilpotency_index(data)
@@ -278,30 +251,13 @@ def grade_projection(data: HyperbolicData, X: np.ndarray, mode: str, index: int)
     Indices are 0-based positions in the ordered eigenbasis.
     """
     v = data.n_coords_of(X, strict=TOL_STRUCT)
-    if mode == "j":
-        P = data.projector.pr(index)
-    elif mode == "le":
-        P = data.projector.le(index)
-    elif mode == "gt":
-        P = data.projector.gt(index)
-    else:
+    j = np.arange(data.n_dim)
+    masks = {"j": j == index, "le": j <= index, "gt": j > index}
+    if mode not in masks:
         raise ConfigurationError(f"unknown projection mode {mode!r}")
-    return data.n_matrix_of(P @ v)
+    return data.n_matrix_of(np.where(masks[mode], v, 0.0))
 
 
 def z_k_coords(data: HyperbolicData) -> np.ndarray:
     """Basis of the intersection of k with z(c): the compact stabilizer algebra."""
-    algebra = data.algebra
-    Th = algebra.theta_matrix
-    cols: list[np.ndarray] = []
-    seen: list[np.ndarray] = []
-    for b in data.z_indices:
-        x = np.eye(algebra.dim)[b]
-        v = x + Th @ x
-        w = v.copy()
-        for u in seen:
-            w = w - (u @ w) * u
-        if np.linalg.norm(w) > 1e-9:
-            cols.append(v)
-            seen.append(w / np.linalg.norm(w))
-    return np.stack(cols) if cols else np.zeros((0, algebra.dim))
+    return independent_rows(data.z_coords + data.z_coords @ data.algebra.theta_matrix.T)

@@ -34,6 +34,7 @@ from .liecore import (
     cartan_split,
     embed_complex,
     extract_complex,
+    independent_rows,
 )
 
 
@@ -120,9 +121,8 @@ def maximal_abelian(algebra: MatrixLieAlgebra, split: CartanSplit) -> np.ndarray
 def _orthonormalize(algebra: MatrixLieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt for <.,.> in the given deterministic order."""
     G = algebra.inner_matrix
-    coords = [algebra.coords(M) for M in mats]
     out = []
-    for x in coords:
+    for x in algebra.coords(mats):
         v = x.copy()
         for u in out:
             v = v - (u @ G @ v) * u
@@ -131,8 +131,7 @@ def _orthonormalize(algebra: MatrixLieAlgebra, mats: np.ndarray) -> tuple[np.nda
             raise DegeneracyError("dependent vectors in abelian subspace")
         out.append(v / nrm)
     a_coords = np.stack(out)
-    a_basis = np.stack([algebra.from_coords(x) for x in a_coords])
-    return a_coords, a_basis
+    return a_coords, algebra.from_coords(a_coords)
 
 
 def restricted_roots(algebra: MatrixLieAlgebra, a_elements: np.ndarray) -> RestrictedRootSystem:
@@ -214,23 +213,8 @@ def restricted_roots(algebra: MatrixLieAlgebra, a_elements: np.ndarray) -> Restr
     zero_coords = np.eye(dim)[zero_idx]
     zero_basis = algebra.basis[zero_idx]
     # m is the theta-fixed part of g_0 (g_0 is theta-stable)
-    Th = algebra.theta_matrix
-    m_cols = []
-    seen: list[np.ndarray] = []
-    for x in zero_coords:
-        v = x + Th @ x
-        w = v.copy()
-        for u in seen:
-            w = w - (u @ w) * u
-        if np.linalg.norm(w) > 1e-9:
-            m_cols.append(v)
-            seen.append(w / np.linalg.norm(w))
-    m_coords = np.stack(m_cols) if m_cols else np.zeros((0, dim))
-    m_basis = (
-        np.stack([algebra.from_coords(x) for x in m_coords])
-        if m_cols
-        else np.zeros((0, algebra.d, algebra.d))
-    )
+    m_coords = independent_rows(zero_coords + zero_coords @ algebra.theta_matrix.T)
+    m_basis = algebra.from_coords(m_coords)
 
     rs = RestrictedRootSystem(
         algebra, a_coords, a_basis, roots, zero_coords, zero_basis, m_coords, m_basis

@@ -26,14 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kkform import OrbitPoint, kk_eval, orbit_point
+from .kkform import OrbitPoint, kk_gram, orbit_point, upper_max
 from .liecore import (
     TOL_DECOMP,
     ConfigurationError,
     DecompositionError,
     GroupElement,
-    InconsistencyError,
-    MatrixLieAlgebra,
     cartan_split,
     in_K_residual,
     kp_decompose,
@@ -98,19 +96,25 @@ def tautological_form(data: HyperbolicData, pt: CotangentPoint, W: CotangentTang
     return -float(algebra.coords(Vm) @ algebra.killing_matrix @ algebra.coords(W.Y))
 
 
+def liouville_gram(
+    data: HyperbolicData, pt: CotangentPoint, Ys: np.ndarray, deltas: np.ndarray
+) -> np.ndarray:
+    """sigma(W_i, W_j) for the tangents W_i = (Ys[i], deltas[i]) of the (k, V) chart.
+
+    With D and Y the coordinate rows of the fiber and base parts,
+    sigma = D K Y^T - Y K D^T - B(V, [Y_i, Y_j]); see the frozen conventions above.
+    """
+    algebra = data.algebra
+    Y = algebra.coords(Ys)
+    DKY = algebra.coords(data.n_matrix_of(deltas)) @ algebra.killing_matrix @ Y.T
+    return DKY - DKY.T - kk_gram(algebra, algebra.coords(data.n_matrix_of(pt.V)), Y)
+
+
 def liouville_eval(
     data: HyperbolicData, pt: CotangentPoint, W1: CotangentTangent, W2: CotangentTangent
 ) -> float:
-    """Liouville form in the (k, V) chart; see the frozen conventions above."""
-    algebra = data.algebra
-    K = algebra.killing_matrix
-    d1 = algebra.coords(data.n_matrix_of(W1.delta))
-    d2 = algebra.coords(data.n_matrix_of(W2.delta))
-    y1 = algebra.coords(W1.Y)
-    y2 = algebra.coords(W2.Y)
-    vb = algebra.coords(data.n_matrix_of(pt.V))
-    br = algebra.coords(algebra.bracket(W1.Y, W2.Y))
-    return float(d1 @ K @ y2 - d2 @ K @ y1 - vb @ K @ br)
+    """Liouville form in the (k, V) chart: the one-pair case of liouville_gram."""
+    return float(liouville_gram(data, pt, np.stack([W1.Y, W2.Y]), np.stack([W1.delta, W2.delta]))[0, 1])
 
 
 def horizontal_basis(data: HyperbolicData) -> np.ndarray:
@@ -121,8 +125,16 @@ def horizontal_basis(data: HyperbolicData) -> np.ndarray:
     return np.stack(mats)
 
 
+def _chart_sigma(data: HyperbolicData, pt: CotangentPoint, Ys: np.ndarray) -> np.ndarray:
+    """sigma on the chart frame: horizontal (Ys[i], 0), then vertical (0, e_b)."""
+    n, d = data.n_dim, data.algebra.d
+    return liouville_gram(
+        data, pt, np.concatenate([Ys, np.zeros((n, d, d))]), np.concatenate([np.zeros((n, n)), np.eye(n)])
+    )
+
+
 def liouville_fd_gap(data: HyperbolicData, pt: CotangentPoint, step: float = 1e-5) -> float:
-    """Compare liouville_eval with the FD exterior derivative of tau.
+    """Compare liouville_gram with the FD exterior derivative of tau.
 
     The chart u = (y, v) -> (k0 exp(y_1 Y_1) ... exp(y_n Y_n), V0 + v) is a
     local parametrization; coordinate tangents are computed in closed form
@@ -152,23 +164,14 @@ def liouville_fd_gap(data: HyperbolicData, pt: CotangentPoint, step: float = 1e-
         return comps  # fiber components of tau vanish identically
 
     u0 = np.zeros(dimu)
-    # chart tangents at u0
-    Ws = [CotangentTangent(Ys[i], np.zeros(n)) for i in range(n)]
-    Ws += [CotangentTangent(np.zeros((algebra.d, algebra.d)), np.eye(n)[b]) for b in range(n)]
-
     dtau = np.zeros((dimu, dimu))
     for i in range(dimu):
         e = np.eye(dimu)[i] * step
         tp = tau_components(u0 + e)
         tm = tau_components(u0 - e)
         dtau[i] = (tp - tm) / (2 * step)  # dtau[i, j] = d_i tau_j
-    worst = 0.0
-    for i in range(dimu):
-        for j in range(i + 1, dimu):
-            fd = dtau[i, j] - dtau[j, i]
-            sigma = liouville_eval(data, pt, Ws[i], Ws[j])
-            worst = max(worst, abs(sigma + fd))
-    return worst
+    # sigma = -d tau on the chart tangents at u0
+    return upper_max(_chart_sigma(data, pt, Ys) + (dtau - dtau.T))
 
 
 def _orbit_w(data: HyperbolicData, g: np.ndarray) -> np.ndarray:
@@ -196,19 +199,16 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint, step: float = 1e
     Ys = horizontal_basis(data)
     nV = exp_H(data, pt.V).matrix
     g0 = pt.k @ nV
-    w0 = _orbit_w(data, g0)
     pt0 = orbit_point(algebra, data.c, g0, validate=False)
-    scale = float(np.max(np.abs(w0)))
+    scale = float(np.max(np.abs(pt0.w)))
 
     tangents = []
-    Ws = []
     for i in range(n):
         curves = {}
         for s in (step, -step, step / 2, -step / 2):
             curves[s] = _orbit_w(data, pt.k @ scipy.linalg.expm(s * Ys[i]) @ nV)
         dw = _fd_tangent(curves[step], curves[-step], curves[step / 2], curves[-step / 2], step, scale)
         tangents.append(dw)
-        Ws.append(CotangentTangent(Ys[i], np.zeros(n)))
     for b in range(n):
         e = np.eye(n)[b]
         curves = {}
@@ -216,27 +216,14 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint, step: float = 1e
             curves[s] = _orbit_w(data, pt.k @ exp_H(data, pt.V + s * e).matrix)
         dw = _fd_tangent(curves[step], curves[-step], curves[step / 2], curves[-step / 2], step, scale)
         tangents.append(dw)
-        Ws.append(CotangentTangent(np.zeros((algebra.d, algebra.d)), e))
 
-    # representatives: solve [X, w0] = dw, i.e. -ad(w0) x = dw in coordinates
-    M = -algebra.ad_coord(algebra.coords(w0))
-    P = np.linalg.pinv(M, rcond=1e-10)
-    reps = []
-    for dw in tangents:
-        dwc = algebra.coords(dw)
-        x = P @ dwc
-        if float(np.max(np.abs(M @ x - dwc))) > 1e-5 * max(1.0, scale):
-            raise DecompositionError("orbit tangent fell outside the orbit (FD breakdown)")
-        reps.append(algebra.from_coords(x))
-
-    m = 2 * n
-    worst = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            om = kk_eval(algebra, pt0, reps[i], reps[j])
-            sg = liouville_eval(data, pt, Ws[i], Ws[j])
-            worst = max(worst, abs(om - sg))
-    return worst
+    # representative rows: solve [X, w0] = dw, i.e. -ad(w0) x = dw in coordinates
+    M = -algebra.ad_coord(pt0.w_coords)
+    dwc = algebra.coords(np.stack(tangents))
+    reps = dwc @ np.linalg.pinv(M, rcond=1e-10).T
+    if float(np.max(np.abs(reps @ M.T - dwc))) > 1e-5 * max(1.0, scale):
+        raise DecompositionError("orbit tangent fell outside the orbit (FD breakdown)")
+    return upper_max(kk_gram(algebra, pt0.w_coords, reps) - _chart_sigma(data, pt, Ys))
 
 
 def section_lagrangian_check(
@@ -253,10 +240,8 @@ def section_lagrangian_check(
     for _ in range(samples):
         k = random_in_K(algebra, rng).matrix
         pt = orbit_point(algebra, data.c, k, validate=False)
-        dirs = [k @ Y @ k.T for Y in split.k_basis]
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                worst = max(worst, abs(kk_eval(algebra, pt, dirs[i], dirs[j])))
+        dirs = algebra.coords(k @ split.k_basis @ k.T)
+        worst = max(worst, upper_max(kk_gram(algebra, pt.w_coords, dirs)))
     return worst
 
 

@@ -37,6 +37,19 @@ def trace_form_multiple(algebra, X, Y):
     return 2 * algebra.n * float(np.trace(np.asarray(X) @ np.asarray(Y)))
 
 
+def structure_constants_pairwise(algebra):
+    """Structure constants from one matrix bracket per basis pair i < j, with
+    c[j, i] = -c[i, j]; the reference layout for the batched assembly."""
+    dim = algebra.dim
+    c = np.zeros((dim, dim, dim))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            co = algebra.coords(algebra.bracket(algebra.basis[i], algebra.basis[j]))
+            c[i, j] = co
+            c[j, i] = -co
+    return c
+
+
 def projector_onto(coords_rows):
     """Orthogonal projector onto the row span."""
     Q, _ = np.linalg.qr(np.asarray(coords_rows, float).T)

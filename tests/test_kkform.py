@@ -9,6 +9,7 @@ from lieorb.kkform import (
     fiber_isotropy_check,
     k_orbit_lagrangian_check,
     kk_eval,
+    kk_gram,
     nondegeneracy_check,
     omega_rank,
     orbit_point,
@@ -16,6 +17,7 @@ from lieorb.kkform import (
     tangent_rep,
 )
 from lieorb.liecore import ConfigurationError, random_element
+from conftest import ALGEBRA_SPECS
 from oracles import killing_matrix_oracle
 
 
@@ -33,6 +35,23 @@ def test_kk_eval_base_value(ws):
     assert K[0, 0] == pytest.approx(8.0, abs=1e-10)
     assert kk_eval(alg, pt, E, F) == pytest.approx(8.0, abs=1e-10)
     assert kk_eval(alg, pt, E, E) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("key", sorted(ALGEBRA_SPECS))
+def test_kk_gram_matches_kk_eval(ws, rng, key):
+    alg = ws.algebra(key)
+    c = alg.element_from_entries([alg.n - 1 - 2 * k for k in range(alg.n)])
+    for _ in range(3):
+        pt = orbit_point(alg, c, scipy.linalg.expm(random_element(alg, rng, 0.4)), validate=False)
+        Xc = rng.standard_normal((4, alg.dim))
+        Yc = rng.standard_normal((3, alg.dim))
+        gram = kk_gram(alg, pt.w_coords, Xc, Yc)
+        ref = np.array(
+            [[kk_eval(alg, pt, alg.from_coords(x), alg.from_coords(y)) for y in Yc] for x in Xc]
+        )
+        np.testing.assert_allclose(gram, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+        square = np.array([[kk_eval(alg, pt, alg.from_coords(x), alg.from_coords(y)) for y in Xc] for x in Xc])
+        np.testing.assert_allclose(kk_gram(alg, pt.w_coords, Xc), square, rtol=0, atol=1e-12 * np.max(np.abs(square)))
 
 
 def test_antisymmetry_and_degeneracy(ws, rng):

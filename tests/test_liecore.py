@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from conftest import ALGEBRA_SPECS
 from lieorb.liecore import (
     AlgebraSpec,
     ConfigurationError,
@@ -15,7 +18,7 @@ from lieorb.liecore import (
     random_element,
     random_in_K,
 )
-from oracles import killing_matrix_oracle, trace_form_multiple
+from oracles import killing_matrix_oracle, structure_constants_pairwise, trace_form_multiple
 
 
 def test_spec_validation():
@@ -191,6 +194,31 @@ def test_coords_roundtrip(ws, rng):
         assert alg.span_residual(alg.from_coords(x)) < 1e-12
 
 
+@pytest.mark.parametrize("key", sorted(ALGEBRA_SPECS))
+def test_coords_batched_match_single_calls(ws, rng, key):
+    alg = ws.algebra(key)
+    X = rng.standard_normal((2, 3, alg.d, alg.d))
+    x = rng.standard_normal((4, alg.dim))
+    batched = alg.coords(X)
+    assert batched.shape == (2, 3, alg.dim)
+    np.testing.assert_array_equal(batched, [[alg.coords(M) for M in row] for row in X])
+    np.testing.assert_array_equal(alg.from_coords(x), np.stack([alg.from_coords(v) for v in x]))
+    assert alg.coords(np.zeros((0, alg.d, alg.d))).shape == (0, alg.dim)
+    assert alg.from_coords(np.zeros((0, alg.dim))).shape == (0, alg.d, alg.d)
+    with pytest.raises(ValueError):
+        alg.coords(np.zeros((2, alg.d + 1, alg.d + 1)))
+    with pytest.raises(ValueError):
+        alg.from_coords(np.zeros((2, alg.dim + 1)))
+
+
+@pytest.mark.parametrize("key", sorted(ALGEBRA_SPECS))
+def test_structure_constants_match_pairwise_oracle(ws, key):
+    # compared as JSON text, so every signed zero of the fixture counts
+    alg = ws.algebra(key)
+    expected = json.dumps(structure_constants_pairwise(alg).tolist())
+    assert json.dumps(alg.structure.tolist()) == expected
+
+
 def test_iwasawa_identity_and_n(ws):
     alg = ws.algebra("sl2r")
     k, a, n = iwasawa_decompose(alg, np.eye(2))
@@ -243,6 +271,9 @@ def test_iwasawa_errors(ws):
     alg = ws.algebra("sl2r")
     with pytest.raises(DecompositionError):
         iwasawa_decompose(alg, np.diag([2.0, 1.0]))  # det != 1
+    for singular in (np.zeros((2, 2)), np.ones((2, 2))):
+        with pytest.raises(DecompositionError):
+            iwasawa_decompose(alg, singular)
 
 
 def test_kp_decompose(ws, rng):

@@ -90,14 +90,17 @@ def test_grade_projection(ws, rng):
     np.testing.assert_allclose(grade_projection(data, X, "j", 2), 5.0 * E13, atol=1e-12)
     np.testing.assert_allclose(grade_projection(data, X, "le", 2), X, atol=1e-12)
     np.testing.assert_allclose(grade_projection(data, X, "gt", 1), 5.0 * E13, atol=1e-12)
-    # complementary projectors
-    v = rng.standard_normal(3)
-    P = data.projector
+    # complementary projections: pairwise orthogonal, summing to the identity
+    Y = data.n_matrix_of(rng.standard_normal(3))
+    parts = [grade_projection(data, Y, "j", j) for j in range(3)]
     for j in range(3):
         for k in range(3):
-            target = P.pr(j) @ v if j == k else np.zeros(3)
-            np.testing.assert_allclose(P.pr(j) @ (P.pr(k) @ v), target, atol=1e-14)
-    np.testing.assert_allclose(sum(P.pr(j) for j in range(3)), np.eye(3), atol=0)
+            target = parts[j] if j == k else np.zeros((3, 3))
+            np.testing.assert_allclose(grade_projection(data, parts[k], "j", j), target, atol=1e-14)
+    np.testing.assert_allclose(sum(parts), Y, atol=0)
+    for k in range(3):
+        split = grade_projection(data, Y, "le", k) + grade_projection(data, Y, "gt", k)
+        np.testing.assert_allclose(split, Y, atol=0)
     with pytest.raises(ValueError):
         grade_projection(data, data.c, "j", 0)   # component outside n(c)
 

@@ -83,6 +83,18 @@ def test_project_pi(ws, rng):
     assert coset_gap(data, bc.k, np.eye(3)) < 1e-9
 
 
+def test_project_pi_with_large_group_entries(ws):
+    # |c| = 1e-3 and |V| ~ 17: group elements reach ~1e9, det g = 1 +- 1e-7
+    data = ws.data("sl3r", ("1/1000", "0", "-1/1000"))
+    alg = ws.algebra("sl3r")
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        V = 17 * rng.standard_normal(3)
+        k = random_in_K(alg, rng).matrix
+        bc = project_pi(data, phi_lambda(data, cotangent_point(data, k, V), validate=False))
+        assert coset_gap(data, bc.k, k) < 1e-9
+
+
 def test_bundle_compatibility_sweep(ws, rng):
     for key, entries in (("sl3r", (1, 0, -1)), ("sl3c", (1, 0, -1))):
         data = ws.data(key, entries)
