@@ -376,16 +376,17 @@ def iwasawa_decompose(algebra: MatrixLieAlgebra, g) -> tuple[GroupElement, Group
     """g = k a n with k in K, a positive diagonal, n upper unitriangular.
 
     Realized by QR with the positive-diagonal convention; the same convention
-    canonicalizes coset representatives downstream.  det g = 1 is judged
-    against the Hadamard bound prod |g_col| (the scale of det's rounding), and
-    the reconstruction against max |g|, so large valid elements pass.
+    canonicalizes coset representatives downstream.  det g = 1 is judged at
+    det's rounding scale, a few eps times the Hadamard bound prod |g_col|, and
+    the reconstruction against max |g|, so large valid elements pass while
+    non-special and singular ones do not.
     """
     G = _as_matrix(g)
     if G.shape != (algebra.d, algebra.d):
         raise ValueError("dimension mismatch in iwasawa_decompose")
     det = special_determinant(algebra, G)
     hadamard = float(np.prod(np.linalg.norm(extract_complex(G) if algebra.is_complex else G, axis=0)))
-    if abs(det - 1.0) > TOL_DECOMP * max(1.0, hadamard):
+    if abs(det - 1.0) > TOL_DECOMP + 8 * algebra.d * np.finfo(float).eps * hadamard:
         raise DecompositionError(f"input is not special (det = {det})")
     if algebra.is_complex:
         Z = extract_complex(G)

@@ -269,11 +269,20 @@ def test_iwasawa_roundtrip_on_kan(ws, rng):
 
 def test_iwasawa_errors(ws):
     alg = ws.algebra("sl2r")
-    with pytest.raises(DecompositionError):
-        iwasawa_decompose(alg, np.diag([2.0, 1.0]))  # det != 1
-    for singular in (np.zeros((2, 2)), np.ones((2, 2))):
+    # det 2 at unit and at large scale (Hadamard bound 1e10), then singular ones
+    bad = (
+        np.diag([2.0, 1.0]),
+        np.array([[1e5, 1e5], [0.0, 2e-5]]),
+        np.zeros((2, 2)),
+        np.ones((2, 2)),
+        np.full((2, 2), 1e5),
+    )
+    for g in bad:
         with pytest.raises(DecompositionError):
-            iwasawa_decompose(alg, singular)
+            iwasawa_decompose(alg, g)
+    # a large special element still factors
+    k, a, n = iwasawa_decompose(ws.algebra("sl3r"), np.diag([1e9, 1.0, 1e-9]))
+    np.testing.assert_allclose(np.diagonal(a.matrix), [1e9, 1.0, 1e-9], rtol=1e-15)
 
 
 def test_kp_decompose(ws, rng):
