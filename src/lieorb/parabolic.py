@@ -13,9 +13,9 @@ threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
 from typing import Sequence
 
 import numpy as np
@@ -161,24 +161,20 @@ def hyperbolic_data(
     Th = algebra.theta_matrix
     nbar_coords = np.stack([Th @ np.eye(algebra.dim)[b] for b in b_indices])
 
-    # ad(V_i) restricted to n(c); exact block of the structure constants
-    adn = np.zeros((n_dim, n_dim, n_dim))
+    # ad(V_i) restricted to n(c), adn[i][k, j] = c_{b_i b_j b_k}: an exact
+    # block of the structure constants, which must not leave n(c)
     sel = list(b_indices)
-    for i, bi in enumerate(sel):
-        block = algebra.structure[bi][sel][:, sel]   # rows j, columns k
-        adn[i] = block.T                              # adn[i][k, j]
-        full = algebra.structure[bi][sel]
-        outside = full.copy()
-        outside[:, sel] = 0.0
-        if np.max(np.abs(outside)) > 1e-12:
-            raise InconsistencyError("bracket of n(c) escapes n(c)")
-    # grading: nonzero entries only where grade_k = grade_i + grade_j
-    for i in range(n_dim):
-        for j in range(n_dim):
-            target = grades_exact[i] + grades_exact[j]
-            for k in range(n_dim):
-                if abs(adn[i][k, j]) > 1e-12 and grades_exact[k] != target:
-                    raise InconsistencyError("bracket violates the eigenvalue grading")
+    pairs = algebra.structure[np.ix_(sel, sel)]
+    adn = np.ascontiguousarray(pairs[:, :, sel].transpose(0, 2, 1))
+    if np.max(np.abs(np.delete(pairs, sel, axis=2))) > 1e-12:
+        raise InconsistencyError("bracket of n(c) escapes n(c)")
+    # grading: nonzero entries only where grade_k = grade_i + grade_j, decided
+    # on the grades brought to one integer denominator
+    den = math.lcm(*(nu.denominator for nu in grades_exact))
+    g = np.array([int(nu * den) for nu in grades_exact])
+    off_grade = g[None, :, None] != g[:, None, None] + g[None, None, :]
+    if np.any((np.abs(adn) > 1e-12) & off_grade):
+        raise InconsistencyError("bracket violates the eigenvalue grading")
 
     data = HyperbolicData(
         algebra=algebra,
@@ -202,46 +198,67 @@ def hyperbolic_data(
     return data
 
 
-def _symmetrized_power_vanishes(adn: np.ndarray, q: int) -> bool:
-    """Whether (ad U)^q = 0 on n(c) identically in U.
+def _symbolic_powers(adn: np.ndarray):
+    """Yield (ad U)^q on n(c) for q = 1, 2, ..., as polynomials in U.
 
-    The q-th power is a homogeneous polynomial in the coordinates of U; it
-    vanishes identically iff every permutation-symmetrized product of the
-    generator matrices vanishes.  Entries are integer structure constants, so
-    the test is exact well below the threshold.
+    (ad U)^q is the sum over sorted index tuples m of U^m P_m, where P_m sums
+    adn[i_1] ... adn[i_q] over the distinct orderings of m.  Each power is a
+    dict m -> P_m that keeps only the nonzero P_m, so the empty dict means
+    (ad U)^q = 0 identically in U.  The entries are integer structure
+    constants and the P_m are int64, so the decision is exact.
     """
-    n = adn.shape[0]
-    for combo in combinations_with_replacement(range(n), q):
-        acc = np.zeros((n, n))
-        for perm in set(permutations(combo)):
-            M = adn[perm[0]]
-            for idx in perm[1:]:
-                M = M @ adn[idx]
-            acc = acc + M
-        if np.max(np.abs(acc)) > 1e-8:
-            return False
-    return True
+    gens = adn.astype(np.int64)
+    rows = gens.any(axis=2)          # rows[i, k]: adn[i] has a nonzero row k
+    power = {(): np.eye(adn.shape[0], dtype=np.int64)}
+    while True:
+        # (ad U)^q = (ad U)^{q-1} ad U: the orderings of a monomial are those
+        # of each of its one-shorter monomials with the remaining index last;
+        # only the nonzero columns of P_m and the generators they meet count
+        nxt: dict[tuple[int, ...], np.ndarray] = {}
+        for m, P in power.items():
+            cols = np.flatnonzero(P.any(axis=0))
+            meets = np.flatnonzero(rows[:, cols].any(axis=1))
+            for i, Q in zip(meets, P[:, cols] @ gens[meets][:, cols, :]):
+                key = tuple(sorted(m + (int(i),)))
+                nxt[key] = nxt[key] + Q if key in nxt else Q
+        power = {m: P for m, P in nxt.items() if P.any()}
+        yield power
 
 
 def nilpotency_index(data: HyperbolicData, samples: int = 20) -> int:
     """Smallest positive N0 with (ad U)^{N0+1} = 0 on n(c) for all U in n(c)."""
+    chamber = tuple(str(e) for e in data.c_entries)
+    if not np.array_equal(data.adn, np.rint(data.adn)):
+        raise InconsistencyError(f"nilpotency_index: ad(n(c)) is not integral at c = {chamber}")
     nu1, nup = data.min_grade, data.max_grade
     floor_bound = int(nup / nu1)
+    # every entry of every partial sum is at most an entry of
+    # (sum_i |adn[i]|)^q, so this bound keeps the int64 products exact
+    row_sum = float(np.max(np.abs(data.adn).sum(axis=(0, 2))))
+    if max(1.0, row_sum) ** (floor_bound + 1) >= 2.0**62:
+        raise ConfigurationError(f"nilpotency_index: int64 range exceeded at c = {chamber}")
     n0 = None
-    for m in range(1, floor_bound + 1):
-        if _symmetrized_power_vanishes(data.adn, m + 1):
-            n0 = m
+    for q, power in zip(range(1, floor_bound + 2), _symbolic_powers(data.adn)):
+        if q > 1 and not power:
+            n0 = q - 1
             break
     if n0 is None:
         # (m+2) nu_1 > nu_p already forces vanishing at m = floor_bound
-        raise InconsistencyError("nilpotency search exceeded the grading bound")
+        raise InconsistencyError(f"nilpotency search exceeded the grading bound at c = {chamber}")
+    # second route: sampled (ad U)^{N0+1} vanishes, and for N0 > 1 some
+    # sampled (ad U)^{N0} does not, both judged against |ad U|^power
     rng = np.random.default_rng(20240801)
+    reached = n0 == 1
     for _ in range(samples):
         U = rng.standard_normal(data.n_dim)
         A = np.einsum("i,ikj->kj", U, data.adn)
-        P = np.linalg.matrix_power(A, n0 + 1)
-        if np.max(np.abs(P)) > 1e-12 * max(1.0, np.max(np.abs(A)) ** (n0 + 1)):
-            raise InconsistencyError("sampled power violates the nilpotency index")
+        top = float(np.max(np.abs(A)))
+        low = np.linalg.matrix_power(A, n0)
+        if np.max(np.abs(low @ A)) > 1e-12 * max(1.0, top ** (n0 + 1)):
+            raise InconsistencyError(f"sampled power violates the nilpotency index at c = {chamber}")
+        reached = reached or np.max(np.abs(low)) > 1e-12 * max(1.0, top**n0)
+    if not reached:
+        raise InconsistencyError(f"no sampled power reaches the nilpotency index at c = {chamber}")
     return n0
 
 

@@ -6,6 +6,10 @@ is assembled from those brute-force ad matrices, and the sl trace-form
 multiple is used only as a cross-check.
 """
 
+import functools
+from collections import Counter
+from itertools import combinations_with_replacement
+
 import numpy as np
 
 
@@ -48,6 +52,48 @@ def structure_constants_pairwise(algebra):
             c[i, j] = co
             c[j, i] = -co
     return c
+
+
+def symmetrized_power_vanishes_bruteforce(adn, q):
+    """Whether (ad U)^q = 0 on n(c) identically in U, by brute force.
+
+    The q-th power is a homogeneous polynomial in the coordinates of U; it
+    vanishes identically iff, for every multiset of q generator indices, the
+    products of the generator matrices summed over all distinct orderings of
+    the multiset vanish.  The orderings are walked one index at a time, and an
+    ordering is cut where its prefix product is exactly zero, since then so
+    is every product that extends it.  Prefix products are shared between
+    multisets.
+    """
+    n = adn.shape[0]
+
+    @functools.lru_cache(maxsize=None)
+    def product(seq):
+        M = adn[seq[0]] if len(seq) == 1 else product(seq[:-1]) @ adn[seq[-1]]
+        return M if M.any() else None
+
+    def orderings_sum(prefix, remaining):
+        if not remaining:
+            return product(prefix)
+        acc = np.zeros((n, n))
+        for idx in sorted(remaining):
+            if product(prefix + (idx,)) is None:
+                continue
+            rest = Counter(remaining)
+            rest[idx] -= 1
+            acc = acc + orderings_sum(prefix + (idx,), +rest)
+        return acc
+
+    for combo in combinations_with_replacement(range(n), q):
+        if np.max(np.abs(orderings_sum((), Counter(combo)))) > 1e-8:
+            return False
+    return True
+
+
+def dense_jacobi_residual(c):
+    """max |Jacobi sum| over all (i, j, k, l) from the dense dim^4 tensor."""
+    j1 = np.einsum("ijm,mkl->ijkl", c, c)
+    return float(np.max(np.abs(j1 + j1.transpose(1, 2, 0, 3) + j1.transpose(2, 0, 1, 3))))
 
 
 def projector_onto(coords_rows):

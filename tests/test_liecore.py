@@ -8,17 +8,25 @@ from lieorb.liecore import (
     AlgebraSpec,
     ConfigurationError,
     DecompositionError,
+    InconsistencyError,
+    MatrixLieAlgebra,
     build_algebra,
     cartan_split,
     exp_element,
     in_K_residual,
     iwasawa_decompose,
+    jacobi_residual,
     killing_compare_realified,
     kp_decompose,
     random_element,
     random_in_K,
 )
-from oracles import killing_matrix_oracle, structure_constants_pairwise, trace_form_multiple
+from oracles import (
+    dense_jacobi_residual,
+    killing_matrix_oracle,
+    structure_constants_pairwise,
+    trace_form_multiple,
+)
 
 
 def test_spec_validation():
@@ -89,12 +97,39 @@ def test_bracket_agrees_with_structure_constants(ws, rng):
 
 
 def test_jacobi_all_basis_triples(ws):
-    for key in ("sl2r", "sl3r", "sl4r", "sl2c", "sl3c"):
+    for key in ALGEBRA_SPECS:
         alg = ws.algebra(key)
         c = alg.structure
-        j1 = np.einsum("ijm,mkl->ijkl", c, c)
-        resid = np.max(np.abs(j1 + j1.transpose(1, 2, 0, 3) + j1.transpose(2, 0, 1, 3)))
+        resid = dense_jacobi_residual(c)
         assert resid < 1e-10
+        # the sparse certificate is exact: it equals the dense tensor's maximum
+        assert jacobi_residual(c) == resid == alg.build_residuals["jacobi"]
+
+
+def test_jacobi_certificate_sees_planted_fault(ws):
+    for key in ALGEBRA_SPECS:
+        alg = ws.algebra(key)
+        rng = np.random.default_rng(11)
+        seen = []
+        for _ in range(5):
+            # some faults still satisfy Jacobi; the dense
+            # tensor decides which, and the certificate must agree exactly
+            i, j = rng.choice(alg.dim, size=2, replace=False)
+            m = rng.integers(alg.dim)
+            c = alg.structure.copy()
+            c[i, j, m] += 1
+            c[j, i, m] -= 1
+            got = jacobi_residual(c)
+            assert got == dense_jacobi_residual(c), f"{key}: fault at ({i}, {j}, {m})"
+            seen.append(got > 0)
+        assert sum(seen) >= 3, f"{key}: planted faults seen {seen}"
+
+
+def test_non_integer_structure_constants_are_rejected(monkeypatch):
+    build_basis = MatrixLieAlgebra._build_basis
+    monkeypatch.setattr(MatrixLieAlgebra, "_build_basis", lambda self: 0.5 * build_basis(self))
+    with pytest.raises(InconsistencyError, match="build_algebra.*not integers"):
+        build_algebra(AlgebraSpec("sl", 3, "R"))
 
 
 def test_killing_invariance(ws):

@@ -1,9 +1,21 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from lieorb.liecore import ConfigurationError
-from lieorb.parabolic import chamber_sort, grade_projection, hyperbolic_data, z_k_coords
+from conftest import DATA_GRID
+from lieorb import parabolic
+from lieorb.liecore import AlgebraSpec, ConfigurationError, InconsistencyError, build_algebra, cartan_split
+from lieorb.parabolic import chamber_sort, grade_projection, hyperbolic_data, nilpotency_index, z_k_coords
+from lieorb.rootspace import maximal_abelian, restricted_roots
+from oracles import symmetrized_power_vanishes_bruteforce
+
+
+def _cold_data(field, n, entries):
+    alg = build_algebra(AlgebraSpec("sl", n, field))
+    return hyperbolic_data(alg, restricted_roots(alg, maximal_abelian(alg, cartan_split(alg))), entries)
 
 
 def test_sl2_data(ws):
@@ -53,6 +65,66 @@ def test_sl4_nilpotency_index(ws):
         if np.max(np.abs(A @ A)) > 1e-6:
             saw_square = True
     assert saw_square
+
+
+def test_symbolic_power_matches_bruteforce(ws):
+    datas = [ws.data(key, entries) for key, entries in DATA_GRID]
+    datas += [_cold_data(f, 5, c) for f in "RC" for c in ((4, 2, 0, -2, -4), (3, 3, 0, -2, -4))]
+    for data in datas:
+        floor_bound = int(data.max_grade / data.min_grade)
+        powers = parabolic._symbolic_powers(data.adn)
+        for q, power in zip(range(1, floor_bound + 2), powers):
+            expected = symmetrized_power_vanishes_bruteforce(data.adn, q)
+            assert (not power) == expected, f"c = {data.c_entries}, q = {q}"
+
+
+@pytest.mark.parametrize("field, n, n0", [("R", 7, 5), ("C", 6, 4)])
+def test_desk_scale_regular_nilpotency_index(field, n, n0):
+    # regular chamber: s = n distinct entries and N0 = max(1, s - 2)
+    data = _cold_data(field, n, tuple(n - 1 - 2 * k for k in range(n)))
+    assert data.N0 == n0 == max(1, n - 2)
+
+
+def test_nilpotency_index_second_route_checks_both_sides(ws, monkeypatch):
+    data = ws.data("sl4r", (3, 1, -1, -3))     # N0 = 2
+    true_powers = parabolic._symbolic_powers
+
+    def vanishing_from(q_zero):
+        def fake(adn):
+            for q, power in enumerate(true_powers(adn), 1):
+                yield {} if q >= q_zero else (power or {(): np.eye(1)})
+        return fake
+
+    monkeypatch.setattr(parabolic, "_symbolic_powers", vanishing_from(2))   # claims N0 = 1
+    with pytest.raises(InconsistencyError, match="violates the nilpotency index"):
+        nilpotency_index(data)
+    monkeypatch.setattr(parabolic, "_symbolic_powers", vanishing_from(4))   # claims N0 = 3
+    with pytest.raises(InconsistencyError, match="no sampled power reaches"):
+        nilpotency_index(data)
+
+
+def test_nilpotency_index_integer_gates(ws):
+    data = ws.data("sl4r", (3, 1, -1, -3))
+    with pytest.raises(InconsistencyError, match=r"nilpotency_index.*not integral.*'3', '1', '-1', '-3'"):
+        nilpotency_index(dataclasses.replace(data, adn=0.5 * data.adn))
+    # the same N0 in exact arithmetic, but the int64 products would wrap
+    with pytest.raises(ConfigurationError, match="int64 range"):
+        nilpotency_index(dataclasses.replace(data, adn=2.0**31 * data.adn))
+
+
+def test_hyperbolic_data_rejects_bad_brackets(ws):
+    alg, rs = ws.algebra("sl3r"), ws.rs("sl3r")
+    data = ws.data("sl3r", (1, 0, -1))
+    b12, _, b13 = data.b_indices
+    # [E12, E13] = 0 in sl(3); planting a z(c) component makes n(c) not closed,
+    # planting an E13 component breaks the grading (2 != 1 + 2)
+    for target, message in ((data.z_indices[0], "escapes n"), (b13, "violates the eigenvalue grading")):
+        bad = copy.copy(alg)
+        bad.structure = alg.structure.copy()
+        bad.structure[b12, b13, target] = 1.0
+        bad.structure[b13, b12, target] = -1.0
+        with pytest.raises(InconsistencyError, match=message):
+            hyperbolic_data(bad, rs, (1, 0, -1))
 
 
 def test_nilpotency_respects_floor_bound(ws):
