@@ -232,14 +232,18 @@ def nilpotency_index(data: HyperbolicData, samples: int = 20) -> int:
         raise InconsistencyError(f"nilpotency_index: ad(n(c)) is not integral at c = {chamber}")
     nu1, nup = data.min_grade, data.max_grade
     floor_bound = int(nup / nu1)
-    # every entry of every partial sum is at most an entry of
-    # (sum_i |adn[i]|)^q, so this bound keeps the int64 products exact
-    row_sum = float(np.max(np.abs(data.adn).sum(axis=(0, 2))))
-    if max(1.0, row_sum) ** (floor_bound + 1) >= 2.0**62:
-        raise ConfigurationError(f"nilpotency_index: int64 range exceeded at c = {chamber}")
+    # ad U raises the level, so a chain through the s levels vanishes at
+    # power s; the search reaches the lower of the two grading bounds
+    limit = min(floor_bound, len(data.levels)) + 1
+    # every entry of every partial sum of power q is at most an entry of
+    # (sum_i |adn[i]|)^q, so this bound, in exact ints, keeps int64 exact
+    row_sum = max(1, int(np.max(np.abs(data.adn).sum(axis=(0, 2)))))
+    powers = _symbolic_powers(data.adn)
     n0 = None
-    for q, power in zip(range(1, floor_bound + 2), _symbolic_powers(data.adn)):
-        if q > 1 and not power:
+    for q in range(1, limit + 1):
+        if row_sum**q >= 2**62:
+            raise ConfigurationError(f"nilpotency_index: int64 range exceeded at c = {chamber}")
+        if not next(powers) and q > 1:
             n0 = q - 1
             break
     if n0 is None:

@@ -110,6 +110,16 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["symplecto-verify", "--config", str(tight)]) == 1
 
 
+def test_large_grade_ratio_chamber_runs(tmp_path):
+    # a grade ratio of 3002 must not reach the int64 guard or overflow a float
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_cfg(algebra={"family": "sl", "n": 3, "field": "R"},
+                                    c=[1001, 1000, -2001], checks=["parabolic"])))
+    out = tmp_path / "report.json"
+    assert cli.main(["parabolic", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["body"]["pass"]
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_cfg(checks=["symplecto"], seed=1)))

@@ -112,6 +112,16 @@ def test_nilpotency_index_integer_gates(ws):
         nilpotency_index(dataclasses.replace(data, adn=2.0**31 * data.adn))
 
 
+@pytest.mark.parametrize("field", "RC")
+@pytest.mark.parametrize("entries", [(101, 100, -201), (1001, 1000, -2001)])
+def test_nilpotency_index_large_grade_ratio(field, entries):
+    # grades 1, 301, 302 (or 1, 3001, 3002): the grade ratio is far above any
+    # power the search reaches, and [E12, E23] = E13 gives (ad U)^2 = 0
+    data = _cold_data(field, 3, entries)
+    assert int(data.max_grade / data.min_grade) > 300
+    assert data.N0 == 1
+
+
 def test_hyperbolic_data_rejects_bad_brackets(ws):
     alg, rs = ws.algebra("sl3r"), ws.rs("sl3r")
     data = ws.data("sl3r", (1, 0, -1))
