@@ -1,0 +1,111 @@
+"""Flow-layer ladder: median times of flow_exact, exp_H and invert_exp_H.
+
+    python scripts/bench_flows.py --label after [--src src] [--out BENCH_flows.json]
+
+Imports lieorb from --src (default: this checkout's src/), so the same script
+times any checkout.  For sl(4..8, R) and sl(4..6, C), at the regular chamber
+diag(n-1, n-3, ...) and at the wall made by merging its two largest entries,
+it records dim n(c), N0, the number of levels p and the median of 5 calls of
+each function at one seeded point.  Results are merged into --out under
+--label, next to any other labels already there; BLAS runs single-threaded.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the thread settings)
+
+ROOT = Path(__file__).resolve().parents[1]
+GRID = [("R", n) for n in range(4, 9)] + [("C", n) for n in range(4, 7)]
+REPEATS = 5
+
+
+def regular(n: int) -> tuple[int, ...]:
+    return tuple(n - 1 - 2 * k for k in range(n))
+
+
+def wall(n: int) -> tuple[int, ...]:
+    r = regular(n)
+    m = (r[0] + r[1]) // 2
+    return (m, m) + r[2:]
+
+
+def median_time(fn) -> float:
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def ladder() -> list[dict]:
+    from lieorb import flows
+    from lieorb.liecore import AlgebraSpec, build_algebra, cartan_split
+    from lieorb.parabolic import hyperbolic_data
+    from lieorb.rootspace import maximal_abelian, restricted_roots
+
+    rows = []
+    for field, n in GRID:
+        alg = build_algebra(AlgebraSpec("sl", n, field))
+        rs = restricted_roots(alg, maximal_abelian(alg, cartan_split(alg)))
+        for kind, entries in (("regular", regular(n)), ("wall", wall(n))):
+            data = hyperbolic_data(alg, rs, entries)
+            rng = np.random.default_rng([n, field == "C", kind == "wall"])
+            V, U0 = rng.standard_normal((2, data.n_dim))
+            g = flows.exp_H(data, V)
+            row = {
+                "algebra": f"sl({n}, {field})",
+                "chamber": kind,
+                "c": list(entries),
+                "dim_n": data.n_dim,
+                "N0": data.N0,
+                "p": len(data.blocks),
+                "flow_degree": flows.flow_exact(data, V, U0).degree,
+                "flow_exact_s": median_time(lambda: flows.flow_exact(data, V, U0)),
+                "exp_H_s": median_time(lambda: flows.exp_H(data, V)),
+                "invert_exp_H_s": median_time(lambda: flows.invert_exp_H(data, g)),
+            }
+            print(json.dumps(row), flush=True)
+            rows.append(row)
+    return rows
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key the results are stored under")
+    ap.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the lieorb package")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_flows.json"))
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    result = {
+        "host": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        },
+        "repeats": REPEATS,
+        "rows": ladder(),
+    }
+    out = Path(args.out)
+    stored = json.loads(out.read_text()) if out.exists() else {}
+    stored[args.label] = result
+    out.write_text(json.dumps(stored, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

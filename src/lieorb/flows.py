@@ -4,12 +4,15 @@ The field pulled back to n(c) is
 
     h_V(U) = [I + R(ad U)]^{-1} . T^{-1} . e^{-ad U} (V),
 
-where R(t) = (1 - e^{-t})/t - 1.  Every series in ad U terminates at the
-nilpotency index N0, and the inverse is the finite Neumann series of the
-nilpotent R(ad U), so h_V is a polynomial map and its integral curves are
-polynomials in t.  flow_exact computes them by Picard iteration, which
-stabilizes after one sweep per eigenvalue level because the bracket raises
-the grading; flow_numeric is an independent RK4 witness.
+where R(t) = (1 - e^{-t})/t - 1.  The inverse is x / (e^x - 1) at
+x = -ad U, and every series in ad U terminates at the nilpotency index N0,
+so h_V is a polynomial map and its integral curves are polynomials in t.
+One kernel, _hv_series, evaluates h_V on degree-truncated coefficient arrays
+in t: a plain vector is the degree-0 case (hv_field and the RK4 witness
+flow_numeric), a polynomial curve the general one (flow_exact).  flow_exact
+computes the curves by Picard iteration, which stabilizes after one sweep
+per eigenvalue level because the bracket raises the grading; flow_numeric is
+an independent RK4 witness of the integration.
 
 Vectors here are coordinates in the ordered eigenbasis V_1, ..., V_n of n(c)
 (see HyperbolicData); convert with data.n_coords_of / data.n_matrix_of.
@@ -17,7 +20,9 @@ Vectors here are coordinates in the ordered eigenbasis V_1, ..., V_n of n(c)
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -26,63 +31,7 @@ from .liecore import DecompositionError, GroupElement, InconsistencyError, TOL_S
 from .parabolic import HyperbolicData
 
 
-@dataclass(frozen=True, eq=False)
-class Covector:
-    """A functional on g vanishing on P(c), stored through its dual V in n(c).
-
-    The pairing is eta_V(X) = -B(V, X); V -> eta_V identifies n(c) with
-    (g / P(c))*.
-    """
-
-    V: np.ndarray
-
-    def value_on(self, data: HyperbolicData, X: np.ndarray) -> float:
-        algebra = data.algebra
-        Vm = data.n_matrix_of(self.V)
-        return -float(
-            algebra.coords(Vm) @ algebra.killing_matrix @ algebra.coords(X)
-        )
-
-
-def covector_annihilation_gap(data: HyperbolicData, V: np.ndarray) -> float:
-    """max |eta_V| over a basis of P(c); zero since B pairs n only with theta-n."""
-    eta = Covector(np.asarray(V, dtype=float))
-    worst = 0.0
-    for x in data.p_filtration_coords:
-        worst = max(worst, abs(eta.value_on(data, data.algebra.from_coords(x))))
-    return worst
-
-
 # -- small polynomial helpers (coefficients along axis 0) ----------------------
-
-
-def _pad(P: np.ndarray, deg: int) -> np.ndarray:
-    if P.shape[0] >= deg + 1:
-        return P
-    pad = np.zeros((deg + 1 - P.shape[0],) + P.shape[1:])
-    return np.concatenate([P, pad], axis=0)
-
-
-def _padd(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    deg = max(A.shape[0], B.shape[0]) - 1
-    return _pad(A, deg) + _pad(B, deg)
-
-
-def _pm_pv(Ap: np.ndarray, vp: np.ndarray) -> np.ndarray:
-    """(matrix polynomial) @ (vector polynomial)."""
-    out = np.zeros((Ap.shape[0] + vp.shape[0] - 1, vp.shape[1]))
-    for a in range(Ap.shape[0]):
-        for b in range(vp.shape[0]):
-            out[a + b] += Ap[a] @ vp[b]
-    return out
-
-
-def _pm_pm(Ap: np.ndarray, Bp: np.ndarray) -> np.ndarray:
-    out = np.zeros((Ap.shape[0] + Bp.shape[0] - 1,) + Ap.shape[1:])
-    for a in range(Ap.shape[0]):
-        for b in range(Bp.shape[0]):
-            out[a + b] += Ap[a] @ Bp[b]
-    return out
 
 
 def _poly_deriv(P: np.ndarray) -> np.ndarray:
@@ -116,34 +65,56 @@ def _poly_eval(P: np.ndarray, t) -> np.ndarray:
 # -- the field ---------------------------------------------------------------
 
 
-def _ad_of(data: HyperbolicData, U: np.ndarray) -> np.ndarray:
-    """ad(U) on n-coordinates; batched over leading axes of U."""
-    return np.einsum("...i,ikj->...kj", U, data.adn)
+@functools.cache
+def _inverse_weights(N0: int) -> tuple[float, ...]:
+    """b_0, ..., b_N0 of x / (e^x - 1) = sum_k b_k x^k (b_k = B_k / k!).
+
+    Exact rationals from (e^x - 1)/x . sum_k b_k x^k = 1, rounded once;
+    trailing zero weights are dropped.
+    """
+    b = [Fraction(1)]
+    for m in range(1, N0 + 1):
+        b.append(-sum(b[m - j] / factorial(j + 1) for j in range(1, m + 1)))
+    while len(b) > 1 and b[-1] == 0:
+        b.pop()
+    return tuple(float(x) for x in b)
 
 
-def _hv_vec(data: HyperbolicData, V: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """h_V(U) for plain coordinate vectors; broadcasts over leading axes."""
-    N0 = data.N0
-    A = _ad_of(data, U)
-    W = np.broadcast_arrays(np.asarray(V, dtype=float), U)[0].astype(float).copy()
-    term = W.copy()
-    for m in range(1, N0 + 1):
-        term = -np.einsum("...kj,...j->...k", A, term) / m
-        W = W + term
-    W = W / data.T_diag
-    # R(ad U), then its finite Neumann inverse applied to W
-    negA = -A
-    power = negA.copy()
-    R = power / factorial(2)
-    for m in range(2, N0 + 1):
-        power = np.einsum("...ij,...jk->...ik", power, negA)
-        R = R + power / factorial(m + 1)
-    x = W.copy()
-    term = W.copy()
-    for m in range(1, N0 + 1):
-        term = -np.einsum("...kj,...j->...k", R, term)
-        x = x + term
-    return x
+def _hv_series(data: HyperbolicData, V: np.ndarray, U: np.ndarray, deg: int) -> np.ndarray:
+    """h_V(U(t)) to degree deg in t: the one series kernel for h_V.
+
+    Axis 0 of U holds the coefficients of U(t), the last axis the n(c)
+    coordinates, and any axes between them batch over points; V is constant
+    in t and broadcasts against the batch.  A plain vector is the degree-0
+    case U[None].  With x = -ad U,
+
+        h_V(U) = sum_k b_k x^k . T^{-1} . sum_m x^m V / m!,
+
+    since [I + R(ad U)]^{-1} = x / (e^x - 1); both series stop at N0, past
+    which the powers of ad U vanish.  Coefficient k of a product needs only
+    coefficients <= k of its factors, so every product is cut at deg and
+    every kept coefficient is exact; deg = 2 N0 (len(U) - 1) cuts nothing.
+    """
+    negA = -np.einsum("...i,ikj->...kj", U[: deg + 1], data.adn)
+
+    def times_negA(x: np.ndarray) -> np.ndarray:
+        out = np.einsum("...kj,b...j->b...k", negA[0], x)
+        for a in range(1, negA.shape[0]):
+            out[a:] += np.einsum("...kj,b...j->b...k", negA[a], x[:-a])
+        return out
+
+    x = np.zeros((deg + 1,) + np.broadcast_shapes(np.shape(V), U.shape[1:]))
+    x[0] = V
+    W = x
+    for m in range(1, data.N0 + 1):
+        x = times_negA(x) / m
+        W = W + x
+    x = W = W / data.T_diag
+    for b in _inverse_weights(data.N0)[1:]:
+        x = times_negA(x)
+        if b:
+            W = W + b * x
+    return W
 
 
 def hv_field(data: HyperbolicData, V: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -152,32 +123,13 @@ def hv_field(data: HyperbolicData, V: np.ndarray, U: np.ndarray) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if V.shape[-1] != data.n_dim or U.shape[-1] != data.n_dim:
         raise ValueError("V and U must be n(c) coordinate vectors")
-    return _hv_vec(data, V, U)
+    return _hv_series(data, V, U[None], 0)[0]
 
 
-def _hv_poly(data: HyperbolicData, V: np.ndarray, Up: np.ndarray) -> np.ndarray:
-    """h_V(U(t)) as a polynomial, U(t) given by its coefficient rows."""
-    N0 = data.N0
-    A = np.einsum("mi,ikj->mkj", Up, data.adn)
-    Vp = V[None, :]
-    W = Vp.copy()
-    term = Vp.copy()
-    for m in range(1, N0 + 1):
-        term = -_pm_pv(A, term) / m
-        W = _padd(W, term)
-    W = W / data.T_diag[None, :]
-    negA = -A
-    power = negA.copy()
-    R = power / factorial(2)
-    for m in range(2, N0 + 1):
-        power = _pm_pm(power, negA)
-        R = _padd(R, power / factorial(m + 1))
-    x = W.copy()
-    term = W.copy()
-    for m in range(1, N0 + 1):
-        term = -_pm_pv(R, term)
-        x = _padd(x, term)
-    return x
+def _where(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> str:
+    """The input of a flow, for error messages."""
+    chamber = tuple(str(e) for e in data.c_entries)
+    return f"at c = {chamber}, max|V| = {np.max(np.abs(V)):.3e}, max|U0| = {np.max(np.abs(U0)):.3e}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,22 +165,28 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
     # not converged yet; capping it keeps the cost bounded and cannot affect
     # the fixed point, which the residual check below certifies anyway
     cap = p + 2
-    U = U0[None, :].copy()
-    stable = False
+    U = np.zeros((cap + 1, data.n_dim))
+    U[0] = U0
     for _ in range(p + 3):
-        E = _hv_poly(data, V, U)
-        Un = _poly_integrate(E, U0)[: cap + 1]
-        gap = float(np.max(np.abs(_padd(Un, -U))))
+        Un = _poly_integrate(_hv_series(data, V, U, cap - 1), U0)
+        gap = float(np.max(np.abs(Un - U)))
         U = Un
         if gap <= 1e-13 * scale:
-            stable = True
             break
-    if not stable:
-        raise InconsistencyError("flow recursion failed to stabilize")
-    E = _hv_poly(data, V, U)
-    resid = float(np.max(np.abs(_padd(_poly_deriv(U), -E))))
+    else:
+        raise InconsistencyError(
+            f"flow_exact: flow recursion failed to stabilize {_where(data, V, U0)}: "
+            f"Picard gap {gap:.3e} > {1e-13 * scale:.3e}"
+        )
+    # the defining equation on every coefficient of h_V(U): nothing is cut
+    E = _hv_series(data, V, U, 2 * data.N0 * cap)
+    E[:cap] -= _poly_deriv(U)
+    resid = float(np.max(np.abs(E)))
     if resid > TOL_STRUCT * scale:
-        raise InconsistencyError(f"flow polynomial fails its defining equation ({resid:.2e})")
+        raise InconsistencyError(
+            f"flow_exact: flow polynomial fails its defining equation {_where(data, V, U0)}: "
+            f"residual {resid:.3e} > {TOL_STRUCT * scale:.3e}"
+        )
     Ut = _poly_trim(U, 1e-12 * scale)
     if Ut.shape[0] - 1 > p:
         raise InconsistencyError("flow degree exceeds the grading bound")
@@ -255,14 +213,17 @@ def flow_numeric(
     if t == 0.0:
         return np.broadcast_arrays(U0, V)[0].copy()
 
+    def field(U: np.ndarray) -> np.ndarray:
+        return _hv_series(data, V, U[None], 0)[0]
+
     def integrate(num_steps: int) -> np.ndarray:
         h = t / num_steps
         U = np.broadcast_arrays(U0, V)[0].astype(float).copy()
         for _ in range(num_steps):
-            k1 = _hv_vec(data, V, U)
-            k2 = _hv_vec(data, V, U + 0.5 * h * k1)
-            k3 = _hv_vec(data, V, U + 0.5 * h * k2)
-            k4 = _hv_vec(data, V, U + h * k3)
+            k1 = field(U)
+            k2 = field(U + 0.5 * h * k1)
+            k3 = field(U + 0.5 * h * k2)
+            k4 = field(U + h * k3)
             U = U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return U
 
@@ -272,13 +233,17 @@ def flow_numeric(
         if not verify:
             return fine
         coarse = integrate(max(1, steps // 2))
-        scale = 1.0 + float(np.max(np.abs(fine)))
-        if float(np.max(np.abs(fine - coarse))) < 1e-9 * scale:
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(fine))))
+        gap = float(np.max(np.abs(fine - coarse)))
+        if gap < tol:
             return fine
         steps *= 2
         if steps > 10_000_000:
             break
-    raise DecompositionError("RK4 step control underflow")
+    raise DecompositionError(
+        f"flow_numeric: RK4 step control underflow {_where(data, V, U0)}, t = {t:g}: "
+        f"Richardson gap {gap:.3e} >= {tol:.3e}"
+    )
 
 
 def commute_residual(data: HyperbolicData, V: np.ndarray, W: np.ndarray) -> float:
@@ -342,10 +307,14 @@ def invert_exp_H(data: HyperbolicData, g) -> np.ndarray:
         raise ValueError("logarithm lies outside n(c)") from exc
     scale = 1.0 + float(np.max(np.abs(L)))
     V = L.copy()
+    zero = np.zeros(data.n_dim)
     for _ in range(50):
-        F = flow_exact(data, V, np.zeros(data.n_dim)).eval(1.0)
-        r = L - F
-        if float(np.max(np.abs(r))) < 1e-12 * scale:
+        r = L - flow_exact(data, V, zero).eval(1.0)
+        res = float(np.max(np.abs(r)))
+        if res < 1e-12 * scale:
             return V
         V = V + data.T_diag * r
-    raise DecompositionError("fiber chart inversion did not converge (grading bug)")
+    raise DecompositionError(
+        f"invert_exp_H: fiber chart inversion did not converge (grading bug) {_where(data, V, zero)}: "
+        f"chart residual {res:.3e} >= {1e-12 * scale:.3e}"
+    )

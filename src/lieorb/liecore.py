@@ -105,7 +105,9 @@ class MatrixLieAlgebra:
         self.structure = self._structure_constants()
         # ad_ops[i] @ x = coordinates of [b_i, X] for X with coordinates x
         self.ad_ops = self.structure.transpose(0, 2, 1).copy()
-        self.killing_matrix = np.einsum("iab,jba->ij", self.ad_ops, self.ad_ops)
+        # B_ij = tr(ad_i ad_j) = sum_ab ad_i[a, b] c[j, a, b], one BLAS product
+        # whose integer sums are exact
+        self.killing_matrix = self.ad_ops.reshape(self.dim, -1) @ self.structure.reshape(self.dim, -1).T
         self.theta_matrix = self.coords(self.theta(self.basis)).T
         self.inner_matrix = -self.killing_matrix @ self.theta_matrix
         self.build_residuals = self._validate()

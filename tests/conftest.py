@@ -57,6 +57,12 @@ class Workspace:
         return self._datas[ck]
 
 
+def cold_data(field, n, entries):
+    """Hyperbolic data built from scratch, for algebras outside ALGEBRA_SPECS."""
+    alg = build_algebra(AlgebraSpec("sl", n, field))
+    return hyperbolic_data(alg, restricted_roots(alg, maximal_abelian(alg, cartan_split(alg))), entries)
+
+
 @pytest.fixture(scope="session")
 def ws():
     return Workspace()

@@ -8,7 +8,9 @@ multiple is used only as a cross-check.
 
 import functools
 from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import factorial
 
 import numpy as np
 
@@ -33,6 +35,11 @@ def ad_matrices_bruteforce(algebra):
 def killing_matrix_oracle(algebra):
     ads = ad_matrices_bruteforce(algebra)
     return np.einsum("iab,jba->ij", ads, ads)
+
+
+def killing_matrix_einsum(algebra):
+    """tr(ad_i ad_j) by the dim^4 einsum over the library's own ad matrices."""
+    return np.einsum("iab,jba->ij", algebra.ad_ops, algebra.ad_ops)
 
 
 def trace_form_multiple(algebra, X, Y):
@@ -94,6 +101,140 @@ def dense_jacobi_residual(c):
     """max |Jacobi sum| over all (i, j, k, l) from the dense dim^4 tensor."""
     j1 = np.einsum("ijm,mkl->ijkl", c, c)
     return float(np.max(np.abs(j1 + j1.transpose(1, 2, 0, 3) + j1.transpose(2, 0, 1, 3))))
+
+
+@dataclass(frozen=True, eq=False)
+class Covector:
+    """A functional on g vanishing on P(c), stored through its dual V in n(c).
+
+    The pairing is eta_V(X) = -B(V, X); V -> eta_V identifies n(c) with
+    (g / P(c))*.
+    """
+
+    V: np.ndarray
+
+    def value_on(self, data, X):
+        algebra = data.algebra
+        Vm = data.n_matrix_of(self.V)
+        return -float(algebra.coords(Vm) @ algebra.killing_matrix @ algebra.coords(X))
+
+
+def covector_annihilation_gap(data, V):
+    """max |eta_V| over a basis of P(c); zero since B pairs n only with theta-n."""
+    eta = Covector(np.asarray(V, dtype=float))
+    worst = 0.0
+    for x in data.p_filtration_coords:
+        worst = max(worst, abs(eta.value_on(data, data.algebra.from_coords(x))))
+    return worst
+
+
+# -- the fiber field by its defining series, without truncation ----------------
+#
+# h_V(U) = [I + R(ad U)]^{-1} T^{-1} e^{-ad U} V with R(t) = (1 - e^{-t})/t - 1
+# formed as a matrix series and inverted by its finite Neumann series; products
+# of polynomials keep every degree.  The library evaluates the same field
+# through x / (e^x - 1) on truncated series, so these are a second route.
+
+
+def _pad(P, deg):
+    if P.shape[0] >= deg + 1:
+        return P
+    pad = np.zeros((deg + 1 - P.shape[0],) + P.shape[1:])
+    return np.concatenate([P, pad], axis=0)
+
+
+def _padd(A, B):
+    deg = max(A.shape[0], B.shape[0]) - 1
+    return _pad(A, deg) + _pad(B, deg)
+
+
+def _pm_pv(Ap, vp):
+    """(matrix polynomial) @ (vector polynomial), every degree kept."""
+    out = np.zeros((Ap.shape[0] + vp.shape[0] - 1, vp.shape[1]))
+    for a in range(Ap.shape[0]):
+        for b in range(vp.shape[0]):
+            out[a + b] += Ap[a] @ vp[b]
+    return out
+
+
+def _pm_pm(Ap, Bp):
+    out = np.zeros((Ap.shape[0] + Bp.shape[0] - 1,) + Ap.shape[1:])
+    for a in range(Ap.shape[0]):
+        for b in range(Bp.shape[0]):
+            out[a + b] += Ap[a] @ Bp[b]
+    return out
+
+
+def hv_vec_reference(data, V, U):
+    """h_V(U) for plain coordinate vectors; broadcasts over leading axes."""
+    N0 = data.N0
+    A = np.einsum("...i,ikj->...kj", U, data.adn)
+    W = np.broadcast_arrays(np.asarray(V, dtype=float), U)[0].astype(float).copy()
+    term = W.copy()
+    for m in range(1, N0 + 1):
+        term = -np.einsum("...kj,...j->...k", A, term) / m
+        W = W + term
+    W = W / data.T_diag
+    negA = -A
+    power = negA.copy()
+    R = power / factorial(2)
+    for m in range(2, N0 + 1):
+        power = np.einsum("...ij,...jk->...ik", power, negA)
+        R = R + power / factorial(m + 1)
+    x = W.copy()
+    term = W.copy()
+    for m in range(1, N0 + 1):
+        term = -np.einsum("...kj,...j->...k", R, term)
+        x = x + term
+    return x
+
+
+def hv_poly_reference(data, V, Up):
+    """h_V(U(t)) as a polynomial of full degree, U(t) given by its coefficient rows."""
+    N0 = data.N0
+    A = np.einsum("mi,ikj->mkj", Up, data.adn)
+    Vp = V[None, :]
+    W = Vp.copy()
+    term = Vp.copy()
+    for m in range(1, N0 + 1):
+        term = -_pm_pv(A, term) / m
+        W = _padd(W, term)
+    W = W / data.T_diag[None, :]
+    negA = -A
+    power = negA.copy()
+    R = power / factorial(2)
+    for m in range(2, N0 + 1):
+        power = _pm_pm(power, negA)
+        R = _padd(R, power / factorial(m + 1))
+    x = W.copy()
+    term = W.copy()
+    for m in range(1, N0 + 1):
+        term = -_pm_pv(R, term)
+        x = _padd(x, term)
+    return x
+
+
+def flow_exact_reference(data, V, U0):
+    """Coefficients of the flow of h_V from U0 by Picard sweeps on untruncated
+    products, cut to p + 3 coefficients after each sweep and trimmed at
+    1e-12 (1 + max|V| + max|U0|)."""
+    p = len(data.blocks)
+    scale = 1.0 + float(np.max(np.abs(V))) + float(np.max(np.abs(U0)))
+    U = U0[None, :].copy()
+    for _ in range(p + 3):
+        E = hv_poly_reference(data, V, U)
+        Un = np.zeros((E.shape[0] + 1, E.shape[1]))
+        Un[0] = U0
+        Un[1:] = E / np.arange(1, E.shape[0] + 1)[:, None]
+        Un = Un[: p + 3]
+        gap = float(np.max(np.abs(_padd(Un, -U))))
+        U = Un
+        if gap <= 1e-13 * scale:
+            break
+    deg = U.shape[0] - 1
+    while deg > 0 and np.max(np.abs(U[deg])) <= 1e-12 * scale:
+        deg -= 1
+    return U[: deg + 1]
 
 
 def projector_onto(coords_rows):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import DATA_GRID, cold_data
+from lieorb import flows
 from lieorb.flows import (
-    Covector,
+    FlowPolynomial,
     commute_residual,
-    covector_annihilation_gap,
     exp_H,
     flow_exact,
     flow_numeric,
@@ -13,7 +14,8 @@ from lieorb.flows import (
     nilpotent_exp,
     unipotent_log,
 )
-from lieorb.liecore import random_in_K
+from lieorb.liecore import DecompositionError, InconsistencyError, random_in_K
+from oracles import Covector, covector_annihilation_gap, flow_exact_reference, hv_poly_reference, hv_vec_reference
 
 
 def test_hv_at_origin_is_T_inverse(ws):
@@ -103,8 +105,6 @@ def test_flow_numeric_degenerate_cases(ws, rng):
 
 
 def test_flow_oracle_sweep(ws, rng):
-    from conftest import DATA_GRID
-
     for key, entries in DATA_GRID:
         data = ws.data(key, entries)
         n = data.n_dim
@@ -156,8 +156,6 @@ def test_commutation(ws):
 
 
 def test_commutation_all_basis_pairs(ws):
-    from conftest import DATA_GRID
-
     for key, entries in DATA_GRID:
         data = ws.data(key, entries)
         n = data.n_dim
@@ -205,8 +203,6 @@ def test_roundtrip_bigger_algebras(ws, rng):
 
 
 def test_covector_annihilates_parabolic(ws, rng):
-    from conftest import DATA_GRID
-
     for key, entries in DATA_GRID:
         data = ws.data(key, entries)
         V = rng.standard_normal(data.n_dim)
@@ -222,3 +218,102 @@ def test_exp_log_helpers(rng):
     M[0, 1], M[1, 2], M[2, 3], M[0, 2] = rng.standard_normal(4)
     g = nilpotent_exp(M)
     np.testing.assert_allclose(unipotent_log(g), M, atol=1e-12)
+
+
+def _kernel_grid(ws):
+    datas = [ws.data(key, entries) for key, entries in DATA_GRID]
+    return datas + [cold_data(f, 5, (4, 2, 0, -2, -4)) for f in "RC"]
+
+
+def test_series_kernel_matches_untruncated_reference(ws):
+    # rounding tolerance fixed from the dtype: the kernel sums the same
+    # products as the reference in another order and through x / (e^x - 1)
+    # in place of the Neumann series of R
+    tol = 64 * np.finfo(float).eps
+    for data in _kernel_grid(ws):
+        rng = np.random.default_rng(31)
+        n, p = data.n_dim, len(data.blocks)
+        cap = p + 2
+        U = rng.standard_normal((cap + 1, n))
+        V = rng.standard_normal(n)
+        ref = hv_poly_reference(data, V, U)
+        cut = flows._hv_series(data, V, U, cap - 1)
+        assert cut.shape == (cap, n)
+        assert np.max(np.abs(cut - ref[:cap])) <= tol * np.max(np.abs(ref[:cap])), data.c_entries
+        # deg = 2 N0 cap keeps every coefficient; the reference's longer
+        # tail is zero up to rounding
+        full = flows._hv_series(data, V, U, 2 * data.N0 * cap)
+        K = max(full.shape[0], ref.shape[0])
+        gap = np.zeros((K, n))
+        gap[: full.shape[0]] += full
+        gap[: ref.shape[0]] -= ref
+        assert np.max(np.abs(gap)) <= tol * np.max(np.abs(ref)), data.c_entries
+        # degree 0: a batch of plain vectors
+        Vb, Ub = rng.standard_normal((2, 8, n))
+        want = hv_vec_reference(data, Vb, Ub)
+        got = flows._hv_series(data, Vb, Ub[None], 0)[0]
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), data.c_entries
+        np.testing.assert_array_equal(hv_field(data, Vb, Ub), got)
+        # flow_exact against the untruncated Picard sweeps
+        for _ in range(3):
+            V0, U0 = rng.standard_normal((2, n)) * rng.choice([0.5, 1.0, 3.0])
+            scale = 1.0 + np.max(np.abs(V0)) + np.max(np.abs(U0))
+            fp, want = flow_exact(data, V0, U0), flow_exact_reference(data, V0, U0)
+            assert fp.coeffs.shape == want.shape, data.c_entries
+            assert np.max(np.abs(fp.coeffs - want)) <= 1e-15 * scale, data.c_entries
+
+
+# the input every flow error names: chamber, max|V| and max|U0|
+_ERR_V, _ERR_U0 = np.array([1.0, -2.0, 0.5]), np.array([0.25, 0.0, 3.0])
+_ERR_WHERE = r"at c = \('1', '0', '-1'\), max\|V\| = 2\.000e\+00, max\|U0\| = 3\.000e\+00"
+
+
+def _drifting_kernel(monkeypatch):
+    """Make the field change on every call, so no iteration can settle."""
+    kernel = flows._hv_series
+    rng = np.random.default_rng(2)
+    monkeypatch.setattr(flows, "_hv_series", lambda d, v, u, deg: kernel(d, v, u, deg) + rng.random())
+
+
+def test_flow_exact_names_unstable_recursion(ws, monkeypatch):
+    data = ws.data("sl3r", (1, 0, -1))
+    _drifting_kernel(monkeypatch)
+    with pytest.raises(InconsistencyError, match=r"flow_exact: flow recursion failed to stabilize "
+                       + _ERR_WHERE + r": Picard gap \S+ > 6\.000e-13"):
+        flow_exact(data, _ERR_V, _ERR_U0)
+
+
+def test_flow_exact_names_defining_equation_residual(ws, monkeypatch):
+    data = ws.data("sl3r", (1, 0, -1))
+    kernel = flows._hv_series
+
+    def off_at_full_degree(d, v, u, deg):
+        out = kernel(d, v, u, deg)
+        if deg > len(d.blocks) + 1:   # beyond the Picard cut p + 1
+            out[0, 0] += 1e-3
+        return out
+
+    monkeypatch.setattr(flows, "_hv_series", off_at_full_degree)
+    with pytest.raises(InconsistencyError, match=r"flow_exact: flow polynomial fails its defining equation "
+                       + _ERR_WHERE + r": residual 1\.000e-03 > 6\.000e-10"):
+        flow_exact(data, _ERR_V, _ERR_U0)
+
+
+def test_flow_numeric_names_step_control_underflow(ws, monkeypatch):
+    data = ws.data("sl3r", (1, 0, -1))
+    _drifting_kernel(monkeypatch)
+    with pytest.raises(DecompositionError, match=r"flow_numeric: RK4 step control underflow "
+                       + _ERR_WHERE + r", t = 1: Richardson gap \S+ >= \S+"):
+        flow_numeric(data, _ERR_V, _ERR_U0, 1.0, step=0.25)
+
+
+def test_invert_exp_H_names_chart_residual(ws, monkeypatch):
+    data = ws.data("sl3r", (1, 0, -1))
+    # a chart that ignores V cannot be inverted; log(g) = V_1 gives scale 2
+    monkeypatch.setattr(flows, "flow_exact", lambda d, v, u: FlowPolynomial(np.zeros((1, d.n_dim)), 2, 0.0))
+    g = np.eye(3)
+    g[0, 1] = 1.0
+    with pytest.raises(DecompositionError, match=r"invert_exp_H: fiber chart inversion did not converge "
+                       r"\(grading bug\) at c = \('1', '0', '-1'\), max\|V\| = \S+, max\|U0\| = 0\.000e\+00: "
+                       r"chart residual 1\.000e\+00 >= 2\.000e-12"):
+        invert_exp_H(data, g)

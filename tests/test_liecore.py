@@ -23,6 +23,7 @@ from lieorb.liecore import (
 )
 from oracles import (
     dense_jacobi_residual,
+    killing_matrix_einsum,
     killing_matrix_oracle,
     structure_constants_pairwise,
     trace_form_multiple,
@@ -252,6 +253,13 @@ def test_structure_constants_match_pairwise_oracle(ws, key):
     alg = ws.algebra(key)
     expected = json.dumps(structure_constants_pairwise(alg).tolist())
     assert json.dumps(alg.structure.tolist()) == expected
+
+
+@pytest.mark.parametrize("key", sorted(ALGEBRA_SPECS))
+def test_killing_matrix_matches_einsum_bytes(ws, key):
+    # byte for byte, so the fixture's signed zeros count
+    alg = ws.algebra(key)
+    assert alg.killing_matrix.tobytes() == killing_matrix_einsum(alg).tobytes()
 
 
 def test_iwasawa_identity_and_n(ws):

@@ -5,17 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import DATA_GRID
+from conftest import DATA_GRID, cold_data
 from lieorb import parabolic
-from lieorb.liecore import AlgebraSpec, ConfigurationError, InconsistencyError, build_algebra, cartan_split
+from lieorb.liecore import ConfigurationError, InconsistencyError
 from lieorb.parabolic import chamber_sort, grade_projection, hyperbolic_data, nilpotency_index, z_k_coords
-from lieorb.rootspace import maximal_abelian, restricted_roots
 from oracles import symmetrized_power_vanishes_bruteforce
-
-
-def _cold_data(field, n, entries):
-    alg = build_algebra(AlgebraSpec("sl", n, field))
-    return hyperbolic_data(alg, restricted_roots(alg, maximal_abelian(alg, cartan_split(alg))), entries)
 
 
 def test_sl2_data(ws):
@@ -69,7 +63,7 @@ def test_sl4_nilpotency_index(ws):
 
 def test_symbolic_power_matches_bruteforce(ws):
     datas = [ws.data(key, entries) for key, entries in DATA_GRID]
-    datas += [_cold_data(f, 5, c) for f in "RC" for c in ((4, 2, 0, -2, -4), (3, 3, 0, -2, -4))]
+    datas += [cold_data(f, 5, c) for f in "RC" for c in ((4, 2, 0, -2, -4), (3, 3, 0, -2, -4))]
     for data in datas:
         floor_bound = int(data.max_grade / data.min_grade)
         powers = parabolic._symbolic_powers(data.adn)
@@ -81,7 +75,7 @@ def test_symbolic_power_matches_bruteforce(ws):
 @pytest.mark.parametrize("field, n, n0", [("R", 7, 5), ("C", 6, 4)])
 def test_desk_scale_regular_nilpotency_index(field, n, n0):
     # regular chamber: s = n distinct entries and N0 = max(1, s - 2)
-    data = _cold_data(field, n, tuple(n - 1 - 2 * k for k in range(n)))
+    data = cold_data(field, n, tuple(n - 1 - 2 * k for k in range(n)))
     assert data.N0 == n0 == max(1, n - 2)
 
 
@@ -117,7 +111,7 @@ def test_nilpotency_index_integer_gates(ws):
 def test_nilpotency_index_large_grade_ratio(field, entries):
     # grades 1, 301, 302 (or 1, 3001, 3002): the grade ratio is far above any
     # power the search reaches, and [E12, E23] = E13 gives (ad U)^2 = 0
-    data = _cold_data(field, 3, entries)
+    data = cold_data(field, 3, entries)
     assert int(data.max_grade / data.min_grade) > 300
     assert data.N0 == 1
 
@@ -138,7 +132,7 @@ def test_hyperbolic_data_rejects_bad_brackets(ws):
 
 
 def test_nilpotency_respects_floor_bound(ws):
-    from conftest import DATA_GRID
+    from conftest import DATA_GRID, cold_data
 
     for key, entries in DATA_GRID:
         data = ws.data(key, entries)
@@ -188,7 +182,7 @@ def test_grade_projection(ws, rng):
 
 
 def test_killing_orthogonality_n_vs_parabolic(ws):
-    from conftest import DATA_GRID
+    from conftest import DATA_GRID, cold_data
 
     for key, entries in DATA_GRID:
         alg = ws.algebra(key)
@@ -201,7 +195,7 @@ def test_killing_orthogonality_n_vs_parabolic(ws):
 
 
 def test_half_dimension(ws):
-    from conftest import DATA_GRID
+    from conftest import DATA_GRID, cold_data
 
     for key, entries in DATA_GRID:
         alg = ws.algebra(key)
@@ -229,7 +223,7 @@ def test_stabilizer_preserves_levels(ws, rng):
 
 def test_blocks_are_ordered_partition(ws):
     # the first d_1 + ... + d_k basis vectors span exactly the first k levels
-    from conftest import DATA_GRID
+    from conftest import DATA_GRID, cold_data
 
     for key, entries in DATA_GRID:
         data = ws.data(key, entries)
