@@ -58,7 +58,7 @@ class Workspace:
 
 
 def cold_data(field, n, entries):
-    """Hyperbolic data built from scratch, for algebras outside ALGEBRA_SPECS."""
+    """Hyperbolic data built cold, for algebras outside ALGEBRA_SPECS."""
     alg = build_algebra(AlgebraSpec("sl", n, field))
     return hyperbolic_data(alg, restricted_roots(alg, maximal_abelian(alg, cartan_split(alg))), entries)
 
