@@ -1,4 +1,4 @@
-"""Flow-layer ladder: median times of flow_exact, exp_H and invert_exp_H.
+"""Flow-layer ladder: median times of the flows and of the FD pullback.
 
     python scripts/bench_flows.py --label after [--src src] [--out BENCH_flows.json]
 
@@ -6,8 +6,11 @@ Imports lieorb from --src (default: this checkout's src/), so the same script
 times any checkout.  For sl(4..8, R) and sl(4..6, C), at the regular chamber
 diag(n-1, n-3, ...) and at the wall made by merging its two largest entries,
 it records dim n(c), N0, the number of levels p and the median of 5 calls of
-each function at one seeded point.  Results are merged into --out under
---label, next to any other labels already there; BLAS runs single-threaded.
+flow_exact, exp_H and invert_exp_H at one seeded point, of the witness
+flow_numeric on a seeded 20-point batch at t = 1 and t = -2, and of
+pullback_residual at one seeded cotangent point.  Results are merged into
+--out under --label, next to any other labels already there; BLAS runs
+single-threaded.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np  # noqa: E402  (after the thread settings)
 ROOT = Path(__file__).resolve().parents[1]
 GRID = [("R", n) for n in range(4, 9)] + [("C", n) for n in range(4, 7)]
 REPEATS = 5
+WITNESS_BATCH = 20
 
 
 def regular(n: int) -> tuple[int, ...]:
@@ -51,8 +55,8 @@ def median_time(fn) -> float:
 
 
 def ladder() -> list[dict]:
-    from lieorb import flows
-    from lieorb.liecore import AlgebraSpec, build_algebra, cartan_split
+    from lieorb import flows, symplecto
+    from lieorb.liecore import AlgebraSpec, build_algebra, cartan_split, random_in_K
     from lieorb.parabolic import hyperbolic_data
     from lieorb.rootspace import maximal_abelian, restricted_roots
 
@@ -64,6 +68,8 @@ def ladder() -> list[dict]:
             data = hyperbolic_data(alg, rs, entries)
             rng = np.random.default_rng([n, field == "C", kind == "wall"])
             V, U0 = rng.standard_normal((2, data.n_dim))
+            Vb, U0b = rng.standard_normal((2, WITNESS_BATCH, data.n_dim))
+            pt = symplecto.cotangent_point(data, random_in_K(alg, rng).matrix, 0.8 * V)
             g = flows.exp_H(data, V)
             row = {
                 "algebra": f"sl({n}, {field})",
@@ -76,6 +82,9 @@ def ladder() -> list[dict]:
                 "flow_exact_s": median_time(lambda: flows.flow_exact(data, V, U0)),
                 "exp_H_s": median_time(lambda: flows.exp_H(data, V)),
                 "invert_exp_H_s": median_time(lambda: flows.invert_exp_H(data, g)),
+                "flow_numeric_t1_s": median_time(lambda: flows.flow_numeric(data, Vb, U0b, 1.0)),
+                "flow_numeric_t-2_s": median_time(lambda: flows.flow_numeric(data, Vb, U0b, -2.0)),
+                "pullback_residual_s": median_time(lambda: symplecto.pullback_residual(data, pt)),
             }
             print(json.dumps(row), flush=True)
             rows.append(row)
@@ -98,6 +107,7 @@ def main(argv=None) -> int:
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         },
         "repeats": REPEATS,
+        "witness_batch": WITNESS_BATCH,
         "rows": ladder(),
     }
     out = Path(args.out)

@@ -354,10 +354,10 @@ def check_flow(ctx: _Context, cfg: RunConfig, rng) -> dict:
     gap = 0.0
     degree_hist: dict[int, int] = {}
     tail = 0.0
+    exact = [flow_exact(data, V[i], U0[i]) for i in range(count)]
     for t in (1.0, -2.0):
         num = flow_numeric(data, V, U0, t)
-        for i in range(count):
-            fp = flow_exact(data, V[i], U0[i])
+        for i, fp in enumerate(exact):
             gap = max(gap, float(np.max(np.abs(fp.eval(t) - num[i]))))
             degree_hist[fp.degree] = degree_hist.get(fp.degree, 0) + 1
             if fp.degree > fp.degree_bound:

@@ -8,11 +8,14 @@ where R(t) = (1 - e^{-t})/t - 1.  The inverse is x / (e^x - 1) at
 x = -ad U, and every series in ad U terminates at the nilpotency index N0,
 so h_V is a polynomial map and its integral curves are polynomials in t.
 One kernel, _hv_series, evaluates h_V on degree-truncated coefficient arrays
-in t: a plain vector is the degree-0 case (hv_field and the RK4 witness
+in t: a plain vector is the degree-0 case (hv_field and the witness
 flow_numeric), a polynomial curve the general one (flow_exact).  flow_exact
 computes the curves by Picard iteration, which stabilizes after one sweep
-per eigenvalue level because the bracket raises the grading; flow_numeric is
-an independent RK4 witness of the integration.
+per eigenvalue level because the bracket raises the grading; it and exp_H
+batch over leading axes of V / U0.  flow_numeric is an independent witness:
+Gauss-Legendre collocation, exact on polynomial solutions of degree <= its
+stage count (Hairer, Norsett & Wanner, Solving ODEs I, II.7), which only
+evaluates the field at points and checks itself by step halving.
 
 Vectors here are coordinates in the ordered eigenbasis V_1, ..., V_n of n(c)
 (see HyperbolicData); convert with data.n_coords_of / data.n_matrix_of.
@@ -26,6 +29,7 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
+from numpy.polynomial.legendre import legint, leggauss, legval, legvander
 
 from .liecore import DecompositionError, GroupElement, InconsistencyError, TOL_STRUCT
 from .parabolic import HyperbolicData
@@ -34,32 +38,46 @@ from .parabolic import HyperbolicData
 # -- small polynomial helpers (coefficients along axis 0) ----------------------
 
 
+def _degrees(P: np.ndarray) -> np.ndarray:
+    """1, 2, ... along axis 0 of P, broadcasting over the rest."""
+    return np.arange(1, P.shape[0] + 1).reshape((-1,) + (1,) * (P.ndim - 1))
+
+
 def _poly_deriv(P: np.ndarray) -> np.ndarray:
     if P.shape[0] == 1:
         return np.zeros_like(P[:1])
-    return P[1:] * np.arange(1, P.shape[0])[:, None]
+    return P[1:] * _degrees(P[1:])
 
 
 def _poly_integrate(P: np.ndarray, const: np.ndarray) -> np.ndarray:
-    out = np.zeros((P.shape[0] + 1, P.shape[1]))
+    out = np.zeros((P.shape[0] + 1,) + P.shape[1:])
     out[0] = const
-    out[1:] = P / np.arange(1, P.shape[0] + 1)[:, None]
+    out[1:] = P / _degrees(P)
     return out
 
 
-def _poly_trim(P: np.ndarray, tol: float) -> np.ndarray:
+def _poly_trim(P: np.ndarray, tol) -> np.ndarray:
+    """Drop top coefficients that are within tol (one per point) at every point."""
+    tol = np.asarray(tol)[..., None]
     deg = P.shape[0] - 1
-    while deg > 0 and np.max(np.abs(P[deg])) <= tol:
+    while deg > 0 and np.all(np.abs(P[deg]) <= tol):
         deg -= 1
     return P[: deg + 1]
 
 
 def _poly_eval(P: np.ndarray, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
+    tb = t.reshape(t.shape + (1,) * (P.ndim - 1))
     out = np.zeros(t.shape + P.shape[1:]) + P[-1]
     for m in range(P.shape[0] - 2, -1, -1):
-        out = out * t[..., None] + P[m]
+        out = out * tb + P[m]
     return out
+
+
+def _worst(value: np.ndarray, limit: np.ndarray) -> tuple[float, float]:
+    """The per-point value that most exceeds its limit, with that limit."""
+    i = np.unravel_index(np.argmax(value / limit), np.shape(value))
+    return float(value[i]), float(limit[i])
 
 
 # -- the field ---------------------------------------------------------------
@@ -151,99 +169,113 @@ class FlowPolynomial:
 def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolynomial:
     """Solve U' = h_V(U), U(0) = U0 as a polynomial in t.
 
+    Leading axes of V / U0 batch over points, placed between the degree and
+    coordinate axes of the coefficients; thresholds are judged per point.
     Picard iteration fixes one eigenvalue level per sweep (the level-k
-    component of h_V depends only on lower levels), so the iteration is exact
-    after p sweeps; the fixed point is then verified coefficientwise.
+    component of h_V depends only on lower levels), so it is exact after p
+    sweeps; the trimmed curve is then verified coefficientwise.
     """
     V = np.asarray(V, dtype=float)
     U0 = np.asarray(U0, dtype=float)
-    if V.shape != (data.n_dim,) or U0.shape != (data.n_dim,):
+    if V.shape[-1:] != (data.n_dim,) or U0.shape[-1:] != (data.n_dim,):
         raise ValueError("V and U0 must be n(c) coordinate vectors")
+    V, U0 = np.broadcast_arrays(V, U0)
     p = len(data.blocks)
-    scale = 1.0 + float(np.max(np.abs(V))) + float(np.max(np.abs(U0)))
+    scale = 1.0 + np.max(np.abs(V), axis=-1) + np.max(np.abs(U0), axis=-1)
     # iterates may carry junk above the solution degree in levels that have
     # not converged yet; capping it keeps the cost bounded and cannot affect
     # the fixed point, which the residual check below certifies anyway
     cap = p + 2
-    U = np.zeros((cap + 1, data.n_dim))
+    U = np.zeros((cap + 1,) + U0.shape)
     U[0] = U0
     for _ in range(p + 3):
         Un = _poly_integrate(_hv_series(data, V, U, cap - 1), U0)
-        gap = float(np.max(np.abs(Un - U)))
+        gap = np.max(np.abs(Un - U), axis=(0, -1))
         U = Un
-        if gap <= 1e-13 * scale:
+        if np.all(gap <= 1e-13 * scale):
             break
     else:
+        gap, limit = _worst(gap, 1e-13 * scale)
         raise InconsistencyError(
             f"flow_exact: flow recursion failed to stabilize {_where(data, V, U0)}: "
-            f"Picard gap {gap:.3e} > {1e-13 * scale:.3e}"
-        )
-    # the defining equation on every coefficient of h_V(U): nothing is cut
-    E = _hv_series(data, V, U, 2 * data.N0 * cap)
-    E[:cap] -= _poly_deriv(U)
-    resid = float(np.max(np.abs(E)))
-    if resid > TOL_STRUCT * scale:
-        raise InconsistencyError(
-            f"flow_exact: flow polynomial fails its defining equation {_where(data, V, U0)}: "
-            f"residual {resid:.3e} > {TOL_STRUCT * scale:.3e}"
+            f"Picard gap {gap:.3e} > {limit:.3e}"
         )
     Ut = _poly_trim(U, 1e-12 * scale)
+    # the defining equation on every coefficient of h_V(U): at degree
+    # 2 N0 deg the kernel cuts nothing
+    E = _hv_series(data, V, Ut, 2 * data.N0 * (Ut.shape[0] - 1))
+    D = _poly_deriv(Ut)
+    E[: D.shape[0]] -= D
+    resid = np.max(np.abs(E), axis=(0, -1))
+    if np.any(resid > TOL_STRUCT * scale):
+        worst, limit = _worst(resid, TOL_STRUCT * scale)
+        raise InconsistencyError(
+            f"flow_exact: flow polynomial fails its defining equation {_where(data, V, U0)}: "
+            f"residual {worst:.3e} > {limit:.3e}"
+        )
     if Ut.shape[0] - 1 > p:
         raise InconsistencyError("flow degree exceeds the grading bound")
-    return FlowPolynomial(Ut, p, resid)
+    return FlowPolynomial(Ut, p, float(np.max(resid)))
 
 
-def flow_numeric(
-    data: HyperbolicData,
-    V: np.ndarray,
-    U0: np.ndarray,
-    t: float,
-    step: float = 1e-3,
-    verify: bool = True,
-) -> np.ndarray:
-    """Classical RK4 along h_V up to time t; independent of flow_exact.
+@functools.cache
+def _gauss_legendre(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stage matrix A and weights b of s-stage Gauss-Legendre collocation on [0, 1].
 
-    Broadcasts over leading axes of V / U0.  The result is cross-checked
-    against a run with twice the step (Richardson), halving the step up to
-    three times before giving up.
+    A[i, j] integrates the Lagrange polynomial of node j from 0 to node i.
+    Gauss quadrature is exact to degree 2s - 1, so that polynomial is
+    sum_k (k + 1/2) w_j P_k(x_j) P_k(x) on [-1, 1]; it is integrated in the
+    Legendre basis, with no Vandermonde solve.
+    """
+    x, w = leggauss(s)
+    ell = legvander(x, s - 1).T * (np.arange(s) + 0.5)[:, None] * w
+    return legval(x, legint(ell, lbnd=-1)).T / 2, w / 2
+
+
+def flow_numeric(data: HyperbolicData, V: np.ndarray, U0: np.ndarray, t: float) -> np.ndarray:
+    """Gauss-Legendre collocation along h_V up to time t; independent of flow_exact.
+
+    Broadcasts over leading axes of V / U0.  With s = p + 1 stages a step
+    reproduces any solution of degree <= s, so one step of length t and two
+    of length t / 2 must agree: that gap is the self-check.  The stages are
+    solved by fixed-point iteration on field values at points, batch-wide.
     """
     V = np.asarray(V, dtype=float)
-    U0 = np.asarray(U0, dtype=float)
+    U0 = np.broadcast_arrays(np.asarray(U0, dtype=float), V)[0]
     t = float(t)
     if t == 0.0:
-        return np.broadcast_arrays(U0, V)[0].copy()
+        return U0.copy()
+    p = len(data.blocks)
+    A, b = _gauss_legendre(p + 1)
 
     def field(U: np.ndarray) -> np.ndarray:
         return _hv_series(data, V, U[None], 0)[0]
 
-    def integrate(num_steps: int) -> np.ndarray:
-        h = t / num_steps
-        U = np.broadcast_arrays(U0, V)[0].astype(float).copy()
-        for _ in range(num_steps):
-            k1 = field(U)
-            k2 = field(U + 0.5 * h * k1)
-            k3 = field(U + 0.5 * h * k2)
-            k4 = field(U + h * k3)
-            U = U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return U
+    def step(U: np.ndarray, h: float) -> np.ndarray:
+        Y = np.broadcast_to(U, (len(b),) + U.shape)
+        for _ in range(p + 3):
+            F = field(Y)
+            Yn = U + h * np.tensordot(A, F, axes=1)
+            gap = float(np.max(np.abs(Yn - Y)))
+            tol = 1e-13 * (1.0 + float(np.max(np.abs(Yn))))
+            Y = Yn
+            if gap <= tol:
+                return U + h * np.tensordot(b, F, axes=1)
+        raise DecompositionError(
+            f"flow_numeric: collocation stages failed to settle {_where(data, V, U0)}, t = {t:g}: "
+            f"stage gap {gap:.3e} > {tol:.3e}"
+        )
 
-    steps = max(2, int(np.ceil(abs(t) / step)))
-    for _ in range(4):
-        fine = integrate(steps)
-        if not verify:
-            return fine
-        coarse = integrate(max(1, steps // 2))
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(fine))))
-        gap = float(np.max(np.abs(fine - coarse)))
-        if gap < tol:
-            return fine
-        steps *= 2
-        if steps > 10_000_000:
-            break
-    raise DecompositionError(
-        f"flow_numeric: RK4 step control underflow {_where(data, V, U0)}, t = {t:g}: "
-        f"Richardson gap {gap:.3e} >= {tol:.3e}"
-    )
+    coarse = step(U0, t)
+    fine = step(step(U0, t / 2), t / 2)
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(fine))))
+    gap = float(np.max(np.abs(fine - coarse)))
+    if gap >= tol:
+        raise DecompositionError(
+            f"flow_numeric: collocation self-check failed {_where(data, V, U0)}, t = {t:g}: "
+            f"step-halving gap {gap:.3e} >= {tol:.3e}"
+        )
+    return fine
 
 
 def commute_residual(data: HyperbolicData, V: np.ndarray, W: np.ndarray) -> float:
@@ -257,8 +289,8 @@ def commute_residual(data: HyperbolicData, V: np.ndarray, W: np.ndarray) -> floa
 
 
 def nilpotent_exp(M: np.ndarray) -> np.ndarray:
-    """Exact exponential of a nilpotent matrix (finite series)."""
-    d = M.shape[0]
+    """Exact exponential of a nilpotent matrix (finite series), over leading batch axes."""
+    d = M.shape[-1]
     out = np.eye(d)
     term = np.eye(d)
     for k in range(1, d + 1):
@@ -287,9 +319,10 @@ def exp_H(data: HyperbolicData, V: np.ndarray) -> GroupElement:
     """Flow the fiber field for unit time from the group identity.
 
     V -> exp(H_V) e_N is the global fiber chart; the returned element lies in
-    N(c).
+    N(c).  Leading axes of V batch over points, like flow_exact.
     """
-    U1 = flow_exact(data, np.asarray(V, dtype=float), np.zeros(data.n_dim)).eval(1.0)
+    V = np.asarray(V, dtype=float)
+    U1 = flow_exact(data, V, np.zeros(V.shape)).eval(1.0)
     return GroupElement(nilpotent_exp(data.n_matrix_of(U1)), "in_N")
 
 

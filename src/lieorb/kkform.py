@@ -24,7 +24,6 @@ import numpy as np
 
 from .liecore import (
     TOL_DECOMP,
-    TOL_EIGEN,
     TOL_STRUCT,
     CartanSplit,
     ConfigurationError,
@@ -43,12 +42,6 @@ class OrbitPoint:
     w_coords: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class TangentRep:
-    X: np.ndarray
-    value: np.ndarray
-
-
 def orbit_point(
     algebra: MatrixLieAlgebra, c: np.ndarray, g, validate: bool = True
 ) -> OrbitPoint:
@@ -61,10 +54,6 @@ def orbit_point(
         if np.max(np.abs(ev_c - ev_w)) > TOL_DECOMP * scale * 10:
             raise InconsistencyError("conjugate has a different ad-spectrum")
     return OrbitPoint(G, w, algebra.coords(w))
-
-
-def tangent_rep(algebra: MatrixLieAlgebra, pt: OrbitPoint, X: np.ndarray) -> TangentRep:
-    return TangentRep(np.asarray(X, dtype=float), algebra.bracket(X, pt.w))
 
 
 def dual_element(algebra: MatrixLieAlgebra, lam: np.ndarray) -> np.ndarray:
@@ -122,11 +111,6 @@ def nondegeneracy_check(
     if pt is None:
         pt = orbit_point(algebra, data.c, np.eye(algebra.d), validate=False)
     return float(_omega_svals(algebra, data, pt)[-1])
-
-
-def omega_rank(algebra: MatrixLieAlgebra, data: HyperbolicData, pt: OrbitPoint) -> int:
-    svals = _omega_svals(algebra, data, pt)
-    return int(np.sum(svals > TOL_EIGEN * max(1.0, svals[0])))
 
 
 def fiber_isotropy_check(

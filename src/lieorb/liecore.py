@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 # One tolerance per failure class (cli.DEFAULT_TOLERANCES exposes the knobs).
 TOL_STRUCT = 1e-10   # exact algebraic identities
@@ -220,10 +219,6 @@ class MatrixLieAlgebra:
 
     def ad_matrix_of(self, X: np.ndarray) -> np.ndarray:
         return self.ad_coord(self.coords(X))
-
-    def structure_bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Bracket on coordinates via structure constants (cross-check path)."""
-        return np.einsum("ijk,i,j->k", self.structure, x, y)
 
     def element_from_entries(self, entries: Sequence) -> np.ndarray:
         """Diagonal algebra element from its (traceless) diagonal entries."""
@@ -470,10 +465,6 @@ def kp_decompose(
     if worst > TOL_DECOMP * max(1.0, float(np.max(np.abs(y)))):
         raise DecompositionError(f"KP factor leaves the parabolic filtration ({worst:.3e})")
     return k, GroupElement(p, "general")
-
-
-def exp_element(algebra: MatrixLieAlgebra, X: np.ndarray, tag: str = "general") -> GroupElement:
-    return GroupElement(scipy.linalg.expm(np.asarray(X, dtype=float)), tag)
 
 
 def random_element(algebra: MatrixLieAlgebra, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -237,6 +237,62 @@ def flow_exact_reference(data, V, U0):
     return U[: deg + 1]
 
 
+def flow_rk4_reference(data, V, U0, t, step=1e-3):
+    """Classical RK4 along hv_vec_reference up to time t, over leading axes of V / U0.
+
+    The result is cross-checked against a run with twice the step
+    (Richardson), halving the step up to three times before giving up.
+    """
+    V = np.asarray(V, dtype=float)
+    U0 = np.broadcast_arrays(np.asarray(U0, dtype=float), V)[0]
+
+    def integrate(num_steps):
+        h = t / num_steps
+        U = U0.copy()
+        for _ in range(num_steps):
+            k1 = hv_vec_reference(data, V, U)
+            k2 = hv_vec_reference(data, V, U + 0.5 * h * k1)
+            k3 = hv_vec_reference(data, V, U + 0.5 * h * k2)
+            k4 = hv_vec_reference(data, V, U + h * k3)
+            U = U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return U
+
+    steps = max(2, int(np.ceil(abs(t) / step)))
+    for _ in range(4):
+        fine = integrate(steps)
+        gap = float(np.max(np.abs(fine - integrate(max(1, steps // 2)))))
+        if gap < 1e-9 * (1.0 + float(np.max(np.abs(fine)))):
+            return fine
+        steps *= 2
+    raise AssertionError(f"RK4 reference did not settle at t = {t:g}: Richardson gap {gap:.3e}")
+
+
+def structure_bracket(algebra, x, y):
+    """Bracket on coordinates via the structure constants."""
+    return np.einsum("ijk,i,j->k", algebra.structure, x, y)
+
+
+def omega_rank(algebra, data, pt):
+    """Numerical rank of Omega on a basis of g/z(w) at the orbit point."""
+    from lieorb.kkform import _omega_svals
+
+    svals = _omega_svals(algebra, data, pt)
+    return int(np.sum(svals > 1e-8 * max(1.0, svals[0])))
+
+
+def equivalence_gap(data, pt, m):
+    """phi agreement of the two representatives (k m, Ad(m)^-1 V) and (k, V) of one cotangent point."""
+    from lieorb.symplecto import CotangentPoint, phi_lambda
+
+    m = np.asarray(m, dtype=float)
+    gap0 = float(np.max(np.abs(m @ data.c @ np.linalg.inv(m) - data.c)))
+    assert gap0 < 1e-9 and np.max(np.abs(m.T @ m - np.eye(len(m)))) < 1e-9, "m must fix c and lie in K"
+    V2 = data.n_coords_of(np.linalg.inv(m) @ data.n_matrix_of(pt.V) @ m, strict=1e-8)
+    a = phi_lambda(data, CotangentPoint(pt.k, pt.V), validate=False)
+    b = phi_lambda(data, CotangentPoint(pt.k @ m, V2), validate=False)
+    return float(np.max(np.abs(a.w - b.w)))
+
+
 def projector_onto(coords_rows):
     """Orthogonal projector onto the row span."""
     Q, _ = np.linalg.qr(np.asarray(coords_rows, float).T)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from lieorb import cli
+from lieorb.flows import FlowPolynomial
 
 
 def _cfg(**kw):
@@ -36,6 +37,24 @@ def test_arnold_scenario():
     assert arn["re_exact"] is True and arn["im_exact"] is False
     assert arn["symplecto"]["pullback_max_residual"]["value"] < 1e-6
     assert arn["ad_spectrum_gap"]["pass"]
+
+
+def test_witness_sees_planted_flow_fault(monkeypatch):
+    flow_exact = cli.flow_exact
+
+    def planted(data, V, U0):
+        fp = flow_exact(data, V, U0)
+        coeffs = fp.coeffs.copy()
+        coeffs[-1, 0] += 1e-7  # ten times the eigen tolerance of the oracle gap
+        return FlowPolynomial(coeffs, fp.degree_bound, fp.ode_residual)
+
+    cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 3, "field": "R"}, c=[1, 0, -1], checks=["flow"]))
+    assert cli.run(cfg)["body"]["checks"]["flow"]["pass"]
+    monkeypatch.setattr(cli, "flow_exact", planted)
+    flow = cli.run(cfg)["body"]["checks"]["flow"]
+    assert flow["max_oracle_gap"]["value"] >= 1e-7
+    assert flow["max_oracle_gap"]["pass"] is False and flow["pass"] is False
+    assert flow["max_commute_residual"]["pass"] and flow["max_roundtrip_residual"]["pass"]
 
 
 def test_kk_imaginary_branch():

@@ -15,7 +15,14 @@ from lieorb.flows import (
     unipotent_log,
 )
 from lieorb.liecore import DecompositionError, InconsistencyError, random_in_K
-from oracles import Covector, covector_annihilation_gap, flow_exact_reference, hv_poly_reference, hv_vec_reference
+from oracles import (
+    Covector,
+    covector_annihilation_gap,
+    flow_exact_reference,
+    flow_rk4_reference,
+    hv_poly_reference,
+    hv_vec_reference,
+)
 
 
 def test_hv_at_origin_is_T_inverse(ws):
@@ -90,7 +97,7 @@ def test_flow_exact_vs_rk4_example(ws):
     fp = flow_exact(data, V, U0)
     assert fp.degree <= 2
     for t in (1.0, -1.0, 2.0, -2.0):
-        num = flow_numeric(data, V, U0, t)
+        num = flow_rk4_reference(data, V, U0, t)
         assert np.max(np.abs(fp.eval(t) - num)) < 1e-8
 
 
@@ -115,6 +122,33 @@ def test_flow_oracle_sweep(ws, rng):
             for i in range(8):
                 ex = flow_exact(data, V[i], U0[i]).eval(t)
                 assert np.max(np.abs(ex - num[i])) < 1e-8
+
+
+def test_witness_matches_rk4_reference(ws, rng):
+    for key, entries in DATA_GRID:
+        data = ws.data(key, entries)
+        V, U0 = rng.standard_normal((2, 8, data.n_dim))
+        for t in (1.0, -2.0):
+            gap = np.max(np.abs(flow_numeric(data, V, U0, t) - flow_rk4_reference(data, V, U0, t)))
+            assert gap < 1e-9, (key, entries, t)
+
+
+def test_batched_flows_match_single_points(ws):
+    for data in _kernel_grid(ws):
+        rng = np.random.default_rng(41)
+        n = data.n_dim
+        V, U0 = rng.standard_normal((2, 6, n)) * np.array([0.5, 1.0, 3.0, 1.0, 2.0, 1.0])[:, None]
+        batch = flow_exact(data, V, U0).coeffs
+        mats = exp_H(data, V).matrix
+        assert batch.shape[1:] == (6, n) and mats.shape[0] == 6
+        for i in range(6):
+            scale = 1.0 + np.max(np.abs(V[i])) + np.max(np.abs(U0[i]))
+            single = flow_exact(data, V[i], U0[i]).coeffs
+            assert single.shape[0] <= batch.shape[0], data.c_entries
+            assert np.max(np.abs(batch[: single.shape[0], i] - single)) <= 1e-15 * scale, data.c_entries
+            assert np.max(np.abs(batch[single.shape[0]:, i]), initial=0.0) <= 1e-15 * scale, data.c_entries
+            M = exp_H(data, V[i]).matrix
+            assert np.max(np.abs(mats[i] - M)) <= 1e-15 * np.max(np.abs(M)), data.c_entries
 
 
 def test_flow_polynomial_invariants(ws, rng):
@@ -289,7 +323,7 @@ def test_flow_exact_names_defining_equation_residual(ws, monkeypatch):
 
     def off_at_full_degree(d, v, u, deg):
         out = kernel(d, v, u, deg)
-        if deg > len(d.blocks) + 1:   # beyond the Picard cut p + 1
+        if deg == 2 * d.N0 * (u.shape[0] - 1):   # the uncut degree of the check
             out[0, 0] += 1e-3
         return out
 
@@ -299,12 +333,29 @@ def test_flow_exact_names_defining_equation_residual(ws, monkeypatch):
         flow_exact(data, _ERR_V, _ERR_U0)
 
 
-def test_flow_numeric_names_step_control_underflow(ws, monkeypatch):
+def test_flow_numeric_names_stage_iteration(ws, monkeypatch):
     data = ws.data("sl3r", (1, 0, -1))
     _drifting_kernel(monkeypatch)
-    with pytest.raises(DecompositionError, match=r"flow_numeric: RK4 step control underflow "
-                       + _ERR_WHERE + r", t = 1: Richardson gap \S+ >= \S+"):
-        flow_numeric(data, _ERR_V, _ERR_U0, 1.0, step=0.25)
+    with pytest.raises(DecompositionError, match=r"flow_numeric: collocation stages failed to settle "
+                       + _ERR_WHERE + r", t = 1: stage gap \S+ > \S+"):
+        flow_numeric(data, _ERR_V, _ERR_U0, 1.0)
+
+
+def test_flow_numeric_names_step_halving_gap(ws, monkeypatch):
+    data = ws.data("sl3r", (1, 0, -1))
+    kernel = flows._hv_series
+
+    def high_degree(d, v, u, deg):
+        # still level-triangular, so the stages settle, but the top level now
+        # grows like t^9, past what p + 1 = 3 stages reproduce
+        out = kernel(d, v, u, deg)
+        out[..., 2] += u[..., 0] ** 8
+        return out
+
+    monkeypatch.setattr(flows, "_hv_series", high_degree)
+    with pytest.raises(DecompositionError, match=r"flow_numeric: collocation self-check failed "
+                       + _ERR_WHERE + r", t = -2: step-halving gap \S+ >= \S+"):
+        flow_numeric(data, _ERR_V, _ERR_U0, -2.0)
 
 
 def test_invert_exp_H_names_chart_residual(ws, monkeypatch):

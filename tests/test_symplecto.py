@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from lieorb import symplecto
 from lieorb.kkform import kk_eval, orbit_point
-from lieorb.liecore import ConfigurationError, random_in_K
+from lieorb.liecore import ConfigurationError, DecompositionError, GroupElement, random_in_K
 from lieorb.symplecto import (
     CotangentTangent,
     coset_gap,
     cotangent_point,
-    equivalence_gap,
     horizontal_basis,
     liouville_eval,
     liouville_fd_gap,
@@ -17,6 +17,7 @@ from lieorb.symplecto import (
     section_lagrangian_check,
     tautological_form,
 )
+from oracles import equivalence_gap
 
 
 def test_phi_zero_section(ws, rng):
@@ -185,6 +186,40 @@ def test_pullback_sweep(ws, rng):
         for _ in range(count):
             pt = cotangent_point(data, random_in_K(alg, rng).matrix, 0.8 * rng.standard_normal(data.n_dim))
             assert pullback_residual(data, pt) < 1e-6
+
+
+# the input every pullback FD error names: chamber and max|V|
+_FD_V = np.array([1.0, -2.0, 0.5])
+_FD_WHERE = r"at c = \('1', '0', '-1'\), max\|V\| = 2\.000e\+00"
+
+
+def test_pullback_names_step_adaptation_failure(ws, monkeypatch):
+    data = ws.data("sl3r", (1, 0, -1))
+    exp_H = symplecto.exp_H
+
+    def kinked(d, V):
+        g = exp_H(d, V)
+        if np.ndim(V) == 1:
+            return g
+        M = g.matrix.copy()
+        M[0, 1, 0, 2] += 1e-6  # offset +step along fiber direction 1 only
+        return GroupElement(M, g.tag)
+
+    monkeypatch.setattr(symplecto, "exp_H", kinked)
+    with pytest.raises(DecompositionError, match=r"pullback_residual: finite-difference step adaptation failed "
+                       + _FD_WHERE + r", fiber direction 1: step-halving gap \S+ > \S+"):
+        pullback_residual(data, cotangent_point(data, np.eye(3), _FD_V))
+
+
+def test_pullback_names_orbit_tangent_breakdown(ws, monkeypatch):
+    data = ws.data("sl3r", (1, 0, -1))
+    orbit_w = symplecto._orbit_w
+    # a smooth drift along w itself, which no orbit tangent [X, w] has
+    monkeypatch.setattr(symplecto, "_orbit_w", lambda d, g: orbit_w(d, g) * (1.0 + 0.1 * g[..., :1, 1:2]))
+    with pytest.raises(DecompositionError, match=r"pullback_residual: orbit tangent fell outside the orbit "
+                       r"\(FD breakdown\) " + _FD_WHERE + r", horizontal direction 0: representative residual "
+                       r"\S+ > \S+"):
+        pullback_residual(data, cotangent_point(data, np.eye(3), _FD_V))
 
 
 def test_section_lagrangian(ws, rng):
