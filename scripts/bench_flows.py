@@ -7,15 +7,19 @@ times any checkout.  For sl(4..8, R) and sl(4..6, C), at the regular chamber
 diag(n-1, n-3, ...) and at the wall made by merging its two largest entries,
 it records dim n(c), N0, the number of levels p and the median of 5 calls of
 flow_exact, exp_H and invert_exp_H at one seeded point, of the witness
-flow_numeric on a seeded 20-point batch at t = 1 and t = -2, and of
-pullback_residual at one seeded cotangent point.  Results are merged into
---out under --label, next to any other labels already there; BLAS runs
-single-threaded.
+flow_numeric on a seeded 20-point batch at t = 1 and t = -2, and of the
+finite-difference checks as symplecto-verify makes them at its default 20
+samples: pullback_residual on 20 seeded cotangent points and
+liouville_fd_gap on 4.  Where a checkout's FD checks take one point per call
+(they then also take a step argument), the points go through one call each.
+Results are merged into --out under --label, next to any other labels
+already there; BLAS runs single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -33,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GRID = [("R", n) for n in range(4, 9)] + [("C", n) for n in range(4, 7)]
 REPEATS = 5
 WITNESS_BATCH = 20
+FD_SAMPLES = 20  # symplecto-verify's default samples: the pullback points; samples // 5 Liouville points
 
 
 def regular(n: int) -> tuple[int, ...]:
@@ -54,6 +59,16 @@ def median_time(fn) -> float:
     return statistics.median(times)
 
 
+def fd_check(check, data, pts):
+    """A call of check over the points as check_symplecto makes it: one batch, or one call per point."""
+    from lieorb.symplecto import CotangentPoint
+
+    if "step" in inspect.signature(check).parameters:
+        return lambda: [check(data, pt) for pt in pts]
+    batch = CotangentPoint(np.stack([pt.k for pt in pts]), np.stack([pt.V for pt in pts]))
+    return lambda: check(data, batch)
+
+
 def ladder() -> list[dict]:
     from lieorb import flows, symplecto
     from lieorb.liecore import AlgebraSpec, build_algebra, cartan_split, random_in_K
@@ -69,7 +84,10 @@ def ladder() -> list[dict]:
             rng = np.random.default_rng([n, field == "C", kind == "wall"])
             V, U0 = rng.standard_normal((2, data.n_dim))
             Vb, U0b = rng.standard_normal((2, WITNESS_BATCH, data.n_dim))
-            pt = symplecto.cotangent_point(data, random_in_K(alg, rng).matrix, 0.8 * V)
+            pts = [
+                symplecto.cotangent_point(data, random_in_K(alg, rng).matrix, 0.8 * rng.standard_normal(data.n_dim))
+                for _ in range(FD_SAMPLES)
+            ]
             g = flows.exp_H(data, V)
             row = {
                 "algebra": f"sl({n}, {field})",
@@ -84,7 +102,10 @@ def ladder() -> list[dict]:
                 "invert_exp_H_s": median_time(lambda: flows.invert_exp_H(data, g)),
                 "flow_numeric_t1_s": median_time(lambda: flows.flow_numeric(data, Vb, U0b, 1.0)),
                 "flow_numeric_t-2_s": median_time(lambda: flows.flow_numeric(data, Vb, U0b, -2.0)),
-                "pullback_residual_s": median_time(lambda: symplecto.pullback_residual(data, pt)),
+                "pullback_residual_s": median_time(fd_check(symplecto.pullback_residual, data, pts)),
+                "liouville_fd_gap_s": median_time(
+                    fd_check(symplecto.liouville_fd_gap, data, pts[: FD_SAMPLES // 5])
+                ),
             }
             print(json.dumps(row), flush=True)
             rows.append(row)
@@ -108,6 +129,7 @@ def main(argv=None) -> int:
         },
         "repeats": REPEATS,
         "witness_batch": WITNESS_BATCH,
+        "fd_samples": FD_SAMPLES,
         "rows": ladder(),
     }
     out = Path(args.out)

@@ -35,13 +35,10 @@ from .flows import FlowPolynomial, commute_residual, exp_H, flow_exact, flow_num
 from .symplecto import (
     BaseCoset,
     CotangentPoint,
-    CotangentTangent,
-    liouville_eval,
     phi_lambda,
     project_pi,
     pullback_residual,
     section_lagrangian_check,
-    tautological_form,
 )
 
 __version__ = "0.1.0"

@@ -94,66 +94,76 @@ def _parse_entry(e):
         if isinstance(e, dict):
             if set(e) - {"re", "im"}:
                 raise ConfigurationError(f"bad complex entry {e!r}")
-            return complex(float(e.get("re", 0.0)), float(e.get("im", 0.0)))
-        if isinstance(e, str):
-            return Fraction(e)
-        if isinstance(e, bool):
+            v = complex(float(e.get("re", 0.0)), float(e.get("im", 0.0)))
+        elif isinstance(e, (str, int)) and not isinstance(e, bool):
+            v = Fraction(e)
+        elif isinstance(e, float) and e == int(e):
+            v = Fraction(int(e))
+        elif isinstance(e, float):
+            raise ConfigurationError("float entries must be integral; use strings for rationals")
+        else:
             raise ConfigurationError(f"bad entry {e!r}")
-        if isinstance(e, int):
-            return Fraction(e)
-        if isinstance(e, float):
-            if e != int(e):
-                raise ConfigurationError("float entries must be integral; use strings for rationals")
-            return Fraction(int(e))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        if np.isfinite(complex(v)):
+            return v
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigurationError(f"bad entry {e!r}: {exc}") from exc
-    raise ConfigurationError(f"bad entry {e!r}")
+    raise ConfigurationError(f"bad entry {e!r}: not finite")
+
+
+def _integer(value, what: str, least: int) -> int:
+    """An int >= least, given as a JSON integer or a decimal string."""
+    try:
+        n = int(value) if isinstance(value, (int, str)) and not isinstance(value, bool) else None
+    except ValueError:
+        n = None
+    if n is None or n < least:
+        raise ConfigurationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return n
 
 
 def parse_config(d: dict) -> RunConfig:
     if not isinstance(d, dict):
         raise ConfigurationError("config must be a JSON object")
     alg = d.get("algebra", {})
-    try:
-        spec = AlgebraSpec(
-            family=alg.get("family", "sl"), n=int(alg.get("n", 2)), field=alg.get("field", "R")
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad algebra spec: {exc}") from exc
-    raw_c = d.get("c", None)
-    if raw_c is None:
-        raise ConfigurationError("config requires a diagonal element c")
+    if not isinstance(alg, dict):
+        raise ConfigurationError("algebra must be a JSON object")
+    spec = AlgebraSpec(
+        family=alg.get("family", "sl"), n=_integer(alg.get("n", 2), "algebra n", 2), field=alg.get("field", "R")
+    )
+    raw_c = d.get("c")
+    if not isinstance(raw_c, (list, tuple)):
+        raise ConfigurationError("config requires a diagonal element c, as a list of entries")
     entries = tuple(_parse_entry(e) for e in raw_c)
     if len(entries) != spec.n:
         raise ConfigurationError(f"c must have {spec.n} entries")
     total = sum((complex(e) for e in entries), 0j)
     if abs(total) > 1e-12:
         raise ConfigurationError("c must be traceless")
-    checks = tuple(d.get("checks", ["roots", "parabolic", "kk", "flow", "symplecto"]))
-    if not checks:
-        raise ConfigurationError("checks must be non-empty")
+    checks = d.get("checks", ["roots", "parabolic", "kk", "flow", "symplecto"])
+    if not isinstance(checks, (list, tuple)) or not checks:
+        raise ConfigurationError("checks must be a non-empty list")
     for c in checks:
         if c not in ALL_CHECKS and c != "fixture":
             raise ConfigurationError(f"unknown check {c!r}")
-    tols = dict(d.get("tolerances", {}))
-    for k in tols:
+    tols = d.get("tolerances", {})
+    if not isinstance(tols, dict):
+        raise ConfigurationError("tolerances must be a JSON object")
+    for k, v in tols.items():
         if k not in DEFAULT_TOLERANCES:
             raise ConfigurationError(f"unknown tolerance class {k!r}")
-    try:
-        seed = int(d.get("seed", 0))
-        samples = int(d.get("samples", 20))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"seed/samples must be integers: {exc}") from exc
-    if samples < 1:
-        raise ConfigurationError("samples must be positive")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v <= sys.float_info.max:
+            raise ConfigurationError(f"tolerance {k!r} must be a positive finite number, got {v!r}")
+    out = d.get("output_path")
+    if out is not None and not isinstance(out, str):
+        raise ConfigurationError(f"output_path must be a string, got {out!r}")
     return RunConfig(
         algebra=spec,
         c_entries=entries,
-        checks=checks,
-        seed=seed,
-        tolerances=tols,
-        output_path=d.get("output_path"),
-        samples=samples,
+        checks=tuple(checks),
+        seed=_integer(d.get("seed", 0), "seed", 0),
+        tolerances=dict(tols),
+        output_path=out,
+        samples=_integer(d.get("samples", 20), "samples", 1),
     )
 
 
@@ -221,31 +231,22 @@ class _Context:
 
 def check_roots(ctx: _Context, cfg: RunConfig, rng) -> dict:
     rs = ctx.rs
-    grading = 0.0
-    for a in rs.roots:
-        for b in rs.roots:
-            target = a.weights + b.weights
-            match = [r for r in rs.roots if tuple(r.weights) == tuple(target)]
-            if not np.any(target):
-                span = rs.zero_coords.T
-            elif match:
-                span = match[0].space_coords.T
-            else:
-                span = np.zeros((ctx.algebra.dim, 0))
-            Q, _ = np.linalg.qr(span) if span.shape[1] else (span, None)
-            for X in a.space_basis:
-                for Y in b.space_basis:
-                    v = ctx.algebra.coords(ctx.algebra.bracket(X, Y))
-                    resid = v if span.shape[1] == 0 else v - Q @ (Q.T @ v)
-                    grading = max(grading, float(np.max(np.abs(resid))))
-    theta_pair = 0.0
-    Th = ctx.algebra.theta_matrix
+    alg = ctx.algebra
+    # every root space is spanned by basis vectors: give each basis index its
+    # root's weight (0 on g_0) as one integer with the entries as base-b digits;
+    # b = 3 max|w| + 1 exceeds every entry of w_k - w_i - w_j, so codes agree
+    # exactly where the weights do
+    W = np.zeros((alg.dim, alg.n), dtype=np.int64)
     for r in rs.roots:
-        neg = rs.negative_of(r)
-        Q, _ = np.linalg.qr(neg.space_coords.T)
-        for x in r.space_coords:
-            v = Th @ x
-            theta_pair = max(theta_pair, float(np.max(np.abs(v - Q @ (Q.T @ v)))))
+        W[np.argmax(r.space_coords, axis=1)] = r.weights
+    weight = W @ (3 * int(np.max(np.abs(W))) + 1) ** np.arange(alg.n)
+    ri = np.flatnonzero(weight)
+    X = alg.basis[ri]
+    brackets = alg.coords(X[:, None] @ X[None] - X[None] @ X[:, None])  # [i, j]: [X_i, X_j]
+    outside = weight != weight[ri, None, None] + weight[ri, None]
+    grading = float(np.max(np.abs(np.where(outside, brackets, 0.0)), initial=0.0))
+    theta = alg.theta_matrix[:, ri]  # column i: theta(X_i)
+    theta_pair = float(np.max(np.abs(np.where(weight[:, None] != -weight[ri], theta, 0.0)), initial=0.0))
     dims_ok = ctx.algebra.dim == rs.zero_coords.shape[0] + sum(r.multiplicity for r in rs.roots)
     section = {
         "roots": [
@@ -267,19 +268,14 @@ def check_parabolic(ctx: _Context, cfg: RunConfig, rng) -> dict:
     alg = ctx.algebra
     ortho = float(np.max(np.abs(alg.killing_matrix[list(data.b_indices)] @ data.p_filtration_coords.T)))
     half = data.n_dim * 2 == alg.dim - len(data.z_indices)
-    # Ad of the compact stabilizer preserves each eigenvalue level
+    # Ad of the compact stabilizer preserves each eigenvalue level: label the
+    # basis indices of n(c) by their grade (NaN off n(c)), one draw per element
+    level = np.full(alg.dim, np.nan)
+    level[list(data.b_indices)] = data.grades
     zk = z_k_coords(data)
-    ad_inv = 0.0
-    for x in zk:
-        Y = alg.from_coords(x)
-        m = scipy.linalg.expm(float(rng.uniform(-1, 1)) * Y)
-        m_inv = np.linalg.inv(m)
-        for block in data.blocks:
-            idx = [data.b_indices[j] for j in block]
-            span = np.eye(alg.dim)[idx].T
-            Q, _ = np.linalg.qr(span)
-            v = alg.coords(m @ data.n_basis[block] @ m_inv)
-            ad_inv = max(ad_inv, float(np.max(np.abs(v - (v @ Q) @ Q.T))))
+    m = scipy.linalg.expm(rng.uniform(-1, 1, len(zk))[:, None, None] * alg.from_coords(zk))
+    moved = alg.coords(m[:, None] @ data.n_basis @ np.linalg.inv(m)[:, None])  # [element, j]
+    ad_inv = float(np.max(np.abs(np.where(level != data.grades[:, None], moved, 0.0)), initial=0.0))
     section = {
         "dim_z": len(data.z_indices),
         "dim_n": data.n_dim,
@@ -362,10 +358,8 @@ def check_flow(ctx: _Context, cfg: RunConfig, rng) -> dict:
             degree_hist[fp.degree] = degree_hist.get(fp.degree, 0) + 1
             if fp.degree > fp.degree_bound:
                 tail = max(tail, 1.0)
-    commute = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            commute = max(commute, commute_residual(data, np.eye(n)[i], np.eye(n)[j]))
+    a, b = np.triu_indices(n, 1)
+    commute = commute_residual(data, np.eye(n)[a], np.eye(n)[b])
     roundtrip = 0.0
     for i in range(min(count, 25)):
         g = exp_H(data, V[i])
@@ -381,23 +375,24 @@ def check_flow(ctx: _Context, cfg: RunConfig, rng) -> dict:
     return section
 
 
+def _sample_points(data, rng, count: int):
+    """count cotangent points (k, 0.8 V), each drawn k first, as one batch."""
+    k, V = zip(*((random_in_K(data.algebra, rng).matrix, 0.8 * rng.standard_normal(data.n_dim)) for _ in range(count)))
+    return cotangent_point(data, np.stack(k), np.stack(V))
+
+
 def check_symplecto(ctx: _Context, cfg: RunConfig, rng) -> dict:
     data = ctx.data
-    alg = ctx.algebra
     n = data.n_dim
-    pull = bundle = section_res = liou = zero_gap = 0.0
-    for _ in range(cfg.samples):
-        k = random_in_K(alg, rng).matrix
-        pt = cotangent_point(data, k, 0.8 * rng.standard_normal(n))
-        pull = max(pull, pullback_residual(data, pt))
-        bc = project_pi(data, phi_lambda(data, pt, validate=False))
-        bundle = max(bundle, coset_gap(data, bc.k, pt.k))
+    bundle = zero_gap = 0.0
+    pts = _sample_points(data, rng, cfg.samples)
+    pull = pullback_residual(data, pts)
+    for k, V in zip(pts.k, pts.V):
+        bc = project_pi(data, phi_lambda(data, cotangent_point(data, k, V), validate=False))
+        bundle = max(bundle, coset_gap(data, bc.k, k))
         zpt = phi_lambda(data, cotangent_point(data, k, np.zeros(n)), validate=False)
         zero_gap = max(zero_gap, float(np.max(np.abs(zpt.w - k @ data.c @ k.T))))
-    for _ in range(max(2, cfg.samples // 5)):
-        k = random_in_K(alg, rng).matrix
-        pt = cotangent_point(data, k, 0.8 * rng.standard_normal(n))
-        liou = max(liou, liouville_fd_gap(data, pt))
+    liou = liouville_fd_gap(data, _sample_points(data, rng, max(2, cfg.samples // 5)))
     section_res = section_lagrangian_check(data, rng, samples=max(3, cfg.samples // 4))
     out = {
         "pullback_max_residual": _res(pull, cfg.tol("finite_difference")),
@@ -551,9 +546,9 @@ def main(argv=None) -> int:
         config = parse_config(raw)
         env_seed = os.environ.get("LIEORB_SEED")
         if env_seed is not None:
-            config.seed = int(env_seed)
+            config.seed = _integer(env_seed, "LIEORB_SEED", 0)
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = _integer(args.seed, "--seed", 0)
         if args.subcommand == "fixture":
             report = emit_fixture(config)
         else:

@@ -215,7 +215,7 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
         )
     if Ut.shape[0] - 1 > p:
         raise InconsistencyError("flow degree exceeds the grading bound")
-    return FlowPolynomial(Ut, p, float(np.max(resid)))
+    return FlowPolynomial(Ut, p, float(np.max(resid, initial=0.0)))
 
 
 @functools.cache
@@ -279,13 +279,15 @@ def flow_numeric(data: HyperbolicData, V: np.ndarray, U0: np.ndarray, t: float) 
 
 
 def commute_residual(data: HyperbolicData, V: np.ndarray, W: np.ndarray) -> float:
-    """||e^{h_V} e^{h_W}(0) - e^{h_W} e^{h_V}(0)|| via the exact flows."""
-    zero = np.zeros(data.n_dim)
-    a = flow_exact(data, np.asarray(W, float), zero).eval(1.0)
-    a = flow_exact(data, np.asarray(V, float), a).eval(1.0)
-    b = flow_exact(data, np.asarray(V, float), zero).eval(1.0)
-    b = flow_exact(data, np.asarray(W, float), b).eval(1.0)
-    return float(np.linalg.norm(a - b))
+    """||e^{h_V} e^{h_W}(0) - e^{h_W} e^{h_V}(0)|| via the exact flows.
+
+    Leading axes of V / W batch over pairs; the result is their max (0 if none).
+    """
+    V, W = np.broadcast_arrays(np.asarray(V, float), np.asarray(W, float))
+    zero = np.zeros(V.shape)
+    a = flow_exact(data, V, flow_exact(data, W, zero).eval(1.0)).eval(1.0)
+    b = flow_exact(data, W, flow_exact(data, V, zero).eval(1.0)).eval(1.0)
+    return float(np.max(np.linalg.norm(a - b, axis=-1), initial=0.0))
 
 
 def nilpotent_exp(M: np.ndarray) -> np.ndarray:

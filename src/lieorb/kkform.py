@@ -73,15 +73,18 @@ def kk_gram(
     """B(w, [X_i, Y_j]) for stacks of coordinate rows: Xc . M_w . Yc^T.
 
     M_w[a, b] = sum_k c_abk (K w)_k is the form on basis pairs; Yc defaults
-    to Xc.
+    to Xc.  Leading axes of w_coords batch over points and broadcast against
+    those of Xc / Yc.
     """
-    M_w = algebra.structure @ (algebra.killing_matrix @ w_coords)
-    return Xc @ M_w @ (Xc if Yc is None else Yc).T
+    Kw = algebra.killing_matrix @ np.asarray(w_coords)[..., None]
+    M_w = (algebra.structure @ Kw[..., None, :, :])[..., 0]
+    return Xc @ M_w @ np.swapaxes(Xc if Yc is None else Yc, -1, -2)
 
 
 def upper_max(M: np.ndarray) -> float:
-    """max |M_ij| over i < j; 0 when there is no such pair."""
-    return float(np.max(np.abs(M[np.triu_indices(len(M), 1)]), initial=0.0))
+    """max |M_ij| over i < j and any leading batch axes; 0 when there is no such pair."""
+    i, j = np.triu_indices(M.shape[-1], 1)
+    return float(np.max(np.abs(M[..., i, j]), initial=0.0))
 
 
 def closedness_check(

@@ -214,8 +214,8 @@ class MatrixLieAlgebra:
         return -self.killing(X, self.theta(Y))
 
     def ad_coord(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ad(X) on coordinates, X given by coordinates x."""
-        return np.einsum("i,ikj->kj", x, self.ad_ops)
+        """Matrix of ad(X) on coordinates, X given by coordinates x (over leading batch axes)."""
+        return np.einsum("...i,ikj->...kj", x, self.ad_ops)
 
     def ad_matrix_of(self, X: np.ndarray) -> np.ndarray:
         return self.ad_coord(self.coords(X))
@@ -386,7 +386,8 @@ def special_determinant(algebra: MatrixLieAlgebra, g: np.ndarray) -> complex:
 
 
 def in_K_residual(algebra: MatrixLieAlgebra, g: np.ndarray) -> float:
-    r = float(np.max(np.abs(g.T @ g - np.eye(algebra.d))))
+    """How far g is from K, as the max over any leading batch axes."""
+    r = float(np.max(np.abs(g.mT @ g - np.eye(algebra.d))))
     if algebra.is_complex:
         r = max(r, float(np.max(np.abs(g @ algebra.J - algebra.J @ g))))
     return r

@@ -53,10 +53,6 @@ class RestrictedRoot:
             total += int(w) * Fraction(e)
         return total
 
-    def value_on(self, algebra: MatrixLieAlgebra, H: np.ndarray) -> float:
-        dg = np.diagonal(extract_complex(H) if algebra.is_complex else H).real
-        return float(np.asarray(self.weights, dtype=float) @ dg[: len(self.weights)])
-
 
 @dataclass
 class RestrictedRootSystem:

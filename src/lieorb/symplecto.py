@@ -5,8 +5,9 @@ and V in n(c) encodes the fiber covector eta_V = -B(V, .).  The orbit map is
 
     phi(k, V) = k . exp_H(V) . e_bar,
 
-and its differentials are taken by central finite differences so the
-verification stays independent of the construction.
+and its differentials are taken by central finite differences at the chart
+step STEP, so the verification stays independent of the construction.  The
+FD checks pullback_residual and liouville_fd_gap take batches of points.
 
 Frozen sign conventions (fixed once on sl(2, R), asserted everywhere):
   * eta_V = -B(V, .)
@@ -40,19 +41,15 @@ from .liecore import (
 from .flows import exp_H
 from .parabolic import HyperbolicData
 
+STEP = 1e-5  # central-difference step of the chart coordinates
+
 
 @dataclass(frozen=True, eq=False)
 class CotangentPoint:
+    """A point (k, V), or a batch of them along leading axes of k and V."""
+
     k: np.ndarray
     V: np.ndarray  # n(c)-coordinates of the B-dual of the covector
-
-
-@dataclass(frozen=True, eq=False)
-class CotangentTangent:
-    """Tangent of the curve t -> (k exp(t Y), V + t delta)."""
-
-    Y: np.ndarray      # direction in k
-    delta: np.ndarray  # n(c)-coordinates
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,20 +86,14 @@ def coset_gap(data: HyperbolicData, k1: np.ndarray, k2: np.ndarray) -> float:
     return max(gap, in_K_residual(data.algebra, m))
 
 
-def tautological_form(data: HyperbolicData, pt: CotangentPoint, W: CotangentTangent) -> float:
-    """eta(d(base) W) = -B(V, Y); vertical directions are annihilated."""
-    algebra = data.algebra
-    Vm = data.n_matrix_of(pt.V)
-    return -float(algebra.coords(Vm) @ algebra.killing_matrix @ algebra.coords(W.Y))
-
-
 def liouville_gram(
     data: HyperbolicData, pt: CotangentPoint, Ys: np.ndarray, deltas: np.ndarray
 ) -> np.ndarray:
     """sigma(W_i, W_j) for the tangents W_i = (Ys[i], deltas[i]) of the (k, V) chart.
 
     With D and Y the coordinate rows of the fiber and base parts,
-    sigma = D K Y^T - Y K D^T - B(V, [Y_i, Y_j]); see the frozen conventions above.
+    sigma = D K Y^T - Y K D^T - B(V, [Y_i, Y_j]); see the frozen conventions
+    above.  Leading axes of pt.V batch over points.
     """
     algebra = data.algebra
     Y = algebra.coords(Ys)
@@ -110,19 +101,9 @@ def liouville_gram(
     return DKY - DKY.T - kk_gram(algebra, algebra.coords(data.n_matrix_of(pt.V)), Y)
 
 
-def liouville_eval(
-    data: HyperbolicData, pt: CotangentPoint, W1: CotangentTangent, W2: CotangentTangent
-) -> float:
-    """Liouville form in the (k, V) chart: the one-pair case of liouville_gram."""
-    return float(liouville_gram(data, pt, np.stack([W1.Y, W2.Y]), np.stack([W1.delta, W2.delta]))[0, 1])
-
-
 def horizontal_basis(data: HyperbolicData) -> np.ndarray:
     """Directions V_j + theta(V_j) in k, complementary to the stabilizer part."""
-    mats = []
-    for V in data.n_basis:
-        mats.append(V + data.algebra.theta(V))
-    return np.stack(mats)
+    return data.n_basis + data.algebra.theta(data.n_basis)
 
 
 def _chart_sigma(data: HyperbolicData, pt: CotangentPoint, Ys: np.ndarray) -> np.ndarray:
@@ -133,101 +114,93 @@ def _chart_sigma(data: HyperbolicData, pt: CotangentPoint, Ys: np.ndarray) -> np
     )
 
 
-def liouville_fd_gap(data: HyperbolicData, pt: CotangentPoint, step: float = 1e-5) -> float:
-    """Compare liouville_gram with the FD exterior derivative of tau.
+def liouville_fd_gap(data: HyperbolicData, pt: CotangentPoint) -> float:
+    """Compare liouville_gram with the FD exterior derivative of tau; max over a batch.
 
     The chart u = (y, v) -> (k0 exp(y_1 Y_1) ... exp(y_n Y_n), V0 + v) is a
-    local parametrization; coordinate tangents are computed in closed form
-    and d tau by second-order central differences of the chart components.
+    local parametrization on which tau_j(u) = -B(V0 + v, Ad(S_{j+1})^-1 Y_j),
+    S_j = exp(y_j Y_j) ... exp(y_n Y_n), with no fiber components.  d tau is
+    taken by second-order central differences at u = +-h e_i, where only
+    exp(+-h Y_i) differs from I: tau_j = -B(V0, Ad(exp(+-h Y_i))^-1 Y_j) for
+    j < i < n, -B(V0 +- h e_{i-n}, Y_j) for i >= n, and -B(V0, Y_j) otherwise.
     The frozen orientation is sigma = -d tau.
     """
     algebra = data.algebra
-    Ys = horizontal_basis(data)
     n = data.n_dim
-    dimu = 2 * n
-    K = algebra.killing_matrix
-
-    def tau_components(u: np.ndarray) -> np.ndarray:
-        y, v = u[:n], u[n:]
-        # suffix products S_i = exp(y_{i+1} Y_{i+1}) ... exp(y_n Y_n)
-        suffix = [np.eye(algebra.d)]
-        for j in range(n - 1, -1, -1):
-            suffix.append(scipy.linalg.expm(y[j] * Ys[j]) @ suffix[-1])
-        suffix.reverse()  # suffix[i] = prod_{j >= i} exp(y_j Y_j); suffix[n] = I
-        Vm = data.n_matrix_of(pt.V + v)
-        vc = algebra.coords(Vm)
-        comps = np.zeros(dimu)
-        for i in range(n):
-            S = suffix[i + 1]
-            Yt = np.linalg.solve(S, Ys[i] @ S)  # Ad(S^-1) Y_i
-            comps[i] = -float(vc @ K @ algebra.coords(Yt))
-        return comps  # fiber components of tau vanish identically
-
-    u0 = np.zeros(dimu)
-    dtau = np.zeros((dimu, dimu))
-    for i in range(dimu):
-        e = np.eye(dimu)[i] * step
-        tp = tau_components(u0 + e)
-        tm = tau_components(u0 - e)
-        dtau[i] = (tp - tm) / (2 * step)  # dtau[i, j] = d_i tau_j
-    # sigma = -d tau on the chart tangents at u0
-    return upper_max(_chart_sigma(data, pt, Ys) + (dtau - dtau.T))
+    Ys = horizontal_basis(data)
+    Yc = algebra.coords(Ys)
+    s = STEP * np.array([1.0, -1.0])
+    E = scipy.linalg.expm(s[:, None, None, None] * Ys)[:, :, None]  # exp(+-h Y_i)
+    moved = algebra.coords(np.linalg.solve(E, Ys @ E))  # [+-, i, j]: Ad(exp(+-h Y_i))^-1 Y_j
+    base = np.where(np.tri(n, k=-1, dtype=bool)[..., None], moved, Yc)  # moved where j < i
+    KV = algebra.coords(data.n_matrix_of(pt.V)) @ algebra.killing_matrix
+    fiber = algebra.coords(data.n_matrix_of(pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)))
+    tau = np.zeros(np.shape(pt.V)[:-1] + (2, 2 * n, 2 * n))  # [..., +-, direction, component]
+    tau[..., :n, :n] = -(base @ KV[..., None, None, :, None])[..., 0]
+    tau[..., n:, :n] = -(fiber @ algebra.killing_matrix @ Yc.T)
+    dtau = (tau[..., 0, :, :] - tau[..., 1, :, :]) / (2 * STEP)  # dtau[..., i, j] = d_i tau_j
+    # sigma = -d tau on the chart tangents at u = 0
+    return upper_max(_chart_sigma(data, pt, Ys) + (dtau - np.swapaxes(dtau, -1, -2)))
 
 
 def _orbit_w(data: HyperbolicData, g: np.ndarray) -> np.ndarray:
     return g @ data.c @ np.linalg.inv(g)
 
 
-def _fd_error(data: HyperbolicData, pt: CotangentPoint, what: str, j: int, value: str) -> DecompositionError:
-    """A pullback FD failure, naming the chamber, max|V| and direction j of the chart frame."""
+def _check_fd(data: HyperbolicData, pt: CotangentPoint, tol, gaps: np.ndarray, resid: np.ndarray) -> None:
+    """Raise for the first point, in sample order, and its first chart direction over tol.
+
+    A step-halving gap there is reported before a representative residual.
+    """
     n = data.n_dim
-    direction = f"horizontal direction {j}" if j < n else f"fiber direction {j - n}"
     chamber = tuple(str(e) for e in data.c_entries)
-    return DecompositionError(
-        f"pullback_residual: {what} at c = {chamber}, max|V| = {np.max(np.abs(pt.V)):.3e}, {direction}: {value}"
-    )
+    for p in np.ndindex(np.shape(tol)):
+        for what, label, value in (
+            ("finite-difference step adaptation failed", "step-halving gap", gaps[p]),
+            ("orbit tangent fell outside the orbit (FD breakdown)", "representative residual", resid[p]),
+        ):
+            if np.any(value > tol[p]):
+                j = int(np.argmax(value > tol[p]))
+                direction = f"horizontal direction {j}" if j < n else f"fiber direction {j - n}"
+                raise DecompositionError(
+                    f"pullback_residual: {what} at c = {chamber}, max|V| = {np.max(np.abs(pt.V[p])):.3e}, "
+                    f"{direction}: {label} {value[j]:.3e} > {tol[p]:.3e}"
+                )
 
 
-def pullback_residual(data: HyperbolicData, pt: CotangentPoint, step: float = 1e-5) -> float:
-    """max |phi* Omega - sigma| over a frame of 2 dim n(c) tangent directions.
+def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> float:
+    """max |phi* Omega - sigma| over a frame of 2 dim n(c) tangent directions and a batch.
 
     phi is differentiated along the chart curves by central differences at
-    steps h and h/2, Richardson-extrapolated; the 4 dim n(c) perturbed fiber
-    points go through one batched exp_H.  The orbit tangents are re-expressed
-    through representatives by solving [X, w] = w-dot, and both Gram matrices
-    are assembled.
+    steps h and h/2, Richardson-extrapolated; the perturbed fiber points of
+    the whole batch go through one exp_H, and the horizontal factors
+    exp(s Y_i), which no point changes, through one batched expm.  The orbit
+    tangents are re-expressed through representatives by solving
+    [X, w] = w-dot, and both Gram matrices are assembled.
     """
     algebra = data.algebra
     n = data.n_dim
     Ys = horizontal_basis(data)
     nV = exp_H(data, pt.V).matrix
-    g0 = pt.k @ nV
-    pt0 = orbit_point(algebra, data.c, g0, validate=False)
-    scale = float(np.max(np.abs(pt0.w)))
-    tol = 1e-5 * max(1.0, scale)
+    pt0 = orbit_point(algebra, data.c, pt.k @ nV, validate=False)
+    tol = 1e-5 * np.maximum(1.0, np.max(np.abs(pt0.w), axis=(-2, -1)))
 
-    s = step * np.array([1.0, -1.0, 0.5, -0.5])
-    horizontal = [[pt.k @ scipy.linalg.expm(si * Y) @ nV for si in s] for Y in Ys]
-    fiber = pt.k @ exp_H(data, pt.V + s[:, None, None] * np.eye(n)).matrix.swapaxes(0, 1)
-    w = _orbit_w(data, np.concatenate([np.array(horizontal), fiber]))
-    d1 = (w[:, 0] - w[:, 1]) / (2 * step)
-    d2 = (w[:, 2] - w[:, 3]) / step  # half step
-    gaps = np.max(np.abs(d1 - d2), axis=(1, 2))
-    if np.any(gaps > tol):
-        j = int(np.argmax(gaps > tol))
-        raise _fd_error(data, pt, "finite-difference step adaptation failed", j,
-                        f"step-halving gap {gaps[j]:.3e} > {tol:.3e}")
+    s = STEP * np.array([1.0, -1.0, 0.5, -0.5])
+    k, nV = pt.k[..., None, None, :, :], nV[..., None, None, :, :]
+    horizontal = k @ scipy.linalg.expm(s[:, None, None] * Ys[:, None]) @ nV
+    fiber = k @ exp_H(data, pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)).matrix.swapaxes(-3, -4)
+    w = _orbit_w(data, np.concatenate([horizontal, fiber], axis=-4))  # [..., direction, offset]
+    d1 = (w[..., 0, :, :] - w[..., 1, :, :]) / (2 * STEP)
+    d2 = (w[..., 2, :, :] - w[..., 3, :, :]) / STEP  # half step
+    gaps = np.max(np.abs(d1 - d2), axis=(-2, -1))
     tangents = (4.0 * d2 - d1) / 3.0
 
     # representative rows: solve [X, w0] = dw, i.e. -ad(w0) x = dw in coordinates
     M = -algebra.ad_coord(pt0.w_coords)
     dwc = algebra.coords(tangents)
-    reps = dwc @ np.linalg.pinv(M, rcond=1e-10).T
-    resid = np.max(np.abs(reps @ M.T - dwc), axis=1)
-    if np.any(resid > tol):
-        j = int(np.argmax(resid > tol))
-        raise _fd_error(data, pt, "orbit tangent fell outside the orbit (FD breakdown)", j,
-                        f"representative residual {resid[j]:.3e} > {tol:.3e}")
+    reps = dwc @ np.linalg.pinv(M, rcond=1e-10).swapaxes(-1, -2)
+    resid = np.max(np.abs(reps @ M.swapaxes(-1, -2) - dwc), axis=-1)
+    _check_fd(data, pt, tol, gaps, resid)
     return upper_max(kk_gram(algebra, pt0.w_coords, reps) - _chart_sigma(data, pt, Ys))
 
 

@@ -302,3 +302,36 @@ def projector_onto(coords_rows):
 def outside_span(coords_rows, v):
     P = projector_onto(coords_rows)
     return float(np.max(np.abs(v - P @ v)))
+
+
+# -- scalar evaluations of the cotangent model, for hand-computed values -------
+
+
+def root_value_on(algebra, root, H):
+    """alpha(H) for a diagonal H, from the root's integer weights."""
+    from lieorb.liecore import extract_complex
+
+    dg = np.diagonal(extract_complex(H) if algebra.is_complex else H).real
+    return float(np.asarray(root.weights, dtype=float) @ dg[: len(root.weights)])
+
+
+@dataclass(frozen=True, eq=False)
+class CotangentTangent:
+    """Tangent of the curve t -> (k exp(t Y), V + t delta)."""
+
+    Y: np.ndarray      # direction in k
+    delta: np.ndarray  # n(c)-coordinates
+
+
+def tautological_form(data, pt, W):
+    """eta(d(base) W) = -B(V, Y); vertical directions are annihilated."""
+    algebra = data.algebra
+    Vm = data.n_matrix_of(pt.V)
+    return -float(algebra.coords(Vm) @ algebra.killing_matrix @ algebra.coords(W.Y))
+
+
+def liouville_eval(data, pt, W1, W2):
+    """Liouville form in the (k, V) chart: the one-pair case of liouville_gram."""
+    from lieorb.symplecto import liouville_gram
+
+    return float(liouville_gram(data, pt, np.stack([W1.Y, W2.Y]), np.stack([W1.delta, W2.delta]))[0, 1])

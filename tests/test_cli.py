@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from lieorb import cli
@@ -55,6 +57,32 @@ def test_witness_sees_planted_flow_fault(monkeypatch):
     assert flow["max_oracle_gap"]["value"] >= 1e-7
     assert flow["max_oracle_gap"]["pass"] is False and flow["pass"] is False
     assert flow["max_commute_residual"]["pass"] and flow["max_roundtrip_residual"]["pass"]
+
+
+def test_root_masks_see_planted_weight_fault():
+    cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 3, "field": "R"}, c=[1, 0, -1], checks=["roots"]))
+    ctx = cli._Context(cfg)
+    assert cli.check_roots(ctx, cfg, np.random.default_rng(0))["pass"]
+    roots = list(ctx.rs.roots)
+    roots[0] = dataclasses.replace(roots[0], weights=2 * roots[0].weights)  # a weight no root space carries
+    ctx._rs = dataclasses.replace(ctx.rs, roots=roots)
+    section = cli.check_roots(ctx, cfg, np.random.default_rng(0))
+    assert section["bracket_grading"]["value"] >= 1.0 and section["theta_pairing"]["value"] >= 1.0
+    assert not section["bracket_grading"]["pass"] and not section["theta_pairing"]["pass"]
+    assert section["dimension_bookkeeping"]["pass"] and section["pass"] is False
+
+
+def test_level_mask_sees_mislabelled_level():
+    cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 4, "field": "R"}, c=[1, 1, -1, -1],
+                                checks=["parabolic"]))
+    ctx = cli._Context(cfg)
+    assert cli.check_parabolic(ctx, cfg, np.random.default_rng(0))["pass"]
+    grades = ctx.data.grades.copy()
+    grades[0] = 2 * grades[0]  # V_0 claims a level of its own inside the one level of n(c)
+    ctx._data = dataclasses.replace(ctx.data, grades=grades)
+    section = cli.check_parabolic(ctx, cfg, np.random.default_rng(0))
+    assert section["stabilizer_invariance"]["value"] > 1e-3
+    assert section["stabilizer_invariance"]["pass"] is False and section["pass"] is False
 
 
 def test_kk_imaginary_branch():
@@ -123,6 +151,25 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     bad2.write_text(json.dumps(_cfg(algebra={"family": "so", "n": 3})))
     assert cli.main(["roots", "--config", str(bad2)]) == 2
 
+    # malformed values reach no traceback: each is a configuration error
+    malformed = (
+        {"c": [float("inf"), float("-inf")]},
+        {"algebra": [2]},
+        {"c": 5},
+        {"tolerances": [1]},
+        {"tolerances": {"structural": "abc"}},
+        {"output_path": 5},
+        {"samples": 2.5},
+    )
+    for i, change in enumerate(malformed):
+        cfg_i = tmp_path / f"malformed{i}.json"
+        cfg_i.write_text(json.dumps(_cfg(checks=["roots"], **change)))
+        assert cli.main(["roots", "--config", str(cfg_i), "--out", str(out)]) == 2, change
+    assert cli.main(["roots", "--config", str(path), "--seed", "-1000"]) == 2
+    monkeypatch.setenv("LIEORB_SEED", "abc")
+    assert cli.main(["roots", "--config", str(path)]) == 2
+    monkeypatch.delenv("LIEORB_SEED")
+
     # absurd tolerance override forces a check failure -> exit 1
     tight = tmp_path / "tight.json"
     tight.write_text(json.dumps(_cfg(checks=["symplecto"], tolerances={"finite_difference": 1e-30})))
@@ -172,3 +219,30 @@ def test_malformed_entries():
         cli.parse_config(_cfg(samples=0))
     with pytest.raises(cli.ConfigurationError):
         cli.parse_config(_cfg(seed="later"))
+    inf, nan = float("inf"), float("nan")
+    for change in (
+        {"c": [inf, -inf]},
+        {"c": [{"re": inf}, {"re": -inf}]},
+        {"c": [nan, nan]},
+        {"c": 5},
+        {"c": None},
+        {"algebra": [2]},
+        {"algebra": {"family": "sl", "n": 2.5, "field": "R"}},
+        {"checks": 5},
+        {"tolerances": [1]},
+        {"tolerances": {"structural": "abc"}},
+        {"tolerances": {"structural": 0}},
+        {"tolerances": {"eigen": -1e-8}},
+        {"tolerances": {"decomposition": inf}},
+        {"tolerances": {"decomposition": nan}},
+        {"tolerances": {"finite_difference": True}},
+        {"output_path": 5},
+        {"samples": 2.5},
+        {"samples": True},
+        {"seed": -1},
+        {"seed": 1.5},
+    ):
+        with pytest.raises(cli.ConfigurationError):
+            cli.parse_config(_cfg(**change))
+    cfg = cli.parse_config(_cfg(seed="7", samples=3, tolerances={"structural": 1}))
+    assert (cfg.seed, cfg.samples, cfg.tol("structural")) == (7, 3, 1.0)

@@ -198,6 +198,21 @@ def test_commutation_all_basis_pairs(ws):
                 assert commute_residual(data, np.eye(n)[i], np.eye(n)[j]) < 1e-9
 
 
+def test_batched_commute_matches_single_pairs(ws):
+    # a stack of pairs is judged as the max of its single-pair calls
+    rng = np.random.default_rng(12)
+    for key, entries in DATA_GRID:
+        data = ws.data(key, entries)
+        n = data.n_dim
+        V, W = rng.standard_normal((2, 6, n))
+        single = max(commute_residual(data, v, w) for v, w in zip(V, W))
+        assert abs(commute_residual(data, V, W) - single) <= 1e-4 * 1e-9
+        assert commute_residual(data, V.reshape(2, 3, n), W.reshape(2, 3, n)) == commute_residual(data, V, W)
+        i, j = np.triu_indices(n, 1)
+        single = max((commute_residual(data, np.eye(n)[a], np.eye(n)[b]) for a, b in zip(i, j)), default=0.0)
+        assert abs(commute_residual(data, np.eye(n)[i], np.eye(n)[j]) - single) <= 1e-4 * 1e-9
+
+
 def test_exp_H(ws, rng):
     data = ws.data("sl2r", (1, -1))
     np.testing.assert_allclose(exp_H(data, np.zeros(1)).matrix, np.eye(2), atol=1e-14)

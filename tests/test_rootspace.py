@@ -9,7 +9,7 @@ from lieorb.rootspace import (
     positive_system,
     restricted_roots,
 )
-from oracles import outside_span, projector_onto
+from oracles import outside_span, projector_onto, root_value_on
 
 
 def test_maximal_abelian_dimensions(ws):
@@ -64,7 +64,7 @@ def test_roots_sl2(ws):
     pos = positive_system(rs)
     assert len(pos) == 1
     alpha = pos[0]
-    assert alpha.value_on(alg, H) == pytest.approx(2.0)
+    assert root_value_on(alg, alpha, H) == pytest.approx(2.0)
     assert alpha.multiplicity == 1
     np.testing.assert_allclose(alpha.space_basis[0], E, atol=1e-12)
 

@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
 
+from conftest import DATA_GRID
 from lieorb import symplecto
 from lieorb.kkform import kk_eval, orbit_point
 from lieorb.liecore import ConfigurationError, DecompositionError, GroupElement, random_in_K
 from lieorb.symplecto import (
-    CotangentTangent,
+    CotangentPoint,
     coset_gap,
     cotangent_point,
     horizontal_basis,
-    liouville_eval,
     liouville_fd_gap,
     phi_lambda,
     project_pi,
     pullback_residual,
     section_lagrangian_check,
-    tautological_form,
 )
-from oracles import equivalence_gap
+from oracles import CotangentTangent, equivalence_gap, liouville_eval, tautological_form
 
 
 def test_phi_zero_section(ws, rng):
@@ -188,6 +187,21 @@ def test_pullback_sweep(ws, rng):
             assert pullback_residual(data, pt) < 1e-6
 
 
+def test_batched_fd_checks_match_single_points(ws):
+    # a stack of points is judged as the max of its single-point calls
+    rng = np.random.default_rng(11)
+    for key, entries in DATA_GRID:
+        data = ws.data(key, entries)
+        alg = ws.algebra(key)
+        pts = [cotangent_point(data, random_in_K(alg, rng).matrix, 0.8 * rng.standard_normal(data.n_dim))
+               for _ in range(4)]
+        k, V = np.stack([p.k for p in pts]), np.stack([p.V for p in pts])
+        for check in (pullback_residual, liouville_fd_gap):
+            batched = check(data, CotangentPoint(k, V))
+            assert abs(batched - max(check(data, p) for p in pts)) <= 1e-4 * 1e-6
+            assert check(data, CotangentPoint(k.reshape((2, 2) + k.shape[1:]), V.reshape(2, 2, -1))) == batched
+
+
 # the input every pullback FD error names: chamber and max|V|
 _FD_V = np.array([1.0, -2.0, 0.5])
 _FD_WHERE = r"at c = \('1', '0', '-1'\), max\|V\| = 2\.000e\+00"
@@ -220,6 +234,26 @@ def test_pullback_names_orbit_tangent_breakdown(ws, monkeypatch):
                        r"\(FD breakdown\) " + _FD_WHERE + r", horizontal direction 0: representative residual "
                        r"\S+ > \S+"):
         pullback_residual(data, cotangent_point(data, np.eye(3), _FD_V))
+
+
+def test_pullback_batch_names_first_failing_point(ws, monkeypatch):
+    data = ws.data("sl3r", (1, 0, -1))
+    exp_H = symplecto.exp_H
+
+    def kinked(d, V):
+        g = exp_H(d, V)
+        if np.ndim(V) < 4:
+            return g
+        M = g.matrix.copy()
+        M[1, 0, 1, 0, 2] += 1e-6  # point 1: offset +step along fiber direction 1
+        M[2, 0, 0, 0, 2] += 1e-6  # point 2: offset +step along fiber direction 0
+        return GroupElement(M, g.tag)
+
+    monkeypatch.setattr(symplecto, "exp_H", kinked)
+    batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_FD_V / 4, _FD_V, 2 * _FD_V]))
+    with pytest.raises(DecompositionError, match=r"pullback_residual: finite-difference step adaptation failed "
+                       + _FD_WHERE + r", fiber direction 1: step-halving gap \S+ > \S+"):
+        pullback_residual(data, batch)
 
 
 def test_section_lagrangian(ws, rng):
