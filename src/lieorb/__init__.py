@@ -19,7 +19,7 @@ from .rootspace import (
     positive_system,
     restricted_roots,
 )
-from .parabolic import HyperbolicData, chamber_sort, grade_projection, hyperbolic_data, nilpotency_index
+from .parabolic import HyperbolicData, chamber_sort, hyperbolic_data, nilpotency_index
 from .kkform import (
     OrbitPoint,
     dual_element,

@@ -44,11 +44,13 @@ from .kkform import (
     k_orbit_lagrangian_check,
     kk_eval,
     nondegeneracy_check,
+    OrbitPoint,
     orbit_point,
     re_dual_gap,
 )
 from .flows import commute_residual, exp_H, flow_exact, flow_numeric, invert_exp_H
 from .symplecto import (
+    CotangentPoint,
     coset_gap,
     cotangent_point,
     liouville_fd_gap,
@@ -383,15 +385,15 @@ def _sample_points(data, rng, count: int):
 
 def check_symplecto(ctx: _Context, cfg: RunConfig, rng) -> dict:
     data = ctx.data
-    n = data.n_dim
-    bundle = zero_gap = 0.0
     pts = _sample_points(data, rng, cfg.samples)
     pull = pullback_residual(data, pts)
-    for k, V in zip(pts.k, pts.V):
-        bc = project_pi(data, phi_lambda(data, cotangent_point(data, k, V), validate=False))
-        bundle = max(bundle, coset_gap(data, bc.k, k))
-        zpt = phi_lambda(data, cotangent_point(data, k, np.zeros(n)), validate=False)
-        zero_gap = max(zero_gap, float(np.max(np.abs(zpt.w - k @ data.c @ k.T))))
+    on = phi_lambda(data, pts, validate=False)
+    bundle = max(
+        coset_gap(data, project_pi(data, OrbitPoint(g, w, wc)).k, k)
+        for g, w, wc, k in zip(on.g, on.w, on.w_coords, pts.k)
+    )
+    zero = phi_lambda(data, CotangentPoint(pts.k, np.zeros_like(pts.V)), validate=False)
+    zero_gap = float(np.max(np.abs(zero.w - pts.k @ data.c @ pts.k.mT)))
     liou = liouville_fd_gap(data, _sample_points(data, rng, max(2, cfg.samples // 5)))
     section_res = section_lagrangian_check(data, rng, samples=max(3, cfg.samples // 4))
     out = {
@@ -564,8 +566,12 @@ def main(argv=None) -> int:
     text = dumps_report(report)
     out_path = args.out or config.output_path
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"config error: cannot write report to {out_path}: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     if args.subcommand == "fixture":

@@ -17,6 +17,11 @@ Gauss-Legendre collocation, exact on polynomial solutions of degree <= its
 stage count (Hairer, Norsett & Wanner, Solving ODEs I, II.7), which only
 evaluates the field at points and checks itself by step halving.
 
+The fiber chart exp_H(V) = exp(U(1)) lands in N(c) and is affine on the
+orbit, Ad(exp_H(V)) c = c - V, since N(c) acts simply transitively on
+c + n(c) (Kostant).  invert_exp_H reads V off that identity in closed form,
+so the chart round trip checks flow_exact by a route that solves no flow.
+
 Vectors here are coordinates in the ordered eigenbasis V_1, ..., V_n of n(c)
 (see HyperbolicData); convert with data.n_coords_of / data.n_matrix_of.
 """
@@ -303,20 +308,6 @@ def nilpotent_exp(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def unipotent_log(g: np.ndarray) -> np.ndarray:
-    """Exact logarithm of a unipotent matrix (finite series)."""
-    d = g.shape[0]
-    N = g - np.eye(d)
-    out = np.zeros_like(N)
-    term = np.eye(d)
-    for k in range(1, d + 1):
-        term = term @ N
-        if np.max(np.abs(term)) == 0.0:
-            break
-        out = out + ((-1) ** (k + 1)) * term / k
-    return out
-
-
 def exp_H(data: HyperbolicData, V: np.ndarray) -> GroupElement:
     """Flow the fiber field for unit time from the group identity.
 
@@ -329,27 +320,16 @@ def exp_H(data: HyperbolicData, V: np.ndarray) -> GroupElement:
 
 
 def invert_exp_H(data: HyperbolicData, g) -> np.ndarray:
-    """Recover V from exp_H(V); level-triangular fixed-point iteration."""
+    """Recover V from g = exp_H(V) in closed form, with no flow solved.
+
+    The chart is affine on the orbit, Ad(exp_H(V)) c = c - V: N(c) acts
+    simply transitively on c + n(c) (Kostant), and in this matrix model N(c)
+    is the group I + n(c).  So g is checked once for g - I in n(c), and V is
+    read off c - Ad(g) c, which then lies in n(c) exactly.
+    """
     M = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
-    d = M.shape[0]
-    N = M - np.eye(d)
-    if np.max(np.abs(np.linalg.matrix_power(N, d))) > 1e-10 * max(1.0, np.max(np.abs(N)) ** d):
-        raise ValueError("input is not unipotent")
-    L_mat = unipotent_log(M)
     try:
-        L = data.n_coords_of(L_mat, strict=1e-8)
+        data.n_coords_of(M - np.eye(M.shape[0]), strict=1e-8)
     except ValueError as exc:
-        raise ValueError("logarithm lies outside n(c)") from exc
-    scale = 1.0 + float(np.max(np.abs(L)))
-    V = L.copy()
-    zero = np.zeros(data.n_dim)
-    for _ in range(50):
-        r = L - flow_exact(data, V, zero).eval(1.0)
-        res = float(np.max(np.abs(r)))
-        if res < 1e-12 * scale:
-            return V
-        V = V + data.T_diag * r
-    raise DecompositionError(
-        f"invert_exp_H: fiber chart inversion did not converge (grading bug) {_where(data, V, zero)}: "
-        f"chart residual {res:.3e} >= {1e-12 * scale:.3e}"
-    )
+        raise ValueError("input does not lie in N(c) = I + n(c)") from exc
+    return data.n_coords_of(data.c - M @ data.c @ np.linalg.inv(M))

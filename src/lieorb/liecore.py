@@ -20,11 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-# One tolerance per failure class (cli.DEFAULT_TOLERANCES exposes the knobs).
+# The library's tolerance classes (cli.DEFAULT_TOLERANCES exposes all four knobs).
 TOL_STRUCT = 1e-10   # exact algebraic identities
 TOL_DECOMP = 1e-9    # decompositions that involve orthonormalization
 TOL_EIGEN = 1e-8     # eigenvalue clustering
-TOL_FD = 1e-6        # finite-difference comparisons
 
 
 class ConfigurationError(ValueError):

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .liecore import (
-    TOL_STRUCT,
     ConfigurationError,
     InconsistencyError,
     MatrixLieAlgebra,
@@ -82,12 +81,12 @@ class HyperbolicData:
         return np.eye(self.algebra.dim)[idx]
 
     def n_coords_of(self, X: np.ndarray, strict: float | None = None) -> np.ndarray:
-        """Coordinates of X in the V-basis of n(c)."""
+        """Coordinates of X in the V-basis of n(c), over any leading batch axes."""
         full = self.algebra.coords(X)
-        v = full[list(self.b_indices)]
+        v = full[..., list(self.b_indices)]
         if strict is not None:
             rest = full.copy()
-            rest[list(self.b_indices)] = 0.0
+            rest[..., list(self.b_indices)] = 0.0
             outside = max(float(np.max(np.abs(rest))), self.algebra.span_residual(X))
             scale = max(1.0, float(np.max(np.abs(v))))
             if outside > strict * scale:
@@ -264,19 +263,6 @@ def nilpotency_index(data: HyperbolicData, samples: int = 20) -> int:
     if not reached:
         raise InconsistencyError(f"no sampled power reaches the nilpotency index at c = {chamber}")
     return n0
-
-
-def grade_projection(data: HyperbolicData, X: np.ndarray, mode: str, index: int) -> np.ndarray:
-    """Project an n(c) element onto R V_index, or the <=/> index tail.
-
-    Indices are 0-based positions in the ordered eigenbasis.
-    """
-    v = data.n_coords_of(X, strict=TOL_STRUCT)
-    j = np.arange(data.n_dim)
-    masks = {"j": j == index, "le": j <= index, "gt": j > index}
-    if mode not in masks:
-        raise ConfigurationError(f"unknown projection mode {mode!r}")
-    return data.n_matrix_of(np.where(masks[mode], v, 0.0))
 
 
 def z_k_coords(data: HyperbolicData) -> np.ndarray:

@@ -293,6 +293,21 @@ def equivalence_gap(data, pt, m):
     return float(np.max(np.abs(a.w - b.w)))
 
 
+def grade_projection(data, X, mode, index):
+    """Project an n(c) element onto R V_index, or the <=/> index tail.
+
+    Indices are 0-based positions in the ordered eigenbasis.
+    """
+    from lieorb.liecore import TOL_STRUCT, ConfigurationError
+
+    v = data.n_coords_of(X, strict=TOL_STRUCT)
+    j = np.arange(data.n_dim)
+    masks = {"j": j == index, "le": j <= index, "gt": j > index}
+    if mode not in masks:
+        raise ConfigurationError(f"unknown projection mode {mode!r}")
+    return data.n_matrix_of(np.where(masks[mode], v, 0.0))
+
+
 def projector_onto(coords_rows):
     """Orthogonal projector onto the row span."""
     Q, _ = np.linalg.qr(np.asarray(coords_rows, float).T)

@@ -166,6 +166,9 @@ def test_main_exit_codes(tmp_path, monkeypatch):
         cfg_i.write_text(json.dumps(_cfg(checks=["roots"], **change)))
         assert cli.main(["roots", "--config", str(cfg_i), "--out", str(out)]) == 2, change
     assert cli.main(["roots", "--config", str(path), "--seed", "-1000"]) == 2
+    # an unwritable report path is a configuration error, not a traceback
+    assert cli.main(["roots", "--config", str(path), "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    assert cli.main(["roots", "--config", str(path), "--out", str(tmp_path)]) == 2
     monkeypatch.setenv("LIEORB_SEED", "abc")
     assert cli.main(["roots", "--config", str(path)]) == 2
     monkeypatch.delenv("LIEORB_SEED")

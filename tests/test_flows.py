@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import DATA_GRID, cold_data
 from lieorb import flows
 from lieorb.flows import (
-    FlowPolynomial,
     commute_residual,
     exp_H,
     flow_exact,
@@ -12,7 +12,6 @@ from lieorb.flows import (
     hv_field,
     invert_exp_H,
     nilpotent_exp,
-    unipotent_log,
 )
 from lieorb.liecore import DecompositionError, InconsistencyError, random_in_K
 from oracles import (
@@ -251,6 +250,41 @@ def test_roundtrip_bigger_algebras(ws, rng):
             assert np.max(np.abs(invert_exp_H(data, exp_H(data, V)) - V)) < 1e-9
 
 
+def test_chart_is_affine_on_the_orbit(ws):
+    # Ad(exp_H(V)) c = c - V: N(c) acts simply transitively on c + n(c)
+    for data in _kernel_grid(ws):
+        rng = np.random.default_rng(41)
+        for size in (1.0, 30.0):
+            V = rng.standard_normal((12, data.n_dim))
+            V *= size / np.max(np.abs(V), axis=-1, keepdims=True)
+            g = exp_H(data, V).matrix
+            gap = np.max(np.abs(g @ data.c @ np.linalg.inv(g) - data.c + data.n_matrix_of(V)))
+            assert gap <= 1e-10 * max(1.0, size), (data.c_entries, size, gap)
+
+
+def test_invert_exp_H_solves_no_flow(ws, monkeypatch):
+    # the closed-form inverse is a route independent of flow_exact
+    data = ws.data("sl4r", (3, 1, -1, -3))
+    V = np.random.default_rng(3).standard_normal(data.n_dim)
+    g = exp_H(data, V)
+
+    def no_flow(*args):
+        raise AssertionError("invert_exp_H solved a flow")
+
+    monkeypatch.setattr(flows, "flow_exact", no_flow)
+    assert np.max(np.abs(invert_exp_H(data, g) - V)) < 1e-12
+
+
+def test_invert_exp_H_rejects_elements_outside_N(ws, rng):
+    data = ws.data("sl4r", (1, 1, -1, -1))
+    n = exp_H(data, rng.standard_normal(data.n_dim)).matrix
+    z = np.eye(4)
+    z[0, 1] = 0.7  # unipotent, in the stabilizer Z(c) of the wall chamber
+    for g in (n @ z, z, np.diag([2.0, 0.5, 1.0, 1.0])):
+        with pytest.raises(ValueError, match=r"does not lie in N\(c\)"):
+            invert_exp_H(data, g)
+
+
 def test_covector_annihilates_parabolic(ws, rng):
     for key, entries in DATA_GRID:
         data = ws.data(key, entries)
@@ -265,8 +299,7 @@ def test_covector_annihilates_parabolic(ws, rng):
 def test_exp_log_helpers(rng):
     M = np.zeros((4, 4))
     M[0, 1], M[1, 2], M[2, 3], M[0, 2] = rng.standard_normal(4)
-    g = nilpotent_exp(M)
-    np.testing.assert_allclose(unipotent_log(g), M, atol=1e-12)
+    np.testing.assert_allclose(nilpotent_exp(M), scipy.linalg.expm(M), atol=1e-12)
 
 
 def _kernel_grid(ws):
@@ -371,15 +404,3 @@ def test_flow_numeric_names_step_halving_gap(ws, monkeypatch):
     with pytest.raises(DecompositionError, match=r"flow_numeric: collocation self-check failed "
                        + _ERR_WHERE + r", t = -2: step-halving gap \S+ >= \S+"):
         flow_numeric(data, _ERR_V, _ERR_U0, -2.0)
-
-
-def test_invert_exp_H_names_chart_residual(ws, monkeypatch):
-    data = ws.data("sl3r", (1, 0, -1))
-    # a chart that ignores V cannot be inverted; log(g) = V_1 gives scale 2
-    monkeypatch.setattr(flows, "flow_exact", lambda d, v, u: FlowPolynomial(np.zeros((1, d.n_dim)), 2, 0.0))
-    g = np.eye(3)
-    g[0, 1] = 1.0
-    with pytest.raises(DecompositionError, match=r"invert_exp_H: fiber chart inversion did not converge "
-                       r"\(grading bug\) at c = \('1', '0', '-1'\), max\|V\| = \S+, max\|U0\| = 0\.000e\+00: "
-                       r"chart residual 1\.000e\+00 >= 2\.000e-12"):
-        invert_exp_H(data, g)

@@ -8,8 +8,8 @@ import scipy.linalg
 from conftest import DATA_GRID, cold_data
 from lieorb import parabolic
 from lieorb.liecore import ConfigurationError, InconsistencyError
-from lieorb.parabolic import chamber_sort, grade_projection, hyperbolic_data, nilpotency_index, z_k_coords
-from oracles import symmetrized_power_vanishes_bruteforce
+from lieorb.parabolic import chamber_sort, hyperbolic_data, nilpotency_index, z_k_coords
+from oracles import grade_projection, symmetrized_power_vanishes_bruteforce
 
 
 def test_sl2_data(ws):
