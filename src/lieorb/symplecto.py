@@ -5,9 +5,11 @@ and V in n(c) encodes the fiber covector eta_V = -B(V, .).  The orbit map is
 
     phi(k, V) = k . exp_H(V) . e_bar,
 
-and its differentials are taken by central finite differences at the chart
-step STEP, so the verification stays independent of the construction.  The
-FD checks pullback_residual and liouville_fd_gap take batches of points.
+Since Ad(exp_H(V)) c = c - V, its differentials have exact representatives
+(see pullback_residual); central finite differences at the chart step STEP
+witness them, an independent route to the same tangents.  liouville_fd_gap
+checks sigma = -d tau by finite differences.  Both checks take batches of
+points.
 
 Frozen sign conventions (fixed once on sl(2, R), asserted everywhere):
   * eta_V = -B(V, .)
@@ -147,61 +149,49 @@ def _orbit_w(data: HyperbolicData, g: np.ndarray) -> np.ndarray:
     return g @ data.c @ np.linalg.inv(g)
 
 
-def _check_fd(data: HyperbolicData, pt: CotangentPoint, tol, gaps: np.ndarray, resid: np.ndarray) -> None:
-    """Raise for the first point, in sample order, and its first chart direction over tol.
-
-    A step-halving gap there is reported before a representative residual.
-    """
-    n = data.n_dim
-    chamber = tuple(str(e) for e in data.c_entries)
-    for p in np.ndindex(np.shape(tol)):
-        for what, label, value in (
-            ("finite-difference step adaptation failed", "step-halving gap", gaps[p]),
-            ("orbit tangent fell outside the orbit (FD breakdown)", "representative residual", resid[p]),
-        ):
-            if np.any(value > tol[p]):
-                j = int(np.argmax(value > tol[p]))
-                direction = f"horizontal direction {j}" if j < n else f"fiber direction {j - n}"
-                raise DecompositionError(
-                    f"pullback_residual: {what} at c = {chamber}, max|V| = {np.max(np.abs(pt.V[p])):.3e}, "
-                    f"{direction}: {label} {value[j]:.3e} > {tol[p]:.3e}"
-                )
+def _check_fd(data: HyperbolicData, pt: CotangentPoint, tol, gaps: np.ndarray) -> None:
+    """Raise for the first point, in sample order, and its first chart direction over tol."""
+    bad = np.argwhere(gaps > tol[..., None])
+    if bad.size:
+        p, j = tuple(bad[0, :-1]), int(bad[0, -1])
+        chamber = tuple(str(e) for e in data.c_entries)
+        direction = f"horizontal direction {j}" if j < data.n_dim else f"fiber direction {j - data.n_dim}"
+        raise DecompositionError(
+            f"pullback_residual: finite-difference tangent disagrees with the exact orbit tangent at c = {chamber}, "
+            f"max|V| = {np.max(np.abs(pt.V[p])):.3e}, {direction}: tangent gap {gaps[p + (j,)]:.3e} > {tol[p]:.3e}"
+        )
 
 
 def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> float:
     """max |phi* Omega - sigma| over a frame of 2 dim n(c) tangent directions and a batch.
 
-    phi is differentiated along the chart curves by central differences at
-    steps h and h/2, Richardson-extrapolated; the perturbed fiber points of
-    the whole batch go through one exp_H, and the horizontal factors
-    exp(s Y_i), which no point changes, through one batched expm.  The orbit
-    tangents are re-expressed through representatives by solving
-    [X, w] = w-dot, and both Gram matrices are assembled.
+    The orbit tangents have exact representatives X, [X, w] = w-dot, at
+    w = phi(k, V) = Ad(k n) c with n = exp_H(V): X_i = Ad(k) Y_i along the
+    horizontal directions, and, since Ad(exp_H(V)) c = c - V moves w by
+    -Ad(k) V_b along fiber direction b, X_b = Ad(k n) T^{-1} Ad(n)^{-1} V_b.
+    So phi* Omega is kk_gram(w, X).  The witness is one central difference
+    of w at +-STEP along every chart direction, compared with [X, w]: the
+    horizontal factors exp(+-STEP Y_i) go through one batched expm and the
+    2 n perturbed fiber points of each point through one exp_H.
     """
     algebra = data.algebra
     n = data.n_dim
     Ys = horizontal_basis(data)
     nV = exp_H(data, pt.V).matrix
     pt0 = orbit_point(algebra, data.c, pt.k @ nV, validate=False)
-    tol = 1e-5 * np.maximum(1.0, np.max(np.abs(pt0.w), axis=(-2, -1)))
+    k, nV, w = pt.k[..., None, :, :], nV[..., None, :, :], pt0.w[..., None, :, :]
+    n_inv = np.linalg.inv(nV)
+    fiber_reps = data.n_matrix_of(data.n_coords_of(n_inv @ data.n_basis @ nV) / data.T_diag)
+    X = np.concatenate([k @ Ys @ k.mT, k @ nV @ fiber_reps @ n_inv @ k.mT], axis=-3)
 
-    s = STEP * np.array([1.0, -1.0, 0.5, -0.5])
-    k, nV = pt.k[..., None, None, :, :], nV[..., None, None, :, :]
-    horizontal = k @ scipy.linalg.expm(s[:, None, None] * Ys[:, None]) @ nV
-    fiber = k @ exp_H(data, pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)).matrix.swapaxes(-3, -4)
-    w = _orbit_w(data, np.concatenate([horizontal, fiber], axis=-4))  # [..., direction, offset]
-    d1 = (w[..., 0, :, :] - w[..., 1, :, :]) / (2 * STEP)
-    d2 = (w[..., 2, :, :] - w[..., 3, :, :]) / STEP  # half step
-    gaps = np.max(np.abs(d1 - d2), axis=(-2, -1))
-    tangents = (4.0 * d2 - d1) / 3.0
-
-    # representative rows: solve [X, w0] = dw, i.e. -ad(w0) x = dw in coordinates
-    M = -algebra.ad_coord(pt0.w_coords)
-    dwc = algebra.coords(tangents)
-    reps = dwc @ np.linalg.pinv(M, rcond=1e-10).swapaxes(-1, -2)
-    resid = np.max(np.abs(reps @ M.swapaxes(-1, -2) - dwc), axis=-1)
-    _check_fd(data, pt, tol, gaps, resid)
-    return upper_max(kk_gram(algebra, pt0.w_coords, reps) - _chart_sigma(data, pt, Ys))
+    s = STEP * np.array([1.0, -1.0])
+    horizontal = k[..., None, :, :] @ scipy.linalg.expm(s[:, None, None, None] * Ys) @ nV[..., None, :, :]
+    fiber = k[..., None, :, :] @ exp_H(data, pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)).matrix
+    wfd = _orbit_w(data, np.concatenate([horizontal, fiber], axis=-3))  # [..., +-, direction]
+    tangents = (wfd[..., 0, :, :, :] - wfd[..., 1, :, :, :]) / (2 * STEP)
+    gaps = np.max(np.abs(tangents - (X @ w - w @ X)), axis=(-2, -1))
+    _check_fd(data, pt, 1e-5 * np.maximum(1.0, np.max(np.abs(pt0.w), axis=(-2, -1))), gaps)
+    return upper_max(kk_gram(algebra, pt0.w_coords, algebra.coords(X)) - _chart_sigma(data, pt, Ys))
 
 
 def section_lagrangian_check(

@@ -202,9 +202,21 @@ def test_batched_fd_checks_match_single_points(ws):
             assert check(data, CotangentPoint(k.reshape((2, 2) + k.shape[1:]), V.reshape(2, 2, -1))) == batched
 
 
-# the input every pullback FD error names: chamber and max|V|
+def test_pullback_exact_to_rounding(ws):
+    # exact representatives leave only rounding in phi* Omega - sigma
+    rng = np.random.default_rng(13)
+    for key, entries in DATA_GRID:
+        data = ws.data(key, entries)
+        alg = ws.algebra(key)
+        k = np.stack([random_in_K(alg, rng).matrix for _ in range(6)])
+        V = 0.8 * rng.standard_normal((6, data.n_dim))
+        assert pullback_residual(data, CotangentPoint(k, V)) <= 1e-12, entries
+
+
+# the one FD witness error, with the input it names: chamber and max|V|
 _FD_V = np.array([1.0, -2.0, 0.5])
-_FD_WHERE = r"at c = \('1', '0', '-1'\), max\|V\| = 2\.000e\+00"
+_FD_MISS = (r"pullback_residual: finite-difference tangent disagrees with the exact orbit tangent "
+            r"at c = \('1', '0', '-1'\), max\|V\| = 2\.000e\+00")
 
 
 def test_pullback_names_step_adaptation_failure(ws, monkeypatch):
@@ -220,8 +232,7 @@ def test_pullback_names_step_adaptation_failure(ws, monkeypatch):
         return GroupElement(M, g.tag)
 
     monkeypatch.setattr(symplecto, "exp_H", kinked)
-    with pytest.raises(DecompositionError, match=r"pullback_residual: finite-difference step adaptation failed "
-                       + _FD_WHERE + r", fiber direction 1: step-halving gap \S+ > \S+"):
+    with pytest.raises(DecompositionError, match=_FD_MISS + r", fiber direction 1: tangent gap \S+ > \S+"):
         pullback_residual(data, cotangent_point(data, np.eye(3), _FD_V))
 
 
@@ -230,9 +241,7 @@ def test_pullback_names_orbit_tangent_breakdown(ws, monkeypatch):
     orbit_w = symplecto._orbit_w
     # a smooth drift along w itself, which no orbit tangent [X, w] has
     monkeypatch.setattr(symplecto, "_orbit_w", lambda d, g: orbit_w(d, g) * (1.0 + 0.1 * g[..., :1, 1:2]))
-    with pytest.raises(DecompositionError, match=r"pullback_residual: orbit tangent fell outside the orbit "
-                       r"\(FD breakdown\) " + _FD_WHERE + r", horizontal direction 0: representative residual "
-                       r"\S+ > \S+"):
+    with pytest.raises(DecompositionError, match=_FD_MISS + r", horizontal direction 0: tangent gap \S+ > \S+"):
         pullback_residual(data, cotangent_point(data, np.eye(3), _FD_V))
 
 
@@ -251,8 +260,7 @@ def test_pullback_batch_names_first_failing_point(ws, monkeypatch):
 
     monkeypatch.setattr(symplecto, "exp_H", kinked)
     batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_FD_V / 4, _FD_V, 2 * _FD_V]))
-    with pytest.raises(DecompositionError, match=r"pullback_residual: finite-difference step adaptation failed "
-                       + _FD_WHERE + r", fiber direction 1: step-halving gap \S+ > \S+"):
+    with pytest.raises(DecompositionError, match=_FD_MISS + r", fiber direction 1: tangent gap \S+ > \S+"):
         pullback_residual(data, batch)
 
 
