@@ -69,9 +69,14 @@ class AlgebraSpec:
 
 
 def embed_complex(Z: np.ndarray) -> np.ndarray:
-    """Real 2n x 2n embedding of a complex n x n matrix."""
+    """Real 2n x 2n embedding of a complex n x n matrix, over any leading batch axes."""
     Z = np.asarray(Z, dtype=complex)
-    return np.block([[Z.real, -Z.imag], [Z.imag, Z.real]])
+    n = Z.shape[-1]
+    out = np.empty(Z.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = Z.real
+    out[..., :n, n:] = -Z.imag
+    out[..., n:, :n] = Z.imag
+    return out
 
 
 def extract_complex(M: np.ndarray) -> np.ndarray:
@@ -336,17 +341,22 @@ class CartanSplit:
 
 
 def independent_rows(vectors: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """The rows that extend the span of the rows before them, in order, unchanged."""
+    """The rows that extend the span of the rows before them, in order, unchanged.
+
+    A row v is kept when its residual against the orthonormal basis O of the
+    kept rows, projected out twice as w - (O w) O, exceeds tol max(1, |v|).
+    """
+    rows = np.asarray(vectors, dtype=float)
+    bounds = tol * np.maximum(1.0, np.linalg.norm(rows, axis=1))
     kept: list[int] = []
-    ortho: list[np.ndarray] = []
-    for i, v in enumerate(vectors):
-        w = v.astype(float).copy()
-        for u in ortho:
-            w -= (u @ w) * u
-        nrm = np.linalg.norm(w)
-        if nrm > tol * max(1.0, np.linalg.norm(v)):
+    ortho = np.empty((0, rows.shape[1]))
+    for i, w in enumerate(rows):
+        for _ in range(2):
+            w = w - (ortho @ w) @ ortho
+        nrm = np.sqrt(w @ w)
+        if nrm > bounds[i]:
             kept.append(i)
-            ortho.append(w / nrm)
+            ortho = np.vstack([ortho, w / nrm])
     return vectors[kept]
 
 

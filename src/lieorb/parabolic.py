@@ -117,28 +117,31 @@ def hyperbolic_data(
         raise ConfigurationError("chamber element must be traceless")
     if all(e == 0 for e in entries):
         raise ConfigurationError("chamber element must be nonzero")
-    pos = positive_system(rs)
-    for root in pos:
-        if root.value_on_entries(entries) < 0:
-            raise ConfigurationError(
-                "element lies outside the closed positive chamber; "
-                "sort the entries with chamber_sort first"
-            )
+    # alpha(c) for every root, exactly: integer weights against the entries
+    # brought to one common denominator
+    den = math.lcm(*(e.denominator for e in entries))
+    weights = np.stack([root.weights for root in rs.roots]).astype(object)
+    alpha = weights @ np.array([int(e * den) for e in entries], dtype=object)
+    positive = {id(root) for root in positive_system(rs)}
+    if any(a < 0 for root, a in zip(rs.roots, alpha) if id(root) in positive):
+        raise ConfigurationError(
+            "element lies outside the closed positive chamber; "
+            "sort the entries with chamber_sort first"
+        )
 
     c = algebra.element_from_entries(entries)
     c_coords = algebra.coords(c)
     lam = algebra.killing_matrix @ c_coords
 
-    z_idx: list[int] = [int(np.argmax(x)) for x in rs.zero_coords]
+    z_idx: list[int] = np.argmax(rs.zero_coords, axis=1).tolist()
     graded: list[tuple[Fraction, int]] = []
-    for root in rs.roots:
-        nu = root.value_on_entries(entries)
-        members = [int(np.argmax(x)) for x in root.space_coords]
-        if nu == 0:
+    for root, a in zip(rs.roots, alpha):
+        members = np.argmax(root.space_coords, axis=1).tolist()
+        if a == 0:
             z_idx.extend(members)
-        elif nu > 0:
-            for b in members:
-                graded.append((nu, b))
+        elif a > 0:
+            nu = Fraction(a, den)
+            graded.extend((nu, b) for b in members)
     z_idx.sort()
     # within an eigenvalue, the fixed basis enumeration orders the roots
     graded.sort(key=lambda t: (t[0], t[1]))
@@ -158,7 +161,7 @@ def hyperbolic_data(
 
     n_basis = algebra.basis[list(b_indices)]
     Th = algebra.theta_matrix
-    nbar_coords = np.stack([Th @ np.eye(algebra.dim)[b] for b in b_indices])
+    nbar_coords = Th[:, list(b_indices)].T + 0.0  # + 0.0: no signed zeros, as from Th @ e_b
 
     # ad(V_i) restricted to n(c), adn[i][k, j] = c_{b_i b_j b_k}: an exact
     # block of the structure constants, which must not leave n(c)

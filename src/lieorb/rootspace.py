@@ -17,8 +17,6 @@ chamber elements).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from .liecore import (
     DegeneracyError,
     InconsistencyError,
     MatrixLieAlgebra,
-    cartan_split,
     embed_complex,
     extract_complex,
     independent_rows,
@@ -45,13 +42,6 @@ class RestrictedRoot:
     space_coords: np.ndarray  # (mult, dim) unit coordinate vectors
     space_basis: np.ndarray   # (mult, d, d)
     multiplicity: int
-
-    def value_on_entries(self, entries: Sequence[Fraction]) -> Fraction:
-        """Exact alpha(c) for a diagonal chamber element with rational entries."""
-        total = Fraction(0)
-        for w, e in zip(self.weights, entries):
-            total += int(w) * Fraction(e)
-        return total
 
 
 @dataclass
@@ -69,13 +59,6 @@ class RestrictedRootSystem:
     def rank(self) -> int:
         return self.a_coords.shape[0]
 
-    def negative_of(self, root: RestrictedRoot) -> RestrictedRoot:
-        target = tuple(-root.weights)
-        for r in self.roots:
-            if tuple(r.weights) == target:
-                return r
-        raise InconsistencyError("root system is not symmetric")
-
 
 def maximal_abelian(algebra: MatrixLieAlgebra, split: CartanSplit) -> np.ndarray:
     """Maximal abelian subspace of p, as a stack of matrices.
@@ -83,23 +66,17 @@ def maximal_abelian(algebra: MatrixLieAlgebra, split: CartanSplit) -> np.ndarray
     The candidate is the diagonal part of p; maximality is certified by a rank
     test on the joint commutant of the candidate inside p.
     """
-    cand = []
-    for M in split.p_basis:
-        if np.max(np.abs(M - np.diag(np.diagonal(M)))) < 1e-12:
-            cand.append(M)
-    if not cand:
+    P = split.p_basis
+    diagonal = np.max(np.abs(np.where(np.eye(algebra.d, dtype=bool), 0.0, P)), axis=(1, 2)) < 1e-12
+    if not diagonal.any():
         raise DegeneracyError("no diagonal directions found in p")
-    cand = np.stack(cand)
+    cand = P[diagonal]
     r = cand.shape[0]
-    pair = np.stack([algebra.bracket(A, B) for A in cand for B in cand])
-    if np.max(np.abs(pair)) > TOL_STRUCT:
+    A, B = cand[:, None], cand[None, :]
+    if np.max(np.abs(A @ B - B @ A)) > TOL_STRUCT:
         raise InconsistencyError("candidate subspace is not abelian")
     # joint commutant of the candidate inside p
-    rows = []
-    for A in cand:
-        adA = algebra.ad_matrix_of(A)
-        rows.append(adA @ split.p_coords.T)
-    M = np.concatenate(rows, axis=0)
+    M = (algebra.ad_matrix_of(cand) @ split.p_coords.T).reshape(-1, split.p_coords.shape[0])
     svals = np.linalg.svd(M, compute_uv=False)
     scale = max(1.0, float(svals[0])) if svals.size else 1.0
     suspicious = int(np.sum((svals >= 1e-9 * scale) & (svals < 1e-7 * scale)))
@@ -131,17 +108,17 @@ def _orthonormalize(algebra: MatrixLieAlgebra, mats: np.ndarray) -> tuple[np.nda
 
 
 def restricted_roots(algebra: MatrixLieAlgebra, a_elements: np.ndarray) -> RestrictedRootSystem:
-    split = cartan_split(algebra)
     a_coords, a_basis = _orthonormalize(algebra, np.asarray(a_elements, dtype=float))
     dim = algebra.dim
     G = (algebra.inner_matrix + algebra.inner_matrix.T) / 2
     L = np.linalg.cholesky(G)
+    L_inv_T = np.linalg.inv(L.T)
 
     # clusters live in the orthonormal y = L^T x coordinates
     clusters: list[tuple[np.ndarray, list[float]]] = [(np.eye(dim), [])]
     for H in a_coords:
         A = algebra.ad_coord(H)
-        S = L.T @ A @ np.linalg.inv(L.T)
+        S = L.T @ A @ L_inv_T
         if np.max(np.abs(S - S.T)) > TOL_DECOMP:
             raise InconsistencyError("ad(H) is not symmetric for the inner product")
         S = (S + S.T) / 2
@@ -151,58 +128,56 @@ def restricted_roots(algebra: MatrixLieAlgebra, a_elements: np.ndarray) -> Restr
             gaps = np.diff(w)
             if np.any((gaps > TOL_EIGEN) & (gaps < 100 * TOL_EIGEN)):
                 raise DegeneracyError("eigenvalue cluster ambiguous at tolerance")
-            start = 0
-            for stop in range(1, len(w) + 1):
-                if stop == len(w) or w[stop] - w[stop - 1] > TOL_EIGEN:
-                    sub = Q @ vecs[:, start:stop]
-                    refined.append((sub, vals + [float(np.mean(w[start:stop]))]))
-                    start = stop
+            edges = [0, *(np.flatnonzero(gaps > TOL_EIGEN) + 1).tolist(), len(w)]
+            for start, stop in zip(edges[:-1], edges[1:]):
+                refined.append((Q @ vecs[:, start:stop], vals + [float(np.mean(w[start:stop]))]))
         clusters = refined
 
-    # identify the original basis vectors spanning each cluster
-    y_units = L.T @ np.eye(dim)
-    y_units = y_units / np.linalg.norm(y_units, axis=0)[None, :]
+    # identify the original basis vectors spanning each cluster: one residual
+    # of every unit basis vector against the cluster's projector
+    y_units = L.T / np.linalg.norm(L.T, axis=0)
     zero_idx: list[int] = []
-    root_groups: list[tuple[list[float], list[int]]] = []
+    root_vals: list[list[float]] = []
+    root_members: list[np.ndarray] = []
     for Q, vals in clusters:
-        members = []
-        for b in range(dim):
-            resid = np.linalg.norm(y_units[:, b] - Q @ (Q.T @ y_units[:, b]))
-            if resid < TOL_DECOMP:
-                members.append(b)
+        resid = np.linalg.norm(y_units - Q @ (Q.T @ y_units), axis=0)
+        members = np.flatnonzero(resid < TOL_DECOMP)
         if len(members) != Q.shape[1]:
             raise InconsistencyError(
                 "joint eigenspace is not spanned by basis vectors "
                 f"(found {len(members)} of {Q.shape[1]})"
             )
         if max(abs(v) for v in vals) < TOL_EIGEN:
-            zero_idx.extend(members)
+            zero_idx.extend(members.tolist())
         else:
-            root_groups.append((vals, members))
+            root_vals.append(vals)
+            root_members.append(members)
 
-    n = algebra.n
-    roots = []
-    for vals, members in root_groups:
-        X = algebra.basis[members[0]]
-        weights = _integer_weights(algebra, X)
-        functional = np.array(
-            [float(np.asarray(weights, float) @ _real_diag(algebra, H)) for H in a_basis]
+    weights = _integer_weights(algebra, algebra.basis[[m[0] for m in root_members]])
+    functionals = weights.astype(float) @ _real_diag(algebra, a_basis).T
+    if np.max(np.abs(functionals - np.asarray(root_vals))) > TOL_EIGEN:
+        raise InconsistencyError("snapped root functional disagrees with eigenvalues")
+    # [H, X_b] = alpha(H) X_b for every a-basis element H and every root
+    # vector X_b, members in root order, as one batched bracket
+    owner = np.repeat(np.arange(len(root_members)), [len(m) for m in root_members])
+    X = algebra.basis[np.concatenate(root_members)]
+    Hs = a_basis[:, None]
+    C = Hs @ X
+    C -= X @ Hs
+    C -= functionals[owner].T[:, :, None, None] * X
+    resid = np.max(np.abs(C), axis=(0, 2, 3))
+    if np.any(resid > TOL_DECOMP):
+        raise InconsistencyError(f"root vector residual {resid[np.argmax(resid > TOL_DECOMP)]:.2e}")
+    roots = [
+        RestrictedRoot(
+            functional=functional,
+            weights=w,
+            space_coords=np.eye(dim)[members],
+            space_basis=algebra.basis[members],
+            multiplicity=len(members),
         )
-        if np.max(np.abs(functional - np.asarray(vals))) > TOL_EIGEN:
-            raise InconsistencyError("snapped root functional disagrees with eigenvalues")
-        for b in members:
-            resid = _root_vector_residual(algebra, a_basis, functional, algebra.basis[b])
-            if resid > TOL_DECOMP:
-                raise InconsistencyError(f"root vector residual {resid:.2e}")
-        roots.append(
-            RestrictedRoot(
-                functional=functional,
-                weights=np.asarray(weights, dtype=int),
-                space_coords=np.eye(dim)[members],
-                space_basis=algebra.basis[members],
-                multiplicity=len(members),
-            )
-        )
+        for functional, w, members in zip(functionals, weights, root_members)
+    ]
     roots.sort(key=lambda r: tuple(r.functional))
 
     zero_idx.sort()
@@ -220,34 +195,28 @@ def restricted_roots(algebra: MatrixLieAlgebra, a_elements: np.ndarray) -> Restr
 
 
 def _real_diag(algebra: MatrixLieAlgebra, H: np.ndarray) -> np.ndarray:
+    """Real diagonal entries of H, over any leading batch axes."""
     Z = extract_complex(H) if algebra.is_complex else H
-    return np.diagonal(Z).real.copy()
+    return np.diagonal(Z, axis1=-2, axis2=-1).real.copy()
 
 
-def _integer_weights(algebra: MatrixLieAlgebra, X: np.ndarray) -> list[int]:
-    """Diagonal-entry coefficients of the root carried by X, snapped to ints."""
+def _integer_weights(algebra: MatrixLieAlgebra, X: np.ndarray) -> np.ndarray:
+    """Diagonal-entry coefficients of the roots carried by the stack X, snapped to ints.
+
+    Row k holds the weights w_l of X[k]: [D_l, X] = w_l X for the diagonal
+    units D_l (embedded for the realified family), with
+    [D_l, X]_ab = (D_l,aa - D_l,bb) X_ab for the whole (root, l) stack.
+    """
     n = algebra.n
-    ws = []
-    nrm2 = float(np.sum(X * X))
-    for l in range(n):
-        if algebra.is_complex:
-            D = embed_complex(np.diag(np.eye(n, dtype=complex)[l]))
-        else:
-            D = np.diag(np.eye(n)[l])
-        C = D @ X - X @ D
-        w = float(np.sum(C * X)) / nrm2
-        wi = int(round(w))
-        if abs(w - wi) > 1e-9 or np.max(np.abs(C - wi * X)) > TOL_DECOMP:
-            raise InconsistencyError("root vector is not a diagonal weight vector")
-        ws.append(wi)
-    return ws
-
-
-def _root_vector_residual(algebra, a_basis, functional, X) -> float:
-    worst = 0.0
-    for H, val in zip(a_basis, functional):
-        worst = max(worst, float(np.max(np.abs(algebra.bracket(H, X) - val * X))))
-    return worst
+    units = np.eye(n)[:, None] * np.eye(n)
+    D = np.diagonal(embed_complex(units) if algebra.is_complex else units, axis1=-2, axis2=-1)
+    X = X[:, None]
+    C = (D[:, :, None] - D[:, None, :]) * X
+    w = np.sum(C * X, axis=(2, 3)) / np.sum(X * X, axis=(2, 3))
+    wi = np.rint(w)
+    if np.any(np.abs(w - wi) > 1e-9) or np.max(np.abs(C - wi[:, :, None, None] * X)) > TOL_DECOMP:
+        raise InconsistencyError("root vector is not a diagonal weight vector")
+    return wi.astype(int)
 
 
 def _check_bookkeeping(rs: RestrictedRootSystem) -> None:
@@ -255,8 +224,11 @@ def _check_bookkeeping(rs: RestrictedRootSystem) -> None:
     total = rs.zero_coords.shape[0] + sum(r.multiplicity for r in rs.roots)
     if total != dim:
         raise InconsistencyError(f"dimension bookkeeping failed: {total} != {dim}")
+    by_weights = {tuple(r.weights): r for r in rs.roots}
     for r in rs.roots:
-        neg = rs.negative_of(r)
+        neg = by_weights.get(tuple(-r.weights))
+        if neg is None:
+            raise InconsistencyError("root system is not symmetric")
         if neg.multiplicity != r.multiplicity:
             raise InconsistencyError("asymmetric multiplicities")
     # the p-part of g_0 must equal a

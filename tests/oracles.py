@@ -319,6 +319,54 @@ def outside_span(coords_rows, v):
     return float(np.max(np.abs(v - P @ v)))
 
 
+# -- loop forms of the batched structure helpers ------------------------------
+
+
+def independent_rows_reference(vectors, tol=1e-9):
+    """liecore.independent_rows as modified Gram-Schmidt, one kept vector at a time."""
+    kept = []
+    ortho = []
+    for i, v in enumerate(vectors):
+        w = v.astype(float).copy()
+        for u in ortho:
+            w -= (u @ w) * u
+        nrm = np.linalg.norm(w)
+        if nrm > tol * max(1.0, np.linalg.norm(v)):
+            kept.append(i)
+            ortho.append(w / nrm)
+    return vectors[kept]
+
+
+def integer_weights_reference(algebra, X):
+    """Diagonal-entry weights of one root vector X, one matrix bracket [D_l, X] per l."""
+    from lieorb.liecore import TOL_DECOMP, InconsistencyError, embed_complex
+
+    n = algebra.n
+    ws = []
+    nrm2 = float(np.sum(X * X))
+    for l in range(n):
+        if algebra.is_complex:
+            D = embed_complex(np.diag(np.eye(n, dtype=complex)[l]))
+        else:
+            D = np.diag(np.eye(n)[l])
+        C = D @ X - X @ D
+        w = float(np.sum(C * X)) / nrm2
+        wi = int(round(w))
+        if abs(w - wi) > 1e-9 or np.max(np.abs(C - wi * X)) > TOL_DECOMP:
+            raise InconsistencyError("root vector is not a diagonal weight vector")
+        ws.append(wi)
+    return ws
+
+
+def negative_of(rs, root):
+    """The root with weights -root.weights, by a scan of the root list."""
+    target = tuple(-root.weights)
+    for r in rs.roots:
+        if tuple(r.weights) == target:
+            return r
+    raise AssertionError("root system is not symmetric")
+
+
 # -- scalar evaluations of the cotangent model, for hand-computed values -------
 
 

@@ -14,6 +14,7 @@ from lieorb.liecore import (
     build_algebra,
     cartan_split,
     in_K_residual,
+    independent_rows,
     iwasawa_decompose,
     jacobi_residual,
     killing_compare_realified,
@@ -23,6 +24,7 @@ from lieorb.liecore import (
 )
 from oracles import (
     dense_jacobi_residual,
+    independent_rows_reference,
     killing_matrix_einsum,
     killing_matrix_oracle,
     structure_bracket,
@@ -365,3 +367,19 @@ def test_kp_rejects_non_invariant_filtration(ws, rng):
     bogus = alg.coords(E - F)[None, :]
     with pytest.raises(DecompositionError):
         kp_decompose(alg, g, bogus)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_independent_rows_match_loop_form_on_rank_deficient_stacks(seed):
+    rng = np.random.default_rng(seed)
+    rank, width = rng.integers(1, 7), rng.integers(4, 9)
+    base = rng.integers(-3, 4, (rank, width)).astype(float)
+    combos = rng.integers(-2, 3, (2 * rank, rank)) @ base
+    # rows dependent up to 1e-12 are not kept; a 1e-6 departure is
+    near = combos[:3] + 1e-12 * rng.standard_normal((3, width))
+    off = combos[:1] + 1e-6 * rng.standard_normal((1, width))
+    for V in (np.concatenate([combos, base]), np.concatenate([base, near, combos]), np.concatenate([near, off, base])):
+        V = V[rng.permutation(len(V))]
+        got = independent_rows(V)
+        assert got.tobytes() == independent_rows_reference(V).tobytes(), f"seed {seed}"
+        assert len(got) == np.linalg.matrix_rank(V, tol=1e-9 * max(1.0, np.abs(V).max())), f"seed {seed}"

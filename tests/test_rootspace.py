@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from lieorb.liecore import ConfigurationError
+from conftest import ALGEBRA_SPECS, cold_data
+from lieorb import rootspace
+from lieorb.liecore import (
+    AlgebraSpec,
+    ConfigurationError,
+    InconsistencyError,
+    build_algebra,
+    cartan_split,
+    independent_rows,
+)
+from lieorb.parabolic import z_k_coords
 from lieorb.rootspace import (
     default_regular,
     k_from_roots_check,
@@ -9,7 +19,14 @@ from lieorb.rootspace import (
     positive_system,
     restricted_roots,
 )
-from oracles import outside_span, projector_onto, root_value_on
+from oracles import (
+    independent_rows_reference,
+    integer_weights_reference,
+    negative_of,
+    outside_span,
+    projector_onto,
+    root_value_on,
+)
 
 
 def test_maximal_abelian_dimensions(ws):
@@ -146,7 +163,7 @@ def test_theta_pairing(ws):
     for key in ("sl3r", "sl3c"):
         alg, rs = ws.algebra(key), ws.rs(key)
         for r in rs.roots:
-            neg = rs.negative_of(r)
+            neg = negative_of(rs, r)
             for x in r.space_coords:
                 assert outside_span(neg.space_coords, alg.theta_matrix @ x) < 1e-9
 
@@ -198,3 +215,80 @@ def test_default_regular(ws):
     alg = ws.algebra("sl4r")
     H = default_regular(alg)
     np.testing.assert_allclose(np.diagonal(H), [3, 1, -1, -3], atol=0)
+
+
+# -- batched structure helpers against their loop forms ------------------------
+
+# every ALGEBRA_SPECS key, then sl(5..6, R/C) built cold as (field, n)
+STRUCTURE_CASES = list(ALGEBRA_SPECS) + [(field, n) for field in ("R", "C") for n in (5, 6)]
+CASE_IDS = [c if isinstance(c, str) else f"sl{c[1]}{c[0].lower()}" for c in STRUCTURE_CASES]
+
+
+def _structure(ws, case):
+    """(algebra, root system, hyperbolic data at the regular chamber) for a case."""
+    if case in ALGEBRA_SPECS:
+        n = ws.algebra(case).n
+        data = ws.data(case, tuple(n - 1 - 2 * k for k in range(n)))
+    else:
+        field, n = case
+        data = cold_data(field, n, tuple(n - 1 - 2 * k for k in range(n)))
+    return data.algebra, data.rs, data
+
+
+@pytest.mark.parametrize("case", STRUCTURE_CASES, ids=CASE_IDS)
+def test_integer_weights_match_loop_form(ws, case):
+    alg, rs, _ = _structure(ws, case)
+    X = np.concatenate([r.space_basis for r in rs.roots])
+    expected = np.array([integer_weights_reference(alg, x) for x in X])
+    got = rootspace._integer_weights(alg, X)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    owner = np.repeat(np.arange(len(rs.roots)), [r.multiplicity for r in rs.roots])
+    assert np.array_equal(expected, np.stack([r.weights for r in rs.roots])[owner])
+
+
+@pytest.mark.parametrize("case", STRUCTURE_CASES, ids=CASE_IDS)
+def test_independent_rows_match_loop_form_on_structure_inputs(ws, case):
+    alg, rs, data = _structure(ws, case)
+    Th = alg.theta_matrix
+    eye = np.eye(alg.dim)
+    stacks = [eye + Th.T, eye - Th.T, rs.zero_coords + rs.zero_coords @ Th.T]
+    for V in stacks:
+        assert independent_rows(V).tobytes() == independent_rows_reference(V).tobytes()
+    assert z_k_coords(data).tobytes() == independent_rows_reference(data.z_coords + data.z_coords @ Th.T).tobytes()
+
+
+# -- planted faults on the batched error paths ---------------------------------
+
+
+def test_planted_non_weight_vector_is_rejected():
+    alg = build_algebra(AlgebraSpec("sl", 3, "R"))
+    a = maximal_abelian(alg, cartan_split(alg))
+    basis = alg.basis.copy()
+    basis[2] = basis[2] + 0.5 * basis[2].T  # E_01 + E_10 / 2 carries no single weight
+    alg.basis = basis
+    with pytest.raises(InconsistencyError, match="root vector is not a diagonal weight vector"):
+        restricted_roots(alg, a)
+
+
+def test_planted_cluster_not_spanned_by_basis_vectors():
+    alg = build_algebra(AlgebraSpec("sl", 2, "R"))
+    # E_01 + E_10 lies in p, but ad of it has eigenvectors off the basis
+    a = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+    with pytest.raises(InconsistencyError, match="joint eigenspace is not spanned by basis vectors"):
+        restricted_roots(alg, a)
+
+
+def test_planted_a_basis_perturbation_is_rejected(monkeypatch):
+    alg = build_algebra(AlgebraSpec("sl", 3, "R"))
+    a = maximal_abelian(alg, cartan_split(alg))
+    orthonormalize = rootspace._orthonormalize
+    # off the diagonal, so the root functionals and eigenvalues still agree
+    bump = 1e-6 * (alg.basis[2] + alg.basis[2].T)
+
+    def perturbed(algebra, mats):
+        a_coords, a_basis = orthonormalize(algebra, mats)
+        return a_coords, a_basis + bump
+
+    monkeypatch.setattr(rootspace, "_orthonormalize", perturbed)
+    with pytest.raises(InconsistencyError, match="root vector residual"):
+        restricted_roots(alg, a)
