@@ -6,12 +6,13 @@ Imports lieorb from --src (default: this checkout's src/), so the same script
 times any checkout.  For sl(4..8, R) and sl(4..6, C), at the regular chamber
 diag(n-1, n-3, ...) and at the wall made by merging its two largest entries,
 it records dim n(c), N0, the number of levels p and the median of 5 calls of
-flow_exact, exp_H and invert_exp_H at one seeded point, of the witness
-flow_numeric on a seeded 20-point batch at t = 1 and t = -2, and of the
-finite-difference checks as symplecto-verify makes them at its default 20
-samples: pullback_residual on 20 seeded cotangent points and
+flow_exact, exp_H and invert_exp_H at one seeded point, of flow_exact and
+the witness flow_numeric (at t = 1 and t = -2) on a seeded 20-point batch,
+and of the checks as symplecto-verify makes them at its default 20 samples:
+pullback_residual and project_pi on 20 seeded cotangent points and
 liouville_fd_gap on 4.  Where a checkout's FD checks take one point per call
-(they then also take a step argument), the points go through one call each.
+(they then also take a step argument), or its project_pi refuses a batch,
+the points go through one call each.
 Results are merged into --out under --label, next to any other labels
 already there; BLAS runs single-threaded.
 """
@@ -69,6 +70,20 @@ def fd_check(check, data, pts):
     return lambda: check(data, batch)
 
 
+def projection(data, pts):
+    """project_pi over the images of the points as check_symplecto makes it: one batch, or one call per point."""
+    from lieorb.kkform import OrbitPoint
+    from lieorb.symplecto import CotangentPoint, phi_lambda, project_pi
+
+    batch = CotangentPoint(np.stack([pt.k for pt in pts]), np.stack([pt.V for pt in pts]))
+    on = phi_lambda(data, batch, validate=False)
+    try:
+        project_pi(data, on)
+    except ValueError:  # a checkout whose decomposition takes single points
+        return lambda: [project_pi(data, OrbitPoint(*p)) for p in zip(on.g, on.w, on.w_coords)]
+    return lambda: project_pi(data, on)
+
+
 def ladder() -> list[dict]:
     from lieorb import flows, symplecto
     from lieorb.liecore import AlgebraSpec, build_algebra, cartan_split, random_in_K
@@ -100,9 +115,11 @@ def ladder() -> list[dict]:
                 "flow_exact_s": median_time(lambda: flows.flow_exact(data, V, U0)),
                 "exp_H_s": median_time(lambda: flows.exp_H(data, V)),
                 "invert_exp_H_s": median_time(lambda: flows.invert_exp_H(data, g)),
+                "flow_exact_batch_s": median_time(lambda: flows.flow_exact(data, Vb, U0b)),
                 "flow_numeric_t1_s": median_time(lambda: flows.flow_numeric(data, Vb, U0b, 1.0)),
                 "flow_numeric_t-2_s": median_time(lambda: flows.flow_numeric(data, Vb, U0b, -2.0)),
                 "pullback_residual_s": median_time(fd_check(symplecto.pullback_residual, data, pts)),
+                "project_pi_s": median_time(projection(data, pts)),
                 "liouville_fd_gap_s": median_time(
                     fd_check(symplecto.liouville_fd_gap, data, pts[: FD_SAMPLES // 5])
                 ),

@@ -121,9 +121,9 @@ def _hv_series(data: HyperbolicData, V: np.ndarray, U: np.ndarray, deg: int) -> 
     negA = -np.einsum("...i,ikj->...kj", U[: deg + 1], data.adn)
 
     def times_negA(x: np.ndarray) -> np.ndarray:
-        out = np.einsum("...kj,b...j->b...k", negA[0], x)
+        out = (negA[0] @ x[..., None])[..., 0]
         for a in range(1, negA.shape[0]):
-            out[a:] += np.einsum("...kj,b...j->b...k", negA[a], x[:-a])
+            out[a:] += (negA[a] @ x[:-a, ..., None])[..., 0]
         return out
 
     x = np.zeros((deg + 1,) + np.broadcast_shapes(np.shape(V), U.shape[1:]))
@@ -206,9 +206,15 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
             f"Picard gap {gap:.3e} > {limit:.3e}"
         )
     Ut = _poly_trim(U, 1e-12 * scale)
-    # the defining equation on every coefficient of h_V(U): at degree
-    # 2 N0 deg the kernel cuts nothing
-    E = _hv_series(data, V, Ut, 2 * data.N0 * (Ut.shape[0] - 1))
+    # the defining equation on every coefficient of h_V(U).  The bracket adds
+    # grades, so if coordinate j of U has degree <= floor(nu_j / nu_1), every
+    # coefficient of h_V(U) past floor(nu_p / nu_1) - 1 is a sum of products
+    # with an exact-zero factor: the check may stop there.  Otherwise it runs
+    # at degree 2 N0 deg, where the kernel cuts nothing.
+    deg = Ut.shape[0] - 1
+    above = (np.arange(deg + 1)[:, None] > data.graded_degrees)[:, None]
+    graded = not np.any(np.where(above, Ut.reshape(deg + 1, -1, data.n_dim), 0.0))
+    E = _hv_series(data, V, Ut, max(int(data.graded_degrees.max()) - 1, deg - 1) if graded else 2 * data.N0 * deg)
     D = _poly_deriv(Ut)
     E[: D.shape[0]] -= D
     resid = np.max(np.abs(E), axis=(0, -1))
@@ -325,11 +331,13 @@ def invert_exp_H(data: HyperbolicData, g) -> np.ndarray:
     The chart is affine on the orbit, Ad(exp_H(V)) c = c - V: N(c) acts
     simply transitively on c + n(c) (Kostant), and in this matrix model N(c)
     is the group I + n(c).  So g is checked once for g - I in n(c), and V is
-    read off c - Ad(g) c, which then lies in n(c) exactly.
+    read off c - Ad(g) c, which then lies in n(c) exactly.  Leading axes of
+    g batch over points, each judged on its own.
     """
     M = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
+    D = M - np.eye(M.shape[-1])
     try:
-        data.n_coords_of(M - np.eye(M.shape[0]), strict=1e-8)
+        data.n_coords_of(D, strict=1e-8)
     except ValueError as exc:
         raise ValueError("input does not lie in N(c) = I + n(c)") from exc
     return data.n_coords_of(data.c - M @ data.c @ np.linalg.inv(M))

@@ -16,7 +16,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -194,9 +194,9 @@ class MatrixLieAlgebra:
         Z[..., self._rows, self._cols] = off
         return embed_complex(Z) if self.is_complex else Z
 
-    def span_residual(self, X: np.ndarray) -> float:
-        """How far X is from the algebra (max-abs of the discarded part)."""
-        return float(np.max(np.abs(X - self.from_coords(self.coords(X)))))
+    def span_residual(self, X: np.ndarray) -> np.ndarray:
+        """How far X is from the algebra (max-abs of the discarded part), per element of a batch."""
+        return np.max(np.abs(X - self.from_coords(self.coords(X))), axis=(-2, -1))
 
     # -- algebraic operations ---------------------------------------------
 
@@ -262,9 +262,7 @@ class MatrixLieAlgebra:
         Th = self.theta_matrix
         th_sq = float(np.max(np.abs(Th @ Th - np.eye(self.dim))))
         th_iso = float(np.max(np.abs(Th.T @ K @ Th - K)))
-        lhs = c @ Th.T
-        rhs = np.einsum("pi,qj,pqk->ijk", Th, Th, c, optimize=True)
-        th_auto = float(np.max(np.abs(lhs - rhs)))
+        th_auto = float(theta_automorphism_residual(c, Th))
         res = {
             "jacobi": jacobi,
             "killing_symmetry": k_sym,
@@ -279,6 +277,11 @@ class MatrixLieAlgebra:
         return res
 
 
+def _nonzero(c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """np.nonzero(c) in C order, through a flat boolean mask (several times faster on dense floats)."""
+    return np.unravel_index(np.flatnonzero(c != 0), c.shape)
+
+
 def jacobi_residual(c: np.ndarray) -> int:
     """max over all (i, j, k, l) of |sum_m c_ijm c_mkl + c_jkm c_mil + c_kim c_mjl|.
 
@@ -289,7 +292,7 @@ def jacobi_residual(c: np.ndarray) -> int:
     no join reaches has the value 0.
     """
     dim = c.shape[0]
-    i, j, m = np.nonzero(c)           # C order: sorted by the first index
+    i, j, m = _nonzero(c)             # C order: sorted by the first index
     v = c[i, j, m].astype(np.int64)
     count = np.bincount(i, minlength=dim)
     start = np.cumsum(count) - count
@@ -304,6 +307,26 @@ def jacobi_residual(c: np.ndarray) -> int:
     keys, vals = keys[order], np.tile(v[left] * v[right], 3)[order]
     sums = np.add.reduceat(vals, np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]))
     return int(np.max(np.abs(sums)))
+
+
+def theta_automorphism_residual(c: np.ndarray, Th: np.ndarray) -> int:
+    """max over (i, j) of |theta [b_i, b_j] - [theta b_i, theta b_j]| in coordinates.
+
+    Exact for integer-valued c, with no dim^3 product: theta must be a signed
+    permutation of the basis, theta(b_k) = s_k b_pi(k), and the residual at
+    (i, j, pi(k)) is then |c_ijk - s_i s_j s_k c_pi(i)pi(j)pi(k)|.  It can be
+    nonzero only where c or its permuted copy is, so it is read off the
+    nonzero entries of c and their preimages under pi.
+    """
+    dim = c.shape[0]
+    perm = np.argmax(np.abs(Th), axis=0)
+    s = Th[perm, np.arange(dim)]
+    if np.count_nonzero(Th) != dim or not np.all(np.abs(s) == 1) or len(set(perm.tolist())) != dim:
+        raise InconsistencyError("build_algebra: theta is not a signed permutation of the basis")
+    inv = np.argsort(perm)
+    i, j, k = (np.concatenate([x, inv[x]]) for x in _nonzero(c))
+    # integers and signs: every float operation here is exact
+    return int(np.max(np.abs(c[i, j, k] - s[i] * s[j] * s[k] * c[perm[i], perm[j], perm[k]]), initial=0))
 
 
 def build_algebra(spec: AlgebraSpec) -> MatrixLieAlgebra:
@@ -387,13 +410,6 @@ class GroupElement:
     tag: str = "general"
 
 
-def special_determinant(algebra: MatrixLieAlgebra, g: np.ndarray) -> complex:
-    """det over the base field (complex det for the realified family)."""
-    if algebra.is_complex:
-        return complex(np.linalg.det(extract_complex(g)))
-    return complex(np.linalg.det(g))
-
-
 def in_K_residual(algebra: MatrixLieAlgebra, g: np.ndarray) -> float:
     """How far g is from K, as the max over any leading batch axes."""
     r = float(np.max(np.abs(g.mT @ g - np.eye(algebra.d))))
@@ -406,50 +422,49 @@ def _as_matrix(g) -> np.ndarray:
     return g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
 
 
+def raise_first(bad: np.ndarray, message: Callable[[tuple], str], error: type = DecompositionError) -> None:
+    """Raise error(message(i)) at the first batch index i where bad holds, naming i in a batch."""
+    hits = np.argwhere(bad)
+    if len(hits):
+        i = tuple(int(x) for x in hits[0])
+        raise error(message(i) + (f" at point {i}" if i else ""))
+
+
 def iwasawa_decompose(algebra: MatrixLieAlgebra, g) -> tuple[GroupElement, GroupElement, GroupElement]:
     """g = k a n with k in K, a positive diagonal, n upper unitriangular.
 
-    Realized by QR with the positive-diagonal convention; the same convention
-    canonicalizes coset representatives downstream.  det g = 1 is judged at
-    det's rounding scale, a few eps times the Hadamard bound prod |g_col|, and
-    the reconstruction against max |g|, so large valid elements pass while
-    non-special and singular ones do not.
+    Realized by QR over the base field (the complex matrix for the realified
+    family), with the phases of diag r moved into q so that a is positive;
+    the same convention canonicalizes coset representatives downstream.
+    Leading axes of g batch over points, and every check is judged per
+    point: det g = 1 at det's rounding scale, a few eps times the Hadamard
+    bound prod |g_col|, and the reconstruction against max |g|, so large
+    valid elements pass while non-special and singular ones do not.
     """
     G = _as_matrix(g)
-    if G.shape != (algebra.d, algebra.d):
+    if G.shape[-2:] != (algebra.d, algebra.d):
         raise ValueError("dimension mismatch in iwasawa_decompose")
-    det = special_determinant(algebra, G)
-    hadamard = float(np.prod(np.linalg.norm(extract_complex(G) if algebra.is_complex else G, axis=0)))
-    if abs(det - 1.0) > TOL_DECOMP + 8 * algebra.d * np.finfo(float).eps * hadamard:
-        raise DecompositionError(f"input is not special (det = {det})")
-    if algebra.is_complex:
-        Z = extract_complex(G)
-        q, r = np.linalg.qr(Z)
-        dg = np.diagonal(r)
-        if np.min(np.abs(dg)) < 1e-12:
-            raise DecompositionError("singular input")
-        u = dg / np.abs(dg)
-        q = q * u[None, :]
-        r = np.conj(u)[:, None] * r
-        avec = np.abs(np.diagonal(r)).real
-        kmat = embed_complex(q)
-        amat = embed_complex(np.diag(avec).astype(complex))
-        nmat = embed_complex(r / avec[:, None])
-    else:
-        q, r = np.linalg.qr(G)
-        dg = np.diagonal(r)
-        if np.min(np.abs(dg)) < 1e-12:
-            raise DecompositionError("singular input")
-        s = np.sign(dg)
-        q = q * s[None, :]
-        r = s[:, None] * r
-        avec = np.diagonal(r)
-        kmat = q
-        amat = np.diag(avec)
-        nmat = r / avec[:, None]
-    resid = float(np.max(np.abs(kmat @ amat @ nmat - G)))
-    if resid > TOL_DECOMP * max(1.0, float(np.max(np.abs(G)))):
-        raise DecompositionError(f"Iwasawa reconstruction residual {resid:.3e}")
+    embed = embed_complex if algebra.is_complex else np.asarray
+    Z = extract_complex(G) if algebra.is_complex else G
+    det = np.linalg.det(Z)
+    hadamard = np.prod(np.linalg.norm(Z, axis=-2), axis=-1)
+    raise_first(
+        np.abs(det - 1.0) > TOL_DECOMP + 8 * algebra.d * np.finfo(float).eps * hadamard,
+        lambda i: f"input is not special (det = {complex(det[i])})",
+    )
+    q, r = np.linalg.qr(Z)
+    dg = np.diagonal(r, axis1=-2, axis2=-1)
+    raise_first(np.min(np.abs(dg), axis=-1) < 1e-12, lambda i: "singular input")
+    u = dg / np.abs(dg)
+    q = q * u[..., None, :]
+    r = np.conj(u)[..., :, None] * r
+    avec = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    kmat = embed(q)
+    amat = embed(avec[..., None] * np.eye(algebra.n))
+    nmat = embed(r / avec[..., :, None])
+    resid = np.max(np.abs(kmat @ amat @ nmat - G), axis=(-2, -1))
+    limit = TOL_DECOMP * np.maximum(1.0, np.max(np.abs(G), axis=(-2, -1)))
+    raise_first(resid > limit, lambda i: f"Iwasawa reconstruction residual {resid[i]:.3e}")
     return (
         GroupElement(kmat, "in_K"),
         GroupElement(amat, "in_A"),
@@ -464,16 +479,17 @@ def kp_decompose(
 
     The P-membership of the second factor is verified directly: Ad(p) must
     preserve the span of the supplied filtration basis, up to a leak judged
-    against the size of the transported coordinates.
+    against the size of the transported coordinates.  Leading axes of g
+    batch over points, each judged on its own.
     """
     k, a, n = iwasawa_decompose(algebra, g)
     p = a.matrix @ n.matrix
     F = np.asarray(p_filtration_coords, dtype=float)
     Q, _ = np.linalg.qr(F.T)
-    y = algebra.coords(p @ algebra.from_coords(F) @ np.linalg.inv(p))
-    worst = float(np.max(np.abs(y - y @ (Q @ Q.T))))
-    if worst > TOL_DECOMP * max(1.0, float(np.max(np.abs(y)))):
-        raise DecompositionError(f"KP factor leaves the parabolic filtration ({worst:.3e})")
+    y = algebra.coords(p[..., None, :, :] @ algebra.from_coords(F) @ np.linalg.inv(p)[..., None, :, :])
+    worst = np.max(np.abs(y - y @ (Q @ Q.T)), axis=(-2, -1))
+    limit = TOL_DECOMP * np.maximum(1.0, np.max(np.abs(y), axis=(-2, -1)))
+    raise_first(worst > limit, lambda i: f"KP factor leaves the parabolic filtration ({worst[i]:.3e})")
     return k, GroupElement(p, "general")
 
 

@@ -13,6 +13,7 @@ threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .liecore import (
     InconsistencyError,
     MatrixLieAlgebra,
     independent_rows,
+    raise_first,
 )
 from .rootspace import RestrictedRootSystem, positive_system
 
@@ -81,22 +83,29 @@ class HyperbolicData:
         return np.eye(self.algebra.dim)[idx]
 
     def n_coords_of(self, X: np.ndarray, strict: float | None = None) -> np.ndarray:
-        """Coordinates of X in the V-basis of n(c), over any leading batch axes."""
+        """Coordinates v of X in the V-basis of n(c), over any leading batch axes; with strict,
+        each element's part outside n(c) must be within strict max(1, max|v|) of its own v."""
         full = self.algebra.coords(X)
         v = full[..., list(self.b_indices)]
         if strict is not None:
             rest = full.copy()
             rest[..., list(self.b_indices)] = 0.0
-            outside = max(float(np.max(np.abs(rest))), self.algebra.span_residual(X))
-            scale = max(1.0, float(np.max(np.abs(v))))
-            if outside > strict * scale:
-                raise ValueError(f"element has a component outside n(c) ({outside:.2e})")
+            outside = np.maximum(np.max(np.abs(rest), axis=-1), self.algebra.span_residual(X))
+            bound = strict * np.maximum(1.0, np.max(np.abs(v), axis=-1))
+            raise_first(
+                outside > bound, lambda i: f"element has a component outside n(c) ({outside[i]:.2e})", ValueError
+            )
         return v
 
     def n_matrix_of(self, v: np.ndarray) -> np.ndarray:
         """The element sum_j v_j V_j, over any leading batch axes of v."""
         v = np.asarray(v, dtype=float)
         return np.einsum("...j,jab->...ab", v, self.n_basis)
+
+    @functools.cached_property
+    def graded_degrees(self) -> np.ndarray:
+        """floor(nu_j / nu_1): the top power of t in coordinate j of a fiber flow (the bracket adds grades)."""
+        return np.array([int(nu / self.min_grade) for nu in self.grades_exact])
 
     @property
     def min_grade(self) -> Fraction:

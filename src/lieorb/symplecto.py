@@ -76,15 +76,15 @@ def phi_lambda(data: HyperbolicData, pt: CotangentPoint, validate: bool = True) 
 
 
 def project_pi(data: HyperbolicData, pt: OrbitPoint) -> BaseCoset:
-    """Bundle projection G/Z(c) -> G/P(c) = K/Z_K(c), canonical K representative."""
+    """Bundle projection G/Z(c) -> G/P(c) = K/Z_K(c), canonical K representative; batches over pt.g."""
     k, _ = kp_decompose(data.algebra, pt.g, data.p_filtration_coords)
     return BaseCoset(k.matrix)
 
 
 def coset_gap(data: HyperbolicData, k1: np.ndarray, k2: np.ndarray) -> float:
-    """Distance of k1 Z_K(c) and k2 Z_K(c): how far Ad(k1^-1 k2) moves c."""
-    m = k1.T @ k2  # k1 in K, so the transpose is the inverse
-    gap = float(np.max(np.abs(m @ data.c @ m.T - data.c)))
+    """Distance of k1 Z_K(c) and k2 Z_K(c): how far Ad(k1^-1 k2) moves c; max over a batch."""
+    m = k1.mT @ k2  # k1 in K, so the transpose is the inverse
+    gap = float(np.max(np.abs(m @ data.c @ m.mT - data.c)))
     return max(gap, in_K_residual(data.algebra, m))
 
 

@@ -398,3 +398,70 @@ def liouville_eval(data, pt, W1, W2):
     from lieorb.symplecto import liouville_gram
 
     return float(liouville_gram(data, pt, np.stack([W1.Y, W2.Y]), np.stack([W1.delta, W2.delta]))[0, 1])
+
+
+# -- single-point forms of the batched verify checks ---------------------------
+
+
+def kp_decompose_single(algebra, g, p_filtration_coords):
+    """The single-point KP decomposition, with its Iwasawa step in separate
+    real and complex branches; returns the K factor and the parabolic factor."""
+    from lieorb.liecore import TOL_DECOMP, DecompositionError, embed_complex, extract_complex
+
+    G = np.asarray(g, dtype=float)
+    Z = extract_complex(G) if algebra.is_complex else G
+    det = complex(np.linalg.det(Z))
+    hadamard = float(np.prod(np.linalg.norm(Z, axis=0)))
+    if abs(det - 1.0) > TOL_DECOMP + 8 * algebra.d * np.finfo(float).eps * hadamard:
+        raise DecompositionError(f"input is not special (det = {det})")
+    q, r = np.linalg.qr(Z)
+    dg = np.diagonal(r)
+    if np.min(np.abs(dg)) < 1e-12:
+        raise DecompositionError("singular input")
+    if algebra.is_complex:
+        u = dg / np.abs(dg)
+        q = q * u[None, :]
+        r = np.conj(u)[:, None] * r
+        avec = np.abs(np.diagonal(r)).real
+        kmat = embed_complex(q)
+        amat = embed_complex(np.diag(avec).astype(complex))
+        nmat = embed_complex(r / avec[:, None])
+    else:
+        s = np.sign(dg)
+        q = q * s[None, :]
+        r = s[:, None] * r
+        avec = np.diagonal(r)
+        kmat, amat, nmat = q, np.diag(avec), r / avec[:, None]
+    resid = float(np.max(np.abs(kmat @ amat @ nmat - G)))
+    if resid > TOL_DECOMP * max(1.0, float(np.max(np.abs(G)))):
+        raise DecompositionError(f"Iwasawa reconstruction residual {resid:.3e}")
+    p = amat @ nmat
+    F = np.asarray(p_filtration_coords, dtype=float)
+    Q, _ = np.linalg.qr(F.T)
+    y = algebra.coords(p @ algebra.from_coords(F) @ np.linalg.inv(p))
+    worst = float(np.max(np.abs(y - y @ (Q @ Q.T))))
+    if worst > TOL_DECOMP * max(1.0, float(np.max(np.abs(y)))):
+        raise DecompositionError(f"KP factor leaves the parabolic filtration ({worst:.3e})")
+    return kmat, p
+
+
+def check_flow_loop(data, V, U0):
+    """The flow check one point at a time: the oracle gap at t = 1 and t = -2,
+    the degree histogram (each point counted once per time), and the chart
+    round trip over the first 25 points."""
+    from lieorb.flows import exp_H, flow_exact, flow_numeric, invert_exp_H
+
+    gap, hist = 0.0, {}
+    exact = [flow_exact(data, V[i], U0[i]) for i in range(len(V))]
+    for t in (1.0, -2.0):
+        num = flow_numeric(data, V, U0, t)
+        for i, fp in enumerate(exact):
+            gap = max(gap, float(np.max(np.abs(fp.eval(t) - num[i]))))
+            hist[str(fp.degree)] = hist.get(str(fp.degree), 0) + 1
+    roundtrip = max(float(np.max(np.abs(invert_exp_H(data, exp_H(data, v)) - v))) for v in V[:25])
+    return gap, dict(sorted(hist.items())), roundtrip
+
+
+def theta_automorphism_einsum(c, Th):
+    """max |theta [b_i, b_j] - [theta b_i, theta b_j]| from the dense dim^3 contraction."""
+    return float(np.max(np.abs(c @ Th.T - np.einsum("pi,qj,pqk->ijk", Th, Th, c, optimize=True))))

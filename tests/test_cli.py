@@ -1,11 +1,14 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import DATA_GRID
 from lieorb import cli
 from lieorb.flows import FlowPolynomial
+from oracles import check_flow_loop
 
 
 def _cfg(**kw):
@@ -57,6 +60,19 @@ def test_witness_sees_planted_flow_fault(monkeypatch):
     assert flow["max_oracle_gap"]["value"] >= 1e-7
     assert flow["max_oracle_gap"]["pass"] is False and flow["pass"] is False
     assert flow["max_commute_residual"]["pass"] and flow["max_roundtrip_residual"]["pass"]
+
+
+def test_check_flow_batch_matches_point_loop(ws):
+    cfg = cli.parse_config(_cfg(samples=30))
+    for key, entries in DATA_GRID:
+        data = ws.data(key, entries)
+        section = cli.check_flow(SimpleNamespace(data=data), cfg, np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        V, U0 = rng.standard_normal((30, data.n_dim)), rng.standard_normal((30, data.n_dim))
+        gap, hist, roundtrip = check_flow_loop(data, V, U0)
+        assert section["degree_histogram"] == hist, (key, entries)
+        assert abs(section["max_oracle_gap"]["value"] - gap) <= 1e-4 * cfg.tol("eigen"), (key, entries)
+        assert abs(section["max_roundtrip_residual"]["value"] - roundtrip) <= 1e-4 * cfg.tol("decomposition")
 
 
 def test_root_masks_see_planted_weight_fault():

@@ -275,6 +275,33 @@ def test_invert_exp_H_solves_no_flow(ws, monkeypatch):
     assert np.max(np.abs(invert_exp_H(data, g) - V)) < 1e-12
 
 
+def test_invert_exp_H_round_trips_batches(ws):
+    # a stack of 5 (more points than matrix rows) and a (2, 3) stack
+    data = ws.data("sl3r", (2, 0, -2))
+    rng = np.random.default_rng(5)
+    for shape in ((5,), (2, 3)):
+        V = rng.standard_normal(shape + (data.n_dim,))
+        back = invert_exp_H(data, exp_H(data, V))
+        assert back.shape == V.shape
+        assert np.max(np.abs(back - V)) < 1e-12
+
+
+def test_invert_exp_H_judges_each_point_of_a_batch(ws):
+    # a unipotent z in Z(c) off by 1e-7 at batch index 2: within 1e-8 of the
+    # batch's largest coordinates, but not of that point's own
+    data = ws.data("sl4r", (1, 1, -1, -1))
+    rng = np.random.default_rng(6)
+    V = 30 * rng.standard_normal((5, data.n_dim))
+    V[2] *= 1e-3
+    g = exp_H(data, V).matrix
+    z = np.eye(4)
+    z[0, 1] = 1e-7
+    g[2] = g[2] @ z
+    with pytest.raises(ValueError, match=r"does not lie in N\(c\)") as err:
+        invert_exp_H(data, g)
+    assert "at point (2,)" in str(err.value.__cause__)
+
+
 def test_invert_exp_H_rejects_elements_outside_N(ws, rng):
     data = ws.data("sl4r", (1, 1, -1, -1))
     n = exp_H(data, rng.standard_normal(data.n_dim)).matrix
@@ -369,16 +396,56 @@ def test_flow_exact_names_defining_equation_residual(ws, monkeypatch):
     data = ws.data("sl3r", (1, 0, -1))
     kernel = flows._hv_series
 
-    def off_at_full_degree(d, v, u, deg):
+    def off_in_check(d, v, u, deg):
         out = kernel(d, v, u, deg)
-        if deg == 2 * d.N0 * (u.shape[0] - 1):   # the uncut degree of the check
+        if u.shape[0] <= len(d.blocks) + 1:   # the trimmed curve, not the (p + 3)-row Picard iterate
             out[0, 0] += 1e-3
         return out
 
-    monkeypatch.setattr(flows, "_hv_series", off_at_full_degree)
+    monkeypatch.setattr(flows, "_hv_series", off_in_check)
     with pytest.raises(InconsistencyError, match=r"flow_exact: flow polynomial fails its defining equation "
                        + _ERR_WHERE + r": residual 1\.000e-03 > 6\.000e-10"):
         flow_exact(data, _ERR_V, _ERR_U0)
+
+
+def test_flow_exact_falls_back_to_uncut_check(ws, monkeypatch):
+    # a field whose top kept coefficient of coordinate 0 is planted: the curve
+    # then has a t^(p+2) term in a coordinate of graded degree 1, past the
+    # grading.  A check cut at degree p + 1 would see the planted term on both
+    # sides and certify the curve; the uncut one sees it land at the top row
+    data = ws.data("sl3r", (1, 0, -1))
+    p = len(data.blocks)
+    assert data.graded_degrees[0] == 1
+    kernel = flows._hv_series
+    degrees = []
+
+    def planted_top(d, v, u, deg):
+        degrees.append(deg)
+        out = kernel(d, v, u, deg)
+        out[-1, ..., 0] += 1e-3
+        return out
+
+    monkeypatch.setattr(flows, "_hv_series", planted_top)
+    with pytest.raises(InconsistencyError, match=r"flow_exact: flow polynomial fails its defining equation "
+                       + _ERR_WHERE + r": residual 1\.000e-03 > 6\.000e-10"):
+        flow_exact(data, _ERR_V, _ERR_U0)
+    assert degrees[-1] == 2 * data.N0 * (p + 2)
+
+
+def test_graded_cut_certifies_the_uncut_residual(ws):
+    # above the cut every coefficient of h_V(U) is an exact zero, so the cut
+    # check reports the uncut residual bit for bit
+    for data in _kernel_grid(ws):
+        rng = np.random.default_rng(43)
+        V, U0 = rng.standard_normal((2, 10, data.n_dim)) * rng.choice([0.5, 1.0, 3.0], (10, 1))
+        fp = flow_exact(data, V, U0)
+        deg = fp.degree
+        above = np.arange(deg + 1)[:, None, None] > data.graded_degrees
+        assert not np.any(np.where(above, fp.coeffs, 0.0)), data.c_entries
+        E = flows._hv_series(data, V, fp.coeffs, 2 * data.N0 * deg)
+        assert not np.any(E[max(int(np.max(data.graded_degrees)), deg):]), data.c_entries
+        E[:deg] -= flows._poly_deriv(fp.coeffs)[:deg]
+        assert fp.ode_residual == float(np.max(np.abs(E))), data.c_entries
 
 
 def test_flow_numeric_names_stage_iteration(ws, monkeypatch):

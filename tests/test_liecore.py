@@ -13,6 +13,7 @@ from lieorb.liecore import (
     MatrixLieAlgebra,
     build_algebra,
     cartan_split,
+    embed_complex,
     in_K_residual,
     independent_rows,
     iwasawa_decompose,
@@ -21,10 +22,13 @@ from lieorb.liecore import (
     kp_decompose,
     random_element,
     random_in_K,
+    theta_automorphism_residual,
 )
 from oracles import (
     dense_jacobi_residual,
     independent_rows_reference,
+    kp_decompose_single,
+    theta_automorphism_einsum,
     killing_matrix_einsum,
     killing_matrix_oracle,
     structure_bracket,
@@ -108,6 +112,30 @@ def test_jacobi_all_basis_triples(ws):
         assert resid < 1e-10
         # the sparse certificate is exact: it equals the dense tensor's maximum
         assert jacobi_residual(c) == resid == alg.build_residuals["jacobi"]
+
+
+def test_theta_index_test_matches_einsum_oracle(ws):
+    for key in ALGEBRA_SPECS:
+        alg = ws.algebra(key)
+        c, Th = alg.structure, alg.theta_matrix
+        assert theta_automorphism_residual(c, Th) == theta_automorphism_einsum(c, Th) == 0.0
+        assert alg.build_residuals["theta_automorphism"] == 0.0
+        # planted faults: one structure constant moved, where c is nonzero and where it is zero
+        rng = np.random.default_rng(9)
+        seen = []
+        planted = np.concatenate([np.argwhere(c)[rng.choice(np.count_nonzero(c), 3)], rng.integers(0, alg.dim, (3, 3))])
+        for t in planted:
+            bad = c.copy()
+            bad[tuple(t)] += 2
+            seen.append(theta_automorphism_residual(bad, Th))
+            assert seen[-1] == theta_automorphism_einsum(bad, Th), (key, t)
+        assert max(seen) == 2, key
+        # theta that is no signed permutation of the basis is refused
+        for off in (0.5, 1.0):
+            bad = Th.copy()
+            bad[0, 1] = off
+            with pytest.raises(InconsistencyError, match="signed permutation"):
+                theta_automorphism_residual(c, bad)
 
 
 def test_jacobi_certificate_sees_planted_fault(ws):
@@ -329,6 +357,29 @@ def test_iwasawa_errors(ws):
     # a large special element still factors
     k, a, n = iwasawa_decompose(ws.algebra("sl3r"), np.diag([1e9, 1.0, 1e-9]))
     np.testing.assert_allclose(np.diagonal(a.matrix), [1e9, 1.0, 1e-9], rtol=1e-15)
+
+
+@pytest.mark.parametrize("key", ("sl2r", "sl3c"))
+def test_batched_decompositions_name_the_failing_point(ws, key):
+    # a non-special element, and a singular one whose det 0 is within the
+    # rounding scale of its Hadamard bound, each planted in a batch
+    alg = ws.algebra(key)
+    embed = embed_complex if alg.is_complex else np.asarray
+    m = alg.n
+    good = scipy.linalg.expm(random_element(alg, np.random.default_rng(8), 0.5))
+    non_special = embed(np.diag([2.0] + [1.0] * (m - 1)))
+    singular = np.diag([0.0] + [1.0] * (m - 2) + [0.0])
+    singular[0] = 1e8
+    filt = np.eye(alg.dim)[: alg.dim // 2]
+    for bad, message in ((non_special, r"input is not special \(det = \(2\+0j\)\)"),
+                         (embed(singular), r"singular input")):
+        with pytest.raises(DecompositionError, match=message + "$"):
+            iwasawa_decompose(alg, bad)
+        for decompose in (lambda g: iwasawa_decompose(alg, g), lambda g: kp_decompose(alg, g, filt)):
+            with pytest.raises(DecompositionError, match=message + r" at point \(1,\)$"):
+                decompose(np.stack([good, bad, good]))
+            with pytest.raises(DecompositionError, match=message + r" at point \(1, 0\)$"):
+                decompose(np.stack([[good, good], [bad, good]]))
 
 
 def test_kp_decompose(ws, rng):

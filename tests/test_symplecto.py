@@ -16,7 +16,7 @@ from lieorb.symplecto import (
     pullback_residual,
     section_lagrangian_check,
 )
-from oracles import CotangentTangent, equivalence_gap, liouville_eval, tautological_form
+from oracles import CotangentTangent, equivalence_gap, kp_decompose_single, liouville_eval, tautological_form
 
 
 def test_phi_zero_section(ws, rng):
@@ -93,6 +93,20 @@ def test_project_pi_with_large_group_entries(ws):
         k = random_in_K(alg, rng).matrix
         bc = project_pi(data, phi_lambda(data, cotangent_point(data, k, V), validate=False))
         assert coset_gap(data, bc.k, k) < 1e-9
+
+
+def test_batched_project_pi_matches_point_loop(ws):
+    # bit for bit: the batch runs the same QR, phases and products per point
+    for key, entries in DATA_GRID:
+        data = ws.data(key, entries)
+        alg = data.algebra
+        rng = np.random.default_rng(19)
+        k = np.stack([random_in_K(alg, rng).matrix for _ in range(20)])
+        on = phi_lambda(data, cotangent_point(data, k, 0.8 * rng.standard_normal((20, data.n_dim))), validate=False)
+        batch = project_pi(data, on).k
+        loop = np.stack([kp_decompose_single(alg, g, data.p_filtration_coords)[0] for g in on.g])
+        assert batch.tobytes() == loop.tobytes(), (key, entries)
+        assert coset_gap(data, batch, k) == max(coset_gap(data, a, b) for a, b in zip(batch, k))
 
 
 def test_bundle_compatibility_sweep(ws, rng):
