@@ -12,7 +12,10 @@ and of the checks as symplecto-verify makes them at its default 20 samples:
 pullback_residual and project_pi on 20 seeded cotangent points and
 liouville_fd_gap on 4.  Where a checkout's FD checks take one point per call
 (they then also take a step argument), or its project_pi refuses a batch,
-the points go through one call each.
+the points go through one call each.  Two rows time the sampled checks from
+a fresh generator at the default 20 samples: cli.check_kk on a context whose
+structure is already built, and the sampling of symplecto-verify
+(cli._sample_points at 20 points and section_lagrangian_check at 5).
 Results are merged into --out under --label, next to any other labels
 already there; BLAS runs single-threaded.
 """
@@ -84,6 +87,32 @@ def projection(data, pts):
     return lambda: project_pi(data, on)
 
 
+def kk_check(alg, entries):
+    """cli.check_kk at the default samples, with the context's structure built before timing."""
+    from lieorb import cli
+
+    cfg = cli.parse_config({"algebra": {"family": "sl", "n": alg.n, "field": alg.spec.field}, "c": list(entries)})
+    ctx = cli._Context(cfg)
+    ctx.split, ctx.data  # noqa: B018  (built on first access)
+    return lambda: cli.check_kk(ctx, cfg, np.random.default_rng(0))
+
+
+def sampling(data, split):
+    """The draws of symplecto-verify: 20 cotangent points and a 5-sample section check."""
+    from lieorb import cli, symplecto
+
+    check = symplecto.section_lagrangian_check
+    # a checkout whose section check builds its own Cartan split takes no split argument
+    head = (data, split) if "split" in inspect.signature(check).parameters else (data,)
+
+    def run():
+        rng = np.random.default_rng(0)
+        cli._sample_points(data, rng, FD_SAMPLES)
+        check(*head, rng, samples=FD_SAMPLES // 4)
+
+    return run
+
+
 def ladder() -> list[dict]:
     from lieorb import flows, symplecto
     from lieorb.liecore import AlgebraSpec, build_algebra, cartan_split, random_in_K
@@ -93,7 +122,8 @@ def ladder() -> list[dict]:
     rows = []
     for field, n in GRID:
         alg = build_algebra(AlgebraSpec("sl", n, field))
-        rs = restricted_roots(alg, maximal_abelian(alg, cartan_split(alg)))
+        split = cartan_split(alg)
+        rs = restricted_roots(alg, maximal_abelian(alg, split))
         for kind, entries in (("regular", regular(n)), ("wall", wall(n))):
             data = hyperbolic_data(alg, rs, entries)
             rng = np.random.default_rng([n, field == "C", kind == "wall"])
@@ -123,6 +153,8 @@ def ladder() -> list[dict]:
                 "liouville_fd_gap_s": median_time(
                     fd_check(symplecto.liouville_fd_gap, data, pts[: FD_SAMPLES // 5])
                 ),
+                "check_kk_s": median_time(kk_check(alg, entries)),
+                "symplecto_sampling_s": median_time(sampling(data, split)),
             }
             print(json.dumps(row), flush=True)
             rows.append(row)

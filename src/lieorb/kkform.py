@@ -62,9 +62,10 @@ def dual_element(algebra: MatrixLieAlgebra, lam: np.ndarray) -> np.ndarray:
     return algebra.from_coords(x)
 
 
-def kk_eval(algebra: MatrixLieAlgebra, pt: OrbitPoint, X: np.ndarray, Y: np.ndarray) -> float:
-    """Omega at pt on the tangent vectors represented by X and Y: B(w, [X, Y])."""
-    return float(pt.w_coords @ algebra.killing_matrix @ algebra.coords(algebra.bracket(X, Y)))
+def kk_eval(algebra: MatrixLieAlgebra, pt: OrbitPoint, X: np.ndarray, Y: np.ndarray):
+    """Omega at pt on the tangents represented by X and Y, B(w, [X, Y]); per item over leading batch axes."""
+    bx = algebra.coords(algebra.bracket(X, Y))[..., :, None]
+    return (pt.w_coords[..., None, :] @ algebra.killing_matrix @ bx)[..., 0, 0]
 
 
 def kk_gram(
@@ -90,14 +91,14 @@ def upper_max(M: np.ndarray) -> float:
 def closedness_check(
     algebra: MatrixLieAlgebra, pt: OrbitPoint, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
 ) -> float:
-    """Cyclic Jacobi residual B(w, [[X,Y],Z]) + B(w, [[Y,Z],X]) + B(w, [[Z,X],Y])."""
+    """|B(w, [[X,Y],Z]) + B(w, [[Y,Z],X]) + B(w, [[Z,X],Y])|, over leading batch axes as in kk_eval."""
     b = algebra.bracket
     total = (
         kk_eval(algebra, pt, b(X, Y), Z)
         + kk_eval(algebra, pt, b(Y, Z), X)
         + kk_eval(algebra, pt, b(Z, X), Y)
     )
-    return abs(total)
+    return np.abs(total)
 
 
 def _omega_svals(algebra: MatrixLieAlgebra, data: HyperbolicData, pt: OrbitPoint) -> np.ndarray:
@@ -119,9 +120,9 @@ def nondegeneracy_check(
 def fiber_isotropy_check(
     algebra: MatrixLieAlgebra, data: HyperbolicData, g=None
 ) -> float:
-    """max |Omega| over the fiber directions; at the base fiber when g is None."""
+    """max |Omega| over the fiber directions; at the base fiber when g is None, and over a batch of g."""
     pt = orbit_point(algebra, data.c, np.eye(algebra.d) if g is None else g, validate=False)
-    dirs = algebra.coords(pt.g @ data.n_basis @ np.linalg.inv(pt.g))
+    dirs = algebra.coords(pt.g[..., None, :, :] @ data.n_basis @ np.linalg.inv(pt.g)[..., None, :, :])
     return upper_max(kk_gram(algebra, pt.w_coords, dirs))
 
 
@@ -205,6 +206,6 @@ def re_dual_gap(algebra: MatrixLieAlgebra, c_entries: Sequence[complex]) -> floa
     if not algebra.is_complex:
         raise ConfigurationError("re-duality applies to realified complex algebras")
     c = algebra.element_from_entries([complex(e) for e in c_entries])
-    lam = np.array([complex_trace_form(algebra, c, b).real for b in algebra.basis])
+    lam = complex_trace_form(algebra, c, algebra.basis).real
     X = dual_element(algebra, lam)
     return float(np.max(np.abs(c - 2.0 * X)))

@@ -201,10 +201,11 @@ class MatrixLieAlgebra:
     # -- algebraic operations ---------------------------------------------
 
     def bracket(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """[X, Y] = XY - YX, over leading batch axes that X and Y share."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
-        if X.shape != (self.d, self.d) or Y.shape != (self.d, self.d):
-            raise ValueError("dimension mismatch in bracket")
+        if X.shape[-2:] != (self.d, self.d) or X.shape != Y.shape:
+            raise ValueError(f"dimension mismatch in bracket: {X.shape} and {Y.shape}")
         return X @ Y - Y @ X
 
     def theta(self, X: np.ndarray) -> np.ndarray:
@@ -342,11 +343,11 @@ def killing_compare_realified(algebra: MatrixLieAlgebra) -> float:
     return float(np.max(np.abs(algebra.killing_matrix - 2 * Bc.real)))
 
 
-def complex_trace_form(algebra: MatrixLieAlgebra, X: np.ndarray, Y: np.ndarray) -> complex:
-    """Complex Killing form 2n tr(Z_X Z_Y); only meaningful on realified algebras."""
+def complex_trace_form(algebra: MatrixLieAlgebra, X: np.ndarray, Y: np.ndarray):
+    """Complex Killing form 2n tr(Z_X Z_Y), over leading batch axes; only meaningful on realified algebras."""
     if not algebra.is_complex:
         raise ConfigurationError("complex trace form needs a complex-realified algebra")
-    return 2 * algebra.n * complex(np.trace(extract_complex(X) @ extract_complex(Y)))
+    return 2 * algebra.n * np.trace(extract_complex(X) @ extract_complex(Y), axis1=-2, axis2=-1)
 
 
 # -- Cartan decomposition ----------------------------------------------------
@@ -497,20 +498,25 @@ def random_element(algebra: MatrixLieAlgebra, rng: np.random.Generator, scale: f
     return algebra.from_coords(scale * rng.standard_normal(algebra.dim))
 
 
-def random_in_K(algebra: MatrixLieAlgebra, rng: np.random.Generator) -> GroupElement:
+def k_from_normals(algebra: MatrixLieAlgebra, z: np.ndarray) -> GroupElement:
+    """Haar-random elements of K from standard normals z of shape (..., d n), one per leading index.
+
+    z fills an n x n matrix (over C its real, then its imaginary part); its QR factor q, with the
+    phases of diag r moved into q, gets det 1 by a column swap (over R) or a scalar phase (over C).
+    """
     n = algebra.n
-    if algebra.is_complex:
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(z)
-        dg = np.diagonal(r)
-        q = q * (dg / np.abs(dg))[None, :]
-        det = np.linalg.det(q)
-        q = q * np.exp(-1j * np.angle(det) / n)
-        return GroupElement(embed_complex(q), "in_K")
-    m = rng.standard_normal((n, n))
+    z = np.asarray(z, dtype=float).reshape(np.shape(z)[:-1] + (-1, n, n))
+    m = z[..., 0, :, :] + 1j * z[..., 1, :, :] if algebra.is_complex else z[..., 0, :, :]
     q, r = np.linalg.qr(m)
-    q = q * np.sign(np.diagonal(r))[None, :]
-    if np.linalg.det(q) < 0:
-        q = q.copy()
-        q[:, [0, 1]] = q[:, [1, 0]]
-    return GroupElement(q, "in_K")
+    dg = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (dg / np.abs(dg))[..., None, :]
+    det = np.linalg.det(q)
+    if algebra.is_complex:
+        return GroupElement(embed_complex(q * np.exp(-1j * (np.angle(det) / n))[..., None, None]), "in_K")
+    swapped = q[..., [1, 0, *range(2, n)]]
+    return GroupElement(np.where((det < 0)[..., None, None], swapped, q), "in_K")
+
+
+def random_in_K(algebra: MatrixLieAlgebra, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> GroupElement:
+    """A batch of the given shape of Haar-random elements of K, drawn in one call of rng."""
+    return k_from_normals(algebra, rng.standard_normal((*shape, algebra.d * algebra.n)))

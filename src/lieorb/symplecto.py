@@ -32,10 +32,10 @@ import scipy.linalg
 from .kkform import OrbitPoint, kk_gram, orbit_point, upper_max
 from .liecore import (
     TOL_DECOMP,
+    CartanSplit,
     ConfigurationError,
     DecompositionError,
     GroupElement,
-    cartan_split,
     in_K_residual,
     kp_decompose,
     random_in_K,
@@ -195,7 +195,7 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> float:
 
 
 def section_lagrangian_check(
-    data: HyperbolicData, rng: np.random.Generator, samples: int = 10
+    data: HyperbolicData, split: CartanSplit, rng: np.random.Generator, samples: int = 10
 ) -> float:
     """max |Omega| on pushforwards of k-directions at random zero-section points.
 
@@ -203,11 +203,7 @@ def section_lagrangian_check(
     differences are needed here.
     """
     algebra = data.algebra
-    split = cartan_split(algebra)
-    worst = 0.0
-    for _ in range(samples):
-        k = random_in_K(algebra, rng).matrix
-        pt = orbit_point(algebra, data.c, k, validate=False)
-        dirs = algebra.coords(k @ split.k_basis @ k.T)
-        worst = max(worst, upper_max(kk_gram(algebra, pt.w_coords, dirs)))
-    return worst
+    k = random_in_K(algebra, rng, (samples,)).matrix
+    pt = orbit_point(algebra, data.c, k, validate=False)
+    dirs = algebra.coords(k[:, None] @ split.k_basis @ k.mT[:, None])
+    return upper_max(kk_gram(algebra, pt.w_coords, dirs))

@@ -465,3 +465,100 @@ def check_flow_loop(data, V, U0):
 def theta_automorphism_einsum(c, Th):
     """max |theta [b_i, b_j] - [theta b_i, theta b_j]| from the dense dim^3 contraction."""
     return float(np.max(np.abs(c @ Th.T - np.einsum("pi,qj,pqk->ijk", Th, Th, c, optimize=True))))
+
+
+# -- per-sample draws of the verify checks ------------------------------------
+# Each draws from rng in the order and amounts the batched check must match.
+
+
+def random_in_K_single(algebra, rng):
+    """One Haar-random element of K, with separate real and complex branches."""
+    from lieorb.liecore import embed_complex
+
+    n = algebra.n
+    if algebra.is_complex:
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, r = np.linalg.qr(z)
+        dg = np.diagonal(r)
+        q = q * (dg / np.abs(dg))[None, :]
+        det = np.linalg.det(q)
+        q = q * np.exp(-1j * np.angle(det) / n)
+        return embed_complex(q)
+    m = rng.standard_normal((n, n))
+    q, r = np.linalg.qr(m)
+    q = q * np.sign(np.diagonal(r))[None, :]
+    if np.linalg.det(q) < 0:
+        q = q.copy()
+        q[:, [0, 1]] = q[:, [1, 0]]
+    return q
+
+
+def sample_points_loop(data, rng, count):
+    """count cotangent points (k, 0.8 V), each drawn k first, one point at a time; returns (k, V)."""
+    k, V = zip(*((random_in_K_single(data.algebra, rng), 0.8 * rng.standard_normal(data.n_dim)) for _ in range(count)))
+    return np.stack(k), np.stack(V)
+
+
+def check_kk_loop(algebra, c, rng, samples, data=None):
+    """The sampled values of the kk check one sample at a time, and the
+    fiber isotropy over the base fiber and three moved ones when data is given."""
+    import scipy.linalg
+
+    from lieorb.kkform import closedness_check, fiber_isotropy_check, kk_eval, orbit_point
+    from lieorb.liecore import random_element
+
+    anti = inv = closed = 0.0
+    for _ in range(samples):
+        g = scipy.linalg.expm(random_element(algebra, rng, 0.4))
+        pt = orbit_point(algebra, c, g, validate=False)
+        X, Y, Z = (random_element(algebra, rng) for _ in range(3))
+        anti = max(anti, abs(kk_eval(algebra, pt, X, Y) + kk_eval(algebra, pt, Y, X)))
+        anti = max(anti, abs(kk_eval(algebra, pt, X, X)))
+        closed = max(closed, closedness_check(algebra, pt, X, Y, Z))
+        h = scipy.linalg.expm(random_element(algebra, rng, 0.4))
+        pt2 = orbit_point(algebra, c, h @ g, validate=False)
+        h_inv = np.linalg.inv(h)
+        inv = max(
+            inv,
+            abs(kk_eval(algebra, pt2, h @ X @ h_inv, h @ Y @ h_inv) - kk_eval(algebra, pt, X, Y)),
+        )
+    out = {"antisymmetry": anti, "invariance": inv, "closedness": closed}
+    if data is not None:
+        iso = fiber_isotropy_check(algebra, data)
+        for _ in range(3):
+            iso = max(iso, fiber_isotropy_check(algebra, data, scipy.linalg.expm(random_element(algebra, rng, 0.4))))
+        out["fiber_isotropy"] = iso
+    return out
+
+
+def section_lagrangian_loop(data, rng, samples):
+    """max |Omega| on k-directions pushed to zero-section points, one sample at a time."""
+    from lieorb.kkform import kk_gram, orbit_point, upper_max
+    from lieorb.liecore import cartan_split
+
+    algebra = data.algebra
+    split = cartan_split(algebra)
+    worst = 0.0
+    for _ in range(samples):
+        k = random_in_K_single(algebra, rng)
+        pt = orbit_point(algebra, data.c, k, validate=False)
+        dirs = algebra.coords(k @ split.k_basis @ k.T)
+        worst = max(worst, upper_max(kk_gram(algebra, pt.w_coords, dirs)))
+    return worst
+
+
+def re_omega_scale_loop(algebra, c, rng):
+    """The arnold scale check |Re Omega_C - Omega / 2| over 10 samples, one at a time."""
+    import scipy.linalg
+
+    from lieorb.kkform import kk_eval, orbit_point
+    from lieorb.liecore import complex_trace_form, random_element
+
+    scale_gap = 0.0
+    pt = orbit_point(algebra, c, scipy.linalg.expm(random_element(algebra, rng, 0.3)), validate=False)
+    for _ in range(10):
+        X, Y = random_element(algebra, rng), random_element(algebra, rng)
+        om = kk_eval(algebra, pt, X, Y)
+        om_c = complex_trace_form(algebra, pt.w, algebra.bracket(X, Y))
+        scale_gap = max(scale_gap, abs(om_c.real - om / 2.0))
+    return scale_gap

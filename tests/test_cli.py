@@ -8,7 +8,16 @@ import pytest
 from conftest import DATA_GRID
 from lieorb import cli
 from lieorb.flows import FlowPolynomial
-from oracles import check_flow_loop
+from lieorb.liecore import random_in_K
+from lieorb.symplecto import section_lagrangian_check
+from oracles import (
+    check_flow_loop,
+    check_kk_loop,
+    random_in_K_single,
+    re_omega_scale_loop,
+    sample_points_loop,
+    section_lagrangian_loop,
+)
 
 
 def _cfg(**kw):
@@ -133,6 +142,15 @@ def test_determinism_byte_identical():
     a = cli.dumps_report(cli.run(cfg)["body"])
     b = cli.dumps_report(cli.run(cfg)["body"])
     assert a == b
+
+
+def test_meta_records_blas_threads(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    meta = cli.run(cli.parse_config(_cfg(checks=["roots"])))["meta"]
+    assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+    assert json.loads(cli.dumps_report(meta))["blas_threads"]["MKL_NUM_THREADS"] is None
 
 
 def test_seed_changes_only_stochastic_sections():
@@ -265,3 +283,48 @@ def test_malformed_entries():
             cli.parse_config(_cfg(**change))
     cfg = cli.parse_config(_cfg(seed="7", samples=3, tolerances={"structural": 1}))
     assert (cfg.seed, cfg.samples, cfg.tol("structural")) == (7, 3, 1.0)
+
+
+def _sampling_context(field, n, **kw):
+    cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": n, "field": field}, c=list(range(n - 1, -n, -2)), **kw))
+    return cli._Context(cfg), cfg
+
+
+def _close(got, ref):
+    return abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("field, n", [("R", 4), ("C", 3)])
+def test_batched_draws_match_sample_loops(field, n):
+    """Each batched sampler draws what the per-sample loop draws, in the same order."""
+    ctx, cfg = _sampling_context(field, n, samples=20)
+    alg, data = ctx.algebra, ctx.data
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    pts = cli._sample_points(data, rng, 7)
+    k_ref, V_ref = sample_points_loop(data, ref, 7)
+    np.testing.assert_array_equal(pts.k, k_ref)
+    np.testing.assert_array_equal(pts.V, V_ref)
+    np.testing.assert_array_equal(random_in_K(alg, rng, (3,)).matrix, [random_in_K_single(alg, ref) for _ in range(3)])
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    value = section_lagrangian_check(data, ctx.split, rng, samples=5)
+    assert _close(value, section_lagrangian_loop(data, ref, 5))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    section = cli.check_kk(ctx, cfg, rng)
+    c = alg.element_from_entries(ctx.real_entries)
+    expected = check_kk_loop(alg, c, ref, max(5, cfg.samples // 4), data)
+    assert set(expected) <= set(section)
+    for key, value in expected.items():
+        assert _close(section[key]["value"], value), key
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_arnold_scale_check_matches_sample_loop():
+    ctx, cfg = _sampling_context("C", 3, checks=["arnold"], samples=20)
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    out = cli.check_arnold(ctx, cfg, rng)
+    gap = re_omega_scale_loop(ctx.algebra, ctx.algebra.element_from_entries(ctx.real_entries), ref)
+    assert _close(out["re_omega_scale_gap"]["value"], gap)
+    assert out["symplecto"] == cli.check_symplecto(ctx, cfg, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state

@@ -50,6 +50,16 @@ def test_kk_gram_matches_kk_eval(ws, rng, key):
         np.testing.assert_allclose(gram, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
         square = np.array([[kk_eval(alg, pt, alg.from_coords(x), alg.from_coords(y)) for y in Xc] for x in Xc])
         np.testing.assert_allclose(kk_gram(alg, pt.w_coords, Xc), square, rtol=0, atol=1e-12 * np.max(np.abs(square)))
+    # on stacks of points and of pairs, kk_eval and closedness_check equal the per-item calls
+    g = scipy.linalg.expm(alg.from_coords(0.4 * rng.standard_normal((4, alg.dim))))
+    pts = orbit_point(alg, c, g, validate=False)
+    X, Y, Z = alg.from_coords(rng.standard_normal((3, 4, alg.dim)))
+    single = [orbit_point(alg, c, gi, validate=False) for gi in g]
+    np.testing.assert_array_equal(kk_eval(alg, pts, X, Y), [kk_eval(alg, p, x, y) for p, x, y in zip(single, X, Y)])
+    np.testing.assert_array_equal(kk_eval(alg, single[0], X, Y), [kk_eval(alg, single[0], x, y) for x, y in zip(X, Y)])
+    np.testing.assert_array_equal(
+        closedness_check(alg, pts, X, Y, Z), [closedness_check(alg, p, *xyz) for p, *xyz in zip(single, X, Y, Z)]
+    )
 
 
 def test_antisymmetry_and_degeneracy(ws, rng):

@@ -92,6 +92,11 @@ def test_bracket_examples(ws, rng):
     np.testing.assert_allclose(alg.bracket(X, X), 0.0, atol=1e-12)
     with pytest.raises(ValueError):
         alg.bracket(np.eye(3), np.eye(3))
+    with pytest.raises(ValueError):
+        alg.bracket(np.stack([X, X]), np.stack([np.eye(3)] * 2))  # trailing shapes
+    with pytest.raises(ValueError):
+        alg.bracket(np.stack([X, X]), np.stack([X, X, X]))  # batch shapes
+    np.testing.assert_array_equal(alg.bracket(np.stack([H, E]), np.stack([E, F])), [alg.bracket(H, E), alg.bracket(E, F)])
 
 
 def test_bracket_agrees_with_structure_constants(ws, rng):

@@ -280,9 +280,9 @@ def test_pullback_batch_names_first_failing_point(ws, monkeypatch):
 
 def test_section_lagrangian(ws, rng):
     data = ws.data("sl2r", (1, -1))
-    assert section_lagrangian_check(data, rng, samples=3) < 1e-12
+    assert section_lagrangian_check(data, ws.split("sl2r"), rng, samples=3) < 1e-12
     data3 = ws.data("sl3r", (1, 0, -1))
-    assert section_lagrangian_check(data3, rng, samples=5) < 1e-9
+    assert section_lagrangian_check(data3, ws.split("sl3r"), rng, samples=5) < 1e-9
     # theta-flip identity at the base point: Omega(X, Y) = -Omega(X, Y) on k
     alg = ws.algebra("sl3r")
     split = ws.split("sl3r")
