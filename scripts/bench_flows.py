@@ -2,10 +2,8 @@
 
     python scripts/bench_flows.py --label after [--src src] [--out BENCH_flows.json]
 
-Imports lieorb from --src (default: this checkout's src/), so the same script
-times any checkout.  For sl(4..8, R) and sl(4..6, C), at the regular chamber
-diag(n-1, n-3, ...) and at the wall made by merging its two largest entries,
-it records dim n(c), N0, the number of levels p and the median of 5 calls of
+For sl(4..8, R) and sl(4..6, C), at the regular chamber diag(n-1, n-3, ...)
+and at the wall made by merging its two largest entries, it records dim n(c), N0, the number of levels p and the median of 5 calls of
 flow_exact, exp_H and invert_exp_H at one seeded point, of flow_exact and
 the witness flow_numeric (at t = 1 and t = -2) on a seeded 20-point batch,
 and of the checks as symplecto-verify makes them at its default 20 samples:
@@ -16,51 +14,23 @@ the points go through one call each.  Two rows time the sampled checks from
 a fresh generator at the default 20 samples: cli.check_kk on a context whose
 structure is already built, and the sampling of symplecto-verify
 (cli._sample_points at 20 points and section_lagrangian_check at 5).
-Results are merged into --out under --label, next to any other labels
-already there; BLAS runs single-threaded.
+Each run adds one pass to --out under --label, with BLAS single-threaded
+(see benchlib.py).
 """
 
 from __future__ import annotations
 
-import argparse
 import inspect
 import json
-import os
-import platform
-import statistics
 import sys
-import time
-from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+from benchlib import main, median_time, regular, wall  # first: it pins BLAS to one thread
 
-import numpy as np  # noqa: E402  (after the thread settings)
+import numpy as np  # noqa: E402
 
-ROOT = Path(__file__).resolve().parents[1]
 GRID = [("R", n) for n in range(4, 9)] + [("C", n) for n in range(4, 7)]
-REPEATS = 5
 WITNESS_BATCH = 20
 FD_SAMPLES = 20  # symplecto-verify's default samples: the pullback points; samples // 5 Liouville points
-
-
-def regular(n: int) -> tuple[int, ...]:
-    return tuple(n - 1 - 2 * k for k in range(n))
-
-
-def wall(n: int) -> tuple[int, ...]:
-    r = regular(n)
-    m = (r[0] + r[1]) // 2
-    return (m, m) + r[2:]
-
-
-def median_time(fn) -> float:
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
 
 
 def fd_check(check, data, pts):
@@ -134,6 +104,19 @@ def ladder() -> list[dict]:
                 for _ in range(FD_SAMPLES)
             ]
             g = flows.exp_H(data, V)
+            timed = {
+                "flow_exact_s": lambda: flows.flow_exact(data, V, U0),
+                "exp_H_s": lambda: flows.exp_H(data, V),
+                "invert_exp_H_s": lambda: flows.invert_exp_H(data, g),
+                "flow_exact_batch_s": lambda: flows.flow_exact(data, Vb, U0b),
+                "flow_numeric_t1_s": lambda: flows.flow_numeric(data, Vb, U0b, 1.0),
+                "flow_numeric_t-2_s": lambda: flows.flow_numeric(data, Vb, U0b, -2.0),
+                "pullback_residual_s": fd_check(symplecto.pullback_residual, data, pts),
+                "project_pi_s": projection(data, pts),
+                "liouville_fd_gap_s": fd_check(symplecto.liouville_fd_gap, data, pts[: FD_SAMPLES // 5]),
+                "check_kk_s": kk_check(alg, entries),
+                "symplecto_sampling_s": sampling(data, split),
+            }
             row = {
                 "algebra": f"sl({n}, {field})",
                 "chamber": kind,
@@ -142,51 +125,12 @@ def ladder() -> list[dict]:
                 "N0": data.N0,
                 "p": len(data.blocks),
                 "flow_degree": flows.flow_exact(data, V, U0).degree,
-                "flow_exact_s": median_time(lambda: flows.flow_exact(data, V, U0)),
-                "exp_H_s": median_time(lambda: flows.exp_H(data, V)),
-                "invert_exp_H_s": median_time(lambda: flows.invert_exp_H(data, g)),
-                "flow_exact_batch_s": median_time(lambda: flows.flow_exact(data, Vb, U0b)),
-                "flow_numeric_t1_s": median_time(lambda: flows.flow_numeric(data, Vb, U0b, 1.0)),
-                "flow_numeric_t-2_s": median_time(lambda: flows.flow_numeric(data, Vb, U0b, -2.0)),
-                "pullback_residual_s": median_time(fd_check(symplecto.pullback_residual, data, pts)),
-                "project_pi_s": median_time(projection(data, pts)),
-                "liouville_fd_gap_s": median_time(
-                    fd_check(symplecto.liouville_fd_gap, data, pts[: FD_SAMPLES // 5])
-                ),
-                "check_kk_s": median_time(kk_check(alg, entries)),
-                "symplecto_sampling_s": median_time(sampling(data, split)),
+                **{name: median_time(fn)[0] for name, fn in timed.items()},
             }
             print(json.dumps(row), flush=True)
             rows.append(row)
     return rows
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key the results are stored under")
-    ap.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the lieorb package")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_flows.json"))
-    args = ap.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    result = {
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        },
-        "repeats": REPEATS,
-        "witness_batch": WITNESS_BATCH,
-        "fd_samples": FD_SAMPLES,
-        "rows": ladder(),
-    }
-    out = Path(args.out)
-    stored = json.loads(out.read_text()) if out.exists() else {}
-    stored[args.label] = result
-    out.write_text(json.dumps(stored, indent=1) + "\n")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, "BENCH_flows.json", ladder, witness_batch=WITNESS_BATCH, fd_samples=FD_SAMPLES))

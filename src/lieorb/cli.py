@@ -12,6 +12,7 @@ pass, 1 a check failed, 2 configuration error, 3 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,6 +25,9 @@ import scipy
 
 from . import __version__
 from .liecore import (
+    TOL_DECOMP,
+    TOL_EIGEN,
+    TOL_STRUCT,
     AlgebraSpec,
     ConfigurationError,
     DecompositionError,
@@ -67,9 +71,9 @@ CONVENTIONS = {
 }
 
 DEFAULT_TOLERANCES = {
-    "structural": 1e-10,
-    "decomposition": 1e-9,
-    "eigen": 1e-8,
+    "structural": TOL_STRUCT,
+    "decomposition": TOL_DECOMP,
+    "eigen": TOL_EIGEN,
     "finite_difference": 1e-6,
 }
 
@@ -140,6 +144,8 @@ def parse_config(d: dict) -> RunConfig:
     total = sum((complex(e) for e in entries), 0j)
     if abs(total) > 1e-12:
         raise ConfigurationError("c must be traceless")
+    if spec.field == "R" and any(complex(e).imag for e in entries):
+        raise ConfigurationError("complex entries require the realified family")
     checks = d.get("checks", ["roots", "parabolic", "kk", "flow", "symplecto"])
     if not isinstance(checks, (list, tuple)) or not checks:
         raise ConfigurationError("checks must be a non-empty list")
@@ -190,35 +196,26 @@ class _Context:
     def __init__(self, config: RunConfig):
         self.config = config
         self.algebra = build_algebra(config.algebra)
-        self._split = None
-        self._rs = None
-        self._data = None
 
     @property
     def real_entries(self):
         entries = tuple(self.config.c_entries)
         return entries if all(isinstance(e, Fraction) for e in entries) else None
 
-    @property
+    @functools.cached_property
     def split(self):
-        if self._split is None:
-            self._split = cartan_split(self.algebra)
-        return self._split
+        return cartan_split(self.algebra)
 
-    @property
+    @functools.cached_property
     def rs(self):
-        if self._rs is None:
-            self._rs = restricted_roots(self.algebra, maximal_abelian(self.algebra, self.split))
-        return self._rs
+        return restricted_roots(self.algebra, maximal_abelian(self.algebra, self.split))
 
-    @property
+    @functools.cached_property
     def data(self):
-        if self._data is None:
-            entries = self.real_entries
-            if entries is None:
-                raise ConfigurationError("this check needs a real (hyperbolic) diagonal c")
-            self._data = hyperbolic_data(self.algebra, self.rs, chamber_sort(entries))
-        return self._data
+        entries = self.real_entries
+        if entries is None:
+            raise ConfigurationError("this check needs a real (hyperbolic) diagonal c")
+        return hyperbolic_data(self.algebra, self.rs, chamber_sort(entries))
 
 
 def check_roots(ctx: _Context, cfg: RunConfig, rng) -> dict:
@@ -230,7 +227,7 @@ def check_roots(ctx: _Context, cfg: RunConfig, rng) -> dict:
     # exactly where the weights do
     W = np.zeros((alg.dim, alg.n), dtype=np.int64)
     for r in rs.roots:
-        W[np.argmax(r.space_coords, axis=1)] = r.weights
+        W[r.members] = r.weights
     weight = W @ (3 * int(np.max(np.abs(W))) + 1) ** np.arange(alg.n)
     ri = np.flatnonzero(weight)
     X = alg.basis[ri]
@@ -239,7 +236,7 @@ def check_roots(ctx: _Context, cfg: RunConfig, rng) -> dict:
     grading = float(np.max(np.abs(np.where(outside, brackets, 0.0)), initial=0.0))
     theta = alg.theta_matrix[:, ri]  # column i: theta(X_i)
     theta_pair = float(np.max(np.abs(np.where(weight[:, None] != -weight[ri], theta, 0.0)), initial=0.0))
-    dims_ok = ctx.algebra.dim == rs.zero_coords.shape[0] + sum(r.multiplicity for r in rs.roots)
+    dims_ok = ctx.algebra.dim == len(rs.zero_indices) + sum(r.multiplicity for r in rs.roots)
     section = {
         "roots": [
             {"alpha": [int(w) for w in r.weights], "mult": int(r.multiplicity)} for r in rs.roots

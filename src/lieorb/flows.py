@@ -132,7 +132,7 @@ def _hv_series(data: HyperbolicData, V: np.ndarray, U: np.ndarray, deg: int) -> 
     for m in range(1, data.N0 + 1):
         x = times_negA(x) / m
         W = W + x
-    x = W = W / data.T_diag
+    x = W = W / data.grades
     for b in _inverse_weights(data.N0)[1:]:
         x = times_negA(x)
         if b:

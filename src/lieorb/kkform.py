@@ -56,9 +56,9 @@ def orbit_point(
     return OrbitPoint(G, w, algebra.coords(w))
 
 
-def dual_element(algebra: MatrixLieAlgebra, lam: np.ndarray) -> np.ndarray:
-    """Element X with B(X, .) = lam, lam given in dual coordinates."""
-    x = np.linalg.solve(algebra.killing_matrix, np.asarray(lam, dtype=float))
+def dual_element(algebra: MatrixLieAlgebra, eta: np.ndarray) -> np.ndarray:
+    """Element X with B(X, .) = eta, eta given in dual coordinates."""
+    x = np.linalg.solve(algebra.killing_matrix, np.asarray(eta, dtype=float))
     return algebra.from_coords(x)
 
 
@@ -206,6 +206,6 @@ def re_dual_gap(algebra: MatrixLieAlgebra, c_entries: Sequence[complex]) -> floa
     if not algebra.is_complex:
         raise ConfigurationError("re-duality applies to realified complex algebras")
     c = algebra.element_from_entries([complex(e) for e in c_entries])
-    lam = complex_trace_form(algebra, c, algebra.basis).real
-    X = dual_element(algebra, lam)
+    re_eta = complex_trace_form(algebra, c, algebra.basis).real
+    X = dual_element(algebra, re_eta)
     return float(np.max(np.abs(c - 2.0 * X)))

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# The library's tolerance classes (cli.DEFAULT_TOLERANCES exposes all four knobs).
+# Three of the four tolerance classes; cli.DEFAULT_TOLERANCES reads them and adds the FD class.
 TOL_STRUCT = 1e-10   # exact algebraic identities
 TOL_DECOMP = 1e-9    # decompositions that involve orthonormalization
 TOL_EIGEN = 1e-8     # eigenvalue clustering
@@ -112,6 +112,8 @@ class MatrixLieAlgebra:
         # whose integer sums are exact
         self.killing_matrix = self.ad_ops.reshape(self.dim, -1) @ self.structure.reshape(self.dim, -1).T
         self.theta_matrix = self.coords(self.theta(self.basis)).T
+        # theta(b_k) = theta_sign[k] b_theta_perm[k]
+        self.theta_perm, self.theta_sign = signed_permutation(self.theta_matrix)
         self.inner_matrix = -self.killing_matrix @ self.theta_matrix
         self.build_residuals = self._validate()
 
@@ -310,6 +312,16 @@ def jacobi_residual(c: np.ndarray) -> int:
     return int(np.max(np.abs(sums)))
 
 
+def signed_permutation(Th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pi, s) with Th e_k = s_k e_pi(k); raises unless Th is a signed permutation matrix."""
+    dim = Th.shape[0]
+    perm = np.argmax(np.abs(Th), axis=0)
+    s = Th[perm, np.arange(dim)]
+    if np.count_nonzero(Th) != dim or not np.all(np.abs(s) == 1) or len(set(perm.tolist())) != dim:
+        raise InconsistencyError("build_algebra: theta is not a signed permutation of the basis")
+    return perm, s
+
+
 def theta_automorphism_residual(c: np.ndarray, Th: np.ndarray) -> int:
     """max over (i, j) of |theta [b_i, b_j] - [theta b_i, theta b_j]| in coordinates.
 
@@ -319,11 +331,7 @@ def theta_automorphism_residual(c: np.ndarray, Th: np.ndarray) -> int:
     nonzero only where c or its permuted copy is, so it is read off the
     nonzero entries of c and their preimages under pi.
     """
-    dim = c.shape[0]
-    perm = np.argmax(np.abs(Th), axis=0)
-    s = Th[perm, np.arange(dim)]
-    if np.count_nonzero(Th) != dim or not np.all(np.abs(s) == 1) or len(set(perm.tolist())) != dim:
-        raise InconsistencyError("build_algebra: theta is not a signed permutation of the basis")
+    perm, s = signed_permutation(Th)
     inv = np.argsort(perm)
     i, j, k = (np.concatenate([x, inv[x]]) for x in _nonzero(c))
     # integers and signs: every float operation here is exact
@@ -361,45 +369,40 @@ class CartanSplit:
     p_coords: np.ndarray
     k_basis: np.ndarray
     p_basis: np.ndarray
-    inner_matrix: np.ndarray
 
 
-def independent_rows(vectors: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """The rows that extend the span of the rows before them, in order, unchanged.
+def theta_rows(algebra: MatrixLieAlgebra, indices, sign: int) -> np.ndarray:
+    """Rows e_i + sign theta(e_i) that span the sign-eigenspace of theta on span{e_i : i in indices}.
 
-    A row v is kept when its residual against the orthonormal basis O of the
-    kept rows, projected out twice as w - (O w) O, exceeds tol max(1, |v|).
+    theta(e_i) = s_i e_pi(i) pairs the basis, so i is kept when pi(i) > i (the
+    first of its pair), or when pi(i) = i and s_i = sign; the decision is
+    exact.  The index set must be theta-stable.
     """
-    rows = np.asarray(vectors, dtype=float)
-    bounds = tol * np.maximum(1.0, np.linalg.norm(rows, axis=1))
-    kept: list[int] = []
-    ortho = np.empty((0, rows.shape[1]))
-    for i, w in enumerate(rows):
-        for _ in range(2):
-            w = w - (ortho @ w) @ ortho
-        nrm = np.sqrt(w @ w)
-        if nrm > bounds[i]:
-            kept.append(i)
-            ortho = np.vstack([ortho, w / nrm])
-    return vectors[kept]
+    idx = np.asarray(indices, dtype=int)
+    perm, s = algebra.theta_perm, algebra.theta_sign
+    if not np.all(np.isin(perm[idx], idx)):
+        raise InconsistencyError("theta_rows: the index set is not theta-stable")
+    keep = idx[(perm[idx] > idx) | ((perm[idx] == idx) & (s[idx] == sign))]
+    rows = np.zeros((len(keep), algebra.dim))
+    rows[np.arange(len(keep)), keep] = 1.0
+    rows[np.arange(len(keep)), perm[keep]] += sign * s[keep]
+    return rows
 
 
 def cartan_split(algebra: MatrixLieAlgebra) -> CartanSplit:
     Th = algebra.theta_matrix
     if np.max(np.abs(Th @ Th - np.eye(algebra.dim))) > TOL_STRUCT:
         raise InconsistencyError("theta is not an involution")
-    # row i is e_i +/- theta(e_i)
-    k_coords = independent_rows(np.eye(algebra.dim) + Th.T)
-    p_coords = independent_rows(np.eye(algebra.dim) - Th.T)
+    every = np.arange(algebra.dim)
+    k_coords = theta_rows(algebra, every, 1)
+    p_coords = theta_rows(algebra, every, -1)
     if len(k_coords) + len(p_coords) != algebra.dim:
         raise InconsistencyError("Cartan eigenspaces do not fill the algebra")
     try:
         np.linalg.cholesky((algebra.inner_matrix + algebra.inner_matrix.T) / 2)
     except np.linalg.LinAlgError as exc:
         raise InconsistencyError("inner product is not positive definite") from exc
-    return CartanSplit(
-        k_coords, p_coords, algebra.from_coords(k_coords), algebra.from_coords(p_coords), algebra.inner_matrix
-    )
+    return CartanSplit(k_coords, p_coords, algebra.from_coords(k_coords), algebra.from_coords(p_coords))
 
 
 # -- group elements and decompositions ----------------------------------------

@@ -25,8 +25,8 @@ from .liecore import (
     ConfigurationError,
     InconsistencyError,
     MatrixLieAlgebra,
-    independent_rows,
     raise_first,
+    theta_rows,
 )
 from .rootspace import RestrictedRootSystem, positive_system
 
@@ -54,8 +54,6 @@ class HyperbolicData:
     rs: RestrictedRootSystem
     c_entries: tuple[Fraction, ...]
     c: np.ndarray
-    c_coords: np.ndarray
-    lam: np.ndarray               # covector B(c, .) in dual coordinates
     z_indices: tuple[int, ...]    # algebra basis indices spanning z(c)
     b_indices: tuple[int, ...]    # algebra basis index of V_j, grade order
     n_basis: np.ndarray           # (n_dim, d, d)
@@ -64,17 +62,12 @@ class HyperbolicData:
     grades_exact: tuple[Fraction, ...]
     levels: tuple[tuple[float, int], ...]   # distinct (nu_j, d_j), increasing
     blocks: tuple[np.ndarray, ...]          # V-indices per level
-    T_diag: np.ndarray
     N0: int = 0
     adn: np.ndarray = field(default=None, repr=False)  # adn[i] = ad(V_i) on n-coords
 
     @property
     def n_dim(self) -> int:
         return len(self.b_indices)
-
-    @property
-    def z_coords(self) -> np.ndarray:
-        return np.eye(self.algebra.dim)[list(self.z_indices)]
 
     @property
     def p_filtration_coords(self) -> np.ndarray:
@@ -139,13 +132,10 @@ def hyperbolic_data(
         )
 
     c = algebra.element_from_entries(entries)
-    c_coords = algebra.coords(c)
-    lam = algebra.killing_matrix @ c_coords
-
-    z_idx: list[int] = np.argmax(rs.zero_coords, axis=1).tolist()
+    z_idx: list[int] = rs.zero_indices.tolist()
     graded: list[tuple[Fraction, int]] = []
     for root, a in zip(rs.roots, alpha):
-        members = np.argmax(root.space_coords, axis=1).tolist()
+        members = root.members.tolist()
         if a == 0:
             z_idx.extend(members)
         elif a > 0:
@@ -192,8 +182,6 @@ def hyperbolic_data(
         rs=rs,
         c_entries=entries,
         c=c,
-        c_coords=c_coords,
-        lam=lam,
         z_indices=tuple(z_idx),
         b_indices=b_indices,
         n_basis=n_basis,
@@ -202,7 +190,6 @@ def hyperbolic_data(
         grades_exact=grades_exact,
         levels=tuple(levels),
         blocks=tuple(blocks),
-        T_diag=grades.copy(),
     )
     data.adn = adn
     data.N0 = nilpotency_index(data)
@@ -236,7 +223,10 @@ def _symbolic_powers(adn: np.ndarray):
         yield power
 
 
-def nilpotency_index(data: HyperbolicData, samples: int = 20) -> int:
+NILPOTENCY_SAMPLES = 20  # sampled elements U of the second route
+
+
+def nilpotency_index(data: HyperbolicData) -> int:
     """Smallest positive N0 with (ad U)^{N0+1} = 0 on n(c) for all U in n(c)."""
     chamber = tuple(str(e) for e in data.c_entries)
     if not np.array_equal(data.adn, np.rint(data.adn)):
@@ -264,7 +254,7 @@ def nilpotency_index(data: HyperbolicData, samples: int = 20) -> int:
     # sampled (ad U)^{N0} does not, both judged against |ad U|^power
     rng = np.random.default_rng(20240801)
     reached = n0 == 1
-    for _ in range(samples):
+    for _ in range(NILPOTENCY_SAMPLES):
         U = rng.standard_normal(data.n_dim)
         A = np.einsum("i,ikj->kj", U, data.adn)
         top = float(np.max(np.abs(A)))
@@ -279,4 +269,4 @@ def nilpotency_index(data: HyperbolicData, samples: int = 20) -> int:
 
 def z_k_coords(data: HyperbolicData) -> np.ndarray:
     """Basis of the intersection of k with z(c): the compact stabilizer algebra."""
-    return independent_rows(data.z_coords + data.z_coords @ data.algebra.theta_matrix.T)
+    return theta_rows(data.algebra, data.z_indices, 1)

@@ -5,8 +5,8 @@ The commuting family {ad(H) : H in a} is self-adjoint for the inner product
 eigendecomposition with cluster refinement: diagonalize ad(H_1), then ad(H_2)
 restricted to each eigencluster, and so on.  For the sl families every joint
 eigenspace is spanned by original basis vectors; the construction verifies
-this and keeps those exact vectors, which is what makes the downstream
-grading operators exactly diagonal.
+this and keeps the indices of those exact vectors, which is what makes the
+downstream grading operators exactly diagonal.
 
 Roots are stored twice: as float values on the orthonormalized a-basis
 (`functional`, used for lexicographic ordering) and as the integer vector of
@@ -31,7 +31,7 @@ from .liecore import (
     MatrixLieAlgebra,
     embed_complex,
     extract_complex,
-    independent_rows,
+    theta_rows,
 )
 
 
@@ -39,9 +39,11 @@ from .liecore import (
 class RestrictedRoot:
     functional: np.ndarray   # values on the orthonormal a-basis
     weights: np.ndarray      # integer coefficients of the diagonal entries e_l
-    space_coords: np.ndarray  # (mult, dim) unit coordinate vectors
-    space_basis: np.ndarray   # (mult, d, d)
-    multiplicity: int
+    members: np.ndarray      # algebra basis indices spanning the root space
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.members)
 
 
 @dataclass
@@ -50,10 +52,8 @@ class RestrictedRootSystem:
     a_coords: np.ndarray     # orthonormal for <.,.>, shape (r, dim)
     a_basis: np.ndarray      # (r, d, d)
     roots: list[RestrictedRoot]
-    zero_coords: np.ndarray  # basis of g_0 = m + a
-    zero_basis: np.ndarray
-    m_coords: np.ndarray     # basis of m, the k-part of g_0 (may be empty)
-    m_basis: np.ndarray
+    zero_indices: np.ndarray  # algebra basis indices spanning g_0 = m + a
+    m_coords: np.ndarray      # basis of m, the k-part of g_0 (may be empty)
 
     @property
     def rank(self) -> int:
@@ -168,27 +168,13 @@ def restricted_roots(algebra: MatrixLieAlgebra, a_elements: np.ndarray) -> Restr
     resid = np.max(np.abs(C), axis=(0, 2, 3))
     if np.any(resid > TOL_DECOMP):
         raise InconsistencyError(f"root vector residual {resid[np.argmax(resid > TOL_DECOMP)]:.2e}")
-    roots = [
-        RestrictedRoot(
-            functional=functional,
-            weights=w,
-            space_coords=np.eye(dim)[members],
-            space_basis=algebra.basis[members],
-            multiplicity=len(members),
-        )
-        for functional, w, members in zip(functionals, weights, root_members)
-    ]
+    roots = [RestrictedRoot(f, w, members) for f, w, members in zip(functionals, weights, root_members)]
     roots.sort(key=lambda r: tuple(r.functional))
 
-    zero_idx.sort()
-    zero_coords = np.eye(dim)[zero_idx]
-    zero_basis = algebra.basis[zero_idx]
+    zero_indices = np.array(sorted(zero_idx), dtype=int)
     # m is the theta-fixed part of g_0 (g_0 is theta-stable)
-    m_coords = independent_rows(zero_coords + zero_coords @ algebra.theta_matrix.T)
-    m_basis = algebra.from_coords(m_coords)
-
     rs = RestrictedRootSystem(
-        algebra, a_coords, a_basis, roots, zero_coords, zero_basis, m_coords, m_basis
+        algebra, a_coords, a_basis, roots, zero_indices, theta_rows(algebra, zero_indices, 1)
     )
     _check_bookkeeping(rs)
     return rs
@@ -221,7 +207,7 @@ def _integer_weights(algebra: MatrixLieAlgebra, X: np.ndarray) -> np.ndarray:
 
 def _check_bookkeeping(rs: RestrictedRootSystem) -> None:
     dim = rs.algebra.dim
-    total = rs.zero_coords.shape[0] + sum(r.multiplicity for r in rs.roots)
+    total = len(rs.zero_indices) + sum(r.multiplicity for r in rs.roots)
     if total != dim:
         raise InconsistencyError(f"dimension bookkeeping failed: {total} != {dim}")
     by_weights = {tuple(r.weights): r for r in rs.roots}
@@ -232,7 +218,7 @@ def _check_bookkeeping(rs: RestrictedRootSystem) -> None:
         if neg.multiplicity != r.multiplicity:
             raise InconsistencyError("asymmetric multiplicities")
     # the p-part of g_0 must equal a
-    if rs.zero_coords.shape[0] - rs.m_coords.shape[0] != rs.rank:
+    if len(rs.zero_indices) - rs.m_coords.shape[0] != rs.rank:
         raise InconsistencyError("g_0 does not split as m + a")
 
 
@@ -268,11 +254,9 @@ def k_from_roots_check(rs: RestrictedRootSystem, split: CartanSplit) -> float:
     """Subspace distance between m + span(X + theta X) and k."""
     algebra = rs.algebra
     Th = algebra.theta_matrix
-    cols = [x for x in rs.m_coords]
-    for root in positive_system(rs):
-        for x in root.space_coords:
-            cols.append(x + Th @ x)
-    A = np.stack(cols).T
+    members = np.concatenate([root.members for root in positive_system(rs)])
+    # rows e_b + theta(e_b) for the positive root vectors e_b, after m
+    A = np.concatenate([rs.m_coords, np.eye(algebra.dim)[members] + Th[:, members].T]).T
     Qa, _ = np.linalg.qr(A)
     Qk, _ = np.linalg.qr(split.k_coords.T)
     P1 = Qa @ Qa.T

@@ -181,7 +181,7 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> float:
     pt0 = orbit_point(algebra, data.c, pt.k @ nV, validate=False)
     k, nV, w = pt.k[..., None, :, :], nV[..., None, :, :], pt0.w[..., None, :, :]
     n_inv = np.linalg.inv(nV)
-    fiber_reps = data.n_matrix_of(data.n_coords_of(n_inv @ data.n_basis @ nV) / data.T_diag)
+    fiber_reps = data.n_matrix_of(data.n_coords_of(n_inv @ data.n_basis @ nV) / data.grades)
     X = np.concatenate([k @ Ys @ k.mT, k @ nV @ fiber_reps @ n_inv @ k.mT], axis=-3)
 
     s = STEP * np.array([1.0, -1.0])

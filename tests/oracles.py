@@ -174,7 +174,7 @@ def hv_vec_reference(data, V, U):
     for m in range(1, N0 + 1):
         term = -np.einsum("...kj,...j->...k", A, term) / m
         W = W + term
-    W = W / data.T_diag
+    W = W / data.grades
     negA = -A
     power = negA.copy()
     R = power / factorial(2)
@@ -199,7 +199,7 @@ def hv_poly_reference(data, V, Up):
     for m in range(1, N0 + 1):
         term = -_pm_pv(A, term) / m
         W = _padd(W, term)
-    W = W / data.T_diag[None, :]
+    W = W / data.grades[None, :]
     negA = -A
     power = negA.copy()
     R = power / factorial(2)

@@ -76,12 +76,12 @@ def test_criterion_2_root_suite(ws):
         for ra in rs.roots:
             for rb in rs.roots:
                 t = tuple(int(x) for x in (ra.weights + rb.weights))
-                span = rs.zero_coords if not any(t) else (weights[t].space_coords if t in weights else None)
+                span = rs.zero_indices if not any(t) else (weights[t].members if t in weights else None)
                 Q = None
                 if span is not None:
-                    Q, _ = np.linalg.qr(span.T)
-                for X in ra.space_basis:
-                    for Y in rb.space_basis:
+                    Q, _ = np.linalg.qr(np.eye(alg.dim)[span].T)
+                for X in alg.basis[ra.members]:
+                    for Y in alg.basis[rb.members]:
                         v = alg.coords(alg.bracket(X, Y))
                         resid = v if Q is None else v - Q @ (Q.T @ v)
                         grading = max(grading, float(np.max(np.abs(resid))))

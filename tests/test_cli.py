@@ -90,7 +90,7 @@ def test_root_masks_see_planted_weight_fault():
     assert cli.check_roots(ctx, cfg, np.random.default_rng(0))["pass"]
     roots = list(ctx.rs.roots)
     roots[0] = dataclasses.replace(roots[0], weights=2 * roots[0].weights)  # a weight no root space carries
-    ctx._rs = dataclasses.replace(ctx.rs, roots=roots)
+    ctx.rs = dataclasses.replace(ctx.rs, roots=roots)
     section = cli.check_roots(ctx, cfg, np.random.default_rng(0))
     assert section["bracket_grading"]["value"] >= 1.0 and section["theta_pairing"]["value"] >= 1.0
     assert not section["bracket_grading"]["pass"] and not section["theta_pairing"]["pass"]
@@ -104,7 +104,7 @@ def test_level_mask_sees_mislabelled_level():
     assert cli.check_parabolic(ctx, cfg, np.random.default_rng(0))["pass"]
     grades = ctx.data.grades.copy()
     grades[0] = 2 * grades[0]  # V_0 claims a level of its own inside the one level of n(c)
-    ctx._data = dataclasses.replace(ctx.data, grades=grades)
+    ctx.data = dataclasses.replace(ctx.data, grades=grades)
     section = cli.check_parabolic(ctx, cfg, np.random.default_rng(0))
     assert section["stabilizer_invariance"]["value"] > 1e-3
     assert section["stabilizer_invariance"]["pass"] is False and section["pass"] is False
@@ -221,6 +221,20 @@ def test_large_grade_ratio_chamber_runs(tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["parabolic", "--config", str(path), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["body"]["pass"]
+
+
+SUBCOMMANDS = ("roots", "parabolic", "kk-check", "flow-check", "symplecto-verify", "arnold", "fixture")
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_complex_c_on_real_algebra_is_a_config_error(tmp_path, capsys, sub):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_cfg(algebra={"family": "sl", "n": 3, "field": "R"},
+                                    c=[{"im": 1}, 0, {"im": -1}])))
+    out = tmp_path / "report.json"
+    assert cli.main([sub, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: complex entries require the realified family\n"
+    assert not out.exists()
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ def test_hv_at_origin_is_T_inverse(ws):
     np.testing.assert_allclose(hv_field(data, np.array([1.0]), np.array([0.0])), [0.5], atol=1e-14)
     data3 = ws.data("sl3r", (1, 0, -1))
     V = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(hv_field(data3, V, np.zeros(3)), V / data3.T_diag, atol=1e-12)
+    np.testing.assert_allclose(hv_field(data3, V, np.zeros(3)), V / data3.grades, atol=1e-12)
 
 
 def test_hv_constant_on_abelian(ws, rng):
@@ -73,7 +73,7 @@ def test_hv_defining_identity_matrix_oracle(ws, rng):
         V = data.n_matrix_of(Vc)
         n = nilpotent_exp(U)
         n_inv = np.linalg.inv(n)
-        W = data.n_coords_of(n_inv @ V @ n) / data.T_diag
+        W = data.n_coords_of(n_inv @ V @ n) / data.grades
         rhs = n @ data.n_matrix_of(W)
         lhs = _dexp_exact(U, data.n_matrix_of(h))
         scale = 1.0 + np.max(np.abs(rhs))
@@ -173,7 +173,7 @@ def test_flow_triangular_leading_term(ws):
             for t in (0.5, 1.0, -1.5):
                 diff = (fp.eval(t) - U0)[: k + 1]
                 want = np.zeros(k + 1)
-                want[k] = t / data.T_diag[k]
+                want[k] = t / data.grades[k]
                 np.testing.assert_allclose(diff, want, atol=1e-10)
 
 

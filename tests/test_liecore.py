@@ -1,4 +1,5 @@
 import json
+import types
 
 import numpy as np
 import pytest
@@ -15,14 +16,15 @@ from lieorb.liecore import (
     cartan_split,
     embed_complex,
     in_K_residual,
-    independent_rows,
     iwasawa_decompose,
     jacobi_residual,
     killing_compare_realified,
     kp_decompose,
     random_element,
     random_in_K,
+    signed_permutation,
     theta_automorphism_residual,
+    theta_rows,
 )
 from oracles import (
     dense_jacobi_residual,
@@ -427,15 +429,29 @@ def test_kp_rejects_non_invariant_filtration(ws, rng):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_independent_rows_match_loop_form_on_rank_deficient_stacks(seed):
+    """On a random involutive signed permutation theta and a random theta-stable index set,
+    theta_rows keeps, bit for bit, the rows the Gram-Schmidt loop form keeps from the
+    rank-deficient stack e_i +/- theta(e_i), as many as its rank."""
     rng = np.random.default_rng(seed)
-    rank, width = rng.integers(1, 7), rng.integers(4, 9)
-    base = rng.integers(-3, 4, (rank, width)).astype(float)
-    combos = rng.integers(-2, 3, (2 * rank, rank)) @ base
-    # rows dependent up to 1e-12 are not kept; a 1e-6 departure is
-    near = combos[:3] + 1e-12 * rng.standard_normal((3, width))
-    off = combos[:1] + 1e-6 * rng.standard_normal((1, width))
-    for V in (np.concatenate([combos, base]), np.concatenate([base, near, combos]), np.concatenate([near, off, base])):
-        V = V[rng.permutation(len(V))]
-        got = independent_rows(V)
+    dim = int(rng.integers(2, 13))
+    order = rng.permutation(dim)
+    pairs = int(rng.integers(0, dim // 2 + 1))
+    perm = np.arange(dim)
+    a, b = order[: 2 * pairs : 2], order[1 : 2 * pairs : 2]
+    perm[a], perm[b] = b, a
+    sign = rng.choice([-1.0, 1.0], dim)
+    sign[b] = sign[a]  # theta^2 = 1 needs s_i s_pi(i) = 1
+    Th = np.zeros((dim, dim))
+    Th[perm, np.arange(dim)] = sign
+    assert np.array_equal(Th @ Th, np.eye(dim))
+    theta = types.SimpleNamespace(dim=dim, theta_perm=perm, theta_sign=sign)
+    assert all(np.array_equal(x, y) for x, y in zip(signed_permutation(Th), (perm, sign)))
+    # a random union of theta-orbits, in increasing order
+    idx = np.flatnonzero(rng.random(dim) < 0.6)
+    idx = np.union1d(idx, perm[idx])
+    for s in (1, -1):
+        V = np.eye(dim)[idx] + s * Th.T[idx]
+        got = theta_rows(theta, idx, s)
         assert got.tobytes() == independent_rows_reference(V).tobytes(), f"seed {seed}"
-        assert len(got) == np.linalg.matrix_rank(V, tol=1e-9 * max(1.0, np.abs(V).max())), f"seed {seed}"
+        assert len(got) == np.linalg.matrix_rank(V), f"seed {seed}"
+    assert len(theta_rows(theta, idx, 1)) + len(theta_rows(theta, idx, -1)) == len(idx)

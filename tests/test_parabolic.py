@@ -18,7 +18,7 @@ def test_sl2_data(ws):
     assert data.z_indices == (0,)           # z(c) = span(H)
     assert data.n_dim == 1
     np.testing.assert_allclose(data.n_basis[0], alg.basis[1], atol=0)  # E
-    np.testing.assert_allclose(data.T_diag, [2.0])
+    np.testing.assert_allclose(data.grades, [2.0])
     assert data.levels == ((2.0, 1),)
     assert data.N0 == 1
 
@@ -155,7 +155,8 @@ def test_lambda_covector_roundtrip(ws):
 
     data = ws.data("sl3r", (1, 0, -1))
     alg = ws.algebra("sl3r")
-    np.testing.assert_allclose(dual_element(alg, data.lam), data.c, atol=1e-10)
+    lam = alg.killing_matrix @ alg.coords(data.c)  # B(c, .) in dual coordinates
+    np.testing.assert_allclose(dual_element(alg, lam), data.c, atol=1e-10)
     np.testing.assert_allclose(dual_element(alg, np.zeros(alg.dim)), 0.0, atol=1e-12)
 
 

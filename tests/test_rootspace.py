@@ -9,9 +9,9 @@ from lieorb.liecore import (
     InconsistencyError,
     build_algebra,
     cartan_split,
-    independent_rows,
+    theta_rows,
 )
-from lieorb.parabolic import z_k_coords
+from lieorb.parabolic import hyperbolic_data, z_k_coords
 from lieorb.rootspace import (
     default_regular,
     k_from_roots_check,
@@ -83,7 +83,7 @@ def test_roots_sl2(ws):
     alpha = pos[0]
     assert root_value_on(alg, alpha, H) == pytest.approx(2.0)
     assert alpha.multiplicity == 1
-    np.testing.assert_allclose(alpha.space_basis[0], E, atol=1e-12)
+    np.testing.assert_allclose(alg.basis[alpha.members[0]], E, atol=1e-12)
 
 
 def test_roots_realified_multiplicity(ws):
@@ -93,7 +93,7 @@ def test_roots_realified_multiplicity(ws):
         assert r.multiplicity == 2
     pos = positive_system(rs)[0]
     # root space spanned by E and iE
-    E, iE = pos.space_basis
+    E, iE = alg.basis[pos.members]
     np.testing.assert_allclose(E @ alg.J, iE, atol=1e-12)
 
 
@@ -102,7 +102,7 @@ def test_root_vector_defining_relation(ws):
         alg, rs = ws.algebra(key), ws.rs(key)
         for r in rs.roots:
             for H, val in zip(rs.a_basis, r.functional):
-                for X in r.space_basis:
+                for X in alg.basis[r.members]:
                     assert np.max(np.abs(alg.bracket(H, X) - val * X)) < 1e-9
 
 
@@ -164,8 +164,8 @@ def test_theta_pairing(ws):
         alg, rs = ws.algebra(key), ws.rs(key)
         for r in rs.roots:
             neg = negative_of(rs, r)
-            for x in r.space_coords:
-                assert outside_span(neg.space_coords, alg.theta_matrix @ x) < 1e-9
+            for x in np.eye(alg.dim)[r.members]:
+                assert outside_span(np.eye(alg.dim)[neg.members], alg.theta_matrix @ x) < 1e-9
 
 
 def test_bracket_grading(ws):
@@ -176,13 +176,13 @@ def test_bracket_grading(ws):
             for rb in rs.roots:
                 target = tuple(int(x) for x in (ra.weights + rb.weights))
                 if not any(target):
-                    span = rs.zero_coords
+                    span = np.eye(alg.dim)[rs.zero_indices]
                 elif target in weights:
-                    span = weights[target].space_coords
+                    span = np.eye(alg.dim)[weights[target].members]
                 else:
                     span = None
-                for X in ra.space_basis:
-                    for Y in rb.space_basis:
+                for X in alg.basis[ra.members]:
+                    for Y in alg.basis[rb.members]:
                         v = alg.coords(alg.bracket(X, Y))
                         if span is None:
                             assert np.max(np.abs(v)) < 1e-9
@@ -203,7 +203,7 @@ def test_root_system_symmetric_and_reduced(ws):
 def test_zero_space_meets_p_in_a(ws):
     for key in ("sl3r", "sl2c"):
         alg, rs, split = ws.algebra(key), ws.rs(key), ws.split(key)
-        Pz = projector_onto(rs.zero_coords)
+        Pz = projector_onto(np.eye(alg.dim)[rs.zero_indices])
         Pp = projector_onto(split.p_coords)
         # intersection projector rank equals rank of a
         inter = Pz @ Pp
@@ -238,7 +238,7 @@ def _structure(ws, case):
 @pytest.mark.parametrize("case", STRUCTURE_CASES, ids=CASE_IDS)
 def test_integer_weights_match_loop_form(ws, case):
     alg, rs, _ = _structure(ws, case)
-    X = np.concatenate([r.space_basis for r in rs.roots])
+    X = np.concatenate([alg.basis[r.members] for r in rs.roots])
     expected = np.array([integer_weights_reference(alg, x) for x in X])
     got = rootspace._integer_weights(alg, X)
     assert got.dtype == expected.dtype and np.array_equal(got, expected)
@@ -248,13 +248,29 @@ def test_integer_weights_match_loop_form(ws, case):
 
 @pytest.mark.parametrize("case", STRUCTURE_CASES, ids=CASE_IDS)
 def test_independent_rows_match_loop_form_on_structure_inputs(ws, case):
+    """theta_rows keeps, bit for bit, the rows the Gram-Schmidt loop form keeps from e_i +/- theta(e_i):
+    k and p over the algebra, m over g_0, and k meet z(c) at the regular chamber and at the wall."""
     alg, rs, data = _structure(ws, case)
-    Th = alg.theta_matrix
-    eye = np.eye(alg.dim)
-    stacks = [eye + Th.T, eye - Th.T, rs.zero_coords + rs.zero_coords @ Th.T]
-    for V in stacks:
-        assert independent_rows(V).tobytes() == independent_rows_reference(V).tobytes()
-    assert z_k_coords(data).tobytes() == independent_rows_reference(data.z_coords + data.z_coords @ Th.T).tobytes()
+    split = cartan_split(alg)
+    every = np.arange(alg.dim)
+    n = alg.n
+    regular = [n - 1 - 2 * k for k in range(n)]
+    wall = (regular[0] + regular[1]) // 2
+    # sl(2) has no nonzero wall
+    datas = [data] if n == 2 else [data, hyperbolic_data(alg, rs, (wall, wall, *regular[2:]))]
+    stacks = [(split.k_coords, every, 1), (split.p_coords, every, -1), (rs.m_coords, rs.zero_indices, 1)]
+    stacks += [(z_k_coords(d), list(d.z_indices), 1) for d in datas]
+    for got, idx, sign in stacks:
+        expected = independent_rows_reference(np.eye(alg.dim)[idx] + sign * alg.theta_matrix.T[idx])
+        assert theta_rows(alg, idx, sign).tobytes() == got.tobytes() == expected.tobytes()
+
+
+def test_theta_rows_reject_an_index_set_that_is_not_theta_stable(ws):
+    alg = ws.algebra("sl3r")
+    # basis index 2 is E_01, whose theta partner -E_10 lies outside the set
+    assert alg.theta_perm[2] not in (0, 1, 2)
+    with pytest.raises(InconsistencyError, match="not theta-stable"):
+        theta_rows(alg, [0, 1, 2], 1)
 
 
 # -- planted faults on the batched error paths ---------------------------------
