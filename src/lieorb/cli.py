@@ -97,9 +97,11 @@ class RunConfig:
 def _parse_entry(e):
     try:
         if isinstance(e, dict):
-            if set(e) - {"re", "im"}:
+            if set(e) - {"re", "im"} or isinstance(e.get("re"), dict):
                 raise ConfigurationError(f"bad complex entry {e!r}")
-            v = complex(float(e.get("re", 0.0)), float(e.get("im", 0.0)))
+            im = float(e.get("im", 0.0))
+            # {"re": x} with "im" absent or zero is the real entry x, read by the rules below
+            v = _parse_entry(e.get("re", 0)) if im == 0 else complex(float(e.get("re", 0.0)), im)
         elif isinstance(e, (str, int)) and not isinstance(e, bool):
             v = Fraction(e)
         elif isinstance(e, float) and e == int(e):
@@ -141,8 +143,8 @@ def parse_config(d: dict) -> RunConfig:
     entries = tuple(_parse_entry(e) for e in raw_c)
     if len(entries) != spec.n:
         raise ConfigurationError(f"c must have {spec.n} entries")
-    total = sum((complex(e) for e in entries), 0j)
-    if abs(total) > 1e-12:
+    total = sum(entries)  # a Fraction, decided exactly, unless some entry is complex
+    if abs(total) > (0 if isinstance(total, Fraction) else 1e-12):
         raise ConfigurationError("c must be traceless")
     if spec.field == "R" and any(complex(e).imag for e in entries):
         raise ConfigurationError("complex entries require the realified family")

@@ -108,12 +108,9 @@ def _omega_svals(algebra: MatrixLieAlgebra, data: HyperbolicData, pt: OrbitPoint
     return np.linalg.svd(kk_gram(algebra, pt.w_coords, dirs), compute_uv=False)
 
 
-def nondegeneracy_check(
-    algebra: MatrixLieAlgebra, data: HyperbolicData, pt: OrbitPoint | None = None
-) -> float:
-    """Smallest singular value of Omega on a basis of g/z(w) at the point."""
-    if pt is None:
-        pt = orbit_point(algebra, data.c, np.eye(algebra.d), validate=False)
+def nondegeneracy_check(algebra: MatrixLieAlgebra, data: HyperbolicData) -> float:
+    """Smallest singular value of Omega on a basis of g/z(w) at the base point c."""
+    pt = orbit_point(algebra, data.c, np.eye(algebra.d), validate=False)
     return float(_omega_svals(algebra, data, pt)[-1])
 
 

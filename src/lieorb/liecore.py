@@ -23,7 +23,7 @@ import numpy as np
 # Three of the four tolerance classes; cli.DEFAULT_TOLERANCES reads them and adds the FD class.
 TOL_STRUCT = 1e-10   # exact algebraic identities
 TOL_DECOMP = 1e-9    # decompositions that involve orthonormalization
-TOL_EIGEN = 1e-8     # eigenvalue clustering
+TOL_EIGEN = 1e-8     # spectral quantities: singular values, root values, oracle gaps
 
 
 class ConfigurationError(ValueError):
@@ -35,7 +35,7 @@ class DecompositionError(RuntimeError):
 
 
 class DegeneracyError(RuntimeError):
-    """A rank or clustering decision is inconclusive at the working tolerance."""
+    """A rank decision is inconclusive at the working tolerance."""
 
 
 class InconsistencyError(RuntimeError):

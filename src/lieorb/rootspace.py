@@ -1,12 +1,18 @@
 """Restricted root-space decomposition for a maximal abelian subspace of p.
 
-The commuting family {ad(H) : H in a} is self-adjoint for the inner product
--B(X, theta Y), so the decomposition is obtained by sequential symmetric
-eigendecomposition with cluster refinement: diagonalize ad(H_1), then ad(H_2)
-restricted to each eigencluster, and so on.  For the sl families every joint
-eigenspace is spanned by original basis vectors; the construction verifies
-this and keeps the indices of those exact vectors, which is what makes the
-downstream grading operators exactly diagonal.
+For the sl families every basis vector X_b is a weight vector of the
+diagonal, with integer weights w_b: zero on the diagonal, e_i - e_j on E_ij.
+The weights are read off exactly; g_0 is the set of basis indices of weight
+zero, and each root space the set of basis indices of one nonzero weight.
+
+One bracket residual certifies this: [H, X_b] = alpha_b(H) X_b for every
+a-basis element H and every basis vector X_b, with alpha_b the functional of
+w_b on a (zero on g_0).  The basis spans g, so ad(a) is then diagonal in it
+and each joint eigenspace is spanned by the basis vectors of one functional.
+Then a commutes with the Cartan subalgebra g_0, so lies in it; the real
+eigenvalues and the bookkeeping test dim g_0 - dim m = dim a make a the
+whole real diagonal, where distinct weights are distinct functionals.  No
+eigensolver is needed, and no float tolerance decides any membership.
 
 Roots are stored twice: as float values on the orthonormalized a-basis
 (`functional`, used for lexicographic ordering) and as the integer vector of
@@ -109,69 +115,32 @@ def _orthonormalize(algebra: MatrixLieAlgebra, mats: np.ndarray) -> tuple[np.nda
 
 def restricted_roots(algebra: MatrixLieAlgebra, a_elements: np.ndarray) -> RestrictedRootSystem:
     a_coords, a_basis = _orthonormalize(algebra, np.asarray(a_elements, dtype=float))
-    dim = algebra.dim
-    G = (algebra.inner_matrix + algebra.inner_matrix.T) / 2
-    L = np.linalg.cholesky(G)
-    L_inv_T = np.linalg.inv(L.T)
-
-    # clusters live in the orthonormal y = L^T x coordinates
-    clusters: list[tuple[np.ndarray, list[float]]] = [(np.eye(dim), [])]
-    for H in a_coords:
-        A = algebra.ad_coord(H)
-        S = L.T @ A @ L_inv_T
-        if np.max(np.abs(S - S.T)) > TOL_DECOMP:
-            raise InconsistencyError("ad(H) is not symmetric for the inner product")
-        S = (S + S.T) / 2
-        refined = []
-        for Q, vals in clusters:
-            w, vecs = np.linalg.eigh(Q.T @ S @ Q)
-            gaps = np.diff(w)
-            if np.any((gaps > TOL_EIGEN) & (gaps < 100 * TOL_EIGEN)):
-                raise DegeneracyError("eigenvalue cluster ambiguous at tolerance")
-            edges = [0, *(np.flatnonzero(gaps > TOL_EIGEN) + 1).tolist(), len(w)]
-            for start, stop in zip(edges[:-1], edges[1:]):
-                refined.append((Q @ vecs[:, start:stop], vals + [float(np.mean(w[start:stop]))]))
-        clusters = refined
-
-    # identify the original basis vectors spanning each cluster: one residual
-    # of every unit basis vector against the cluster's projector
-    y_units = L.T / np.linalg.norm(L.T, axis=0)
-    zero_idx: list[int] = []
-    root_vals: list[list[float]] = []
-    root_members: list[np.ndarray] = []
-    for Q, vals in clusters:
-        resid = np.linalg.norm(y_units - Q @ (Q.T @ y_units), axis=0)
-        members = np.flatnonzero(resid < TOL_DECOMP)
-        if len(members) != Q.shape[1]:
-            raise InconsistencyError(
-                "joint eigenspace is not spanned by basis vectors "
-                f"(found {len(members)} of {Q.shape[1]})"
-            )
-        if max(abs(v) for v in vals) < TOL_EIGEN:
-            zero_idx.extend(members.tolist())
-        else:
-            root_vals.append(vals)
-            root_members.append(members)
-
-    weights = _integer_weights(algebra, algebra.basis[[m[0] for m in root_members]])
+    # every basis vector's integer weight: zero on g_0, equal weights share a root space
+    W = _integer_weights(algebra, algebra.basis)
+    in_root = W.any(axis=1)
+    root_idx = np.flatnonzero(in_root)
+    weights, owner = np.unique(W[root_idx], axis=0, return_inverse=True)
     functionals = weights.astype(float) @ _real_diag(algebra, a_basis).T
-    if np.max(np.abs(functionals - np.asarray(root_vals))) > TOL_EIGEN:
-        raise InconsistencyError("snapped root functional disagrees with eigenvalues")
-    # [H, X_b] = alpha(H) X_b for every a-basis element H and every root
-    # vector X_b, members in root order, as one batched bracket
-    owner = np.repeat(np.arange(len(root_members)), [len(m) for m in root_members])
-    X = algebra.basis[np.concatenate(root_members)]
+    # [H, X_b] = alpha_b(H) X_b for every a-basis element H and every basis
+    # vector X_b, with alpha_b = 0 on g_0, as one batched bracket
+    alpha = np.zeros((algebra.dim, len(a_basis)))
+    alpha[root_idx] = functionals[owner]
+    X = algebra.basis
     Hs = a_basis[:, None]
     C = Hs @ X
     C -= X @ Hs
-    C -= functionals[owner].T[:, :, None, None] * X
+    C -= alpha.T[:, :, None, None] * X
     resid = np.max(np.abs(C), axis=(0, 2, 3))
     if np.any(resid > TOL_DECOMP):
-        raise InconsistencyError(f"root vector residual {resid[np.argmax(resid > TOL_DECOMP)]:.2e}")
-    roots = [RestrictedRoot(f, w, members) for f, w, members in zip(functionals, weights, root_members)]
+        b = int(np.argmax(resid > TOL_DECOMP))
+        raise InconsistencyError(
+            "joint eigenspace is not spanned by basis vectors: "
+            f"root vector residual {resid[b]:.2e} at basis index {b}"
+        )
+    roots = [RestrictedRoot(f, w, root_idx[owner == k]) for k, (f, w) in enumerate(zip(functionals, weights))]
     roots.sort(key=lambda r: tuple(r.functional))
 
-    zero_indices = np.array(sorted(zero_idx), dtype=int)
+    zero_indices = np.flatnonzero(~in_root)
     # m is the theta-fixed part of g_0 (g_0 is theta-stable)
     rs = RestrictedRootSystem(
         algebra, a_coords, a_basis, roots, zero_indices, theta_rows(algebra, zero_indices, 1)
@@ -187,11 +156,11 @@ def _real_diag(algebra: MatrixLieAlgebra, H: np.ndarray) -> np.ndarray:
 
 
 def _integer_weights(algebra: MatrixLieAlgebra, X: np.ndarray) -> np.ndarray:
-    """Diagonal-entry coefficients of the roots carried by the stack X, snapped to ints.
+    """Diagonal-entry coefficients of the weight vectors in the stack X, snapped to ints.
 
     Row k holds the weights w_l of X[k]: [D_l, X] = w_l X for the diagonal
     units D_l (embedded for the realified family), with
-    [D_l, X]_ab = (D_l,aa - D_l,bb) X_ab for the whole (root, l) stack.
+    [D_l, X]_ab = (D_l,aa - D_l,bb) X_ab for the whole (vector, l) stack.
     """
     n = algebra.n
     units = np.eye(n)[:, None] * np.eye(n)

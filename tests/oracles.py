@@ -358,6 +358,48 @@ def integer_weights_reference(algebra, X):
     return ws
 
 
+def restricted_roots_eigen_reference(algebra, a_elements):
+    """Joint eigenspaces of ad(a) by sequential symmetric eigendecomposition with cluster refinement.
+
+    ad(H) is self-adjoint for <.,.>, so in the orthonormal coordinates y = L^T x
+    (G = L L^T) diagonalize ad(H_1), then ad(H_2) restricted to each eigencluster,
+    and so on.  Each cluster must be spanned by basis vectors; returns, per cluster,
+    the basis indices spanning it and its eigenvalue on each orthonormal a-basis element.
+    """
+    from lieorb.liecore import TOL_DECOMP, TOL_EIGEN, DegeneracyError, InconsistencyError
+    from lieorb.rootspace import _orthonormalize
+
+    a_coords, _ = _orthonormalize(algebra, np.asarray(a_elements, dtype=float))
+    G = (algebra.inner_matrix + algebra.inner_matrix.T) / 2
+    L = np.linalg.cholesky(G)
+    L_inv_T = np.linalg.inv(L.T)
+    clusters = [(np.eye(algebra.dim), [])]
+    for H in a_coords:
+        S = L.T @ algebra.ad_coord(H) @ L_inv_T
+        if np.max(np.abs(S - S.T)) > TOL_DECOMP:
+            raise InconsistencyError("ad(H) is not symmetric for the inner product")
+        S = (S + S.T) / 2
+        refined = []
+        for Q, vals in clusters:
+            w, vecs = np.linalg.eigh(Q.T @ S @ Q)
+            gaps = np.diff(w)
+            if np.any((gaps > TOL_EIGEN) & (gaps < 100 * TOL_EIGEN)):
+                raise DegeneracyError("eigenvalue cluster ambiguous at tolerance")
+            edges = [0, *(np.flatnonzero(gaps > TOL_EIGEN) + 1).tolist(), len(w)]
+            for start, stop in zip(edges[:-1], edges[1:]):
+                refined.append((Q @ vecs[:, start:stop], vals + [float(np.mean(w[start:stop]))]))
+        clusters = refined
+    # the basis vectors in each cluster: residual of every unit basis vector against its projector
+    y_units = L.T / np.linalg.norm(L.T, axis=0)
+    out = []
+    for Q, vals in clusters:
+        members = np.flatnonzero(np.linalg.norm(y_units - Q @ (Q.T @ y_units), axis=0) < TOL_DECOMP)
+        if len(members) != Q.shape[1]:
+            raise InconsistencyError("joint eigenspace is not spanned by basis vectors")
+        out.append((members, np.array(vals)))
+    return out
+
+
 def negative_of(rs, root):
     """The root with weights -root.weights, by a scan of the root list."""
     target = tuple(-root.weights)

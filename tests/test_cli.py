@@ -237,6 +237,31 @@ def test_complex_c_on_real_algebra_is_a_config_error(tmp_path, capsys, sub):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,sub", [("R", sub) for sub in SUBCOMMANDS] + [("C", "arnold")])
+def test_real_c_written_as_re_objects_is_read_as_real(tmp_path, capsys, field, sub):
+    """c = [{"re": 1}, 0, {"re": -1}] runs exactly as c = [1, 0, -1]: same exit code, stderr and report body."""
+    runs = []
+    for i, c in enumerate(([1, 0, -1], [{"re": 1}, 0, {"re": -1}])):
+        path, out = tmp_path / f"cfg{i}.json", tmp_path / f"report{i}.json"
+        path.write_text(json.dumps(_cfg(algebra={"family": "sl", "n": 3, "field": field}, c=c)))
+        code = cli.main([sub, "--config", str(path), "--out", str(out)])
+        report = json.loads(out.read_text()) if out.exists() else {}
+        runs.append((code, capsys.readouterr().err, json.dumps(report.get("body", report), sort_keys=True)))
+    # arnold needs the realified family, so on sl(3, R) both runs exit 2
+    assert runs[0][0] == (2 if (field, sub) == ("R", "arnold") else 0)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_rational_trace_is_decided_exactly(tmp_path, capsys, sub):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_cfg(algebra={"family": "sl", "n": 3, "field": "R"}, c=["1/10000000000000", 0, 0])))
+    out = tmp_path / "report.json"
+    assert cli.main([sub, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: c must be traceless\n"
+    assert not out.exists()
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_cfg(checks=["symplecto"], seed=1)))

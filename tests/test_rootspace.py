@@ -4,6 +4,7 @@ import pytest
 from conftest import ALGEBRA_SPECS, cold_data
 from lieorb import rootspace
 from lieorb.liecore import (
+    TOL_EIGEN,
     AlgebraSpec,
     ConfigurationError,
     InconsistencyError,
@@ -25,6 +26,7 @@ from oracles import (
     negative_of,
     outside_span,
     projector_onto,
+    restricted_roots_eigen_reference,
     root_value_on,
 )
 
@@ -247,6 +249,21 @@ def test_integer_weights_match_loop_form(ws, case):
 
 
 @pytest.mark.parametrize("case", STRUCTURE_CASES, ids=CASE_IDS)
+def test_root_spaces_match_eigensolver_clusters(ws, case):
+    """The integer-weight root spaces and g_0 are exactly the clusters of the sequential eigensolve,
+    and each root's functional matches its cluster's eigenvalues."""
+    alg, rs, _ = _structure(ws, case)
+    clusters = restricted_roots_eigen_reference(alg, maximal_abelian(alg, cartan_split(alg)))
+    zero = [members for members, vals in clusters if np.max(np.abs(vals)) < TOL_EIGEN]
+    assert len(zero) == 1 and np.array_equal(zero[0], rs.zero_indices)
+    by_members = {tuple(members): vals for members, vals in clusters}
+    assert len(by_members) == len(clusters) == len(rs.roots) + 1
+    for r in rs.roots:
+        vals = by_members[tuple(r.members)]
+        assert np.max(np.abs(vals - r.functional)) < TOL_EIGEN
+
+
+@pytest.mark.parametrize("case", STRUCTURE_CASES, ids=CASE_IDS)
 def test_independent_rows_match_loop_form_on_structure_inputs(ws, case):
     """theta_rows keeps, bit for bit, the rows the Gram-Schmidt loop form keeps from e_i +/- theta(e_i):
     k and p over the algebra, m over g_0, and k meet z(c) at the regular chamber and at the wall."""
@@ -307,4 +324,23 @@ def test_planted_a_basis_perturbation_is_rejected(monkeypatch):
 
     monkeypatch.setattr(rootspace, "_orthonormalize", perturbed)
     with pytest.raises(InconsistencyError, match="root vector residual"):
+        restricted_roots(alg, a)
+
+
+def test_planted_weight_on_g0_is_rejected_by_the_bracket_certificate(monkeypatch):
+    """A root vector given weight 0 claims to lie in g_0; the g_0 half of the certificate,
+    [H, X] = 0 on g_0, sees it before any later check (theta-stability of g_0, bookkeeping) does."""
+    alg = build_algebra(AlgebraSpec("sl", 3, "R"))
+    a = maximal_abelian(alg, cartan_split(alg))
+    integer_weights = rootspace._integer_weights
+    root_vector = 2  # E_01
+    assert integer_weights(alg, alg.basis[[root_vector]]).any()
+
+    def planted(algebra, X):
+        W = integer_weights(algebra, X)
+        W[root_vector] = 0
+        return W
+
+    monkeypatch.setattr(rootspace, "_integer_weights", planted)
+    with pytest.raises(InconsistencyError, match="joint eigenspace is not spanned by basis vectors"):
         restricted_roots(alg, a)
