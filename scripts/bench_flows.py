@@ -58,12 +58,12 @@ def projection(data, pts):
 
 
 def kk_check(alg, entries):
-    """cli.check_kk at the default samples, with the context's structure built before timing."""
+    """cli.check_kk at the default samples, with the context's structure in place before timing."""
     from lieorb import cli
 
     cfg = cli.parse_config({"algebra": {"family": "sl", "n": alg.n, "field": alg.spec.field}, "c": list(entries)})
     ctx = cli._Context(cfg)
-    ctx.split, ctx.data  # noqa: B018  (built on first access)
+    ctx.data  # noqa: B018  (fetched before timing, with the split and the roots it needs)
     return lambda: cli.check_kk(ctx, cfg, np.random.default_rng(0))
 
 

@@ -8,8 +8,12 @@ cartan_split, maximal_abelian and restricted_roots, each on the output of
 the layer before it; then, at the regular chamber diag(n-1, n-3, ...) and at
 the wall made by merging its two largest entries, dim n(c), N0 and the
 median of 5 calls of hyperbolic_data (which includes the N0 search).  sl(2)
-has no nonzero wall, so its wall entries are null.  Each run adds one pass
-to --out under --label, with BLAS single-threaded (see benchlib.py).
+has no nonzero wall, so its wall entries are null.  At the regular chamber
+it also records the median of 5 in-process cli.run parabolic reports, with
+the CLI's structure caches cleared before each call (cli_report_cold_s) and
+with them warm (cli_report_warm_s); a checkout without the caches builds
+afresh in both.  Each run adds one pass to --out under --label, with BLAS
+single-threaded (see benchlib.py).
 """
 
 from __future__ import annotations
@@ -20,6 +24,21 @@ import sys
 from benchlib import main, median_time, regular, wall
 
 GRID = [("R", n) for n in range(2, 9)] + [("C", n) for n in range(2, 7)]
+
+
+def cli_report_times(field: str, n: int) -> tuple[float, float]:
+    """Median times of a cli.run parabolic report at the regular chamber: caches cleared, then warm."""
+    from lieorb import cli
+
+    def clear():
+        for name in ("_structure", "_hyperbolic"):
+            getattr(getattr(cli, name, None), "cache_clear", lambda: None)()
+
+    cfg = cli.parse_config({"algebra": {"family": "sl", "n": n, "field": field}, "c": list(regular(n)),
+                            "checks": ["parabolic"]})
+    cold_s, _ = median_time(lambda: (clear(), cli.run(cfg)))
+    warm_s, _ = median_time(lambda: cli.run(cfg))
+    return cold_s, warm_s
 
 
 def ladder() -> list[dict]:
@@ -49,6 +68,7 @@ def ladder() -> list[dict]:
                 continue
             hd_s, data = median_time(lambda: hyperbolic_data(alg, rs, entries))
             row.update({f"{kind}_c": list(entries), f"{kind}_dim_n": data.n_dim, f"{kind}_N0": data.N0, f"hyperbolic_data_{kind}_s": hd_s})
+        row["cli_report_cold_s"], row["cli_report_warm_s"] = cli_report_times(field, n)
         print(json.dumps(row), flush=True)
         rows.append(row)
     return rows

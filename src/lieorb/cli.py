@@ -112,6 +112,8 @@ def _parse_entry(e):
             raise ConfigurationError(f"bad entry {e!r}")
         if np.isfinite(complex(v)):
             return v
+    except ConfigurationError:
+        raise
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigurationError(f"bad entry {e!r}: {exc}") from exc
     raise ConfigurationError(f"bad entry {e!r}: not finite")
@@ -192,12 +194,55 @@ def _section_pass(section: dict) -> bool:
     return all(v["pass"] for v in section.values() if isinstance(v, dict) and isinstance(v.get("pass"), bool))
 
 
+# entries kept per cache: a verify pass touches 3 algebras and 5 real chambers
+STRUCTURE_CACHE_SIZE = 8
+
+
+def _read_only(obj):
+    """Mark every ndarray reachable from obj (through attributes, lists, tuples and dicts) read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif isinstance(obj, (list, tuple, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            _read_only(item)
+    elif hasattr(obj, "__dict__"):
+        _read_only(vars(obj))
+    return obj
+
+
+@functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def _structure(spec: AlgebraSpec):
+    """(algebra, Cartan split, restricted roots) of spec, built once per process and shared read-only."""
+    algebra = build_algebra(spec)
+    split = cartan_split(algebra)
+    return _read_only((algebra, split, restricted_roots(algebra, maximal_abelian(algebra, split))))
+
+
+@functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def _hyperbolic(spec: AlgebraSpec, entries: tuple[Fraction, ...]):
+    """hyperbolic_data at the chamber-sorted entries, built once per process and shared read-only."""
+    algebra, _, rs = _structure(spec)
+    data = hyperbolic_data(algebra, rs, entries)
+    data.graded_degrees  # noqa: B018  (fill the cached property before the arrays are frozen)
+    return _read_only(data)
+
+
 class _Context:
-    """Lazily built shared objects for one run."""
+    """The shared objects of one run, read from the structure caches; an instance may replace them."""
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.algebra = build_algebra(config.algebra)
+        self.structure_meta = {"reused": True, "s": 0.0}
+        self.algebra, self.split, self.rs = self._cached(_structure, config.algebra)
+
+    def _cached(self, cache, *key):
+        """cache(*key), adding its time to structure_meta and noting a miss."""
+        misses, t0 = cache.cache_info().misses, time.perf_counter()
+        try:
+            return cache(*key)
+        finally:
+            self.structure_meta["s"] += time.perf_counter() - t0
+            self.structure_meta["reused"] &= cache.cache_info().misses == misses
 
     @property
     def real_entries(self):
@@ -205,19 +250,11 @@ class _Context:
         return entries if all(isinstance(e, Fraction) for e in entries) else None
 
     @functools.cached_property
-    def split(self):
-        return cartan_split(self.algebra)
-
-    @functools.cached_property
-    def rs(self):
-        return restricted_roots(self.algebra, maximal_abelian(self.algebra, self.split))
-
-    @functools.cached_property
     def data(self):
         entries = self.real_entries
         if entries is None:
             raise ConfigurationError("this check needs a real (hyperbolic) diagonal c")
-        return hyperbolic_data(self.algebra, self.rs, chamber_sort(entries))
+        return self._cached(_hyperbolic, self.config.algebra, chamber_sort(entries))
 
 
 def check_roots(ctx: _Context, cfg: RunConfig, rng) -> dict:
@@ -454,7 +491,8 @@ def run(config: RunConfig) -> dict:
     }
     # thread settings of the BLAS libraries, which the run neither reads nor changes (null: unset)
     threads = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    return {"body": body, "meta": {"runtime_s": time.perf_counter() - t0, "blas_threads": threads}}
+    meta = {"runtime_s": time.perf_counter() - t0, "blas_threads": threads, "structure": ctx.structure_meta}
+    return {"body": body, "meta": meta}
 
 
 def emit_fixture(config: RunConfig) -> dict:

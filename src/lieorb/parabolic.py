@@ -147,8 +147,9 @@ def hyperbolic_data(
     b_indices = tuple(b for (_, b) in graded)
     grades_exact = tuple(nu for (nu, _) in graded)
     n_dim = len(b_indices)
+    chamber = tuple(str(e) for e in entries)
     if 2 * n_dim != algebra.dim - len(z_idx):
-        raise InconsistencyError("n(c) does not have half the dimension of g/z(c)")
+        raise InconsistencyError(f"n(c) does not have half the dimension of g/z(c) at c = {chamber}")
 
     grades = np.array([float(nu) for nu in grades_exact])
     levels: list[tuple[float, int]] = []
@@ -168,14 +169,14 @@ def hyperbolic_data(
     pairs = algebra.structure[np.ix_(sel, sel)]
     adn = np.ascontiguousarray(pairs[:, :, sel].transpose(0, 2, 1))
     if np.max(np.abs(np.delete(pairs, sel, axis=2))) > 1e-12:
-        raise InconsistencyError("bracket of n(c) escapes n(c)")
+        raise InconsistencyError(f"bracket of n(c) escapes n(c) at c = {chamber}")
     # grading: nonzero entries only where grade_k = grade_i + grade_j, decided
     # on the grades brought to one integer denominator
     den = math.lcm(*(nu.denominator for nu in grades_exact))
     g = np.array([int(nu * den) for nu in grades_exact])
     off_grade = g[None, :, None] != g[:, None, None] + g[None, None, :]
     if np.any((np.abs(adn) > 1e-12) & off_grade):
-        raise InconsistencyError("bracket violates the eigenvalue grading")
+        raise InconsistencyError(f"bracket violates the eigenvalue grading at c = {chamber}")
 
     data = HyperbolicData(
         algebra=algebra,

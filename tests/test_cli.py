@@ -367,3 +367,76 @@ def test_arnold_scale_check_matches_sample_loop():
     assert _close(out["re_omega_scale_gap"]["value"], gap)
     assert out["symplecto"] == cli.check_symplecto(ctx, cfg, ref)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_parse_entry_raises_its_own_error_once():
+    for c, message in (
+        ([True, 0, -1], "bad entry True"),
+        ([{"re": 0.5}, {"re": -0.5}, 0], "float entries must be integral; use strings for rationals"),
+    ):
+        with pytest.raises(cli.ConfigurationError) as err:
+            cli.parse_config(_cfg(algebra={"family": "sl", "n": 3, "field": "R"}, c=c))
+        assert str(err.value) == message
+
+
+def _clear_structure_caches():
+    cli._structure.cache_clear()
+    cli._hyperbolic.cache_clear()
+
+
+def _cached_config(n, field, c, **kw):
+    return _cfg(algebra={"family": "sl", "n": n, "field": field}, c=c, **kw)
+
+
+@pytest.mark.parametrize("n, field, c", [(3, "R", [2, 0, -2]), (4, "C", [3, 1, -1, -3])])
+def test_warm_cache_reports_match_cold(tmp_path, capsys, n, field, c):
+    """Each subcommand gives the same exit code, stderr and report body on a warm cache as after clearing it."""
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    path.write_text(json.dumps(_cached_config(n, field, c)))
+
+    def report(sub):
+        out.unlink(missing_ok=True)
+        code = cli.main([sub, "--config", str(path), "--out", str(out)])
+        written = json.loads(out.read_text()) if out.exists() else {}
+        return code, capsys.readouterr().err, cli.dumps_report(written.get("body", written))
+
+    for sub in SUBCOMMANDS:
+        _clear_structure_caches()
+        cold = report(sub)
+        assert report(sub) == cold, sub
+
+
+@pytest.mark.parametrize("part", ["algebra.structure", "algebra.basis", "split.k_coords", "rs.a_coords", "data.adn",
+                                  "data.graded_degrees"])
+def test_cached_structure_is_read_only(part):
+    ctx = cli._Context(cli.parse_config(_cached_config(3, "R", [2, 0, -2])))
+    holder, name = part.split(".")
+    array = getattr(getattr(ctx, holder), name)
+    with pytest.raises(ValueError, match="read-only"):
+        array[(0,) * array.ndim] = 1
+
+
+def test_planted_fault_stays_in_its_context():
+    cfg = cli.parse_config(_cached_config(3, "R", [2, 0, -2], checks=["roots", "parabolic"]))
+    ctx = cli._Context(cfg)
+    rs, data = ctx.rs, ctx.data
+    ctx.rs = dataclasses.replace(rs, roots=[dataclasses.replace(rs.roots[0], weights=2 * rs.roots[0].weights)]
+                                 + rs.roots[1:])
+    ctx.data = dataclasses.replace(data, grades=2 * data.grades)
+    assert not cli.check_roots(ctx, cfg, np.random.default_rng(0))["pass"]
+    fresh = cli._Context(cfg)
+    assert fresh.rs is rs and fresh.data is data
+    np.testing.assert_array_equal(fresh.data.grades, [2.0, 2.0, 4.0])
+    assert cli.check_roots(fresh, cfg, np.random.default_rng(0))["pass"]
+
+
+def test_meta_records_structure_reuse():
+    roots = cli.parse_config(_cached_config(3, "R", [2, 0, -2], checks=["roots"]))
+    parabolic = cli.parse_config(_cached_config(3, "R", [2, 0, -2], checks=["parabolic"]))
+    _clear_structure_caches()
+    runs = [cli.run(cfg) for cfg in (roots, roots, parabolic, parabolic)]
+    # the first parabolic run finds the algebra cached but builds the chamber's data
+    assert [r["meta"]["structure"]["reused"] for r in runs] == [False, True, False, True]
+    assert all(isinstance(r["meta"]["structure"]["s"], float) and r["meta"]["structure"]["s"] >= 0 for r in runs)
+    assert cli.dumps_report(runs[0]["body"]) == cli.dumps_report(runs[1]["body"])
+    assert cli.dumps_report(runs[2]["body"]) == cli.dumps_report(runs[3]["body"])

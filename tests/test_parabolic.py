@@ -131,6 +131,25 @@ def test_hyperbolic_data_rejects_bad_brackets(ws):
             hyperbolic_data(bad, rs, (1, 0, -1))
 
 
+def test_hyperbolic_data_errors_name_the_chamber(ws):
+    alg, rs = ws.algebra("sl3r"), ws.rs("sl3r")
+    data = ws.data("sl3r", (1, 0, -1))
+    b12, _, b13 = data.b_indices
+    at = r"at c = \('1', '0', '-1'\)$"
+    for target, message in ((data.z_indices[0], "escapes n"), (b13, "violates the eigenvalue grading")):
+        bad = copy.copy(alg)
+        bad.structure = alg.structure.copy()
+        bad.structure[b12, b13, target] = 1.0
+        bad.structure[b13, b12, target] = -1.0
+        with pytest.raises(InconsistencyError, match=f"{message}.* {at}"):
+            hyperbolic_data(bad, rs, (1, 0, -1))
+    # without the root spaces of +-(e1 - e2), n(c) and its opposite miss two dimensions of g/z(c)
+    kept = [r for r in rs.roots if abs(r.weights[2]) == 1]
+    assert len(kept) == len(rs.roots) - 2
+    with pytest.raises(InconsistencyError, match=f"half the dimension of g/z\\(c\\) {at}"):
+        hyperbolic_data(alg, dataclasses.replace(rs, roots=kept), (1, 0, -1))
+
+
 def test_nilpotency_respects_floor_bound(ws):
     from conftest import DATA_GRID, cold_data
 
