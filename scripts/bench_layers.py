@@ -12,8 +12,10 @@ has no nonzero wall, so its wall entries are null.  At the regular chamber
 it also records the median of 5 in-process cli.run parabolic reports, with
 the CLI's structure caches cleared before each call (cli_report_cold_s) and
 with them warm (cli_report_warm_s); a checkout without the caches builds
-afresh in both.  Each run adds one pass to --out under --label, with BLAS
-single-threaded (see benchlib.py).
+afresh in both.  It also records cached_entry_bytes, the bytes of the
+distinct ndarray buffers reachable from the CLI's cached structure entry
+(cli._structure: algebra, Cartan split, restricted roots).  Each run adds
+one pass to --out under --label, with BLAS single-threaded (see benchlib.py).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import json
 import sys
 
 from benchlib import main, median_time, regular, wall
+
+import numpy as np  # after benchlib's thread settings
 
 GRID = [("R", n) for n in range(2, 9)] + [("C", n) for n in range(2, 7)]
 
@@ -39,6 +43,28 @@ def cli_report_times(field: str, n: int) -> tuple[float, float]:
     cold_s, _ = median_time(lambda: (clear(), cli.run(cfg)))
     warm_s, _ = median_time(lambda: cli.run(cfg))
     return cold_s, warm_s
+
+
+def cached_entry_bytes(field: str, n: int) -> int:
+    """Bytes of the distinct ndarray buffers (views counted once, by their base) reachable from cli._structure."""
+    from lieorb import cli
+    from lieorb.liecore import AlgebraSpec
+
+    buffers = {}
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            buffers[id(x)] = x.nbytes
+        elif isinstance(x, (list, tuple, dict)):
+            for item in x.values() if isinstance(x, dict) else x:
+                walk(item)
+        elif hasattr(x, "__dict__"):
+            walk(vars(x))
+
+    walk(cli._structure(AlgebraSpec("sl", n, field)))
+    return sum(buffers.values())
 
 
 def ladder() -> list[dict]:
@@ -69,6 +95,7 @@ def ladder() -> list[dict]:
             hd_s, data = median_time(lambda: hyperbolic_data(alg, rs, entries))
             row.update({f"{kind}_c": list(entries), f"{kind}_dim_n": data.n_dim, f"{kind}_N0": data.N0, f"hyperbolic_data_{kind}_s": hd_s})
         row["cli_report_cold_s"], row["cli_report_warm_s"] = cli_report_times(field, n)
+        row["cached_entry_bytes"] = cached_entry_bytes(field, n)
         print(json.dumps(row), flush=True)
         rows.append(row)
     return rows

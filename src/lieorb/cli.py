@@ -222,9 +222,7 @@ def _structure(spec: AlgebraSpec):
 def _hyperbolic(spec: AlgebraSpec, entries: tuple[Fraction, ...]):
     """hyperbolic_data at the chamber-sorted entries, built once per process and shared read-only."""
     algebra, _, rs = _structure(spec)
-    data = hyperbolic_data(algebra, rs, entries)
-    data.graded_degrees  # noqa: B018  (fill the cached property before the arrays are frozen)
-    return _read_only(data)
+    return _read_only(hyperbolic_data(algebra, rs, entries))
 
 
 class _Context:
@@ -282,7 +280,7 @@ def check_roots(ctx: _Context, cfg: RunConfig, rng) -> dict:
         ],
         "dim_m": int(rs.m_coords.shape[0]),
         "dim_a": int(rs.rank),
-        "dimension_bookkeeping": {"value": 0.0 if dims_ok else 1.0, "tol": 0.5, "kind": "max", "pass": dims_ok},
+        "dimension_bookkeeping": _res(float(not dims_ok), 0.5),
         "bracket_grading": _res(grading, cfg.tol("decomposition")),
         "theta_pairing": _res(theta_pair, cfg.tol("decomposition")),
         "k_from_roots": _res(k_from_roots_check(rs, ctx.split), cfg.tol("decomposition")),
@@ -310,7 +308,7 @@ def check_parabolic(ctx: _Context, cfg: RunConfig, rng) -> dict:
         "eigenvalues": [[nu, dj] for (nu, dj) in data.levels],
         "N0": data.N0,
         "killing_n_vs_P": _res(ortho, cfg.tol("structural")),
-        "half_dimension": {"value": 0.0 if half else 1.0, "tol": 0.5, "kind": "max", "pass": half},
+        "half_dimension": _res(float(not half), 0.5),
         "stabilizer_invariance": _res(ad_inv, cfg.tol("decomposition")),
     }
     section["pass"] = _section_pass(section)
@@ -449,7 +447,7 @@ def check_arnold(ctx: _Context, cfg: RunConfig, rng) -> dict:
         "ad_spectrum_gap": _res(spec_gap, cfg.tol("decomposition")),
         "re_exact": verdict["re_exact"],
         "im_exact": verdict["im_exact"],
-        "re_exact_ok": {"value": 0.0 if verdict["re_exact"] else 1.0, "tol": 0.5, "kind": "max", "pass": verdict["re_exact"]},
+        "re_exact_ok": _res(float(not verdict["re_exact"]), 0.5),
         "re_omega_scale_gap": _res(scale_gap, cfg.tol("decomposition") * 100),
         "symplecto": sympl,
     }

@@ -36,7 +36,7 @@ from math import factorial
 import numpy as np
 from numpy.polynomial.legendre import legint, leggauss, legval, legvander
 
-from .liecore import DecompositionError, GroupElement, InconsistencyError, TOL_STRUCT
+from .liecore import DecompositionError, GroupElement, InconsistencyError, TOL_STRUCT, _as_matrix
 from .parabolic import HyperbolicData
 
 
@@ -334,7 +334,7 @@ def invert_exp_H(data: HyperbolicData, g) -> np.ndarray:
     read off c - Ad(g) c, which then lies in n(c) exactly.  Leading axes of
     g batch over points, each judged on its own.
     """
-    M = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
+    M = _as_matrix(g)
     D = M - np.eye(M.shape[-1])
     try:
         data.n_coords_of(D, strict=1e-8)

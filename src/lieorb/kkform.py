@@ -27,9 +27,9 @@ from .liecore import (
     TOL_STRUCT,
     CartanSplit,
     ConfigurationError,
-    GroupElement,
     InconsistencyError,
     MatrixLieAlgebra,
+    _as_matrix,
     complex_trace_form,
 )
 from .parabolic import HyperbolicData
@@ -45,7 +45,7 @@ class OrbitPoint:
 def orbit_point(
     algebra: MatrixLieAlgebra, c: np.ndarray, g, validate: bool = True
 ) -> OrbitPoint:
-    G = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
+    G = _as_matrix(g)
     w = G @ c @ np.linalg.inv(G)
     if validate:
         ev_c = np.sort_complex(np.linalg.eigvals(algebra.ad_matrix_of(c)))

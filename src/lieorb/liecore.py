@@ -23,7 +23,7 @@ import numpy as np
 # Three of the four tolerance classes; cli.DEFAULT_TOLERANCES reads them and adds the FD class.
 TOL_STRUCT = 1e-10   # exact algebraic identities
 TOL_DECOMP = 1e-9    # decompositions that involve orthonormalization
-TOL_EIGEN = 1e-8     # spectral quantities: singular values, root values, oracle gaps
+TOL_EIGEN = 1e-8     # spectral quantities: singular values, Killing conditioning, oracle gaps
 
 
 class ConfigurationError(ValueError):
@@ -100,17 +100,15 @@ class MatrixLieAlgebra:
         self.d = spec.matrix_size
         self.dim = spec.dim
         self.is_complex = spec.field == "C"
-        self._pairs = [(i, j) for i in range(self.n) for j in range(self.n) if i != j]
         # row and column index arrays of the off-diagonal positions, basis order
-        self._rows, self._cols = np.array(self._pairs).T
+        self._rows, self._cols = np.nonzero(~np.eye(self.n, dtype=bool))
         self.basis = self._build_basis()
         self.J = embed_complex(1j * np.eye(self.n)) if self.is_complex else None
         self.structure = self._structure_constants()
-        # ad_ops[i] @ x = coordinates of [b_i, X] for X with coordinates x
-        self.ad_ops = self.structure.transpose(0, 2, 1).copy()
-        # B_ij = tr(ad_i ad_j) = sum_ab ad_i[a, b] c[j, a, b], one BLAS product
+        # B_ij = tr(ad_i ad_j) = sum_ab c[i, b, a] c[j, a, b], one BLAS product
         # whose integer sums are exact
-        self.killing_matrix = self.ad_ops.reshape(self.dim, -1) @ self.structure.reshape(self.dim, -1).T
+        c = self.structure
+        self.killing_matrix = c.transpose(0, 2, 1).reshape(self.dim, -1) @ c.reshape(self.dim, -1).T
         self.theta_matrix = self.coords(self.theta(self.basis)).T
         # theta(b_k) = theta_sign[k] b_theta_perm[k]
         self.theta_perm, self.theta_sign = signed_permutation(self.theta_matrix)
@@ -119,35 +117,8 @@ class MatrixLieAlgebra:
 
     # -- basis and coordinates -------------------------------------------
 
-    def _cartan_entries(self, k: int) -> np.ndarray:
-        h = np.zeros(self.n)
-        h[k] = 1.0
-        h[k + 1] = -1.0
-        return h
-
     def _build_basis(self) -> np.ndarray:
-        n = self.n
-        mats = []
-        if not self.is_complex:
-            for k in range(n - 1):
-                mats.append(np.diag(self._cartan_entries(k)))
-            for i, j in self._pairs:
-                E = np.zeros((n, n))
-                E[i, j] = 1.0
-                mats.append(E)
-        else:
-            for k in range(n - 1):
-                mats.append(embed_complex(np.diag(self._cartan_entries(k)).astype(complex)))
-            for k in range(n - 1):
-                mats.append(embed_complex(1j * np.diag(self._cartan_entries(k)).astype(complex)))
-            for i, j in self._pairs:
-                E = np.zeros((n, n), dtype=complex)
-                E[i, j] = 1.0
-                mats.append(embed_complex(E))
-                mats.append(embed_complex(1j * E))
-        out = np.stack(mats)
-        assert out.shape == (self.dim, self.d, self.d)
-        return out
+        return self.from_coords(np.eye(self.dim))
 
     def coords(self, X: np.ndarray) -> np.ndarray:
         """Coordinates of X in the fixed basis, over any leading batch axes.
@@ -222,7 +193,7 @@ class MatrixLieAlgebra:
 
     def ad_coord(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad(X) on coordinates, X given by coordinates x (over leading batch axes)."""
-        return np.einsum("...i,ikj->...kj", x, self.ad_ops)
+        return np.einsum("...i,ijk->...kj", x, self.structure)
 
     def ad_matrix_of(self, X: np.ndarray) -> np.ndarray:
         return self.ad_coord(self.coords(X))
@@ -262,10 +233,11 @@ class MatrixLieAlgebra:
         k_sym = float(np.max(np.abs(K - K.T)))
         ev = np.linalg.eigvalsh((K + K.T) / 2)
         k_cond = float(np.min(np.abs(ev)) / np.max(np.abs(ev)))
-        Th = self.theta_matrix
-        th_sq = float(np.max(np.abs(Th @ Th - np.eye(self.dim))))
-        th_iso = float(np.max(np.abs(Th.T @ K @ Th - K)))
-        th_auto = float(theta_automorphism_residual(c, Th))
+        # theta^2 e_k = s_k s_pi(k) e_pi(pi(k)) and (Th^T K Th)_ij = s_i s_j K_pi(i)pi(j): exact on the signs
+        perm, s = self.theta_perm, self.theta_sign
+        th_sq = float(np.max(np.where(perm[perm] == np.arange(self.dim), np.abs(s * s[perm] - 1), 1.0)))
+        th_iso = float(np.max(np.abs(np.outer(s, s) * K[np.ix_(perm, perm)] - K)))
+        th_auto = float(theta_automorphism_residual(c, self.theta_matrix))
         res = {
             "jacobi": jacobi,
             "killing_symmetry": k_sym,
@@ -390,9 +362,6 @@ def theta_rows(algebra: MatrixLieAlgebra, indices, sign: int) -> np.ndarray:
 
 
 def cartan_split(algebra: MatrixLieAlgebra) -> CartanSplit:
-    Th = algebra.theta_matrix
-    if np.max(np.abs(Th @ Th - np.eye(algebra.dim))) > TOL_STRUCT:
-        raise InconsistencyError("theta is not an involution")
     every = np.arange(algebra.dim)
     k_coords = theta_rows(algebra, every, 1)
     p_coords = theta_rows(algebra, every, -1)

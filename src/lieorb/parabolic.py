@@ -13,7 +13,6 @@ threshold.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,6 +61,8 @@ class HyperbolicData:
     grades_exact: tuple[Fraction, ...]
     levels: tuple[tuple[float, int], ...]   # distinct (nu_j, d_j), increasing
     blocks: tuple[np.ndarray, ...]          # V-indices per level
+    # floor(nu_j / nu_1): the top power of t in coordinate j of a fiber flow (the bracket adds grades)
+    graded_degrees: np.ndarray
     N0: int = 0
     adn: np.ndarray = field(default=None, repr=False)  # adn[i] = ad(V_i) on n-coords
 
@@ -94,11 +95,6 @@ class HyperbolicData:
         """The element sum_j v_j V_j, over any leading batch axes of v."""
         v = np.asarray(v, dtype=float)
         return np.einsum("...j,jab->...ab", v, self.n_basis)
-
-    @functools.cached_property
-    def graded_degrees(self) -> np.ndarray:
-        """floor(nu_j / nu_1): the top power of t in coordinate j of a fiber flow (the bracket adds grades)."""
-        return np.array([int(nu / self.min_grade) for nu in self.grades_exact])
 
     @property
     def min_grade(self) -> Fraction:
@@ -168,14 +164,14 @@ def hyperbolic_data(
     sel = list(b_indices)
     pairs = algebra.structure[np.ix_(sel, sel)]
     adn = np.ascontiguousarray(pairs[:, :, sel].transpose(0, 2, 1))
-    if np.max(np.abs(np.delete(pairs, sel, axis=2))) > 1e-12:
+    if np.any(np.delete(pairs, sel, axis=2) != 0):
         raise InconsistencyError(f"bracket of n(c) escapes n(c) at c = {chamber}")
     # grading: nonzero entries only where grade_k = grade_i + grade_j, decided
     # on the grades brought to one integer denominator
     den = math.lcm(*(nu.denominator for nu in grades_exact))
     g = np.array([int(nu * den) for nu in grades_exact])
     off_grade = g[None, :, None] != g[:, None, None] + g[None, None, :]
-    if np.any((np.abs(adn) > 1e-12) & off_grade):
+    if np.any((adn != 0) & off_grade):
         raise InconsistencyError(f"bracket violates the eigenvalue grading at c = {chamber}")
 
     data = HyperbolicData(
@@ -191,6 +187,7 @@ def hyperbolic_data(
         grades_exact=grades_exact,
         levels=tuple(levels),
         blocks=tuple(blocks),
+        graded_degrees=np.array([int(nu / grades_exact[0]) for nu in grades_exact]),
     )
     data.adn = adn
     data.N0 = nilpotency_index(data)

@@ -11,8 +11,9 @@ w_b on a (zero on g_0).  The basis spans g, so ad(a) is then diagonal in it
 and each joint eigenspace is spanned by the basis vectors of one functional.
 Then a commutes with the Cartan subalgebra g_0, so lies in it; the real
 eigenvalues and the bookkeeping test dim g_0 - dim m = dim a make a the
-whole real diagonal, where distinct weights are distinct functionals.  No
-eigensolver is needed, and no float tolerance decides any membership.
+whole real diagonal, where distinct weights are distinct functionals.  The
+same test certifies that a is maximal abelian in p.  No eigensolver or rank
+test is needed, and no float tolerance decides any membership.
 
 Roots are stored twice: as float values on the orthonormalized a-basis
 (`functional`, used for lexicographic ordering) and as the integer vector of
@@ -28,10 +29,7 @@ import numpy as np
 
 from .liecore import (
     TOL_DECOMP,
-    TOL_EIGEN,
-    TOL_STRUCT,
     CartanSplit,
-    ConfigurationError,
     DegeneracyError,
     InconsistencyError,
     MatrixLieAlgebra,
@@ -67,34 +65,17 @@ class RestrictedRootSystem:
 
 
 def maximal_abelian(algebra: MatrixLieAlgebra, split: CartanSplit) -> np.ndarray:
-    """Maximal abelian subspace of p, as a stack of matrices.
+    """Maximal abelian subspace of p, as a stack of matrices: the diagonal part of p.
 
-    The candidate is the diagonal part of p; maximality is certified by a rank
-    test on the joint commutant of the candidate inside p.
+    The p-basis elements with no off-diagonal entry are picked by an exact
+    zero test on their integer entries.  Maximality is certified where the
+    root spaces are built: restricted_roots checks dim(g_0 meet p) = dim a.
     """
     P = split.p_basis
-    diagonal = np.max(np.abs(np.where(np.eye(algebra.d, dtype=bool), 0.0, P)), axis=(1, 2)) < 1e-12
+    diagonal = ~np.any(np.where(np.eye(algebra.d, dtype=bool), 0.0, P), axis=(1, 2))
     if not diagonal.any():
         raise DegeneracyError("no diagonal directions found in p")
-    cand = P[diagonal]
-    r = cand.shape[0]
-    A, B = cand[:, None], cand[None, :]
-    if np.max(np.abs(A @ B - B @ A)) > TOL_STRUCT:
-        raise InconsistencyError("candidate subspace is not abelian")
-    # joint commutant of the candidate inside p
-    M = (algebra.ad_matrix_of(cand) @ split.p_coords.T).reshape(-1, split.p_coords.shape[0])
-    svals = np.linalg.svd(M, compute_uv=False)
-    scale = max(1.0, float(svals[0])) if svals.size else 1.0
-    suspicious = int(np.sum((svals >= 1e-9 * scale) & (svals < 1e-7 * scale)))
-    if suspicious:
-        raise DegeneracyError("commutant rank test inconclusive at tolerance")
-    rank = int(np.sum(svals >= 1e-9 * scale))
-    if split.p_coords.shape[0] - rank != r:
-        raise DegeneracyError(
-            f"candidate of dimension {r} is not maximal abelian "
-            f"(commutant has dimension {split.p_coords.shape[0] - rank})"
-        )
-    return cand
+    return P[diagonal]
 
 
 def _orthonormalize(algebra: MatrixLieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,29 +172,12 @@ def _check_bookkeeping(rs: RestrictedRootSystem) -> None:
         raise InconsistencyError("g_0 does not split as m + a")
 
 
-def default_regular(algebra: MatrixLieAlgebra) -> np.ndarray:
-    """Canonical regular chamber element diag(n-1, n-3, ..., -(n-1))."""
-    n = algebra.n
-    entries = [n - 1 - 2 * k for k in range(n)]
-    return algebra.element_from_entries(entries)
-
-
-def positive_system(
-    rs: RestrictedRootSystem, H_reg: np.ndarray | None = None
-) -> list[RestrictedRoot]:
-    """Roots positive on H_reg, in lexicographic functional order."""
-    algebra = rs.algebra
-    if H_reg is None:
-        H_reg = default_regular(algebra)
-    dg = _real_diag(algebra, H_reg)
-    scale = max(1.0, float(np.max(np.abs(dg))))
-    pos = []
-    for r in rs.roots:
-        val = float(np.asarray(r.weights, float) @ dg)
-        if abs(val) <= TOL_EIGEN * scale:
-            raise ConfigurationError("regularity failure: a root vanishes on H_reg")
-        if val > 0:
-            pos.append(r)
+def positive_system(rs: RestrictedRootSystem) -> list[RestrictedRoot]:
+    """Roots positive on the regular element diag(n-1, n-3, ..., 1-n), decided in integers,
+    in lexicographic functional order."""
+    n = rs.algebra.n
+    regular = np.arange(n - 1, -n, -2)
+    pos = [r for r in rs.roots if r.weights @ regular > 0]
     if 2 * len(pos) != len(rs.roots):
         raise InconsistencyError("positive system does not halve the root set")
     return pos

@@ -35,7 +35,7 @@ from .liecore import (
     CartanSplit,
     ConfigurationError,
     DecompositionError,
-    GroupElement,
+    _as_matrix,
     in_K_residual,
     kp_decompose,
     random_in_K,
@@ -60,7 +60,7 @@ class BaseCoset:
 
 
 def cotangent_point(data: HyperbolicData, k, V) -> CotangentPoint:
-    kmat = k.matrix if isinstance(k, GroupElement) else np.asarray(k, dtype=float)
+    kmat = _as_matrix(k)
     r = in_K_residual(data.algebra, kmat)
     if r > TOL_DECOMP:
         raise ConfigurationError(f"base representative is not in K (residual {r:.2e})")

@@ -38,8 +38,41 @@ def killing_matrix_oracle(algebra):
 
 
 def killing_matrix_einsum(algebra):
-    """tr(ad_i ad_j) by the dim^4 einsum over the library's own ad matrices."""
-    return np.einsum("iab,jba->ij", algebra.ad_ops, algebra.ad_ops)
+    """tr(ad_i ad_j) by the dim^4 einsum over the library's structure constants, ad_i[a, b] = c[i, b, a]."""
+    return np.einsum("iba,jab->ij", algebra.structure, algebra.structure)
+
+
+def positive_system_float(rs):
+    """Roots positive on diag(n-1, n-3, ..., 1-n), evaluated in floats on its real diagonal, a
+    vanishing root judged against TOL_EIGEN; the reference for the integer rule of positive_system."""
+    from lieorb.liecore import TOL_EIGEN, extract_complex
+
+    algebra = rs.algebra
+    H = algebra.element_from_entries([algebra.n - 1 - 2 * k for k in range(algebra.n)])
+    dg = np.diagonal(extract_complex(H) if algebra.is_complex else H).real
+    scale = max(1.0, float(np.max(np.abs(dg))))
+    values = [float(np.asarray(r.weights, float) @ dg) for r in rs.roots]
+    assert min(abs(v) for v in values) > TOL_EIGEN * scale, "a root vanishes on the regular element"
+    return [r for r, v in zip(rs.roots, values) if v > 0]
+
+
+def reachable_buffers(obj):
+    """The distinct base ndarrays reachable from obj through attributes, lists, tuples and dicts."""
+    found = {}
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            found[id(x)] = x
+        elif isinstance(x, (list, tuple, dict)):
+            for item in x.values() if isinstance(x, dict) else x:
+                walk(item)
+        elif hasattr(x, "__dict__"):
+            walk(vars(x))
+
+    walk(obj)
+    return list(found.values())
 
 
 def trace_form_multiple(algebra, X, Y):

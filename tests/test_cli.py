@@ -8,12 +8,13 @@ import pytest
 from conftest import DATA_GRID
 from lieorb import cli
 from lieorb.flows import FlowPolynomial
-from lieorb.liecore import random_in_K
+from lieorb.liecore import AlgebraSpec, random_in_K
 from lieorb.symplecto import section_lagrangian_check
 from oracles import (
     check_flow_loop,
     check_kk_loop,
     random_in_K_single,
+    reachable_buffers,
     re_omega_scale_loop,
     sample_points_loop,
     section_lagrangian_loop,
@@ -414,6 +415,15 @@ def test_cached_structure_is_read_only(part):
     array = getattr(getattr(ctx, holder), name)
     with pytest.raises(ValueError, match="read-only"):
         array[(0,) * array.ndim] = 1
+
+
+@pytest.mark.parametrize("n, field", [(3, "R"), (4, "C")])
+def test_cached_structure_holds_one_dim3_array(n, field):
+    """The structure constants are the only dim^3 array a cached structure entry keeps."""
+    entry = cli._structure(AlgebraSpec("sl", n, field))
+    algebra = entry[0]
+    big = [x for x in reachable_buffers(entry) if x.size >= algebra.dim**3]
+    assert len(big) == 1 and big[0] is algebra.structure
 
 
 def test_planted_fault_stays_in_its_context():

@@ -1,3 +1,4 @@
+import ast
 import json
 import types
 
@@ -143,6 +144,32 @@ def test_theta_index_test_matches_einsum_oracle(ws):
             bad[0, 1] = off
             with pytest.raises(InconsistencyError, match="signed permutation"):
                 theta_automorphism_residual(c, bad)
+
+
+@pytest.mark.parametrize("key", ["sl3r", "sl2c"])
+def test_theta_sign_rules_match_dense_products(key):
+    """The involution and isometry residuals, read off (pi, s), equal max |Th Th - I| and
+    max |Th^T K Th - K| on theta itself and on planted signed permutations."""
+    alg = build_algebra(ALGEBRA_SPECS[key])
+    K, dim = alg.killing_matrix, alg.dim
+    rng = np.random.default_rng(3)
+    flipped = alg.theta_sign.copy()
+    flipped[2] *= -1  # basis index 2 is E_01, in a 2-cycle of pi: s_i s_pi(i) = -1 there
+    planted = [(alg.theta_perm, alg.theta_sign), (alg.theta_perm, flipped)]
+    planted += [(rng.permutation(dim), rng.choice([-1.0, 1.0], dim)) for _ in range(4)]
+    seen = []
+    for perm, sign in planted:
+        Th = np.zeros((dim, dim))
+        Th[perm, np.arange(dim)] = sign
+        alg.theta_matrix, alg.theta_perm, alg.theta_sign = Th, perm, sign
+        try:
+            res = alg._validate()
+        except InconsistencyError as exc:
+            res = ast.literal_eval(str(exc).split(": ", 1)[1])
+        assert res["theta_involution"] == np.max(np.abs(Th @ Th - np.eye(dim)))
+        assert res["theta_isometry"] == np.max(np.abs(Th.T @ K @ Th - K))
+        seen.append(res["theta_involution"] > 0)
+    assert seen[:2] == [False, True] and any(seen[2:])
 
 
 def test_jacobi_certificate_sees_planted_fault(ws):

@@ -6,7 +6,6 @@ from lieorb import rootspace
 from lieorb.liecore import (
     TOL_EIGEN,
     AlgebraSpec,
-    ConfigurationError,
     InconsistencyError,
     build_algebra,
     cartan_split,
@@ -14,7 +13,6 @@ from lieorb.liecore import (
 )
 from lieorb.parabolic import hyperbolic_data, z_k_coords
 from lieorb.rootspace import (
-    default_regular,
     k_from_roots_check,
     maximal_abelian,
     positive_system,
@@ -25,6 +23,7 @@ from oracles import (
     integer_weights_reference,
     negative_of,
     outside_span,
+    positive_system_float,
     projector_onto,
     restricted_roots_eigen_reference,
     root_value_on,
@@ -116,12 +115,11 @@ def test_a_basis_orthonormal(ws):
 
 
 def test_positive_system_sl3(ws):
-    alg, rs = ws.algebra("sl3r"), ws.rs("sl3r")
-    H = alg.element_from_entries([2, 1, -3])
-    pos = positive_system(rs, H)
+    rs = ws.rs("sl3r")
+    pos = positive_system(rs)
     got = {tuple(int(x) for x in r.weights) for r in pos}
     assert got == {(1, -1, 0), (0, 1, -1), (1, 0, -1)}
-    neg = positive_system(rs, -H)
+    neg = [r for r in rs.roots if all(r is not p for p in pos)]
     assert {tuple(-r.weights) for r in neg} == got
     # closure under addition within the root set
     weights = {tuple(int(x) for x in r.weights) for r in rs.roots}
@@ -130,12 +128,6 @@ def test_positive_system_sl3(ws):
             s = tuple(int(x) for x in (a.weights + b.weights))
             if s in weights:
                 assert s in got
-
-
-def test_positive_system_regularity_error(ws):
-    alg, rs = ws.algebra("sl3r"), ws.rs("sl3r")
-    with pytest.raises(ConfigurationError):
-        positive_system(rs, alg.element_from_entries([1, 1, -2]))
 
 
 def test_k_from_roots(ws):
@@ -213,10 +205,11 @@ def test_zero_space_meets_p_in_a(ws):
         assert int(np.sum(sv > 1 - 1e-8)) == rs.rank
 
 
-def test_default_regular(ws):
-    alg = ws.algebra("sl4r")
-    H = default_regular(alg)
-    np.testing.assert_allclose(np.diagonal(H), [3, 1, -1, -3], atol=0)
+@pytest.mark.parametrize("key", sorted(ALGEBRA_SPECS))
+def test_positive_system_matches_float_evaluation(ws, key):
+    """The integer sign rule picks, in order, the roots the float evaluation on diag(n-1, ..., 1-n) picks."""
+    rs = ws.rs(key)
+    assert [id(r) for r in positive_system(rs)] == [id(r) for r in positive_system_float(rs)]
 
 
 # -- batched structure helpers against their loop forms ------------------------
@@ -291,6 +284,17 @@ def test_theta_rows_reject_an_index_set_that_is_not_theta_stable(ws):
 
 
 # -- planted faults on the batched error paths ---------------------------------
+
+
+@pytest.mark.parametrize("field, n", [("R", 3), ("R", 5), ("C", 3), ("C", 4)])
+def test_planted_non_maximal_abelian_is_rejected(field, n):
+    """maximal_abelian makes no rank test; a subspace of a that is not maximal abelian in p
+    is caught by the exact bookkeeping of restricted_roots."""
+    alg = build_algebra(AlgebraSpec("sl", n, field))
+    a = maximal_abelian(alg, cartan_split(alg))
+    assert len(a) == n - 1
+    with pytest.raises(InconsistencyError, match="g_0 does not split as m \\+ a"):
+        restricted_roots(alg, a[:-1])
 
 
 def test_planted_non_weight_vector_is_rejected():
