@@ -14,20 +14,45 @@ the CLI's structure caches cleared before each call (cli_report_cold_s) and
 with them warm (cli_report_warm_s); a checkout without the caches builds
 afresh in both.  It also records cached_entry_bytes, the bytes of the
 distinct ndarray buffers reachable from the CLI's cached structure entry
-(cli._structure: algebra, Cartan split, restricted roots).  Each run adds
-one pass to --out under --label, with BLAS single-threaded (see benchlib.py).
+(cli._structure: algebra, Cartan split, restricted roots).  A pass opens
+with one row for the import cost: the median wall time of `import lieorb.cli`
+(import_s) and the median peak RSS in MiB (import_rss_mb) of 5 fresh Python
+processes.  Each run adds one pass to --out under --label, with BLAS
+single-threaded (see benchlib.py) here and in those processes.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import statistics
+import subprocess
 import sys
+from pathlib import Path
 
-from benchlib import main, median_time, regular, wall
+from benchlib import REPEATS, main, median_time, regular, wall
 
 import numpy as np  # after benchlib's thread settings
 
 GRID = [("R", n) for n in range(2, 9)] + [("C", n) for n in range(2, 7)]
+IMPORT_PROBE = (
+    "import resource, time; t = time.perf_counter(); import lieorb.cli; "
+    "print(time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"
+)
+
+
+def import_cost() -> dict:
+    """Median wall time of `import lieorb.cli` and median peak RSS (MiB) over REPEATS fresh processes."""
+    import lieorb
+
+    env = {**os.environ, "PYTHONPATH": str(Path(lieorb.__file__).resolve().parents[1])}
+    probe = [sys.executable, "-c", IMPORT_PROBE]
+    runs = [subprocess.run(probe, env=env, capture_output=True, text=True, check=True).stdout.split() for _ in range(REPEATS)]
+    return {
+        "import": "lieorb.cli",
+        "import_s": statistics.median(float(s) for s, _ in runs),
+        "import_rss_mb": statistics.median(float(mb) for _, mb in runs),
+    }
 
 
 def cli_report_times(field: str, n: int) -> tuple[float, float]:
@@ -72,7 +97,8 @@ def ladder() -> list[dict]:
     from lieorb.parabolic import hyperbolic_data
     from lieorb.rootspace import maximal_abelian, restricted_roots
 
-    rows = []
+    rows = [import_cost()]
+    print(json.dumps(rows[0]), flush=True)
     for field, n in GRID:
         build_s, alg = median_time(lambda: build_algebra(AlgebraSpec("sl", n, field)))
         split_s, split = median_time(lambda: cartan_split(alg))

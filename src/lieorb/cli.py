@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .liecore import (
@@ -35,6 +34,7 @@ from .liecore import (
     build_algebra,
     cartan_split,
     complex_trace_form,
+    expm,
     k_from_normals,
     killing_compare_realified,
     random_element,
@@ -299,7 +299,7 @@ def check_parabolic(ctx: _Context, cfg: RunConfig, rng) -> dict:
     level = np.full(alg.dim, np.nan)
     level[list(data.b_indices)] = data.grades
     zk = z_k_coords(data)
-    m = scipy.linalg.expm(rng.uniform(-1, 1, len(zk))[:, None, None] * alg.from_coords(zk))
+    m = expm(rng.uniform(-1, 1, len(zk))[:, None, None] * alg.from_coords(zk))
     moved = alg.coords(m[:, None] @ data.n_basis @ np.linalg.inv(m)[:, None])  # [element, j]
     ad_inv = float(np.max(np.abs(np.where(level != data.grades[:, None], moved, 0.0)), initial=0.0))
     section = {
@@ -321,7 +321,7 @@ def check_kk(ctx: _Context, cfg: RunConfig, rng) -> dict:
     # one draw for all samples, each in the order g, X, Y, Z, h; g and h at scale 0.4
     draws = rng.standard_normal((max(5, cfg.samples // 4), 5, alg.dim)) * np.array([0.4, 1, 1, 1, 0.4])[:, None]
     a, X, Y, Z, b = np.moveaxis(alg.from_coords(draws), 1, 0)
-    g, h = scipy.linalg.expm(a), scipy.linalg.expm(b)
+    g, h = expm(a), expm(b)
     pt = orbit_point(alg, c, g, validate=False)
     XY = kk_eval(alg, pt, X, Y)
     anti = float(np.max(np.abs(np.concatenate([XY + kk_eval(alg, pt, Y, X), kk_eval(alg, pt, X, X)]))))
@@ -338,7 +338,7 @@ def check_kk(ctx: _Context, cfg: RunConfig, rng) -> dict:
     real = ctx.real_entries
     if real is not None:
         data = ctx.data
-        moved = scipy.linalg.expm(alg.from_coords(0.4 * rng.standard_normal((3, alg.dim))))
+        moved = expm(alg.from_coords(0.4 * rng.standard_normal((3, alg.dim))))
         iso = max(fiber_isotropy_check(alg, data), fiber_isotropy_check(alg, data, moved))
         section["fiber_isotropy"] = _res(iso, cfg.tol("decomposition"))
         section["nondegeneracy"] = _res(nondegeneracy_check(alg, data), cfg.tol("eigen"), kind="min")
@@ -438,7 +438,7 @@ def check_arnold(ctx: _Context, cfg: RunConfig, rng) -> dict:
     verdict = exactness_verdict(alg, ctx.split, [complex(e) for e in entries])
     # Re of the holomorphic form is half the realified form (B_R = 2 Re B_C)
     data = ctx.data
-    pt = orbit_point(alg, c, scipy.linalg.expm(random_element(alg, rng, 0.3)), validate=False)
+    pt = orbit_point(alg, c, expm(random_element(alg, rng, 0.3)), validate=False)
     X, Y = np.moveaxis(alg.from_coords(rng.standard_normal((10, 2, alg.dim))), 1, 0)  # X, then Y per sample
     om_c = complex_trace_form(alg, pt.w, alg.bracket(X, Y))
     scale_gap = float(np.max(np.abs(om_c.real - kk_eval(alg, pt, X, Y) / 2.0)))
@@ -482,7 +482,7 @@ def run(config: RunConfig) -> dict:
             "checks": list(config.checks),
         },
         "seed": config.seed,
-        "versions": {"lieorb": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {"lieorb": __version__, "numpy": np.__version__},
         "conventions": CONVENTIONS,
         "checks": checks,
         "pass": all(c.get("pass", False) for c in checks.values()) if checks else True,

@@ -36,7 +36,7 @@ from math import factorial
 import numpy as np
 from numpy.polynomial.legendre import legint, leggauss, legval, legvander
 
-from .liecore import DecompositionError, GroupElement, InconsistencyError, TOL_STRUCT, _as_matrix
+from .liecore import DecompositionError, GroupElement, InconsistencyError, TOL_STRUCT, _as_matrix, exp_series
 from .parabolic import HyperbolicData
 
 
@@ -301,19 +301,6 @@ def commute_residual(data: HyperbolicData, V: np.ndarray, W: np.ndarray) -> floa
     return float(np.max(np.linalg.norm(a - b, axis=-1), initial=0.0))
 
 
-def nilpotent_exp(M: np.ndarray) -> np.ndarray:
-    """Exact exponential of a nilpotent matrix (finite series), over leading batch axes."""
-    d = M.shape[-1]
-    out = np.eye(d)
-    term = np.eye(d)
-    for k in range(1, d + 1):
-        term = term @ M / k
-        if np.max(np.abs(term)) == 0.0:
-            break
-        out = out + term
-    return out
-
-
 def exp_H(data: HyperbolicData, V: np.ndarray) -> GroupElement:
     """Flow the fiber field for unit time from the group identity.
 
@@ -322,7 +309,7 @@ def exp_H(data: HyperbolicData, V: np.ndarray) -> GroupElement:
     """
     V = np.asarray(V, dtype=float)
     U1 = flow_exact(data, V, np.zeros(V.shape)).eval(1.0)
-    return GroupElement(nilpotent_exp(data.n_matrix_of(U1)), "in_N")
+    return GroupElement(exp_series(data.n_matrix_of(U1), data.algebra.d), "in_N")
 
 
 def invert_exp_H(data: HyperbolicData, g) -> np.ndarray:

@@ -391,6 +391,28 @@ def in_K_residual(algebra: MatrixLieAlgebra, g: np.ndarray) -> float:
     return r
 
 
+def exp_series(M: np.ndarray, terms: int) -> np.ndarray:
+    """Sum of M^k / k! for k <= terms over leading batch axes, cut at the first exactly zero term."""
+    out = term = np.eye(M.shape[-1]) + np.zeros(M.shape)
+    for k in range(1, terms + 1):
+        term = term @ M / k
+        if not term.any():
+            break
+        out = out + term
+    return out
+
+
+def expm(M: np.ndarray) -> np.ndarray:
+    """exp(M) over leading batch axes by scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 2003):
+    18 terms on M / 2^s, |M / 2^s|_1 <= 1, with s per matrix, so no result depends on its batch-mates."""
+    mant, e = np.frexp(np.max(np.sum(np.abs(M), axis=-2), axis=-1, initial=0.0))
+    s = np.maximum(e - (mant == 0.5), 0)
+    X = exp_series(M / 2.0 ** s[..., None, None], 18)
+    for j in range(int(np.max(s, initial=0))):
+        X = np.where((j < s)[..., None, None], X @ X, X)
+    return X
+
+
 def _as_matrix(g) -> np.ndarray:
     return g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kkform import OrbitPoint, kk_gram, orbit_point, upper_max
 from .liecore import (
@@ -36,6 +35,7 @@ from .liecore import (
     ConfigurationError,
     DecompositionError,
     _as_matrix,
+    expm,
     in_K_residual,
     kp_decompose,
     random_in_K,
@@ -132,7 +132,7 @@ def liouville_fd_gap(data: HyperbolicData, pt: CotangentPoint) -> float:
     Ys = horizontal_basis(data)
     Yc = algebra.coords(Ys)
     s = STEP * np.array([1.0, -1.0])
-    E = scipy.linalg.expm(s[:, None, None, None] * Ys)[:, :, None]  # exp(+-h Y_i)
+    E = expm(s[:, None, None, None] * Ys)[:, :, None]  # exp(+-h Y_i)
     moved = algebra.coords(np.linalg.solve(E, Ys @ E))  # [+-, i, j]: Ad(exp(+-h Y_i))^-1 Y_j
     base = np.where(np.tri(n, k=-1, dtype=bool)[..., None], moved, Yc)  # moved where j < i
     KV = algebra.coords(data.n_matrix_of(pt.V)) @ algebra.killing_matrix
@@ -185,7 +185,7 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> float:
     X = np.concatenate([k @ Ys @ k.mT, k @ nV @ fiber_reps @ n_inv @ k.mT], axis=-3)
 
     s = STEP * np.array([1.0, -1.0])
-    horizontal = k[..., None, :, :] @ scipy.linalg.expm(s[:, None, None, None] * Ys) @ nV[..., None, :, :]
+    horizontal = k[..., None, :, :] @ expm(s[:, None, None, None] * Ys) @ nV[..., None, :, :]
     fiber = k[..., None, :, :] @ exp_H(data, pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)).matrix
     wfd = _orbit_w(data, np.concatenate([horizontal, fiber], axis=-3))  # [..., +-, direction]
     tangents = (wfd[..., 0, :, :, :] - wfd[..., 1, :, :, :]) / (2 * STEP)

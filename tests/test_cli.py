@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +13,7 @@ from conftest import DATA_GRID
 from lieorb import cli
 from lieorb.flows import FlowPolynomial
 from lieorb.liecore import AlgebraSpec, random_in_K
+from lieorb.parabolic import z_k_coords
 from lieorb.symplecto import section_lagrangian_check
 from oracles import (
     check_flow_loop,
@@ -109,6 +114,23 @@ def test_level_mask_sees_mislabelled_level():
     section = cli.check_parabolic(ctx, cfg, np.random.default_rng(0))
     assert section["stabilizer_invariance"]["value"] > 1e-3
     assert section["stabilizer_invariance"]["pass"] is False and section["pass"] is False
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_parabolic_takes_the_empty_stabilizer_draw(n):
+    """At a regular sl(n, R) chamber z_k(c) = 0, so the stabilizer draw is an empty stack."""
+    ctx, cfg = _sampling_context("R", n, checks=["parabolic"])
+    assert z_k_coords(ctx.data).shape == (0, ctx.algebra.dim)
+    section = cli.check_parabolic(ctx, cfg, np.random.default_rng(0))
+    assert section["stabilizer_invariance"]["value"] == 0.0 and section["pass"]
+
+
+def test_import_loads_no_scipy():
+    """lieorb runs on numpy alone: a fresh import of the CLI loads no scipy module."""
+    code = "import lieorb.cli, sys; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_kk_imaginary_branch():

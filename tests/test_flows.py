@@ -11,9 +11,8 @@ from lieorb.flows import (
     flow_numeric,
     hv_field,
     invert_exp_H,
-    nilpotent_exp,
 )
-from lieorb.liecore import DecompositionError, InconsistencyError, random_in_K
+from lieorb.liecore import DecompositionError, InconsistencyError, exp_series, random_in_K
 from oracles import (
     Covector,
     covector_annihilation_gap,
@@ -71,7 +70,7 @@ def test_hv_defining_identity_matrix_oracle(ws, rng):
         h = hv_field(data, Vc, Uc)
         U = data.n_matrix_of(Uc)
         V = data.n_matrix_of(Vc)
-        n = nilpotent_exp(U)
+        n = exp_series(U, 3)
         n_inv = np.linalg.inv(n)
         W = data.n_coords_of(n_inv @ V @ n) / data.grades
         rhs = n @ data.n_matrix_of(W)
@@ -323,10 +322,19 @@ def test_covector_annihilates_parabolic(ws, rng):
         assert max(vals) > 1e-6 * np.max(np.abs(V))
 
 
+@pytest.mark.parametrize("shape", [(5,), (0,)])
+def test_exp_H_keeps_batch_axes_at_zero_and_empty_batches(ws, shape):
+    data = ws.data("sl3r", (1, 0, -1))
+    V = np.zeros(shape + (data.n_dim,))
+    g = exp_H(data, V)
+    assert g.matrix.shape == shape + (3, 3)
+    assert invert_exp_H(data, g).shape == V.shape
+
+
 def test_exp_log_helpers(rng):
     M = np.zeros((4, 4))
     M[0, 1], M[1, 2], M[2, 3], M[0, 2] = rng.standard_normal(4)
-    np.testing.assert_allclose(nilpotent_exp(M), scipy.linalg.expm(M), atol=1e-12)
+    np.testing.assert_allclose(exp_series(M, 4), scipy.linalg.expm(M), atol=1e-12)
 
 
 def _kernel_grid(ws):

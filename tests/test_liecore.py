@@ -16,6 +16,8 @@ from lieorb.liecore import (
     build_algebra,
     cartan_split,
     embed_complex,
+    exp_series,
+    expm,
     in_K_residual,
     iwasawa_decompose,
     jacobi_residual,
@@ -34,6 +36,7 @@ from oracles import (
     theta_automorphism_einsum,
     killing_matrix_einsum,
     killing_matrix_oracle,
+    nilpotent_exp_loop,
     structure_bracket,
     structure_constants_pairwise,
     trace_form_multiple,
@@ -482,3 +485,29 @@ def test_independent_rows_match_loop_form_on_rank_deficient_stacks(seed):
         assert got.tobytes() == independent_rows_reference(V).tobytes(), f"seed {seed}"
         assert len(got) == np.linalg.matrix_rank(V), f"seed {seed}"
     assert len(theta_rows(theta, idx, 1)) + len(theta_rows(theta, idx, -1)) == len(idx)
+
+
+@pytest.mark.parametrize("field, n", [("R", 2), ("R", 3), ("R", 4), ("R", 8), ("C", 3), ("C", 4), ("C", 6)])
+def test_expm_matches_scipy_reference(field, n):
+    """expm agrees with scipy's Pade expm to 1e-14 of max|exp M|, and each matrix of a stack
+    mixing the scales (so its s) gives, bit for bit, what it gives alone."""
+    alg = build_algebra(AlgebraSpec("sl", n, field))
+    rng = np.random.default_rng(n)
+    M = np.concatenate([alg.from_coords(scale * rng.standard_normal((4, alg.dim))) for scale in (1e-5, 0.3, 0.4)])
+    got = expm(M)
+    for scale, block in zip((1e-5, 0.3, 0.4), np.split(np.arange(len(M)), 3)):
+        ref = scipy.linalg.expm(M[block])
+        assert np.max(np.abs(got[block] - ref)) <= 1e-14 * np.max(np.abs(ref)), scale
+    for m, g in zip(M, got):
+        assert expm(m).tobytes() == g.tobytes()
+
+
+def test_exp_series_is_the_nilpotent_loop_and_keeps_batch_axes():
+    """On nilpotent stacks the series is the finite loop bit for bit; zero and empty stacks keep their shape."""
+    rng = np.random.default_rng(5)
+    for d in (3, 5, 8):
+        M = np.triu(rng.standard_normal((7, d, d)), 1)
+        M[2] = 0.0
+        assert exp_series(M, d).tobytes() == nilpotent_exp_loop(M).tobytes()
+    assert exp_series(np.zeros((5, 3, 3)), 3).tobytes() == np.broadcast_to(np.eye(3), (5, 3, 3)).tobytes()
+    assert exp_series(np.zeros((0, 3, 3)), 3).shape == expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
