@@ -8,7 +8,9 @@ flow_exact, exp_H and invert_exp_H at one seeded point, of flow_exact and
 the witness flow_numeric (at t = 1 and t = -2) on a seeded 20-point batch,
 and of the checks as symplecto-verify makes them at its default 20 samples:
 pullback_residual and project_pi on 20 seeded cotangent points and
-liouville_fd_gap on 4.  Where a checkout's FD checks take one point per call
+liouville_fd_gap on 4.  Where the checkout has linear_chart, it also times
+it on the 20 * 2n perturbed fiber points of that pullback's witness
+(linear_chart_s).  Where a checkout's FD checks take one point per call
 (they then also take a step argument), or its project_pi refuses a batch,
 the points go through one call each.  Two rows time the sampled checks from
 a fresh generator at the default 20 samples: cli.check_kk on a context whose
@@ -104,6 +106,8 @@ def ladder() -> list[dict]:
                 for _ in range(FD_SAMPLES)
             ]
             g = flows.exp_H(data, V)
+            steps = symplecto.STEP * np.array([1.0, -1.0])[:, None, None] * np.eye(data.n_dim)
+            fiber = np.stack([pt.V for pt in pts])[:, None, None, :] + steps  # the witness's 20 * 2n fiber points
             timed = {
                 "flow_exact_s": lambda: flows.flow_exact(data, V, U0),
                 "exp_H_s": lambda: flows.exp_H(data, V),
@@ -117,6 +121,8 @@ def ladder() -> list[dict]:
                 "check_kk_s": kk_check(alg, entries),
                 "symplecto_sampling_s": sampling(data, split),
             }
+            if hasattr(flows, "linear_chart"):
+                timed["linear_chart_s"] = lambda: flows.linear_chart(data, fiber)
             row = {
                 "algebra": f"sl({n}, {field})",
                 "chamber": kind,

@@ -51,7 +51,7 @@ from .kkform import (
     orbit_point,
     re_dual_gap,
 )
-from .flows import commute_residual, exp_H, flow_exact, flow_numeric, invert_exp_H
+from .flows import commute_residual, exp_H, flow_exact, flow_numeric, invert_exp_H, linear_chart
 from .symplecto import (
     CotangentPoint,
     coset_gap,
@@ -376,11 +376,14 @@ def check_flow(ctx: _Context, cfg: RunConfig, rng) -> dict:
     values, counts = np.unique(degrees, return_counts=True)
     a, b = np.triu_indices(n, 1)
     commute = commute_residual(data, np.eye(n)[a], np.eye(n)[b])
-    roundtrip = float(np.max(np.abs(invert_exp_H(data, exp_H(data, V[:25])) - V[:25])))
+    g = exp_H(data, V[:25]).matrix
+    roundtrip = float(np.max(np.abs(invert_exp_H(data, g) - V[:25])))
+    chart = np.max(np.abs(g - linear_chart(data, V[:25]).matrix), axis=(-2, -1)) / np.max(np.abs(g), axis=(-2, -1))
     section = {
         "max_oracle_gap": _res(gap, cfg.tol("eigen")),
         "max_commute_residual": _res(commute, cfg.tol("decomposition")),
         "max_roundtrip_residual": _res(roundtrip, cfg.tol("decomposition")),
+        "max_chart_gap": _res(float(np.max(chart, initial=0.0)), cfg.tol("decomposition")),
         # every point counts once per witness time
         "degree_histogram": {str(k): len(times) * int(v) for k, v in zip(values, counts)},
         "degree_bound_violations": _res(float(np.any(degrees > fp.degree_bound)), 0.5),

@@ -20,7 +20,8 @@ evaluates the field at points and checks itself by step halving.
 The fiber chart exp_H(V) = exp(U(1)) lands in N(c) and is affine on the
 orbit, Ad(exp_H(V)) c = c - V, since N(c) acts simply transitively on
 c + n(c) (Kostant).  invert_exp_H reads V off that identity in closed form,
-so the chart round trip checks flow_exact by a route that solves no flow.
+so the chart round trip checks flow_exact by a route that solves no flow;
+linear_chart solves the same identity, linear in n, for exp_H(V) itself.
 
 Vectors here are coordinates in the ordered eigenbasis V_1, ..., V_n of n(c)
 (see HyperbolicData); convert with data.n_coords_of / data.n_matrix_of.
@@ -36,7 +37,8 @@ from math import factorial
 import numpy as np
 from numpy.polynomial.legendre import legint, leggauss, legval, legvander
 
-from .liecore import DecompositionError, GroupElement, InconsistencyError, TOL_STRUCT, _as_matrix, exp_series
+from .liecore import TOL_DECOMP, TOL_STRUCT, DecompositionError, GroupElement, InconsistencyError, _as_matrix
+from .liecore import exp_series, raise_first
 from .parabolic import HyperbolicData
 
 
@@ -328,3 +330,30 @@ def invert_exp_H(data: HyperbolicData, g) -> np.ndarray:
     except ValueError as exc:
         raise ValueError("input does not lie in N(c) = I + n(c)") from exc
     return data.n_coords_of(data.c - M @ data.c @ np.linalg.inv(M))
+
+
+def linear_chart(data: HyperbolicData, V: np.ndarray) -> GroupElement:
+    """exp_H(V) with no flow: the n in I + n(c) with n c = (c - V) n (Kostant).
+
+    With n = I + N this is the Sylvester equation (c - V) N - N c = V.  c is
+    diagonal and V raises the grade, so back substitution over the levels in
+    increasing grade solves it (Bartels & Stewart, CACM 15, 1972): on a level,
+    N_ij = (V + V N)_ij / (c_i - c_j) = (V n)_ij / (c_i - c_j), and V n reads
+    only lower levels.  Leading axes of V batch over points; each point's
+    residual is judged against the scale of its terms.
+    """
+    V = np.asarray(V, dtype=float)
+    Vm = data.n_matrix_of(V)
+    c = np.diagonal(data.c)
+    n = np.eye(data.algebra.d) + np.zeros(Vm.shape)
+    for block in data.blocks:
+        mask = np.any(data.n_basis[block] != 0, axis=0)
+        n = n + np.where(mask, Vm @ n / np.where(mask, c[:, None] - c, 1.0), 0.0)
+    resid = np.max(np.abs(n @ data.c - (data.c - Vm) @ n), axis=(-2, -1))
+    limit = TOL_DECOMP * np.max(np.abs(n), axis=(-2, -1)) * (np.max(np.abs(c)) + np.max(np.abs(V), axis=-1))
+    raise_first(
+        resid > limit,
+        lambda i: f"linear_chart: n c = (c - V) n fails at c = {tuple(map(str, data.c_entries))}, "
+        f"max|V| = {np.max(np.abs(V[i])):.3e}: residual {resid[i]:.3e} > {limit[i]:.3e}",
+    )
+    return GroupElement(n, "in_N")

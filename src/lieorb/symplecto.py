@@ -6,10 +6,10 @@ and V in n(c) encodes the fiber covector eta_V = -B(V, .).  The orbit map is
     phi(k, V) = k . exp_H(V) . e_bar,
 
 Since Ad(exp_H(V)) c = c - V, its differentials have exact representatives
-(see pullback_residual); central finite differences at the chart step STEP
-witness them, an independent route to the same tangents.  liouville_fd_gap
-checks sigma = -d tau by finite differences.  Both checks take batches of
-points.
+(see pullback_residual); central finite differences at the chart step STEP,
+fiber points from Kostant's linear chart, witness them by an independent
+route.  liouville_fd_gap checks sigma = -d tau by finite differences.  Both
+checks take batches of points.
 
 Frozen sign conventions (fixed once on sl(2, R), asserted everywhere):
   * eta_V = -B(V, .)
@@ -38,9 +38,10 @@ from .liecore import (
     expm,
     in_K_residual,
     kp_decompose,
+    raise_first,
     random_in_K,
 )
-from .flows import exp_H
+from .flows import exp_H, linear_chart
 from .parabolic import HyperbolicData
 
 STEP = 1e-5  # central-difference step of the chart coordinates
@@ -171,13 +172,20 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> float:
     -Ad(k) V_b along fiber direction b, X_b = Ad(k n) T^{-1} Ad(n)^{-1} V_b.
     So phi* Omega is kk_gram(w, X).  The witness is one central difference
     of w at +-STEP along every chart direction, compared with [X, w]: the
-    horizontal factors exp(+-STEP Y_i) go through one batched expm and the
-    2 n perturbed fiber points of each point through one exp_H.
+    horizontal factors exp(+-STEP Y_i) go through one batched expm and the 2 n
+    fiber points through linear_chart, which n must match to TOL_DECOMP max|n|.
     """
     algebra = data.algebra
     n = data.n_dim
     Ys = horizontal_basis(data)
     nV = exp_H(data, pt.V).matrix
+    tie = np.max(np.abs(nV - linear_chart(data, pt.V).matrix), axis=(-2, -1))
+    limit = TOL_DECOMP * np.max(np.abs(nV), axis=(-2, -1))
+    raise_first(
+        tie > limit,
+        lambda i: f"pullback_residual: exp_H(V) leaves the linear chart at c = {tuple(map(str, data.c_entries))}, "
+        f"max|V| = {np.max(np.abs(pt.V[i])):.3e}: gap {tie[i]:.3e} > {limit[i]:.3e}",
+    )
     pt0 = orbit_point(algebra, data.c, pt.k @ nV, validate=False)
     k, nV, w = pt.k[..., None, :, :], nV[..., None, :, :], pt0.w[..., None, :, :]
     n_inv = np.linalg.inv(nV)
@@ -186,7 +194,7 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> float:
 
     s = STEP * np.array([1.0, -1.0])
     horizontal = k[..., None, :, :] @ expm(s[:, None, None, None] * Ys) @ nV[..., None, :, :]
-    fiber = k[..., None, :, :] @ exp_H(data, pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)).matrix
+    fiber = k[..., None, :, :] @ linear_chart(data, pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)).matrix
     wfd = _orbit_w(data, np.concatenate([horizontal, fiber], axis=-3))  # [..., +-, direction]
     tangents = (wfd[..., 0, :, :, :] - wfd[..., 1, :, :, :]) / (2 * STEP)
     gaps = np.max(np.abs(tangents - (X @ w - w @ X)), axis=(-2, -1))

@@ -550,6 +550,24 @@ def check_flow_loop(data, V, U0):
     return gap, dict(sorted(hist.items())), roundtrip
 
 
+def linear_chart_exact(data, V):
+    """n = I + N with (c - V) N - N c = V on Fraction object arrays: the back
+    substitution of flows.linear_chart over the grading levels, exact for the
+    rational n(c) coordinates V.  Returns n with the exact matrices c and V."""
+    from fractions import Fraction
+
+    c = list(data.c_entries) * (2 if data.algebra.is_complex else 1)  # the realified c is diag(c, c)
+    d = len(c)
+    basis = np.vectorize(Fraction, otypes=[object])(data.n_basis)  # integer entries: exact
+    Vm = np.tensordot(np.array(V, dtype=object), basis, axes=1)
+    N = np.full((d, d), Fraction(0), dtype=object)
+    for block in data.blocks:
+        VN = Vm + Vm.dot(N)
+        for i, j in zip(*np.nonzero(np.any(data.n_basis[block] != 0, axis=0))):
+            N[i, j] = VN[i, j] / (c[i] - c[j])
+    return N + np.eye(d, dtype=int).astype(object), np.diag(np.array(c, dtype=object)), Vm
+
+
 def theta_automorphism_einsum(c, Th):
     """max |theta [b_i, b_j] - [theta b_i, theta b_j]| from the dense dim^3 contraction."""
     return float(np.max(np.abs(c @ Th.T - np.einsum("pi,qj,pqk->ijk", Th, Th, c, optimize=True))))

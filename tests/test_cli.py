@@ -12,7 +12,7 @@ import pytest
 from conftest import DATA_GRID
 from lieorb import cli
 from lieorb.flows import FlowPolynomial
-from lieorb.liecore import AlgebraSpec, random_in_K
+from lieorb.liecore import AlgebraSpec, GroupElement, random_in_K
 from lieorb.parabolic import z_k_coords
 from lieorb.symplecto import section_lagrangian_check
 from oracles import (
@@ -75,6 +75,25 @@ def test_witness_sees_planted_flow_fault(monkeypatch):
     assert flow["max_oracle_gap"]["value"] >= 1e-7
     assert flow["max_oracle_gap"]["pass"] is False and flow["pass"] is False
     assert flow["max_commute_residual"]["pass"] and flow["max_roundtrip_residual"]["pass"]
+
+
+def test_chart_gap_sees_a_planted_scaled_flow(monkeypatch):
+    # exp_H scaled by 1 + 5e-9: Ad of a scalar multiple is unchanged, so the
+    # round trip through invert_exp_H cannot see it, but the linear chart can
+    exp_H = cli.exp_H
+
+    def scaled(data, V):
+        g = exp_H(data, V)
+        return GroupElement(g.matrix * (1.0 + 5e-9), g.tag)
+
+    cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 4, "field": "R"}, c=[3, 1, -1, -3], checks=["flow"]))
+    flow = cli.run(cfg)["body"]["checks"]["flow"]
+    assert flow["max_chart_gap"]["pass"] and flow["max_chart_gap"]["value"] <= 1e-14
+    monkeypatch.setattr(cli, "exp_H", scaled)
+    flow = cli.run(cfg)["body"]["checks"]["flow"]
+    assert flow["max_chart_gap"]["value"] >= 4e-9
+    assert flow["max_chart_gap"]["pass"] is False and flow["pass"] is False
+    assert flow["max_roundtrip_residual"]["pass"] and flow["max_roundtrip_residual"]["value"] <= 1e-12
 
 
 def test_check_flow_batch_matches_point_loop(ws):

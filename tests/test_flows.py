@@ -1,3 +1,6 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +14,7 @@ from lieorb.flows import (
     flow_numeric,
     hv_field,
     invert_exp_H,
+    linear_chart,
 )
 from lieorb.liecore import DecompositionError, InconsistencyError, exp_series, random_in_K
 from oracles import (
@@ -20,6 +24,7 @@ from oracles import (
     flow_rk4_reference,
     hv_poly_reference,
     hv_vec_reference,
+    linear_chart_exact,
 )
 
 
@@ -329,6 +334,72 @@ def test_exp_H_keeps_batch_axes_at_zero_and_empty_batches(ws, shape):
     g = exp_H(data, V)
     assert g.matrix.shape == shape + (3, 3)
     assert invert_exp_H(data, g).shape == V.shape
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (0,)])
+def test_linear_chart_keeps_batch_axes(ws, shape):
+    data = ws.data("sl4r", (3, 1, -1, -3))
+    V = np.random.default_rng(8).standard_normal(shape + (data.n_dim,))
+    g = linear_chart(data, V)
+    assert g.matrix.shape == shape + (4, 4) and g.tag == "in_N"
+    assert invert_exp_H(data, g).shape == V.shape
+
+
+def test_linear_chart_batch_is_bitwise_its_points(ws):
+    for key, entries in DATA_GRID:
+        data = ws.data(key, entries)
+        V = 10 * np.random.default_rng(9).standard_normal((2, 3, data.n_dim))
+        batch = linear_chart(data, V).matrix
+        for i in np.ndindex(V.shape[:-1]):
+            assert np.array_equal(linear_chart(data, V[i]).matrix, batch[i]), (key, entries, i)
+
+
+def test_linear_chart_vanishes_off_n(ws):
+    for key, entries in DATA_GRID:
+        data = ws.data(key, entries)
+        N = linear_chart(data, 10 * np.random.default_rng(10).standard_normal((4, data.n_dim))).matrix
+        N = N - np.eye(data.algebra.d)
+        off = ~np.any(data.n_basis != 0, axis=0)
+        assert np.all(N[:, off] == 0.0), (key, entries)
+
+
+def test_linear_chart_names_a_failing_certificate(ws):
+    # the levels in decreasing grade: the top level is solved before the V N it needs
+    data = ws.data("sl4r", (3, 1, -1, -3))
+    reversed_levels = dataclasses.replace(data, blocks=data.blocks[::-1])
+    V = np.random.default_rng(11).standard_normal((3, data.n_dim))
+    V[0] = 0.0  # the zero point solves the equation in any order
+    linear_chart(reversed_levels, V[0])
+    pattern = (
+        r"linear_chart: n c = \(c - V\) n fails at c = \('3', '1', '-1', '-3'\), "
+        r"max\|V\| = \S+: residual \S+ > \S+ at point \(1,\)"
+    )
+    with pytest.raises(DecompositionError, match=pattern):
+        linear_chart(reversed_levels, V)
+
+
+_CHART_GRID = [
+    ("R", 3, (2, 0, -2)),
+    ("R", 3, (Fraction(1, 1000), 0, Fraction(-1, 1000))),
+    ("R", 5, (4, 2, 0, -2, -4)),
+    ("R", 5, (3, 3, 0, -2, -4)),
+    ("C", 4, (3, 1, -1, -3)),
+]
+
+
+@pytest.mark.parametrize("field, n, entries", _CHART_GRID)
+def test_linear_chart_matches_exact_back_substitution(field, n, entries):
+    data = cold_data(field, n, entries)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        V = [Fraction(int(k), 8) for k in rng.integers(-40, 41, data.n_dim)]
+        exact, c, Vm = linear_chart_exact(data, V)
+        assert np.array_equal(exact.dot(c), (c - Vm).dot(exact))  # n c = (c - V) n, in exact rationals
+        ref = exact.astype(float)
+        scale = np.max(np.abs(ref))
+        Vf = np.array(V, dtype=float)
+        assert np.max(np.abs(linear_chart(data, Vf).matrix - ref)) <= 1e-14 * scale
+        assert np.max(np.abs(exp_H(data, Vf).matrix - ref)) <= 1e-14 * scale
 
 
 def test_exp_log_helpers(rng):

@@ -235,17 +235,17 @@ _FD_MISS = (r"pullback_residual: finite-difference tangent disagrees with the ex
 
 def test_pullback_names_step_adaptation_failure(ws, monkeypatch):
     data = ws.data("sl3r", (1, 0, -1))
-    exp_H = symplecto.exp_H
+    linear_chart = symplecto.linear_chart
 
     def kinked(d, V):
-        g = exp_H(d, V)
+        g = linear_chart(d, V)
         if np.ndim(V) == 1:
             return g
         M = g.matrix.copy()
         M[0, 1, 0, 2] += 1e-6  # offset +step along fiber direction 1 only
         return GroupElement(M, g.tag)
 
-    monkeypatch.setattr(symplecto, "exp_H", kinked)
+    monkeypatch.setattr(symplecto, "linear_chart", kinked)
     with pytest.raises(DecompositionError, match=_FD_MISS + r", fiber direction 1: tangent gap \S+ > \S+"):
         pullback_residual(data, cotangent_point(data, np.eye(3), _FD_V))
 
@@ -261,10 +261,10 @@ def test_pullback_names_orbit_tangent_breakdown(ws, monkeypatch):
 
 def test_pullback_batch_names_first_failing_point(ws, monkeypatch):
     data = ws.data("sl3r", (1, 0, -1))
-    exp_H = symplecto.exp_H
+    linear_chart = symplecto.linear_chart
 
     def kinked(d, V):
-        g = exp_H(d, V)
+        g = linear_chart(d, V)
         if np.ndim(V) < 4:
             return g
         M = g.matrix.copy()
@@ -272,10 +272,45 @@ def test_pullback_batch_names_first_failing_point(ws, monkeypatch):
         M[2, 0, 0, 0, 2] += 1e-6  # point 2: offset +step along fiber direction 0
         return GroupElement(M, g.tag)
 
-    monkeypatch.setattr(symplecto, "exp_H", kinked)
+    monkeypatch.setattr(symplecto, "linear_chart", kinked)
     batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_FD_V / 4, _FD_V, 2 * _FD_V]))
     with pytest.raises(DecompositionError, match=_FD_MISS + r", fiber direction 1: tangent gap \S+ > \S+"):
         pullback_residual(data, batch)
+
+
+def test_pullback_ties_the_flow_to_the_linear_chart(ws, monkeypatch):
+    # a flow off by 1e-6 max|n| at point 1 of the sample points only
+    data = ws.data("sl3r", (1, 0, -1))
+    exp_H = symplecto.exp_H
+
+    def drifted(d, V):
+        g = exp_H(d, V)
+        M = g.matrix.copy()
+        M[1, 0, 2] += 1e-6 * np.max(np.abs(M[1]))
+        return GroupElement(M, g.tag)
+
+    monkeypatch.setattr(symplecto, "exp_H", drifted)
+    batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_FD_V / 4, _FD_V, 2 * _FD_V]))
+    pattern = (r"pullback_residual: exp_H\(V\) leaves the linear chart at c = \('1', '0', '-1'\), "
+               r"max\|V\| = 2\.000e\+00: gap \S+ > \S+ at point \(1,\)")
+    with pytest.raises(DecompositionError, match=pattern):
+        pullback_residual(data, batch)
+
+
+def test_pullback_flows_only_its_sample_points(ws, monkeypatch):
+    # the FD fiber points go through the linear chart: one exp_H, for the sample points
+    data = ws.data("sl3r", (1, 0, -1))
+    calls = []
+    exp_H = symplecto.exp_H
+
+    def counted(d, V):
+        calls.append(np.shape(V))
+        return exp_H(d, V)
+
+    monkeypatch.setattr(symplecto, "exp_H", counted)
+    batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_FD_V / 4, _FD_V, 2 * _FD_V]))
+    pullback_residual(data, batch)
+    assert calls == [(3, 3)]
 
 
 def test_section_lagrangian(ws, rng):
