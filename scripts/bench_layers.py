@@ -7,7 +7,7 @@ restricted roots and the median of 5 cold calls of build_algebra,
 cartan_split, maximal_abelian and restricted_roots, each on the output of
 the layer before it; then, at the regular chamber diag(n-1, n-3, ...) and at
 the wall made by merging its two largest entries, dim n(c), N0 and the
-median of 5 calls of hyperbolic_data (which includes the N0 search).  sl(2)
+median of 5 calls of hyperbolic_data (which includes the N0 certificate).  sl(2)
 has no nonzero wall, so its wall entries are null.  At the regular chamber
 it also records the median of 5 in-process cli.run parabolic reports, with
 the CLI's structure caches cleared before each call (cli_report_cold_s) and

@@ -96,14 +96,6 @@ class HyperbolicData:
         v = np.asarray(v, dtype=float)
         return np.einsum("...j,jab->...ab", v, self.n_basis)
 
-    @property
-    def min_grade(self) -> Fraction:
-        return min(self.grades_exact)
-
-    @property
-    def max_grade(self) -> Fraction:
-        return max(self.grades_exact)
-
 
 def hyperbolic_data(
     algebra: MatrixLieAlgebra, rs: RestrictedRootSystem, c_entries: Sequence
@@ -170,8 +162,7 @@ def hyperbolic_data(
     # on the grades brought to one integer denominator
     den = math.lcm(*(nu.denominator for nu in grades_exact))
     g = np.array([int(nu * den) for nu in grades_exact])
-    off_grade = g[None, :, None] != g[:, None, None] + g[None, None, :]
-    if np.any((adn != 0) & off_grade):
+    if np.any((adn != 0) & _off_grade(g)):
         raise InconsistencyError(f"bracket violates the eigenvalue grading at c = {chamber}")
 
     data = HyperbolicData(
@@ -194,74 +185,80 @@ def hyperbolic_data(
     return data
 
 
-def _symbolic_powers(adn: np.ndarray):
-    """Yield (ad U)^q on n(c) for q = 1, 2, ..., as polynomials in U.
+def _off_grade(g: np.ndarray) -> np.ndarray:
+    """Mask of the entries adn[i][k, j] with g_k != g_i + g_j, which a bracket graded by g must leave zero."""
+    return g[None, :, None] != g[:, None, None] + g[None, None, :]
 
-    (ad U)^q is the sum over sorted index tuples m of U^m P_m, where P_m sums
-    adn[i_1] ... adn[i_q] over the distinct orderings of m.  Each power is a
-    dict m -> P_m that keeps only the nonzero P_m, so the empty dict means
-    (ad U)^q = 0 identically in U.  The entries are integer structure
-    constants and the P_m are int64, so the decision is exact.
+
+def _graded_index(data: HyperbolicData, chamber: tuple[str, ...]) -> int:
+    """N0 = max(1, s - 2) for the s distinct entries of c, certified in integers.
+
+    Upper bound: the block grade of V_j, its root's integer weights against
+    each entry's rank among the distinct values, counts the distinct entries
+    the root crosses, 1 ... s - 1.  adn joins only grades that add, so ad U
+    raises the grade by at least 1 and (ad U)^{s-1} = 0.
+    Lower bound, s >= 4: (sum_i adn[i])^{s-2} != 0 in int64, that is
+    (ad U)^{s-2} at U = (1, ..., 1): 1 (1 + i over C) in every entry of n(c).
+    For X = E_ij joining the adjacent blocks a and a + 1 (by decreasing
+    entry), only the term k = a of binom(s-2, k) (-1)^(s-2-k) U^k X U^(s-2-k)
+    reaches the top block (rows of block 0, columns of block s - 1), and only
+    through U_1, U's part between adjacent blocks: it is
+    +-binom(s-2, a) U_1^a X U_1^(s-2-a), whose every entry there is a positive
+    count (times (1 + i)^(s-2)), so not zero.
     """
-    gens = adn.astype(np.int64)
-    rows = gens.any(axis=2)          # rows[i, k]: adn[i] has a nonzero row k
-    power = {(): np.eye(adn.shape[0], dtype=np.int64)}
-    while True:
-        # (ad U)^q = (ad U)^{q-1} ad U: the orderings of a monomial are those
-        # of each of its one-shorter monomials with the remaining index last;
-        # only the nonzero columns of P_m and the generators they meet count
-        nxt: dict[tuple[int, ...], np.ndarray] = {}
-        for m, P in power.items():
-            cols = np.flatnonzero(P.any(axis=0))
-            meets = np.flatnonzero(rows[:, cols].any(axis=1))
-            for i, Q in zip(meets, P[:, cols] @ gens[meets][:, cols, :]):
-                key = tuple(sorted(m + (int(i),)))
-                nxt[key] = nxt[key] + Q if key in nxt else Q
-        power = {m: P for m, P in nxt.items() if P.any()}
-        yield power
+    if not np.array_equal(data.adn, np.rint(data.adn)):
+        raise InconsistencyError(f"nilpotency_index: ad(n(c)) is not integral at c = {chamber}")
+    distinct = sorted(set(data.c_entries))
+    s = len(distinct)
+    rank = np.array([distinct.index(e) for e in data.c_entries])
+    block_of = {b: int(root.weights @ rank) for root in data.rs.roots for b in root.members.tolist()}
+    block = np.array([block_of[b] for b in data.b_indices])
+    if block.min() < 1 or block.max() > s - 1 or np.any((data.adn != 0) & _off_grade(block)):
+        raise InconsistencyError(f"nilpotency_index: bracket leaves the block grading at c = {chamber}")
+    if s >= 4:
+        # every entry of every partial sum of the power is at most an entry of
+        # (sum_i |adn[i]|)^(s-2), so this bound, in exact ints, keeps int64 exact
+        row_sum = max(1, int(np.max(np.abs(data.adn).sum(axis=(0, 2)))))
+        if row_sum ** (s - 2) >= 2**62:
+            raise ConfigurationError(f"nilpotency_index: int64 range exceeded at c = {chamber}")
+        if not np.linalg.matrix_power(data.adn.sum(axis=0).astype(np.int64), s - 2).any():
+            raise InconsistencyError(f"nilpotency_index: integer witness (ad U)^{s - 2} vanishes at c = {chamber}")
+    return max(1, s - 2)
 
 
 NILPOTENCY_SAMPLES = 20  # sampled elements U of the second route
 
 
 def nilpotency_index(data: HyperbolicData) -> int:
-    """Smallest positive N0 with (ad U)^{N0+1} = 0 on n(c) for all U in n(c)."""
+    """Smallest positive N0 with (ad U)^{N0+1} = 0 on n(c) for all U in n(c).
+
+    The exact route reads N0 off the block grading.  The second route samples
+    U: (ad U)^{N0+1} vanishes on every sample and, for N0 > 1, (ad U)^{N0}
+    does not vanish on all of them, both judged against |ad U|^power.
+    """
     chamber = tuple(str(e) for e in data.c_entries)
-    if not np.array_equal(data.adn, np.rint(data.adn)):
-        raise InconsistencyError(f"nilpotency_index: ad(n(c)) is not integral at c = {chamber}")
-    nu1, nup = data.min_grade, data.max_grade
-    floor_bound = int(nup / nu1)
-    # ad U raises the level, so a chain through the s levels vanishes at
-    # power s; the search reaches the lower of the two grading bounds
-    limit = min(floor_bound, len(data.levels)) + 1
-    # every entry of every partial sum of power q is at most an entry of
-    # (sum_i |adn[i]|)^q, so this bound, in exact ints, keeps int64 exact
-    row_sum = max(1, int(np.max(np.abs(data.adn).sum(axis=(0, 2)))))
-    powers = _symbolic_powers(data.adn)
-    n0 = None
-    for q in range(1, limit + 1):
-        if row_sum**q >= 2**62:
-            raise ConfigurationError(f"nilpotency_index: int64 range exceeded at c = {chamber}")
-        if not next(powers) and q > 1:
-            n0 = q - 1
-            break
-    if n0 is None:
-        # (m+2) nu_1 > nu_p already forces vanishing at m = floor_bound
-        raise InconsistencyError(f"nilpotency search exceeded the grading bound at c = {chamber}")
-    # second route: sampled (ad U)^{N0+1} vanishes, and for N0 > 1 some
-    # sampled (ad U)^{N0} does not, both judged against |ad U|^power
+    n0 = _graded_index(data, chamber)
     rng = np.random.default_rng(20240801)
-    reached = n0 == 1
+    closest = (0.0, 0.0, 0.0)  # (|(ad U)^N0| / limit, |(ad U)^N0|, limit) nearest to reaching
     for _ in range(NILPOTENCY_SAMPLES):
         U = rng.standard_normal(data.n_dim)
         A = np.einsum("i,ikj->kj", U, data.adn)
         top = float(np.max(np.abs(A)))
         low = np.linalg.matrix_power(A, n0)
-        if np.max(np.abs(low @ A)) > 1e-12 * max(1.0, top ** (n0 + 1)):
-            raise InconsistencyError(f"sampled power violates the nilpotency index at c = {chamber}")
-        reached = reached or np.max(np.abs(low)) > 1e-12 * max(1.0, top**n0)
-    if not reached:
-        raise InconsistencyError(f"no sampled power reaches the nilpotency index at c = {chamber}")
+        high, limit = float(np.max(np.abs(low @ A))), 1e-12 * max(1.0, top ** (n0 + 1))
+        if high > limit:
+            raise InconsistencyError(
+                f"sampled power violates the nilpotency index at c = {chamber}: "
+                f"|(ad U)^{n0 + 1}| = {high:.2e} > {limit:.2e}"
+            )
+        value, limit = float(np.max(np.abs(low))), 1e-12 * max(1.0, top**n0)
+        closest = max(closest, (value / limit, value, limit))
+    if n0 > 1 and closest[0] <= 1:
+        _, value, limit = closest
+        raise InconsistencyError(
+            f"no sampled power reaches the nilpotency index at c = {chamber}: "
+            f"largest |(ad U)^{n0}| = {value:.2e} <= {limit:.2e}"
+        )
     return n0
 
 

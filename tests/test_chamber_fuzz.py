@@ -14,6 +14,7 @@ import pytest
 from lieorb.flows import exp_H, flow_exact, invert_exp_H
 from lieorb.kkform import fiber_isotropy_check
 from lieorb.parabolic import chamber_sort, hyperbolic_data
+from oracles import symmetrized_power_vanishes_bruteforce
 
 
 def _random_chamber(rng, n):
@@ -38,7 +39,9 @@ def test_random_chambers(ws, key):
         chamber = f"{key} c = ({', '.join(map(str, entries))})"
         data = hyperbolic_data(alg, rs, entries)
         assert 2 * data.n_dim == alg.dim - len(data.z_indices), chamber
-        assert 1 <= data.N0 <= int(data.max_grade / data.min_grade), chamber
+        assert 1 <= data.N0 <= int(max(data.grades_exact) / min(data.grades_exact)), chamber
+        assert symmetrized_power_vanishes_bruteforce(data.adn, data.N0 + 1), chamber
+        assert data.N0 < 2 or not symmetrized_power_vanishes_bruteforce(data.adn, data.N0), chamber
         assert fiber_isotropy_check(alg, data) < 1e-10, chamber
         for _ in range(2):
             V = rng.standard_normal(data.n_dim)

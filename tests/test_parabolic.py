@@ -61,15 +61,13 @@ def test_sl4_nilpotency_index(ws):
     assert saw_square
 
 
-def test_symbolic_power_matches_bruteforce(ws):
+def test_nilpotency_index_matches_bruteforce(ws):
     datas = [ws.data(key, entries) for key, entries in DATA_GRID]
     datas += [cold_data(f, 5, c) for f in "RC" for c in ((4, 2, 0, -2, -4), (3, 3, 0, -2, -4))]
     for data in datas:
-        floor_bound = int(data.max_grade / data.min_grade)
-        powers = parabolic._symbolic_powers(data.adn)
-        for q, power in zip(range(1, floor_bound + 2), powers):
-            expected = symmetrized_power_vanishes_bruteforce(data.adn, q)
-            assert (not power) == expected, f"c = {data.c_entries}, q = {q}"
+        assert symmetrized_power_vanishes_bruteforce(data.adn, data.N0 + 1), f"c = {data.c_entries}"
+        if data.N0 >= 2:
+            assert not symmetrized_power_vanishes_bruteforce(data.adn, data.N0), f"c = {data.c_entries}"
 
 
 @pytest.mark.parametrize("field, n, n0", [("R", 7, 5), ("C", 6, 4)])
@@ -81,20 +79,27 @@ def test_desk_scale_regular_nilpotency_index(field, n, n0):
 
 def test_nilpotency_index_second_route_checks_both_sides(ws, monkeypatch):
     data = ws.data("sl4r", (3, 1, -1, -3))     # N0 = 2
-    true_powers = parabolic._symbolic_powers
-
-    def vanishing_from(q_zero):
-        def fake(adn):
-            for q, power in enumerate(true_powers(adn), 1):
-                yield {} if q >= q_zero else (power or {(): np.eye(1)})
-        return fake
-
-    monkeypatch.setattr(parabolic, "_symbolic_powers", vanishing_from(2))   # claims N0 = 1
-    with pytest.raises(InconsistencyError, match="violates the nilpotency index"):
+    monkeypatch.setattr(parabolic, "_graded_index", lambda *_: 1)
+    with pytest.raises(InconsistencyError, match=r"violates the nilpotency index.*\(ad U\)\^2\| = .* > "):
         nilpotency_index(data)
-    monkeypatch.setattr(parabolic, "_symbolic_powers", vanishing_from(4))   # claims N0 = 3
-    with pytest.raises(InconsistencyError, match="no sampled power reaches"):
+    monkeypatch.setattr(parabolic, "_graded_index", lambda *_: 3)
+    with pytest.raises(InconsistencyError, match=r"no sampled power reaches.*\(ad U\)\^3\| = .* <= "):
         nilpotency_index(data)
+
+
+def test_nilpotency_index_rejects_planted_faults(ws):
+    data = ws.data("sl4r", (3, 1, -1, -3))     # block grade nu / 2, N0 = 2
+    at = r"at c = \('3', '1', '-1', '-3'\)$"
+    # [V_0, V_0] = V_1 joins block grades 1 + 1 into 1
+    off = data.adn.copy()
+    off[0, 1, 0] = 1.0
+    with pytest.raises(InconsistencyError, match=f"block grading {at}"):
+        nilpotency_index(dataclasses.replace(data, adn=off))
+    # dropping every bracket into the top block keeps the grading but kills (ad U)^2
+    flat = data.adn.copy()
+    flat[:, data.grades == 6.0, :] = 0.0
+    with pytest.raises(InconsistencyError, match=f"integer witness .* vanishes {at}"):
+        nilpotency_index(dataclasses.replace(data, adn=flat))
 
 
 def test_nilpotency_index_integer_gates(ws):
@@ -109,10 +114,10 @@ def test_nilpotency_index_integer_gates(ws):
 @pytest.mark.parametrize("field", "RC")
 @pytest.mark.parametrize("entries", [(101, 100, -201), (1001, 1000, -2001)])
 def test_nilpotency_index_large_grade_ratio(field, entries):
-    # grades 1, 301, 302 (or 1, 3001, 3002): the grade ratio is far above any
-    # power the search reaches, and [E12, E23] = E13 gives (ad U)^2 = 0
+    # grades 1, 301, 302 (or 1, 3001, 3002): the grade ratio is far above
+    # N0 = max(1, s - 2), and [E12, E23] = E13 gives (ad U)^2 = 0
     data = cold_data(field, 3, entries)
-    assert int(data.max_grade / data.min_grade) > 300
+    assert int(max(data.grades_exact) / min(data.grades_exact)) > 300
     assert data.N0 == 1
 
 
@@ -151,11 +156,9 @@ def test_hyperbolic_data_errors_name_the_chamber(ws):
 
 
 def test_nilpotency_respects_floor_bound(ws):
-    from conftest import DATA_GRID, cold_data
-
     for key, entries in DATA_GRID:
         data = ws.data(key, entries)
-        assert 1 <= data.N0 <= int(data.max_grade / data.min_grade)
+        assert 1 <= data.N0 <= int(max(data.grades_exact) / min(data.grades_exact))
 
 
 def test_chamber_preconditions(ws):
