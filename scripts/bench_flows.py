@@ -8,11 +8,13 @@ flow_exact, exp_H and invert_exp_H at one seeded point, of flow_exact and
 the witness flow_numeric (at t = 1 and t = -2) on a seeded 20-point batch,
 and of the checks as symplecto-verify makes them at its default 20 samples:
 pullback_residual and project_pi on 20 seeded cotangent points and
-liouville_fd_gap on 4.  Where the checkout has linear_chart, it also times
-it on the 20 * 2n perturbed fiber points of that pullback's witness
-(linear_chart_s).  Where a checkout's FD checks take one point per call
-(they then also take a step argument), or its project_pi refuses a batch,
-the points go through one call each.  Two rows time the sampled checks from
+liouville_fd_gap on 4.  commute_s times commute_residual on the n(n - 1)/2
+pairs of basis vectors of n(c) in one batch, as flow-check makes it.  Where
+the checkout has linear_chart, it also times it on the 20 * 2n perturbed
+fiber points of that pullback's witness (linear_chart_s).  Where a
+checkout's FD checks take one point per call (they then also take a step
+argument), or its project_pi refuses a batch, the points go through one
+call each.  Two rows time the sampled checks from
 a fresh generator at the default 20 samples: cli.check_kk on a context whose
 structure is already built, and the sampling of symplecto-verify
 (cli._sample_points at 20 points and section_lagrangian_check at 5).
@@ -108,6 +110,8 @@ def ladder() -> list[dict]:
             g = flows.exp_H(data, V)
             steps = symplecto.STEP * np.array([1.0, -1.0])[:, None, None] * np.eye(data.n_dim)
             fiber = np.stack([pt.V for pt in pts])[:, None, None, :] + steps  # the witness's 20 * 2n fiber points
+            a, b = np.triu_indices(data.n_dim, 1)
+            basis = np.eye(data.n_dim)
             timed = {
                 "flow_exact_s": lambda: flows.flow_exact(data, V, U0),
                 "exp_H_s": lambda: flows.exp_H(data, V),
@@ -115,6 +119,7 @@ def ladder() -> list[dict]:
                 "flow_exact_batch_s": lambda: flows.flow_exact(data, Vb, U0b),
                 "flow_numeric_t1_s": lambda: flows.flow_numeric(data, Vb, U0b, 1.0),
                 "flow_numeric_t-2_s": lambda: flows.flow_numeric(data, Vb, U0b, -2.0),
+                "commute_s": lambda: flows.commute_residual(data, basis[a], basis[b]),
                 "pullback_residual_s": fd_check(symplecto.pullback_residual, data, pts),
                 "project_pi_s": projection(data, pts),
                 "liouville_fd_gap_s": fd_check(symplecto.liouville_fd_gap, data, pts[: FD_SAMPLES // 5]),

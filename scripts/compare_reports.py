@@ -1,0 +1,110 @@
+"""Compare the CLI outputs of two checkouts over a fixed grid.
+
+    python scripts/compare_reports.py --src OTHER/src [--src src]
+
+Each side runs lieorb.cli.main in one process of its own, importing lieorb
+from its --src (the second defaults to this checkout's src/): every
+subcommand but fixture at samples 8 and seeds 0, 3 and 7 on the configs in
+CONFIGS, and the fixture of each config.  A run records its exit code, its
+standard error and its report body (the whole fixture); meta, which holds
+times, is left out.  The script prints one sha256 per side over all runs,
+then every field that differs, and exits 1 if any does.  BLAS runs
+single-threaded, as in the bench ladders.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SUBCOMMANDS = ("roots", "parabolic", "kk-check", "flow-check", "symplecto-verify", "arnold")
+SEEDS = (0, 3, 7)
+SAMPLES = 8
+CONFIGS = {
+    **{f"sl({n}, R)": ("R", [n - 1 - 2 * k for k in range(n)]) for n in range(2, 6)},
+    **{f"sl({n}, C)": ("C", [n - 1 - 2 * k for k in range(n)]) for n in range(2, 5)},
+    "sl(4, R) wall": ("R", [1, 1, -1, -1]),
+    "sl(5, R) G < p": ("R", [3, 3, 0, -2, -4]),
+    "sl(3, R) small c": ("R", ["1/1000", "0", "-1/1000"]),
+    "sl(3, C) imaginary c": ("C", [{"im": 1}, 0, {"im": -1}]),
+}
+
+
+def run_side() -> dict:
+    """Every run of the grid in this process, keyed by subcommand, config and seed."""
+    from lieorb import cli
+
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (field, c) in CONFIGS.items():
+            cfg = Path(tmp, "config.json")
+            cfg.write_text(json.dumps({"algebra": {"family": "sl", "n": len(c), "field": field},
+                                       "c": c, "samples": SAMPLES}))
+            for sub, seed in [(s, seed) for s in SUBCOMMANDS for seed in SEEDS] + [("fixture", 0)]:
+                out = Path(tmp, "report.json")
+                out.unlink(missing_ok=True)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = cli.main([sub, "--config", str(cfg), "--seed", str(seed), "--out", str(out)])
+                report = json.loads(out.read_text()) if out.exists() else None
+                if report is not None and sub != "fixture":
+                    report = report["body"]
+                runs[f"{sub} | {name} | seed {seed}"] = {"exit": code, "stderr": err.getvalue(), "output": report}
+    return runs
+
+
+def side(src: str) -> dict:
+    """The runs of one checkout, from a child process that imports lieorb from src."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")
+    proc = subprocess.run([sys.executable, __file__, "--emit"], env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"{src}: the grid run failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def differences(a, b, path=""):
+    """(path, left, right) for every leaf where a and b differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from differences(a.get(key, "<missing>"), b.get(key, "<missing>"), f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from differences(x, y, f"{path}[{i}]")
+    elif json.dumps(a) != json.dumps(b):
+        yield path, a, b
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", action="append", default=[], help="a directory holding the lieorb package (once or twice)")
+    ap.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.emit:
+        print(json.dumps(run_side(), sort_keys=True))
+        return 0
+    if not 1 <= len(args.src) <= 2:
+        ap.error("give one or two --src trees")
+    srcs = args.src + [str(ROOT / "src")] * (2 - len(args.src))
+    sides = [side(src) for src in srcs]
+    for src, runs in zip(srcs, sides):
+        digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+        print(f"{digest}  {len(runs)} runs  {src}")
+    diffs = list(differences(*sides))
+    for path, left, right in diffs:
+        print(f"{path}: {json.dumps(left)} != {json.dumps(right)}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

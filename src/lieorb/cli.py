@@ -527,7 +527,9 @@ def dumps_report(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built once per process."""
     parser = argparse.ArgumentParser(prog="lieorb", description=__doc__)
     parser.add_argument(
         "subcommand",
@@ -536,7 +538,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to JSON run configuration")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     sub_to_check = {"kk-check": "kk", "flow-check": "flow", "symplecto-verify": "symplecto"}
     try:

@@ -10,12 +10,13 @@ so h_V is a polynomial map and its integral curves are polynomials in t.
 One kernel, _hv_series, evaluates h_V on degree-truncated coefficient arrays
 in t: a plain vector is the degree-0 case (hv_field and the witness
 flow_numeric), a polynomial curve the general one (flow_exact).  flow_exact
-computes the curves by Picard iteration, which stabilizes after one sweep
-per eigenvalue level because the bracket raises the grading; it and exp_H
-batch over leading axes of V / U0.  flow_numeric is an independent witness:
-Gauss-Legendre collocation, exact on polynomial solutions of degree <= its
-stage count (Hairer, Norsett & Wanner, Solving ODEs I, II.7), which only
-evaluates the field at points and checks itself by step halving.
+computes the curves by their Taylor recursion, one exact coefficient per
+kernel call, up to the degree the grading allows, since the bracket raises
+it; it and exp_H batch over leading axes of V / U0.  flow_numeric is an
+independent witness: Gauss-Legendre collocation, exact on polynomial
+solutions of degree <= its stage count (Hairer, Norsett & Wanner, Solving
+ODEs I, II.7), which only evaluates the field at points and checks itself
+by step halving.
 
 The fiber chart exp_H(V) = exp(U(1)) lands in N(c) and is affine on the
 orbit, Ad(exp_H(V)) c = c - V, since N(c) acts simply transitively on
@@ -54,22 +55,6 @@ def _poly_deriv(P: np.ndarray) -> np.ndarray:
     if P.shape[0] == 1:
         return np.zeros_like(P[:1])
     return P[1:] * _degrees(P[1:])
-
-
-def _poly_integrate(P: np.ndarray, const: np.ndarray) -> np.ndarray:
-    out = np.zeros((P.shape[0] + 1,) + P.shape[1:])
-    out[0] = const
-    out[1:] = P / _degrees(P)
-    return out
-
-
-def _poly_trim(P: np.ndarray, tol) -> np.ndarray:
-    """Drop top coefficients that are within tol (one per point) at every point."""
-    tol = np.asarray(tol)[..., None]
-    deg = P.shape[0] - 1
-    while deg > 0 and np.all(np.abs(P[deg]) <= tol):
-        deg -= 1
-    return P[: deg + 1]
 
 
 def _poly_eval(P: np.ndarray, t) -> np.ndarray:
@@ -178,57 +163,53 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
 
     Leading axes of V / U0 batch over points, placed between the degree and
     coordinate axes of the coefficients; thresholds are judged per point.
-    Picard iteration fixes one eigenvalue level per sweep (the level-k
-    component of h_V depends only on lower levels), so it is exact after p
-    sweeps; the trimmed curve is then verified coefficientwise.
+    Coefficient m of h_V(U) reads only U_0 .. U_m, so the Taylor recursion
+    U_{m+1} = [h_V(U)]_m / (m + 1) gives each coefficient exactly, one kernel
+    call at degree m apiece.  The bracket adds grades, so coordinate j has
+    degree <= floor(nu_j / nu_1) for any U0 and the recursion ends at
+    G = max of those.  Where a new coefficient is within 1e-12 (1 + max|V| +
+    max|U0|) at every point, the curve cut there is checked against the
+    defining equation, and the recursion stops if it holds; that check, also
+    run at G, is the only acceptance test.
     """
     V = np.asarray(V, dtype=float)
     U0 = np.asarray(U0, dtype=float)
     if V.shape[-1:] != (data.n_dim,) or U0.shape[-1:] != (data.n_dim,):
         raise ValueError("V and U0 must be n(c) coordinate vectors")
     V, U0 = np.broadcast_arrays(V, U0)
-    p = len(data.blocks)
     scale = 1.0 + np.max(np.abs(V), axis=-1) + np.max(np.abs(U0), axis=-1)
-    # iterates may carry junk above the solution degree in levels that have
-    # not converged yet; capping it keeps the cost bounded and cannot affect
-    # the fixed point, which the residual check below certifies anyway
-    cap = p + 2
-    U = np.zeros((cap + 1,) + U0.shape)
+    G = int(data.graded_degrees.max())
+    U = np.zeros((G + 1,) + U0.shape)
     U[0] = U0
-    for _ in range(p + 3):
-        Un = _poly_integrate(_hv_series(data, V, U, cap - 1), U0)
-        gap = np.max(np.abs(Un - U), axis=(0, -1))
-        U = Un
-        if np.all(gap <= 1e-13 * scale):
-            break
-    else:
-        gap, limit = _worst(gap, 1e-13 * scale)
-        raise InconsistencyError(
-            f"flow_exact: flow recursion failed to stabilize {_where(data, V, U0)}: "
-            f"Picard gap {gap:.3e} > {limit:.3e}"
-        )
-    Ut = _poly_trim(U, 1e-12 * scale)
-    # the defining equation on every coefficient of h_V(U).  The bracket adds
-    # grades, so if coordinate j of U has degree <= floor(nu_j / nu_1), every
-    # coefficient of h_V(U) past floor(nu_p / nu_1) - 1 is a sum of products
-    # with an exact-zero factor: the check may stop there.  Otherwise it runs
-    # at degree 2 N0 deg, where the kernel cuts nothing.
-    deg = Ut.shape[0] - 1
-    above = (np.arange(deg + 1)[:, None] > data.graded_degrees)[:, None]
-    graded = not np.any(np.where(above, Ut.reshape(deg + 1, -1, data.n_dim), 0.0))
-    E = _hv_series(data, V, Ut, max(int(data.graded_degrees.max()) - 1, deg - 1) if graded else 2 * data.N0 * deg)
-    D = _poly_deriv(Ut)
-    E[: D.shape[0]] -= D
-    resid = np.max(np.abs(E), axis=(0, -1))
-    if np.any(resid > TOL_STRUCT * scale):
-        worst, limit = _worst(resid, TOL_STRUCT * scale)
-        raise InconsistencyError(
-            f"flow_exact: flow polynomial fails its defining equation {_where(data, V, U0)}: "
-            f"residual {worst:.3e} > {limit:.3e}"
-        )
-    if Ut.shape[0] - 1 > p:
-        raise InconsistencyError("flow degree exceeds the grading bound")
-    return FlowPolynomial(Ut, p, float(np.max(resid, initial=0.0)))
+    for m in range(G):
+        U[m + 1] = _hv_series(data, V, U[: m + 1], m)[m] / (m + 1)
+        tiny = np.all(np.abs(U[m + 1]) <= 1e-12 * scale[..., None])
+        if not tiny and m + 1 < G:
+            continue
+        Ut = U[: m + 1 if tiny else m + 2]
+        # the defining equation on every coefficient of h_V(U).  If coordinate
+        # j of U has degree <= floor(nu_j / nu_1), every coefficient of h_V(U)
+        # past G - 1 is a sum of products with an exact-zero factor: the check
+        # may stop there.  Otherwise it runs at degree 2 N0 deg, where the
+        # kernel cuts nothing.
+        deg = Ut.shape[0] - 1
+        above = (np.arange(deg + 1)[:, None] > data.graded_degrees)[:, None]
+        graded = not np.any(np.where(above, Ut.reshape(deg + 1, -1, data.n_dim), 0.0))
+        E = _hv_series(data, V, Ut, G - 1 if graded else 2 * data.N0 * deg)
+        D = _poly_deriv(Ut)
+        E[: D.shape[0]] -= D
+        resid = np.max(np.abs(E), axis=(0, -1))
+        if np.all(resid <= TOL_STRUCT * scale):
+            return FlowPolynomial(Ut, len(data.blocks), float(np.max(resid, initial=0.0)))
+        if m + 1 < G:
+            # the cut is no solution: recurse on, from the check's row m,
+            # which reads the same U_0 .. U_m
+            U[m + 1] = E[m] / (m + 1)
+    worst, limit = _worst(resid, TOL_STRUCT * scale)
+    raise InconsistencyError(
+        f"flow_exact: flow polynomial fails its defining equation {_where(data, V, U0)}: "
+        f"residual {worst:.3e} > {limit:.3e}"
+    )
 
 
 @functools.cache

@@ -464,10 +464,11 @@ def _drifting_kernel(monkeypatch):
 
 
 def test_flow_exact_names_unstable_recursion(ws, monkeypatch):
+    # a drifting field gives a curve the next call's field does not match
     data = ws.data("sl3r", (1, 0, -1))
     _drifting_kernel(monkeypatch)
-    with pytest.raises(InconsistencyError, match=r"flow_exact: flow recursion failed to stabilize "
-                       + _ERR_WHERE + r": Picard gap \S+ > 6\.000e-13"):
+    with pytest.raises(InconsistencyError, match=r"flow_exact: flow polynomial fails its defining equation "
+                       + _ERR_WHERE + r": residual \S+ > 6\.000e-10"):
         flow_exact(data, _ERR_V, _ERR_U0)
 
 
@@ -477,7 +478,7 @@ def test_flow_exact_names_defining_equation_residual(ws, monkeypatch):
 
     def off_in_check(d, v, u, deg):
         out = kernel(d, v, u, deg)
-        if u.shape[0] <= len(d.blocks) + 1:   # the trimmed curve, not the (p + 3)-row Picard iterate
+        if deg > 0:   # row 0 feeds the recursion only at degree 0; past it, only the check reads it
             out[0, 0] += 1e-3
         return out
 
@@ -489,12 +490,12 @@ def test_flow_exact_names_defining_equation_residual(ws, monkeypatch):
 
 def test_flow_exact_falls_back_to_uncut_check(ws, monkeypatch):
     # a field whose top kept coefficient of coordinate 0 is planted: the curve
-    # then has a t^(p+2) term in a coordinate of graded degree 1, past the
-    # grading.  A check cut at degree p + 1 would see the planted term on both
-    # sides and certify the curve; the uncut one sees it land at the top row
+    # then has a t^G term in a coordinate of graded degree 1, past the
+    # grading, so the check runs uncut and sees the planted term land at its
+    # top row
     data = ws.data("sl3r", (1, 0, -1))
-    p = len(data.blocks)
-    assert data.graded_degrees[0] == 1
+    G = int(np.max(data.graded_degrees))
+    assert data.graded_degrees[0] == 1 < G
     kernel = flows._hv_series
     degrees = []
 
@@ -508,7 +509,7 @@ def test_flow_exact_falls_back_to_uncut_check(ws, monkeypatch):
     with pytest.raises(InconsistencyError, match=r"flow_exact: flow polynomial fails its defining equation "
                        + _ERR_WHERE + r": residual 1\.000e-03 > 6\.000e-10"):
         flow_exact(data, _ERR_V, _ERR_U0)
-    assert degrees[-1] == 2 * data.N0 * (p + 2)
+    assert degrees[-1] == 2 * data.N0 * G
 
 
 def test_graded_cut_certifies_the_uncut_residual(ws):
@@ -525,6 +526,80 @@ def test_graded_cut_certifies_the_uncut_residual(ws):
         assert not np.any(E[max(int(np.max(data.graded_degrees)), deg):]), data.c_entries
         E[:deg] -= flows._poly_deriv(fp.coeffs)[:deg]
         assert fp.ode_residual == float(np.max(np.abs(E))), data.c_entries
+
+
+def test_flow_exact_early_stop_rejects_a_dropped_coefficient(monkeypatch):
+    # the recursion's call at degree 1 zeroes its new coefficient once, so the
+    # curve cut there looks finished but is no solution: the check must turn
+    # the cut down and the recursion go on to the flow itself
+    data = cold_data("R", 5, (4, 2, 0, -2, -4))
+    rng = np.random.default_rng(47)
+    V, U0 = rng.standard_normal((2, data.n_dim))
+    want = flow_exact_reference(data, V, U0)
+    assert want.shape[0] > 2
+    kernel = flows._hv_series
+    planted = []
+
+    def drop_once(d, v, u, deg):
+        out = kernel(d, v, u, deg)
+        if (u.shape[0], deg) == (2, 1) and not planted:
+            planted.append(deg)
+            out[1] = 0.0
+        return out
+
+    monkeypatch.setattr(flows, "_hv_series", drop_once)
+    fp = flow_exact(data, V, U0)
+    assert planted
+    scale = 1.0 + np.max(np.abs(V)) + np.max(np.abs(U0))
+    assert fp.coeffs.shape == want.shape
+    assert np.max(np.abs(fp.coeffs - want)) <= 1e-15 * scale
+
+
+def test_flow_exact_kernel_calls(monkeypatch):
+    # one call at degree m on U_0 .. U_m per coefficient, then the check at
+    # degree G - 1, G + 1 calls at most
+    data = cold_data("R", 5, (4, 2, 0, -2, -4))
+    G = int(np.max(data.graded_degrees))
+    kernel = flows._hv_series
+    calls = []
+
+    def counted(d, v, u, deg):
+        calls.append((u.shape[0], deg))
+        return kernel(d, v, u, deg)
+
+    monkeypatch.setattr(flows, "_hv_series", counted)
+    flow_exact(data, np.random.default_rng(5).standard_normal(data.n_dim), np.zeros(data.n_dim))
+    *steps, check = calls
+    assert steps == [(m + 1, m) for m in range(len(steps))] and check[1] == G - 1 and len(calls) <= G + 1, calls
+    # the commute check on every basis pair, as flow-check makes it: each of
+    # its four flows stops after two coefficients and the check
+    n = data.n_dim
+    a, b = np.triu_indices(n, 1)
+    calls.clear()
+    assert commute_residual(data, np.eye(n)[a], np.eye(n)[b]) <= 1e-12
+    assert calls == 4 * [(1, 0), (2, 1), (2, G - 1)], calls
+
+
+def test_flow_exact_below_the_level_count_and_at_extreme_V(ws):
+    # G < p at (3, 3, 0, -2, -4) (levels 2, 3, 4, 5, 7: G = 3, p = 5), and
+    # tiny and large |V|: the flow matches the untruncated Picard reference
+    # up to rounding of its largest coefficient (both sum the same products,
+    # in another order), and its chart matches the flow-free linear chart
+    cases = [cold_data("R", 5, (3, 3, 0, -2, -4)), cold_data("R", 5, (4, 2, 0, -2, -4)), ws.data("sl3c", (1, 0, -1))]
+    assert int(np.max(cases[0].graded_degrees)) == 3 < len(cases[0].blocks) == 5
+    for data in cases:
+        rng = np.random.default_rng(53)
+        for size in (1e-14, 30.0):
+            V, U0 = size * rng.standard_normal((2, data.n_dim))
+            for u0 in (np.zeros(data.n_dim), U0):
+                fp, want = flow_exact(data, V, u0), flow_exact_reference(data, V, u0)
+                assert fp.coeffs.shape == want.shape, (data.c_entries, size)
+                assert np.max(np.abs(fp.coeffs - want)) <= 256 * np.finfo(float).eps * np.max(np.abs(want)), (
+                    data.c_entries, size)
+                assert fp.degree <= int(np.max(data.graded_degrees)) <= fp.degree_bound
+            g = exp_H(data, V).matrix
+            gap = np.max(np.abs(g - linear_chart(data, V).matrix))
+            assert gap <= 1e-14 * np.max(np.abs(g)), (data.c_entries, size)
 
 
 def test_flow_numeric_names_stage_iteration(ws, monkeypatch):
