@@ -3,7 +3,10 @@
     python scripts/bench_flows.py --label after [--src src] [--out BENCH_flows.json]
 
 For sl(4..8, R) and sl(4..6, C), at the regular chamber diag(n-1, n-3, ...)
-and at the wall made by merging its two largest entries, it records dim n(c), N0, the number of levels p and the median of 5 calls of
+and at the wall made by merging its two largest entries, and on sl(4, R) at
+the spread chamber (1000, 1, 0, -1001), whose grade ratio is 2001 while its
+top block grade is 3, it records dim n(c), N0, the number of eigenvalue
+levels p and the median of 5 calls of
 flow_exact, exp_H and invert_exp_H at one seeded point, of flow_exact and
 the witness flow_numeric (at t = 1 and t = -2) on a seeded 20-point batch,
 and of the checks as symplecto-verify makes them at its default 20 samples:
@@ -14,10 +17,11 @@ the checkout has linear_chart, it also times it on the 20 * 2n perturbed
 fiber points of that pullback's witness (linear_chart_s).  Where a
 checkout's FD checks take one point per call (they then also take a step
 argument), or its project_pi refuses a batch, the points go through one
-call each.  Two rows time the sampled checks from
-a fresh generator at the default 20 samples: cli.check_kk on a context whose
-structure is already built, and the sampling of symplecto-verify
-(cli._sample_points at 20 points and section_lagrangian_check at 5).
+call each.  Three rows time the sampled checks from
+a fresh generator at the default 20 samples: cli.check_kk and cli.check_flow
+(the whole flow-check section) on a context whose structure is already
+built, and the sampling of symplecto-verify (cli._sample_points at 20 points
+and section_lagrangian_check at 5).
 Each run adds one pass to --out under --label, with BLAS single-threaded
 (see benchlib.py).
 """
@@ -33,6 +37,7 @@ from benchlib import main, median_time, regular, wall  # first: it pins BLAS to 
 import numpy as np  # noqa: E402
 
 GRID = [("R", n) for n in range(4, 9)] + [("C", n) for n in range(4, 7)]
+SPREAD = ("R", 4, (1000, 1, 0, -1001))  # one more chamber: (field, n, entries)
 WITNESS_BATCH = 20
 FD_SAMPLES = 20  # symplecto-verify's default samples: the pullback points; samples // 5 Liouville points
 
@@ -61,14 +66,14 @@ def projection(data, pts):
     return lambda: project_pi(data, on)
 
 
-def kk_check(alg, entries):
-    """cli.check_kk at the default samples, with the context's structure in place before timing."""
+def cli_check(alg, entries, check: str):
+    """The cli check function of that name at the default samples, with the context's structure in place before timing."""
     from lieorb import cli
 
     cfg = cli.parse_config({"algebra": {"family": "sl", "n": alg.n, "field": alg.spec.field}, "c": list(entries)})
     ctx = cli._Context(cfg)
     ctx.data  # noqa: B018  (fetched before timing, with the split and the roots it needs)
-    return lambda: cli.check_kk(ctx, cfg, np.random.default_rng(0))
+    return lambda: getattr(cli, check)(ctx, cfg, np.random.default_rng(0))
 
 
 def sampling(data, split):
@@ -98,9 +103,12 @@ def ladder() -> list[dict]:
         alg = build_algebra(AlgebraSpec("sl", n, field))
         split = cartan_split(alg)
         rs = restricted_roots(alg, maximal_abelian(alg, split))
-        for kind, entries in (("regular", regular(n)), ("wall", wall(n))):
+        chambers = [("regular", regular(n)), ("wall", wall(n))]
+        if SPREAD[:2] == (field, n):
+            chambers.append(("spread", SPREAD[2]))
+        for kind, entries in chambers:
             data = hyperbolic_data(alg, rs, entries)
-            rng = np.random.default_rng([n, field == "C", kind == "wall"])
+            rng = np.random.default_rng([n, field == "C", ("regular", "wall", "spread").index(kind)])
             V, U0 = rng.standard_normal((2, data.n_dim))
             Vb, U0b = rng.standard_normal((2, WITNESS_BATCH, data.n_dim))
             pts = [
@@ -123,7 +131,8 @@ def ladder() -> list[dict]:
                 "pullback_residual_s": fd_check(symplecto.pullback_residual, data, pts),
                 "project_pi_s": projection(data, pts),
                 "liouville_fd_gap_s": fd_check(symplecto.liouville_fd_gap, data, pts[: FD_SAMPLES // 5]),
-                "check_kk_s": kk_check(alg, entries),
+                "check_kk_s": cli_check(alg, entries, "check_kk"),
+                "check_flow_s": cli_check(alg, entries, "check_flow"),
                 "symplecto_sampling_s": sampling(data, split),
             }
             if hasattr(flows, "linear_chart"):
@@ -134,7 +143,7 @@ def ladder() -> list[dict]:
                 "c": list(entries),
                 "dim_n": data.n_dim,
                 "N0": data.N0,
-                "p": len(data.blocks),
+                "p": len(data.levels),
                 "flow_degree": flows.flow_exact(data, V, U0).degree,
                 **{name: median_time(fn)[0] for name, fn in timed.items()},
             }

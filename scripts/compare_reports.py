@@ -34,6 +34,7 @@ CONFIGS = {
     **{f"sl({n}, C)": ("C", [n - 1 - 2 * k for k in range(n)]) for n in range(2, 5)},
     "sl(4, R) wall": ("R", [1, 1, -1, -1]),
     "sl(5, R) G < p": ("R", [3, 3, 0, -2, -4]),
+    "sl(4, R) spread": ("R", [1000, 1, 0, -1001]),
     "sl(3, R) small c": ("R", ["1/1000", "0", "-1/1000"]),
     "sl(3, C) imaginary c": ("C", [{"im": 1}, 0, {"im": -1}]),
 }

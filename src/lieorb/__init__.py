@@ -31,7 +31,7 @@ from .kkform import (
     nondegeneracy_check,
     orbit_point,
 )
-from .flows import FlowPolynomial, commute_residual, exp_H, flow_exact, flow_numeric, hv_field, invert_exp_H
+from .flows import FlowPolynomial, commute_residual, exp_H, flow_exact, flow_numeric, invert_exp_H
 from .symplecto import (
     BaseCoset,
     CotangentPoint,

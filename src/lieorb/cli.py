@@ -38,8 +38,9 @@ from .liecore import (
     k_from_normals,
     killing_compare_realified,
     random_element,
+    traceless,
 )
-from .rootspace import k_from_roots_check, maximal_abelian, restricted_roots
+from .rootspace import k_from_roots_check, maximal_abelian, restricted_roots, weight_code
 from .parabolic import chamber_sort, hyperbolic_data, z_k_coords
 from .kkform import (
     closedness_check,
@@ -145,8 +146,7 @@ def parse_config(d: dict) -> RunConfig:
     entries = tuple(_parse_entry(e) for e in raw_c)
     if len(entries) != spec.n:
         raise ConfigurationError(f"c must have {spec.n} entries")
-    total = sum(entries)  # a Fraction, decided exactly, unless some entry is complex
-    if abs(total) > (0 if isinstance(total, Fraction) else 1e-12):
+    if not traceless(entries):
         raise ConfigurationError("c must be traceless")
     if spec.field == "R" and any(complex(e).imag for e in entries):
         raise ConfigurationError("complex entries require the realified family")
@@ -259,13 +259,11 @@ def check_roots(ctx: _Context, cfg: RunConfig, rng) -> dict:
     rs = ctx.rs
     alg = ctx.algebra
     # every root space is spanned by basis vectors: give each basis index its
-    # root's weight (0 on g_0) as one integer with the entries as base-b digits;
-    # b = 3 max|w| + 1 exceeds every entry of w_k - w_i - w_j, so codes agree
-    # exactly where the weights do
+    # root's weight (0 on g_0) as one integer code, which adds where weights do
     W = np.zeros((alg.dim, alg.n), dtype=np.int64)
     for r in rs.roots:
         W[r.members] = r.weights
-    weight = W @ (3 * int(np.max(np.abs(W))) + 1) ** np.arange(alg.n)
+    weight = weight_code(W)
     ri = np.flatnonzero(weight)
     X = alg.basis[ri]
     brackets = alg.coords(X[:, None] @ X[None] - X[None] @ X[:, None])  # [i, j]: [X_i, X_j]
@@ -317,7 +315,7 @@ def check_parabolic(ctx: _Context, cfg: RunConfig, rng) -> dict:
 
 def check_kk(ctx: _Context, cfg: RunConfig, rng) -> dict:
     alg = ctx.algebra
-    c = alg.element_from_entries([complex(e) for e in ctx.config.c_entries])
+    c = alg.element_from_entries(ctx.config.c_entries)
     # one draw for all samples, each in the order g, X, Y, Z, h; g and h at scale 0.4
     draws = rng.standard_normal((max(5, cfg.samples // 4), 5, alg.dim)) * np.array([0.4, 1, 1, 1, 0.4])[:, None]
     a, X, Y, Z, b = np.moveaxis(alg.from_coords(draws), 1, 0)
@@ -343,11 +341,9 @@ def check_kk(ctx: _Context, cfg: RunConfig, rng) -> dict:
         section["fiber_isotropy"] = _res(iso, cfg.tol("decomposition"))
         section["nondegeneracy"] = _res(nondegeneracy_check(alg, data), cfg.tol("eigen"), kind="min")
     if alg.is_complex:
-        verdict = exactness_verdict(alg, ctx.split, [complex(e) for e in ctx.config.c_entries])
+        verdict = exactness_verdict(alg, ctx.split, ctx.config.c_entries)
         section["exactness_verdict"] = verdict
-        section["re_duality_gap"] = _res(
-            re_dual_gap(alg, [complex(e) for e in ctx.config.c_entries]), cfg.tol("structural")
-        )
+        section["re_duality_gap"] = _res(re_dual_gap(alg, ctx.config.c_entries), cfg.tol("structural"))
         section["killing_realified_gap"] = _res(killing_compare_realified(alg), cfg.tol("decomposition"))
         which = "re" if verdict["re_exact"] else ("im" if verdict["im_exact"] else None)
         if which:
@@ -438,7 +434,7 @@ def check_arnold(ctx: _Context, cfg: RunConfig, rng) -> dict:
     expect = [float(a - b) for a in entries for b in entries if a != b] * 2
     expect = np.sort_complex(np.array(expect + [0.0] * (alg.dim - len(expect)), dtype=complex))
     spec_gap = float(np.max(np.abs(ev - expect)))
-    verdict = exactness_verdict(alg, ctx.split, [complex(e) for e in entries])
+    verdict = exactness_verdict(alg, ctx.split, entries)
     # Re of the holomorphic form is half the realified form (B_R = 2 Re B_C)
     data = ctx.data
     pt = orbit_point(alg, c, expm(random_element(alg, rng, 0.3)), validate=False)

@@ -8,15 +8,15 @@ where R(t) = (1 - e^{-t})/t - 1.  The inverse is x / (e^x - 1) at
 x = -ad U, and every series in ad U terminates at the nilpotency index N0,
 so h_V is a polynomial map and its integral curves are polynomials in t.
 One kernel, _hv_series, evaluates h_V on degree-truncated coefficient arrays
-in t: a plain vector is the degree-0 case (hv_field and the witness
-flow_numeric), a polynomial curve the general one (flow_exact).  flow_exact
-computes the curves by their Taylor recursion, one exact coefficient per
-kernel call, up to the degree the grading allows, since the bracket raises
-it; it and exp_H batch over leading axes of V / U0.  flow_numeric is an
-independent witness: Gauss-Legendre collocation, exact on polynomial
-solutions of degree <= its stage count (Hairer, Norsett & Wanner, Solving
-ODEs I, II.7), which only evaluates the field at points and checks itself
-by step halving.
+in t: a plain vector is the degree-0 case (the witness flow_numeric), a
+polynomial curve the general one (flow_exact).  flow_exact computes the
+curves by their Taylor recursion, one exact coefficient per kernel call, up
+to the top block grade B of n(c): the bracket adds block grades, so
+coordinate j of a flow has degree at most its own.  flow_exact and exp_H
+batch over leading axes of V / U0.  flow_numeric is an independent witness:
+Gauss-Legendre collocation, exact on polynomial solutions of degree <= its
+stage count (Hairer, Norsett & Wanner, Solving ODEs I, II.7), which only
+evaluates the field at points and checks itself by step halving.
 
 The fiber chart exp_H(V) = exp(U(1)) lands in N(c) and is affine on the
 orbit, Ad(exp_H(V)) c = c - V, since N(c) acts simply transitively on
@@ -46,15 +46,10 @@ from .parabolic import HyperbolicData
 # -- small polynomial helpers (coefficients along axis 0) ----------------------
 
 
-def _degrees(P: np.ndarray) -> np.ndarray:
-    """1, 2, ... along axis 0 of P, broadcasting over the rest."""
-    return np.arange(1, P.shape[0] + 1).reshape((-1,) + (1,) * (P.ndim - 1))
-
-
 def _poly_deriv(P: np.ndarray) -> np.ndarray:
     if P.shape[0] == 1:
         return np.zeros_like(P[:1])
-    return P[1:] * _degrees(P[1:])
+    return P[1:] * np.arange(1, P.shape[0]).reshape((-1,) + (1,) * (P.ndim - 1))
 
 
 def _poly_eval(P: np.ndarray, t) -> np.ndarray:
@@ -127,15 +122,6 @@ def _hv_series(data: HyperbolicData, V: np.ndarray, U: np.ndarray, deg: int) -> 
     return W
 
 
-def hv_field(data: HyperbolicData, V: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """The pulled-back fiber field at U, for covector eta_V."""
-    V = np.asarray(V, dtype=float)
-    U = np.asarray(U, dtype=float)
-    if V.shape[-1] != data.n_dim or U.shape[-1] != data.n_dim:
-        raise ValueError("V and U must be n(c) coordinate vectors")
-    return _hv_series(data, V, U[None], 0)[0]
-
-
 def _where(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> str:
     """The input of a flow, for error messages."""
     chamber = tuple(str(e) for e in data.c_entries)
@@ -144,11 +130,10 @@ def _where(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> str:
 
 @dataclass(frozen=True, eq=False)
 class FlowPolynomial:
-    """Integral curve U(t) = sum_m coeffs[m] t^m of h_V, exact in t."""
+    """Integral curve U(t) = sum_m coeffs[m] t^m of h_V, exact in t, of degree <= degree_bound."""
 
     coeffs: np.ndarray
     degree_bound: int
-    ode_residual: float
 
     @property
     def degree(self) -> int:
@@ -165,12 +150,13 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
     coordinate axes of the coefficients; thresholds are judged per point.
     Coefficient m of h_V(U) reads only U_0 .. U_m, so the Taylor recursion
     U_{m+1} = [h_V(U)]_m / (m + 1) gives each coefficient exactly, one kernel
-    call at degree m apiece.  The bracket adds grades, so coordinate j has
-    degree <= floor(nu_j / nu_1) for any U0 and the recursion ends at
-    G = max of those.  Where a new coefficient is within 1e-12 (1 + max|V| +
-    max|U0|) at every point, the curve cut there is checked against the
-    defining equation, and the recursion stops if it holds; that check, also
-    run at G, is the only acceptance test.
+    call at degree m apiece.  The bracket adds block grades and V's are
+    >= 1, so coordinate j has degree <= its block grade for any U0 and the
+    recursion ends at the top block grade B.  Where a new coefficient is
+    within 1e-12 (1 + max|V| + max|U0|) at every point, the curve cut there
+    is checked against the defining equation, and the recursion stops if it
+    holds; that check, also run at B, is the only acceptance test.  A
+    coefficient above its block grade is a fault of the kernel and raises.
     """
     V = np.asarray(V, dtype=float)
     U0 = np.asarray(U0, dtype=float)
@@ -178,30 +164,35 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
         raise ValueError("V and U0 must be n(c) coordinate vectors")
     V, U0 = np.broadcast_arrays(V, U0)
     scale = 1.0 + np.max(np.abs(V), axis=-1) + np.max(np.abs(U0), axis=-1)
-    G = int(data.graded_degrees.max())
-    U = np.zeros((G + 1,) + U0.shape)
+    B = int(data.block_grades.max())
+    U = np.zeros((B + 1,) + U0.shape)
     U[0] = U0
-    for m in range(G):
+    for m in range(B):
         U[m + 1] = _hv_series(data, V, U[: m + 1], m)[m] / (m + 1)
         tiny = np.all(np.abs(U[m + 1]) <= 1e-12 * scale[..., None])
-        if not tiny and m + 1 < G:
+        if not tiny and m + 1 < B:
             continue
         Ut = U[: m + 1 if tiny else m + 2]
-        # the defining equation on every coefficient of h_V(U).  If coordinate
-        # j of U has degree <= floor(nu_j / nu_1), every coefficient of h_V(U)
-        # past G - 1 is a sum of products with an exact-zero factor: the check
-        # may stop there.  Otherwise it runs at degree 2 N0 deg, where the
-        # kernel cuts nothing.
+        # the defining equation on every coefficient of h_V(U).  With every
+        # coefficient of the curve above its coordinate's block grade exactly
+        # 0.0, every coefficient of h_V(U) past B - 1 is a sum of products with
+        # an exact-zero factor, so the check stops there
         deg = Ut.shape[0] - 1
-        above = (np.arange(deg + 1)[:, None] > data.graded_degrees)[:, None]
-        graded = not np.any(np.where(above, Ut.reshape(deg + 1, -1, data.n_dim), 0.0))
-        E = _hv_series(data, V, Ut, G - 1 if graded else 2 * data.N0 * deg)
+        over = (np.arange(deg + 1)[:, None] > data.block_grades)[:, None]
+        above = np.where(over, np.abs(Ut.reshape(deg + 1, -1, data.n_dim)), 0.0)
+        if np.any(above):
+            k, p, j = np.unravel_index(np.argmax(above), above.shape)
+            raise InconsistencyError(
+                f"flow_exact: flow polynomial leaves the block grading {_where(data, V, U0)}: "
+                f"|t^{k} coefficient| {above[k, p, j]:.3e} in coordinate {j} of block grade {data.block_grades[j]}"
+            )
+        E = _hv_series(data, V, Ut, B - 1)
         D = _poly_deriv(Ut)
         E[: D.shape[0]] -= D
         resid = np.max(np.abs(E), axis=(0, -1))
         if np.all(resid <= TOL_STRUCT * scale):
-            return FlowPolynomial(Ut, len(data.blocks), float(np.max(resid, initial=0.0)))
-        if m + 1 < G:
+            return FlowPolynomial(Ut, B)
+        if m + 1 < B:
             # the cut is no solution: recurse on, from the check's row m,
             # which reads the same U_0 .. U_m
             U[m + 1] = E[m] / (m + 1)
@@ -229,8 +220,9 @@ def _gauss_legendre(s: int) -> tuple[np.ndarray, np.ndarray]:
 def flow_numeric(data: HyperbolicData, V: np.ndarray, U0: np.ndarray, t: float) -> np.ndarray:
     """Gauss-Legendre collocation along h_V up to time t; independent of flow_exact.
 
-    Broadcasts over leading axes of V / U0.  With s = p + 1 stages a step
-    reproduces any solution of degree <= s, so one step of length t and two
+    Broadcasts over leading axes of V / U0.  With s = B + 1 stages, B the
+    top block grade that bounds the flow's degree, a step reproduces any
+    solution of degree <= s, so one step of length t and two
     of length t / 2 must agree: that gap is the self-check.  The stages are
     solved by fixed-point iteration on field values at points, batch-wide.
     """
@@ -239,15 +231,15 @@ def flow_numeric(data: HyperbolicData, V: np.ndarray, U0: np.ndarray, t: float) 
     t = float(t)
     if t == 0.0:
         return U0.copy()
-    p = len(data.blocks)
-    A, b = _gauss_legendre(p + 1)
+    B = int(data.block_grades.max())
+    A, b = _gauss_legendre(B + 1)
 
     def field(U: np.ndarray) -> np.ndarray:
         return _hv_series(data, V, U[None], 0)[0]
 
     def step(U: np.ndarray, h: float) -> np.ndarray:
         Y = np.broadcast_to(U, (len(b),) + U.shape)
-        for _ in range(p + 3):
+        for _ in range(B + 3):
             F = field(Y)
             Yn = U + h * np.tensordot(A, F, axes=1)
             gap = float(np.max(np.abs(Yn - Y)))
@@ -317,18 +309,18 @@ def linear_chart(data: HyperbolicData, V: np.ndarray) -> GroupElement:
     """exp_H(V) with no flow: the n in I + n(c) with n c = (c - V) n (Kostant).
 
     With n = I + N this is the Sylvester equation (c - V) N - N c = V.  c is
-    diagonal and V raises the grade, so back substitution over the levels in
-    increasing grade solves it (Bartels & Stewart, CACM 15, 1972): on a level,
-    N_ij = (V + V N)_ij / (c_i - c_j) = (V n)_ij / (c_i - c_j), and V n reads
-    only lower levels.  Leading axes of V batch over points; each point's
-    residual is judged against the scale of its terms.
+    diagonal and V raises the block grade, so back substitution over the
+    block grades 1 ... B solves it (Bartels & Stewart, CACM 15, 1972): on a
+    grade, N_ij = (V + V N)_ij / (c_i - c_j) = (V n)_ij / (c_i - c_j), and
+    V n reads only lower grades.  Leading axes of V batch over points; each
+    point's residual is judged against the scale of its terms.
     """
     V = np.asarray(V, dtype=float)
     Vm = data.n_matrix_of(V)
     c = np.diagonal(data.c)
     n = np.eye(data.algebra.d) + np.zeros(Vm.shape)
-    for block in data.blocks:
-        mask = np.any(data.n_basis[block] != 0, axis=0)
+    for b in range(1, int(data.block_grades.max()) + 1):
+        mask = np.any(data.n_basis[data.block_grades == b] != 0, axis=0)
         n = n + np.where(mask, Vm @ n / np.where(mask, c[:, None] - c, 1.0), 0.0)
     resid = np.max(np.abs(n @ data.c - (data.c - Vm) @ n), axis=(-2, -1))
     limit = TOL_DECOMP * np.max(np.abs(n), axis=(-2, -1)) * (np.max(np.abs(c)) + np.max(np.abs(V), axis=-1))

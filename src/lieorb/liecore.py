@@ -16,6 +16,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Rational
 from typing import Callable, Sequence
 
 import numpy as np
@@ -185,12 +186,6 @@ class MatrixLieAlgebra:
         """Cartan involution; -X^T realizes it for both supported families."""
         return -np.swapaxes(np.asarray(X, dtype=float), -1, -2)
 
-    def killing(self, X: np.ndarray, Y: np.ndarray) -> float:
-        return float(self.coords(X) @ self.killing_matrix @ self.coords(Y))
-
-    def inner(self, X: np.ndarray, Y: np.ndarray) -> float:
-        return -self.killing(X, self.theta(Y))
-
     def ad_coord(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad(X) on coordinates, X given by coordinates x (over leading batch axes)."""
         return np.einsum("...i,ijk->...kj", x, self.structure)
@@ -200,11 +195,11 @@ class MatrixLieAlgebra:
 
     def element_from_entries(self, entries: Sequence) -> np.ndarray:
         """Diagonal algebra element from its (traceless) diagonal entries."""
-        vals = [complex(e) for e in entries]
-        if len(vals) != self.n:
+        if len(entries) != self.n:
             raise ConfigurationError(f"expected {self.n} diagonal entries")
-        if abs(sum(vals)) > 1e-12:
+        if not traceless(entries):
             raise ConfigurationError("diagonal entries must sum to zero")
+        vals = [complex(e) for e in entries]
         if self.is_complex:
             return embed_complex(np.diag(np.array(vals, dtype=complex)))
         if any(abs(v.imag) > 0 for v in vals):
@@ -250,6 +245,15 @@ class MatrixLieAlgebra:
         if worst > TOL_STRUCT or k_cond < TOL_EIGEN:
             raise InconsistencyError(f"algebra failed structural self-checks: {res}")
         return res
+
+
+def traceless(entries: Sequence) -> bool:
+    """Whether diagonal entries sum to zero: exactly when every entry is rational,
+    else the float sum within 1e-12 max(1, max|entry|), the rounding scale of the entries."""
+    if all(isinstance(e, Rational) for e in entries):
+        return sum(entries) == 0
+    vals = [complex(e) for e in entries]
+    return abs(sum(vals)) <= 1e-12 * max(1.0, *(abs(v) for v in vals))
 
 
 def _nonzero(c: np.ndarray) -> tuple[np.ndarray, ...]:

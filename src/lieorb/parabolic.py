@@ -27,7 +27,7 @@ from .liecore import (
     raise_first,
     theta_rows,
 )
-from .rootspace import RestrictedRootSystem, positive_system
+from .rootspace import RestrictedRootSystem, positive_system, weight_code
 
 
 def _to_fraction(x) -> Fraction:
@@ -60,9 +60,9 @@ class HyperbolicData:
     grades: np.ndarray            # float eigenvalue of ad(c) on V_j
     grades_exact: tuple[Fraction, ...]
     levels: tuple[tuple[float, int], ...]   # distinct (nu_j, d_j), increasing
-    blocks: tuple[np.ndarray, ...]          # V-indices per level
-    # floor(nu_j / nu_1): the top power of t in coordinate j of a fiber flow (the bracket adds grades)
-    graded_degrees: np.ndarray
+    # the number of distinct entries of c that V_j's root crosses, 1 ... s - 1;
+    # the bracket adds them, so they bound N0, flow degrees and the chart's passes
+    block_grades: np.ndarray
     N0: int = 0
     adn: np.ndarray = field(default=None, repr=False)  # adn[i] = ad(V_i) on n-coords
 
@@ -103,8 +103,6 @@ def hyperbolic_data(
     entries = tuple(_to_fraction(e) for e in c_entries)
     if len(entries) != algebra.n:
         raise ConfigurationError(f"expected {algebra.n} diagonal entries")
-    if sum(entries) != 0:
-        raise ConfigurationError("chamber element must be traceless")
     if all(e == 0 for e in entries):
         raise ConfigurationError("chamber element must be nonzero")
     # alpha(c) for every root, exactly: integer weights against the entries
@@ -121,31 +119,30 @@ def hyperbolic_data(
 
     c = algebra.element_from_entries(entries)
     z_idx: list[int] = rs.zero_indices.tolist()
-    graded: list[tuple[Fraction, int]] = []
+    graded: list[tuple[Fraction, int, np.ndarray]] = []
     for root, a in zip(rs.roots, alpha):
         members = root.members.tolist()
         if a == 0:
             z_idx.extend(members)
         elif a > 0:
             nu = Fraction(a, den)
-            graded.extend((nu, b) for b in members)
+            graded.extend((nu, b, root.weights) for b in members)
     z_idx.sort()
     # within an eigenvalue, the fixed basis enumeration orders the roots
     graded.sort(key=lambda t: (t[0], t[1]))
-    b_indices = tuple(b for (_, b) in graded)
-    grades_exact = tuple(nu for (nu, _) in graded)
+    b_indices = tuple(b for (_, b, _) in graded)
+    grades_exact = tuple(nu for (nu, _, _) in graded)
+    W = np.array([w for (_, _, w) in graded], dtype=np.int64)  # the root weights of each V_j
     n_dim = len(b_indices)
     chamber = tuple(str(e) for e in entries)
     if 2 * n_dim != algebra.dim - len(z_idx):
         raise InconsistencyError(f"n(c) does not have half the dimension of g/z(c) at c = {chamber}")
 
     grades = np.array([float(nu) for nu in grades_exact])
-    levels: list[tuple[float, int]] = []
-    blocks: list[np.ndarray] = []
-    for nu in sorted(set(grades_exact)):
-        idx = np.array([j for j, g in enumerate(grades_exact) if g == nu], dtype=int)
-        levels.append((float(nu), len(idx)))
-        blocks.append(idx)
+    levels = tuple((float(nu), grades_exact.count(nu)) for nu in sorted(set(grades_exact)))
+    # each entry's rank among the distinct entries, against the root's weights
+    distinct = sorted(set(entries))
+    block_grades = W @ np.array([distinct.index(e) for e in entries])
 
     n_basis = algebra.basis[list(b_indices)]
     Th = algebra.theta_matrix
@@ -158,12 +155,12 @@ def hyperbolic_data(
     adn = np.ascontiguousarray(pairs[:, :, sel].transpose(0, 2, 1))
     if np.any(np.delete(pairs, sel, axis=2) != 0):
         raise InconsistencyError(f"bracket of n(c) escapes n(c) at c = {chamber}")
-    # grading: nonzero entries only where grade_k = grade_i + grade_j, decided
-    # on the grades brought to one integer denominator
-    den = math.lcm(*(nu.denominator for nu in grades_exact))
-    g = np.array([int(nu * den) for nu in grades_exact])
-    if np.any((adn != 0) & _off_grade(g)):
-        raise InconsistencyError(f"bracket violates the eigenvalue grading at c = {chamber}")
+    # the bracket adds root weights: adn[i][k, j] != 0 only where code_k =
+    # code_i + code_j.  nu_j and the block grade are linear in the weights,
+    # so the bracket adds both gradings
+    code = weight_code(W)
+    if np.any((adn != 0) & (code[None, :, None] != code[:, None, None] + code[None, None, :])):
+        raise InconsistencyError(f"bracket violates the root-weight grading at c = {chamber}")
 
     data = HyperbolicData(
         algebra=algebra,
@@ -176,54 +173,41 @@ def hyperbolic_data(
         nbar_coords=nbar_coords,
         grades=grades,
         grades_exact=grades_exact,
-        levels=tuple(levels),
-        blocks=tuple(blocks),
-        graded_degrees=np.array([int(nu / grades_exact[0]) for nu in grades_exact]),
+        levels=levels,
+        block_grades=block_grades,
     )
     data.adn = adn
     data.N0 = nilpotency_index(data)
     return data
 
 
-def _off_grade(g: np.ndarray) -> np.ndarray:
-    """Mask of the entries adn[i][k, j] with g_k != g_i + g_j, which a bracket graded by g must leave zero."""
-    return g[None, :, None] != g[:, None, None] + g[None, None, :]
-
-
 def _graded_index(data: HyperbolicData, chamber: tuple[str, ...]) -> int:
-    """N0 = max(1, s - 2) for the s distinct entries of c, certified in integers.
+    """N0 = max(1, B - 1) for the top block grade B = s - 1 (s distinct entries of c), certified in integers.
 
-    Upper bound: the block grade of V_j, its root's integer weights against
-    each entry's rank among the distinct values, counts the distinct entries
-    the root crosses, 1 ... s - 1.  adn joins only grades that add, so ad U
-    raises the grade by at least 1 and (ad U)^{s-1} = 0.
-    Lower bound, s >= 4: (sum_i adn[i])^{s-2} != 0 in int64, that is
-    (ad U)^{s-2} at U = (1, ..., 1): 1 (1 + i over C) in every entry of n(c).
+    Upper bound: the bracket adds block grades (hyperbolic_data certifies
+    that it adds root weights), so ad U raises the block grade by at least 1
+    and (ad U)^B = 0 on grades 1 ... B.
+    Lower bound, B >= 3: (sum_i adn[i])^{B-1} != 0 in int64, that is
+    (ad U)^{B-1} at U = (1, ..., 1): 1 (1 + i over C) in every entry of n(c).
     For X = E_ij joining the adjacent blocks a and a + 1 (by decreasing
-    entry), only the term k = a of binom(s-2, k) (-1)^(s-2-k) U^k X U^(s-2-k)
-    reaches the top block (rows of block 0, columns of block s - 1), and only
+    entry), only the term k = a of binom(B-1, k) (-1)^(B-1-k) U^k X U^(B-1-k)
+    reaches the top block (rows of block 0, columns of block B), and only
     through U_1, U's part between adjacent blocks: it is
-    +-binom(s-2, a) U_1^a X U_1^(s-2-a), whose every entry there is a positive
-    count (times (1 + i)^(s-2)), so not zero.
+    +-binom(B-1, a) U_1^a X U_1^(B-1-a), whose every entry there is a positive
+    count (times (1 + i)^(B-1)), so not zero.
     """
     if not np.array_equal(data.adn, np.rint(data.adn)):
         raise InconsistencyError(f"nilpotency_index: ad(n(c)) is not integral at c = {chamber}")
-    distinct = sorted(set(data.c_entries))
-    s = len(distinct)
-    rank = np.array([distinct.index(e) for e in data.c_entries])
-    block_of = {b: int(root.weights @ rank) for root in data.rs.roots for b in root.members.tolist()}
-    block = np.array([block_of[b] for b in data.b_indices])
-    if block.min() < 1 or block.max() > s - 1 or np.any((data.adn != 0) & _off_grade(block)):
-        raise InconsistencyError(f"nilpotency_index: bracket leaves the block grading at c = {chamber}")
-    if s >= 4:
+    B = int(data.block_grades.max())
+    if B >= 3:
         # every entry of every partial sum of the power is at most an entry of
-        # (sum_i |adn[i]|)^(s-2), so this bound, in exact ints, keeps int64 exact
+        # (sum_i |adn[i]|)^(B-1), so this bound, in exact ints, keeps int64 exact
         row_sum = max(1, int(np.max(np.abs(data.adn).sum(axis=(0, 2)))))
-        if row_sum ** (s - 2) >= 2**62:
+        if row_sum ** (B - 1) >= 2**62:
             raise ConfigurationError(f"nilpotency_index: int64 range exceeded at c = {chamber}")
-        if not np.linalg.matrix_power(data.adn.sum(axis=0).astype(np.int64), s - 2).any():
-            raise InconsistencyError(f"nilpotency_index: integer witness (ad U)^{s - 2} vanishes at c = {chamber}")
-    return max(1, s - 2)
+        if not np.linalg.matrix_power(data.adn.sum(axis=0).astype(np.int64), B - 1).any():
+            raise InconsistencyError(f"nilpotency_index: integer witness (ad U)^{B - 1} vanishes at c = {chamber}")
+    return max(1, B - 1)
 
 
 NILPOTENCY_SAMPLES = 20  # sampled elements U of the second route

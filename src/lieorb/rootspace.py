@@ -155,6 +155,16 @@ def _integer_weights(algebra: MatrixLieAlgebra, X: np.ndarray) -> np.ndarray:
     return wi.astype(int)
 
 
+def weight_code(W: np.ndarray) -> np.ndarray:
+    """Each integer weight row of W as one integer, with its entries as base-b digits.
+
+    b = 3 max|w| + 1 exceeds every entry of w_k - w_i - w_j, so
+    code_k = code_i + code_j exactly where w_k = w_i + w_j.
+    """
+    W = np.asarray(W, dtype=np.int64)
+    return W @ (3 * int(np.max(np.abs(W), initial=0)) + 1) ** np.arange(W.shape[-1])
+
+
 def _check_bookkeeping(rs: RestrictedRootSystem) -> None:
     dim = rs.algebra.dim
     total = len(rs.zero_indices) + sum(r.multiplicity for r in rs.roots)

@@ -81,6 +81,16 @@ def trace_form_multiple(algebra, X, Y):
     return 2 * algebra.n * float(np.trace(np.asarray(X) @ np.asarray(Y)))
 
 
+def killing(algebra, X, Y):
+    """B(X, Y) through the library's coordinates and Killing matrix."""
+    return float(algebra.coords(X) @ algebra.killing_matrix @ algebra.coords(Y))
+
+
+def inner(algebra, X, Y):
+    """The positive definite inner product -B(X, theta Y)."""
+    return -killing(algebra, X, algebra.theta(Y))
+
+
 def structure_constants_pairwise(algebra):
     """Structure constants from one matrix bracket per basis pair i < j, with
     c[j, i] = -c[i, j]; the reference layout for the batched assembly."""
@@ -198,6 +208,23 @@ def _pm_pm(Ap, Bp):
     return out
 
 
+def hv_field(data, V, U):
+    """The pulled-back fiber field at U for covector eta_V: the library's series kernel at degree 0."""
+    from lieorb.flows import _hv_series
+
+    return _hv_series(data, np.asarray(V, dtype=float), np.asarray(U, dtype=float)[None], 0)[0]
+
+
+def ode_residual(data, V, fp):
+    """max |h_V(U) - U'| over every coefficient and point of the flow polynomial fp, the kernel cut nowhere."""
+    from lieorb.flows import _hv_series, _poly_deriv
+
+    E = _hv_series(data, np.asarray(V, dtype=float), fp.coeffs, 2 * data.N0 * fp.degree)
+    D = _poly_deriv(fp.coeffs)
+    E[: D.shape[0]] -= D
+    return float(np.max(np.abs(E)))
+
+
 def hv_vec_reference(data, V, U):
     """h_V(U) for plain coordinate vectors; broadcasts over leading axes."""
     N0 = data.N0
@@ -249,9 +276,9 @@ def hv_poly_reference(data, V, Up):
 
 def flow_exact_reference(data, V, U0):
     """Coefficients of the flow of h_V from U0 by Picard sweeps on untruncated
-    products, cut to p + 3 coefficients after each sweep and trimmed at
-    1e-12 (1 + max|V| + max|U0|)."""
-    p = len(data.blocks)
+    products, cut to p + 3 coefficients (p levels of grade) after each sweep
+    and trimmed at 1e-12 (1 + max|V| + max|U0|)."""
+    p = len(data.levels)
     scale = 1.0 + float(np.max(np.abs(V))) + float(np.max(np.abs(U0)))
     U = U0[None, :].copy()
     for _ in range(p + 3):
@@ -551,8 +578,8 @@ def check_flow_loop(data, V, U0):
 
 
 def linear_chart_exact(data, V):
-    """n = I + N with (c - V) N - N c = V on Fraction object arrays: the back
-    substitution of flows.linear_chart over the grading levels, exact for the
+    """n = I + N with (c - V) N - N c = V on Fraction object arrays: back
+    substitution over the eigenvalue levels in increasing grade, exact for the
     rational n(c) coordinates V.  Returns n with the exact matrices c and V."""
     from fractions import Fraction
 
@@ -561,9 +588,10 @@ def linear_chart_exact(data, V):
     basis = np.vectorize(Fraction, otypes=[object])(data.n_basis)  # integer entries: exact
     Vm = np.tensordot(np.array(V, dtype=object), basis, axes=1)
     N = np.full((d, d), Fraction(0), dtype=object)
-    for block in data.blocks:
+    for nu in sorted(set(data.grades_exact)):
         VN = Vm + Vm.dot(N)
-        for i, j in zip(*np.nonzero(np.any(data.n_basis[block] != 0, axis=0))):
+        level = [g == nu for g in data.grades_exact]
+        for i, j in zip(*np.nonzero(np.any(data.n_basis[level] != 0, axis=0))):
             N[i, j] = VN[i, j] / (c[i] - c[j])
     return N + np.eye(d, dtype=int).astype(object), np.diag(np.array(c, dtype=object)), Vm
 

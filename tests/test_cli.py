@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -66,7 +67,7 @@ def test_witness_sees_planted_flow_fault(monkeypatch):
         fp = flow_exact(data, V, U0)
         coeffs = fp.coeffs.copy()
         coeffs[-1, 0] += 1e-7  # ten times the eigen tolerance of the oracle gap
-        return FlowPolynomial(coeffs, fp.degree_bound, fp.ode_residual)
+        return FlowPolynomial(coeffs, fp.degree_bound)
 
     cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 3, "field": "R"}, c=[1, 0, -1], checks=["flow"]))
     assert cli.run(cfg)["body"]["checks"]["flow"]["pass"]
@@ -279,6 +280,17 @@ def test_complex_c_on_real_algebra_is_a_config_error(tmp_path, capsys, sub):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub", [sub for sub in SUBCOMMANDS if sub != "arnold"])
+def test_exactly_traceless_c_runs_when_its_float_sum_is_not_zero(tmp_path, capsys, sub):
+    # the float entries sum to -1.8e-12, over an absolute 1e-12; the Fractions to 0
+    c = ["20000/3", "20000/3", "8000/3", "-4000/3", "-16000/3", "-28000/3"]
+    assert abs(sum(float(Fraction(e)) for e in c)) > 1e-12
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_cfg(algebra={"family": "sl", "n": 6, "field": "R"}, c=c, samples=8)))
+    assert cli.main([sub, "--config", str(path), "--seed", "0", "--out", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("field,sub", [("R", sub) for sub in SUBCOMMANDS] + [("C", "arnold")])
 def test_real_c_written_as_re_objects_is_read_as_real(tmp_path, capsys, field, sub):
     """c = [{"re": 1}, 0, {"re": -1}] runs exactly as c = [1, 0, -1]: same exit code, stderr and report body."""
@@ -449,7 +461,7 @@ def test_warm_cache_reports_match_cold(tmp_path, capsys, n, field, c):
 
 
 @pytest.mark.parametrize("part", ["algebra.structure", "algebra.basis", "split.k_coords", "rs.a_coords", "data.adn",
-                                  "data.graded_degrees"])
+                                  "data.block_grades"])
 def test_cached_structure_is_read_only(part):
     ctx = cli._Context(cli.parse_config(_cached_config(3, "R", [2, 0, -2])))
     holder, name = part.split(".")

@@ -12,7 +12,6 @@ from lieorb.flows import (
     exp_H,
     flow_exact,
     flow_numeric,
-    hv_field,
     invert_exp_H,
     linear_chart,
 )
@@ -22,9 +21,11 @@ from oracles import (
     covector_annihilation_gap,
     flow_exact_reference,
     flow_rk4_reference,
+    hv_field,
     hv_poly_reference,
     hv_vec_reference,
     linear_chart_exact,
+    ode_residual,
 )
 
 
@@ -156,11 +157,13 @@ def test_batched_flows_match_single_points(ws):
 
 def test_flow_polynomial_invariants(ws, rng):
     data = ws.data("sl4r", (3, 1, -1, -3))
-    p = len(data.blocks)
+    B = int(data.block_grades.max())
+    assert B == len(data.levels) == 3
     for _ in range(10):
-        fp = flow_exact(data, rng.standard_normal(6), rng.standard_normal(6))
-        assert fp.ode_residual < 1e-10 * 10
-        assert fp.degree <= p
+        V = rng.standard_normal(6)
+        fp = flow_exact(data, V, rng.standard_normal(6))
+        assert ode_residual(data, V, fp) < 1e-10 * 10
+        assert fp.degree <= fp.degree_bound == B
         np.testing.assert_allclose(fp.eval(0.0), fp.coeffs[0], atol=1e-14)
 
 
@@ -364,9 +367,9 @@ def test_linear_chart_vanishes_off_n(ws):
 
 
 def test_linear_chart_names_a_failing_certificate(ws):
-    # the levels in decreasing grade: the top level is solved before the V N it needs
+    # the block grades reversed (B + 1 - b): the top grade is solved before the V N it needs
     data = ws.data("sl4r", (3, 1, -1, -3))
-    reversed_levels = dataclasses.replace(data, blocks=data.blocks[::-1])
+    reversed_levels = dataclasses.replace(data, block_grades=data.block_grades.max() + 1 - data.block_grades)
     V = np.random.default_rng(11).standard_normal((3, data.n_dim))
     V[0] = 0.0  # the zero point solves the equation in any order
     linear_chart(reversed_levels, V[0])
@@ -420,7 +423,7 @@ def test_series_kernel_matches_untruncated_reference(ws):
     tol = 64 * np.finfo(float).eps
     for data in _kernel_grid(ws):
         rng = np.random.default_rng(31)
-        n, p = data.n_dim, len(data.blocks)
+        n, p = data.n_dim, len(data.levels)
         cap = p + 2
         U = rng.standard_normal((cap + 1, n))
         V = rng.standard_normal(n)
@@ -457,10 +460,11 @@ _ERR_WHERE = r"at c = \('1', '0', '-1'\), max\|V\| = 2\.000e\+00, max\|U0\| = 3\
 
 
 def _drifting_kernel(monkeypatch):
-    """Make the field change on every call, so no iteration can settle."""
+    """Make the field change on every call, so no iteration can settle; a
+    random factor per call keeps the exact zeros of the block grading."""
     kernel = flows._hv_series
     rng = np.random.default_rng(2)
-    monkeypatch.setattr(flows, "_hv_series", lambda d, v, u, deg: kernel(d, v, u, deg) + rng.random())
+    monkeypatch.setattr(flows, "_hv_series", lambda d, v, u, deg: kernel(d, v, u, deg) * (1.0 + rng.random()))
 
 
 def test_flow_exact_names_unstable_recursion(ws, monkeypatch):
@@ -488,14 +492,13 @@ def test_flow_exact_names_defining_equation_residual(ws, monkeypatch):
         flow_exact(data, _ERR_V, _ERR_U0)
 
 
-def test_flow_exact_falls_back_to_uncut_check(ws, monkeypatch):
+def test_flow_exact_rejects_a_coefficient_above_its_block_grade(ws, monkeypatch):
     # a field whose top kept coefficient of coordinate 0 is planted: the curve
-    # then has a t^G term in a coordinate of graded degree 1, past the
-    # grading, so the check runs uncut and sees the planted term land at its
-    # top row
+    # then has a t^B term in a coordinate of block grade 1, which the grading
+    # forbids, so flow_exact raises before its check runs
     data = ws.data("sl3r", (1, 0, -1))
-    G = int(np.max(data.graded_degrees))
-    assert data.graded_degrees[0] == 1 < G
+    B = int(np.max(data.block_grades))
+    assert data.block_grades[0] == 1 < B
     kernel = flows._hv_series
     degrees = []
 
@@ -506,26 +509,28 @@ def test_flow_exact_falls_back_to_uncut_check(ws, monkeypatch):
         return out
 
     monkeypatch.setattr(flows, "_hv_series", planted_top)
-    with pytest.raises(InconsistencyError, match=r"flow_exact: flow polynomial fails its defining equation "
-                       + _ERR_WHERE + r": residual 1\.000e-03 > 6\.000e-10"):
+    with pytest.raises(InconsistencyError, match=r"flow_exact: flow polynomial leaves the block grading "
+                       + _ERR_WHERE + r": \|t\^2 coefficient\| 5\.000e-04 in coordinate 0 of block grade 1"):
         flow_exact(data, _ERR_V, _ERR_U0)
-    assert degrees[-1] == 2 * data.N0 * G
+    assert degrees == list(range(B))
 
 
 def test_graded_cut_certifies_the_uncut_residual(ws):
-    # above the cut every coefficient of h_V(U) is an exact zero, so the cut
-    # check reports the uncut residual bit for bit
+    # above the cut every coefficient of h_V(U) is an exact zero, so the check
+    # at degree B - 1 sees the uncut residual bit for bit
     for data in _kernel_grid(ws):
         rng = np.random.default_rng(43)
         V, U0 = rng.standard_normal((2, 10, data.n_dim)) * rng.choice([0.5, 1.0, 3.0], (10, 1))
         fp = flow_exact(data, V, U0)
-        deg = fp.degree
-        above = np.arange(deg + 1)[:, None, None] > data.graded_degrees
+        deg, B = fp.degree, int(np.max(data.block_grades))
+        above = np.arange(deg + 1)[:, None, None] > data.block_grades
         assert not np.any(np.where(above, fp.coeffs, 0.0)), data.c_entries
         E = flows._hv_series(data, V, fp.coeffs, 2 * data.N0 * deg)
-        assert not np.any(E[max(int(np.max(data.graded_degrees)), deg):]), data.c_entries
+        assert not np.any(E[max(B, deg):]), data.c_entries
+        cut = flows._hv_series(data, V, fp.coeffs, B - 1)
+        np.testing.assert_array_equal(cut, E[:B])
         E[:deg] -= flows._poly_deriv(fp.coeffs)[:deg]
-        assert fp.ode_residual == float(np.max(np.abs(E))), data.c_entries
+        assert ode_residual(data, V, fp) == float(np.max(np.abs(E))) <= 1e-10 * np.max(1 + np.abs(V) + np.abs(U0))
 
 
 def test_flow_exact_early_stop_rejects_a_dropped_coefficient(monkeypatch):
@@ -555,11 +560,8 @@ def test_flow_exact_early_stop_rejects_a_dropped_coefficient(monkeypatch):
     assert np.max(np.abs(fp.coeffs - want)) <= 1e-15 * scale
 
 
-def test_flow_exact_kernel_calls(monkeypatch):
-    # one call at degree m on U_0 .. U_m per coefficient, then the check at
-    # degree G - 1, G + 1 calls at most
-    data = cold_data("R", 5, (4, 2, 0, -2, -4))
-    G = int(np.max(data.graded_degrees))
+def _count_kernel_calls(monkeypatch) -> list:
+    """Record (rows of U, degree) of every _hv_series call."""
     kernel = flows._hv_series
     calls = []
 
@@ -568,25 +570,54 @@ def test_flow_exact_kernel_calls(monkeypatch):
         return kernel(d, v, u, deg)
 
     monkeypatch.setattr(flows, "_hv_series", counted)
+    return calls
+
+
+def test_flow_exact_kernel_calls(monkeypatch):
+    # one call at degree m on U_0 .. U_m per coefficient, then the check at
+    # degree B - 1, B + 1 calls at most
+    data = cold_data("R", 5, (4, 2, 0, -2, -4))
+    B = int(np.max(data.block_grades))
+    calls = _count_kernel_calls(monkeypatch)
     flow_exact(data, np.random.default_rng(5).standard_normal(data.n_dim), np.zeros(data.n_dim))
     *steps, check = calls
-    assert steps == [(m + 1, m) for m in range(len(steps))] and check[1] == G - 1 and len(calls) <= G + 1, calls
+    assert steps == [(m + 1, m) for m in range(len(steps))] and check[1] == B - 1 and len(calls) <= B + 1, calls
     # the commute check on every basis pair, as flow-check makes it: each of
     # its four flows stops after two coefficients and the check
     n = data.n_dim
     a, b = np.triu_indices(n, 1)
     calls.clear()
     assert commute_residual(data, np.eye(n)[a], np.eye(n)[b]) <= 1e-12
-    assert calls == 4 * [(1, 0), (2, 1), (2, G - 1)], calls
+    assert calls == 4 * [(1, 0), (2, 1), (2, B - 1)], calls
+
+
+def test_flow_exact_kernel_calls_at_the_spread_chamber(monkeypatch):
+    # c = (1000, 1, 0, -1001): floor(nu_max / nu_1) = 2001, but the block
+    # grade bounds every flow by B = s - 1 = 3: at most B + 1 kernel calls,
+    # the check at degree B - 1 = 2, from U0 = 0 and from a random U0
+    data = cold_data("R", 4, (1000, 1, 0, -1001))
+    assert int(np.max(data.block_grades)) == 3 and max(data.grades_exact) / min(data.grades_exact) == 2001
+    calls = _count_kernel_calls(monkeypatch)
+    rng = np.random.default_rng(5)
+    for U0 in (np.zeros(data.n_dim), rng.standard_normal(data.n_dim)):
+        calls.clear()
+        V = rng.standard_normal(data.n_dim)
+        fp = flow_exact(data, V, U0)
+        *steps, check = calls
+        assert steps == [(m + 1, m) for m in range(len(steps))] and check[1] == 2 and len(calls) <= 4, calls
+        assert fp.degree <= fp.degree_bound == 3
+        want = flow_exact_reference(data, V, U0)
+        assert fp.coeffs.shape == want.shape
+        assert np.max(np.abs(fp.coeffs - want)) <= 256 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 def test_flow_exact_below_the_level_count_and_at_extreme_V(ws):
-    # G < p at (3, 3, 0, -2, -4) (levels 2, 3, 4, 5, 7: G = 3, p = 5), and
+    # B < p at (3, 3, 0, -2, -4) (levels 2, 3, 4, 5, 7: B = 3, p = 5), and
     # tiny and large |V|: the flow matches the untruncated Picard reference
     # up to rounding of its largest coefficient (both sum the same products,
     # in another order), and its chart matches the flow-free linear chart
     cases = [cold_data("R", 5, (3, 3, 0, -2, -4)), cold_data("R", 5, (4, 2, 0, -2, -4)), ws.data("sl3c", (1, 0, -1))]
-    assert int(np.max(cases[0].graded_degrees)) == 3 < len(cases[0].blocks) == 5
+    assert int(np.max(cases[0].block_grades)) == 3 < len(cases[0].levels) == 5
     for data in cases:
         rng = np.random.default_rng(53)
         for size in (1e-14, 30.0):
@@ -596,7 +627,7 @@ def test_flow_exact_below_the_level_count_and_at_extreme_V(ws):
                 assert fp.coeffs.shape == want.shape, (data.c_entries, size)
                 assert np.max(np.abs(fp.coeffs - want)) <= 256 * np.finfo(float).eps * np.max(np.abs(want)), (
                     data.c_entries, size)
-                assert fp.degree <= int(np.max(data.graded_degrees)) <= fp.degree_bound
+                assert fp.degree <= int(np.max(data.block_grades)) == fp.degree_bound
             g = exp_H(data, V).matrix
             gap = np.max(np.abs(g - linear_chart(data, V).matrix))
             assert gap <= 1e-14 * np.max(np.abs(g)), (data.c_entries, size)
@@ -616,7 +647,7 @@ def test_flow_numeric_names_step_halving_gap(ws, monkeypatch):
 
     def high_degree(d, v, u, deg):
         # still level-triangular, so the stages settle, but the top level now
-        # grows like t^9, past what p + 1 = 3 stages reproduce
+        # grows like t^9, past what B + 1 = 3 stages reproduce
         out = kernel(d, v, u, deg)
         out[..., 2] += u[..., 0] ** 8
         return out

@@ -14,9 +14,9 @@ from lieorb.kkform import (
     orbit_point,
     re_dual_gap,
 )
-from lieorb.liecore import ConfigurationError, random_element
+from lieorb.liecore import ConfigurationError, InconsistencyError, random_element
 from conftest import ALGEBRA_SPECS
-from oracles import killing_matrix_oracle, omega_rank
+from oracles import killing, killing_matrix_oracle, omega_rank
 
 
 def _pt(ws, key, entries, g=None):
@@ -144,7 +144,7 @@ def test_fiber_isotropy_root_pairing(ws):
     alg = ws.algebra("sl3r")
     data = ws.data("sl3r", (1, 0, -1))
     E12, E23 = data.n_basis[0], data.n_basis[1]
-    assert abs(alg.killing(data.c, alg.bracket(E12, E23))) < 1e-12
+    assert abs(killing(alg, data.c, alg.bracket(E12, E23))) < 1e-12
 
 
 def test_k_orbit_lagrangian_modes(ws):
@@ -163,6 +163,37 @@ def test_k_orbit_lagrangian_modes(ws):
     assert k_orbit_lagrangian_check(algr, splitr, cr, "real-form") < 1e-10
     with pytest.raises(ConfigurationError):
         k_orbit_lagrangian_check(algr, splitr, cr, "re")
+
+
+def test_non_traceless_complex_c_is_refused(ws):
+    # a complex c has no exact trace: its float sum is judged against
+    # 1e-12 max(1, max|entry|), so it is refused over that and taken under it
+    alg, split = ws.algebra("sl3c"), ws.split("sl3c")
+    for entries in ([1j, 0, -1j + 1e-9], [1 + 1j, -1, 1e-6 - 1j], [1e4j, 0, 2e-8 - 1e4j]):
+        with pytest.raises(ConfigurationError, match="diagonal entries must sum to zero"):
+            alg.element_from_entries(entries)
+        with pytest.raises(ConfigurationError, match="diagonal entries must sum to zero"):
+            exactness_verdict(alg, split, entries)
+    c = alg.element_from_entries([1e4j, 0, 5e-9 - 1e4j])
+    assert c[0, 3] == -1e4 and c[2, 2] == 5e-9
+
+
+def test_orbit_point_validation_sees_a_planted_spectrum_fault(ws, monkeypatch):
+    # validate compares eigvals(w) with c's diagonal, each entry twice over C;
+    # an inverse off by 1 + 1e-6 scales w, and so its spectrum, past
+    # 10 TOL_DECOMP max(1, max|c|)
+    inv = np.linalg.inv
+    for key, entries in (("sl3r", (2, 0, -2)), ("sl3c", (2, 0, -2)), ("sl3c", (1j, 0, -1j))):
+        alg = ws.algebra(key)
+        c = alg.element_from_entries(entries)
+        g = scipy.linalg.expm(random_element(alg, np.random.default_rng(3), 0.4))
+        pt = orbit_point(alg, c, g)
+        np.testing.assert_array_equal(pt.w, g @ c @ inv(g))
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) * (1.0 + 1e-6))
+        with pytest.raises(InconsistencyError, match="conjugate has a different spectrum"):
+            orbit_point(alg, c, g)
+        orbit_point(alg, c, g, validate=False)
+        monkeypatch.setattr(np.linalg, "inv", inv)
 
 
 def test_exactness_verdicts(ws):
@@ -188,7 +219,7 @@ def test_exactness_verdicts(ws):
 def test_dual_element(ws, rng):
     alg = ws.algebra("sl3r")
     c = alg.element_from_entries([2, -1, -1])
-    lam = np.array([alg.killing(c, b) for b in alg.basis])
+    lam = np.array([killing(alg, c, b) for b in alg.basis])
     np.testing.assert_allclose(dual_element(alg, lam), c, atol=1e-10)
 
 

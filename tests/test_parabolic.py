@@ -88,13 +88,19 @@ def test_nilpotency_index_second_route_checks_both_sides(ws, monkeypatch):
 
 
 def test_nilpotency_index_rejects_planted_faults(ws):
+    alg, rs = ws.algebra("sl4r"), ws.rs("sl4r")
     data = ws.data("sl4r", (3, 1, -1, -3))     # block grade nu / 2, N0 = 2
     at = r"at c = \('3', '1', '-1', '-3'\)$"
-    # [V_0, V_0] = V_1 joins block grades 1 + 1 into 1
-    off = data.adn.copy()
-    off[0, 1, 0] = 1.0
-    with pytest.raises(InconsistencyError, match=f"block grading {at}"):
-        nilpotency_index(dataclasses.replace(data, adn=off))
+    # [V_0, V_1] gains a V_2 component, joining block grades 1 + 1 into 1:
+    # the grading that bounds N0 is certified once, in hyperbolic_data
+    b0, b1, b2 = data.b_indices[:3]
+    assert data.block_grades[:3].tolist() == [1, 1, 1]
+    bad = copy.copy(alg)
+    bad.structure = alg.structure.copy()
+    bad.structure[b0, b1, b2] = 1.0
+    bad.structure[b1, b0, b2] = -1.0
+    with pytest.raises(InconsistencyError, match=f"violates the root-weight grading {at}"):
+        hyperbolic_data(bad, rs, (3, 1, -1, -3))
     # dropping every bracket into the top block keeps the grading but kills (ad U)^2
     flat = data.adn.copy()
     flat[:, data.grades == 6.0, :] = 0.0
@@ -127,7 +133,7 @@ def test_hyperbolic_data_rejects_bad_brackets(ws):
     b12, _, b13 = data.b_indices
     # [E12, E13] = 0 in sl(3); planting a z(c) component makes n(c) not closed,
     # planting an E13 component breaks the grading (2 != 1 + 2)
-    for target, message in ((data.z_indices[0], "escapes n"), (b13, "violates the eigenvalue grading")):
+    for target, message in ((data.z_indices[0], "escapes n"), (b13, "violates the root-weight grading")):
         bad = copy.copy(alg)
         bad.structure = alg.structure.copy()
         bad.structure[b12, b13, target] = 1.0
@@ -141,7 +147,7 @@ def test_hyperbolic_data_errors_name_the_chamber(ws):
     data = ws.data("sl3r", (1, 0, -1))
     b12, _, b13 = data.b_indices
     at = r"at c = \('1', '0', '-1'\)$"
-    for target, message in ((data.z_indices[0], "escapes n"), (b13, "violates the eigenvalue grading")):
+    for target, message in ((data.z_indices[0], "escapes n"), (b13, "violates the root-weight grading")):
         bad = copy.copy(alg)
         bad.structure = alg.structure.copy()
         bad.structure[b12, b13, target] = 1.0
@@ -236,12 +242,17 @@ def test_stabilizer_preserves_levels(ws, rng):
         for x in zk:
             m = scipy.linalg.expm(float(rng.uniform(-1, 1)) * alg.from_coords(x))
             m_inv = np.linalg.inv(m)
-            for block in data.blocks:
+            for block in _level_blocks(data):
                 idx = [data.b_indices[j] for j in block]
                 Q, _ = np.linalg.qr(np.eye(alg.dim)[idx].T)
                 for j in block:
                     v = alg.coords(m @ data.n_basis[j] @ m_inv)
                     assert np.max(np.abs(v - Q @ (Q.T @ v))) < 1e-9
+
+
+def _level_blocks(data):
+    """The V-indices of each eigenvalue level, in increasing grade."""
+    return [np.flatnonzero([g == nu for g in data.grades_exact]) for nu in sorted(set(data.grades_exact))]
 
 
 def test_blocks_are_ordered_partition(ws):
@@ -250,13 +261,30 @@ def test_blocks_are_ordered_partition(ws):
 
     for key, entries in DATA_GRID:
         data = ws.data(key, entries)
-        flat = np.concatenate(data.blocks)
+        blocks = _level_blocks(data)
+        flat = np.concatenate(blocks)
         np.testing.assert_array_equal(flat, np.arange(data.n_dim))
+        assert len(blocks) == len(data.levels)
         offset = 0
-        for (nu, dj), block in zip(data.levels, data.blocks):
+        for (nu, dj), block in zip(data.levels, blocks):
             np.testing.assert_array_equal(block, np.arange(offset, offset + dj))
             assert all(float(data.grades_exact[j]) == nu for j in block)
             offset += dj
+
+
+@pytest.mark.parametrize("field, entries", [("R", (3, 3, 0, -2, -4)), ("R", (1000, 1, 0, -1001)), ("C", (2, 0, 0, -2))])
+def test_block_grades_count_the_distinct_entries_crossed(field, entries):
+    # V_j sits at matrix position (a, b) (or (a, b + n) over C); its block
+    # grade is the number of distinct entries of c in [c_b, c_a), counted
+    # from the matrix, not from the root weights
+    data = cold_data(field, len(entries), entries)
+    n = len(entries)
+    distinct = sorted(set(entries))
+    for j, V in enumerate(data.n_basis):
+        a, b = (int(x) % n for x in np.argwhere(V != 0)[0])
+        crossed = sum(entries[b] <= e < entries[a] for e in distinct)
+        assert data.block_grades[j] == crossed, (entries, j)
+    assert data.block_grades.max() == len(distinct) - 1 and data.N0 == max(1, len(distinct) - 2)
 
 
 def test_theta_n_is_opposite(ws):

@@ -20,6 +20,7 @@ from lieorb.rootspace import (
 )
 from oracles import (
     independent_rows_reference,
+    inner,
     integer_weights_reference,
     negative_of,
     outside_span,
@@ -110,7 +111,7 @@ def test_root_vector_defining_relation(ws):
 def test_a_basis_orthonormal(ws):
     for key in ("sl4r", "sl3c"):
         alg, rs = ws.algebra(key), ws.rs(key)
-        G = np.array([[alg.inner(A, B) for B in rs.a_basis] for A in rs.a_basis])
+        G = np.array([[inner(alg, A, B) for B in rs.a_basis] for A in rs.a_basis])
         np.testing.assert_allclose(G, np.eye(rs.rank), atol=1e-10)
 
 
