@@ -9,7 +9,6 @@ from .liecore import (
     cartan_split,
     iwasawa_decompose,
     killing_compare_realified,
-    kp_decompose,
 )
 from .rootspace import (
     RestrictedRoot,

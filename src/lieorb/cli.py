@@ -265,8 +265,7 @@ def check_roots(ctx: _Context, cfg: RunConfig, rng) -> dict:
         W[r.members] = r.weights
     weight = weight_code(W)
     ri = np.flatnonzero(weight)
-    X = alg.basis[ri]
-    brackets = alg.coords(X[:, None] @ X[None] - X[None] @ X[:, None])  # [i, j]: [X_i, X_j]
+    brackets = alg.structure[np.ix_(ri, ri)]  # [i, j]: [X_i, X_j] in coordinates, X_i = b_ri[i]
     outside = weight != weight[ri, None, None] + weight[ri, None]
     grading = float(np.max(np.abs(np.where(outside, brackets, 0.0)), initial=0.0))
     theta = alg.theta_matrix[:, ri]  # column i: theta(X_i)
@@ -290,7 +289,7 @@ def check_roots(ctx: _Context, cfg: RunConfig, rng) -> dict:
 def check_parabolic(ctx: _Context, cfg: RunConfig, rng) -> dict:
     data = ctx.data
     alg = ctx.algebra
-    ortho = float(np.max(np.abs(alg.killing_matrix[list(data.b_indices)] @ data.p_filtration_coords.T)))
+    ortho = float(np.max(np.abs(alg.killing_matrix[np.ix_(data.b_indices, data.z_indices + data.b_indices)])))
     half = data.n_dim * 2 == alg.dim - len(data.z_indices)
     # Ad of the compact stabilizer preserves each eigenvalue level: label the
     # basis indices of n(c) by their grade (NaN off n(c)), one draw per element
@@ -347,9 +346,7 @@ def check_kk(ctx: _Context, cfg: RunConfig, rng) -> dict:
         section["killing_realified_gap"] = _res(killing_compare_realified(alg), cfg.tol("decomposition"))
         which = "re" if verdict["re_exact"] else ("im" if verdict["im_exact"] else None)
         if which:
-            section["k_lagrangian"] = _res(
-                k_orbit_lagrangian_check(alg, ctx.split, c, which), cfg.tol("structural")
-            )
+            section["k_lagrangian"] = _res(verdict["evidence"][f"{which}_restriction_max"], cfg.tol("structural"))
     else:
         section["k_lagrangian"] = _res(
             k_orbit_lagrangian_check(alg, ctx.split, c, "real-form"), cfg.tol("structural")

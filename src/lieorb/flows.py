@@ -100,7 +100,8 @@ def _hv_series(data: HyperbolicData, V: np.ndarray, U: np.ndarray, deg: int) -> 
     coefficients <= k of its factors, so every product is cut at deg and
     every kept coefficient is exact; deg = 2 N0 (len(U) - 1) cuts nothing.
     """
-    negA = -np.einsum("...i,ikj->...kj", U[: deg + 1], data.adn)
+    # one BLAS product, exact in any order: adn[:, k, j] has at most one nonzero entry
+    negA = -(U[: deg + 1] @ data.adn.reshape(data.n_dim, -1)).reshape(U[: deg + 1].shape[:-1] + data.adn.shape[1:])
 
     def times_negA(x: np.ndarray) -> np.ndarray:
         out = (negA[0] @ x[..., None])[..., 0]

@@ -32,6 +32,7 @@ from .liecore import (
     _as_matrix,
     complex_trace_form,
     extract_complex,
+    raise_first,
 )
 from .parabolic import HyperbolicData
 
@@ -54,7 +55,11 @@ def orbit_point(
     neither a real nor an imaginary spectrum ties under rounding.
     """
     G = _as_matrix(g)
-    w = G @ c @ np.linalg.inv(G)
+    try:
+        w = G @ c @ np.linalg.inv(G)
+    except np.linalg.LinAlgError:  # det runs inv's LU, so it is exactly 0 where inv met a zero pivot
+        raise_first(np.linalg.det(G) == 0, lambda i: f"orbit_point: g is singular, max|g| = {abs(G[i]).max():.3e}")
+        raise
     if validate:
         z = np.diagonal(extract_complex(c) if algebra.is_complex else c)
         ev_c = np.concatenate([z, np.conj(z)]) if algebra.is_complex else z

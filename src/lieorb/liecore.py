@@ -384,7 +384,7 @@ def cartan_split(algebra: MatrixLieAlgebra) -> CartanSplit:
 @dataclass(frozen=True, eq=False)
 class GroupElement:
     matrix: np.ndarray
-    tag: str = "general"
+    tag: str
 
 
 def in_K_residual(algebra: MatrixLieAlgebra, g: np.ndarray) -> float:
@@ -464,32 +464,7 @@ def iwasawa_decompose(algebra: MatrixLieAlgebra, g) -> tuple[GroupElement, Group
     resid = np.max(np.abs(kmat @ amat @ nmat - G), axis=(-2, -1))
     limit = TOL_DECOMP * np.maximum(1.0, np.max(np.abs(G), axis=(-2, -1)))
     raise_first(resid > limit, lambda i: f"Iwasawa reconstruction residual {resid[i]:.3e}")
-    return (
-        GroupElement(kmat, "in_K"),
-        GroupElement(amat, "in_A"),
-        GroupElement(nmat, "in_N"),
-    )
-
-
-def kp_decompose(
-    algebra: MatrixLieAlgebra, g, p_filtration_coords: np.ndarray
-) -> tuple[GroupElement, GroupElement]:
-    """g = k p with p in the parabolic fixing the given filtration.
-
-    The P-membership of the second factor is verified directly: Ad(p) must
-    preserve the span of the supplied filtration basis, up to a leak judged
-    against the size of the transported coordinates.  Leading axes of g
-    batch over points, each judged on its own.
-    """
-    k, a, n = iwasawa_decompose(algebra, g)
-    p = a.matrix @ n.matrix
-    F = np.asarray(p_filtration_coords, dtype=float)
-    Q, _ = np.linalg.qr(F.T)
-    y = algebra.coords(p[..., None, :, :] @ algebra.from_coords(F) @ np.linalg.inv(p)[..., None, :, :])
-    worst = np.max(np.abs(y - y @ (Q @ Q.T)), axis=(-2, -1))
-    limit = TOL_DECOMP * np.maximum(1.0, np.max(np.abs(y), axis=(-2, -1)))
-    raise_first(worst > limit, lambda i: f"KP factor leaves the parabolic filtration ({worst[i]:.3e})")
-    return k, GroupElement(p, "general")
+    return GroupElement(kmat, "in_K"), GroupElement(amat, "in_A"), GroupElement(nmat, "in_N")
 
 
 def random_element(algebra: MatrixLieAlgebra, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -70,12 +70,6 @@ class HyperbolicData:
     def n_dim(self) -> int:
         return len(self.b_indices)
 
-    @property
-    def p_filtration_coords(self) -> np.ndarray:
-        """Basis of P(c) = z(c) + n(c) as coordinate vectors."""
-        idx = list(self.z_indices) + list(self.b_indices)
-        return np.eye(self.algebra.dim)[idx]
-
     def n_coords_of(self, X: np.ndarray, strict: float | None = None) -> np.ndarray:
         """Coordinates v of X in the V-basis of n(c), over any leading batch axes; with strict,
         each element's part outside n(c) must be within strict max(1, max|v|) of its own v."""

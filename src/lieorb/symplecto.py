@@ -37,7 +37,7 @@ from .liecore import (
     _as_matrix,
     expm,
     in_K_residual,
-    kp_decompose,
+    iwasawa_decompose,
     raise_first,
     random_in_K,
 )
@@ -77,8 +77,12 @@ def phi_lambda(data: HyperbolicData, pt: CotangentPoint, validate: bool = True) 
 
 
 def project_pi(data: HyperbolicData, pt: OrbitPoint) -> BaseCoset:
-    """Bundle projection G/Z(c) -> G/P(c) = K/Z_K(c), canonical K representative; batches over pt.g."""
-    k, _ = kp_decompose(data.algebra, pt.g, data.p_filtration_coords)
+    """Bundle projection G/Z(c) -> G/P(c) = K/Z_K(c): the K factor of g = k a n, batched over pt.g.
+
+    a n is in P(c), block upper triangular for the chamber-sorted c: n is QR's triu R over its
+    positive diagonal, so exactly upper unitriangular, and a is a positive diagonal in Z(c).
+    """
+    k, _, _ = iwasawa_decompose(data.algebra, pt.g)
     return BaseCoset(k.matrix)
 
 

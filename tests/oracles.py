@@ -162,11 +162,16 @@ class Covector:
         return -float(algebra.coords(Vm) @ algebra.killing_matrix @ algebra.coords(X))
 
 
+def p_filtration_coords(data):
+    """Basis of P(c) = z(c) + n(c) as coordinate vectors."""
+    return np.eye(data.algebra.dim)[list(data.z_indices) + list(data.b_indices)]
+
+
 def covector_annihilation_gap(data, V):
     """max |eta_V| over a basis of P(c); zero since B pairs n only with theta-n."""
     eta = Covector(np.asarray(V, dtype=float))
     worst = 0.0
-    for x in data.p_filtration_coords:
+    for x in p_filtration_coords(data):
         worst = max(worst, abs(eta.value_on(data, data.algebra.from_coords(x))))
     return worst
 

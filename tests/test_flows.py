@@ -454,6 +454,19 @@ def test_series_kernel_matches_untruncated_reference(ws):
             assert np.max(np.abs(fp.coeffs - want)) <= 1e-15 * scale, data.c_entries
 
 
+def test_adn_has_one_term_per_negA_entry(ws):
+    # _hv_series forms negA = -sum_i U_i adn[i] as one BLAS product; with at
+    # most one nonzero i per (k, j) its sums match the einsum's bit for bit
+    datas = [ws.data(key, entries) for key, entries in DATA_GRID]
+    datas += [cold_data(field, n, tuple(n - 1 - 2 * k for k in range(n))) for field, n in (("R", 8), ("C", 6))]
+    for data in datas:
+        n = data.n_dim
+        assert np.max(np.count_nonzero(data.adn, axis=0)) <= 1, data.c_entries
+        U = np.random.default_rng(5).standard_normal((3, 4, n))
+        blas = (U @ data.adn.reshape(n, n * n)).reshape(3, 4, n, n)
+        assert blas.tobytes() == np.einsum("...i,ikj->...kj", U, data.adn).tobytes(), data.c_entries
+
+
 # the input every flow error names: chamber, max|V| and max|U0|
 _ERR_V, _ERR_U0 = np.array([1.0, -2.0, 0.5]), np.array([0.25, 0.0, 3.0])
 _ERR_WHERE = r"at c = \('1', '0', '-1'\), max\|V\| = 2\.000e\+00, max\|U0\| = 3\.000e\+00"

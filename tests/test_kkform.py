@@ -14,7 +14,7 @@ from lieorb.kkform import (
     orbit_point,
     re_dual_gap,
 )
-from lieorb.liecore import ConfigurationError, InconsistencyError, random_element
+from lieorb.liecore import ConfigurationError, DecompositionError, InconsistencyError, random_element
 from conftest import ALGEBRA_SPECS
 from oracles import killing, killing_matrix_oracle, omega_rank
 
@@ -194,6 +194,19 @@ def test_orbit_point_validation_sees_a_planted_spectrum_fault(ws, monkeypatch):
             orbit_point(alg, c, g)
         orbit_point(alg, c, g, validate=False)
         monkeypatch.setattr(np.linalg, "inv", inv)
+
+
+def test_orbit_point_names_a_singular_g(ws):
+    # inv's LinAlgError comes back as a DecompositionError naming the point
+    for key in ("sl3r", "sl3c"):
+        alg = ws.algebra(key)
+        c = alg.element_from_entries((1, 0, -1))
+        zero, one = np.zeros((alg.d, alg.d)), np.eye(alg.d)
+        message = r"^orbit_point: g is singular, max\|g\| = 0\.000e\+00"
+        with pytest.raises(DecompositionError, match=message + "$"):
+            orbit_point(alg, c, zero)
+        with pytest.raises(DecompositionError, match=message + r" at point \(1, 0\)$"):
+            orbit_point(alg, c, np.stack([[one, one], [zero, one]]), validate=False)
 
 
 def test_exactness_verdicts(ws):

@@ -22,7 +22,6 @@ from lieorb.liecore import (
     iwasawa_decompose,
     jacobi_residual,
     killing_compare_realified,
-    kp_decompose,
     random_element,
     random_in_K,
     signed_permutation,
@@ -34,7 +33,6 @@ from oracles import (
     independent_rows_reference,
     inner,
     killing,
-    kp_decompose_single,
     theta_automorphism_einsum,
     killing_matrix_einsum,
     killing_matrix_oracle,
@@ -409,36 +407,14 @@ def test_batched_decompositions_name_the_failing_point(ws, key):
     non_special = embed(np.diag([2.0] + [1.0] * (m - 1)))
     singular = np.diag([0.0] + [1.0] * (m - 2) + [0.0])
     singular[0] = 1e8
-    filt = np.eye(alg.dim)[: alg.dim // 2]
     for bad, message in ((non_special, r"input is not special \(det = \(2\+0j\)\)"),
                          (embed(singular), r"singular input")):
         with pytest.raises(DecompositionError, match=message + "$"):
             iwasawa_decompose(alg, bad)
-        for decompose in (lambda g: iwasawa_decompose(alg, g), lambda g: kp_decompose(alg, g, filt)):
-            with pytest.raises(DecompositionError, match=message + r" at point \(1,\)$"):
-                decompose(np.stack([good, bad, good]))
-            with pytest.raises(DecompositionError, match=message + r" at point \(1, 0\)$"):
-                decompose(np.stack([[good, good], [bad, good]]))
-
-
-def test_kp_decompose(ws, rng):
-    alg = ws.algebra("sl3r")
-    data = ws.data("sl3r", (1, 0, -1))
-    filt = data.p_filtration_coords
-    g = random_in_K(alg, rng).matrix
-    k, p = kp_decompose(alg, g, filt)
-    np.testing.assert_allclose(k.matrix, g, atol=1e-9)
-    np.testing.assert_allclose(p.matrix, np.eye(3), atol=1e-9)
-    from lieorb.flows import exp_H
-
-    nelt = exp_H(data, np.array([0.3, -0.2, 0.5])).matrix
-    k, p = kp_decompose(alg, nelt, filt)
-    np.testing.assert_allclose(k.matrix, np.eye(3), atol=1e-9)
-    np.testing.assert_allclose(p.matrix, nelt, atol=1e-9)
-    g = scipy.linalg.expm(random_element(alg, rng, 0.5))
-    k, p = kp_decompose(alg, g, filt)
-    np.testing.assert_allclose(k.matrix @ p.matrix, g, atol=1e-9)
-    assert in_K_residual(alg, k.matrix) < 1e-9
+        with pytest.raises(DecompositionError, match=message + r" at point \(1,\)$"):
+            iwasawa_decompose(alg, np.stack([good, bad, good]))
+        with pytest.raises(DecompositionError, match=message + r" at point \(1, 0\)$"):
+            iwasawa_decompose(alg, np.stack([[good, good], [bad, good]]))
 
 
 def test_group_element_k_membership(ws, rng):
@@ -447,16 +423,6 @@ def test_group_element_k_membership(ws, rng):
         k = random_in_K(alg, rng)
         assert k.tag == "in_K"
         assert in_K_residual(alg, k.matrix) < 1e-9
-
-
-def test_kp_rejects_non_invariant_filtration(ws, rng):
-    # a span that Ad of the AN factor does not preserve must be flagged
-    alg = ws.algebra("sl3r")
-    g = scipy.linalg.expm(random_element(alg, rng, 0.6))
-    E, F = alg.basis[1], alg.basis[3]  # E12 and E21
-    bogus = alg.coords(E - F)[None, :]
-    with pytest.raises(DecompositionError):
-        kp_decompose(alg, g, bogus)
 
 
 @pytest.mark.parametrize("seed", range(8))

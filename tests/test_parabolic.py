@@ -9,7 +9,7 @@ from conftest import DATA_GRID, cold_data
 from lieorb import parabolic
 from lieorb.liecore import ConfigurationError, InconsistencyError
 from lieorb.parabolic import chamber_sort, hyperbolic_data, nilpotency_index, z_k_coords
-from oracles import grade_projection, symmetrized_power_vanishes_bruteforce
+from oracles import grade_projection, p_filtration_coords, symmetrized_power_vanishes_bruteforce
 
 
 def test_sl2_data(ws):
@@ -219,7 +219,7 @@ def test_killing_orthogonality_n_vs_parabolic(ws):
         K = alg.killing_matrix
         for b in data.b_indices:
             v = np.eye(alg.dim)[b]
-            for x in data.p_filtration_coords:
+            for x in p_filtration_coords(data):
                 assert abs(float(v @ K @ x)) < 1e-10
 
 

@@ -4,7 +4,16 @@ import pytest
 from conftest import DATA_GRID
 from lieorb import symplecto
 from lieorb.kkform import kk_eval, orbit_point
-from lieorb.liecore import ConfigurationError, DecompositionError, GroupElement, random_in_K
+from lieorb.flows import exp_H
+from lieorb.liecore import (
+    ConfigurationError,
+    DecompositionError,
+    GroupElement,
+    expm,
+    iwasawa_decompose,
+    random_element,
+    random_in_K,
+)
 from lieorb.symplecto import (
     CotangentPoint,
     coset_gap,
@@ -16,7 +25,14 @@ from lieorb.symplecto import (
     pullback_residual,
     section_lagrangian_check,
 )
-from oracles import CotangentTangent, equivalence_gap, kp_decompose_single, liouville_eval, tautological_form
+from oracles import (
+    CotangentTangent,
+    equivalence_gap,
+    kp_decompose_single,
+    liouville_eval,
+    p_filtration_coords,
+    tautological_form,
+)
 
 
 def test_phi_zero_section(ws, rng):
@@ -76,11 +92,27 @@ def test_project_pi(ws, rng):
     alg = ws.algebra("sl3r")
     bc = project_pi(data, orbit_point(alg, data.c, np.eye(3)))
     assert coset_gap(data, bc.k, np.eye(3)) < 1e-12
-    from lieorb.flows import exp_H
-
     nelt = exp_H(data, rng.standard_normal(3))
     bc = project_pi(data, orbit_point(alg, data.c, nelt.matrix, validate=False))
     assert coset_gap(data, bc.k, np.eye(3)) < 1e-9
+
+
+def test_project_pi_takes_the_iwasawa_k_factor(ws, rng):
+    # k in K maps to itself and exp_H(V) in N(c) to I; the a n it drops is
+    # exactly 0 below c's block diagonal, so it lies in P(c)
+    for key, entries in (("sl3r", (1, 0, -1)), ("sl3r", (1, 1, -2)), ("sl3c", (1, 0, -1))):
+        data = ws.data(key, entries)
+        alg = data.algebra
+        k = random_in_K(alg, rng).matrix
+        np.testing.assert_allclose(project_pi(data, orbit_point(alg, data.c, k)).k, k, atol=1e-9)
+        nelt = exp_H(data, rng.standard_normal(data.n_dim)).matrix
+        on = orbit_point(alg, data.c, nelt, validate=False)
+        np.testing.assert_allclose(project_pi(data, on).k, np.eye(alg.d), atol=1e-9)
+        g = k @ expm(random_element(alg, rng, 0.5)) @ nelt
+        k_g, a, n = iwasawa_decompose(alg, g)
+        c = np.diagonal(data.c)
+        assert np.all((a.matrix @ n.matrix)[c[:, None] < c[None, :]] == 0), (key, entries)
+        assert project_pi(data, orbit_point(alg, data.c, g, validate=False)).k.tobytes() == k_g.matrix.tobytes()
 
 
 def test_project_pi_with_large_group_entries(ws):
@@ -104,7 +136,7 @@ def test_batched_project_pi_matches_point_loop(ws):
         k = np.stack([random_in_K(alg, rng).matrix for _ in range(20)])
         on = phi_lambda(data, cotangent_point(data, k, 0.8 * rng.standard_normal((20, data.n_dim))), validate=False)
         batch = project_pi(data, on).k
-        loop = np.stack([kp_decompose_single(alg, g, data.p_filtration_coords)[0] for g in on.g])
+        loop = np.stack([kp_decompose_single(alg, g, p_filtration_coords(data))[0] for g in on.g])
         assert batch.tobytes() == loop.tobytes(), (key, entries)
         assert coset_gap(data, batch, k) == max(coset_gap(data, a, b) for a, b in zip(batch, k))
 
