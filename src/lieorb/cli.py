@@ -336,9 +336,9 @@ def check_kk(ctx: _Context, cfg: RunConfig, rng) -> dict:
     if real is not None:
         data = ctx.data
         moved = expm(alg.from_coords(0.4 * rng.standard_normal((3, alg.dim))))
-        iso = max(fiber_isotropy_check(alg, data), fiber_isotropy_check(alg, data, moved))
+        iso = max(fiber_isotropy_check(data), fiber_isotropy_check(data, moved))
         section["fiber_isotropy"] = _res(iso, cfg.tol("decomposition"))
-        section["nondegeneracy"] = _res(nondegeneracy_check(alg, data), cfg.tol("eigen"), kind="min")
+        section["nondegeneracy"] = _res(nondegeneracy_check(data), cfg.tol("eigen"), kind="min")
     if alg.is_complex:
         verdict = exactness_verdict(alg, ctx.split, ctx.config.c_entries)
         section["exactness_verdict"] = verdict
@@ -348,9 +348,7 @@ def check_kk(ctx: _Context, cfg: RunConfig, rng) -> dict:
         if which:
             section["k_lagrangian"] = _res(verdict["evidence"][f"{which}_restriction_max"], cfg.tol("structural"))
     else:
-        section["k_lagrangian"] = _res(
-            k_orbit_lagrangian_check(alg, ctx.split, c, "real-form"), cfg.tol("structural")
-        )
+        section["k_lagrangian"] = _res(k_orbit_lagrangian_check(alg, ctx.split, c)[0], cfg.tol("structural"))
     section["pass"] = _section_pass(section)
     return section
 
@@ -362,11 +360,7 @@ def check_flow(ctx: _Context, cfg: RunConfig, rng) -> dict:
     fp = flow_exact(data, V, U0)
     times = (1.0, -2.0)
     gap = max(float(np.max(np.abs(fp.eval(t) - flow_numeric(data, V, U0, t)))) for t in times)
-    # each point's own degree: its top coefficient over 1e-12 (1 + max|V| + max|U0|)
-    scale = 1.0 + np.max(np.abs(V), axis=-1) + np.max(np.abs(U0), axis=-1)
-    kept = np.any(np.abs(fp.coeffs) > 1e-12 * scale[:, None], axis=-1)
-    degrees = np.max(np.arange(len(kept))[:, None] * kept, axis=0)
-    values, counts = np.unique(degrees, return_counts=True)
+    values, counts = np.unique(fp.degrees, return_counts=True)
     a, b = np.triu_indices(n, 1)
     commute = commute_residual(data, np.eye(n)[a], np.eye(n)[b])
     g = exp_H(data, V[:25]).matrix
@@ -379,7 +373,7 @@ def check_flow(ctx: _Context, cfg: RunConfig, rng) -> dict:
         "max_chart_gap": _res(float(np.max(chart, initial=0.0)), cfg.tol("decomposition")),
         # every point counts once per witness time
         "degree_histogram": {str(k): len(times) * int(v) for k, v in zip(values, counts)},
-        "degree_bound_violations": _res(float(np.any(degrees > fp.degree_bound)), 0.5),
+        "degree_bound_violations": _res(float(np.any(fp.degrees > fp.degree_bound)), 0.5),
     }
     section["pass"] = _section_pass(section)
     return section

@@ -131,10 +131,12 @@ def _where(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> str:
 
 @dataclass(frozen=True, eq=False)
 class FlowPolynomial:
-    """Integral curve U(t) = sum_m coeffs[m] t^m of h_V, exact in t, of degree <= degree_bound."""
+    """Integral curve U(t) = sum_m coeffs[m] t^m of h_V, exact in t, of degree <= degree_bound;
+    degrees holds each point's own degree, its top coefficient above flow_exact's cut."""
 
     coeffs: np.ndarray
     degree_bound: int
+    degrees: np.ndarray
 
     @property
     def degree(self) -> int:
@@ -156,8 +158,9 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
     recursion ends at the top block grade B.  Where a new coefficient is
     within 1e-12 (1 + max|V| + max|U0|) at every point, the curve cut there
     is checked against the defining equation, and the recursion stops if it
-    holds; that check, also run at B, is the only acceptance test.  A
-    coefficient above its block grade is a fault of the kernel and raises.
+    holds; that check, also run at B, is the only acceptance test.  The same
+    cut gives each point's degree.  A coefficient above its block grade is a
+    fault of the kernel and raises.
     """
     V = np.asarray(V, dtype=float)
     U0 = np.asarray(U0, dtype=float)
@@ -165,12 +168,13 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
         raise ValueError("V and U0 must be n(c) coordinate vectors")
     V, U0 = np.broadcast_arrays(V, U0)
     scale = 1.0 + np.max(np.abs(V), axis=-1) + np.max(np.abs(U0), axis=-1)
+    cut = 1e-12 * scale[..., None]
     B = int(data.block_grades.max())
     U = np.zeros((B + 1,) + U0.shape)
     U[0] = U0
     for m in range(B):
         U[m + 1] = _hv_series(data, V, U[: m + 1], m)[m] / (m + 1)
-        tiny = np.all(np.abs(U[m + 1]) <= 1e-12 * scale[..., None])
+        tiny = np.all(np.abs(U[m + 1]) <= cut)
         if not tiny and m + 1 < B:
             continue
         Ut = U[: m + 1 if tiny else m + 2]
@@ -192,7 +196,8 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
         E[: D.shape[0]] -= D
         resid = np.max(np.abs(E), axis=(0, -1))
         if np.all(resid <= TOL_STRUCT * scale):
-            return FlowPolynomial(Ut, B)
+            kept = np.moveaxis(np.any(np.abs(Ut) > cut, axis=-1), 0, -1)
+            return FlowPolynomial(Ut, B, np.max(kept * np.arange(deg + 1), axis=-1))
         if m + 1 < B:
             # the cut is no solution: recurse on, from the check's row m,
             # which reads the same U_0 .. U_m
@@ -285,7 +290,7 @@ def exp_H(data: HyperbolicData, V: np.ndarray) -> GroupElement:
     """
     V = np.asarray(V, dtype=float)
     U1 = flow_exact(data, V, np.zeros(V.shape)).eval(1.0)
-    return GroupElement(exp_series(data.n_matrix_of(U1), data.algebra.d), "in_N")
+    return GroupElement(exp_series(data.n_matrix_of(U1), data.algebra.d))
 
 
 def invert_exp_H(data: HyperbolicData, g) -> np.ndarray:
@@ -294,13 +299,17 @@ def invert_exp_H(data: HyperbolicData, g) -> np.ndarray:
     The chart is affine on the orbit, Ad(exp_H(V)) c = c - V: N(c) acts
     simply transitively on c + n(c) (Kostant), and in this matrix model N(c)
     is the group I + n(c).  So g is checked once for g - I in n(c), and V is
-    read off c - Ad(g) c, which then lies in n(c) exactly.  Leading axes of
-    g batch over points, each judged on its own.
+    read off c - Ad(g) c, which then lies in n(c) exactly.  g - I lies in
+    n(c) when it equals the element of its own n(c) coordinates.  Leading
+    axes of g batch over points, each judged on its own.
     """
     M = _as_matrix(g)
     D = M - np.eye(M.shape[-1])
+    v = data.n_coords_of(D)
+    outside = np.max(np.abs(D - data.n_matrix_of(v)), axis=(-2, -1))
+    bad = outside > 1e-8 * np.maximum(1.0, np.max(np.abs(v), axis=-1))
     try:
-        data.n_coords_of(D, strict=1e-8)
+        raise_first(bad, lambda i: f"element has a component outside n(c) ({outside[i]:.2e})", ValueError)
     except ValueError as exc:
         raise ValueError("input does not lie in N(c) = I + n(c)") from exc
     return data.n_coords_of(data.c - M @ data.c @ np.linalg.inv(M))
@@ -330,4 +339,4 @@ def linear_chart(data: HyperbolicData, V: np.ndarray) -> GroupElement:
         lambda i: f"linear_chart: n c = (c - V) n fails at c = {tuple(map(str, data.c_entries))}, "
         f"max|V| = {np.max(np.abs(V[i])):.3e}: residual {resid[i]:.3e} > {limit[i]:.3e}",
     )
-    return GroupElement(n, "in_N")
+    return GroupElement(n)

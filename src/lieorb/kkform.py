@@ -117,50 +117,42 @@ def closedness_check(
     return np.abs(total)
 
 
-def _omega_svals(algebra: MatrixLieAlgebra, data: HyperbolicData, pt: OrbitPoint) -> np.ndarray:
+def _omega_svals(data: HyperbolicData, pt: OrbitPoint) -> np.ndarray:
     """Singular values of Omega on Ad(g) of the theta-n + n directions, a basis of g/z(w)."""
+    algebra = data.algebra
     rows = np.concatenate([data.nbar_coords, np.eye(algebra.dim)[list(data.b_indices)]])
     dirs = algebra.coords(pt.g @ algebra.from_coords(rows) @ np.linalg.inv(pt.g))
     return np.linalg.svd(kk_gram(algebra, pt.w_coords, dirs), compute_uv=False)
 
 
-def nondegeneracy_check(algebra: MatrixLieAlgebra, data: HyperbolicData) -> float:
+def nondegeneracy_check(data: HyperbolicData) -> float:
     """Smallest singular value of Omega on a basis of g/z(w) at the base point c."""
-    pt = orbit_point(algebra, data.c, np.eye(algebra.d), validate=False)
-    return float(_omega_svals(algebra, data, pt)[-1])
+    pt = orbit_point(data.algebra, data.c, np.eye(data.algebra.d), validate=False)
+    return float(_omega_svals(data, pt)[-1])
 
 
-def fiber_isotropy_check(
-    algebra: MatrixLieAlgebra, data: HyperbolicData, g=None
-) -> float:
+def fiber_isotropy_check(data: HyperbolicData, g=None) -> float:
     """max |Omega| over the fiber directions; at the base fiber when g is None, and over a batch of g."""
+    algebra = data.algebra
     pt = orbit_point(algebra, data.c, np.eye(algebra.d) if g is None else g, validate=False)
     dirs = algebra.coords(pt.g[..., None, :, :] @ data.n_basis @ np.linalg.inv(pt.g)[..., None, :, :])
     return upper_max(kk_gram(algebra, pt.w_coords, dirs))
 
 
-def k_orbit_lagrangian_check(
-    algebra: MatrixLieAlgebra, split: CartanSplit, c: np.ndarray, which: str
-) -> float:
-    """max |form(X, Y)| over k-basis pairs at the base point of the orbit of c.
+def k_orbit_lagrangian_check(algebra: MatrixLieAlgebra, split: CartanSplit, c: np.ndarray) -> list[float]:
+    """max |form(X, Y)| over k-basis pairs at the base point of the orbit of c, one per form.
 
-    which = "re" / "im" evaluates the real/imaginary part of the holomorphic
-    form on a realified algebra; "real-form" evaluates Omega itself on a real
-    form.  Together with the half-dimension count this certifies (or refutes)
-    the Lagrangian property of the compact orbit.
+    The forms are Omega on a real form, and Re Omega and Im Omega, the real
+    and imaginary parts of the holomorphic form, on a realified algebra.
+    Together with the half-dimension count this certifies (or refutes) the
+    Lagrangian property of the compact orbit.
     """
-    if which in ("re", "im"):
-        if not algebra.is_complex:
-            raise ConfigurationError("re/im modes need a complex-realified algebra")
-    elif which == "real-form":
-        if algebra.is_complex:
-            raise ConfigurationError("real-form mode needs a real form")
-    else:
-        raise ConfigurationError(f"unknown mode {which!r}")
     Yc = split.k_coords
-    Xc = algebra.coords(algebra.J @ split.k_basis) if which == "im" else Yc
-    factor = {"re": 0.5, "im": -0.5, "real-form": 1.0}[which]
-    return upper_max(factor * kk_gram(algebra, algebra.coords(c), Xc, Yc))
+    w = algebra.coords(c)
+    if not algebra.is_complex:
+        return [upper_max(kk_gram(algebra, w, Yc, Yc))]
+    JYc = algebra.coords(algebra.J @ split.k_basis)
+    return [upper_max(0.5 * kk_gram(algebra, w, Yc, Yc)), upper_max(-0.5 * kk_gram(algebra, w, JYc, Yc))]
 
 
 def exactness_verdict(
@@ -175,19 +167,17 @@ def exactness_verdict(
     if not algebra.is_complex:
         raise ConfigurationError("exactness verdict applies to realified complex orbits")
     c = algebra.element_from_entries(c_entries)  # checks the size and the trace
-    vals = [complex(e) for e in c_entries]
-    if max(abs(v) for v in vals) == 0:
+    cscale = max(abs(complex(e)) for e in c_entries)
+    if cscale == 0:
         raise ConfigurationError("c must be nonzero")
     ev = np.linalg.eigvals(algebra.ad_matrix_of(c))
     scale = max(1.0, float(np.max(np.abs(ev))))
     re_spec = bool(np.max(np.abs(ev.imag)) < TOL_DECOMP * scale)
     im_spec = bool(np.max(np.abs(ev.real)) < TOL_DECOMP * scale)
 
-    re_resid = k_orbit_lagrangian_check(algebra, split, c, "re")
-    im_resid = k_orbit_lagrangian_check(algebra, split, c, "im")
+    re_resid, im_resid = k_orbit_lagrangian_check(algebra, split, c)
     re_geom = re_resid < TOL_STRUCT * scale
     im_geom = im_resid < TOL_STRUCT * scale
-    cscale = max(abs(v) for v in vals)
     if not re_geom and re_resid < 1e-3 * cscale:
         raise InconsistencyError(f"re witness too weak: {re_resid:.2e}")
     if not im_geom and im_resid < 1e-3 * cscale:

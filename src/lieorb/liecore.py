@@ -35,10 +35,6 @@ class DecompositionError(RuntimeError):
     """A matrix factorization failed or its reconstruction residual is too large."""
 
 
-class DegeneracyError(RuntimeError):
-    """A rank decision is inconclusive at the working tolerance."""
-
-
 class InconsistencyError(RuntimeError):
     """Two supposedly equivalent computations disagree (internal bug guard)."""
 
@@ -167,10 +163,6 @@ class MatrixLieAlgebra:
         Z[..., r, r] = -a[..., r - 1]
         Z[..., self._rows, self._cols] = off
         return embed_complex(Z) if self.is_complex else Z
-
-    def span_residual(self, X: np.ndarray) -> np.ndarray:
-        """How far X is from the algebra (max-abs of the discarded part), per element of a batch."""
-        return np.max(np.abs(X - self.from_coords(self.coords(X))), axis=(-2, -1))
 
     # -- algebraic operations ---------------------------------------------
 
@@ -384,7 +376,6 @@ def cartan_split(algebra: MatrixLieAlgebra) -> CartanSplit:
 @dataclass(frozen=True, eq=False)
 class GroupElement:
     matrix: np.ndarray
-    tag: str
 
 
 def in_K_residual(algebra: MatrixLieAlgebra, g: np.ndarray) -> float:
@@ -429,12 +420,21 @@ def raise_first(bad: np.ndarray, message: Callable[[tuple], str], error: type = 
         raise error(message(i) + (f" at point {i}" if i else ""))
 
 
+def positive_qr(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z = q r over leading batch axes, with the phases of diag r moved into q so that r has a
+    positive diagonal: the convention that makes K representatives canonical.  A zero pivot
+    keeps a zero row of r (and a zero column of q)."""
+    q, r = np.linalg.qr(Z)
+    dg = np.diagonal(r, axis1=-2, axis2=-1)
+    u = dg / np.where(dg == 0, 1.0, np.abs(dg))
+    return q * u[..., None, :], np.conj(u)[..., :, None] * r
+
+
 def iwasawa_decompose(algebra: MatrixLieAlgebra, g) -> tuple[GroupElement, GroupElement, GroupElement]:
     """g = k a n with k in K, a positive diagonal, n upper unitriangular.
 
-    Realized by QR over the base field (the complex matrix for the realified
-    family), with the phases of diag r moved into q so that a is positive;
-    the same convention canonicalizes coset representatives downstream.
+    Realized by positive_qr over the base field (the complex matrix for the
+    realified family), so that a is positive.
     Leading axes of g batch over points, and every check is judged per
     point: det g = 1 at det's rounding scale, a few eps times the Hadamard
     bound prod |g_col|, and the reconstruction against max |g|, so large
@@ -451,20 +451,16 @@ def iwasawa_decompose(algebra: MatrixLieAlgebra, g) -> tuple[GroupElement, Group
         np.abs(det - 1.0) > TOL_DECOMP + 8 * algebra.d * np.finfo(float).eps * hadamard,
         lambda i: f"input is not special (det = {complex(det[i])})",
     )
-    q, r = np.linalg.qr(Z)
-    dg = np.diagonal(r, axis1=-2, axis2=-1)
-    raise_first(np.min(np.abs(dg), axis=-1) < 1e-12, lambda i: "singular input")
-    u = dg / np.abs(dg)
-    q = q * u[..., None, :]
-    r = np.conj(u)[..., :, None] * r
+    q, r = positive_qr(Z)
     avec = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    raise_first(np.min(avec, axis=-1) < 1e-12, lambda i: "singular input")
     kmat = embed(q)
     amat = embed(avec[..., None] * np.eye(algebra.n))
     nmat = embed(r / avec[..., :, None])
     resid = np.max(np.abs(kmat @ amat @ nmat - G), axis=(-2, -1))
     limit = TOL_DECOMP * np.maximum(1.0, np.max(np.abs(G), axis=(-2, -1)))
     raise_first(resid > limit, lambda i: f"Iwasawa reconstruction residual {resid[i]:.3e}")
-    return GroupElement(kmat, "in_K"), GroupElement(amat, "in_A"), GroupElement(nmat, "in_N")
+    return GroupElement(kmat), GroupElement(amat), GroupElement(nmat)
 
 
 def random_element(algebra: MatrixLieAlgebra, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -474,20 +470,18 @@ def random_element(algebra: MatrixLieAlgebra, rng: np.random.Generator, scale: f
 def k_from_normals(algebra: MatrixLieAlgebra, z: np.ndarray) -> GroupElement:
     """Haar-random elements of K from standard normals z of shape (..., d n), one per leading index.
 
-    z fills an n x n matrix (over C its real, then its imaginary part); its QR factor q, with the
-    phases of diag r moved into q, gets det 1 by a column swap (over R) or a scalar phase (over C).
+    z fills an n x n matrix (over C its real, then its imaginary part); its positive_qr factor q
+    gets det 1 by a column swap (over R) or a scalar phase (over C).
     """
     n = algebra.n
     z = np.asarray(z, dtype=float).reshape(np.shape(z)[:-1] + (-1, n, n))
     m = z[..., 0, :, :] + 1j * z[..., 1, :, :] if algebra.is_complex else z[..., 0, :, :]
-    q, r = np.linalg.qr(m)
-    dg = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (dg / np.abs(dg))[..., None, :]
+    q, _ = positive_qr(m)
     det = np.linalg.det(q)
     if algebra.is_complex:
-        return GroupElement(embed_complex(q * np.exp(-1j * (np.angle(det) / n))[..., None, None]), "in_K")
+        return GroupElement(embed_complex(q * np.exp(-1j * (np.angle(det) / n))[..., None, None]))
     swapped = q[..., [1, 0, *range(2, n)]]
-    return GroupElement(np.where((det < 0)[..., None, None], swapped, q), "in_K")
+    return GroupElement(np.where((det < 0)[..., None, None], swapped, q))
 
 
 def random_in_K(algebra: MatrixLieAlgebra, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> GroupElement:

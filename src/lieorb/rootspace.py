@@ -30,7 +30,6 @@ import numpy as np
 from .liecore import (
     TOL_DECOMP,
     CartanSplit,
-    DegeneracyError,
     InconsistencyError,
     MatrixLieAlgebra,
     embed_complex,
@@ -74,7 +73,7 @@ def maximal_abelian(algebra: MatrixLieAlgebra, split: CartanSplit) -> np.ndarray
     P = split.p_basis
     diagonal = ~np.any(np.where(np.eye(algebra.d, dtype=bool), 0.0, P), axis=(1, 2))
     if not diagonal.any():
-        raise DegeneracyError("no diagonal directions found in p")
+        raise InconsistencyError("no diagonal directions found in p")
     return P[diagonal]
 
 
@@ -88,7 +87,7 @@ def _orthonormalize(algebra: MatrixLieAlgebra, mats: np.ndarray) -> tuple[np.nda
             v = v - (u @ G @ v) * u
         nrm = float(np.sqrt(v @ G @ v))
         if nrm < 1e-12:
-            raise DegeneracyError("dependent vectors in abelian subspace")
+            raise InconsistencyError("dependent vectors in abelian subspace")
         out.append(v / nrm)
     a_coords = np.stack(out)
     return a_coords, algebra.from_coords(a_coords)

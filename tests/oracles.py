@@ -354,8 +354,28 @@ def omega_rank(algebra, data, pt):
     """Numerical rank of Omega on a basis of g/z(w) at the orbit point."""
     from lieorb.kkform import _omega_svals
 
-    svals = _omega_svals(algebra, data, pt)
+    svals = _omega_svals(data, pt)
     return int(np.sum(svals > 1e-8 * max(1.0, svals[0])))
+
+
+def span_residual(algebra, X):
+    """How far X is from the algebra (max-abs of the discarded part), per element of a batch."""
+    return np.max(np.abs(X - algebra.from_coords(algebra.coords(X))), axis=(-2, -1))
+
+
+def strict_n_coords(data, X, strict):
+    """data.n_coords_of(X), refusing an element whose part outside n(c) (in the other basis
+    coordinates or off the algebra) exceeds strict max(1, max|v|) of its own n(c) coordinates v."""
+    from lieorb.liecore import raise_first
+
+    full = data.algebra.coords(X)
+    v = full[..., list(data.b_indices)]
+    rest = full.copy()
+    rest[..., list(data.b_indices)] = 0.0
+    outside = np.maximum(np.max(np.abs(rest), axis=-1), span_residual(data.algebra, X))
+    bound = strict * np.maximum(1.0, np.max(np.abs(v), axis=-1))
+    raise_first(outside > bound, lambda i: f"element has a component outside n(c) ({outside[i]:.2e})", ValueError)
+    return v
 
 
 def equivalence_gap(data, pt, m):
@@ -365,7 +385,7 @@ def equivalence_gap(data, pt, m):
     m = np.asarray(m, dtype=float)
     gap0 = float(np.max(np.abs(m @ data.c @ np.linalg.inv(m) - data.c)))
     assert gap0 < 1e-9 and np.max(np.abs(m.T @ m - np.eye(len(m)))) < 1e-9, "m must fix c and lie in K"
-    V2 = data.n_coords_of(np.linalg.inv(m) @ data.n_matrix_of(pt.V) @ m, strict=1e-8)
+    V2 = strict_n_coords(data, np.linalg.inv(m) @ data.n_matrix_of(pt.V) @ m, 1e-8)
     a = phi_lambda(data, CotangentPoint(pt.k, pt.V), validate=False)
     b = phi_lambda(data, CotangentPoint(pt.k @ m, V2), validate=False)
     return float(np.max(np.abs(a.w - b.w)))
@@ -378,7 +398,7 @@ def grade_projection(data, X, mode, index):
     """
     from lieorb.liecore import TOL_STRUCT, ConfigurationError
 
-    v = data.n_coords_of(X, strict=TOL_STRUCT)
+    v = strict_n_coords(data, X, TOL_STRUCT)
     j = np.arange(data.n_dim)
     masks = {"j": j == index, "le": j <= index, "gt": j > index}
     if mode not in masks:
@@ -444,7 +464,7 @@ def restricted_roots_eigen_reference(algebra, a_elements):
     and so on.  Each cluster must be spanned by basis vectors; returns, per cluster,
     the basis indices spanning it and its eigenvalue on each orthonormal a-basis element.
     """
-    from lieorb.liecore import TOL_DECOMP, TOL_EIGEN, DegeneracyError, InconsistencyError
+    from lieorb.liecore import TOL_DECOMP, TOL_EIGEN, InconsistencyError
     from lieorb.rootspace import _orthonormalize
 
     a_coords, _ = _orthonormalize(algebra, np.asarray(a_elements, dtype=float))
@@ -462,7 +482,7 @@ def restricted_roots_eigen_reference(algebra, a_elements):
             w, vecs = np.linalg.eigh(Q.T @ S @ Q)
             gaps = np.diff(w)
             if np.any((gaps > TOL_EIGEN) & (gaps < 100 * TOL_EIGEN)):
-                raise DegeneracyError("eigenvalue cluster ambiguous at tolerance")
+                raise InconsistencyError("eigenvalue cluster ambiguous at tolerance")
             edges = [0, *(np.flatnonzero(gaps > TOL_EIGEN) + 1).tolist(), len(w)]
             for start, stop in zip(edges[:-1], edges[1:]):
                 refined.append((Q @ vecs[:, start:stop], vals + [float(np.mean(w[start:stop]))]))
@@ -661,9 +681,9 @@ def check_kk_loop(algebra, c, rng, samples, data=None):
         )
     out = {"antisymmetry": anti, "invariance": inv, "closedness": closed}
     if data is not None:
-        iso = fiber_isotropy_check(algebra, data)
+        iso = fiber_isotropy_check(data)
         for _ in range(3):
-            iso = max(iso, fiber_isotropy_check(algebra, data, expm(random_element(algebra, rng, 0.4))))
+            iso = max(iso, fiber_isotropy_check(data, expm(random_element(algebra, rng, 0.4))))
         out["fiber_isotropy"] = iso
     return out
 

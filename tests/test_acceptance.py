@@ -156,10 +156,10 @@ def test_criterion_5_fiber_lagrangian(ws):
     for key, entries in DATA_GRID:
         alg = ws.algebra(key)
         data = ws.data(key, entries)
-        at_base = max(at_base, fiber_isotropy_check(alg, data))
+        at_base = max(at_base, fiber_isotropy_check(data))
         for _ in range(20):
             g = scipy.linalg.expm(random_element(alg, rng, 0.4))
-            translated = max(translated, fiber_isotropy_check(alg, data, g))
+            translated = max(translated, fiber_isotropy_check(data, g))
         half = half and (2 * data.n_dim == alg.dim - len(data.z_indices))
     ok = at_base < 1e-10 and translated < 1e-9 and half
     _report(5, "fiber-lagrangian", ok, f"base {at_base:.2e}, translated {translated:.2e}, half-dim {half}")

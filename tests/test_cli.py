@@ -67,7 +67,7 @@ def test_witness_sees_planted_flow_fault(monkeypatch):
         fp = flow_exact(data, V, U0)
         coeffs = fp.coeffs.copy()
         coeffs[-1, 0] += 1e-7  # ten times the eigen tolerance of the oracle gap
-        return FlowPolynomial(coeffs, fp.degree_bound)
+        return dataclasses.replace(fp, coeffs=coeffs)
 
     cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 3, "field": "R"}, c=[1, 0, -1], checks=["flow"]))
     assert cli.run(cfg)["body"]["checks"]["flow"]["pass"]
@@ -85,7 +85,7 @@ def test_chart_gap_sees_a_planted_scaled_flow(monkeypatch):
 
     def scaled(data, V):
         g = exp_H(data, V)
-        return GroupElement(g.matrix * (1.0 + 5e-9), g.tag)
+        return GroupElement(g.matrix * (1.0 + 5e-9))
 
     cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 4, "field": "R"}, c=[3, 1, -1, -3], checks=["flow"]))
     flow = cli.run(cfg)["body"]["checks"]["flow"]

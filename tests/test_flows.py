@@ -224,7 +224,6 @@ def test_exp_H(ws, rng):
     np.testing.assert_allclose(exp_H(data, np.zeros(1)).matrix, np.eye(2), atol=1e-14)
     g = exp_H(data, np.array([1.0]))
     np.testing.assert_allclose(g.matrix, [[1.0, 0.5], [0.0, 1.0]], atol=1e-14)
-    assert g.tag == "in_N"
     # injectivity sweep
     data3 = ws.data("sl3r", (1, 0, -1))
     samples = rng.standard_normal((40, 3))
@@ -309,6 +308,37 @@ def test_invert_exp_H_judges_each_point_of_a_batch(ws):
     assert "at point (2,)" in str(err.value.__cause__)
 
 
+def test_invert_exp_H_refuses_a_diagonal_part_and_names_the_point(ws):
+    # g - I gains a diagonal part at batch index 1: a traceless one (z(c)
+    # coordinates), then a pure trace one (off the algebra)
+    data = ws.data("sl3r", (1, 0, -1))
+    g = exp_H(data, np.random.default_rng(3).standard_normal((3, data.n_dim))).matrix
+    for diagonal in (np.diag([1 + 1e-6, 1.0, 1 / (1 + 1e-6)]), (1 + 1e-6) * np.eye(3)):
+        bad = g.copy()
+        bad[1] = bad[1] @ diagonal
+        with pytest.raises(ValueError, match=r"does not lie in N\(c\)") as err:
+            invert_exp_H(data, bad)
+        assert "component outside n(c)" in str(err.value.__cause__)
+        assert str(err.value.__cause__).endswith("at point (1,)")
+
+
+def test_invert_exp_H_refuses_a_conjugate_linear_part(ws):
+    # X -> E_01 conj(X) at 1e-6 on sl(3, C): its complex-linear part, all that
+    # the n(c) coordinates read, is zero, and E_01 lies in n(c)
+    data = ws.data("sl3c", (1, 0, -1))
+    g = exp_H(data, np.random.default_rng(4).standard_normal((3, data.n_dim))).matrix
+    E = np.zeros((3, 3))
+    E[0, 1] = 1e-6
+    conj_linear = np.block([[E, np.zeros((3, 3))], [np.zeros((3, 3)), -E]])
+    assert np.all(data.n_coords_of(conj_linear) == 0)
+    bad = g.copy()
+    bad[1] = bad[1] + conj_linear
+    with pytest.raises(ValueError, match=r"does not lie in N\(c\)") as err:
+        invert_exp_H(data, bad)
+    assert "component outside n(c)" in str(err.value.__cause__)
+    assert str(err.value.__cause__).endswith("at point (1,)")
+
+
 def test_invert_exp_H_rejects_elements_outside_N(ws, rng):
     data = ws.data("sl4r", (1, 1, -1, -1))
     n = exp_H(data, rng.standard_normal(data.n_dim)).matrix
@@ -344,7 +374,7 @@ def test_linear_chart_keeps_batch_axes(ws, shape):
     data = ws.data("sl4r", (3, 1, -1, -3))
     V = np.random.default_rng(8).standard_normal(shape + (data.n_dim,))
     g = linear_chart(data, V)
-    assert g.matrix.shape == shape + (4, 4) and g.tag == "in_N"
+    assert g.matrix.shape == shape + (4, 4)
     assert invert_exp_H(data, g).shape == V.shape
 
 

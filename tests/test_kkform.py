@@ -116,10 +116,10 @@ def test_closedness(ws, rng):
 def test_nondegeneracy(ws, rng):
     alg = ws.algebra("sl2r")
     data = ws.data("sl2r", (1, -1))
-    assert nondegeneracy_check(alg, data) == pytest.approx(8.0, abs=1e-9)
+    assert nondegeneracy_check(data) == pytest.approx(8.0, abs=1e-9)
     data3 = ws.data("sl3r", (1, 0, -1))
     alg3 = ws.algebra("sl3r")
-    assert nondegeneracy_check(alg3, data3) > 1e-8
+    assert nondegeneracy_check(data3) > 1e-8
     for _ in range(5):
         g = scipy.linalg.expm(random_element(alg3, rng, 0.4))
         pt = orbit_point(alg3, data3.c, g, validate=False)
@@ -129,14 +129,14 @@ def test_nondegeneracy(ws, rng):
 def test_fiber_isotropy(ws, rng):
     from conftest import DATA_GRID
 
-    assert fiber_isotropy_check(ws.algebra("sl2r"), ws.data("sl2r", (1, -1))) == 0.0
+    assert fiber_isotropy_check(ws.data("sl2r", (1, -1))) == 0.0
     for key, entries in DATA_GRID:
         alg = ws.algebra(key)
         data = ws.data(key, entries)
-        assert fiber_isotropy_check(alg, data) < 1e-10
+        assert fiber_isotropy_check(data) < 1e-10
         for _ in range(3):
             g = scipy.linalg.expm(random_element(alg, rng, 0.4))
-            assert fiber_isotropy_check(alg, data, g) < 1e-9
+            assert fiber_isotropy_check(data, g) < 1e-9
 
 
 def test_fiber_isotropy_root_pairing(ws):
@@ -147,22 +147,17 @@ def test_fiber_isotropy_root_pairing(ws):
     assert abs(killing(alg, data.c, alg.bracket(E12, E23))) < 1e-12
 
 
-def test_k_orbit_lagrangian_modes(ws):
+def test_k_orbit_lagrangian_forms(ws):
+    # [Re Omega, Im Omega] on a realified algebra, [Omega] on a real form
     alg = ws.algebra("sl2c")
     split = ws.split("sl2c")
-    c_real = alg.element_from_entries([1, -1])
-    c_imag = alg.element_from_entries([1j, -1j])
-    assert k_orbit_lagrangian_check(alg, split, c_real, "re") < 1e-10
-    assert k_orbit_lagrangian_check(alg, split, c_imag, "im") < 1e-10
-    assert k_orbit_lagrangian_check(alg, split, c_imag, "re") > 1e-3
-    assert k_orbit_lagrangian_check(alg, split, c_real, "im") > 1e-3
-    with pytest.raises(ConfigurationError):
-        k_orbit_lagrangian_check(alg, split, c_real, "real-form")
+    re_real, im_real = k_orbit_lagrangian_check(alg, split, alg.element_from_entries([1, -1]))
+    re_imag, im_imag = k_orbit_lagrangian_check(alg, split, alg.element_from_entries([1j, -1j]))
+    assert re_real < 1e-10 and im_imag < 1e-10
+    assert re_imag > 1e-3 and im_real > 1e-3
     algr, splitr = ws.algebra("sl3r"), ws.split("sl3r")
-    cr = algr.element_from_entries([1, 0, -1])
-    assert k_orbit_lagrangian_check(algr, splitr, cr, "real-form") < 1e-10
-    with pytest.raises(ConfigurationError):
-        k_orbit_lagrangian_check(algr, splitr, cr, "re")
+    (omega,) = k_orbit_lagrangian_check(algr, splitr, algr.element_from_entries([1, 0, -1]))
+    assert omega < 1e-10
 
 
 def test_non_traceless_complex_c_is_refused(ws):

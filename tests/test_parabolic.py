@@ -80,10 +80,10 @@ def test_desk_scale_regular_nilpotency_index(field, n, n0):
 def test_nilpotency_index_second_route_checks_both_sides(ws, monkeypatch):
     data = ws.data("sl4r", (3, 1, -1, -3))     # N0 = 2
     monkeypatch.setattr(parabolic, "_graded_index", lambda *_: 1)
-    with pytest.raises(InconsistencyError, match=r"violates the nilpotency index.*\(ad U\)\^2\| = .* > "):
+    with pytest.raises(InconsistencyError, match=r"violates the nilpotency index.*, sample \d+: \|\(ad U\)\^2\| = .* > "):
         nilpotency_index(data)
     monkeypatch.setattr(parabolic, "_graded_index", lambda *_: 3)
-    with pytest.raises(InconsistencyError, match=r"no sampled power reaches.*\(ad U\)\^3\| = .* <= "):
+    with pytest.raises(InconsistencyError, match=r"no sampled power reaches.*, sample \d+: .*\(ad U\)\^3\| = .* <= "):
         nilpotency_index(data)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ALGEBRA_SPECS, cold_data
+from conftest import ALGEBRA_SPECS
 from lieorb import rootspace
 from lieorb.liecore import (
     TOL_EIGEN,
@@ -223,12 +223,12 @@ CASE_IDS = [c if isinstance(c, str) else f"sl{c[1]}{c[0].lower()}" for c in STRU
 def _structure(ws, case):
     """(algebra, root system, hyperbolic data at the regular chamber) for a case."""
     if case in ALGEBRA_SPECS:
-        n = ws.algebra(case).n
-        data = ws.data(case, tuple(n - 1 - 2 * k for k in range(n)))
-    else:
-        field, n = case
-        data = cold_data(field, n, tuple(n - 1 - 2 * k for k in range(n)))
-    return data.algebra, data.rs, data
+        alg = ws.algebra(case)
+        return alg, ws.rs(case), ws.data(case, tuple(alg.n - 1 - 2 * k for k in range(alg.n)))
+    field, n = case
+    alg = build_algebra(AlgebraSpec("sl", n, field))
+    rs = restricted_roots(alg, maximal_abelian(alg, cartan_split(alg)))
+    return alg, rs, hyperbolic_data(alg, rs, tuple(n - 1 - 2 * k for k in range(n)))
 
 
 @pytest.mark.parametrize("case", STRUCTURE_CASES, ids=CASE_IDS)
@@ -285,6 +285,13 @@ def test_theta_rows_reject_an_index_set_that_is_not_theta_stable(ws):
 
 
 # -- planted faults on the batched error paths ---------------------------------
+
+
+def test_orthonormalize_refuses_dependent_elements(ws):
+    alg = ws.algebra("sl3r")
+    a = maximal_abelian(alg, ws.split("sl3r"))
+    with pytest.raises(InconsistencyError, match="dependent vectors in abelian subspace"):
+        rootspace._orthonormalize(alg, np.stack([a[0], a[0]]))
 
 
 @pytest.mark.parametrize("field, n", [("R", 3), ("R", 5), ("C", 3), ("C", 4)])

@@ -275,7 +275,7 @@ def test_pullback_names_step_adaptation_failure(ws, monkeypatch):
             return g
         M = g.matrix.copy()
         M[0, 1, 0, 2] += 1e-6  # offset +step along fiber direction 1 only
-        return GroupElement(M, g.tag)
+        return GroupElement(M)
 
     monkeypatch.setattr(symplecto, "linear_chart", kinked)
     with pytest.raises(DecompositionError, match=_FD_MISS + r", fiber direction 1: tangent gap \S+ > \S+"):
@@ -302,7 +302,7 @@ def test_pullback_batch_names_first_failing_point(ws, monkeypatch):
         M = g.matrix.copy()
         M[1, 0, 1, 0, 2] += 1e-6  # point 1: offset +step along fiber direction 1
         M[2, 0, 0, 0, 2] += 1e-6  # point 2: offset +step along fiber direction 0
-        return GroupElement(M, g.tag)
+        return GroupElement(M)
 
     monkeypatch.setattr(symplecto, "linear_chart", kinked)
     batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_FD_V / 4, _FD_V, 2 * _FD_V]))
@@ -319,7 +319,7 @@ def test_pullback_ties_the_flow_to_the_linear_chart(ws, monkeypatch):
         g = exp_H(d, V)
         M = g.matrix.copy()
         M[1, 0, 2] += 1e-6 * np.max(np.abs(M[1]))
-        return GroupElement(M, g.tag)
+        return GroupElement(M)
 
     monkeypatch.setattr(symplecto, "exp_H", drifted)
     batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_FD_V / 4, _FD_V, 2 * _FD_V]))
