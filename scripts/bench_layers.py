@@ -5,16 +5,18 @@
 For sl(2..8, R) and sl(2..6, C) it records dim g, the rank, the number of
 restricted roots and the median of 5 cold calls of build_algebra,
 cartan_split, maximal_abelian and restricted_roots, each on the output of
-the layer before it; then, at the regular chamber diag(n-1, n-3, ...) and at
-the wall made by merging its two largest entries, dim n(c), N0 and the
-median of 5 calls of hyperbolic_data (which includes the N0 certificate).  sl(2)
-has no nonzero wall, so its wall entries are null.  At the regular chamber
-it also records the median of 5 in-process cli.run parabolic reports, with
-the CLI's structure caches cleared before each call (cli_report_cold_s) and
-with them warm (cli_report_warm_s); a checkout without the caches builds
-afresh in both.  It also records cached_entry_bytes, the bytes of the
-distinct ndarray buffers reachable from the CLI's cached structure entry
-(cli._structure: algebra, Cartan split, restricted roots).  A pass opens
+the layer before it, and the tracemalloc peak in MiB of one more cold
+build_algebra call (build_peak_mib); then, at the regular chamber
+diag(n-1, n-3, ...) and at the wall made by merging its two largest entries,
+dim n(c), N0 and the median of 5 calls of hyperbolic_data (which includes the
+N0 certificate).  sl(2) has no nonzero wall, so its wall entries are null.
+At the regular chamber it also records the median of 5 in-process cli.run
+parabolic reports, with the CLI's structure caches cleared before each call
+(cli_report_cold_s) and with them warm (cli_report_warm_s); a checkout
+without the caches builds afresh in both.  It also records
+cached_entry_bytes, the bytes of the distinct ndarray buffers reachable from
+the CLI's cached structure entry (cli._structure: algebra, Cartan split,
+restricted roots).  A pass opens
 with one row for the import cost: the median wall time of `import lieorb.cli`
 (import_s) and the median peak RSS in MiB (import_rss_mb) of 5 fresh Python
 processes.  Each run adds one pass to --out under --label, with BLAS
@@ -28,6 +30,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from benchlib import REPEATS, main, median_time, regular, wall
@@ -53,6 +56,16 @@ def import_cost() -> dict:
         "import_s": statistics.median(float(s) for s, _ in runs),
         "import_rss_mb": statistics.median(float(mb) for _, mb in runs),
     }
+
+
+def peak_mib(fn) -> float:
+    """The tracemalloc peak of one call of fn in MiB: the most it held allocated at once."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def cli_report_times(field: str, n: int) -> tuple[float, float]:
@@ -110,6 +123,7 @@ def ladder() -> list[dict]:
             "rank": rs.rank,
             "roots": len(rs.roots),
             "build_algebra_s": build_s,
+            "build_peak_mib": peak_mib(lambda: build_algebra(AlgebraSpec("sl", n, field))),
             "cartan_split_s": split_s,
             "maximal_abelian_s": abelian_s,
             "restricted_roots_s": roots_s,

@@ -201,16 +201,32 @@ class MatrixLieAlgebra:
     # -- internal consistency ----------------------------------------------
 
     def _structure_constants(self) -> np.ndarray:
-        # c[j, i] = -c[i, j] by negation, not by a second bracket, so the
-        # signed zeros of the fixture do not depend on the product order
-        i, j = np.triu_indices(self.dim, 1)
+        # c[i, j] (i < j) sums B_i[a, k] B_j[k, b] L[ab] over basis entries that share k, negated
+        # where the product is B_j B_i; L[ab] = coords(2n E_ab) is integral, so the sums are exact
+        dim, d, two_n = self.dim, self.d, 2 * self.n
         B = self.basis
-        c = np.zeros((self.dim, self.dim, self.dim))
-        c[i, j] = self.coords(B[i] @ B[j] - B[j] @ B[i])
-        c[j, i] = -c[i, j]
+        i, a, k = _nonzero(B)
+        k2, j, b = _nonzero(B.transpose(1, 0, 2))  # sorted by the row k
+        p, q = _join(k2, k, d)
+        keep = i[p] != j[q]
+        p, q = p[keep], q[keep]
+        i, j, ab = i[p], j[q], a[p] * d + b[q]
+        prod = B[i, a[p], k[p]] * B[j, k2[q], b[q]] * np.sign(j - i)
+        L = self.coords(two_n * np.eye(d * d).reshape(d * d, d, d))
+        ab2, m = _nonzero(L)
+        p, q = _join(ab2, ab, d * d)
+        key = (np.minimum(i, j)[p] * dim + np.maximum(i, j)[p]) * dim + m[q]
+        key, slot = np.unique(key, return_inverse=True)
+        vals = np.bincount(slot, weights=prod[p] * L[ab2[q], m[q]]) / two_n
         # the exact checks read c as int64
-        if not np.array_equal(c, np.rint(c)):
+        if not np.array_equal(vals, np.rint(vals)):
             raise InconsistencyError(f"build_algebra: structure constants of {self.spec} are not integers")
+        # c[j, i] = -c[i, j], and every zero with i > j is -0.0, as the fixtures hold them
+        c = np.zeros((dim, dim, dim))
+        c[np.tril_indices(dim, -1)] = -0.0
+        i, j, m = np.unravel_index(key, c.shape)
+        c[i, j, m] = vals
+        c[j, i, m] = -vals
         return c
 
     def _validate(self) -> dict:
@@ -253,31 +269,44 @@ def _nonzero(c: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.unravel_index(np.flatnonzero(c != 0), c.shape)
 
 
+def _join(first: np.ndarray, key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (p, q) with key[p] == first[q], for sorted first and values below size."""
+    count = np.bincount(first, minlength=size)
+    start = np.cumsum(count) - count  # where each value's block of first begins
+    reps = count[key]
+    p = np.repeat(np.arange(len(key)), reps)
+    q = np.arange(len(p)) + np.repeat(start[key] - np.cumsum(reps) + reps, reps)
+    return p, q
+
+
 def jacobi_residual(c: np.ndarray) -> int:
     """max over all (i, j, k, l) of |sum_m c_ijm c_mkl + c_jkm c_mil + c_kim c_mjl|.
 
-    Exact for integer-valued c, without the dim^4 tensor: each nonzero entry
-    (i, j, m) is joined with every nonzero entry (m, k, l) in int64, the
-    product goes to (i, j, k, l) and to its two cyclic shifts in (i, j, k),
-    and the contributions are summed per index after one sort.  An index that
-    no join reaches has the value 0.
+    Exact for integer-valued c antisymmetric in (i, j), without the dim^4
+    tensor: the sum is then totally antisymmetric in (i, j, k), so each
+    nonzero entry (a, b, m) with a < b is joined in int64 with every nonzero
+    entry (m, k, l), k not in {a, b}, and the product goes to the increasing
+    triple of {a, b, k} and l, negated when a < k < b.  The contributions are
+    summed per index after one sort of index and product packed in one int64.
+    The defect max |c_ijm + c_jim| is folded in, so a c that is not
+    antisymmetric is refused as well.
     """
     dim = c.shape[0]
     i, j, m = _nonzero(c)             # C order: sorted by the first index
     v = c[i, j, m].astype(np.int64)
-    count = np.bincount(i, minlength=dim)
-    start = np.cumsum(count) - count
-    reps = count[m]                   # partners (m, k, l) of entry (i, j, m)
-    left = np.repeat(np.arange(len(v)), reps)
-    if len(left) == 0:
-        return 0
-    right = start[m[left]] + np.arange(len(left)) - np.repeat(np.cumsum(reps) - reps, reps)
-    a, b, k, l = i[left], j[left], j[right], m[right]
-    keys = np.concatenate([((x * dim + y) * dim + z) * dim + l for x, y, z in ((a, b, k), (b, k, a), (k, a, b))])
-    order = np.argsort(keys)
-    keys, vals = keys[order], np.tile(v[left] * v[right], 3)[order]
-    sums = np.add.reduceat(vals, np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]))
-    return int(np.max(np.abs(sums)))
+    defect = int(np.max(np.abs(v + c[j, i, m].astype(np.int64)), initial=0))
+    up = np.flatnonzero(i < j)
+    p, q = _join(i, m[up], dim)       # partners (m, k, l) of entry (a, b, m)
+    keep = (j[q] != i[up[p]]) & (j[q] != j[up[p]])
+    p, q = up[p[keep]], q[keep]
+    a, b, k = i[p], j[p], j[q]
+    lo, hi = np.minimum(a, k), np.maximum(b, k)
+    key = ((lo * dim + a + b + k - lo - hi) * dim + hi) * dim + m[q]
+    prod = np.where((a < k) & (k < b), -1, 1) * v[p] * v[q]
+    w = int(np.max(np.abs(prod), initial=0)).bit_length() + 1
+    packed = np.sort((key << w) + prod + (1 << (w - 1)))
+    sums = np.add.reduceat((packed & ((1 << w) - 1)) - (1 << (w - 1)), np.flatnonzero(np.diff(packed >> w, prepend=-1)))
+    return max(defect, int(np.max(np.abs(sums), initial=0)))
 
 
 def signed_permutation(Th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

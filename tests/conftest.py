@@ -13,6 +13,14 @@ ALGEBRA_SPECS = {
     "sl3c": AlgebraSpec("sl", 3, "C"),
 }
 
+# larger algebras for the liecore certificates and byte-identity tests only
+LARGER_SPECS = {
+    "sl5r": AlgebraSpec("sl", 5, "R"),
+    "sl8r": AlgebraSpec("sl", 8, "R"),
+    "sl4c": AlgebraSpec("sl", 4, "C"),
+    "sl6c": AlgebraSpec("sl", 6, "C"),
+}
+
 # the desk-scale verification grid: (algebra key, chamber entries)
 DATA_GRID = [
     ("sl2r", (1, -1)),
@@ -36,7 +44,7 @@ class Workspace:
 
     def algebra(self, key):
         if key not in self._algebras:
-            self._algebras[key] = build_algebra(ALGEBRA_SPECS[key])
+            self._algebras[key] = build_algebra({**ALGEBRA_SPECS, **LARGER_SPECS}[key])
         return self._algebras[key]
 
     def split(self, key):

@@ -1,5 +1,6 @@
 import ast
 import json
+import tracemalloc
 import types
 
 import numpy as np
@@ -43,6 +44,11 @@ from oracles import (
     structure_constants_pairwise,
     trace_form_multiple,
 )
+
+# the Jacobi certificate runs on two larger algebras, the byte-identity tests on the
+# largest of the benchmark grids as well
+JACOBI_KEYS = sorted(ALGEBRA_SPECS) + ["sl4c", "sl5r"]
+BYTE_KEYS = sorted(ALGEBRA_SPECS) + ["sl6c", "sl8r"]
 
 
 def test_spec_validation():
@@ -118,7 +124,7 @@ def test_bracket_agrees_with_structure_constants(ws, rng):
 
 
 def test_jacobi_all_basis_triples(ws):
-    for key in ALGEBRA_SPECS:
+    for key in JACOBI_KEYS:
         alg = ws.algebra(key)
         c = alg.structure
         resid = dense_jacobi_residual(c)
@@ -178,7 +184,7 @@ def test_theta_sign_rules_match_dense_products(key):
 
 
 def test_jacobi_certificate_sees_planted_fault(ws):
-    for key in ALGEBRA_SPECS:
+    for key in JACOBI_KEYS:
         alg = ws.algebra(key)
         rng = np.random.default_rng(11)
         seen = []
@@ -194,6 +200,33 @@ def test_jacobi_certificate_sees_planted_fault(ws):
             assert got == dense_jacobi_residual(c), f"{key}: fault at ({i}, {j}, {m})"
             seen.append(got > 0)
         assert sum(seen) >= 3, f"{key}: planted faults seen {seen}"
+
+
+def test_jacobi_certificate_refuses_non_antisymmetric_c(ws):
+    # the certificate sums increasing triples only, which presumes c[j, i] = -c[i, j];
+    # one entry moved alone breaks that and must still be refused
+    for key in JACOBI_KEYS:
+        alg = ws.algebra(key)
+        c0 = alg.structure
+        rng = np.random.default_rng(13)
+        nonzero = np.argwhere(c0)[rng.choice(np.count_nonzero(c0), 2)]
+        diagonal = [(i, i, m) for i, m in rng.integers(0, alg.dim, (2, 2))]
+        for t in [*nonzero, *rng.integers(0, alg.dim, (2, 3)), *diagonal]:
+            c = c0.copy()
+            c[tuple(t)] += 1
+            assert jacobi_residual(c) >= 1, f"{key}: fault at {tuple(t)}"
+
+
+def test_structure_constants_peak_memory(ws):
+    # the joins hold arrays of the basis's nonzeros, not dim^3 temporaries
+    alg = ws.algebra("sl6c")
+    tracemalloc.start()
+    try:
+        c = alg._structure_constants()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * c.nbytes, f"peak {peak} bytes for a {c.nbytes}-byte tensor"
 
 
 def test_non_integer_structure_constants_are_rejected(monkeypatch):
@@ -317,7 +350,7 @@ def test_coords_batched_match_single_calls(ws, rng, key):
         alg.from_coords(np.zeros((2, alg.dim + 1)))
 
 
-@pytest.mark.parametrize("key", sorted(ALGEBRA_SPECS))
+@pytest.mark.parametrize("key", BYTE_KEYS)
 def test_structure_constants_match_pairwise_oracle(ws, key):
     # compared as JSON text, so every signed zero of the fixture counts
     alg = ws.algebra(key)
@@ -325,7 +358,7 @@ def test_structure_constants_match_pairwise_oracle(ws, key):
     assert json.dumps(alg.structure.tolist()) == expected
 
 
-@pytest.mark.parametrize("key", sorted(ALGEBRA_SPECS))
+@pytest.mark.parametrize("key", BYTE_KEYS)
 def test_killing_matrix_matches_einsum_bytes(ws, key):
     # byte for byte, so the fixture's signed zeros count
     alg = ws.algebra(key)
