@@ -10,9 +10,10 @@ so h_V is a polynomial map and its integral curves are polynomials in t.
 One kernel, _hv_series, evaluates h_V on degree-truncated coefficient arrays
 in t: a plain vector is the degree-0 case (the witness flow_numeric), a
 polynomial curve the general one (flow_exact).  flow_exact computes the
-curves by their Taylor recursion, one exact coefficient per kernel call, up
-to the top block grade B of n(c): the bracket adds block grades, so
-coordinate j of a flow has degree at most its own.  flow_exact and exp_H
+curves by their Taylor recursion, extending the kernel's state (_HvSeries)
+by one exact coefficient per step, so that each is computed once, up to the
+top block grade B of n(c): the bracket adds block grades, so coordinate j of
+a flow has degree at most its own.  flow_exact and exp_H
 batch over leading axes of V / U0.  flow_numeric is an independent witness:
 Gauss-Legendre collocation, exact on polynomial solutions of degree <= its
 stage count (Hairer, Norsett & Wanner, Solving ODEs I, II.7), which only
@@ -85,6 +86,56 @@ def _inverse_weights(N0: int) -> tuple[float, ...]:
     return tuple(float(x) for x in b)
 
 
+class _HvSeries:
+    """The stages of _hv_series, kept so that the Taylor recursion extends them a row at a time.
+
+    Stage m <= N0 holds x^m V / m! and stage N0 + 1 + p holds x^p T^{-1} of the first series'
+    sum, as columns; each but N0 + 1 is negA times the one before.  Row k reads rows <= k of U
+    and of the stage before, so fill(U, hi) adds rows self.filled .. hi, with each row's products
+    summed in the same order, a = 0, 1, ..., however the rows are split.  Where U_0 = 0, negA[0]
+    and the rows of a stage below its order are exact zeros, and the products with them are skipped.
+    """
+
+    def __init__(self, data: HyperbolicData, V: np.ndarray, U: np.ndarray, rows: int):
+        batch = U.shape[1:] if np.shape(V) == U.shape[1:] else np.broadcast_shapes(np.shape(V), U.shape[1:])
+        self.data, self.filled, self.skip = data, 0, int(np.count_nonzero(U[0]) == 0)
+        self.negA = np.empty((rows,) + U.shape[1:] + (data.n_dim,))
+        self.stages = np.zeros((data.N0 + 1 + len(_inverse_weights(data.N0)), rows) + batch + (1,))
+        self.stages[0, 0, ..., 0] = V + 0.0  # a -0.0 of V turns +0.0 in its sum with stage 1, which may be left out
+
+    def fill(self, U: np.ndarray, hi: int) -> np.ndarray:
+        """Rows self.filled .. hi of h_V(U), from rows <= hi of U (rows past its end are zero)."""
+        d, lo, skip, negA, S = self.data, self.filled, self.skip, self.negA, self.stages
+        y0, top, weights = d.N0 + 1, min(hi + 1, U.shape[0]), _inverse_weights(d.N0)
+        # one BLAS product, exact in any order: adn[:, k, j] has at most one nonzero entry
+        block = negA[lo:top].reshape(U[lo:top].shape[:-1] + (d.n_dim**2,))
+        np.negative(np.matmul(U[lo:top], d.adn.reshape(d.n_dim, -1), out=block), out=block)
+        W = S[0, lo : hi + 1]
+        for s in range(1, len(S)):
+            order = skip * (s - 1 if s < y0 else s - y0 - 1)  # of stage s - 1
+            if s == y0:
+                S[s, lo : hi + 1] = W = W / d.grades[:, None]
+            elif not skip or hi > order:  # else rows lo .. hi of stage s are exact zeros
+                for a in range(skip, min(top, hi + 1 - order)):
+                    r = max(lo, a + order)
+                    if a == skip:  # the rows it writes are still zero
+                        np.matmul(negA[a], S[s - 1, r - a : hi + 1 - a], out=S[s, r : hi + 1])
+                    else:
+                        S[s, r : hi + 1] += negA[a] @ S[s - 1, r - a : hi + 1 - a]
+                x = S[s, lo : hi + 1]
+                if s < y0:
+                    x /= s
+                    W = W + x
+                elif weights[s - y0]:
+                    W = W + weights[s - y0] * x
+        self.filled = hi + 1
+        return W[..., 0]
+
+    def extend(self, U: np.ndarray) -> np.ndarray:
+        """Coefficient m = self.filled of h_V(U), from U_0 .. U_m."""
+        return self.fill(U, self.filled)[0]
+
+
 def _hv_series(data: HyperbolicData, V: np.ndarray, U: np.ndarray, deg: int) -> np.ndarray:
     """h_V(U(t)) to degree deg in t: the one series kernel for h_V.
 
@@ -100,27 +151,7 @@ def _hv_series(data: HyperbolicData, V: np.ndarray, U: np.ndarray, deg: int) -> 
     coefficients <= k of its factors, so every product is cut at deg and
     every kept coefficient is exact; deg = 2 N0 (len(U) - 1) cuts nothing.
     """
-    # one BLAS product, exact in any order: adn[:, k, j] has at most one nonzero entry
-    negA = -(U[: deg + 1] @ data.adn.reshape(data.n_dim, -1)).reshape(U[: deg + 1].shape[:-1] + data.adn.shape[1:])
-
-    def times_negA(x: np.ndarray) -> np.ndarray:
-        out = (negA[0] @ x[..., None])[..., 0]
-        for a in range(1, negA.shape[0]):
-            out[a:] += (negA[a] @ x[:-a, ..., None])[..., 0]
-        return out
-
-    x = np.zeros((deg + 1,) + np.broadcast_shapes(np.shape(V), U.shape[1:]))
-    x[0] = V
-    W = x
-    for m in range(1, data.N0 + 1):
-        x = times_negA(x) / m
-        W = W + x
-    x = W = W / data.grades
-    for b in _inverse_weights(data.N0)[1:]:
-        x = times_negA(x)
-        if b:
-            W = W + b * x
-    return W
+    return _HvSeries(data, V, U, deg + 1).fill(U, deg)
 
 
 def _where(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> str:
@@ -152,8 +183,8 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
     Leading axes of V / U0 batch over points, placed between the degree and
     coordinate axes of the coefficients; thresholds are judged per point.
     Coefficient m of h_V(U) reads only U_0 .. U_m, so the Taylor recursion
-    U_{m+1} = [h_V(U)]_m / (m + 1) gives each coefficient exactly, one kernel
-    call at degree m apiece.  The bracket adds block grades and V's are
+    U_{m+1} = [h_V(U)]_m / (m + 1) gives each coefficient exactly, extending
+    one _HvSeries by one row apiece.  The bracket adds block grades and V's are
     >= 1, so coordinate j has degree <= its block grade for any U0 and the
     recursion ends at the top block grade B.  Where a new coefficient is
     within 1e-12 (1 + max|V| + max|U0|) at every point, the curve cut there
@@ -162,19 +193,20 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
     cut gives each point's degree.  A coefficient above its block grade is a
     fault of the kernel and raises.
     """
-    V = np.asarray(V, dtype=float)
-    U0 = np.asarray(U0, dtype=float)
+    V, U0 = np.asarray(V, dtype=float), np.asarray(U0, dtype=float)
     if V.shape[-1:] != (data.n_dim,) or U0.shape[-1:] != (data.n_dim,):
         raise ValueError("V and U0 must be n(c) coordinate vectors")
-    V, U0 = np.broadcast_arrays(V, U0)
-    scale = 1.0 + np.max(np.abs(V), axis=-1) + np.max(np.abs(U0), axis=-1)
+    if V.shape != U0.shape:
+        V, U0 = np.broadcast_arrays(V, U0)
+    scale = 1.0 + np.abs(V).max(axis=-1) + np.abs(U0).max(axis=-1)
     cut = 1e-12 * scale[..., None]
     B = int(data.block_grades.max())
     U = np.zeros((B + 1,) + U0.shape)
     U[0] = U0
+    series = _HvSeries(data, V, U, B)
     for m in range(B):
-        U[m + 1] = _hv_series(data, V, U[: m + 1], m)[m] / (m + 1)
-        tiny = np.all(np.abs(U[m + 1]) <= cut)
+        U[m + 1] = series.extend(U) / (m + 1)
+        tiny = (np.abs(U[m + 1]) <= cut).all()
         if not tiny and m + 1 < B:
             continue
         Ut = U[: m + 1 if tiny else m + 2]
@@ -182,25 +214,23 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
         # coefficient of the curve above its coordinate's block grade exactly
         # 0.0, every coefficient of h_V(U) past B - 1 is a sum of products with
         # an exact-zero factor, so the check stops there
-        deg = Ut.shape[0] - 1
+        deg, size = Ut.shape[0] - 1, np.abs(Ut)
         over = (np.arange(deg + 1)[:, None] > data.block_grades)[:, None]
-        above = np.where(over, np.abs(Ut.reshape(deg + 1, -1, data.n_dim)), 0.0)
-        if np.any(above):
+        above = np.where(over, size.reshape(deg + 1, -1, data.n_dim), 0.0)
+        if above.any():
             k, p, j = np.unravel_index(np.argmax(above), above.shape)
             raise InconsistencyError(
                 f"flow_exact: flow polynomial leaves the block grading {_where(data, V, U0)}: "
                 f"|t^{k} coefficient| {above[k, p, j]:.3e} in coordinate {j} of block grade {data.block_grades[j]}"
             )
         E = _hv_series(data, V, Ut, B - 1)
-        D = _poly_deriv(Ut)
-        E[: D.shape[0]] -= D
-        resid = np.max(np.abs(E), axis=(0, -1))
-        if np.all(resid <= TOL_STRUCT * scale):
-            kept = np.moveaxis(np.any(np.abs(Ut) > cut, axis=-1), 0, -1)
-            return FlowPolynomial(Ut, B, np.max(kept * np.arange(deg + 1), axis=-1))
+        E[:deg] -= _poly_deriv(Ut)[:deg]
+        resid = np.abs(E).max(axis=(0, -1))
+        if (resid <= TOL_STRUCT * scale).all():
+            kept = (size > cut).any(axis=-1)
+            return FlowPolynomial(Ut, B, (kept * np.arange(deg + 1).reshape((-1,) + (1,) * scale.ndim)).max(axis=0))
         if m + 1 < B:
-            # the cut is no solution: recurse on, from the check's row m,
-            # which reads the same U_0 .. U_m
+            # the cut is no solution: go on from the check's row m, which reads the same U_0 .. U_m
             U[m + 1] = E[m] / (m + 1)
     worst, limit = _worst(resid, TOL_STRUCT * scale)
     raise InconsistencyError(
@@ -306,8 +336,8 @@ def invert_exp_H(data: HyperbolicData, g) -> np.ndarray:
     M = _as_matrix(g)
     D = M - np.eye(M.shape[-1])
     v = data.n_coords_of(D)
-    outside = np.max(np.abs(D - data.n_matrix_of(v)), axis=(-2, -1))
-    bad = outside > 1e-8 * np.maximum(1.0, np.max(np.abs(v), axis=-1))
+    outside = np.abs(D - data.n_matrix_of(v)).max(axis=(-2, -1))
+    bad = outside > 1e-8 * np.maximum(1.0, np.abs(v).max(axis=-1))
     try:
         raise_first(bad, lambda i: f"element has a component outside n(c) ({outside[i]:.2e})", ValueError)
     except ValueError as exc:

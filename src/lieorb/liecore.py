@@ -102,10 +102,13 @@ class MatrixLieAlgebra:
         self.basis = self._build_basis()
         self.J = embed_complex(1j * np.eye(self.n)) if self.is_complex else None
         self.structure = self._structure_constants()
-        # B_ij = tr(ad_i ad_j) = sum_ab c[i, b, a] c[j, a, b], one BLAS product
-        # whose integer sums are exact
-        c = self.structure
-        self.killing_matrix = c.transpose(0, 2, 1).reshape(self.dim, -1) @ c.reshape(self.dim, -1).T
+        # B_ij = tr(ad_i ad_j) = sum_ab c[i, b, a] c[j, a, b], one BLAS product per slab of k values of a,
+        # so that at most 2^17 entries of c are copied transposed; the integer sums are exact in any order
+        c, dim, k = self.structure, self.dim, max(1, 2**17 // self.dim**2)
+        self.killing_matrix = sum(
+            c[:, :, a : a + k].transpose(0, 2, 1).reshape(dim, -1) @ c[:, a : a + k].reshape(dim, -1).T
+            for a in range(0, dim, k)
+        )
         self.theta_matrix = self.coords(self.theta(self.basis)).T
         # theta(b_k) = theta_sign[k] b_theta_perm[k]
         self.theta_perm, self.theta_sign = signed_permutation(self.theta_matrix)
@@ -443,9 +446,8 @@ def _as_matrix(g) -> np.ndarray:
 
 def raise_first(bad: np.ndarray, message: Callable[[tuple], str], error: type = DecompositionError) -> None:
     """Raise error(message(i)) at the first batch index i where bad holds, naming i in a batch."""
-    hits = np.argwhere(bad)
-    if len(hits):
-        i = tuple(int(x) for x in hits[0])
+    if bad.any():
+        i = tuple(int(x) for x in np.argwhere(bad)[0])
         raise error(message(i) + (f" at point {i}" if i else ""))
 
 

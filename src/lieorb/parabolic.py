@@ -13,6 +13,7 @@ threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,9 +65,26 @@ class HyperbolicData:
     def n_dim(self) -> int:
         return len(self.b_indices)
 
+    @functools.cached_property
+    def _positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix row and column of each V_j; over C, of each pair (E_ij, i E_ij)."""
+        q, alg = np.array(self.b_indices) - (self.algebra.n - 1), self.algebra
+        q = (q[::2] - (alg.n - 1)) // 2 if alg.is_complex else q
+        return alg._rows[q], alg._cols[q]
+
     def n_coords_of(self, X: np.ndarray) -> np.ndarray:
-        """Coordinates v of X in the V-basis of n(c), over any leading batch axes; parts outside n(c) drop."""
-        return self.algebra.coords(X)[..., list(self.b_indices)]
+        """Coordinates v of X in the V-basis of n(c), over any leading batch axes; parts outside n(c) drop.
+
+        algebra.coords(X)[..., b_indices] bit for bit, read off X at each V_j's position; over C a pair
+        (E_ij, i E_ij) reads the entry of the complex-linear part, as extract_complex does."""
+        X = np.asarray(X, dtype=float)
+        alg, (i, j), n = self.algebra, self._positions, self.algebra.n
+        if X.shape[-2:] != (alg.d, alg.d):
+            raise ValueError(f"dimension mismatch: expected (..., {alg.d}, {alg.d}), got {X.shape}")
+        if not alg.is_complex:
+            return X[..., i, j]
+        Z = (X[..., i, j] + X[..., i + n, j + n]) / 2.0 + 1j * (X[..., i + n, j] - X[..., i, j + n]) / 2.0
+        return np.ascontiguousarray(Z).view(float)
 
     def n_matrix_of(self, v: np.ndarray) -> np.ndarray:
         """The element sum_j v_j V_j, over any leading batch axes of v."""

@@ -511,7 +511,8 @@ def _drifting_kernel(monkeypatch):
 
 
 def test_flow_exact_names_unstable_recursion(ws, monkeypatch):
-    # a drifting field gives a curve the next call's field does not match
+    # the check's fresh evaluation drifts away from the field the recursion
+    # extended, so the curve fails its defining equation
     data = ws.data("sl3r", (1, 0, -1))
     _drifting_kernel(monkeypatch)
     with pytest.raises(InconsistencyError, match=r"flow_exact: flow polynomial fails its defining equation "
@@ -524,9 +525,8 @@ def test_flow_exact_names_defining_equation_residual(ws, monkeypatch):
     kernel = flows._hv_series
 
     def off_in_check(d, v, u, deg):
-        out = kernel(d, v, u, deg)
-        if deg > 0:   # row 0 feeds the recursion only at degree 0; past it, only the check reads it
-            out[0, 0] += 1e-3
+        out = kernel(d, v, u, deg)   # only the check calls _hv_series; the recursion extends its own series
+        out[0, 0] += 1e-3
         return out
 
     monkeypatch.setattr(flows, "_hv_series", off_in_check)
@@ -536,26 +536,26 @@ def test_flow_exact_names_defining_equation_residual(ws, monkeypatch):
 
 
 def test_flow_exact_rejects_a_coefficient_above_its_block_grade(ws, monkeypatch):
-    # a field whose top kept coefficient of coordinate 0 is planted: the curve
-    # then has a t^B term in a coordinate of block grade 1, which the grading
-    # forbids, so flow_exact raises before its check runs
+    # every coefficient the recursion extends is planted in coordinate 0: the
+    # curve then has a t^B term in a coordinate of block grade 1, which the
+    # grading forbids, so flow_exact raises before its check runs
     data = ws.data("sl3r", (1, 0, -1))
     B = int(np.max(data.block_grades))
     assert data.block_grades[0] == 1 < B
-    kernel = flows._hv_series
-    degrees = []
+    extend = flows._HvSeries.extend
+    rows = []
 
-    def planted_top(d, v, u, deg):
-        degrees.append(deg)
-        out = kernel(d, v, u, deg)
-        out[-1, ..., 0] += 1e-3
+    def planted_top(series, U):
+        rows.append(series.filled)
+        out = extend(series, U).copy()
+        out[..., 0] += 1e-3
         return out
 
-    monkeypatch.setattr(flows, "_hv_series", planted_top)
+    monkeypatch.setattr(flows._HvSeries, "extend", planted_top)
     with pytest.raises(InconsistencyError, match=r"flow_exact: flow polynomial leaves the block grading "
                        + _ERR_WHERE + r": \|t\^2 coefficient\| 5\.000e-04 in coordinate 0 of block grade 1"):
         flow_exact(data, _ERR_V, _ERR_U0)
-    assert degrees == list(range(B))
+    assert rows == list(range(B))
 
 
 def test_graded_cut_certifies_the_uncut_residual(ws):
@@ -577,25 +577,25 @@ def test_graded_cut_certifies_the_uncut_residual(ws):
 
 
 def test_flow_exact_early_stop_rejects_a_dropped_coefficient(monkeypatch):
-    # the recursion's call at degree 1 zeroes its new coefficient once, so the
-    # curve cut there looks finished but is no solution: the check must turn
-    # the cut down and the recursion go on to the flow itself
+    # the recursion's extension to coefficient 1 zeroes it once, so the curve
+    # cut there looks finished but is no solution: the check must turn the cut
+    # down and the recursion go on to the flow itself
     data = cold_data("R", 5, (4, 2, 0, -2, -4))
     rng = np.random.default_rng(47)
     V, U0 = rng.standard_normal((2, data.n_dim))
     want = flow_exact_reference(data, V, U0)
     assert want.shape[0] > 2
-    kernel = flows._hv_series
+    extend = flows._HvSeries.extend
     planted = []
 
-    def drop_once(d, v, u, deg):
-        out = kernel(d, v, u, deg)
-        if (u.shape[0], deg) == (2, 1) and not planted:
-            planted.append(deg)
-            out[1] = 0.0
+    def drop_once(series, U):
+        out = extend(series, U)
+        if series.filled == 2 and not planted:
+            planted.append(series.filled)
+            out = np.zeros_like(out)
         return out
 
-    monkeypatch.setattr(flows, "_hv_series", drop_once)
+    monkeypatch.setattr(flows._HvSeries, "extend", drop_once)
     fp = flow_exact(data, V, U0)
     assert planted
     scale = 1.0 + np.max(np.abs(V)) + np.max(np.abs(U0))
@@ -604,40 +604,53 @@ def test_flow_exact_early_stop_rejects_a_dropped_coefficient(monkeypatch):
 
 
 def _count_kernel_calls(monkeypatch) -> list:
-    """Record (rows of U, degree) of every _hv_series call."""
-    kernel = flows._hv_series
+    """Record every extension of a series as ("extend", its row), every fresh _hv_series call as (rows of U, degree)."""
+    kernel, extend = flows._hv_series, flows._HvSeries.extend
     calls = []
 
     def counted(d, v, u, deg):
         calls.append((u.shape[0], deg))
         return kernel(d, v, u, deg)
 
+    def extended(series, U):
+        calls.append(("extend", series.filled))
+        return extend(series, U)
+
     monkeypatch.setattr(flows, "_hv_series", counted)
+    monkeypatch.setattr(flows._HvSeries, "extend", extended)
     return calls
 
 
+def _assert_one_extension_per_coefficient(calls, fp, B):
+    # one extension per coefficient, up to the first that is cut or to U_B,
+    # then one fresh evaluation at degree B - 1 on the curve: the check
+    *steps, check = calls
+    assert steps == [("extend", m) for m in range(min(fp.degree + 1, B))], calls
+    assert check == (fp.degree + 1, B - 1), calls
+
+
 def test_flow_exact_kernel_calls(monkeypatch):
-    # one call at degree m on U_0 .. U_m per coefficient, then the check at
-    # degree B - 1, B + 1 calls at most
     data = cold_data("R", 5, (4, 2, 0, -2, -4))
     B = int(np.max(data.block_grades))
     calls = _count_kernel_calls(monkeypatch)
-    flow_exact(data, np.random.default_rng(5).standard_normal(data.n_dim), np.zeros(data.n_dim))
-    *steps, check = calls
-    assert steps == [(m + 1, m) for m in range(len(steps))] and check[1] == B - 1 and len(calls) <= B + 1, calls
+    rng = np.random.default_rng(5)
+    for U0 in (np.zeros(data.n_dim), rng.standard_normal(data.n_dim)):
+        calls.clear()
+        fp = flow_exact(data, rng.standard_normal(data.n_dim), U0)
+        _assert_one_extension_per_coefficient(calls, fp, B)
     # the commute check on every basis pair, as flow-check makes it: each of
     # its four flows stops after two coefficients and the check
     n = data.n_dim
     a, b = np.triu_indices(n, 1)
     calls.clear()
     assert commute_residual(data, np.eye(n)[a], np.eye(n)[b]) <= 1e-12
-    assert calls == 4 * [(1, 0), (2, 1), (2, B - 1)], calls
+    assert calls == 4 * [("extend", 0), ("extend", 1), (2, B - 1)], calls
 
 
 def test_flow_exact_kernel_calls_at_the_spread_chamber(monkeypatch):
     # c = (1000, 1, 0, -1001): floor(nu_max / nu_1) = 2001, but the block
-    # grade bounds every flow by B = s - 1 = 3: at most B + 1 kernel calls,
-    # the check at degree B - 1 = 2, from U0 = 0 and from a random U0
+    # grade bounds every flow by B = s - 1 = 3: at most B extensions and the
+    # check at degree B - 1 = 2, from U0 = 0 and from a random U0
     data = cold_data("R", 4, (1000, 1, 0, -1001))
     assert int(np.max(data.block_grades)) == 3 and max(data.grades_exact) / min(data.grades_exact) == 2001
     calls = _count_kernel_calls(monkeypatch)
@@ -646,12 +659,33 @@ def test_flow_exact_kernel_calls_at_the_spread_chamber(monkeypatch):
         calls.clear()
         V = rng.standard_normal(data.n_dim)
         fp = flow_exact(data, V, U0)
-        *steps, check = calls
-        assert steps == [(m + 1, m) for m in range(len(steps))] and check[1] == 2 and len(calls) <= 4, calls
+        _assert_one_extension_per_coefficient(calls, fp, 3)
         assert fp.degree <= fp.degree_bound == 3
         want = flow_exact_reference(data, V, U0)
         assert fp.coeffs.shape == want.shape
         assert np.max(np.abs(fp.coeffs - want)) <= 256 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def test_series_extension_equals_a_fresh_evaluation_bit_for_bit(ws):
+    # the recursion's rows, one coefficient at a time or in uneven ranges,
+    # are the fresh evaluation's, sign of zero included, from U0 = 0 (where
+    # the exact zeros are skipped) and from a random U0, over batches
+    for data in _kernel_grid(ws):
+        rng = np.random.default_rng(59)
+        rows = int(np.max(data.block_grades)) + 2
+        for batch in ((), (7,), (2, 3)):
+            V = rng.standard_normal(batch + (data.n_dim,))
+            V[..., 0], V[..., -1] = 0.0, -0.0
+            for U0 in (np.zeros(batch + (data.n_dim,)), rng.standard_normal(batch + (data.n_dim,))):
+                U = rng.standard_normal((rows,) + batch + (data.n_dim,))
+                U[0] = U0
+                fresh = flows._hv_series(data, V, U, rows - 1)
+                series = flows._HvSeries(data, V, U, rows)
+                one_by_one = np.stack([series.extend(U) for _ in range(rows)])
+                assert one_by_one.tobytes() == fresh.tobytes(), (data.c_entries, batch)
+                series = flows._HvSeries(data, V, U, rows)
+                ranges = np.concatenate([series.fill(U, 1), series.fill(U, rows - 2), series.fill(U, rows - 1)])
+                assert ranges.tobytes() == fresh.tobytes(), (data.c_entries, batch)
 
 
 def test_flow_exact_below_the_level_count_and_at_extreme_V(ws):

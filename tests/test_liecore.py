@@ -229,6 +229,19 @@ def test_structure_constants_peak_memory(ws):
     assert peak <= 1.5 * c.nbytes, f"peak {peak} bytes for a {c.nbytes}-byte tensor"
 
 
+def test_build_peak_memory():
+    # the Killing matrix is contracted over slabs of c, so the build no longer
+    # holds a transposed copy of the whole tensor next to it (the slabs' bytes
+    # are held by test_killing_matrix_matches_einsum_bytes)
+    tracemalloc.start()
+    try:
+        alg = build_algebra(AlgebraSpec("sl", 8, "C"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * alg.structure.nbytes, f"peak {peak} bytes for a {alg.structure.nbytes}-byte tensor"
+
+
 def test_non_integer_structure_constants_are_rejected(monkeypatch):
     build_basis = MatrixLieAlgebra._build_basis
     monkeypatch.setattr(MatrixLieAlgebra, "_build_basis", lambda self: 0.5 * build_basis(self))

@@ -295,3 +295,33 @@ def test_theta_n_is_opposite(ws):
         np.testing.assert_allclose(
             lowered, -data.grades[j] * alg.from_coords(data.nbar_coords[j]), atol=1e-10
         )
+
+
+def test_n_coords_of_gathers_the_coordinates_bit_for_bit(ws):
+    # the gather equals the full coordinate map restricted to n(c), sign of
+    # zero included, for X with a z(c) and trace part, a conjugate-linear
+    # part over C, exact zeros of both signs, and batch axes
+    datas = [ws.data(key, entries) for key, entries in DATA_GRID]
+    datas += [cold_data("R", 8, (7, 5, 3, 1, -1, -3, -5, -7)), cold_data("C", 6, (5, 3, 1, -1, -3, -5))]
+    for data in datas:
+        alg, rng = data.algebra, np.random.default_rng(61)
+        d, want = alg.d, list(data.b_indices)
+        exact = alg.from_coords(np.where(rng.random((4, alg.dim)) < 0.5, rng.integers(-2, 3, (4, alg.dim)), 0.0))
+        Xs = [
+            rng.standard_normal((d, d)),                            # every part: trace, z(c), nbar(c), conjugate-linear
+            alg.from_coords(rng.standard_normal(alg.dim)) + np.eye(d),
+            rng.standard_normal((2, 3, d, d)),
+            exact,                                                  # exact zeros, -0.0 among them over C
+            rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), (5, d, d)),
+            rng.standard_normal((d, d, 3)).transpose(2, 0, 1),      # a batch that is not C-contiguous
+        ]
+        if alg.is_complex:
+            J = alg.J
+            conj = rng.standard_normal((d, d))
+            Xs.append(conj + J @ conj @ J)                          # anticommutes with J: conjugate-linear only
+            assert not data.n_coords_of(Xs[-1]).any()
+        for X in Xs:
+            got, ref = data.n_coords_of(X), alg.coords(X)[..., want]
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (data.c_entries, X.shape)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            data.n_coords_of(np.zeros((d + 1, d + 1)))
