@@ -16,11 +16,13 @@ parabolic reports, with the CLI's structure caches cleared before each call
 without the caches builds afresh in both.  It also records
 cached_entry_bytes, the bytes of the distinct ndarray buffers reachable from
 the CLI's cached structure entry (cli._structure: algebra, Cartan split,
-restricted roots).  A pass opens
-with one row for the import cost: the median wall time of `import lieorb.cli`
-(import_s) and the median peak RSS in MiB (import_rss_mb) of 5 fresh Python
-processes.  Each run adds one pass to --out under --label, with BLAS
-single-threaded (see benchlib.py) here and in those processes.
+restricted roots).  Past the ladder, build-only rows at sl(8, C), sl(10, C)
+and sl(12, C) record dim g, the build_algebra median and build_peak_mib.  A
+pass opens with one row for the import cost: the median wall time of
+`import lieorb.cli` (import_s) and the median peak RSS in MiB
+(import_rss_mb) of 5 fresh Python processes.  Each run adds one pass to
+--out under --label, with BLAS single-threaded (see benchlib.py) here and in
+those processes.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from benchlib import REPEATS, main, median_time, regular, wall
 import numpy as np  # after benchlib's thread settings
 
 GRID = [("R", n) for n in range(2, 9)] + [("C", n) for n in range(2, 7)]
+BUILD_ONLY = [("C", n) for n in (8, 10, 12)]
 IMPORT_PROBE = (
     "import resource, time; t = time.perf_counter(); import lieorb.cli; "
     "print(time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"
@@ -136,6 +139,16 @@ def ladder() -> list[dict]:
             row.update({f"{kind}_c": list(entries), f"{kind}_dim_n": data.n_dim, f"{kind}_N0": data.N0, f"hyperbolic_data_{kind}_s": hd_s})
         row["cli_report_cold_s"], row["cli_report_warm_s"] = cli_report_times(field, n)
         row["cached_entry_bytes"] = cached_entry_bytes(field, n)
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    for field, n in BUILD_ONLY:
+        build_s, alg = median_time(lambda: build_algebra(AlgebraSpec("sl", n, field)))
+        row = {
+            "algebra": f"sl({n}, {field})",
+            "dim": alg.dim,
+            "build_algebra_s": build_s,
+            "build_peak_mib": peak_mib(lambda: build_algebra(AlgebraSpec("sl", n, field))),
+        }
         print(json.dumps(row), flush=True)
         rows.append(row)
     return rows

@@ -265,9 +265,10 @@ def check_roots(ctx: _Context, cfg: RunConfig, rng) -> dict:
         W[r.members] = r.weights
     weight = weight_code(W)
     ri = np.flatnonzero(weight)
-    brackets = alg.structure[np.ix_(ri, ri)]  # [i, j]: [X_i, X_j] in coordinates, X_i = b_ri[i]
-    outside = weight != weight[ri, None, None] + weight[ri, None]
-    grading = float(np.max(np.abs(np.where(outside, brackets, 0.0)), initial=0.0))
+    # the nonzero c_ijk between root vectors b_i, b_j whose codes do not add to b_k's
+    i, j, k, v = alg.nonzeros
+    outside = (weight[i] != 0) & (weight[j] != 0) & (weight[k] != weight[i] + weight[j])
+    grading = float(np.max(np.abs(v[outside]), initial=0.0))
     theta = alg.theta_matrix[:, ri]  # column i: theta(X_i)
     theta_pair = float(np.max(np.abs(np.where(weight[:, None] != -weight[ri], theta, 0.0)), initial=0.0))
     dims_ok = ctx.algebra.dim == len(rs.zero_indices) + sum(r.multiplicity for r in rs.roots)

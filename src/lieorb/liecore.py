@@ -6,6 +6,9 @@ fixed once per algebra -- diagonal Cartan part first, then off-diagonal root
 vectors in row-major order of their matrix position -- so structure constants,
 Killing matrices and every downstream fixture are reproducible byte for byte.
 
+The structure constants are kept as their sorted nonzeros; every certificate
+reads them, and the dense dim^3 tensor is a read-only view built on its first read.
+
 The Killing form is always computed as trace(ad X . ad Y) from the structure
 constants.  The closed multiple of trace(XY) valid for sl is reserved for
 test oracles; the complex trace form appears only in the realified-vs-complex
@@ -15,6 +18,7 @@ directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from numbers import Rational
 from typing import Callable, Sequence
@@ -87,6 +91,8 @@ def extract_complex(M: np.ndarray) -> np.ndarray:
 class MatrixLieAlgebra:
     """sl(n) in a fixed basis, with structure constants and Killing data.
 
+    nonzeros = (i, j, k, value) lists every nonzero structure constant
+    c_ijk, [b_i, b_j] = sum_k c_ijk b_k, sorted in C order of (i, j, k).
     Construction is deterministic; instances are immutable by convention and
     safe to share across threads.
     """
@@ -101,14 +107,14 @@ class MatrixLieAlgebra:
         self._rows, self._cols = np.nonzero(~np.eye(self.n, dtype=bool))
         self.basis = self._build_basis()
         self.J = embed_complex(1j * np.eye(self.n)) if self.is_complex else None
-        self.structure = self._structure_constants()
-        # B_ij = tr(ad_i ad_j) = sum_ab c[i, b, a] c[j, a, b], one BLAS product per slab of k values of a,
-        # so that at most 2^17 entries of c are copied transposed; the integer sums are exact in any order
-        c, dim, k = self.structure, self.dim, max(1, 2**17 // self.dim**2)
-        self.killing_matrix = sum(
-            c[:, :, a : a + k].transpose(0, 2, 1).reshape(dim, -1) @ c[:, a : a + k].reshape(dim, -1).T
-            for a in range(0, dim, k)
-        )
+        self.nonzeros = self._structure_constants()
+        # B_ij = tr(ad_i ad_j) = sum_ab c[i, b, a] c[j, a, b]: each nonzero (i, b, a) joined with every
+        # nonzero (j, a, b); the integer sums are exact in any order
+        (i, j, k, v), dim = self.nonzeros, self.dim
+        by_jk = np.argsort(j * dim + k)
+        p, q = _join((j * dim + k)[by_jk], k * dim + j, dim * dim)
+        q = by_jk[q]
+        self.killing_matrix = np.bincount(i[p] * dim + i[q], weights=v[p] * v[q], minlength=dim * dim).reshape(dim, dim)
         self.theta_matrix = self.coords(self.theta(self.basis)).T
         # theta(b_k) = theta_sign[k] b_theta_perm[k]
         self.theta_perm, self.theta_sign = signed_permutation(self.theta_matrix)
@@ -203,7 +209,7 @@ class MatrixLieAlgebra:
 
     # -- internal consistency ----------------------------------------------
 
-    def _structure_constants(self) -> np.ndarray:
+    def _structure_constants(self) -> tuple[np.ndarray, ...]:
         # c[i, j] (i < j) sums B_i[a, k] B_j[k, b] L[ab] over basis entries that share k, negated
         # where the product is B_j B_i; L[ab] = coords(2n E_ab) is integral, so the sums are exact
         dim, d, two_n = self.dim, self.d, 2 * self.n
@@ -224,17 +230,29 @@ class MatrixLieAlgebra:
         # the exact checks read c as int64
         if not np.array_equal(vals, np.rint(vals)):
             raise InconsistencyError(f"build_algebra: structure constants of {self.spec} are not integers")
-        # c[j, i] = -c[i, j], and every zero with i > j is -0.0, as the fixtures hold them
+        # c[j, i] = -c[i, j]: both halves of the nonzero entries, sorted in C order of (i, j, k)
+        nz = vals != 0
+        i, j, k = np.unravel_index(key[nz], (dim, dim, dim))
+        order = np.argsort(np.concatenate([key[nz], (j * dim + i) * dim + k]))
+        out = tuple(np.concatenate(pair)[order] for pair in ((i, j), (j, i), (k, k), (vals[nz], -vals[nz])))
+        for x in out:
+            x.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def structure(self) -> np.ndarray:
+        """The dense c[i, j, k], scattered from nonzeros on its first read; read-only, and -0.0 on
+        every zero where i > j, as the fixtures hold it."""
+        dim = self.dim
         c = np.zeros((dim, dim, dim))
         c[np.tril_indices(dim, -1)] = -0.0
-        i, j, m = np.unravel_index(key, c.shape)
-        c[i, j, m] = vals
-        c[j, i, m] = -vals
+        i, j, k, v = self.nonzeros
+        c[i, j, k] = v
+        c.setflags(write=False)
         return c
 
     def _validate(self) -> dict:
-        c = self.structure
-        jacobi = float(jacobi_residual(c))
+        jacobi = float(jacobi_residual(self.nonzeros))
         K = self.killing_matrix
         k_sym = float(np.max(np.abs(K - K.T)))
         ev = np.linalg.eigvalsh((K + K.T) / 2)
@@ -243,7 +261,7 @@ class MatrixLieAlgebra:
         perm, s = self.theta_perm, self.theta_sign
         th_sq = float(np.max(np.where(perm[perm] == np.arange(self.dim), np.abs(s * s[perm] - 1), 1.0)))
         th_iso = float(np.max(np.abs(np.outer(s, s) * K[np.ix_(perm, perm)] - K)))
-        th_auto = float(theta_automorphism_residual(c, self.theta_matrix))
+        th_auto = float(theta_automorphism_residual(self.nonzeros, self.theta_matrix))
         res = {
             "jacobi": jacobi,
             "killing_symmetry": k_sym,
@@ -282,9 +300,16 @@ def _join(first: np.ndarray, key: np.ndarray, size: int) -> tuple[np.ndarray, np
     return p, q
 
 
-def jacobi_residual(c: np.ndarray) -> int:
+def _lookup(key: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """values[p] where key[p] == at, else 0, for a sorted key with no repeats."""
+    p = np.minimum(np.searchsorted(key, at), len(key) - 1)
+    return np.where(key[p] == at, values[p], 0)
+
+
+def jacobi_residual(nonzeros: tuple[np.ndarray, ...]) -> int:
     """max over all (i, j, k, l) of |sum_m c_ijm c_mkl + c_jkm c_mil + c_kim c_mjl|.
 
+    c is given by its nonzeros, sorted as MatrixLieAlgebra.nonzeros holds them.
     Exact for integer-valued c antisymmetric in (i, j), without the dim^4
     tensor: the sum is then totally antisymmetric in (i, j, k), so each
     nonzero entry (a, b, m) with a < b is joined in int64 with every nonzero
@@ -294,10 +319,10 @@ def jacobi_residual(c: np.ndarray) -> int:
     The defect max |c_ijm + c_jim| is folded in, so a c that is not
     antisymmetric is refused as well.
     """
-    dim = c.shape[0]
-    i, j, m = _nonzero(c)             # C order: sorted by the first index
-    v = c[i, j, m].astype(np.int64)
-    defect = int(np.max(np.abs(v + c[j, i, m].astype(np.int64)), initial=0))
+    i, j, m, v = nonzeros
+    dim = 1 + int(max(x.max(initial=0) for x in (i, j, m)))
+    v = v.astype(np.int64)
+    defect = int(np.max(np.abs(v + _lookup((i * dim + j) * dim + m, v, (j * dim + i) * dim + m)), initial=0))
     up = np.flatnonzero(i < j)
     p, q = _join(i, m[up], dim)       # partners (m, k, l) of entry (a, b, m)
     keep = (j[q] != i[up[p]]) & (j[q] != j[up[p]])
@@ -322,20 +347,25 @@ def signed_permutation(Th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, s
 
 
-def theta_automorphism_residual(c: np.ndarray, Th: np.ndarray) -> int:
+def theta_automorphism_residual(nonzeros: tuple[np.ndarray, ...], Th: np.ndarray) -> int:
     """max over (i, j) of |theta [b_i, b_j] - [theta b_i, theta b_j]| in coordinates.
 
-    Exact for integer-valued c, with no dim^3 product: theta must be a signed
-    permutation of the basis, theta(b_k) = s_k b_pi(k), and the residual at
-    (i, j, pi(k)) is then |c_ijk - s_i s_j s_k c_pi(i)pi(j)pi(k)|.  It can be
-    nonzero only where c or its permuted copy is, so it is read off the
-    nonzero entries of c and their preimages under pi.
+    Exact for integer-valued c, given by its nonzeros as in jacobi_residual,
+    with no dim^3 product: theta must be a signed permutation of the basis,
+    theta(b_k) = s_k b_pi(k), and the residual at (i, j, pi(k)) is then
+    |c_ijk - s_i s_j s_k c_pi(i)pi(j)pi(k)|.  It can be nonzero only where c
+    or its permuted copy is, so it is read at the nonzero entries of c and
+    their preimages under pi.
     """
     perm, s = signed_permutation(Th)
-    inv = np.argsort(perm)
-    i, j, k = (np.concatenate([x, inv[x]]) for x in _nonzero(c))
+    dim, inv = len(perm), np.argsort(perm)
+    i, j, k, v = nonzeros
+    key = (i * dim + j) * dim + k
+    i, j, k = (np.concatenate([x, inv[x]]) for x in (i, j, k))
+    here = _lookup(key, v, (i * dim + j) * dim + k)
+    there = _lookup(key, v, (perm[i] * dim + perm[j]) * dim + perm[k])
     # integers and signs: every float operation here is exact
-    return int(np.max(np.abs(c[i, j, k] - s[i] * s[j] * s[k] * c[perm[i], perm[j], perm[k]]), initial=0))
+    return int(np.max(np.abs(here - s[i] * s[j] * s[k] * there), initial=0))
 
 
 def build_algebra(spec: AlgebraSpec) -> MatrixLieAlgebra:

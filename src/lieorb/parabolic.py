@@ -4,7 +4,8 @@ The eigenbasis V_1, ..., V_n of the nilradical is taken directly from the
 root-space basis vectors (already eigenvectors of ad(c)), ordered by
 increasing eigenvalue and lexicographic root within an eigenvalue.  That
 makes T = ad(c) restricted to n(c) exactly diagonal, and the bracket tensor
-on n(c) exactly the relevant block of the structure constants.
+on n(c) exactly the relevant block of the structure constants, read off
+their nonzero entries.
 
 Chamber elements are given by their diagonal entries as exact rationals, so
 wall cases (alpha(c) = 0) are decided exactly rather than at a float
@@ -95,6 +96,8 @@ class HyperbolicData:
 def hyperbolic_data(
     algebra: MatrixLieAlgebra, rs: RestrictedRootSystem, c_entries: Sequence
 ) -> HyperbolicData:
+    if algebra.spec != rs.algebra.spec:
+        raise ConfigurationError(f"hyperbolic_data: algebra {algebra.spec} is not the root system's {rs.algebra.spec}")
     entries = tuple(_to_fraction(e) for e in c_entries)
     if len(entries) != algebra.n:
         raise ConfigurationError(f"expected {algebra.n} diagonal entries")
@@ -144,12 +147,17 @@ def hyperbolic_data(
     nbar_coords = Th[:, list(b_indices)].T + 0.0  # + 0.0: no signed zeros, as from Th @ e_b
 
     # ad(V_i) restricted to n(c), adn[i][k, j] = c_{b_i b_j b_k}: an exact
-    # block of the structure constants, which must not leave n(c)
-    sel = list(b_indices)
-    pairs = algebra.structure[np.ix_(sel, sel)]
-    adn = np.ascontiguousarray(pairs[:, :, sel].transpose(0, 2, 1))
-    if np.any(np.delete(pairs, sel, axis=2) != 0):
+    # block of the structure constants, read off the nonzeros c_{b_i b_j k},
+    # whose k must not leave n(c); -0.0 where b_i > b_j, as in the dense c
+    sel = np.array(b_indices, dtype=int)
+    pos = np.full(algebra.dim, -1)
+    pos[sel] = np.arange(n_dim)
+    i, j, k, v = algebra.nonzeros
+    inside = (pos[i] >= 0) & (pos[j] >= 0)
+    if np.any(pos[k[inside]] < 0):
         raise InconsistencyError(f"bracket of n(c) escapes n(c) at c = {chamber}")
+    adn = np.where(sel[:, None, None] > sel[None, None, :], -0.0, np.zeros((n_dim, n_dim, n_dim)))
+    adn[pos[i[inside]], pos[k[inside]], pos[j[inside]]] = v[inside]
     # the bracket adds root weights: adn[i][k, j] != 0 only where code_k =
     # code_i + code_j.  nu_j and the block grade are linear in the weights,
     # so the bracket adds both gradings

@@ -140,6 +140,12 @@ def symmetrized_power_vanishes_bruteforce(adn, q):
     return True
 
 
+def nonzeros_of(c):
+    """The nonzero entries (i, j, k, value) of a dense tensor, sorted in C order of (i, j, k)."""
+    i, j, k = np.nonzero(c)
+    return i, j, k, c[i, j, k]
+
+
 def dense_jacobi_residual(c):
     """max |Jacobi sum| over all (i, j, k, l) from the dense dim^4 tensor."""
     j1 = np.einsum("ijm,mkl->ijkl", c, c)

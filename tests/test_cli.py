@@ -15,6 +15,7 @@ from lieorb import cli
 from lieorb.flows import FlowPolynomial
 from lieorb.liecore import AlgebraSpec, GroupElement, random_in_K
 from lieorb.parabolic import z_k_coords
+from lieorb.rootspace import weight_code
 from lieorb.symplecto import section_lagrangian_check
 from oracles import (
     check_flow_loop,
@@ -121,6 +122,27 @@ def test_root_masks_see_planted_weight_fault():
     assert section["bracket_grading"]["value"] >= 1.0 and section["theta_pairing"]["value"] >= 1.0
     assert not section["bracket_grading"]["pass"] and not section["theta_pairing"]["pass"]
     assert section["dimension_bookkeeping"]["pass"] and section["pass"] is False
+
+
+@pytest.mark.parametrize("field", "RC")
+def test_bracket_grading_matches_the_dense_block(field):
+    """bracket_grading, read off the nonzeros, is the max over the dense block of root-vector brackets
+    whose weight codes do not add, on the true roots and with each root's weight planted wrong in turn."""
+    cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 3, "field": field}, c=[1, 0, -1], checks=["roots"]))
+    ctx = cli._Context(cfg)
+    alg, rs = ctx.algebra, ctx.rs
+    for r in range(-1, len(rs.roots)):
+        roots = [dataclasses.replace(x, weights=2 * x.weights) if q == r else x for q, x in enumerate(rs.roots)]
+        ctx.rs = dataclasses.replace(rs, roots=roots)
+        W = np.zeros((alg.dim, alg.n), dtype=np.int64)
+        for x in roots:
+            W[x.members] = x.weights
+        weight = weight_code(W)
+        ri = np.flatnonzero(weight)
+        outside = weight != weight[ri, None, None] + weight[ri, None]
+        dense = float(np.max(np.abs(np.where(outside, alg.structure[np.ix_(ri, ri)], 0.0)), initial=0.0))
+        assert cli.check_roots(ctx, cfg, np.random.default_rng(0))["bracket_grading"]["value"] == dense, r
+        assert (dense > 0) == (r >= 0), r
 
 
 def test_level_mask_sees_mislabelled_level():
@@ -460,23 +482,29 @@ def test_warm_cache_reports_match_cold(tmp_path, capsys, n, field, c):
         assert report(sub) == cold, sub
 
 
-@pytest.mark.parametrize("part", ["algebra.structure", "algebra.basis", "split.k_coords", "rs.a_coords", "data.adn",
+@pytest.mark.parametrize("part", ["algebra.structure", "algebra.nonzeros.0", "algebra.nonzeros.1", "algebra.nonzeros.2",
+                                  "algebra.nonzeros.3", "algebra.basis", "split.k_coords", "rs.a_coords", "data.adn",
                                   "data.block_grades"])
 def test_cached_structure_is_read_only(part):
     ctx = cli._Context(cli.parse_config(_cached_config(3, "R", [2, 0, -2])))
-    holder, name = part.split(".")
+    holder, name, *index = part.split(".")
     array = getattr(getattr(ctx, holder), name)
+    array = array[int(index[0])] if index else array
     with pytest.raises(ValueError, match="read-only"):
         array[(0,) * array.ndim] = 1
 
 
 @pytest.mark.parametrize("n, field", [(3, "R"), (4, "C")])
-def test_cached_structure_holds_one_dim3_array(n, field):
-    """The structure constants are the only dim^3 array a cached structure entry keeps."""
-    entry = cli._structure(AlgebraSpec("sl", n, field))
+def test_cached_structure_holds_no_dim3_array(n, field):
+    """After roots and parabolic reports, no dim^3 buffer is reachable from the cached entries: the
+    structure constants stay nonzeros, and their dense view is not built."""
+    _clear_structure_caches()
+    cfg = cli.parse_config(_cached_config(n, field, list(range(n - 1, -n, -2)), checks=["roots", "parabolic"]))
+    assert all(section["pass"] for section in cli.run(cfg)["body"]["checks"].values())
+    entry = cli._structure(cfg.algebra)
     algebra = entry[0]
-    big = [x for x in reachable_buffers(entry) if x.size >= algebra.dim**3]
-    assert len(big) == 1 and big[0] is algebra.structure
+    assert "structure" not in vars(algebra)
+    assert not [x for x in reachable_buffers((entry, cli._Context(cfg).data)) if x.size >= algebra.dim**3]
 
 
 def test_planted_fault_stays_in_its_context():

@@ -39,6 +39,7 @@ from oracles import (
     killing_matrix_einsum,
     killing_matrix_oracle,
     nilpotent_exp_loop,
+    nonzeros_of,
     span_residual,
     structure_bracket,
     structure_constants_pairwise,
@@ -130,14 +131,15 @@ def test_jacobi_all_basis_triples(ws):
         resid = dense_jacobi_residual(c)
         assert resid < 1e-10
         # the sparse certificate is exact: it equals the dense tensor's maximum
-        assert jacobi_residual(c) == resid == alg.build_residuals["jacobi"]
+        assert jacobi_residual(alg.nonzeros) == jacobi_residual(nonzeros_of(c)) == resid
+        assert resid == alg.build_residuals["jacobi"]
 
 
 def test_theta_index_test_matches_einsum_oracle(ws):
     for key in ALGEBRA_SPECS:
         alg = ws.algebra(key)
         c, Th = alg.structure, alg.theta_matrix
-        assert theta_automorphism_residual(c, Th) == theta_automorphism_einsum(c, Th) == 0.0
+        assert theta_automorphism_residual(alg.nonzeros, Th) == theta_automorphism_einsum(c, Th) == 0.0
         assert alg.build_residuals["theta_automorphism"] == 0.0
         # planted faults: one structure constant moved, where c is nonzero and where it is zero
         rng = np.random.default_rng(9)
@@ -146,7 +148,7 @@ def test_theta_index_test_matches_einsum_oracle(ws):
         for t in planted:
             bad = c.copy()
             bad[tuple(t)] += 2
-            seen.append(theta_automorphism_residual(bad, Th))
+            seen.append(theta_automorphism_residual(nonzeros_of(bad), Th))
             assert seen[-1] == theta_automorphism_einsum(bad, Th), (key, t)
         assert max(seen) == 2, key
         # theta that is no signed permutation of the basis is refused
@@ -154,7 +156,7 @@ def test_theta_index_test_matches_einsum_oracle(ws):
             bad = Th.copy()
             bad[0, 1] = off
             with pytest.raises(InconsistencyError, match="signed permutation"):
-                theta_automorphism_residual(c, bad)
+                theta_automorphism_residual(alg.nonzeros, bad)
 
 
 @pytest.mark.parametrize("key", ["sl3r", "sl2c"])
@@ -196,7 +198,7 @@ def test_jacobi_certificate_sees_planted_fault(ws):
             c = alg.structure.copy()
             c[i, j, m] += 1
             c[j, i, m] -= 1
-            got = jacobi_residual(c)
+            got = jacobi_residual(nonzeros_of(c))
             assert got == dense_jacobi_residual(c), f"{key}: fault at ({i}, {j}, {m})"
             seen.append(got > 0)
         assert sum(seen) >= 3, f"{key}: planted faults seen {seen}"
@@ -214,32 +216,44 @@ def test_jacobi_certificate_refuses_non_antisymmetric_c(ws):
         for t in [*nonzero, *rng.integers(0, alg.dim, (2, 3)), *diagonal]:
             c = c0.copy()
             c[tuple(t)] += 1
-            assert jacobi_residual(c) >= 1, f"{key}: fault at {tuple(t)}"
+            assert jacobi_residual(nonzeros_of(c)) >= 1, f"{key}: fault at {tuple(t)}"
 
 
 def test_structure_constants_peak_memory(ws):
-    # the joins hold arrays of the basis's nonzeros, not dim^3 temporaries
+    # the joins hold arrays of the basis's nonzeros, not dim^3 temporaries: at
+    # sl(6, C) the bound, 0.70 MiB, is a fifth of 1.5 times the 2.6 MiB dense tensor
     alg = ws.algebra("sl6c")
     tracemalloc.start()
     try:
-        c = alg._structure_constants()
+        nonzeros = alg._structure_constants()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * c.nbytes, f"peak {peak} bytes for a {c.nbytes}-byte tensor"
+    nbytes = sum(x.nbytes for x in nonzeros)
+    assert peak <= 12 * nbytes, f"peak {peak} bytes for {nbytes} bytes of nonzeros"
 
 
 def test_build_peak_memory():
-    # the Killing matrix is contracted over slabs of c, so the build no longer
-    # holds a transposed copy of the whole tensor next to it (the slabs' bytes
-    # are held by test_killing_matrix_matches_einsum_bytes)
+    # the build keeps the structure constants as their nonzeros and builds no
+    # dim^3 array; the Jacobi join's pairs set the peak: at sl(8, C) the bound,
+    # 12.9 MiB, is under half of 1.75 times the 15.3 MiB dense tensor
     tracemalloc.start()
     try:
         alg = build_algebra(AlgebraSpec("sl", 8, "C"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.75 * alg.structure.nbytes, f"peak {peak} bytes for a {alg.structure.nbytes}-byte tensor"
+    assert "structure" not in vars(alg)
+    nbytes = sum(x.nbytes for x in alg.nonzeros)
+    assert peak <= 88 * nbytes, f"peak {peak} bytes for {nbytes} bytes of nonzeros"
+
+
+def test_nonzeros_are_the_sorted_dense_entries(ws):
+    """nonzeros lists every nonzero of the dense view, both halves, in C order of (i, j, k), read-only."""
+    for key in BYTE_KEYS:
+        alg = ws.algebra(key)
+        for got, want in zip(alg.nonzeros, nonzeros_of(alg.structure)):
+            assert got.tobytes() == want.astype(got.dtype).tobytes() and not got.flags.writeable, key
 
 
 def test_non_integer_structure_constants_are_rejected(monkeypatch):

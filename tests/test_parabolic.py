@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,19 @@ import scipy.linalg
 
 from conftest import DATA_GRID, cold_data
 from lieorb import parabolic
-from lieorb.liecore import ConfigurationError, InconsistencyError
+from lieorb.liecore import AlgebraSpec, ConfigurationError, InconsistencyError, build_algebra
 from lieorb.parabolic import chamber_sort, hyperbolic_data, nilpotency_index, z_k_coords
-from oracles import grade_projection, p_filtration_coords, symmetrized_power_vanishes_bruteforce
+from oracles import grade_projection, nonzeros_of, p_filtration_coords, symmetrized_power_vanishes_bruteforce
+
+
+def _planted(alg, i, j, k):
+    """A copy of alg whose nonzeros hold c[i, j, k] = 1 and c[j, i, k] = -1."""
+    c = alg.structure.copy()
+    c[i, j, k], c[j, i, k] = 1.0, -1.0
+    bad = copy.copy(alg)
+    vars(bad).pop("structure", None)  # the copy's dense view is scattered from its own nonzeros
+    bad.nonzeros = nonzeros_of(c)
+    return bad
 
 
 def test_sl2_data(ws):
@@ -95,10 +106,7 @@ def test_nilpotency_index_rejects_planted_faults(ws):
     # the grading that bounds N0 is certified once, in hyperbolic_data
     b0, b1, b2 = data.b_indices[:3]
     assert data.block_grades[:3].tolist() == [1, 1, 1]
-    bad = copy.copy(alg)
-    bad.structure = alg.structure.copy()
-    bad.structure[b0, b1, b2] = 1.0
-    bad.structure[b1, b0, b2] = -1.0
+    bad = _planted(alg, b0, b1, b2)
     with pytest.raises(InconsistencyError, match=f"violates the root-weight grading {at}"):
         hyperbolic_data(bad, rs, (3, 1, -1, -3))
     # dropping every bracket into the top block keeps the grading but kills (ad U)^2
@@ -134,10 +142,7 @@ def test_hyperbolic_data_rejects_bad_brackets(ws):
     # [E12, E13] = 0 in sl(3); planting a z(c) component makes n(c) not closed,
     # planting an E13 component breaks the grading (2 != 1 + 2)
     for target, message in ((data.z_indices[0], "escapes n"), (b13, "violates the root-weight grading")):
-        bad = copy.copy(alg)
-        bad.structure = alg.structure.copy()
-        bad.structure[b12, b13, target] = 1.0
-        bad.structure[b13, b12, target] = -1.0
+        bad = _planted(alg, b12, b13, target)
         with pytest.raises(InconsistencyError, match=message):
             hyperbolic_data(bad, rs, (1, 0, -1))
 
@@ -148,10 +153,7 @@ def test_hyperbolic_data_errors_name_the_chamber(ws):
     b12, _, b13 = data.b_indices
     at = r"at c = \('1', '0', '-1'\)$"
     for target, message in ((data.z_indices[0], "escapes n"), (b13, "violates the root-weight grading")):
-        bad = copy.copy(alg)
-        bad.structure = alg.structure.copy()
-        bad.structure[b12, b13, target] = 1.0
-        bad.structure[b13, b12, target] = -1.0
+        bad = _planted(alg, b12, b13, target)
         with pytest.raises(InconsistencyError, match=f"{message}.* {at}"):
             hyperbolic_data(bad, rs, (1, 0, -1))
     # without the root spaces of +-(e1 - e2), n(c) and its opposite miss two dimensions of g/z(c)
@@ -159,6 +161,23 @@ def test_hyperbolic_data_errors_name_the_chamber(ws):
     assert len(kept) == len(rs.roots) - 2
     with pytest.raises(InconsistencyError, match=f"half the dimension of g/z\\(c\\) {at}"):
         hyperbolic_data(alg, dataclasses.replace(rs, roots=kept), (1, 0, -1))
+
+
+@pytest.mark.parametrize("key, entries", DATA_GRID)
+def test_adn_is_the_dense_block_byte_for_byte(ws, key, entries):
+    """adn, read off the nonzeros, is the block of the dense structure constants, signed zeros included."""
+    data, alg = ws.data(key, entries), ws.algebra(key)
+    sel = list(data.b_indices)
+    block = alg.structure[np.ix_(sel, sel)][:, :, sel].transpose(0, 2, 1)
+    assert data.adn.tobytes() == np.ascontiguousarray(block).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_hyperbolic_data_refuses_another_algebra(ws, n):
+    """The algebra must be the one the roots were found in; the error names both specs."""
+    real, complex_ = AlgebraSpec("sl", n, "R"), AlgebraSpec("sl", n, "C")
+    with pytest.raises(ConfigurationError, match=f"{re.escape(str(complex_))}.*{re.escape(str(real))}"):
+        hyperbolic_data(build_algebra(complex_), ws.rs(f"sl{n}r"), range(n - 1, -n, -2))
 
 
 def test_nilpotency_respects_floor_bound(ws):
