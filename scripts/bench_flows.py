@@ -17,11 +17,15 @@ the checkout has linear_chart, it also times it on the 20 * 2n perturbed
 fiber points of that pullback's witness (linear_chart_s).  Where a
 checkout's FD checks take one point per call (they then also take a step
 argument), or its project_pi refuses a batch, the points go through one
-call each.  Three rows time the sampled checks from
-a fresh generator at the default 20 samples: cli.check_kk and cli.check_flow
-(the whole flow-check section) on a context whose structure is already
-built, and the sampling of symplecto-verify (cli._sample_points at 20 points
-and section_lagrangian_check at 5).
+call each.  Four rows time the sampled checks from
+a fresh generator at the default 20 samples: cli.check_kk, cli.check_flow
+(the whole flow-check section) and cli.check_symplecto (the whole
+symplecto-verify section) on a context whose structure is already built, and
+the sampling of symplecto-verify (cli._sample_points at 20 points and
+section_lagrangian_check at 5).  check_symplecto_peak_mib is the tracemalloc
+peak of one more check_symplecto call.  Where a checkout keeps a chamber's
+chart frame (symplecto.chart_frame), the first of the 5 calls of a check
+builds it and the other calls, and the peak's, reuse it.
 Each run adds one pass to --out under --label, with BLAS single-threaded
 (see benchlib.py).
 """
@@ -32,7 +36,7 @@ import inspect
 import json
 import sys
 
-from benchlib import main, median_time, regular, wall  # first: it pins BLAS to one thread
+from benchlib import main, median_time, peak_mib, regular, wall  # first: it pins BLAS to one thread
 
 import numpy as np  # noqa: E402
 
@@ -133,6 +137,7 @@ def ladder() -> list[dict]:
                 "liouville_fd_gap_s": fd_check(symplecto.liouville_fd_gap, data, pts[: FD_SAMPLES // 5]),
                 "check_kk_s": cli_check(alg, entries, "check_kk"),
                 "check_flow_s": cli_check(alg, entries, "check_flow"),
+                "check_symplecto_s": cli_check(alg, entries, "check_symplecto"),
                 "symplecto_sampling_s": sampling(data, split),
             }
             if hasattr(flows, "linear_chart"):
@@ -146,6 +151,7 @@ def ladder() -> list[dict]:
                 "p": len(data.levels),
                 "flow_degree": flows.flow_exact(data, V, U0).degree,
                 **{name: median_time(fn)[0] for name, fn in timed.items()},
+                "check_symplecto_peak_mib": peak_mib(timed["check_symplecto_s"]),
             }
             print(json.dumps(row), flush=True)
             rows.append(row)

@@ -32,10 +32,9 @@ import os
 import statistics
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
-from benchlib import REPEATS, main, median_time, regular, wall
+from benchlib import REPEATS, main, median_time, peak_mib, regular, wall
 
 import numpy as np  # after benchlib's thread settings
 
@@ -59,16 +58,6 @@ def import_cost() -> dict:
         "import_s": statistics.median(float(s) for s, _ in runs),
         "import_rss_mb": statistics.median(float(mb) for _, mb in runs),
     }
-
-
-def peak_mib(fn) -> float:
-    """The tracemalloc peak of one call of fn in MiB: the most it held allocated at once."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 def cli_report_times(field: str, n: int) -> tuple[float, float]:

@@ -17,6 +17,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -48,6 +49,16 @@ def median_time(fn):
         out = fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times), out
+
+
+def peak_mib(fn) -> float:
+    """The tracemalloc peak of one call of fn in MiB: the most it held allocated at once."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def main(doc: str, default_out: str, ladder, argv=None, **fields) -> int:

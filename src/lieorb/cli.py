@@ -390,8 +390,7 @@ def _sample_points(data, rng, count: int):
 def check_symplecto(ctx: _Context, cfg: RunConfig, rng) -> dict:
     data = ctx.data
     pts = _sample_points(data, rng, cfg.samples)
-    pull = pullback_residual(data, pts)
-    on = phi_lambda(data, pts, validate=False)
+    pull, on = pullback_residual(data, pts)
     bundle = coset_gap(data, project_pi(data, on).k, pts.k)
     zero = phi_lambda(data, CotangentPoint(pts.k, np.zeros_like(pts.V)), validate=False)
     zero_gap = float(np.max(np.abs(zero.w - pts.k @ data.c @ pts.k.mT)))

@@ -41,7 +41,7 @@ from numpy.polynomial.legendre import legint, leggauss, legval, legvander
 
 from .liecore import TOL_DECOMP, TOL_STRUCT, DecompositionError, GroupElement, InconsistencyError, _as_matrix
 from .liecore import exp_series, raise_first
-from .parabolic import HyperbolicData
+from .parabolic import HyperbolicData, per_chamber
 
 
 # -- small polynomial helpers (coefficients along axis 0) ----------------------
@@ -345,6 +345,15 @@ def invert_exp_H(data: HyperbolicData, g) -> np.ndarray:
     return data.n_coords_of(data.c - M @ data.c @ np.linalg.inv(M))
 
 
+@per_chamber
+def _chart_grades(data: HyperbolicData) -> tuple[np.ndarray, np.ndarray]:
+    """For block grades 1 ... B: the entries of n(c) on the grade, and c_i - c_j there (1.0 elsewhere)."""
+    c = np.diagonal(data.c)
+    grades = range(1, int(data.block_grades.max()) + 1)
+    masks = np.stack([np.any(data.n_basis[data.block_grades == b] != 0, axis=0) for b in grades])
+    return masks, np.where(masks, c[:, None] - c, 1.0)
+
+
 def linear_chart(data: HyperbolicData, V: np.ndarray) -> GroupElement:
     """exp_H(V) with no flow: the n in I + n(c) with n c = (c - V) n (Kostant).
 
@@ -352,16 +361,16 @@ def linear_chart(data: HyperbolicData, V: np.ndarray) -> GroupElement:
     diagonal and V raises the block grade, so back substitution over the
     block grades 1 ... B solves it (Bartels & Stewart, CACM 15, 1972): on a
     grade, N_ij = (V + V N)_ij / (c_i - c_j) = (V n)_ij / (c_i - c_j), and
-    V n reads only lower grades.  Leading axes of V batch over points; each
-    point's residual is judged against the scale of its terms.
+    V n reads only lower grades.  Each grade's entries and denominators are
+    built once per data (_chart_grades).  Leading axes of V batch over
+    points; each point's residual is judged against the scale of its terms.
     """
     V = np.asarray(V, dtype=float)
     Vm = data.n_matrix_of(V)
     c = np.diagonal(data.c)
     n = np.eye(data.algebra.d) + np.zeros(Vm.shape)
-    for b in range(1, int(data.block_grades.max()) + 1):
-        mask = np.any(data.n_basis[data.block_grades == b] != 0, axis=0)
-        n = n + np.where(mask, Vm @ n / np.where(mask, c[:, None] - c, 1.0), 0.0)
+    for mask, den in zip(*_chart_grades(data)):
+        n = n + np.where(mask, Vm @ n / den, 0.0)
     resid = np.max(np.abs(n @ data.c - (data.c - Vm) @ n), axis=(-2, -1))
     limit = TOL_DECOMP * np.max(np.abs(n), axis=(-2, -1)) * (np.max(np.abs(c)) + np.max(np.abs(V), axis=-1))
     raise_first(

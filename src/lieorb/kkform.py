@@ -66,9 +66,11 @@ def orbit_point(
         ev_c = ev_c[np.argsort((ev_c * np.exp(0.5j)).real)]
         ev_w = np.linalg.eigvals(w)
         ev_w = np.take_along_axis(ev_w, np.argsort((ev_w * np.exp(0.5j)).real, axis=-1), axis=-1)
-        scale = max(1.0, float(np.max(np.abs(ev_c))))
-        if np.max(np.abs(ev_c - ev_w)) > TOL_DECOMP * scale * 10:
-            raise InconsistencyError("conjugate has a different spectrum")
+        gap, limit = np.abs(ev_c - ev_w), TOL_DECOMP * max(1.0, float(np.max(np.abs(ev_c)))) * 10
+        if np.max(gap) > limit:
+            gap = np.max(gap, axis=-1)
+            raise_first(gap > limit, lambda i: f"orbit_point: conjugate has a different spectrum: eigenvalue gap "
+                        f"{gap[i]:.3e} > {limit:.3e}, max|g| = {np.max(np.abs(G[i])):.3e}", InconsistencyError)
     return OrbitPoint(G, w, algebra.coords(w))
 
 

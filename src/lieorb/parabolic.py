@@ -61,6 +61,8 @@ class HyperbolicData:
     block_grades: np.ndarray
     N0: int = 0
     adn: np.ndarray = field(default=None, repr=False)  # adn[i] = ad(V_i) on n-coords
+    # what per_chamber builds from this instance; dataclasses.replace starts it empty
+    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_dim(self) -> int:
@@ -91,6 +93,20 @@ class HyperbolicData:
         """The element sum_j v_j V_j, over any leading batch axes of v."""
         v = np.asarray(v, dtype=float)
         return np.einsum("...j,jab->...ab", v, self.n_basis)
+
+
+def per_chamber(build):
+    """build(data) once per HyperbolicData instance, its tuple of arrays marked read-only."""
+
+    @functools.wraps(build)
+    def frame(data: HyperbolicData):
+        if build not in data._frames:
+            arrays = data._frames[build] = build(data)
+            for x in arrays:
+                x.setflags(write=False)
+        return data._frames[build]
+
+    return frame
 
 
 def hyperbolic_data(

@@ -9,7 +9,11 @@ Since Ad(exp_H(V)) c = c - V, its differentials have exact representatives
 (see pullback_residual); central finite differences at the chart step STEP,
 fiber points from Kostant's linear chart, witness them by an independent
 route.  liouville_fd_gap checks sigma = -d tau by finite differences.  Both
-checks take batches of points.
+checks take batches of points.  What they read of the chart frame depends on
+the chamber alone (chart_frame: the Y_i, exp(+-STEP Y_i), the moved Y_j and
+sigma's base-fiber pairing) and is built once per HyperbolicData; per point
+they compute exp_H(V), phi(k, V) and its tangents, and pullback_residual
+returns phi(k, V) with its residual.
 
 Frozen sign conventions (fixed once on sl(2, R), asserted everywhere):
   * eta_V = -B(V, .)
@@ -25,6 +29,7 @@ Frozen sign conventions (fixed once on sl(2, R), asserted everywhere):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +47,7 @@ from .liecore import (
     random_in_K,
 )
 from .flows import exp_H, linear_chart
-from .parabolic import HyperbolicData
+from .parabolic import HyperbolicData, per_chamber
 
 STEP = 1e-5  # central-difference step of the chart coordinates
 
@@ -93,36 +98,44 @@ def coset_gap(data: HyperbolicData, k1: np.ndarray, k2: np.ndarray) -> float:
     return max(gap, in_K_residual(data.algebra, m))
 
 
-def liouville_gram(
-    data: HyperbolicData, pt: CotangentPoint, Ys: np.ndarray, deltas: np.ndarray
-) -> np.ndarray:
-    """sigma(W_i, W_j) for the tangents W_i = (Ys[i], deltas[i]) of the (k, V) chart.
-
-    With D and Y the coordinate rows of the fiber and base parts,
-    sigma = D K Y^T - Y K D^T - B(V, [Y_i, Y_j]); see the frozen conventions
-    above.  Leading axes of pt.V batch over points.
-    """
-    algebra = data.algebra
-    Y = algebra.coords(Ys)
-    DKY = algebra.coords(data.n_matrix_of(deltas)) @ algebra.killing_matrix @ Y.T
-    return DKY - DKY.T - kk_gram(algebra, algebra.coords(data.n_matrix_of(pt.V)), Y)
-
-
 def horizontal_basis(data: HyperbolicData) -> np.ndarray:
     """Directions V_j + theta(V_j) in k, complementary to the stabilizer part."""
     return data.n_basis + data.algebra.theta(data.n_basis)
 
 
-def _chart_sigma(data: HyperbolicData, pt: CotangentPoint, Ys: np.ndarray) -> np.ndarray:
-    """sigma on the chart frame: horizontal (Ys[i], 0), then vertical (0, e_b)."""
-    n, d = data.n_dim, data.algebra.d
-    return liouville_gram(
-        data, pt, np.concatenate([Ys, np.zeros((n, d, d))]), np.concatenate([np.zeros((n, n)), np.eye(n)])
-    )
+class ChartFrame(NamedTuple):
+    """The chart frame of a chamber, horizontal (Ys[i], 0) then vertical (0, e_b), and what no point enters."""
+
+    Ys: np.ndarray  # horizontal directions V_i + theta(V_i)
+    Y: np.ndarray  # coordinate rows of the frame's base parts: those of Ys, then n zero rows
+    E: np.ndarray  # [+-, i]: exp(+-STEP Y_i)
+    base: np.ndarray  # [+-, i, j]: coordinates of Ad(exp(+-STEP Y_i))^-1 Y_j where j < i, else of Y_j
+    pairing: np.ndarray  # D K Y^T - Y K D^T, with D the coordinate rows of the frame's fiber parts
+
+
+@per_chamber
+def chart_frame(data: HyperbolicData) -> ChartFrame:
+    """The point-independent parts of pullback_residual and liouville_fd_gap, built once per data."""
+    algebra = data.algebra
+    n, d = data.n_dim, algebra.d
+    Ys = horizontal_basis(data)
+    Y = algebra.coords(np.concatenate([Ys, np.zeros((n, d, d))]))
+    E = expm(STEP * np.array([1.0, -1.0])[:, None, None, None] * Ys)
+    moved = algebra.coords(np.linalg.solve(E[:, :, None], Ys @ E[:, :, None]))
+    base = np.where(np.tri(n, k=-1, dtype=bool)[..., None], moved, Y[:n])  # moved where j < i
+    D = algebra.coords(data.n_matrix_of(np.concatenate([np.zeros((n, n)), np.eye(n)])))
+    DKY = D @ algebra.killing_matrix @ Y.T
+    return ChartFrame(Ys, Y, E, base, DKY - DKY.T)
+
+
+def _chart_sigma(data: HyperbolicData, pt: CotangentPoint) -> np.ndarray:
+    """sigma on the chart frame at the points pt: the frame's pairing - B(V, [Y_i, Y_j])."""
+    algebra, frame = data.algebra, chart_frame(data)
+    return frame.pairing - kk_gram(algebra, algebra.coords(data.n_matrix_of(pt.V)), frame.Y)
 
 
 def liouville_fd_gap(data: HyperbolicData, pt: CotangentPoint) -> float:
-    """Compare liouville_gram with the FD exterior derivative of tau; max over a batch.
+    """Compare sigma on the chart frame with the FD exterior derivative of tau; max over a batch.
 
     The chart u = (y, v) -> (k0 exp(y_1 Y_1) ... exp(y_n Y_n), V0 + v) is a
     local parametrization on which tau_j(u) = -B(V0 + v, Ad(S_{j+1})^-1 Y_j),
@@ -130,24 +143,20 @@ def liouville_fd_gap(data: HyperbolicData, pt: CotangentPoint) -> float:
     taken by second-order central differences at u = +-h e_i, where only
     exp(+-h Y_i) differs from I: tau_j = -B(V0, Ad(exp(+-h Y_i))^-1 Y_j) for
     j < i < n, -B(V0 +- h e_{i-n}, Y_j) for i >= n, and -B(V0, Y_j) otherwise.
+    The table of Ad(exp(+-h Y_i))^-1 Y_j is the chamber's (chart_frame).
     The frozen orientation is sigma = -d tau.
     """
-    algebra = data.algebra
+    algebra, frame = data.algebra, chart_frame(data)
     n = data.n_dim
-    Ys = horizontal_basis(data)
-    Yc = algebra.coords(Ys)
     s = STEP * np.array([1.0, -1.0])
-    E = expm(s[:, None, None, None] * Ys)[:, :, None]  # exp(+-h Y_i)
-    moved = algebra.coords(np.linalg.solve(E, Ys @ E))  # [+-, i, j]: Ad(exp(+-h Y_i))^-1 Y_j
-    base = np.where(np.tri(n, k=-1, dtype=bool)[..., None], moved, Yc)  # moved where j < i
     KV = algebra.coords(data.n_matrix_of(pt.V)) @ algebra.killing_matrix
     fiber = algebra.coords(data.n_matrix_of(pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)))
     tau = np.zeros(np.shape(pt.V)[:-1] + (2, 2 * n, 2 * n))  # [..., +-, direction, component]
-    tau[..., :n, :n] = -(base @ KV[..., None, None, :, None])[..., 0]
-    tau[..., n:, :n] = -(fiber @ algebra.killing_matrix @ Yc.T)
+    tau[..., :n, :n] = -(frame.base @ KV[..., None, None, :, None])[..., 0]
+    tau[..., n:, :n] = -(fiber @ algebra.killing_matrix @ frame.Y[:n].T)
     dtau = (tau[..., 0, :, :] - tau[..., 1, :, :]) / (2 * STEP)  # dtau[..., i, j] = d_i tau_j
     # sigma = -d tau on the chart tangents at u = 0
-    return upper_max(_chart_sigma(data, pt, Ys) + (dtau - np.swapaxes(dtau, -1, -2)))
+    return upper_max(_chart_sigma(data, pt) + (dtau - np.swapaxes(dtau, -1, -2)))
 
 
 def _orbit_w(data: HyperbolicData, g: np.ndarray) -> np.ndarray:
@@ -167,8 +176,8 @@ def _check_fd(data: HyperbolicData, pt: CotangentPoint, tol, gaps: np.ndarray) -
         )
 
 
-def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> float:
-    """max |phi* Omega - sigma| over a frame of 2 dim n(c) tangent directions and a batch.
+def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> tuple[float, OrbitPoint]:
+    """max |phi* Omega - sigma| over a frame of 2 dim n(c) tangent directions and a batch, and phi(pt).
 
     The orbit tangents have exact representatives X, [X, w] = w-dot, at
     w = phi(k, V) = Ad(k n) c with n = exp_H(V): X_i = Ad(k) Y_i along the
@@ -176,12 +185,14 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> float:
     -Ad(k) V_b along fiber direction b, X_b = Ad(k n) T^{-1} Ad(n)^{-1} V_b.
     So phi* Omega is kk_gram(w, X).  The witness is one central difference
     of w at +-STEP along every chart direction, compared with [X, w]: the
-    horizontal factors exp(+-STEP Y_i) go through one batched expm and the 2 n
-    fiber points through linear_chart, which n must match to TOL_DECOMP max|n|.
+    horizontal factors exp(+-STEP Y_i) and sigma's pairing block are the
+    chamber's (chart_frame), and the 2 n fiber points of each point go
+    through linear_chart, which n must match to TOL_DECOMP max|n|.  Per point
+    it computes n, the orbit point and X, and returns that orbit point
+    phi(k, V), unvalidated, with the residual.
     """
-    algebra = data.algebra
+    algebra, frame = data.algebra, chart_frame(data)
     n = data.n_dim
-    Ys = horizontal_basis(data)
     nV = exp_H(data, pt.V).matrix
     tie = np.max(np.abs(nV - linear_chart(data, pt.V).matrix), axis=(-2, -1))
     limit = TOL_DECOMP * np.max(np.abs(nV), axis=(-2, -1))
@@ -194,16 +205,16 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> float:
     k, nV, w = pt.k[..., None, :, :], nV[..., None, :, :], pt0.w[..., None, :, :]
     n_inv = np.linalg.inv(nV)
     fiber_reps = data.n_matrix_of(data.n_coords_of(n_inv @ data.n_basis @ nV) / data.grades)
-    X = np.concatenate([k @ Ys @ k.mT, k @ nV @ fiber_reps @ n_inv @ k.mT], axis=-3)
+    X = np.concatenate([k @ frame.Ys @ k.mT, k @ nV @ fiber_reps @ n_inv @ k.mT], axis=-3)
 
     s = STEP * np.array([1.0, -1.0])
-    horizontal = k[..., None, :, :] @ expm(s[:, None, None, None] * Ys) @ nV[..., None, :, :]
+    horizontal = k[..., None, :, :] @ frame.E @ nV[..., None, :, :]
     fiber = k[..., None, :, :] @ linear_chart(data, pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)).matrix
     wfd = _orbit_w(data, np.concatenate([horizontal, fiber], axis=-3))  # [..., +-, direction]
     tangents = (wfd[..., 0, :, :, :] - wfd[..., 1, :, :, :]) / (2 * STEP)
     gaps = np.max(np.abs(tangents - (X @ w - w @ X)), axis=(-2, -1))
     _check_fd(data, pt, 1e-5 * np.maximum(1.0, np.max(np.abs(pt0.w), axis=(-2, -1))), gaps)
-    return upper_max(kk_gram(algebra, pt0.w_coords, algebra.coords(X)) - _chart_sigma(data, pt, Ys))
+    return upper_max(kk_gram(algebra, pt0.w_coords, algebra.coords(X)) - _chart_sigma(data, pt)), pt0
 
 
 def section_lagrangian_check(

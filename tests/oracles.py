@@ -539,11 +539,89 @@ def tautological_form(data, pt, W):
     return -float(algebra.coords(Vm) @ algebra.killing_matrix @ algebra.coords(W.Y))
 
 
+def liouville_gram(data, pt, Ys, deltas):
+    """sigma(W_i, W_j) for the tangents W_i = (Ys[i], deltas[i]) of the (k, V) chart.
+
+    With D and Y the coordinate rows of the fiber and base parts,
+    sigma = D K Y^T - Y K D^T - B(V, [Y_i, Y_j]).  Leading axes of pt.V batch over points.
+    """
+    from lieorb.kkform import kk_gram
+
+    algebra = data.algebra
+    Y = algebra.coords(Ys)
+    DKY = algebra.coords(data.n_matrix_of(deltas)) @ algebra.killing_matrix @ Y.T
+    return DKY - DKY.T - kk_gram(algebra, algebra.coords(data.n_matrix_of(pt.V)), Y)
+
+
 def liouville_eval(data, pt, W1, W2):
     """Liouville form in the (k, V) chart: the one-pair case of liouville_gram."""
-    from lieorb.symplecto import liouville_gram
-
     return float(liouville_gram(data, pt, np.stack([W1.Y, W2.Y]), np.stack([W1.delta, W2.delta]))[0, 1])
+
+
+# -- per-call forms of the chart-frame checks ----------------------------------
+# Each call rebuilds the parts that depend on the chamber alone; the checks,
+# which keep those parts per data, must match these bit for bit.
+
+
+def chart_sigma_per_call(data, pt, Ys):
+    """sigma on the chart frame: horizontal (Ys[i], 0), then vertical (0, e_b)."""
+    n, d = data.n_dim, data.algebra.d
+    return liouville_gram(
+        data, pt, np.concatenate([Ys, np.zeros((n, d, d))]), np.concatenate([np.zeros((n, n)), np.eye(n)])
+    )
+
+
+def linear_chart_per_call(data, V):
+    """linear_chart's n, each block grade's mask and denominators built in the call."""
+    Vm = data.n_matrix_of(np.asarray(V, dtype=float))
+    c = np.diagonal(data.c)
+    n = np.eye(data.algebra.d) + np.zeros(Vm.shape)
+    for b in range(1, int(data.block_grades.max()) + 1):
+        mask = np.any(data.n_basis[data.block_grades == b] != 0, axis=0)
+        n = n + np.where(mask, Vm @ n / np.where(mask, c[:, None] - c, 1.0), 0.0)
+    return n
+
+
+def pullback_per_call(data, pt):
+    """pullback_residual's residual and its horizontal FD factors exp(+-STEP Y_i), built in the call."""
+    from lieorb.flows import exp_H
+    from lieorb.kkform import kk_gram, orbit_point, upper_max
+    from lieorb.liecore import expm
+    from lieorb.symplecto import STEP, horizontal_basis
+
+    algebra = data.algebra
+    Ys = horizontal_basis(data)
+    nV = exp_H(data, pt.V).matrix
+    pt0 = orbit_point(algebra, data.c, pt.k @ nV, validate=False)
+    k, nV = pt.k[..., None, :, :], nV[..., None, :, :]
+    n_inv = np.linalg.inv(nV)
+    fiber_reps = data.n_matrix_of(data.n_coords_of(n_inv @ data.n_basis @ nV) / data.grades)
+    X = np.concatenate([k @ Ys @ k.mT, k @ nV @ fiber_reps @ n_inv @ k.mT], axis=-3)
+    residual = upper_max(kk_gram(algebra, pt0.w_coords, algebra.coords(X)) - chart_sigma_per_call(data, pt, Ys))
+    return residual, expm(STEP * np.array([1.0, -1.0])[:, None, None, None] * Ys)
+
+
+def liouville_fd_gap_per_call(data, pt):
+    """liouville_fd_gap with its exp(+-h Y_i), moved directions and sigma built in the call."""
+    from lieorb.kkform import upper_max
+    from lieorb.liecore import expm
+    from lieorb.symplecto import STEP, horizontal_basis
+
+    algebra = data.algebra
+    n = data.n_dim
+    Ys = horizontal_basis(data)
+    Yc = algebra.coords(Ys)
+    s = STEP * np.array([1.0, -1.0])
+    E = expm(s[:, None, None, None] * Ys)[:, :, None]  # exp(+-h Y_i)
+    moved = algebra.coords(np.linalg.solve(E, Ys @ E))  # [+-, i, j]: Ad(exp(+-h Y_i))^-1 Y_j
+    base = np.where(np.tri(n, k=-1, dtype=bool)[..., None], moved, Yc)  # moved where j < i
+    KV = algebra.coords(data.n_matrix_of(pt.V)) @ algebra.killing_matrix
+    fiber = algebra.coords(data.n_matrix_of(pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)))
+    tau = np.zeros(np.shape(pt.V)[:-1] + (2, 2 * n, 2 * n))  # [..., +-, direction, component]
+    tau[..., :n, :n] = -(base @ KV[..., None, None, :, None])[..., 0]
+    tau[..., n:, :n] = -(fiber @ algebra.killing_matrix @ Yc.T)
+    dtau = (tau[..., 0, :, :] - tau[..., 1, :, :]) / (2 * STEP)
+    return upper_max(chart_sigma_per_call(data, pt, Ys) + (dtau - np.swapaxes(dtau, -1, -2)))
 
 
 # -- single-point forms of the batched verify checks ---------------------------

@@ -211,7 +211,7 @@ def test_criterion_7_symplectomorphism_suite(ws):
         data = ws.data(key, entries)
         for i in range(20):
             pt = cotangent_point(data, random_in_K(alg, rng).matrix, 0.8 * rng.standard_normal(data.n_dim))
-            pull = max(pull, pullback_residual(data, pt))
+            pull = max(pull, pullback_residual(data, pt)[0])
             op = phi_lambda(data, pt, validate=False)
             bundle = max(bundle, coset_gap(data, project_pi(data, op).k, pt.k))
             if i < 3:

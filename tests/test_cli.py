@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import DATA_GRID
-from lieorb import cli
+from lieorb import cli, flows, symplecto
 from lieorb.flows import FlowPolynomial
-from lieorb.liecore import AlgebraSpec, GroupElement, random_in_K
+from lieorb.liecore import AlgebraSpec, DecompositionError, GroupElement, random_in_K
 from lieorb.parabolic import z_k_coords
 from lieorb.rootspace import weight_code
 from lieorb.symplecto import section_lagrangian_check
@@ -519,6 +519,60 @@ def test_planted_fault_stays_in_its_context():
     assert fresh.rs is rs and fresh.data is data
     np.testing.assert_array_equal(fresh.data.grades, [2.0, 2.0, 4.0])
     assert cli.check_roots(fresh, cfg, np.random.default_rng(0))["pass"]
+
+
+def test_symplecto_section_flows_each_sample_once(monkeypatch):
+    """One symplecto section makes two exp_H calls, on the sample points and on the zero section, and reads
+    its bundle points off pullback_residual: they are phi_lambda's, bit for bit."""
+    cfg = cli.parse_config(_cached_config(3, "R", [2, 0, -2], checks=["symplecto"]))
+    ctx = cli._Context(cfg)
+    calls, returned = [], []
+    exp_H, pullback_residual = symplecto.exp_H, cli.pullback_residual
+    monkeypatch.setattr(symplecto, "exp_H", lambda d, V: calls.append(np.shape(V)) or exp_H(d, V))
+    monkeypatch.setattr(cli, "pullback_residual", lambda d, pt: returned.append((pt, pullback_residual(d, pt)))
+                        or returned[-1][1])
+    assert cli.check_symplecto(ctx, cfg, np.random.default_rng(0))["pass"]
+    assert calls == [(cfg.samples, ctx.data.n_dim)] * 2
+    [(pts, (_, on))] = returned
+    ref = symplecto.phi_lambda(ctx.data, pts, validate=False)
+    assert [x.tobytes() for x in (on.g, on.w, on.w_coords)] == [x.tobytes() for x in (ref.g, ref.w, ref.w_coords)]
+
+
+def test_cached_chamber_builds_one_chart_frame(monkeypatch):
+    """Two reports on one cached chamber make one frame expm, and the frames they share are read-only."""
+    _clear_structure_caches()
+    shapes = []
+    expm = symplecto.expm
+    monkeypatch.setattr(symplecto, "expm", lambda M: shapes.append(M.shape) or expm(M))
+    cfg = cli.parse_config(_cached_config(3, "R", [2, 0, -2], checks=["symplecto"]))
+    first, second = cli.run(cfg), cli.run(cfg)
+    assert cli.dumps_report(first["body"]) == cli.dumps_report(second["body"])
+    assert shapes == [(2, 3, 3, 3)]
+    data = cli._Context(cfg).data
+    for array in [*symplecto.chart_frame(data), *flows._chart_grades(data)]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+
+
+def test_replaced_data_builds_its_own_frames():
+    """A planted fault in a replaced data reaches the frames built from it, and the checks catch it."""
+    cfg = cli.parse_config(_cached_config(3, "R", [2, 0, -2], checks=["symplecto"]))
+    ctx = cli._Context(cfg)
+    data = ctx.data
+    assert cli.check_symplecto(ctx, cfg, np.random.default_rng(0))["pass"]
+    # c doubled: the chart's denominators double, so its n leaves the flow's, which does not read c
+    ctx.data = dataclasses.replace(data, c=2 * data.c)
+    (masks, planted), (_, kept) = flows._chart_grades(ctx.data), flows._chart_grades(data)
+    np.testing.assert_array_equal(planted[masks], 2 * kept[masks])
+    with pytest.raises(DecompositionError, match=r"^pullback_residual: exp_H\(V\) leaves the linear chart"):
+        cli.check_symplecto(ctx, cfg, np.random.default_rng(0))
+    # n(c)'s basis doubled: so are the horizontal directions, and no orbit tangent matches the fiber chart
+    ctx.data = dataclasses.replace(data, n_basis=2 * data.n_basis)
+    np.testing.assert_array_equal(symplecto.chart_frame(ctx.data).Ys, 2 * symplecto.chart_frame(data).Ys)
+    with pytest.raises(DecompositionError, match="^pullback_residual: finite-difference tangent disagrees"):
+        cli.check_symplecto(ctx, cfg, np.random.default_rng(0))
+    fresh = cli._Context(cfg)
+    assert fresh.data is data and cli.check_symplecto(fresh, cfg, np.random.default_rng(0))["pass"]
 
 
 def test_meta_records_structure_reuse():

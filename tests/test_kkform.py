@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +16,7 @@ from lieorb.kkform import (
     orbit_point,
     re_dual_gap,
 )
-from lieorb.liecore import ConfigurationError, DecompositionError, InconsistencyError, random_element
+from lieorb.liecore import TOL_DECOMP, ConfigurationError, DecompositionError, InconsistencyError, random_element
 from conftest import ALGEBRA_SPECS
 from oracles import killing, killing_matrix_oracle, omega_rank
 
@@ -176,8 +178,10 @@ def test_non_traceless_complex_c_is_refused(ws):
 def test_orbit_point_validation_sees_a_planted_spectrum_fault(ws, monkeypatch):
     # validate compares eigvals(w) with c's diagonal, each entry twice over C;
     # an inverse off by 1 + 1e-6 scales w, and so its spectrum, past
-    # 10 TOL_DECOMP max(1, max|c|)
+    # 10 TOL_DECOMP max(1, max|c|).  The refusal names its stage, the
+    # eigenvalue gap, that limit and, in a batch, the first failing point
     inv = np.linalg.inv
+    message = r"^orbit_point: conjugate has a different spectrum: eigenvalue gap (\S+) > (\S+), max\|g\| = (\S+)"
     for key, entries in (("sl3r", (2, 0, -2)), ("sl3c", (2, 0, -2)), ("sl3c", (1j, 0, -1j))):
         alg = ws.algebra(key)
         c = alg.element_from_entries(entries)
@@ -185,9 +189,17 @@ def test_orbit_point_validation_sees_a_planted_spectrum_fault(ws, monkeypatch):
         pt = orbit_point(alg, c, g)
         np.testing.assert_array_equal(pt.w, g @ c @ inv(g))
         monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) * (1.0 + 1e-6))
-        with pytest.raises(InconsistencyError, match="conjugate has a different spectrum"):
+        with pytest.raises(InconsistencyError, match=message + "$") as err:
             orbit_point(alg, c, g)
+        gap, limit, size = map(float, re.match(message, str(err.value)).groups())
+        assert limit == float(f"{TOL_DECOMP * max(1.0, max(abs(complex(e)) for e in entries)) * 10:.3e}"), key
+        assert gap > limit and size == float(f"{np.max(np.abs(g)):.3e}"), key
         orbit_point(alg, c, g, validate=False)
+        # points 1 and 2 of a batch are off, point 0 is not
+        off = np.array([1.0, 1.0 + 1e-6, 1.0 + 2e-6])[:, None, None]
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) * off)
+        with pytest.raises(InconsistencyError, match=message + r" at point \(1,\)$"):
+            orbit_point(alg, c, np.stack([g] * 3))
         monkeypatch.setattr(np.linalg, "inv", inv)
 
 

@@ -14,8 +14,11 @@ from lieorb.liecore import (
     random_element,
     random_in_K,
 )
+from lieorb.flows import linear_chart
 from lieorb.symplecto import (
+    STEP,
     CotangentPoint,
+    chart_frame,
     coset_gap,
     cotangent_point,
     horizontal_basis,
@@ -29,8 +32,11 @@ from oracles import (
     CotangentTangent,
     equivalence_gap,
     kp_decompose_single,
+    linear_chart_per_call,
     liouville_eval,
+    liouville_fd_gap_per_call,
     p_filtration_coords,
+    pullback_per_call,
     tautological_form,
 )
 
@@ -213,7 +219,7 @@ def test_pullback_zero_section_blocks(ws):
             Wj = CotangentTangent(np.zeros((3, 3)), np.eye(3)[j])
             assert liouville_eval(data, pt, Wi, Wj) == 0.0
             assert abs(kk_eval(alg, op, data.n_basis[i], data.n_basis[j])) < 1e-12
-    assert pullback_residual(data, pt) < 1e-6
+    assert pullback_residual(data, pt)[0] < 1e-6
 
 
 def test_pullback_sweep(ws, rng):
@@ -230,7 +236,7 @@ def test_pullback_sweep(ws, rng):
         alg = ws.algebra(key)
         for _ in range(count):
             pt = cotangent_point(data, random_in_K(alg, rng).matrix, 0.8 * rng.standard_normal(data.n_dim))
-            assert pullback_residual(data, pt) < 1e-6
+            assert pullback_residual(data, pt)[0] < 1e-6
 
 
 def test_batched_fd_checks_match_single_points(ws):
@@ -242,7 +248,7 @@ def test_batched_fd_checks_match_single_points(ws):
         pts = [cotangent_point(data, random_in_K(alg, rng).matrix, 0.8 * rng.standard_normal(data.n_dim))
                for _ in range(4)]
         k, V = np.stack([p.k for p in pts]), np.stack([p.V for p in pts])
-        for check in (pullback_residual, liouville_fd_gap):
+        for check in (lambda d, p: pullback_residual(d, p)[0], liouville_fd_gap):
             batched = check(data, CotangentPoint(k, V))
             assert abs(batched - max(check(data, p) for p in pts)) <= 1e-4 * 1e-6
             assert check(data, CotangentPoint(k.reshape((2, 2) + k.shape[1:]), V.reshape(2, 2, -1))) == batched
@@ -256,7 +262,7 @@ def test_pullback_exact_to_rounding(ws):
         alg = ws.algebra(key)
         k = np.stack([random_in_K(alg, rng).matrix for _ in range(6)])
         V = 0.8 * rng.standard_normal((6, data.n_dim))
-        assert pullback_residual(data, CotangentPoint(k, V)) <= 1e-12, entries
+        assert pullback_residual(data, CotangentPoint(k, V))[0] <= 1e-12, entries
 
 
 # the one FD witness error, with the input it names: chamber and max|V|
@@ -343,6 +349,23 @@ def test_pullback_flows_only_its_sample_points(ws, monkeypatch):
     batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_FD_V / 4, _FD_V, 2 * _FD_V]))
     pullback_residual(data, batch)
     assert calls == [(3, 3)]
+
+
+def test_chart_frame_matches_per_call_formulas(ws):
+    # bit for bit on DATA_GRID: what the frame keeps per data is what each call used to build,
+    # and the orbit points pullback_residual returns are phi_lambda's
+    rng = np.random.default_rng(29)
+    for key, entries in DATA_GRID:
+        data = ws.data(key, entries)
+        pts = CotangentPoint(random_in_K(data.algebra, rng, (5,)).matrix, 0.8 * rng.standard_normal((5, data.n_dim)))
+        residual, on = pullback_residual(data, pts)
+        ref, E = pullback_per_call(data, pts)
+        assert residual == ref and chart_frame(data).E.tobytes() == E.tobytes(), (key, entries)
+        ref_on = phi_lambda(data, pts, validate=False)
+        assert [x.tobytes() for x in (on.g, on.w, on.w_coords)] == [x.tobytes() for x in (ref_on.g, ref_on.w, ref_on.w_coords)], (key, entries)
+        assert liouville_fd_gap(data, pts) == liouville_fd_gap_per_call(data, pts), (key, entries)
+        fiber = pts.V[:, None, None, :] + STEP * np.array([1.0, -1.0])[:, None, None] * np.eye(data.n_dim)
+        assert linear_chart(data, fiber).matrix.tobytes() == linear_chart_per_call(data, fiber).tobytes(), key
 
 
 def test_section_lagrangian(ws, rng):
