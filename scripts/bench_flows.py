@@ -9,6 +9,8 @@ top block grade is 3, it records dim n(c), N0, the number of eigenvalue
 levels p and the median of 5 calls of
 flow_exact, exp_H and invert_exp_H at one seeded point, of flow_exact and
 the witness flow_numeric (at t = 1 and t = -2) on a seeded 20-point batch,
+of that witness as check_flow makes it (flow_numeric_times_s: both times in
+one call where the checkout takes a sequence of times, else one call each),
 and of the checks as symplecto-verify makes them at its default 20 samples:
 pullback_residual and project_pi on 20 seeded cotangent points and
 liouville_fd_gap on 4.  commute_s times commute_residual on the n(n - 1)/2
@@ -22,8 +24,11 @@ a fresh generator at the default 20 samples: cli.check_kk, cli.check_flow
 (the whole flow-check section) and cli.check_symplecto (the whole
 symplecto-verify section) on a context whose structure is already built, and
 the sampling of symplecto-verify (cli._sample_points at 20 points and
-section_lagrangian_check at 5).  check_symplecto_peak_mib is the tracemalloc
-peak of one more check_symplecto call.  Where a checkout keeps a chamber's
+section_lagrangian_check at 5).  check_flow_peak_mib and
+check_symplecto_peak_mib are the tracemalloc peaks of one more check_flow and
+check_symplecto call.  Two more rows, at the regular chamber of sl(10, R) and
+sl(8, C), where the flow check's memory binds, hold only check_flow_s and
+check_flow_peak_mib.  Where a checkout keeps a chamber's
 chart frame (symplecto.chart_frame), the first of the 5 calls of a check
 builds it and the other calls, and the peak's, reuse it.
 Each run adds one pass to --out under --label, with BLAS single-threaded
@@ -41,6 +46,8 @@ from benchlib import main, median_time, peak_mib, regular, wall  # first: it pin
 import numpy as np  # noqa: E402
 
 GRID = [("R", n) for n in range(4, 9)] + [("C", n) for n in range(4, 7)]
+LARGE = [("R", 10), ("C", 8)]  # regular chamber, check_flow only
+TIMES = (1.0, -2.0)  # the witness times of check_flow
 SPREAD = ("R", 4, (1000, 1, 0, -1001))  # one more chamber: (field, n, entries)
 WITNESS_BATCH = 20
 FD_SAMPLES = 20  # symplecto-verify's default samples: the pullback points; samples // 5 Liouville points
@@ -70,11 +77,23 @@ def projection(data, pts):
     return lambda: project_pi(data, on)
 
 
-def cli_check(alg, entries, check: str):
+def witness(data, V, U0):
+    """flow_numeric at both witness times as check_flow calls it: one call, or one per time where the checkout
+    takes a single time."""
+    from lieorb import flows
+
+    try:
+        flows.flow_numeric(data, V, U0, TIMES)
+    except TypeError:
+        return lambda: [flows.flow_numeric(data, V, U0, t) for t in TIMES]
+    return lambda: flows.flow_numeric(data, V, U0, TIMES)
+
+
+def cli_check(field, n, entries, check: str):
     """The cli check function of that name at the default samples, with the context's structure in place before timing."""
     from lieorb import cli
 
-    cfg = cli.parse_config({"algebra": {"family": "sl", "n": alg.n, "field": alg.spec.field}, "c": list(entries)})
+    cfg = cli.parse_config({"algebra": {"family": "sl", "n": n, "field": field}, "c": list(entries)})
     ctx = cli._Context(cfg)
     ctx.data  # noqa: B018  (fetched before timing, with the split and the roots it needs)
     return lambda: getattr(cli, check)(ctx, cfg, np.random.default_rng(0))
@@ -131,13 +150,14 @@ def ladder() -> list[dict]:
                 "flow_exact_batch_s": lambda: flows.flow_exact(data, Vb, U0b),
                 "flow_numeric_t1_s": lambda: flows.flow_numeric(data, Vb, U0b, 1.0),
                 "flow_numeric_t-2_s": lambda: flows.flow_numeric(data, Vb, U0b, -2.0),
+                "flow_numeric_times_s": witness(data, Vb, U0b),
                 "commute_s": lambda: flows.commute_residual(data, basis[a], basis[b]),
                 "pullback_residual_s": fd_check(symplecto.pullback_residual, data, pts),
                 "project_pi_s": projection(data, pts),
                 "liouville_fd_gap_s": fd_check(symplecto.liouville_fd_gap, data, pts[: FD_SAMPLES // 5]),
-                "check_kk_s": cli_check(alg, entries, "check_kk"),
-                "check_flow_s": cli_check(alg, entries, "check_flow"),
-                "check_symplecto_s": cli_check(alg, entries, "check_symplecto"),
+                "check_kk_s": cli_check(field, n, entries, "check_kk"),
+                "check_flow_s": cli_check(field, n, entries, "check_flow"),
+                "check_symplecto_s": cli_check(field, n, entries, "check_symplecto"),
                 "symplecto_sampling_s": sampling(data, split),
             }
             if hasattr(flows, "linear_chart"):
@@ -151,10 +171,22 @@ def ladder() -> list[dict]:
                 "p": len(data.levels),
                 "flow_degree": flows.flow_exact(data, V, U0).degree,
                 **{name: median_time(fn)[0] for name, fn in timed.items()},
+                "check_flow_peak_mib": peak_mib(timed["check_flow_s"]),
                 "check_symplecto_peak_mib": peak_mib(timed["check_symplecto_s"]),
             }
             print(json.dumps(row), flush=True)
             rows.append(row)
+    for field, n in LARGE:
+        check = cli_check(field, n, regular(n), "check_flow")
+        row = {
+            "algebra": f"sl({n}, {field})",
+            "chamber": "regular",
+            "c": list(regular(n)),
+            "check_flow_s": median_time(check)[0],
+            "check_flow_peak_mib": peak_mib(check),
+        }
+        print(json.dumps(row), flush=True)
+        rows.append(row)
     return rows
 
 

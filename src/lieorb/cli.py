@@ -316,13 +316,16 @@ def check_parabolic(ctx: _Context, cfg: RunConfig, rng) -> dict:
 def check_kk(ctx: _Context, cfg: RunConfig, rng) -> dict:
     alg = ctx.algebra
     c = alg.element_from_entries(ctx.config.c_entries)
-    # one draw for all samples, each in the order g, X, Y, Z, h; g and h at scale 0.4
+    real = ctx.real_entries
+    # one draw for all samples, each in the order g, X, Y, Z, h; g and h at scale 0.4; then,
+    # on a real c, the 3 elements that move the fiber; one expm for g, h and those
     draws = rng.standard_normal((max(5, cfg.samples // 4), 5, alg.dim)) * np.array([0.4, 1, 1, 1, 0.4])[:, None]
+    moved = 0.4 * rng.standard_normal((0 if real is None else 3, alg.dim))
     a, X, Y, Z, b = np.moveaxis(alg.from_coords(draws), 1, 0)
-    g, h = expm(a), expm(b)
+    g, h, moved = np.split(expm(np.concatenate([a, b, alg.from_coords(moved)])), [len(a), 2 * len(a)])
     pt = orbit_point(alg, c, g, validate=False)
-    XY = kk_eval(alg, pt, X, Y)
-    anti = float(np.max(np.abs(np.concatenate([XY + kk_eval(alg, pt, Y, X), kk_eval(alg, pt, X, X)]))))
+    XY, YX, XX = kk_eval(alg, pt, np.stack([X, Y, X]), np.stack([Y, X, X]))
+    anti = float(np.max(np.abs(np.concatenate([XY + YX, XX]))))
     closed = float(np.max(closedness_check(alg, pt, X, Y, Z)))
     pt2 = orbit_point(alg, c, h @ g, validate=False)
     h_inv = np.linalg.inv(h)
@@ -333,11 +336,9 @@ def check_kk(ctx: _Context, cfg: RunConfig, rng) -> dict:
         "invariance": _res(inv, cfg.tol("decomposition") * scale * 10),
         "closedness": _res(closed, cfg.tol("decomposition") * scale),
     }
-    real = ctx.real_entries
     if real is not None:
         data = ctx.data
-        moved = expm(alg.from_coords(0.4 * rng.standard_normal((3, alg.dim))))
-        iso = max(fiber_isotropy_check(data), fiber_isotropy_check(data, moved))
+        iso = fiber_isotropy_check(data, np.concatenate([np.eye(alg.d)[None], moved]))  # the base fiber, then moved
         section["fiber_isotropy"] = _res(iso, cfg.tol("decomposition"))
         section["nondegeneracy"] = _res(nondegeneracy_check(data), cfg.tol("eigen"), kind="min")
     if alg.is_complex:
@@ -360,7 +361,7 @@ def check_flow(ctx: _Context, cfg: RunConfig, rng) -> dict:
     V, U0 = rng.standard_normal((2, cfg.samples, n))
     fp = flow_exact(data, V, U0)
     times = (1.0, -2.0)
-    gap = max(float(np.max(np.abs(fp.eval(t) - flow_numeric(data, V, U0, t)))) for t in times)
+    gap = float(np.max(np.abs(fp.eval(np.array(times)) - flow_numeric(data, V, U0, times))))
     values, counts = np.unique(fp.degrees, return_counts=True)
     a, b = np.triu_indices(n, 1)
     commute = commute_residual(data, np.eye(n)[a], np.eye(n)[b])
@@ -388,13 +389,15 @@ def _sample_points(data, rng, count: int):
 
 
 def check_symplecto(ctx: _Context, cfg: RunConfig, rng) -> dict:
-    data = ctx.data
-    pts = _sample_points(data, rng, cfg.samples)
+    data, n = ctx.data, cfg.samples
+    # one draw: the pullback's points, then the Liouville check's
+    drawn = _sample_points(data, rng, n + max(2, n // 5))
+    pts, fd_pts = (CotangentPoint(drawn.k[part], drawn.V[part]) for part in (slice(n), slice(n, None)))
     pull, on = pullback_residual(data, pts)
     bundle = coset_gap(data, project_pi(data, on).k, pts.k)
     zero = phi_lambda(data, CotangentPoint(pts.k, np.zeros_like(pts.V)), validate=False)
     zero_gap = float(np.max(np.abs(zero.w - pts.k @ data.c @ pts.k.mT)))
-    liou = liouville_fd_gap(data, _sample_points(data, rng, max(2, cfg.samples // 5)))
+    liou = liouville_fd_gap(data, fd_pts)
     section_res = section_lagrangian_check(data, ctx.split, rng, samples=max(3, cfg.samples // 4))
     out = {
         "pullback_max_residual": _res(pull, cfg.tol("finite_difference")),

@@ -253,62 +253,74 @@ def _gauss_legendre(s: int) -> tuple[np.ndarray, np.ndarray]:
     return legval(x, legint(ell, lbnd=-1)).T / 2, w / 2
 
 
-def flow_numeric(data: HyperbolicData, V: np.ndarray, U0: np.ndarray, t: float) -> np.ndarray:
+def flow_numeric(data: HyperbolicData, V: np.ndarray, U0: np.ndarray, t) -> np.ndarray:
     """Gauss-Legendre collocation along h_V up to time t; independent of flow_exact.
 
-    Broadcasts over leading axes of V / U0.  With s = B + 1 stages, B the
-    top block grade that bounds the flow's degree, a step reproduces any
-    solution of degree <= s, so one step of length t and two
+    Broadcasts over leading axes of V / U0; t is a time or a sequence of
+    times, which adds a leading axis of one result per time.  With s = B + 1
+    stages, B the top block grade that bounds the flow's degree, a step
+    reproduces any solution of degree <= s, so one step of length t and two
     of length t / 2 must agree: that gap is the self-check.  The stages are
-    solved by fixed-point iteration on field values at points, batch-wide.
+    solved by fixed-point iteration on field values at points, batch-wide:
+    the steps from U0 (each time's whole and first half step) share one field
+    evaluation per iteration, the second half steps another, and each step
+    settles on its own.  A failure names the first failing time in order.
     """
     V = np.asarray(V, dtype=float)
     U0 = np.broadcast_arrays(np.asarray(U0, dtype=float), V)[0]
-    t = float(t)
-    if t == 0.0:
-        return U0.copy()
+    times = np.asarray(t, dtype=float)
+    out = np.broadcast_to(U0, times.shape + U0.shape).copy()
+    live = np.flatnonzero(times)
+    if not live.size or not U0.size:
+        return out
     B = int(data.block_grades.max())
     A, b = _gauss_legendre(B + 1)
+    h = times.reshape(-1)[live].repeat(2) / np.tile([1.0, 2.0], live.size)  # each time's whole, then half step
 
-    def field(U: np.ndarray) -> np.ndarray:
-        return _hv_series(data, V, U[None], 0)[0]
-
-    def step(U: np.ndarray, h: float) -> np.ndarray:
-        Y = np.broadcast_to(U, (len(b),) + U.shape)
+    def steps(U: np.ndarray, h: np.ndarray):
+        """A step of length h[i] from U[i] for each i: the end points, and each step's last stage gap and limit."""
+        Y, end = np.repeat(U[:, None], len(b), axis=1), U.copy()
+        gap, tol = np.full(len(h), np.inf), np.zeros(len(h))
         for _ in range(B + 3):
-            F = field(Y)
-            Yn = U + h * np.tensordot(A, F, axes=1)
-            gap = float(np.max(np.abs(Yn - Y)))
-            tol = 1e-13 * (1.0 + float(np.max(np.abs(Yn))))
-            Y = Yn
-            if gap <= tol:
-                return U + h * np.tensordot(b, F, axes=1)
-        raise DecompositionError(
-            f"flow_numeric: collocation stages failed to settle {_where(data, V, U0)}, t = {t:g}: "
-            f"stage gap {gap:.3e} > {tol:.3e}"
-        )
+            todo = np.flatnonzero(~(gap <= tol))
+            if not todo.size:
+                break
+            for i, F in zip(todo, _hv_series(data, V, Y[todo][None], 0)[0]):
+                Yn = U[i] + h[i] * np.tensordot(A, F, axes=1)
+                gap[i], tol[i] = float(np.max(np.abs(Yn - Y[i]))), 1e-13 * (1.0 + float(np.max(np.abs(Yn))))
+                Y[i] = Yn
+                if gap[i] <= tol[i]:
+                    end[i] = U[i] + h[i] * np.tensordot(b, F, axes=1)
+        return end, gap, tol
 
-    coarse = step(U0, t)
-    fine = step(step(U0, t / 2), t / 2)
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(fine))))
-    gap = float(np.max(np.abs(fine - coarse)))
-    if gap >= tol:
-        raise DecompositionError(
-            f"flow_numeric: collocation self-check failed {_where(data, V, U0)}, t = {t:g}: "
-            f"step-halving gap {gap:.3e} >= {tol:.3e}"
-        )
-    return fine
+    first, gap1, tol1 = steps(np.broadcast_to(U0, h.shape + U0.shape), h)
+    fine, gap2, tol2 = steps(first[1::2], h[1::2])
+    gaps, tols = np.stack([gap1[0::2], gap1[1::2], gap2]), np.stack([tol1[0::2], tol1[1::2], tol2])
+    for j in range(live.size):
+        q = int(np.argmin(gaps[:, j] <= tols[:, j]))  # the first of the time's steps that did not settle, if any
+        if not gaps[q, j] <= tols[q, j]:
+            raise DecompositionError(f"flow_numeric: collocation stages failed to settle {_where(data, V, U0)}, "
+                                     f"t = {h[2 * j]:g}: stage gap {gaps[q, j]:.3e} > {tols[q, j]:.3e}")
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(fine[j]))))
+        gap = float(np.max(np.abs(fine[j] - first[2 * j])))
+        if gap >= tol:
+            raise DecompositionError(f"flow_numeric: collocation self-check failed {_where(data, V, U0)}, "
+                                     f"t = {h[2 * j]:g}: step-halving gap {gap:.3e} >= {tol:.3e}")
+    out.reshape((-1,) + U0.shape)[live] = fine
+    return out
 
 
 def commute_residual(data: HyperbolicData, V: np.ndarray, W: np.ndarray) -> float:
     """||e^{h_V} e^{h_W}(0) - e^{h_W} e^{h_V}(0)|| via the exact flows.
 
     Leading axes of V / W batch over pairs; the result is their max (0 if none).
+    The flows from 0 are taken once per distinct row of V and W and gathered.
     """
     V, W = np.broadcast_arrays(np.asarray(V, float), np.asarray(W, float))
-    zero = np.zeros(V.shape)
-    a = flow_exact(data, V, flow_exact(data, W, zero).eval(1.0)).eval(1.0)
-    b = flow_exact(data, W, flow_exact(data, V, zero).eval(1.0)).eval(1.0)
+    rows, at = np.unique(np.stack([V, W]).reshape((-1,) + V.shape[-1:]), axis=0, return_inverse=True)
+    ends, at = flow_exact(data, rows, np.zeros(rows.shape)).eval(1.0), at.reshape((2,) + V.shape[:-1])
+    a = flow_exact(data, V, ends[at[1]]).eval(1.0)
+    b = flow_exact(data, W, ends[at[0]]).eval(1.0)
     return float(np.max(np.linalg.norm(a - b, axis=-1), initial=0.0))
 
 

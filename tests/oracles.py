@@ -801,3 +801,43 @@ def re_omega_scale_loop(algebra, c, rng):
         om_c = complex_trace_form(algebra, pt.w, algebra.bracket(X, Y))
         scale_gap = max(scale_gap, abs(om_c.real - om / 2.0))
     return scale_gap
+
+
+def flow_numeric_stepwise(data, V, U0, t):
+    """The collocation witness at one time as six sequential steps: the whole
+    step, then the two half steps, each solving its own stages with its own
+    field evaluations; the step-by-step route flow_numeric batches."""
+    from lieorb import flows
+
+    V = np.asarray(V, dtype=float)
+    U0 = np.broadcast_arrays(np.asarray(U0, dtype=float), V)[0]
+    if t == 0.0:
+        return U0.copy()
+    B = int(data.block_grades.max())
+    A, b = flows._gauss_legendre(B + 1)
+
+    def step(U, h):
+        Y = np.broadcast_to(U, (len(b),) + U.shape)
+        for _ in range(B + 3):
+            F = flows._hv_series(data, V, Y[None], 0)[0]
+            Yn = U + h * np.tensordot(A, F, axes=1)
+            gap, tol, Y = float(np.max(np.abs(Yn - Y))), 1e-13 * (1.0 + float(np.max(np.abs(Yn)))), Yn
+            if gap <= tol:
+                return U + h * np.tensordot(b, F, axes=1)
+        raise AssertionError("the stages did not settle")
+
+    coarse, fine = step(U0, t), step(step(U0, t / 2), t / 2)
+    assert float(np.max(np.abs(fine - coarse))) < 1e-9 * (1.0 + float(np.max(np.abs(fine))))
+    return fine
+
+
+def commute_four_flows(data, V, W):
+    """commute_residual by four exact flows over the whole batch: each of V and
+    W from 0, and each from the other's end point."""
+    from lieorb.flows import flow_exact
+
+    V, W = np.broadcast_arrays(np.asarray(V, float), np.asarray(W, float))
+    zero = np.zeros(V.shape)
+    a = flow_exact(data, V, flow_exact(data, W, zero).eval(1.0)).eval(1.0)
+    b = flow_exact(data, W, flow_exact(data, V, zero).eval(1.0)).eval(1.0)
+    return float(np.max(np.linalg.norm(a - b, axis=-1), initial=0.0))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_GRID
-from lieorb import cli, flows, symplecto
+from lieorb import cli, flows, liecore, symplecto
 from lieorb.flows import FlowPolynomial
 from lieorb.liecore import AlgebraSpec, DecompositionError, GroupElement, random_in_K
 from lieorb.parabolic import z_k_coords
@@ -585,3 +585,34 @@ def test_meta_records_structure_reuse():
     assert all(isinstance(r["meta"]["structure"]["s"], float) and r["meta"]["structure"]["s"] >= 0 for r in runs)
     assert cli.dumps_report(runs[0]["body"]) == cli.dumps_report(runs[1]["body"])
     assert cli.dumps_report(runs[2]["body"]) == cli.dumps_report(runs[3]["body"])
+
+
+@pytest.mark.parametrize("field, c, moved", [("R", [3, 1, -1, -3], 3), ("C", [2, 0, -2], 3),
+                                             ("C", [{"im": 1}, 0, {"im": -1}], 0)])
+def test_kk_check_makes_one_expm_call(monkeypatch, field, c, moved):
+    """g and h of each of the max(5, 24 // 4) = 6 samples and, on a real c, the 3 elements that
+    move the fiber are exponentiated in one call."""
+    shapes, expm = [], liecore.expm
+    for module in (liecore, cli, symplecto):  # every module that holds the name
+        monkeypatch.setattr(module, "expm", lambda M: shapes.append(M.shape) or expm(M))
+    cfg = cli.parse_config(_cached_config(len(c), field, c, checks=["kk"], samples=24))
+    assert cli.run(cfg)["body"]["checks"]["kk"]["pass"]
+    d = 2 * len(c) if field == "C" else len(c)
+    assert shapes == [(2 * 6 + moved, d, d)]
+
+
+def test_symplecto_section_draws_its_points_once(monkeypatch):
+    """The pullback and Liouville points come from one draw: the rows of two draws in turn, bit for bit."""
+    cfg = cli.parse_config(_cached_config(3, "R", [2, 0, -2], checks=["symplecto"], samples=12))
+    ctx = cli._Context(cfg)
+    counts, taken = [], []
+    sample, pullback, liouville = cli._sample_points, cli.pullback_residual, cli.liouville_fd_gap
+    monkeypatch.setattr(cli, "_sample_points", lambda d, rng, count: counts.append(count) or sample(d, rng, count))
+    monkeypatch.setattr(cli, "pullback_residual", lambda d, pt: taken.append(pt) or pullback(d, pt))
+    monkeypatch.setattr(cli, "liouville_fd_gap", lambda d, pt: taken.append(pt) or liouville(d, pt))
+    assert cli.check_symplecto(ctx, cfg, np.random.default_rng(4))["pass"]
+    assert counts == [12 + 2]
+    ref = np.random.default_rng(4)
+    for got, want in zip(taken, [sample(ctx.data, ref, 12), sample(ctx.data, ref, 2)], strict=True):
+        assert (got.k.tobytes(), got.V.tobytes()) == (want.k.tobytes(), want.V.tobytes())
+

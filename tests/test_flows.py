@@ -18,8 +18,10 @@ from lieorb.flows import (
 from lieorb.liecore import DecompositionError, InconsistencyError, exp_series, random_in_K
 from oracles import (
     Covector,
+    commute_four_flows,
     covector_annihilation_gap,
     flow_exact_reference,
+    flow_numeric_stepwise,
     flow_rk4_reference,
     hv_field,
     hv_poly_reference,
@@ -128,6 +130,33 @@ def test_flow_oracle_sweep(ws, rng):
                 assert np.max(np.abs(ex - num[i])) < 1e-8
 
 
+def test_flow_numeric_over_times_is_the_stepwise_route_bit_for_bit(ws):
+    # one call over a sequence of times equals the stack of one call per time,
+    # and each equals the six sequential steps of the stepwise route, sign of
+    # zero included
+    rng = np.random.default_rng(67)
+    for key, entries in DATA_GRID:
+        data = ws.data(key, entries)
+        for batch in ((), (7,), (2, 3)):
+            V, U0 = rng.standard_normal((2,) + batch + (data.n_dim,))
+            V[..., 0], U0[..., -1] = -0.0, -0.0
+            for times in ((1.0, -2.0), (0.0, 0.5), (-1.5,)):
+                got = flow_numeric(data, V, U0, times)
+                assert got.shape == (len(times),) + batch + (data.n_dim,)
+                single = np.stack([flow_numeric(data, V, U0, t) for t in times])
+                stepwise = np.stack([flow_numeric_stepwise(data, V, U0, t) for t in times])
+                assert got.tobytes() == single.tobytes() == stepwise.tobytes(), (key, entries, batch, times)
+
+
+def test_flow_numeric_takes_an_empty_batch(ws):
+    data = ws.data("sl3r", (1, 0, -1))
+    for batch in ((0,), (2, 0)):
+        empty = np.zeros(batch + (3,))
+        assert flow_numeric(data, empty, empty, 1.0).shape == batch + (3,)
+        assert flow_numeric(data, empty, np.zeros(3), (1.0, -2.0)).shape == (2,) + batch + (3,)
+        assert flow_numeric(data, empty, empty, ()).shape == (0,) + batch + (3,)
+
+
 def test_witness_matches_rk4_reference(ws, rng):
     for key, entries in DATA_GRID:
         data = ws.data(key, entries)
@@ -217,6 +246,20 @@ def test_batched_commute_matches_single_pairs(ws):
         i, j = np.triu_indices(n, 1)
         single = max((commute_residual(data, np.eye(n)[a], np.eye(n)[b]) for a, b in zip(i, j)), default=0.0)
         assert abs(commute_residual(data, np.eye(n)[i], np.eye(n)[j]) - single) <= 1e-4 * 1e-9
+
+
+def test_commute_residual_is_the_four_flow_route_bit_for_bit(ws):
+    # the flows from 0, taken once per distinct row and gathered, give the
+    # residual of the four whole-batch flows exactly: on every basis pair, and
+    # on random pairs, some of which share rows
+    rng = np.random.default_rng(71)
+    for data in [ws.data(key, entries) for key, entries in DATA_GRID] + [cold_data("R", 5, (4, 2, 0, -2, -4))]:
+        n = data.n_dim
+        i, j = np.triu_indices(n, 1)
+        V, W = rng.standard_normal((2, 6, n))
+        W[3:] = V[:3]
+        for v, w in ((np.eye(n)[i], np.eye(n)[j]), (V, W), (V.reshape(2, 3, n), W.reshape(2, 3, n)), (V[0], W[0])):
+            assert commute_residual(data, v, w) == commute_four_flows(data, v, w), (data.c_entries, v.shape)
 
 
 def test_exp_H(ws, rng):
@@ -638,13 +681,14 @@ def test_flow_exact_kernel_calls(monkeypatch):
         calls.clear()
         fp = flow_exact(data, rng.standard_normal(data.n_dim), U0)
         _assert_one_extension_per_coefficient(calls, fp, B)
-    # the commute check on every basis pair, as flow-check makes it: each of
-    # its four flows stops after two coefficients and the check
+    # the commute check on every basis pair, as flow-check makes it: the flow
+    # from 0 of the distinct rows and the two outer flows each stop after two
+    # coefficients and the check
     n = data.n_dim
     a, b = np.triu_indices(n, 1)
     calls.clear()
     assert commute_residual(data, np.eye(n)[a], np.eye(n)[b]) <= 1e-12
-    assert calls == 4 * [("extend", 0), ("extend", 1), (2, B - 1)], calls
+    assert calls == 3 * [("extend", 0), ("extend", 1), (2, B - 1)], calls
 
 
 def test_flow_exact_kernel_calls_at_the_spread_chamber(monkeypatch):
@@ -713,9 +757,10 @@ def test_flow_exact_below_the_level_count_and_at_extreme_V(ws):
 def test_flow_numeric_names_stage_iteration(ws, monkeypatch):
     data = ws.data("sl3r", (1, 0, -1))
     _drifting_kernel(monkeypatch)
-    with pytest.raises(DecompositionError, match=r"flow_numeric: collocation stages failed to settle "
-                       + _ERR_WHERE + r", t = 1: stage gap \S+ > \S+"):
-        flow_numeric(data, _ERR_V, _ERR_U0, 1.0)
+    for t in (1.0, (1.0, -2.0)):  # the first failing time in order
+        with pytest.raises(DecompositionError, match=r"flow_numeric: collocation stages failed to settle "
+                           + _ERR_WHERE + r", t = 1: stage gap \S+ > \S+"):
+            flow_numeric(data, _ERR_V, _ERR_U0, t)
 
 
 def test_flow_numeric_names_step_halving_gap(ws, monkeypatch):
@@ -733,3 +778,21 @@ def test_flow_numeric_names_step_halving_gap(ws, monkeypatch):
     with pytest.raises(DecompositionError, match=r"flow_numeric: collocation self-check failed "
                        + _ERR_WHERE + r", t = -2: step-halving gap \S+ >= \S+"):
         flow_numeric(data, _ERR_V, _ERR_U0, -2.0)
+
+
+def test_flow_numeric_over_times_names_the_failing_time(ws, monkeypatch):
+    # a weaker planted t^9 term: t = 1 passes the self-check and t = -2 does
+    # not, so the call over both times names t = -2
+    data = ws.data("sl3r", (1, 0, -1))
+    kernel = flows._hv_series
+
+    def high_degree(d, v, u, deg):
+        out = kernel(d, v, u, deg)
+        out[..., 2] += 1e-7 * u[..., 0] ** 8
+        return out
+
+    monkeypatch.setattr(flows, "_hv_series", high_degree)
+    assert flow_numeric(data, _ERR_V, _ERR_U0, 1.0).shape == (3,)
+    with pytest.raises(DecompositionError, match=r"flow_numeric: collocation self-check failed "
+                       + _ERR_WHERE + r", t = -2: step-halving gap \S+ >= \S+"):
+        flow_numeric(data, _ERR_V, _ERR_U0, (1.0, -2.0))
