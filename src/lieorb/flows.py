@@ -13,11 +13,13 @@ polynomial curve the general one (flow_exact).  flow_exact computes the
 curves by their Taylor recursion, extending the kernel's state (_HvSeries)
 by one exact coefficient per step, so that each is computed once, up to the
 top block grade B of n(c): the bracket adds block grades, so coordinate j of
-a flow has degree at most its own.  flow_exact and exp_H
-batch over leading axes of V / U0.  flow_numeric is an independent witness:
+a flow has degree at most its own.  The chamber constants the kernel reads
+are built once per data (_kernel_frame).  flow_exact and exp_H batch over
+leading axes of V / U0.  flow_numeric is an independent witness:
 Gauss-Legendre collocation, exact on polynomial solutions of degree <= its
 stage count (Hairer, Norsett & Wanner, Solving ODEs I, II.7), which only
-evaluates the field at points and checks itself by step halving.
+evaluates the field at points, takes each iteration of all its unsettled
+steps in one stacked product and checks itself by step halving.
 
 The fiber chart exp_H(V) = exp(U(1)) lands in N(c) and is affine on the
 orbit, Ad(exp_H(V)) c = c - V, since N(c) acts simply transitively on
@@ -35,6 +37,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import legint, leggauss, legval, legvander
@@ -86,6 +89,26 @@ def _inverse_weights(N0: int) -> tuple[float, ...]:
     return tuple(float(x) for x in b)
 
 
+class _KernelFrame(NamedTuple):
+    """What the flows read of a chamber: B its top block grade, and the arrays below."""
+
+    adn: np.ndarray  # (n, n^2): adn as one block, so that negA = -U adn is one BLAS product
+    grades: np.ndarray  # (n, 1): the eigenvalues of T, a column against the stages
+    degrees: np.ndarray  # (B + 1, 1): 0 ... B
+    above: np.ndarray  # (B + 1, n): degree k lies above coordinate j's block grade
+    masks: np.ndarray  # (B, d, d): for block grades 1 ... B, the entries of n(c) on the grade
+    dens: np.ndarray  # (B, d, d): and c_i - c_j there (1.0 elsewhere), for linear_chart
+    B = property(lambda self: len(self.degrees) - 1)
+
+
+@per_chamber
+def _kernel_frame(data: HyperbolicData) -> _KernelFrame:
+    c, degrees = np.diagonal(data.c), np.arange(int(data.block_grades.max()) + 1)[:, None]
+    masks = np.stack([np.any(data.n_basis[data.block_grades == b] != 0, axis=0) for b in degrees[1:, 0]])
+    return _KernelFrame(data.adn.reshape(data.n_dim, -1), data.grades[:, None], degrees, degrees > data.block_grades,
+                        masks, np.where(masks, c[:, None] - c, 1.0))
+
+
 class _HvSeries:
     """The stages of _hv_series, kept so that the Taylor recursion extends them a row at a time.
 
@@ -93,36 +116,37 @@ class _HvSeries:
     sum, as columns; each but N0 + 1 is negA times the one before.  Row k reads rows <= k of U
     and of the stage before, so fill(U, hi) adds rows self.filled .. hi, with each row's products
     summed in the same order, a = 0, 1, ..., however the rows are split.  Where U_0 = 0, negA[0]
-    and the rows of a stage below its order are exact zeros, and the products with them are skipped.
+    and the rows of a stage below its order are exact zeros, neither formed nor multiplied.
     """
 
     def __init__(self, data: HyperbolicData, V: np.ndarray, U: np.ndarray, rows: int):
         batch = U.shape[1:] if np.shape(V) == U.shape[1:] else np.broadcast_shapes(np.shape(V), U.shape[1:])
-        self.data, self.filled, self.skip = data, 0, int(np.count_nonzero(U[0]) == 0)
+        self.data, self.frame, self.filled, self.skip = data, _kernel_frame(data), 0, int(np.count_nonzero(U[0]) == 0)
         self.negA = np.empty((rows,) + U.shape[1:] + (data.n_dim,))
         self.stages = np.zeros((data.N0 + 1 + len(_inverse_weights(data.N0)), rows) + batch + (1,))
         self.stages[0, 0, ..., 0] = V + 0.0  # a -0.0 of V turns +0.0 in its sum with stage 1, which may be left out
 
     def fill(self, U: np.ndarray, hi: int) -> np.ndarray:
         """Rows self.filled .. hi of h_V(U), from rows <= hi of U (rows past its end are zero)."""
-        d, lo, skip, negA, S = self.data, self.filled, self.skip, self.negA, self.stages
+        d, f, lo, skip, negA, S = self.data, self.frame, self.filled, self.skip, self.negA, self.stages
         y0, top, weights = d.N0 + 1, min(hi + 1, U.shape[0]), _inverse_weights(d.N0)
-        # one BLAS product, exact in any order: adn[:, k, j] has at most one nonzero entry
-        block = negA[lo:top].reshape(U[lo:top].shape[:-1] + (d.n_dim**2,))
-        np.negative(np.matmul(U[lo:top], d.adn.reshape(d.n_dim, -1), out=block), out=block)
+        a0 = max(lo, skip)
+        if top > a0:  # one BLAS product, exact in any order: adn[:, k, j] has at most one nonzero entry
+            block = negA[a0:top].reshape((top - a0,) + U.shape[1:-1] + (d.n_dim**2,))
+            np.negative(np.matmul(U[a0:top], f.adn, out=block), out=block)
         W = S[0, lo : hi + 1]
         for s in range(1, len(S)):
-            order = skip * (s - 1 if s < y0 else s - y0 - 1)  # of stage s - 1
+            prev, cur, order = S[s - 1], S[s], skip * (s - 1 if s < y0 else s - y0 - 1)  # of stage s - 1
             if s == y0:
-                S[s, lo : hi + 1] = W = W / d.grades[:, None]
+                cur[lo : hi + 1] = W = W / f.grades
             elif not skip or hi > order:  # else rows lo .. hi of stage s are exact zeros
                 for a in range(skip, min(top, hi + 1 - order)):
                     r = max(lo, a + order)
                     if a == skip:  # the rows it writes are still zero
-                        np.matmul(negA[a], S[s - 1, r - a : hi + 1 - a], out=S[s, r : hi + 1])
+                        np.matmul(negA[a], prev[r - a : hi + 1 - a], out=cur[r : hi + 1])
                     else:
-                        S[s, r : hi + 1] += negA[a] @ S[s - 1, r - a : hi + 1 - a]
-                x = S[s, lo : hi + 1]
+                        cur[r : hi + 1] += negA[a] @ prev[r - a : hi + 1 - a]
+                x = cur[lo : hi + 1]
                 if s < y0:
                     x /= s
                     W = W + x
@@ -199,15 +223,14 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
     if V.shape != U0.shape:
         V, U0 = np.broadcast_arrays(V, U0)
     scale = 1.0 + np.abs(V).max(axis=-1) + np.abs(U0).max(axis=-1)
-    cut = 1e-12 * scale[..., None]
-    B = int(data.block_grades.max())
-    U = np.zeros((B + 1,) + U0.shape)
+    cut, f = 1e-12 * scale[..., None], _kernel_frame(data)
+    U = np.zeros((f.B + 1,) + U0.shape)
     U[0] = U0
-    series = _HvSeries(data, V, U, B)
-    for m in range(B):
-        U[m + 1] = series.extend(U) / (m + 1)
+    series = _HvSeries(data, V, U, f.B)
+    for m in range(f.B):
+        np.divide(series.extend(U), m + 1, out=U[m + 1])
         tiny = (np.abs(U[m + 1]) <= cut).all()
-        if not tiny and m + 1 < B:
+        if not tiny and m + 1 < f.B:
             continue
         Ut = U[: m + 1 if tiny else m + 2]
         # the defining equation on every coefficient of h_V(U).  With every
@@ -215,21 +238,20 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
         # 0.0, every coefficient of h_V(U) past B - 1 is a sum of products with
         # an exact-zero factor, so the check stops there
         deg, size = Ut.shape[0] - 1, np.abs(Ut)
-        over = (np.arange(deg + 1)[:, None] > data.block_grades)[:, None]
-        above = np.where(over, size.reshape(deg + 1, -1, data.n_dim), 0.0)
+        above = np.where(f.above[: deg + 1, None], size.reshape(deg + 1, -1, data.n_dim), 0.0)
         if above.any():
             k, p, j = np.unravel_index(np.argmax(above), above.shape)
             raise InconsistencyError(
                 f"flow_exact: flow polynomial leaves the block grading {_where(data, V, U0)}: "
                 f"|t^{k} coefficient| {above[k, p, j]:.3e} in coordinate {j} of block grade {data.block_grades[j]}"
             )
-        E = _hv_series(data, V, Ut, B - 1)
+        E = _hv_series(data, V, Ut, f.B - 1)
         E[:deg] -= _poly_deriv(Ut)[:deg]
         resid = np.abs(E).max(axis=(0, -1))
         if (resid <= TOL_STRUCT * scale).all():
             kept = (size > cut).any(axis=-1)
-            return FlowPolynomial(Ut, B, (kept * np.arange(deg + 1).reshape((-1,) + (1,) * scale.ndim)).max(axis=0))
-        if m + 1 < B:
+            return FlowPolynomial(Ut, f.B, (kept * f.degrees[: deg + 1].reshape((-1,) + (1,) * scale.ndim)).max(axis=0))
+        if m + 1 < f.B:
             # the cut is no solution: go on from the check's row m, which reads the same U_0 .. U_m
             U[m + 1] = E[m] / (m + 1)
     worst, limit = _worst(resid, TOL_STRUCT * scale)
@@ -264,7 +286,8 @@ def flow_numeric(data: HyperbolicData, V: np.ndarray, U0: np.ndarray, t) -> np.n
     solved by fixed-point iteration on field values at points, batch-wide:
     the steps from U0 (each time's whole and first half step) share one field
     evaluation per iteration, the second half steps another, and each step
-    settles on its own.  A failure names the first failing time in order.
+    settles on its own; the first iteration reads the field once per start
+    point, where all its stages sit.  A failure names the first failing time.
     """
     V = np.asarray(V, dtype=float)
     U0 = np.broadcast_arrays(np.asarray(U0, dtype=float), V)[0]
@@ -273,39 +296,42 @@ def flow_numeric(data: HyperbolicData, V: np.ndarray, U0: np.ndarray, t) -> np.n
     live = np.flatnonzero(times)
     if not live.size or not U0.size:
         return out
-    B = int(data.block_grades.max())
+    B = _kernel_frame(data).B
     A, b = _gauss_legendre(B + 1)
     h = times.reshape(-1)[live].repeat(2) / np.tile([1.0, 2.0], live.size)  # each time's whole, then half step
 
-    def steps(U: np.ndarray, h: np.ndarray):
-        """A step of length h[i] from U[i] for each i: the end points, and each step's last stage gap and limit."""
-        Y, end = np.repeat(U[:, None], len(b), axis=1), U.copy()
-        gap, tol = np.full(len(h), np.inf), np.zeros(len(h))
-        for _ in range(B + 3):
-            todo = np.flatnonzero(~(gap <= tol))
+    def steps(U: np.ndarray, h: np.ndarray, start: np.ndarray):
+        """Steps of length h[i] from U[i], the field there start[i]: their ends, last stage gaps and limits."""
+        Y, end, F = np.repeat(U[:, None], len(b), axis=1), U.copy(), np.repeat(start[:, None], len(b), axis=1)
+        gap, tol, todo = np.full(len(h), np.inf), np.zeros(len(h)), np.arange(len(h))
+        for it in range(B + 3):  # todo holds the steps not yet settled
+            Yk, Uk, hk = Y[todo], U[todo], h[todo].reshape((-1,) + (1,) * (Y.ndim - 1))
+            # one stacked product per item: bit for bit the per-step A F, which a tensordot over the stack is not
+            F = (_hv_series(data, V, Yk[None], 0)[0] if it else F).reshape(todo.size, len(b), -1)
+            Y[todo] = Yn = Uk[:, None] + hk * np.matmul(A, F).reshape(Yk.shape)
+            gap[todo] = g = np.abs(Yn - Yk).reshape(todo.size, -1).max(axis=1)
+            tol[todo] = t = 1e-13 * (1.0 + np.abs(Yn).reshape(todo.size, -1).max(axis=1))
+            done = g <= t
+            if done.any():
+                end[todo[done]] = Uk[done] + hk[done, 0] * np.matmul(b, F[done]).reshape((-1,) + U.shape[1:])
+            todo = todo[~done]
             if not todo.size:
                 break
-            for i, F in zip(todo, _hv_series(data, V, Y[todo][None], 0)[0]):
-                Yn = U[i] + h[i] * np.tensordot(A, F, axes=1)
-                gap[i], tol[i] = float(np.max(np.abs(Yn - Y[i]))), 1e-13 * (1.0 + float(np.max(np.abs(Yn))))
-                Y[i] = Yn
-                if gap[i] <= tol[i]:
-                    end[i] = U[i] + h[i] * np.tensordot(b, F, axes=1)
         return end, gap, tol
 
-    first, gap1, tol1 = steps(np.broadcast_to(U0, h.shape + U0.shape), h)
-    fine, gap2, tol2 = steps(first[1::2], h[1::2])
+    field = np.broadcast_to(_hv_series(data, V, U0[None], 0)[0], h.shape + U0.shape)
+    first, gap1, tol1 = steps(np.broadcast_to(U0, h.shape + U0.shape), h, field)
+    fine, gap2, tol2 = steps(first[1::2], h[1::2], _hv_series(data, V, first[1::2][None], 0)[0])
     gaps, tols = np.stack([gap1[0::2], gap1[1::2], gap2]), np.stack([tol1[0::2], tol1[1::2], tol2])
-    for j in range(live.size):
+    halving = np.abs(fine - first[0::2]).reshape(live.size, -1).max(axis=1)
+    limit = 1e-9 * (1.0 + np.abs(fine).reshape(live.size, -1).max(axis=1))
+    for j in np.flatnonzero(~(gaps <= tols).all(axis=0) | ~(halving < limit))[:1]:  # the first failing time
         q = int(np.argmin(gaps[:, j] <= tols[:, j]))  # the first of the time's steps that did not settle, if any
         if not gaps[q, j] <= tols[q, j]:
             raise DecompositionError(f"flow_numeric: collocation stages failed to settle {_where(data, V, U0)}, "
                                      f"t = {h[2 * j]:g}: stage gap {gaps[q, j]:.3e} > {tols[q, j]:.3e}")
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(fine[j]))))
-        gap = float(np.max(np.abs(fine[j] - first[2 * j])))
-        if gap >= tol:
-            raise DecompositionError(f"flow_numeric: collocation self-check failed {_where(data, V, U0)}, "
-                                     f"t = {h[2 * j]:g}: step-halving gap {gap:.3e} >= {tol:.3e}")
+        raise DecompositionError(f"flow_numeric: collocation self-check failed {_where(data, V, U0)}, "
+                                 f"t = {h[2 * j]:g}: step-halving gap {halving[j]:.3e} >= {limit[j]:.3e}")
     out.reshape((-1,) + U0.shape)[live] = fine
     return out
 
@@ -314,11 +340,14 @@ def commute_residual(data: HyperbolicData, V: np.ndarray, W: np.ndarray) -> floa
     """||e^{h_V} e^{h_W}(0) - e^{h_W} e^{h_V}(0)|| via the exact flows.
 
     Leading axes of V / W batch over pairs; the result is their max (0 if none).
-    The flows from 0 are taken once per distinct row of V and W and gathered.
+    The flows from 0 are taken once per distinct row (by its bytes) of V and W and gathered.
     """
     V, W = np.broadcast_arrays(np.asarray(V, float), np.asarray(W, float))
-    rows, at = np.unique(np.stack([V, W]).reshape((-1,) + V.shape[-1:]), axis=0, return_inverse=True)
-    ends, at = flow_exact(data, rows, np.zeros(rows.shape)).eval(1.0), at.reshape((2,) + V.shape[:-1])
+    rows = np.stack([V, W]).reshape((-1,) + V.shape[-1:])
+    key = rows.view(f"V{rows.itemsize * rows.shape[-1]}")[:, 0]  # each row's bytes as one item
+    _, first, at = np.unique(key, return_index=True, return_inverse=True)
+    rows, at = rows[first], at.reshape((2,) + V.shape[:-1])
+    ends = flow_exact(data, rows, np.zeros(rows.shape)).eval(1.0)
     a = flow_exact(data, V, ends[at[1]]).eval(1.0)
     b = flow_exact(data, W, ends[at[0]]).eval(1.0)
     return float(np.max(np.linalg.norm(a - b, axis=-1), initial=0.0))
@@ -349,21 +378,12 @@ def invert_exp_H(data: HyperbolicData, g) -> np.ndarray:
     D = M - np.eye(M.shape[-1])
     v = data.n_coords_of(D)
     outside = np.abs(D - data.n_matrix_of(v)).max(axis=(-2, -1))
-    bad = outside > 1e-8 * np.maximum(1.0, np.abs(v).max(axis=-1))
+    bad = ~(outside <= 1e-8 * np.maximum(1.0, np.abs(v).max(axis=-1)))  # a NaN is outside too
     try:
         raise_first(bad, lambda i: f"element has a component outside n(c) ({outside[i]:.2e})", ValueError)
     except ValueError as exc:
         raise ValueError("input does not lie in N(c) = I + n(c)") from exc
     return data.n_coords_of(data.c - M @ data.c @ np.linalg.inv(M))
-
-
-@per_chamber
-def _chart_grades(data: HyperbolicData) -> tuple[np.ndarray, np.ndarray]:
-    """For block grades 1 ... B: the entries of n(c) on the grade, and c_i - c_j there (1.0 elsewhere)."""
-    c = np.diagonal(data.c)
-    grades = range(1, int(data.block_grades.max()) + 1)
-    masks = np.stack([np.any(data.n_basis[data.block_grades == b] != 0, axis=0) for b in grades])
-    return masks, np.where(masks, c[:, None] - c, 1.0)
 
 
 def linear_chart(data: HyperbolicData, V: np.ndarray) -> GroupElement:
@@ -374,19 +394,18 @@ def linear_chart(data: HyperbolicData, V: np.ndarray) -> GroupElement:
     block grades 1 ... B solves it (Bartels & Stewart, CACM 15, 1972): on a
     grade, N_ij = (V + V N)_ij / (c_i - c_j) = (V n)_ij / (c_i - c_j), and
     V n reads only lower grades.  Each grade's entries and denominators are
-    built once per data (_chart_grades).  Leading axes of V batch over
+    built once per data (_kernel_frame).  Leading axes of V batch over
     points; each point's residual is judged against the scale of its terms.
     """
     V = np.asarray(V, dtype=float)
-    Vm = data.n_matrix_of(V)
-    c = np.diagonal(data.c)
+    Vm, c, f = data.n_matrix_of(V), np.diagonal(data.c), _kernel_frame(data)
     n = np.eye(data.algebra.d) + np.zeros(Vm.shape)
-    for mask, den in zip(*_chart_grades(data)):
+    for mask, den in zip(f.masks, f.dens):
         n = n + np.where(mask, Vm @ n / den, 0.0)
     resid = np.max(np.abs(n @ data.c - (data.c - Vm) @ n), axis=(-2, -1))
     limit = TOL_DECOMP * np.max(np.abs(n), axis=(-2, -1)) * (np.max(np.abs(c)) + np.max(np.abs(V), axis=-1))
     raise_first(
-        resid > limit,
+        ~(resid <= limit),
         lambda i: f"linear_chart: n c = (c - V) n fails at c = {tuple(map(str, data.c_entries))}, "
         f"max|V| = {np.max(np.abs(V[i])):.3e}: residual {resid[i]:.3e} > {limit[i]:.3e}",
     )

@@ -549,7 +549,7 @@ def test_cached_chamber_builds_one_chart_frame(monkeypatch):
     assert cli.dumps_report(first["body"]) == cli.dumps_report(second["body"])
     assert shapes == [(2, 3, 3, 3)]
     data = cli._Context(cfg).data
-    for array in [*symplecto.chart_frame(data), *flows._chart_grades(data)]:
+    for array in [*symplecto.chart_frame(data), *flows._kernel_frame(data)]:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1
 
@@ -562,8 +562,8 @@ def test_replaced_data_builds_its_own_frames():
     assert cli.check_symplecto(ctx, cfg, np.random.default_rng(0))["pass"]
     # c doubled: the chart's denominators double, so its n leaves the flow's, which does not read c
     ctx.data = dataclasses.replace(data, c=2 * data.c)
-    (masks, planted), (_, kept) = flows._chart_grades(ctx.data), flows._chart_grades(data)
-    np.testing.assert_array_equal(planted[masks], 2 * kept[masks])
+    planted, kept = flows._kernel_frame(ctx.data), flows._kernel_frame(data)
+    np.testing.assert_array_equal(planted.dens[planted.masks], 2 * kept.dens[kept.masks])
     with pytest.raises(DecompositionError, match=r"^pullback_residual: exp_H\(V\) leaves the linear chart"):
         cli.check_symplecto(ctx, cfg, np.random.default_rng(0))
     # n(c)'s basis doubled: so are the horizontal directions, and no orbit tangent matches the fiber chart

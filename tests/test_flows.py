@@ -140,7 +140,7 @@ def test_flow_numeric_over_times_is_the_stepwise_route_bit_for_bit(ws):
         for batch in ((), (7,), (2, 3)):
             V, U0 = rng.standard_normal((2,) + batch + (data.n_dim,))
             V[..., 0], U0[..., -1] = -0.0, -0.0
-            for times in ((1.0, -2.0), (0.0, 0.5), (-1.5,)):
+            for times in ((1.0, -2.0), (0.0, 0.5), (-1.5,), (1e-12, 1.0)):  # the last settles its steps unevenly
                 got = flow_numeric(data, V, U0, times)
                 assert got.shape == (len(times),) + batch + (data.n_dim,)
                 single = np.stack([flow_numeric(data, V, U0, t) for t in times])
@@ -387,8 +387,10 @@ def test_invert_exp_H_rejects_elements_outside_N(ws, rng):
     n = exp_H(data, rng.standard_normal(data.n_dim)).matrix
     z = np.eye(4)
     z[0, 1] = 0.7  # unipotent, in the stabilizer Z(c) of the wall chamber
-    for g in (n @ z, z, np.diag([2.0, 0.5, 1.0, 1.0])):
-        with pytest.raises(ValueError, match=r"does not lie in N\(c\)"):
+    nan = n.copy()
+    nan[2, 0] = np.nan  # below the diagonal, outside n(c): a NaN there must fail the test, not pass it
+    for g in (n @ z, z, np.diag([2.0, 0.5, 1.0, 1.0]), nan):
+        with pytest.raises(ValueError, match=r"^input does not lie in N\(c\) = I \+ n\(c\)$"):
             invert_exp_H(data, g)
 
 
@@ -452,6 +454,9 @@ def test_linear_chart_names_a_failing_certificate(ws):
     )
     with pytest.raises(DecompositionError, match=pattern):
         linear_chart(reversed_levels, V)
+    # |V| = 1e160 overflows n to inf, so the residual is NaN: the certificate must fail on it
+    with np.errstate(all="ignore"), pytest.raises(DecompositionError, match=r"^linear_chart: n c = \(c - V\) n fails"):
+        linear_chart(data, 1e160 * np.ones(data.n_dim))
 
 
 _CHART_GRID = [
@@ -796,3 +801,21 @@ def test_flow_numeric_over_times_names_the_failing_time(ws, monkeypatch):
     with pytest.raises(DecompositionError, match=r"flow_numeric: collocation self-check failed "
                        + _ERR_WHERE + r", t = -2: step-halving gap \S+ >= \S+"):
         flow_numeric(data, _ERR_V, _ERR_U0, (1.0, -2.0))
+
+
+def test_flows_refuse_non_finite_and_overflowing_input(ws):
+    # a NaN in V, an inf in U0 and |V| = 1e200 (whose powers overflow) must each
+    # fail a certificate: every comparison in the flows fails on NaN
+    data = ws.data("sl4r", (3, 1, -1, -3))
+    n = data.n_dim
+    nan_V, inf_U0, huge_V = np.ones(n), np.zeros(n), np.full(n, 1e200)
+    nan_V[2], inf_U0[1] = np.nan, np.inf
+    with np.errstate(all="ignore"):
+        for V, U0 in ((nan_V, np.zeros(n)), (np.ones(n), inf_U0), (huge_V, np.zeros(n))):
+            with pytest.raises(InconsistencyError, match="^flow_exact: "):
+                flow_exact(data, V, U0)
+            with pytest.raises(DecompositionError, match="^flow_numeric: "):
+                flow_numeric(data, V, U0, 1.0)
+        for V in (nan_V, huge_V):
+            with pytest.raises(InconsistencyError, match="^flow_exact: "):
+                exp_H(data, V)
