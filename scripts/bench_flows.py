@@ -10,34 +10,32 @@ levels p and the median of 5 calls of
 flow_exact, exp_H and invert_exp_H at one seeded point, of flow_exact and
 the witness flow_numeric (at t = 1 and t = -2) on a seeded 20-point batch,
 of that witness as check_flow makes it (flow_numeric_times_s: both times in
-one call where the checkout takes a sequence of times, else one call each),
-and of the checks as symplecto-verify makes them at its default 20 samples:
-pullback_residual and project_pi on 20 seeded cotangent points and
-liouville_fd_gap on 4.  commute_s times commute_residual on the n(n - 1)/2
-pairs of basis vectors of n(c) in one batch, as flow-check makes it.  Where
-the checkout has linear_chart, it also times it on the 20 * 2n perturbed
-fiber points of that pullback's witness (linear_chart_s).  Where a
-checkout's FD checks take one point per call (they then also take a step
-argument), or its project_pi refuses a batch, the points go through one
-call each.  Four rows time the sampled checks from
-a fresh generator at the default 20 samples: cli.check_kk, cli.check_flow
-(the whole flow-check section) and cli.check_symplecto (the whole
-symplecto-verify section) on a context whose structure is already built, and
-the sampling of symplecto-verify (cli._sample_points at 20 points and
-section_lagrangian_check at 5).  check_flow_peak_mib and
-check_symplecto_peak_mib are the tracemalloc peaks of one more check_flow and
-check_symplecto call.  Two more rows, at the regular chamber of sl(10, R) and
-sl(8, C), where the flow check's memory binds, hold only check_flow_s and
-check_flow_peak_mib.  Where a checkout keeps a chamber's
-chart frame (symplecto.chart_frame), the first of the 5 calls of a check
-builds it and the other calls, and the peak's, reuse it.
+one call), and of the checks as symplecto-verify makes them at its default
+20 samples: pullback_residual and project_pi on 20 seeded cotangent points
+in one batch and liouville_fd_gap on 4.  commute_s times commute_residual
+on the n(n - 1)/2 pairs of basis vectors of n(c) in one batch, as
+flow-check makes it, and linear_chart_s times linear_chart on the 20 * 2n
+perturbed fiber points of that pullback's witness.  Four rows time the
+sampled checks from a fresh generator at the default 20 samples:
+checks.check_kk, checks.check_flow (the whole flow-check section) and
+checks.check_symplecto (the whole symplecto-verify section) on a context
+whose structure is already built, and the sampling of symplecto-verify
+(checks._sample_points at 20 points and section_lagrangian_check at 5).
+check_flow_peak_mib and check_symplecto_peak_mib are the tracemalloc peaks
+of one more check_flow and check_symplecto call.  Two more rows, at the
+regular chamber of sl(10, R) and sl(8, C), where the flow check's memory
+binds, hold only check_flow_s and check_flow_peak_mib.  The first of the 5
+calls of a check builds the chamber's chart frame (symplecto.chart_frame)
+and the other calls, and the peak's, reuse it.
+The script times checkouts that have lieorb.checks, whose checks take
+(ctx, rng), and the batched flow and symplecto APIs; passes of older
+checkouts stay in BENCH_flows.json under their labels.
 Each run adds one pass to --out under --label, with BLAS single-threaded
 (see benchlib.py).
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import sys
 
@@ -53,64 +51,31 @@ WITNESS_BATCH = 20
 FD_SAMPLES = 20  # symplecto-verify's default samples: the pullback points; samples // 5 Liouville points
 
 
-def fd_check(check, data, pts):
-    """A call of check over the points as check_symplecto makes it: one batch, or one call per point."""
+def batch(pts):
+    """The points as one CotangentPoint batch, as check_symplecto passes them."""
     from lieorb.symplecto import CotangentPoint
 
-    if "step" in inspect.signature(check).parameters:
-        return lambda: [check(data, pt) for pt in pts]
-    batch = CotangentPoint(np.stack([pt.k for pt in pts]), np.stack([pt.V for pt in pts]))
-    return lambda: check(data, batch)
+    return CotangentPoint(np.stack([pt.k for pt in pts]), np.stack([pt.V for pt in pts]))
 
 
-def projection(data, pts):
-    """project_pi over the images of the points as check_symplecto makes it: one batch, or one call per point."""
-    from lieorb.kkform import OrbitPoint
-    from lieorb.symplecto import CotangentPoint, phi_lambda, project_pi
+def library_check(field, n, entries, check: str):
+    """The lieorb.checks function of that name at the default samples, with the context's structure in place
+    before timing."""
+    from lieorb import checks, cli
 
-    batch = CotangentPoint(np.stack([pt.k for pt in pts]), np.stack([pt.V for pt in pts]))
-    on = phi_lambda(data, batch, validate=False)
-    try:
-        project_pi(data, on)
-    except ValueError:  # a checkout whose decomposition takes single points
-        return lambda: [project_pi(data, OrbitPoint(*p)) for p in zip(on.g, on.w, on.w_coords)]
-    return lambda: project_pi(data, on)
-
-
-def witness(data, V, U0):
-    """flow_numeric at both witness times as check_flow calls it: one call, or one per time where the checkout
-    takes a single time."""
-    from lieorb import flows
-
-    try:
-        flows.flow_numeric(data, V, U0, TIMES)
-    except TypeError:
-        return lambda: [flows.flow_numeric(data, V, U0, t) for t in TIMES]
-    return lambda: flows.flow_numeric(data, V, U0, TIMES)
-
-
-def cli_check(field, n, entries, check: str):
-    """The cli check function of that name at the default samples, with the context's structure in place before timing."""
-    from lieorb import cli
-
-    cfg = cli.parse_config({"algebra": {"family": "sl", "n": n, "field": field}, "c": list(entries)})
-    ctx = cli._Context(cfg)
+    ctx = cli._Context(cli.parse_config({"algebra": {"family": "sl", "n": n, "field": field}, "c": list(entries)}))
     ctx.data  # noqa: B018  (fetched before timing, with the split and the roots it needs)
-    return lambda: getattr(cli, check)(ctx, cfg, np.random.default_rng(0))
+    return lambda: getattr(checks, check)(ctx, np.random.default_rng(0))
 
 
 def sampling(data, split):
     """The draws of symplecto-verify: 20 cotangent points and a 5-sample section check."""
-    from lieorb import cli, symplecto
-
-    check = symplecto.section_lagrangian_check
-    # a checkout whose section check builds its own Cartan split takes no split argument
-    head = (data, split) if "split" in inspect.signature(check).parameters else (data,)
+    from lieorb import checks, symplecto
 
     def run():
         rng = np.random.default_rng(0)
-        cli._sample_points(data, rng, FD_SAMPLES)
-        check(*head, rng, samples=FD_SAMPLES // 4)
+        checks._sample_points(data, rng, FD_SAMPLES)
+        symplecto.section_lagrangian_check(data, split, rng, samples=FD_SAMPLES // 4)
 
     return run
 
@@ -143,6 +108,8 @@ def ladder() -> list[dict]:
             fiber = np.stack([pt.V for pt in pts])[:, None, None, :] + steps  # the witness's 20 * 2n fiber points
             a, b = np.triu_indices(data.n_dim, 1)
             basis = np.eye(data.n_dim)
+            fd, fd_few = batch(pts), batch(pts[: FD_SAMPLES // 5])
+            on = symplecto.phi_lambda(data, fd, validate=False)
             timed = {
                 "flow_exact_s": lambda: flows.flow_exact(data, V, U0),
                 "exp_H_s": lambda: flows.exp_H(data, V),
@@ -150,18 +117,17 @@ def ladder() -> list[dict]:
                 "flow_exact_batch_s": lambda: flows.flow_exact(data, Vb, U0b),
                 "flow_numeric_t1_s": lambda: flows.flow_numeric(data, Vb, U0b, 1.0),
                 "flow_numeric_t-2_s": lambda: flows.flow_numeric(data, Vb, U0b, -2.0),
-                "flow_numeric_times_s": witness(data, Vb, U0b),
+                "flow_numeric_times_s": lambda: flows.flow_numeric(data, Vb, U0b, TIMES),
                 "commute_s": lambda: flows.commute_residual(data, basis[a], basis[b]),
-                "pullback_residual_s": fd_check(symplecto.pullback_residual, data, pts),
-                "project_pi_s": projection(data, pts),
-                "liouville_fd_gap_s": fd_check(symplecto.liouville_fd_gap, data, pts[: FD_SAMPLES // 5]),
-                "check_kk_s": cli_check(field, n, entries, "check_kk"),
-                "check_flow_s": cli_check(field, n, entries, "check_flow"),
-                "check_symplecto_s": cli_check(field, n, entries, "check_symplecto"),
+                "pullback_residual_s": lambda: symplecto.pullback_residual(data, fd),
+                "project_pi_s": lambda: symplecto.project_pi(data, on),
+                "liouville_fd_gap_s": lambda: symplecto.liouville_fd_gap(data, fd_few),
+                "check_kk_s": library_check(field, n, entries, "check_kk"),
+                "check_flow_s": library_check(field, n, entries, "check_flow"),
+                "check_symplecto_s": library_check(field, n, entries, "check_symplecto"),
                 "symplecto_sampling_s": sampling(data, split),
+                "linear_chart_s": lambda: flows.linear_chart(data, fiber),
             }
-            if hasattr(flows, "linear_chart"):
-                timed["linear_chart_s"] = lambda: flows.linear_chart(data, fiber)
             row = {
                 "algebra": f"sl({n}, {field})",
                 "chamber": kind,
@@ -177,7 +143,7 @@ def ladder() -> list[dict]:
             print(json.dumps(row), flush=True)
             rows.append(row)
     for field, n in LARGE:
-        check = cli_check(field, n, regular(n), "check_flow")
+        check = library_check(field, n, regular(n), "check_flow")
         row = {
             "algebra": f"sl({n}, {field})",
             "chamber": "regular",

@@ -12,8 +12,7 @@ dim n(c), N0 and the median of 5 calls of hyperbolic_data (which includes the
 N0 certificate).  sl(2) has no nonzero wall, so its wall entries are null.
 At the regular chamber it also records the median of 5 in-process cli.run
 parabolic reports, with the CLI's structure caches cleared before each call
-(cli_report_cold_s) and with them warm (cli_report_warm_s); a checkout
-without the caches builds afresh in both.  It also records
+(cli_report_cold_s) and with them warm (cli_report_warm_s).  It also records
 cached_entry_bytes, the bytes of the distinct ndarray buffers reachable from
 the CLI's cached structure entry (cli._structure: algebra, Cartan split,
 restricted roots).  Past the ladder, build-only rows at sl(8, C), sl(10, C)
@@ -22,7 +21,8 @@ pass opens with one row for the import cost: the median wall time of
 `import lieorb.cli` (import_s) and the median peak RSS in MiB
 (import_rss_mb) of 5 fresh Python processes.  Each run adds one pass to
 --out under --label, with BLAS single-threaded (see benchlib.py) here and in
-those processes.
+those processes.  The script times checkouts whose CLI keeps the structure
+caches (cli._structure and cli._hyperbolic).
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def cli_report_times(field: str, n: int) -> tuple[float, float]:
     from lieorb import cli
 
     def clear():
-        for name in ("_structure", "_hyperbolic"):
-            getattr(getattr(cli, name, None), "cache_clear", lambda: None)()
+        cli._structure.cache_clear()
+        cli._hyperbolic.cache_clear()
 
     cfg = cli.parse_config({"algebra": {"family": "sl", "n": n, "field": field}, "c": list(regular(n)),
                             "checks": ["parabolic"]})

@@ -21,7 +21,6 @@ from .rootspace import (
 from .parabolic import HyperbolicData, chamber_sort, hyperbolic_data, nilpotency_index
 from .kkform import (
     OrbitPoint,
-    dual_element,
     exactness_verdict,
     fiber_isotropy_check,
     k_orbit_lagrangian_check,

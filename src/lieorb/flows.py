@@ -215,7 +215,7 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
     is checked against the defining equation, and the recursion stops if it
     holds; that check, also run at B, is the only acceptance test.  The same
     cut gives each point's degree.  A coefficient above its block grade is a
-    fault of the kernel and raises.
+    fault of the kernel and raises, as does a non-finite V or U0.
     """
     V, U0 = np.asarray(V, dtype=float), np.asarray(U0, dtype=float)
     if V.shape[-1:] != (data.n_dim,) or U0.shape[-1:] != (data.n_dim,):
@@ -223,6 +223,9 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
     if V.shape != U0.shape:
         V, U0 = np.broadcast_arrays(V, U0)
     scale = 1.0 + np.abs(V).max(axis=-1) + np.abs(U0).max(axis=-1)
+    # an inf scale would pass every cut and limit below
+    raise_first(~np.isfinite(scale), lambda i: f"flow_exact: non-finite input {_where(data, V[i], U0[i])}",
+                InconsistencyError)
     cut, f = 1e-12 * scale[..., None], _kernel_frame(data)
     U = np.zeros((f.B + 1,) + U0.shape)
     U[0] = U0

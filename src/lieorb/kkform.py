@@ -30,7 +30,6 @@ from .liecore import (
     InconsistencyError,
     MatrixLieAlgebra,
     _as_matrix,
-    complex_trace_form,
     extract_complex,
     raise_first,
 )
@@ -72,12 +71,6 @@ def orbit_point(
             raise_first(gap > limit, lambda i: f"orbit_point: conjugate has a different spectrum: eigenvalue gap "
                         f"{gap[i]:.3e} > {limit:.3e}, max|g| = {np.max(np.abs(G[i])):.3e}", InconsistencyError)
     return OrbitPoint(G, w, algebra.coords(w))
-
-
-def dual_element(algebra: MatrixLieAlgebra, eta: np.ndarray) -> np.ndarray:
-    """Element X with B(X, .) = eta, eta given in dual coordinates."""
-    x = np.linalg.solve(algebra.killing_matrix, np.asarray(eta, dtype=float))
-    return algebra.from_coords(x)
 
 
 def kk_eval(algebra: MatrixLieAlgebra, pt: OrbitPoint, X: np.ndarray, Y: np.ndarray):
@@ -199,16 +192,3 @@ def exactness_verdict(
             "im_restriction_max": im_resid,
         },
     }
-
-
-def re_dual_gap(algebra: MatrixLieAlgebra, c_entries: Sequence) -> float:
-    """||c - 2 X_{Re eta}|| for eta = B_C(c, .).
-
-    Vanishes identically: B_R(2 X_{Re eta}, Y) = 2 Re B_C(c, Y) = B_R(c, Y).
-    """
-    if not algebra.is_complex:
-        raise ConfigurationError("re-duality applies to realified complex algebras")
-    c = algebra.element_from_entries(c_entries)
-    re_eta = complex_trace_form(algebra, c, algebra.basis).real
-    X = dual_element(algebra, re_eta)
-    return float(np.max(np.abs(c - 2.0 * X)))

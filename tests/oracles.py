@@ -91,6 +91,24 @@ def inner(algebra, X, Y):
     return -killing(algebra, X, algebra.theta(Y))
 
 
+def dual_element(algebra, eta):
+    """Element X with B(X, .) = eta, eta given in dual coordinates."""
+    x = np.linalg.solve(algebra.killing_matrix, np.asarray(eta, dtype=float))
+    return algebra.from_coords(x)
+
+
+def re_dual_gap(algebra, c_entries):
+    """||c - 2 X_{Re eta}|| for eta = B_C(c, .) on a realified algebra.
+
+    Vanishes identically: B_R(2 X_{Re eta}, Y) = 2 Re B_C(c, Y) = B_R(c, Y).
+    """
+    from lieorb.liecore import complex_trace_form
+
+    c = algebra.element_from_entries(c_entries)
+    re_eta = complex_trace_form(algebra, c, algebra.basis).real
+    return float(np.max(np.abs(c - 2.0 * dual_element(algebra, re_eta))))
+
+
 def structure_constants_pairwise(algebra):
     """Structure constants from one matrix bracket per basis pair i < j, with
     c[j, i] = -c[i, j]; the reference layout for the batched assembly."""

@@ -11,7 +11,7 @@ import scipy.linalg
 
 from lieorb import cli
 from lieorb.flows import commute_residual, exp_H, flow_exact, flow_numeric, invert_exp_H
-from lieorb.kkform import exactness_verdict, fiber_isotropy_check, re_dual_gap
+from lieorb.kkform import exactness_verdict, fiber_isotropy_check
 from lieorb.liecore import killing_compare_realified, random_element, random_in_K
 from lieorb.rootspace import k_from_roots_check
 from lieorb.symplecto import (
@@ -24,6 +24,7 @@ from lieorb.symplecto import (
 )
 
 from conftest import DATA_GRID
+from oracles import re_dual_gap
 
 ALL_KEYS = ("sl2r", "sl3r", "sl4r", "sl2c", "sl3c")
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_GRID
-from lieorb import cli, flows, liecore, symplecto
+from lieorb import checks, cli, flows, liecore, symplecto
 from lieorb.flows import FlowPolynomial
 from lieorb.liecore import AlgebraSpec, DecompositionError, GroupElement, random_in_K
 from lieorb.parabolic import z_k_coords
@@ -62,7 +62,7 @@ def test_arnold_scenario():
 
 
 def test_witness_sees_planted_flow_fault(monkeypatch):
-    flow_exact = cli.flow_exact
+    flow_exact = checks.flow_exact
 
     def planted(data, V, U0):
         fp = flow_exact(data, V, U0)
@@ -72,7 +72,7 @@ def test_witness_sees_planted_flow_fault(monkeypatch):
 
     cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 3, "field": "R"}, c=[1, 0, -1], checks=["flow"]))
     assert cli.run(cfg)["body"]["checks"]["flow"]["pass"]
-    monkeypatch.setattr(cli, "flow_exact", planted)
+    monkeypatch.setattr(checks, "flow_exact", planted)
     flow = cli.run(cfg)["body"]["checks"]["flow"]
     assert flow["max_oracle_gap"]["value"] >= 1e-7
     assert flow["max_oracle_gap"]["pass"] is False and flow["pass"] is False
@@ -82,7 +82,7 @@ def test_witness_sees_planted_flow_fault(monkeypatch):
 def test_chart_gap_sees_a_planted_scaled_flow(monkeypatch):
     # exp_H scaled by 1 + 5e-9: Ad of a scalar multiple is unchanged, so the
     # round trip through invert_exp_H cannot see it, but the linear chart can
-    exp_H = cli.exp_H
+    exp_H = checks.exp_H
 
     def scaled(data, V):
         g = exp_H(data, V)
@@ -91,7 +91,7 @@ def test_chart_gap_sees_a_planted_scaled_flow(monkeypatch):
     cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 4, "field": "R"}, c=[3, 1, -1, -3], checks=["flow"]))
     flow = cli.run(cfg)["body"]["checks"]["flow"]
     assert flow["max_chart_gap"]["pass"] and flow["max_chart_gap"]["value"] <= 1e-14
-    monkeypatch.setattr(cli, "exp_H", scaled)
+    monkeypatch.setattr(checks, "exp_H", scaled)
     flow = cli.run(cfg)["body"]["checks"]["flow"]
     assert flow["max_chart_gap"]["value"] >= 4e-9
     assert flow["max_chart_gap"]["pass"] is False and flow["pass"] is False
@@ -102,7 +102,7 @@ def test_check_flow_batch_matches_point_loop(ws):
     cfg = cli.parse_config(_cfg(samples=30))
     for key, entries in DATA_GRID:
         data = ws.data(key, entries)
-        section = cli.check_flow(SimpleNamespace(data=data), cfg, np.random.default_rng(17))
+        section = checks.check_flow(SimpleNamespace(data=data, config=cfg), np.random.default_rng(17))
         rng = np.random.default_rng(17)
         V, U0 = rng.standard_normal((30, data.n_dim)), rng.standard_normal((30, data.n_dim))
         gap, hist, roundtrip = check_flow_loop(data, V, U0)
@@ -114,11 +114,11 @@ def test_check_flow_batch_matches_point_loop(ws):
 def test_root_masks_see_planted_weight_fault():
     cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 3, "field": "R"}, c=[1, 0, -1], checks=["roots"]))
     ctx = cli._Context(cfg)
-    assert cli.check_roots(ctx, cfg, np.random.default_rng(0))["pass"]
+    assert checks.check_roots(ctx, np.random.default_rng(0))["pass"]
     roots = list(ctx.rs.roots)
     roots[0] = dataclasses.replace(roots[0], weights=2 * roots[0].weights)  # a weight no root space carries
     ctx.rs = dataclasses.replace(ctx.rs, roots=roots)
-    section = cli.check_roots(ctx, cfg, np.random.default_rng(0))
+    section = checks.check_roots(ctx, np.random.default_rng(0))
     assert section["bracket_grading"]["value"] >= 1.0 and section["theta_pairing"]["value"] >= 1.0
     assert not section["bracket_grading"]["pass"] and not section["theta_pairing"]["pass"]
     assert section["dimension_bookkeeping"]["pass"] and section["pass"] is False
@@ -141,7 +141,7 @@ def test_bracket_grading_matches_the_dense_block(field):
         ri = np.flatnonzero(weight)
         outside = weight != weight[ri, None, None] + weight[ri, None]
         dense = float(np.max(np.abs(np.where(outside, alg.structure[np.ix_(ri, ri)], 0.0)), initial=0.0))
-        assert cli.check_roots(ctx, cfg, np.random.default_rng(0))["bracket_grading"]["value"] == dense, r
+        assert checks.check_roots(ctx, np.random.default_rng(0))["bracket_grading"]["value"] == dense, r
         assert (dense > 0) == (r >= 0), r
 
 
@@ -149,11 +149,11 @@ def test_level_mask_sees_mislabelled_level():
     cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 4, "field": "R"}, c=[1, 1, -1, -1],
                                 checks=["parabolic"]))
     ctx = cli._Context(cfg)
-    assert cli.check_parabolic(ctx, cfg, np.random.default_rng(0))["pass"]
+    assert checks.check_parabolic(ctx, np.random.default_rng(0))["pass"]
     grades = ctx.data.grades.copy()
     grades[0] = 2 * grades[0]  # V_0 claims a level of its own inside the one level of n(c)
     ctx.data = dataclasses.replace(ctx.data, grades=grades)
-    section = cli.check_parabolic(ctx, cfg, np.random.default_rng(0))
+    section = checks.check_parabolic(ctx, np.random.default_rng(0))
     assert section["stabilizer_invariance"]["value"] > 1e-3
     assert section["stabilizer_invariance"]["pass"] is False and section["pass"] is False
 
@@ -161,9 +161,9 @@ def test_level_mask_sees_mislabelled_level():
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_parabolic_takes_the_empty_stabilizer_draw(n):
     """At a regular sl(n, R) chamber z_k(c) = 0, so the stabilizer draw is an empty stack."""
-    ctx, cfg = _sampling_context("R", n, checks=["parabolic"])
+    ctx, _ = _sampling_context("R", n, checks=["parabolic"])
     assert z_k_coords(ctx.data).shape == (0, ctx.algebra.dim)
-    section = cli.check_parabolic(ctx, cfg, np.random.default_rng(0))
+    section = checks.check_parabolic(ctx, np.random.default_rng(0))
     assert section["stabilizer_invariance"]["value"] == 0.0 and section["pass"]
 
 
@@ -415,7 +415,7 @@ def test_batched_draws_match_sample_loops(field, n):
     ctx, cfg = _sampling_context(field, n, samples=20)
     alg, data = ctx.algebra, ctx.data
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-    pts = cli._sample_points(data, rng, 7)
+    pts = checks._sample_points(data, rng, 7)
     k_ref, V_ref = sample_points_loop(data, ref, 7)
     np.testing.assert_array_equal(pts.k, k_ref)
     np.testing.assert_array_equal(pts.V, V_ref)
@@ -426,7 +426,7 @@ def test_batched_draws_match_sample_loops(field, n):
     assert _close(value, section_lagrangian_loop(data, ref, 5))
     assert rng.bit_generator.state == ref.bit_generator.state
 
-    section = cli.check_kk(ctx, cfg, rng)
+    section = checks.check_kk(ctx, rng)
     c = alg.element_from_entries(ctx.real_entries)
     expected = check_kk_loop(alg, c, ref, max(5, cfg.samples // 4), data)
     assert set(expected) <= set(section)
@@ -436,12 +436,12 @@ def test_batched_draws_match_sample_loops(field, n):
 
 
 def test_arnold_scale_check_matches_sample_loop():
-    ctx, cfg = _sampling_context("C", 3, checks=["arnold"], samples=20)
+    ctx, _ = _sampling_context("C", 3, checks=["arnold"], samples=20)
     rng, ref = np.random.default_rng(12), np.random.default_rng(12)
-    out = cli.check_arnold(ctx, cfg, rng)
+    out = checks.check_arnold(ctx, rng)
     gap = re_omega_scale_loop(ctx.algebra, ctx.algebra.element_from_entries(ctx.real_entries), ref)
     assert _close(out["re_omega_scale_gap"]["value"], gap)
-    assert out["symplecto"] == cli.check_symplecto(ctx, cfg, ref)
+    assert out["symplecto"] == checks.check_symplecto(ctx, ref)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -514,11 +514,11 @@ def test_planted_fault_stays_in_its_context():
     ctx.rs = dataclasses.replace(rs, roots=[dataclasses.replace(rs.roots[0], weights=2 * rs.roots[0].weights)]
                                  + rs.roots[1:])
     ctx.data = dataclasses.replace(data, grades=2 * data.grades)
-    assert not cli.check_roots(ctx, cfg, np.random.default_rng(0))["pass"]
+    assert not checks.check_roots(ctx, np.random.default_rng(0))["pass"]
     fresh = cli._Context(cfg)
     assert fresh.rs is rs and fresh.data is data
     np.testing.assert_array_equal(fresh.data.grades, [2.0, 2.0, 4.0])
-    assert cli.check_roots(fresh, cfg, np.random.default_rng(0))["pass"]
+    assert checks.check_roots(fresh, np.random.default_rng(0))["pass"]
 
 
 def test_symplecto_section_flows_each_sample_once(monkeypatch):
@@ -527,11 +527,11 @@ def test_symplecto_section_flows_each_sample_once(monkeypatch):
     cfg = cli.parse_config(_cached_config(3, "R", [2, 0, -2], checks=["symplecto"]))
     ctx = cli._Context(cfg)
     calls, returned = [], []
-    exp_H, pullback_residual = symplecto.exp_H, cli.pullback_residual
+    exp_H, pullback_residual = symplecto.exp_H, checks.pullback_residual
     monkeypatch.setattr(symplecto, "exp_H", lambda d, V: calls.append(np.shape(V)) or exp_H(d, V))
-    monkeypatch.setattr(cli, "pullback_residual", lambda d, pt: returned.append((pt, pullback_residual(d, pt)))
+    monkeypatch.setattr(checks, "pullback_residual", lambda d, pt: returned.append((pt, pullback_residual(d, pt)))
                         or returned[-1][1])
-    assert cli.check_symplecto(ctx, cfg, np.random.default_rng(0))["pass"]
+    assert checks.check_symplecto(ctx, np.random.default_rng(0))["pass"]
     assert calls == [(cfg.samples, ctx.data.n_dim)] * 2
     [(pts, (_, on))] = returned
     ref = symplecto.phi_lambda(ctx.data, pts, validate=False)
@@ -559,20 +559,20 @@ def test_replaced_data_builds_its_own_frames():
     cfg = cli.parse_config(_cached_config(3, "R", [2, 0, -2], checks=["symplecto"]))
     ctx = cli._Context(cfg)
     data = ctx.data
-    assert cli.check_symplecto(ctx, cfg, np.random.default_rng(0))["pass"]
+    assert checks.check_symplecto(ctx, np.random.default_rng(0))["pass"]
     # c doubled: the chart's denominators double, so its n leaves the flow's, which does not read c
     ctx.data = dataclasses.replace(data, c=2 * data.c)
     planted, kept = flows._kernel_frame(ctx.data), flows._kernel_frame(data)
     np.testing.assert_array_equal(planted.dens[planted.masks], 2 * kept.dens[kept.masks])
     with pytest.raises(DecompositionError, match=r"^pullback_residual: exp_H\(V\) leaves the linear chart"):
-        cli.check_symplecto(ctx, cfg, np.random.default_rng(0))
+        checks.check_symplecto(ctx, np.random.default_rng(0))
     # n(c)'s basis doubled: so are the horizontal directions, and no orbit tangent matches the fiber chart
     ctx.data = dataclasses.replace(data, n_basis=2 * data.n_basis)
     np.testing.assert_array_equal(symplecto.chart_frame(ctx.data).Ys, 2 * symplecto.chart_frame(data).Ys)
     with pytest.raises(DecompositionError, match="^pullback_residual: finite-difference tangent disagrees"):
-        cli.check_symplecto(ctx, cfg, np.random.default_rng(0))
+        checks.check_symplecto(ctx, np.random.default_rng(0))
     fresh = cli._Context(cfg)
-    assert fresh.data is data and cli.check_symplecto(fresh, cfg, np.random.default_rng(0))["pass"]
+    assert fresh.data is data and checks.check_symplecto(fresh, np.random.default_rng(0))["pass"]
 
 
 def test_meta_records_structure_reuse():
@@ -593,7 +593,7 @@ def test_kk_check_makes_one_expm_call(monkeypatch, field, c, moved):
     """g and h of each of the max(5, 24 // 4) = 6 samples and, on a real c, the 3 elements that
     move the fiber are exponentiated in one call."""
     shapes, expm = [], liecore.expm
-    for module in (liecore, cli, symplecto):  # every module that holds the name
+    for module in (liecore, checks, symplecto):  # every module that holds the name
         monkeypatch.setattr(module, "expm", lambda M: shapes.append(M.shape) or expm(M))
     cfg = cli.parse_config(_cached_config(len(c), field, c, checks=["kk"], samples=24))
     assert cli.run(cfg)["body"]["checks"]["kk"]["pass"]
@@ -606,11 +606,11 @@ def test_symplecto_section_draws_its_points_once(monkeypatch):
     cfg = cli.parse_config(_cached_config(3, "R", [2, 0, -2], checks=["symplecto"], samples=12))
     ctx = cli._Context(cfg)
     counts, taken = [], []
-    sample, pullback, liouville = cli._sample_points, cli.pullback_residual, cli.liouville_fd_gap
-    monkeypatch.setattr(cli, "_sample_points", lambda d, rng, count: counts.append(count) or sample(d, rng, count))
-    monkeypatch.setattr(cli, "pullback_residual", lambda d, pt: taken.append(pt) or pullback(d, pt))
-    monkeypatch.setattr(cli, "liouville_fd_gap", lambda d, pt: taken.append(pt) or liouville(d, pt))
-    assert cli.check_symplecto(ctx, cfg, np.random.default_rng(4))["pass"]
+    sample, pullback, liouville = checks._sample_points, checks.pullback_residual, checks.liouville_fd_gap
+    monkeypatch.setattr(checks, "_sample_points", lambda d, rng, count: counts.append(count) or sample(d, rng, count))
+    monkeypatch.setattr(checks, "pullback_residual", lambda d, pt: taken.append(pt) or pullback(d, pt))
+    monkeypatch.setattr(checks, "liouville_fd_gap", lambda d, pt: taken.append(pt) or liouville(d, pt))
+    assert checks.check_symplecto(ctx, np.random.default_rng(4))["pass"]
     assert counts == [12 + 2]
     ref = np.random.default_rng(4)
     for got, want in zip(taken, [sample(ctx.data, ref, 12), sample(ctx.data, ref, 2)], strict=True):

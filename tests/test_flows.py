@@ -804,18 +804,21 @@ def test_flow_numeric_over_times_names_the_failing_time(ws, monkeypatch):
 
 
 def test_flows_refuse_non_finite_and_overflowing_input(ws):
-    # a NaN in V, an inf in U0 and |V| = 1e200 (whose powers overflow) must each
-    # fail a certificate: every comparison in the flows fails on NaN
+    # a NaN in V, an inf in V or U0 and |V| = 1e200 (whose powers overflow) must
+    # each fail a certificate: every comparison in the flows fails on NaN
     data = ws.data("sl4r", (3, 1, -1, -3))
     n = data.n_dim
-    nan_V, inf_U0, huge_V = np.ones(n), np.zeros(n), np.full(n, 1e200)
-    nan_V[2], inf_U0[1] = np.nan, np.inf
+    nan_V, inf_V, inf_U0, huge_V = np.ones(n), np.ones(n), np.zeros(n), np.full(n, 1e200)
+    nan_V[2], inf_V[1], inf_U0[1] = np.nan, np.inf, np.inf
     with np.errstate(all="ignore"):
-        for V, U0 in ((nan_V, np.zeros(n)), (np.ones(n), inf_U0), (huge_V, np.zeros(n))):
+        for V, U0 in ((nan_V, np.zeros(n)), (inf_V, np.zeros(n)), (np.ones(n), inf_U0), (huge_V, np.zeros(n))):
             with pytest.raises(InconsistencyError, match="^flow_exact: "):
                 flow_exact(data, V, U0)
             with pytest.raises(DecompositionError, match="^flow_numeric: "):
                 flow_numeric(data, V, U0, 1.0)
-        for V in (nan_V, huge_V):
+        for V in (nan_V, inf_V, huge_V):
             with pytest.raises(InconsistencyError, match="^flow_exact: "):
                 exp_H(data, V)
+        # in a batch, the refusal names the failing point
+        with pytest.raises(InconsistencyError, match=r"^flow_exact: non-finite input .*max\|V\| = inf.* at point \(1,\)$"):
+            exp_H(data, np.stack([np.ones(n), inf_V]))

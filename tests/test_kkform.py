@@ -6,7 +6,6 @@ import scipy.linalg
 
 from lieorb.kkform import (
     closedness_check,
-    dual_element,
     exactness_verdict,
     fiber_isotropy_check,
     k_orbit_lagrangian_check,
@@ -14,11 +13,10 @@ from lieorb.kkform import (
     kk_gram,
     nondegeneracy_check,
     orbit_point,
-    re_dual_gap,
 )
 from lieorb.liecore import TOL_DECOMP, ConfigurationError, DecompositionError, InconsistencyError, random_element
 from conftest import ALGEBRA_SPECS
-from oracles import killing, killing_matrix_oracle, omega_rank
+from oracles import dual_element, killing, killing_matrix_oracle, omega_rank, re_dual_gap
 
 
 def _pt(ws, key, entries, g=None):

@@ -10,7 +10,7 @@ from conftest import DATA_GRID, cold_data
 from lieorb import parabolic
 from lieorb.liecore import AlgebraSpec, ConfigurationError, InconsistencyError, build_algebra
 from lieorb.parabolic import chamber_sort, hyperbolic_data, nilpotency_index, z_k_coords
-from oracles import grade_projection, nonzeros_of, p_filtration_coords, symmetrized_power_vanishes_bruteforce
+from oracles import dual_element, grade_projection, nonzeros_of, p_filtration_coords, symmetrized_power_vanishes_bruteforce
 
 
 def _planted(alg, i, j, k):
@@ -198,8 +198,6 @@ def test_chamber_preconditions(ws):
 
 
 def test_lambda_covector_roundtrip(ws):
-    from lieorb.kkform import dual_element
-
     data = ws.data("sl3r", (1, 0, -1))
     alg = ws.algebra("sl3r")
     lam = alg.killing_matrix @ alg.coords(data.c)  # B(c, .) in dual coordinates
