@@ -1,4 +1,4 @@
-"""Flow-layer ladder: median times of the flows and of the FD pullback.
+"""Flow-layer ladder: median times of the flows and of the pullback check.
 
     python scripts/bench_flows.py --label after [--src src] [--out BENCH_flows.json]
 
@@ -14,8 +14,10 @@ one call), and of the checks as symplecto-verify makes them at its default
 20 samples: pullback_residual and project_pi on 20 seeded cotangent points
 in one batch and liouville_fd_gap on 4.  commute_s times commute_residual
 on the n(n - 1)/2 pairs of basis vectors of n(c) in one batch, as
-flow-check makes it, and linear_chart_s times linear_chart on the 20 * 2n
-perturbed fiber points of that pullback's witness.  Four rows time the
+flow-check makes it, and linear_chart_s times linear_chart on the 20
+sample points, as pullback_residual's tie to exp_H calls it (passes before
+the label witness_affine timed it on the 20 * 2n perturbed fiber points of
+the pullback's former finite-difference witness).  Four rows time the
 sampled checks from a fresh generator at the default 20 samples:
 checks.check_kk, checks.check_flow (the whole flow-check section) and
 checks.check_symplecto (the whole symplecto-verify section) on a context
@@ -104,8 +106,6 @@ def ladder() -> list[dict]:
                 for _ in range(FD_SAMPLES)
             ]
             g = flows.exp_H(data, V)
-            steps = symplecto.STEP * np.array([1.0, -1.0])[:, None, None] * np.eye(data.n_dim)
-            fiber = np.stack([pt.V for pt in pts])[:, None, None, :] + steps  # the witness's 20 * 2n fiber points
             a, b = np.triu_indices(data.n_dim, 1)
             basis = np.eye(data.n_dim)
             fd, fd_few = batch(pts), batch(pts[: FD_SAMPLES // 5])
@@ -126,7 +126,7 @@ def ladder() -> list[dict]:
                 "check_flow_s": library_check(field, n, entries, "check_flow"),
                 "check_symplecto_s": library_check(field, n, entries, "check_symplecto"),
                 "symplecto_sampling_s": sampling(data, split),
-                "linear_chart_s": lambda: flows.linear_chart(data, fiber),
+                "linear_chart_s": lambda: flows.linear_chart(data, fd.V),
             }
             row = {
                 "algebra": f"sl({n}, {field})",

@@ -205,25 +205,27 @@ def _graded_index(data: HyperbolicData, chamber: tuple[str, ...]) -> int:
     Upper bound: the bracket adds block grades (hyperbolic_data certifies
     that it adds root weights), so ad U raises the block grade by at least 1
     and (ad U)^B = 0 on grades 1 ... B.
-    Lower bound, B >= 3: (sum_i adn[i])^{B-1} != 0 in int64, that is
-    (ad U)^{B-1} at U = (1, ..., 1): 1 (1 + i over C) in every entry of n(c).
-    For X = E_ij joining the adjacent blocks a and a + 1 (by decreasing
-    entry), only the term k = a of binom(B-1, k) (-1)^(B-1-k) U^k X U^(B-1-k)
-    reaches the top block (rows of block 0, columns of block B), and only
-    through U_1, U's part between adjacent blocks: it is
-    +-binom(B-1, a) U_1^a X U_1^(B-1-a), whose every entry there is a positive
-    count (times (1 + i)^(B-1)), so not zero.
+    Lower bound, B >= 3: (ad U)^{B-1} X != 0 in int64 at U = (1, ..., 1):
+    1 (1 + i over C) in every entry of n(c), and X the first V_j of block
+    grade 1, that is one column of (sum_i adn[i])^{B-1}.  For X = E_ij joining
+    the adjacent blocks a and a + 1 (by decreasing entry), only the term k = a
+    of binom(B-1, k) (-1)^(B-1-k) U^k X U^(B-1-k) reaches the top block (rows
+    of block 0, columns of block B), and only through U_1, U's part between
+    adjacent blocks: it is +-binom(B-1, a) U_1^a X U_1^(B-1-a), whose every
+    entry there is a positive count (times (1 + i)^(B-1)), so not zero.
     """
     if not np.array_equal(data.adn, np.rint(data.adn)):
         raise InconsistencyError(f"nilpotency_index: ad(n(c)) is not integral at c = {chamber}")
     B = int(data.block_grades.max())
     if B >= 3:
-        # every entry of every partial sum of the power is at most an entry of
-        # (sum_i |adn[i]|)^(B-1), so this bound, in exact ints, keeps int64 exact
-        row_sum = max(1, int(np.max(np.abs(data.adn).sum(axis=(0, 2)))))
-        if row_sum ** (B - 1) >= 2**62:
-            raise ConfigurationError(f"nilpotency_index: int64 range exceeded at c = {chamber}")
-        if not np.linalg.matrix_power(data.adn.sum(axis=0).astype(np.int64), B - 1).any():
+        ad_U = data.adn.sum(axis=0)
+        row_sum = int(np.abs(ad_U).sum(axis=1).max())  # every partial sum of ad_U x is <= row_sum max|x|
+        column = np.eye(data.n_dim, dtype=np.int64)[np.argmax(data.block_grades == 1)]  # first V_j of grade 1
+        for _ in range(B - 1):
+            if row_sum * int(np.abs(column).max()) >= 2**62:  # so the int64 product is exact
+                raise ConfigurationError(f"nilpotency_index: int64 range exceeded at c = {chamber}")
+            column = ad_U.astype(np.int64) @ column
+        if not column.any():
             raise InconsistencyError(f"nilpotency_index: integer witness (ad U)^{B - 1} vanishes at c = {chamber}")
     return max(1, B - 1)
 

@@ -5,15 +5,17 @@ and V in n(c) encodes the fiber covector eta_V = -B(V, .).  The orbit map is
 
     phi(k, V) = k . exp_H(V) . e_bar,
 
-Since Ad(exp_H(V)) c = c - V, its differentials have exact representatives
-(see pullback_residual); central finite differences at the chart step STEP,
-fiber points from Kostant's linear chart, witness them by an independent
-route.  liouville_fd_gap checks sigma = -d tau by finite differences.  Both
-checks take batches of points.  What they read of the chart frame depends on
-the chamber alone (chart_frame: the Y_i, exp(+-STEP Y_i), the moved Y_j and
-sigma's base-fiber pairing) and is built once per HyperbolicData; per point
-they compute exp_H(V), phi(k, V) and its tangents, and pullback_residual
-returns phi(k, V) with its residual.
+Since Ad(exp_H(V)) c = c - V (N(c) acts simply transitively on c + n(c),
+Kostant), its differentials have exact representatives (see
+pullback_residual), and the same affine identity witnesses them: along a
+fiber direction w moves by a constant, and along a horizontal one a central
+difference at the chart step STEP conjugates w by exp(+-STEP Y_i), with no
+point re-solved and no element inverted.  liouville_fd_gap checks
+sigma = -d tau by finite differences.  Both checks take batches of points.
+What they read of the chart frame depends on the chamber alone (chart_frame:
+the Y_i, exp(+-STEP Y_i), the moved Y_j and sigma's base-fiber pairing) and
+is built once per HyperbolicData; per point they compute exp_H(V), phi(k, V)
+and its tangents, and pullback_residual returns phi(k, V) with its residual.
 
 Frozen sign conventions (fixed once on sl(2, R), asserted everywhere):
   * eta_V = -B(V, .)
@@ -159,10 +161,6 @@ def liouville_fd_gap(data: HyperbolicData, pt: CotangentPoint) -> float:
     return upper_max(_chart_sigma(data, pt) + (dtau - np.swapaxes(dtau, -1, -2)))
 
 
-def _orbit_w(data: HyperbolicData, g: np.ndarray) -> np.ndarray:
-    return g @ data.c @ np.linalg.inv(g)
-
-
 def _check_fd(data: HyperbolicData, pt: CotangentPoint, tol, gaps: np.ndarray) -> None:
     """Raise for the first point, in sample order, and its first chart direction over tol."""
     bad = np.argwhere(gaps > tol[..., None])
@@ -171,7 +169,7 @@ def _check_fd(data: HyperbolicData, pt: CotangentPoint, tol, gaps: np.ndarray) -
         chamber = tuple(str(e) for e in data.c_entries)
         direction = f"horizontal direction {j}" if j < data.n_dim else f"fiber direction {j - data.n_dim}"
         raise DecompositionError(
-            f"pullback_residual: finite-difference tangent disagrees with the exact orbit tangent at c = {chamber}, "
+            f"pullback_residual: tangent witness disagrees with the exact orbit tangent at c = {chamber}, "
             f"max|V| = {np.max(np.abs(pt.V[p])):.3e}, {direction}: tangent gap {gaps[p + (j,)]:.3e} > {tol[p]:.3e}"
         )
 
@@ -181,18 +179,19 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> tuple[float, 
 
     The orbit tangents have exact representatives X, [X, w] = w-dot, at
     w = phi(k, V) = Ad(k n) c with n = exp_H(V): X_i = Ad(k) Y_i along the
-    horizontal directions, and, since Ad(exp_H(V)) c = c - V moves w by
-    -Ad(k) V_b along fiber direction b, X_b = Ad(k n) T^{-1} Ad(n)^{-1} V_b.
-    So phi* Omega is kk_gram(w, X).  The witness is one central difference
-    of w at +-STEP along every chart direction, compared with [X, w]: the
-    horizontal factors exp(+-STEP Y_i) and sigma's pairing block are the
-    chamber's (chart_frame), and the 2 n fiber points of each point go
-    through linear_chart, which n must match to TOL_DECOMP max|n|.  Per point
-    it computes n, the orbit point and X, and returns that orbit point
-    phi(k, V), unvalidated, with the residual.
+    horizontal directions and X_b = Ad(k n) T^{-1} Ad(n)^{-1} V_b along
+    fiber direction b.  So phi* Omega is kk_gram(w, X).  The witness
+    compares [X, w] with the tangents of w, which the affine identity
+    Ad(n) c = c - V gives by another route.  The identity holds for
+    linear_chart(V) by construction, and n must match it to
+    TOL_DECOMP max|n| (the tie gate), which certifies it for n: so along e_b
+    w moves by exactly -Ad(k) V_b.  Along Y_i, w(+-STEP) = A+- w A-+ with
+    A+- = k exp(+-STEP Y_i) k^T from the chamber's factors (chart_frame), one
+    central difference that inverts nothing.  Each tangent must match within
+    1e-5 max(1, |w|).  Per point it computes n, the orbit point and X, and
+    returns that orbit point phi(k, V), unvalidated, with the residual.
     """
     algebra, frame = data.algebra, chart_frame(data)
-    n = data.n_dim
     nV = exp_H(data, pt.V).matrix
     tie = np.max(np.abs(nV - linear_chart(data, pt.V).matrix), axis=(-2, -1))
     limit = TOL_DECOMP * np.max(np.abs(nV), axis=(-2, -1))
@@ -207,11 +206,9 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> tuple[float, 
     fiber_reps = data.n_matrix_of(data.n_coords_of(n_inv @ data.n_basis @ nV) / data.grades)
     X = np.concatenate([k @ frame.Ys @ k.mT, k @ nV @ fiber_reps @ n_inv @ k.mT], axis=-3)
 
-    s = STEP * np.array([1.0, -1.0])
-    horizontal = k[..., None, :, :] @ frame.E @ nV[..., None, :, :]
-    fiber = k[..., None, :, :] @ linear_chart(data, pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)).matrix
-    wfd = _orbit_w(data, np.concatenate([horizontal, fiber], axis=-3))  # [..., +-, direction]
-    tangents = (wfd[..., 0, :, :, :] - wfd[..., 1, :, :, :]) / (2 * STEP)
+    # horizontal: w(+-STEP) = A+- w A-+ with A+- = k exp(+-STEP Y_i) k^T; fiber: exactly -Ad(k) V_b
+    Ap, Am = np.moveaxis(k[..., None, :, :] @ frame.E @ k[..., None, :, :].mT, -4, 0)
+    tangents = np.concatenate([(Ap @ w @ Am - Am @ w @ Ap) / (2 * STEP), -(k @ data.n_basis @ k.mT)], axis=-3)
     gaps = np.max(np.abs(tangents - (X @ w - w @ X)), axis=(-2, -1))
     _check_fd(data, pt, 1e-5 * np.maximum(1.0, np.max(np.abs(pt0.w), axis=(-2, -1))), gaps)
     return upper_max(kk_gram(algebra, pt0.w_coords, algebra.coords(X)) - _chart_sigma(data, pt)), pt0

@@ -135,6 +135,13 @@ def test_nilpotency_index_large_grade_ratio(field, entries):
     assert data.N0 == 1
 
 
+def test_nilpotency_index_past_the_row_sum_bound():
+    # sl(16, R) regular, B = 15: a row-sum bound on the whole power (ad U)^14 refused it,
+    # while the one column the witness needs stays small
+    data = cold_data("R", 16, tuple(15 - 2 * k for k in range(16)))
+    assert data.N0 == 14
+
+
 def test_hyperbolic_data_rejects_bad_brackets(ws):
     alg, rs = ws.algebra("sl3r"), ws.rs("sl3r")
     data = ws.data("sl3r", (1, 0, -1))

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import DATA_GRID
 from lieorb import symplecto
-from lieorb.kkform import kk_eval, orbit_point
+from lieorb.kkform import OrbitPoint, kk_eval, orbit_point
 from lieorb.flows import exp_H
 from lieorb.liecore import (
     ConfigurationError,
@@ -265,54 +267,45 @@ def test_pullback_exact_to_rounding(ws):
         assert pullback_residual(data, CotangentPoint(k, V))[0] <= 1e-12, entries
 
 
-# the one FD witness error, with the input it names: chamber and max|V|
-_FD_V = np.array([1.0, -2.0, 0.5])
-_FD_MISS = (r"pullback_residual: finite-difference tangent disagrees with the exact orbit tangent "
-            r"at c = \('1', '0', '-1'\), max\|V\| = 2\.000e\+00")
+# the one tangent witness error, with the input it names: chamber and max|V|
+_V = np.array([1.0, -2.0, 0.5])
+_TANGENT_MISS = (r"pullback_residual: tangent witness disagrees with the exact orbit tangent "
+                 r"at c = \('1', '0', '-1'\), max\|V\| = 2\.000e\+00")
 
 
-def test_pullback_names_step_adaptation_failure(ws, monkeypatch):
+def test_pullback_names_mis_graded_fiber_tangent(ws, monkeypatch):
+    # X_b built with grades x (1 + 1e-4), while exp_H and the linear chart read the true data
     data = ws.data("sl3r", (1, 0, -1))
-    linear_chart = symplecto.linear_chart
-
-    def kinked(d, V):
-        g = linear_chart(d, V)
-        if np.ndim(V) == 1:
-            return g
-        M = g.matrix.copy()
-        M[0, 1, 0, 2] += 1e-6  # offset +step along fiber direction 1 only
-        return GroupElement(M)
-
-    monkeypatch.setattr(symplecto, "linear_chart", kinked)
-    with pytest.raises(DecompositionError, match=_FD_MISS + r", fiber direction 1: tangent gap \S+ > \S+"):
-        pullback_residual(data, cotangent_point(data, np.eye(3), _FD_V))
+    exp_H, linear_chart = symplecto.exp_H, symplecto.linear_chart
+    monkeypatch.setattr(symplecto, "exp_H", lambda d, V: exp_H(data, V))
+    monkeypatch.setattr(symplecto, "linear_chart", lambda d, V: linear_chart(data, V))
+    bad = dataclasses.replace(data, grades=data.grades * (1.0 + 1e-4))
+    with pytest.raises(DecompositionError, match=_TANGENT_MISS + r", fiber direction 0: tangent gap \S+ > \S+"):
+        pullback_residual(bad, cotangent_point(bad, np.eye(3), _V))
 
 
-def test_pullback_names_orbit_tangent_breakdown(ws, monkeypatch):
+def test_pullback_names_mis_scaled_horizontal_tangent(ws, monkeypatch):
+    # the frame's Y_i doubled in X only: the steps exp(+-STEP Y_i) stay the true ones
     data = ws.data("sl3r", (1, 0, -1))
-    orbit_w = symplecto._orbit_w
-    # a smooth drift along w itself, which no orbit tangent [X, w] has
-    monkeypatch.setattr(symplecto, "_orbit_w", lambda d, g: orbit_w(d, g) * (1.0 + 0.1 * g[..., :1, 1:2]))
-    with pytest.raises(DecompositionError, match=_FD_MISS + r", horizontal direction 0: tangent gap \S+ > \S+"):
-        pullback_residual(data, cotangent_point(data, np.eye(3), _FD_V))
+    frame = chart_frame(data)
+    monkeypatch.setattr(symplecto, "chart_frame", lambda d: frame._replace(Ys=2 * frame.Ys))
+    with pytest.raises(DecompositionError, match=_TANGENT_MISS + r", horizontal direction 0: tangent gap \S+ > \S+"):
+        pullback_residual(data, cotangent_point(data, np.eye(3), _V))
 
 
 def test_pullback_batch_names_first_failing_point(ws, monkeypatch):
+    # w of point 1 only scaled by 1.001: [X_b, w] leaves the fiber tangent -Ad(k) V_b there
     data = ws.data("sl3r", (1, 0, -1))
-    linear_chart = symplecto.linear_chart
+    orbit_point = symplecto.orbit_point
 
-    def kinked(d, V):
-        g = linear_chart(d, V)
-        if np.ndim(V) < 4:
-            return g
-        M = g.matrix.copy()
-        M[1, 0, 1, 0, 2] += 1e-6  # point 1: offset +step along fiber direction 1
-        M[2, 0, 0, 0, 2] += 1e-6  # point 2: offset +step along fiber direction 0
-        return GroupElement(M)
+    def drifted(algebra, c, g, validate=True):
+        on = orbit_point(algebra, c, g, validate=validate)
+        scale = np.where(np.arange(len(g)) == 1, 1.001, 1.0)
+        return OrbitPoint(on.g, scale[:, None, None] * on.w, scale[:, None] * on.w_coords)
 
-    monkeypatch.setattr(symplecto, "linear_chart", kinked)
-    batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_FD_V / 4, _FD_V, 2 * _FD_V]))
-    with pytest.raises(DecompositionError, match=_FD_MISS + r", fiber direction 1: tangent gap \S+ > \S+"):
+    monkeypatch.setattr(symplecto, "orbit_point", drifted)
+    batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_V / 4, _V, 2 * _V]))
+    with pytest.raises(DecompositionError, match=_TANGENT_MISS + r", fiber direction 0: tangent gap \S+ > \S+"):
         pullback_residual(data, batch)
 
 
@@ -328,7 +321,7 @@ def test_pullback_ties_the_flow_to_the_linear_chart(ws, monkeypatch):
         return GroupElement(M)
 
     monkeypatch.setattr(symplecto, "exp_H", drifted)
-    batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_FD_V / 4, _FD_V, 2 * _FD_V]))
+    batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_V / 4, _V, 2 * _V]))
     pattern = (r"pullback_residual: exp_H\(V\) leaves the linear chart at c = \('1', '0', '-1'\), "
                r"max\|V\| = 2\.000e\+00: gap \S+ > \S+ at point \(1,\)")
     with pytest.raises(DecompositionError, match=pattern):
@@ -336,19 +329,16 @@ def test_pullback_ties_the_flow_to_the_linear_chart(ws, monkeypatch):
 
 
 def test_pullback_flows_only_its_sample_points(ws, monkeypatch):
-    # the FD fiber points go through the linear chart: one exp_H, for the sample points
+    # no perturbed point is flowed or charted: one exp_H and one linear_chart, both on the sample points
     data = ws.data("sl3r", (1, 0, -1))
     calls = []
-    exp_H = symplecto.exp_H
-
-    def counted(d, V):
-        calls.append(np.shape(V))
-        return exp_H(d, V)
-
-    monkeypatch.setattr(symplecto, "exp_H", counted)
-    batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_FD_V / 4, _FD_V, 2 * _FD_V]))
+    exp_H, linear_chart = symplecto.exp_H, symplecto.linear_chart
+    monkeypatch.setattr(symplecto, "exp_H", lambda d, V: calls.append(("exp_H", np.shape(V))) or exp_H(d, V))
+    monkeypatch.setattr(symplecto, "linear_chart",
+                        lambda d, V: calls.append(("linear_chart", np.shape(V))) or linear_chart(d, V))
+    batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_V / 4, _V, 2 * _V]))
     pullback_residual(data, batch)
-    assert calls == [(3, 3)]
+    assert calls == [("exp_H", (3, 3)), ("linear_chart", (3, 3))]
 
 
 def test_chart_frame_matches_per_call_formulas(ws):
