@@ -9,7 +9,8 @@ CONFIGS, and the fixture of each config.  A run records its exit code, its
 standard error and its report body (the whole fixture); meta, which holds
 times, is left out.  The script prints one sha256 per side over all runs,
 then every field that differs, and exits 1 if any does.  BLAS runs
-single-threaded, as in the bench ladders.
+single-threaded, as in the bench ladders.  Beside each sha it prints the
+line count of that side's lieorb/*.py, the size that ROADMAP aim 2 tracks.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def main(argv=None) -> int:
     sides = [side(src) for src in srcs]
     for src, runs in zip(srcs, sides):
         digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
-        print(f"{digest}  {len(runs)} runs  {src}")
+        lines = sum(len(path.read_text().splitlines()) for path in Path(src, "lieorb").glob("*.py"))
+        print(f"{digest}  {len(runs)} runs  {lines} lines  {src}")
     diffs = list(differences(*sides))
     for path, left, right in diffs:
         print(f"{path}: {json.dumps(left)} != {json.dumps(right)}")

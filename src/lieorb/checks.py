@@ -38,12 +38,9 @@ def _section_pass(section: dict) -> bool:
 def check_roots(ctx, rng) -> dict:
     rs, cfg = ctx.rs, ctx.config
     alg = ctx.algebra
-    # every root space is spanned by basis vectors: give each basis index its
-    # root's weight (0 on g_0) as one integer code, which adds where weights do
-    W = np.zeros((alg.dim, alg.n), dtype=np.int64)
-    for r in rs.roots:
-        W[r.members] = r.weights
-    weight = weight_code(W)
+    # every root space is spanned by basis vectors: each basis index's weight
+    # (0 on g_0) as one integer code, which adds where weights do
+    weight = weight_code(rs.weights)
     ri = np.flatnonzero(weight)
     # the nonzero c_ijk between root vectors b_i, b_j whose codes do not add to b_k's
     i, j, k, v = alg.nonzeros

@@ -254,9 +254,6 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
         if (resid <= TOL_STRUCT * scale).all():
             kept = (size > cut).any(axis=-1)
             return FlowPolynomial(Ut, f.B, (kept * f.degrees[: deg + 1].reshape((-1,) + (1,) * scale.ndim)).max(axis=0))
-        if m + 1 < f.B:
-            # the cut is no solution: go on from the check's row m, which reads the same U_0 .. U_m
-            U[m + 1] = E[m] / (m + 1)
     worst, limit = _worst(resid, TOL_STRUCT * scale)
     raise InconsistencyError(
         f"flow_exact: flow polynomial fails its defining equation {_where(data, V, U0)}: "

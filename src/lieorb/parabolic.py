@@ -1,11 +1,11 @@
 """Parabolic data for a chamber element c: centralizer, graded nilradical, T, N0.
 
 The eigenbasis V_1, ..., V_n of the nilradical is taken directly from the
-root-space basis vectors (already eigenvectors of ad(c)), ordered by
-increasing eigenvalue and lexicographic root within an eigenvalue.  That
-makes T = ad(c) restricted to n(c) exactly diagonal, and the bracket tensor
-on n(c) exactly the relevant block of the structure constants, read off
-their nonzero entries.
+root-space basis vectors (already eigenvectors of ad(c)), read off the root
+system's per-basis weight table and ordered by increasing eigenvalue and
+basis index within an eigenvalue.  That makes T = ad(c) restricted to n(c)
+exactly diagonal, and the bracket tensor on n(c) exactly the relevant block
+of the structure constants, read off their nonzero entries.
 
 Chamber elements are given by their diagonal entries as exact rationals, so
 wall cases (alpha(c) = 0) are decided exactly rather than at a float
@@ -28,7 +28,7 @@ from .liecore import (
     MatrixLieAlgebra,
     theta_rows,
 )
-from .rootspace import RestrictedRootSystem, positive_system, weight_code
+from .rootspace import RestrictedRootSystem, weight_code
 
 
 def _to_fraction(x) -> Fraction:
@@ -119,34 +119,23 @@ def hyperbolic_data(
         raise ConfigurationError(f"expected {algebra.n} diagonal entries")
     if all(e == 0 for e in entries):
         raise ConfigurationError("chamber element must be nonzero")
-    # alpha(c) for every root, exactly: integer weights against the entries
-    # brought to one common denominator
-    den = math.lcm(*(e.denominator for e in entries))
-    weights = np.stack([root.weights for root in rs.roots]).astype(object)
-    alpha = weights @ np.array([int(e * den) for e in entries], dtype=object)
-    positive = {id(root) for root in positive_system(rs)}
-    if any(a < 0 for root, a in zip(rs.roots, alpha) if id(root) in positive):
+    # alpha(c) for every basis vector, exactly: its integer weights (0 on g_0)
+    # against the entries brought to one common denominator
+    den, W, n = math.lcm(*(e.denominator for e in entries)), rs.weights, algebra.n
+    alpha = W.astype(object) @ np.array([int(e * den) for e in entries], dtype=object)
+    if np.any((W @ np.arange(n - 1, -n, -2) > 0) & (alpha < 0)):
         raise ConfigurationError(
             "element lies outside the closed positive chamber; "
             "sort the entries with chamber_sort first"
         )
 
     c = algebra.element_from_entries(entries)
-    z_idx: list[int] = rs.zero_indices.tolist()
-    graded: list[tuple[Fraction, int, np.ndarray]] = []
-    for root, a in zip(rs.roots, alpha):
-        members = root.members.tolist()
-        if a == 0:
-            z_idx.extend(members)
-        elif a > 0:
-            nu = Fraction(a, den)
-            graded.extend((nu, b, root.weights) for b in members)
-    z_idx.sort()
-    # within an eigenvalue, the fixed basis enumeration orders the roots
-    graded.sort(key=lambda t: (t[0], t[1]))
-    b_indices = tuple(b for (_, b, _) in graded)
-    grades_exact = tuple(nu for (nu, _, _) in graded)
-    W = np.array([w for (_, _, w) in graded], dtype=np.int64)  # the root weights of each V_j
+    z_idx = np.flatnonzero(alpha == 0)
+    # V_j by increasing eigenvalue; within one, the fixed basis enumeration orders them
+    sel = np.flatnonzero(alpha > 0)
+    sel = sel[np.argsort(alpha[sel], kind="stable")]
+    b_indices = tuple(sel.tolist())
+    grades_exact = tuple(Fraction(a, den) for a in alpha[sel])
     n_dim = len(b_indices)
     chamber = tuple(str(e) for e in entries)
     if 2 * n_dim != algebra.dim - len(z_idx):
@@ -154,38 +143,38 @@ def hyperbolic_data(
 
     grades = np.array([float(nu) for nu in grades_exact])
     levels = tuple((float(nu), grades_exact.count(nu)) for nu in sorted(set(grades_exact)))
-    # each entry's rank among the distinct entries, against the root's weights
+    # each entry's rank among the distinct entries, against V_j's weights
     distinct = sorted(set(entries))
-    block_grades = W @ np.array([distinct.index(e) for e in entries])
+    block_grades = W[sel] @ np.array([distinct.index(e) for e in entries])
 
-    n_basis = algebra.basis[list(b_indices)]
-    Th = algebra.theta_matrix
-    nbar_coords = Th[:, list(b_indices)].T + 0.0  # + 0.0: no signed zeros, as from Th @ e_b
+    n_basis = algebra.basis[sel]
+    nbar_coords = algebra.theta_matrix[:, sel].T + 0.0  # + 0.0: no signed zeros, as from Th @ e_b
 
     # ad(V_i) restricted to n(c), adn[i][k, j] = c_{b_i b_j b_k}: an exact
     # block of the structure constants, read off the nonzeros c_{b_i b_j k},
-    # whose k must not leave n(c); -0.0 where b_i > b_j, as in the dense c
-    sel = np.array(b_indices, dtype=int)
+    # whose k must not leave n(c)
     pos = np.full(algebra.dim, -1)
     pos[sel] = np.arange(n_dim)
     i, j, k, v = algebra.nonzeros
     inside = (pos[i] >= 0) & (pos[j] >= 0)
-    if np.any(pos[k[inside]] < 0):
+    i, j, k = pos[i[inside]], pos[j[inside]], pos[k[inside]]
+    if np.any(k < 0):
         raise InconsistencyError(f"bracket of n(c) escapes n(c) at c = {chamber}")
-    adn = np.where(sel[:, None, None] > sel[None, None, :], -0.0, np.zeros((n_dim, n_dim, n_dim)))
-    adn[pos[i[inside]], pos[k[inside]], pos[j[inside]]] = v[inside]
-    # the bracket adds root weights: adn[i][k, j] != 0 only where code_k =
+    # the bracket adds root weights: c_{b_i b_j b_k} != 0 only where code_k =
     # code_i + code_j.  nu_j and the block grade are linear in the weights,
     # so the bracket adds both gradings
-    code = weight_code(W)
-    if np.any((adn != 0) & (code[None, :, None] != code[:, None, None] + code[None, None, :])):
+    code = weight_code(W[sel])
+    if np.any(code[k] != code[i] + code[j]):
         raise InconsistencyError(f"bracket violates the root-weight grading at c = {chamber}")
+    adn = np.zeros((n_dim, n_dim, n_dim))
+    adn.transpose(0, 2, 1)[sel[:, None] > sel] = -0.0  # as in the dense c
+    adn[i, k, j] = v[inside]
 
     data = HyperbolicData(
         algebra=algebra,
         c_entries=entries,
         c=c,
-        z_indices=tuple(z_idx),
+        z_indices=tuple(z_idx.tolist()),
         b_indices=b_indices,
         n_basis=n_basis,
         nbar_coords=nbar_coords,
@@ -214,7 +203,8 @@ def _graded_index(data: HyperbolicData, chamber: tuple[str, ...]) -> int:
     adjacent blocks: it is +-binom(B-1, a) U_1^a X U_1^(B-1-a), whose every
     entry there is a positive count (times (1 + i)^(B-1)), so not zero.
     """
-    if not np.array_equal(data.adn, np.rint(data.adn)):
+    nonzero = data.adn[data.adn.nonzero()]  # the signed zeros are integral
+    if not np.array_equal(nonzero, np.rint(nonzero)):
         raise InconsistencyError(f"nilpotency_index: ad(n(c)) is not integral at c = {chamber}")
     B = int(data.block_grades.max())
     if B >= 3:

@@ -18,7 +18,8 @@ test is needed, and no float tolerance decides any membership.
 Roots are stored twice: as float values on the orthonormalized a-basis
 (`functional`, used for lexicographic ordering) and as the integer vector of
 diagonal-entry coefficients (`weights`, used for exact evaluation on rational
-chamber elements).
+chamber elements).  The system also keeps the per-basis table those are read
+off (`RestrictedRootSystem.weights`): row b is w_b, zero on g_0.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class RestrictedRootSystem:
     algebra: MatrixLieAlgebra
     a_coords: np.ndarray     # orthonormal for <.,.>, shape (r, dim)
     a_basis: np.ndarray      # (r, d, d)
+    weights: np.ndarray      # read-only (dim, n) int64: row b is the weight of basis vector b, 0 on g_0
     roots: list[RestrictedRoot]
     zero_indices: np.ndarray  # algebra basis indices spanning g_0 = m + a
     m_coords: np.ndarray      # basis of m, the k-part of g_0 (may be empty)
@@ -97,6 +99,7 @@ def restricted_roots(algebra: MatrixLieAlgebra, a_elements: np.ndarray) -> Restr
     a_coords, a_basis = _orthonormalize(algebra, np.asarray(a_elements, dtype=float))
     # every basis vector's integer weight: zero on g_0, equal weights share a root space
     W = _integer_weights(algebra, algebra.basis)
+    W.setflags(write=False)
     in_root = W.any(axis=1)
     root_idx = np.flatnonzero(in_root)
     weights, owner = np.unique(W[root_idx], axis=0, return_inverse=True)
@@ -123,7 +126,7 @@ def restricted_roots(algebra: MatrixLieAlgebra, a_elements: np.ndarray) -> Restr
     zero_indices = np.flatnonzero(~in_root)
     # m is the theta-fixed part of g_0 (g_0 is theta-stable)
     rs = RestrictedRootSystem(
-        algebra, a_coords, a_basis, roots, zero_indices, theta_rows(algebra, zero_indices, 1)
+        algebra, a_coords, a_basis, W, roots, zero_indices, theta_rows(algebra, zero_indices, 1)
     )
     _check_bookkeeping(rs)
     return rs
@@ -151,7 +154,7 @@ def _integer_weights(algebra: MatrixLieAlgebra, X: np.ndarray) -> np.ndarray:
     wi = np.rint(w)
     if np.any(np.abs(w - wi) > 1e-9) or np.max(np.abs(C - wi[:, :, None, None] * X)) > TOL_DECOMP:
         raise InconsistencyError("root vector is not a diagonal weight vector")
-    return wi.astype(int)
+    return wi.astype(np.int64)
 
 
 def weight_code(W: np.ndarray) -> np.ndarray:

@@ -531,6 +531,89 @@ def negative_of(rs, root):
     raise AssertionError("root system is not symmetric")
 
 
+def hyperbolic_data_per_root(algebra, rs, c_entries):
+    """parabolic.hyperbolic_data built root by root from rs.roots, with dense n(c)^3 masks.
+
+    Each root's alpha(c) decides its members: z(c) on a wall, n(c) above it,
+    with the chamber refused where a root of positive_system is negative; the
+    V_j are sorted by (grade, basis index).  The bracket refusals read the
+    filled adn block against weight codes broadcast over all (i, k, j).
+    """
+    import math
+    from fractions import Fraction
+
+    from lieorb.liecore import ConfigurationError, InconsistencyError
+    from lieorb.parabolic import HyperbolicData, _to_fraction, nilpotency_index
+    from lieorb.rootspace import positive_system, weight_code
+
+    if algebra.spec != rs.algebra.spec:
+        raise ConfigurationError(f"hyperbolic_data: algebra {algebra.spec} is not the root system's {rs.algebra.spec}")
+    entries = tuple(_to_fraction(e) for e in c_entries)
+    if len(entries) != algebra.n:
+        raise ConfigurationError(f"expected {algebra.n} diagonal entries")
+    if all(e == 0 for e in entries):
+        raise ConfigurationError("chamber element must be nonzero")
+    den = math.lcm(*(e.denominator for e in entries))
+    weights = np.stack([root.weights for root in rs.roots]).astype(object)
+    alpha = weights @ np.array([int(e * den) for e in entries], dtype=object)
+    positive = {id(root) for root in positive_system(rs)}
+    if any(a < 0 for root, a in zip(rs.roots, alpha) if id(root) in positive):
+        raise ConfigurationError(
+            "element lies outside the closed positive chamber; "
+            "sort the entries with chamber_sort first"
+        )
+
+    c = algebra.element_from_entries(entries)
+    z_idx = rs.zero_indices.tolist()
+    graded = []
+    for root, a in zip(rs.roots, alpha):
+        members = root.members.tolist()
+        if a == 0:
+            z_idx.extend(members)
+        elif a > 0:
+            graded.extend((Fraction(a, den), b, root.weights) for b in members)
+    z_idx.sort()
+    graded.sort(key=lambda t: (t[0], t[1]))
+    b_indices = tuple(b for (_, b, _) in graded)
+    grades_exact = tuple(nu for (nu, _, _) in graded)
+    W = np.array([w for (_, _, w) in graded], dtype=np.int64)
+    n_dim = len(b_indices)
+    chamber = tuple(str(e) for e in entries)
+    if 2 * n_dim != algebra.dim - len(z_idx):
+        raise InconsistencyError(f"n(c) does not have half the dimension of g/z(c) at c = {chamber}")
+
+    distinct = sorted(set(entries))
+    sel = np.array(b_indices, dtype=int)
+    pos = np.full(algebra.dim, -1)
+    pos[sel] = np.arange(n_dim)
+    i, j, k, v = algebra.nonzeros
+    inside = (pos[i] >= 0) & (pos[j] >= 0)
+    if np.any(pos[k[inside]] < 0):
+        raise InconsistencyError(f"bracket of n(c) escapes n(c) at c = {chamber}")
+    adn = np.where(sel[:, None, None] > sel[None, None, :], -0.0, np.zeros((n_dim, n_dim, n_dim)))
+    adn[pos[i[inside]], pos[k[inside]], pos[j[inside]]] = v[inside]
+    code = weight_code(W)
+    if np.any((adn != 0) & (code[None, :, None] != code[:, None, None] + code[None, None, :])):
+        raise InconsistencyError(f"bracket violates the root-weight grading at c = {chamber}")
+
+    data = HyperbolicData(
+        algebra=algebra,
+        c_entries=entries,
+        c=c,
+        z_indices=tuple(z_idx),
+        b_indices=b_indices,
+        n_basis=algebra.basis[list(b_indices)],
+        nbar_coords=algebra.theta_matrix[:, list(b_indices)].T + 0.0,
+        grades=np.array([float(nu) for nu in grades_exact]),
+        grades_exact=grades_exact,
+        levels=tuple((float(nu), grades_exact.count(nu)) for nu in sorted(set(grades_exact))),
+        block_grades=W @ np.array([distinct.index(e) for e in entries]),
+    )
+    data.adn = adn
+    data.N0 = nilpotency_index(data)
+    return data
+
+
 # -- scalar evaluations of the cotangent model, for hand-computed values -------
 
 

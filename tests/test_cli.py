@@ -115,9 +115,9 @@ def test_root_masks_see_planted_weight_fault():
     cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 3, "field": "R"}, c=[1, 0, -1], checks=["roots"]))
     ctx = cli._Context(cfg)
     assert checks.check_roots(ctx, np.random.default_rng(0))["pass"]
-    roots = list(ctx.rs.roots)
-    roots[0] = dataclasses.replace(roots[0], weights=2 * roots[0].weights)  # a weight no root space carries
-    ctx.rs = dataclasses.replace(ctx.rs, roots=roots)
+    W = ctx.rs.weights.copy()
+    W[ctx.rs.roots[0].members] *= 2  # a weight no root space carries
+    ctx.rs = dataclasses.replace(ctx.rs, weights=W)
     section = checks.check_roots(ctx, np.random.default_rng(0))
     assert section["bracket_grading"]["value"] >= 1.0 and section["theta_pairing"]["value"] >= 1.0
     assert not section["bracket_grading"]["pass"] and not section["theta_pairing"]["pass"]
@@ -132,11 +132,10 @@ def test_bracket_grading_matches_the_dense_block(field):
     ctx = cli._Context(cfg)
     alg, rs = ctx.algebra, ctx.rs
     for r in range(-1, len(rs.roots)):
-        roots = [dataclasses.replace(x, weights=2 * x.weights) if q == r else x for q, x in enumerate(rs.roots)]
-        ctx.rs = dataclasses.replace(rs, roots=roots)
-        W = np.zeros((alg.dim, alg.n), dtype=np.int64)
-        for x in roots:
-            W[x.members] = x.weights
+        W = rs.weights.copy()
+        if r >= 0:
+            W[rs.roots[r].members] *= 2
+        ctx.rs = dataclasses.replace(rs, weights=W)
         weight = weight_code(W)
         ri = np.flatnonzero(weight)
         outside = weight != weight[ri, None, None] + weight[ri, None]
@@ -496,7 +495,7 @@ def test_warm_cache_reports_match_cold(tmp_path, capsys, n, field, c):
 
 
 @pytest.mark.parametrize("part", ["algebra.structure", "algebra.nonzeros.0", "algebra.nonzeros.1", "algebra.nonzeros.2",
-                                  "algebra.nonzeros.3", "algebra.basis", "split.k_coords", "rs.a_coords", "data.adn",
+                                  "algebra.nonzeros.3", "algebra.basis", "split.k_coords", "rs.a_coords", "rs.weights", "data.adn",
                                   "data.block_grades"])
 def test_cached_structure_is_read_only(part):
     ctx = cli._Context(cli.parse_config(_cached_config(3, "R", [2, 0, -2])))
@@ -524,8 +523,9 @@ def test_planted_fault_stays_in_its_context():
     cfg = cli.parse_config(_cached_config(3, "R", [2, 0, -2], checks=["roots", "parabolic"]))
     ctx = cli._Context(cfg)
     rs, data = ctx.rs, ctx.data
-    ctx.rs = dataclasses.replace(rs, roots=[dataclasses.replace(rs.roots[0], weights=2 * rs.roots[0].weights)]
-                                 + rs.roots[1:])
+    W = rs.weights.copy()
+    W[rs.roots[0].members] *= 2
+    ctx.rs = dataclasses.replace(rs, weights=W)
     ctx.data = dataclasses.replace(data, grades=2 * data.grades)
     assert not checks.check_roots(ctx, np.random.default_rng(0))["pass"]
     fresh = cli._Context(cfg)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from conftest import DATA_GRID, cold_data
 from lieorb import parabolic
 from lieorb.liecore import AlgebraSpec, ConfigurationError, InconsistencyError, build_algebra
 from lieorb.parabolic import chamber_sort, hyperbolic_data, nilpotency_index, z_k_coords
-from oracles import dual_element, grade_projection, nonzeros_of, p_filtration_coords, symmetrized_power_vanishes_bruteforce
+from oracles import dual_element, grade_projection, hyperbolic_data_per_root, nonzeros_of, p_filtration_coords
+from oracles import symmetrized_power_vanishes_bruteforce
 
 
 def _planted(alg, i, j, k):
@@ -163,11 +165,14 @@ def test_hyperbolic_data_errors_name_the_chamber(ws):
         bad = _planted(alg, b12, b13, target)
         with pytest.raises(InconsistencyError, match=f"{message}.* {at}"):
             hyperbolic_data(bad, rs, (1, 0, -1))
-    # without the root spaces of +-(e1 - e2), n(c) and its opposite miss two dimensions of g/z(c)
-    kept = [r for r in rs.roots if abs(r.weights[2]) == 1]
-    assert len(kept) == len(rs.roots) - 2
+    # with the row of E12 in the table flipped to -(e1 - e2), off the positive system, n(c) and its
+    # opposite miss two dimensions of g/z(c)
+    flipped = [b for b in range(alg.dim) if rs.weights[b].tolist() == [1, -1, 0]]
+    assert flipped == [b12]
+    W = rs.weights.copy()
+    W[b12] *= -1
     with pytest.raises(InconsistencyError, match=f"half the dimension of g/z\\(c\\) {at}"):
-        hyperbolic_data(alg, dataclasses.replace(rs, roots=kept), (1, 0, -1))
+        hyperbolic_data(alg, dataclasses.replace(rs, weights=W), (1, 0, -1))
 
 
 @pytest.mark.parametrize("key, entries", DATA_GRID)
@@ -177,6 +182,47 @@ def test_adn_is_the_dense_block_byte_for_byte(ws, key, entries):
     sel = list(data.b_indices)
     block = alg.structure[np.ix_(sel, sel)][:, :, sel].transpose(0, 2, 1)
     assert data.adn.tobytes() == np.ascontiguousarray(block).tobytes()
+
+
+def _outcome(build, alg, rs, entries):
+    """What build makes of the chamber: its HyperbolicData's fields, byte for byte, or its refusal."""
+    try:
+        d = build(alg, rs, entries)
+    except (ConfigurationError, InconsistencyError) as exc:
+        return type(exc), str(exc)
+    return (d.z_indices, d.b_indices, d.grades_exact, d.levels, d.block_grades.dtype, d.block_grades.tobytes(),
+            d.adn.shape, d.adn.tobytes(), d.N0)
+
+
+def _chamber_sweep(n, rng, count):
+    """count seeded traceless rational chambers, walls and repeated entries among them; every other one sorted."""
+    out = []
+    for q in range(count):
+        head = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(-3, 4, n - 1), rng.choice([1, 2, 3], n - 1))]
+        entries = (*head, -sum(head))
+        out.append(chamber_sort(entries) if q % 2 else entries)
+    return out
+
+
+def test_hyperbolic_data_matches_the_per_root_reference(ws):
+    """Read off the weight table, hyperbolic_data builds what the per-root construction builds, byte for
+    byte, and refuses what it refuses with the same error: on DATA_GRID, on a seeded sweep of sorted and
+    unsorted chambers, and on the planted bracket faults."""
+    rng = np.random.default_rng(32)
+    cases = [(ws.algebra(key), ws.rs(key), entries) for key, entries in DATA_GRID]
+    for key in ("sl2r", "sl3r", "sl4r", "sl5r", "sl2c", "sl3c", "sl4c"):
+        alg, rs = ws.algebra(key), ws.rs(key)
+        cases += [(alg, rs, entries) for entries in _chamber_sweep(alg.n, rng, 12)]
+    alg, rs = ws.algebra("sl3r"), ws.rs("sl3r")
+    data = ws.data("sl3r", (1, 0, -1))
+    b12, _, b13 = data.b_indices
+    cases += [(_planted(alg, b12, b13, target), rs, (1, 0, -1)) for target in (data.z_indices[0], b13)]
+    refused = 0
+    for alg, rs, entries in cases:
+        want = _outcome(hyperbolic_data_per_root, alg, rs, entries)
+        assert _outcome(hyperbolic_data, alg, rs, entries) == want, (alg.spec, entries)
+        refused += isinstance(want[0], type)
+    assert 2 < refused < len(cases) - len(DATA_GRID)
 
 
 @pytest.mark.parametrize("n", [3, 4])

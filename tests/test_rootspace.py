@@ -67,6 +67,22 @@ def test_roots_sl3(ws):
     assert all(r.multiplicity == 1 for r in rs.roots)
 
 
+@pytest.mark.parametrize("key", ALGEBRA_SPECS)
+def test_weight_table_agrees_with_the_roots(ws, key):
+    """rs.weights holds each root's weights on its members, 0 on g_0, and each nonzero row in one root."""
+    rs = ws.rs(key)
+    W = rs.weights
+    assert W.dtype == np.int64 and W.shape == (rs.algebra.dim, rs.algebra.n) and not W.flags.writeable
+    owners = np.zeros(rs.algebra.dim, dtype=int)
+    for r in rs.roots:
+        assert np.all(W[r.members] == r.weights), r.weights
+        owners[r.members] += 1
+    assert not W[rs.zero_indices].any()
+    nonzero = W.any(axis=1)
+    assert nonzero.sum() == rs.algebra.dim - len(rs.zero_indices)
+    assert np.all(owners[nonzero] == 1) and not owners[~nonzero].any()
+
+
 def test_roots_sl3_eigen_oracle(ws):
     # brute-force eigen-decomposition of ad(diag(2,1,-3)) matches the weights
     alg, rs = ws.algebra("sl3r"), ws.rs("sl3r")
