@@ -37,6 +37,7 @@ CONFIGS = {
     "sl(5, R) G < p": ("R", [3, 3, 0, -2, -4]),
     "sl(4, R) spread": ("R", [1000, 1, 0, -1001]),
     "sl(3, R) small c": ("R", ["1/1000", "0", "-1/1000"]),
+    "sl(5, R) small c": ("R", ["4/1000", "2/1000", "0", "-2/1000", "-4/1000"]),
     "sl(3, C) imaginary c": ("C", [{"im": 1}, 0, {"im": -1}]),
 }
 

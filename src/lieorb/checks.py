@@ -221,7 +221,7 @@ def check_arnold(ctx, rng) -> dict:
         "re_omega_scale_gap": _res(scale_gap, cfg.tol("decomposition") * 100),
         "symplecto": sympl,
     }
-    out["pass"] = _section_pass(out) and sympl["pass"]
+    out["pass"] = _section_pass(out)
     return out
 
 

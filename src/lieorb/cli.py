@@ -134,7 +134,7 @@ def parse_config(d: dict) -> RunConfig:
     if not isinstance(checks, (list, tuple)) or not checks:
         raise ConfigurationError("checks must be a non-empty list")
     for c in checks:
-        if c not in ALL_CHECKS and c != "fixture":
+        if c not in ALL_CHECKS:
             raise ConfigurationError(f"unknown check {c!r}")
     tols = d.get("tolerances", {})
     if not isinstance(tols, dict):
@@ -232,8 +232,6 @@ def run(config: RunConfig) -> dict:
     ctx = _Context(config)
     checks = {}
     for name in config.checks:
-        if name == "fixture":
-            continue
         rng = np.random.default_rng(config.seed + sum(map(ord, name)))
         checks[name] = CHECK_FUNCS[name](ctx, rng)
     body = {

@@ -65,12 +65,6 @@ def _poly_eval(P: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def _worst(value: np.ndarray, limit: np.ndarray) -> tuple[float, float]:
-    """The per-point value that most exceeds its limit, with that limit."""
-    i = np.unravel_index(np.argmax(value / limit), np.shape(value))
-    return float(value[i]), float(limit[i])
-
-
 # -- the field ---------------------------------------------------------------
 
 
@@ -178,12 +172,6 @@ def _hv_series(data: HyperbolicData, V: np.ndarray, U: np.ndarray, deg: int) -> 
     return _HvSeries(data, V, U, deg + 1).fill(U, deg)
 
 
-def _where(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> str:
-    """The input of a flow, for error messages."""
-    chamber = tuple(str(e) for e in data.c_entries)
-    return f"at c = {chamber}, max|V| = {np.max(np.abs(V)):.3e}, max|U0| = {np.max(np.abs(U0)):.3e}"
-
-
 @dataclass(frozen=True, eq=False)
 class FlowPolynomial:
     """Integral curve U(t) = sum_m coeffs[m] t^m of h_V, exact in t, of degree <= degree_bound;
@@ -224,7 +212,7 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
         V, U0 = np.broadcast_arrays(V, U0)
     scale = 1.0 + np.abs(V).max(axis=-1) + np.abs(U0).max(axis=-1)
     # an inf scale would pass every cut and limit below
-    raise_first(~np.isfinite(scale), lambda i: f"flow_exact: non-finite input {_where(data, V[i], U0[i])}",
+    raise_first(~np.isfinite(scale), lambda i: f"flow_exact: non-finite input {data.where(V[i], U0[i])}",
                 InconsistencyError)
     cut, f = 1e-12 * scale[..., None], _kernel_frame(data)
     U = np.zeros((f.B + 1,) + U0.shape)
@@ -242,23 +230,23 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
         # an exact-zero factor, so the check stops there
         deg, size = Ut.shape[0] - 1, np.abs(Ut)
         above = np.where(f.above[: deg + 1, None], size.reshape(deg + 1, -1, data.n_dim), 0.0)
-        if above.any():
-            k, p, j = np.unravel_index(np.argmax(above), above.shape)
-            raise InconsistencyError(
-                f"flow_exact: flow polynomial leaves the block grading {_where(data, V, U0)}: "
-                f"|t^{k} coefficient| {above[k, p, j]:.3e} in coordinate {j} of block grade {data.block_grades[j]}"
-            )
+        if above.any():  # a fault of the kernel; per point, on axes (..., degree, coordinate)
+            above = np.moveaxis(above.reshape(size.shape), 0, -2)
+
+            def leaves(i):
+                k, j = np.unravel_index(np.argmax(above[i]), above[i].shape)
+                return (f"flow_exact: flow polynomial leaves the block grading {data.where(V[i], U0[i])}: |t^{k} "
+                        f"coefficient| {above[i][k, j]:.3e} in coordinate {j} of block grade {data.block_grades[j]}")
+
+            raise_first(above.any(axis=(-2, -1)), leaves, InconsistencyError)
         E = _hv_series(data, V, Ut, f.B - 1)
         E[:deg] -= _poly_deriv(Ut)[:deg]
-        resid = np.abs(E).max(axis=(0, -1))
-        if (resid <= TOL_STRUCT * scale).all():
+        resid, limit = np.abs(E).max(axis=(0, -1)), TOL_STRUCT * scale
+        if (resid <= limit).all():
             kept = (size > cut).any(axis=-1)
             return FlowPolynomial(Ut, f.B, (kept * f.degrees[: deg + 1].reshape((-1,) + (1,) * scale.ndim)).max(axis=0))
-    worst, limit = _worst(resid, TOL_STRUCT * scale)
-    raise InconsistencyError(
-        f"flow_exact: flow polynomial fails its defining equation {_where(data, V, U0)}: "
-        f"residual {worst:.3e} > {limit:.3e}"
-    )
+    raise_first(~(resid <= limit), lambda i: f"flow_exact: flow polynomial fails its defining equation "
+                f"{data.where(V[i], U0[i])}: residual {resid[i]:.3e} > {limit[i]:.3e}", InconsistencyError)
 
 
 @functools.cache
@@ -328,9 +316,9 @@ def flow_numeric(data: HyperbolicData, V: np.ndarray, U0: np.ndarray, t) -> np.n
     for j in np.flatnonzero(~(gaps <= tols).all(axis=0) | ~(halving < limit))[:1]:  # the first failing time
         q = int(np.argmin(gaps[:, j] <= tols[:, j]))  # the first of the time's steps that did not settle, if any
         if not gaps[q, j] <= tols[q, j]:
-            raise DecompositionError(f"flow_numeric: collocation stages failed to settle {_where(data, V, U0)}, "
+            raise DecompositionError(f"flow_numeric: collocation stages failed to settle {data.where(V, U0)}, "
                                      f"t = {h[2 * j]:g}: stage gap {gaps[q, j]:.3e} > {tols[q, j]:.3e}")
-        raise DecompositionError(f"flow_numeric: collocation self-check failed {_where(data, V, U0)}, "
+        raise DecompositionError(f"flow_numeric: collocation self-check failed {data.where(V, U0)}, "
                                  f"t = {h[2 * j]:g}: step-halving gap {halving[j]:.3e} >= {limit[j]:.3e}")
     out.reshape((-1,) + U0.shape)[live] = fine
     return out
@@ -379,10 +367,8 @@ def invert_exp_H(data: HyperbolicData, g) -> np.ndarray:
     v = data.n_coords_of(D)
     outside = np.abs(D - data.n_matrix_of(v)).max(axis=(-2, -1))
     bad = ~(outside <= 1e-8 * np.maximum(1.0, np.abs(v).max(axis=-1)))  # a NaN is outside too
-    try:
-        raise_first(bad, lambda i: f"element has a component outside n(c) ({outside[i]:.2e})", ValueError)
-    except ValueError as exc:
-        raise ValueError("input does not lie in N(c) = I + n(c)") from exc
+    raise_first(bad, lambda i: f"invert_exp_H: input does not lie in N(c) = I + n(c): component outside n(c) "
+                f"({outside[i]:.2e})", ValueError)
     return data.n_coords_of(data.c - M @ data.c @ np.linalg.inv(M))
 
 
@@ -406,7 +392,6 @@ def linear_chart(data: HyperbolicData, V: np.ndarray) -> GroupElement:
     limit = TOL_DECOMP * np.max(np.abs(n), axis=(-2, -1)) * (np.max(np.abs(c)) + np.max(np.abs(V), axis=-1))
     raise_first(
         ~(resid <= limit),
-        lambda i: f"linear_chart: n c = (c - V) n fails at c = {tuple(map(str, data.c_entries))}, "
-        f"max|V| = {np.max(np.abs(V[i])):.3e}: residual {resid[i]:.3e} > {limit[i]:.3e}",
+        lambda i: f"linear_chart: n c = (c - V) n fails {data.where(V[i])}: residual {resid[i]:.3e} > {limit[i]:.3e}",
     )
     return GroupElement(n)

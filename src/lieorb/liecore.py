@@ -510,17 +510,17 @@ def iwasawa_decompose(algebra: MatrixLieAlgebra, g) -> tuple[GroupElement, Group
     hadamard = np.prod(np.linalg.norm(Z, axis=-2), axis=-1)
     raise_first(
         np.abs(det - 1.0) > TOL_DECOMP + 8 * algebra.d * np.finfo(float).eps * hadamard,
-        lambda i: f"input is not special (det = {complex(det[i])})",
+        lambda i: f"iwasawa_decompose: input is not special (det = {complex(det[i])})",
     )
     q, r = positive_qr(Z)
     avec = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    raise_first(np.min(avec, axis=-1) < 1e-12, lambda i: "singular input")
+    raise_first(np.min(avec, axis=-1) < 1e-12, lambda i: "iwasawa_decompose: singular input")
     kmat = embed(q)
     amat = embed(avec[..., None] * np.eye(algebra.n))
     nmat = embed(r / avec[..., :, None])
     resid = np.max(np.abs(kmat @ amat @ nmat - G), axis=(-2, -1))
     limit = TOL_DECOMP * np.maximum(1.0, np.max(np.abs(G), axis=(-2, -1)))
-    raise_first(resid > limit, lambda i: f"Iwasawa reconstruction residual {resid[i]:.3e}")
+    raise_first(resid > limit, lambda i: f"iwasawa_decompose: reconstruction residual {resid[i]:.3e}")
     return GroupElement(kmat), GroupElement(amat), GroupElement(nmat)
 
 

@@ -26,6 +26,7 @@ from .liecore import (
     ConfigurationError,
     InconsistencyError,
     MatrixLieAlgebra,
+    raise_first,
     theta_rows,
 )
 from .rootspace import RestrictedRootSystem, weight_code
@@ -42,6 +43,15 @@ def _to_fraction(x) -> Fraction:
 def chamber_sort(entries: Sequence) -> tuple[Fraction, ...]:
     """Sort diagonal entries into the closed positive chamber (non-increasing)."""
     return tuple(sorted((_to_fraction(e) for e in entries), reverse=True))
+
+
+def _input_at(entries: Sequence, V=None, U0=None) -> str:
+    """The input of a gate, for its error message: the chamber, then max|V| and max|U0| where given."""
+    text = f"at c = {tuple(str(e) for e in entries)}"
+    for name, x in (("V", V), ("U0", U0)):
+        if x is not None:
+            text += f", max|{name}| = {np.max(np.abs(x)):.3e}"
+    return text
 
 
 @dataclass
@@ -67,6 +77,10 @@ class HyperbolicData:
     @property
     def n_dim(self) -> int:
         return len(self.b_indices)
+
+    def where(self, V=None, U0=None) -> str:
+        """The input a failing gate names: "at c = (...)[, max|V| = ...][, max|U0| = ...]"."""
+        return _input_at(self.c_entries, V, U0)
 
     @functools.cached_property
     def _positions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -137,9 +151,9 @@ def hyperbolic_data(
     b_indices = tuple(sel.tolist())
     grades_exact = tuple(Fraction(a, den) for a in alpha[sel])
     n_dim = len(b_indices)
-    chamber = tuple(str(e) for e in entries)
+    where = _input_at(entries)
     if 2 * n_dim != algebra.dim - len(z_idx):
-        raise InconsistencyError(f"n(c) does not have half the dimension of g/z(c) at c = {chamber}")
+        raise InconsistencyError(f"n(c) does not have half the dimension of g/z(c) {where}")
 
     grades = np.array([float(nu) for nu in grades_exact])
     levels = tuple((float(nu), grades_exact.count(nu)) for nu in sorted(set(grades_exact)))
@@ -159,13 +173,13 @@ def hyperbolic_data(
     inside = (pos[i] >= 0) & (pos[j] >= 0)
     i, j, k = pos[i[inside]], pos[j[inside]], pos[k[inside]]
     if np.any(k < 0):
-        raise InconsistencyError(f"bracket of n(c) escapes n(c) at c = {chamber}")
+        raise InconsistencyError(f"bracket of n(c) escapes n(c) {where}")
     # the bracket adds root weights: c_{b_i b_j b_k} != 0 only where code_k =
     # code_i + code_j.  nu_j and the block grade are linear in the weights,
     # so the bracket adds both gradings
     code = weight_code(W[sel])
     if np.any(code[k] != code[i] + code[j]):
-        raise InconsistencyError(f"bracket violates the root-weight grading at c = {chamber}")
+        raise InconsistencyError(f"bracket violates the root-weight grading {where}")
     adn = np.zeros((n_dim, n_dim, n_dim))
     adn.transpose(0, 2, 1)[sel[:, None] > sel] = -0.0  # as in the dense c
     adn[i, k, j] = v[inside]
@@ -188,7 +202,7 @@ def hyperbolic_data(
     return data
 
 
-def _graded_index(data: HyperbolicData, chamber: tuple[str, ...]) -> int:
+def _graded_index(data: HyperbolicData) -> int:
     """N0 = max(1, B - 1) for the top block grade B = s - 1 (s distinct entries of c), certified in integers.
 
     Upper bound: the bracket adds block grades (hyperbolic_data certifies
@@ -205,7 +219,7 @@ def _graded_index(data: HyperbolicData, chamber: tuple[str, ...]) -> int:
     """
     nonzero = data.adn[data.adn.nonzero()]  # the signed zeros are integral
     if not np.array_equal(nonzero, np.rint(nonzero)):
-        raise InconsistencyError(f"nilpotency_index: ad(n(c)) is not integral at c = {chamber}")
+        raise InconsistencyError(f"nilpotency_index: ad(n(c)) is not integral {data.where()}")
     B = int(data.block_grades.max())
     if B >= 3:
         ad_U = data.adn.sum(axis=0)
@@ -213,10 +227,10 @@ def _graded_index(data: HyperbolicData, chamber: tuple[str, ...]) -> int:
         column = np.eye(data.n_dim, dtype=np.int64)[np.argmax(data.block_grades == 1)]  # first V_j of grade 1
         for _ in range(B - 1):
             if row_sum * int(np.abs(column).max()) >= 2**62:  # so the int64 product is exact
-                raise ConfigurationError(f"nilpotency_index: int64 range exceeded at c = {chamber}")
+                raise ConfigurationError(f"nilpotency_index: int64 range exceeded {data.where()}")
             column = ad_U.astype(np.int64) @ column
         if not column.any():
-            raise InconsistencyError(f"nilpotency_index: integer witness (ad U)^{B - 1} vanishes at c = {chamber}")
+            raise InconsistencyError(f"nilpotency_index: integer witness (ad U)^{B - 1} vanishes {data.where()}")
     return max(1, B - 1)
 
 
@@ -230,25 +244,20 @@ def nilpotency_index(data: HyperbolicData) -> int:
     U: (ad U)^{N0+1} vanishes on every sample and, for N0 > 1, (ad U)^{N0}
     does not vanish on all of them, both judged against |ad U|^power.
     """
-    chamber = tuple(str(e) for e in data.c_entries)
-    n0 = _graded_index(data, chamber)
-    # all samples in one draw, one row each
-    U = np.random.default_rng(20240801).standard_normal((NILPOTENCY_SAMPLES, data.n_dim))
-    A = np.einsum("si,ikj->skj", U, data.adn)
+    n0, n = _graded_index(data), data.n_dim
+    # all samples in one draw, one row each; every ad U in one BLAS product, as the flow kernel forms it
+    U = np.random.default_rng(20240801).standard_normal((NILPOTENCY_SAMPLES, n))
+    A = (U @ data.adn.reshape(n, -1)).reshape(-1, n, n)
     top = np.max(np.abs(A), axis=(1, 2))
     low = np.linalg.matrix_power(A, n0)
     high, limit = np.max(np.abs(low @ A), axis=(1, 2)), 1e-12 * np.maximum(1.0, top ** (n0 + 1))
-    if np.any(high > limit):
-        s = int(np.argmax(high > limit))
-        raise InconsistencyError(
-            f"sampled power violates the nilpotency index at c = {chamber}, sample {s}: "
-            f"|(ad U)^{n0 + 1}| = {high[s]:.2e} > {limit[s]:.2e}"
-        )
+    raise_first(high > limit, lambda s: f"nilpotency_index: sampled power violates the nilpotency index "
+                f"{data.where()}: |(ad U)^{n0 + 1}| = {high[s]:.2e} > {limit[s]:.2e}", InconsistencyError)
     value, limit = np.max(np.abs(low), axis=(1, 2)), 1e-12 * np.maximum(1.0, top**n0)
     s = int(np.argmax(value / limit))  # the sample nearest to reaching
     if n0 > 1 and value[s] / limit[s] <= 1:
         raise InconsistencyError(
-            f"no sampled power reaches the nilpotency index at c = {chamber}, sample {s}: "
+            f"nilpotency_index: no sampled power reaches the nilpotency index {data.where()}, sample {s}: "
             f"largest |(ad U)^{n0}| = {value[s]:.2e} <= {limit[s]:.2e}"
         )
     return n0

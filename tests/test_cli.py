@@ -201,6 +201,12 @@ def test_config_errors():
     assert cli.parse_config(_cfg(c=["1/2", "-1/2"])) is not None
 
 
+def test_fixture_is_a_subcommand_not_a_check():
+    # a config naming "fixture" among its checks would run nothing and pass
+    with pytest.raises(cli.ConfigurationError, match="unknown check 'fixture'"):
+        cli.parse_config(_cfg(checks=["fixture"]))
+
+
 def test_determinism_byte_identical():
     cfg = cli.parse_config(_cfg())
     a = cli.dumps_report(cli.run(cfg)["body"])

@@ -90,10 +90,23 @@ def test_desk_scale_regular_nilpotency_index(field, n, n0):
     assert data.N0 == n0 == max(1, n - 2)
 
 
+def test_nilpotency_index_samples_ad_U_in_one_product(ws, monkeypatch):
+    # the sampled ad U stack, as one GEMM over adn, is the per-sample contraction byte for byte
+    power, seen = np.linalg.matrix_power, []
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda A, k: seen.append(A) or power(A, k))
+    for key, entries in DATA_GRID:
+        data = ws.data(key, entries)
+        seen.clear()
+        assert nilpotency_index(data) == data.N0
+        U = np.random.default_rng(20240801).standard_normal((parabolic.NILPOTENCY_SAMPLES, data.n_dim))
+        assert seen[0].tobytes() == np.einsum("si,ikj->skj", U, data.adn).tobytes(), (key, entries)
+
+
 def test_nilpotency_index_second_route_checks_both_sides(ws, monkeypatch):
     data = ws.data("sl4r", (3, 1, -1, -3))     # N0 = 2
     monkeypatch.setattr(parabolic, "_graded_index", lambda *_: 1)
-    with pytest.raises(InconsistencyError, match=r"violates the nilpotency index.*, sample \d+: \|\(ad U\)\^2\| = .* > "):
+    with pytest.raises(InconsistencyError,
+                       match=r"violates the nilpotency index.*: \|\(ad U\)\^2\| = .* > .* at point \(\d+,\)$"):
         nilpotency_index(data)
     monkeypatch.setattr(parabolic, "_graded_index", lambda *_: 3)
     with pytest.raises(InconsistencyError, match=r"no sampled power reaches.*, sample \d+: .*\(ad U\)\^3\| = .* <= "):
