@@ -10,7 +10,8 @@ standard error and its report body (the whole fixture); meta, which holds
 times, is left out.  The script prints one sha256 per side over all runs,
 then every field that differs, and exits 1 if any does.  BLAS runs
 single-threaded, as in the bench ladders.  Beside each sha it prints the
-line count of that side's lieorb/*.py, the size that ROADMAP aim 2 tracks.
+line count of that side's lieorb/*.py, the size that ROADMAP aim 2 tracks,
+and the wall time of that side's process (its imports and the whole grid).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,15 +67,17 @@ def run_side() -> dict:
     return runs
 
 
-def side(src: str) -> dict:
-    """The runs of one checkout, from a child process that imports lieorb from src."""
+def side(src: str) -> tuple[dict, float]:
+    """The runs of one checkout, from a child process that imports lieorb from src, and its wall seconds."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
+    t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, __file__, "--emit"], env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
     if proc.returncode:
         sys.exit(f"{src}: the grid run failed\n{proc.stderr}")
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout), wall
 
 
 def differences(a, b, path=""):
@@ -99,11 +103,11 @@ def main(argv=None) -> int:
     if not 1 <= len(args.src) <= 2:
         ap.error("give one or two --src trees")
     srcs = args.src + [str(ROOT / "src")] * (2 - len(args.src))
-    sides = [side(src) for src in srcs]
-    for src, runs in zip(srcs, sides):
+    sides, walls = zip(*(side(src) for src in srcs))
+    for src, runs, wall in zip(srcs, sides, walls):
         digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
         lines = sum(len(path.read_text().splitlines()) for path in Path(src, "lieorb").glob("*.py"))
-        print(f"{digest}  {len(runs)} runs  {lines} lines  {src}")
+        print(f"{digest}  {len(runs)} runs  {lines} lines  {wall:.2f} s  {src}")
     diffs = list(differences(*sides))
     for path, left, right in diffs:
         print(f"{path}: {json.dumps(left)} != {json.dumps(right)}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .liecore import ConfigurationError, complex_trace_form, expm, k_from_normals, killing_compare_realified
-from .liecore import random_element
+from .liecore import per_instance, random_element
 from .rootspace import k_from_roots_check, weight_code
 from .parabolic import z_k_coords
 from .kkform import closedness_check, exactness_verdict, fiber_isotropy_check, k_orbit_lagrangian_check, kk_eval
@@ -35,9 +35,10 @@ def _section_pass(section: dict) -> bool:
     return all(v["pass"] for v in section.values() if isinstance(v, dict) and isinstance(v.get("pass"), bool))
 
 
-def check_roots(ctx, rng) -> dict:
-    rs, cfg = ctx.rs, ctx.config
-    alg = ctx.algebra
+@per_instance
+def _roots_values(rs, split) -> tuple:
+    """check_roots' values: each root's (alpha, mult), then dims ok, bracket grading, theta pairing, k_from_roots."""
+    alg = rs.algebra
     # every root space is spanned by basis vectors: each basis index's weight
     # (0 on g_0) as one integer code, which adds where weights do
     weight = weight_code(rs.weights)
@@ -48,17 +49,22 @@ def check_roots(ctx, rng) -> dict:
     grading = float(np.max(np.abs(v[outside]), initial=0.0))
     theta = alg.theta_matrix[:, ri]  # column i: theta(X_i)
     theta_pair = float(np.max(np.abs(np.where(weight[:, None] != -weight[ri], theta, 0.0)), initial=0.0))
-    dims_ok = ctx.algebra.dim == len(rs.zero_indices) + sum(r.multiplicity for r in rs.roots)
+    dims_ok = alg.dim == len(rs.zero_indices) + sum(r.multiplicity for r in rs.roots)
+    roots = tuple((tuple(int(w) for w in r.weights), int(r.multiplicity)) for r in rs.roots)
+    return roots, dims_ok, grading, theta_pair, k_from_roots_check(rs, split)
+
+
+def check_roots(ctx, rng) -> dict:
+    rs, tol = ctx.rs, ctx.config.tol("decomposition")
+    roots, dims_ok, grading, theta_pair, k_roots = _roots_values(rs, ctx.split)
     section = {
-        "roots": [
-            {"alpha": [int(w) for w in r.weights], "mult": int(r.multiplicity)} for r in rs.roots
-        ],
+        "roots": [{"alpha": list(alpha), "mult": mult} for alpha, mult in roots],
         "dim_m": int(rs.m_coords.shape[0]),
         "dim_a": int(rs.rank),
         "dimension_bookkeeping": _res(float(not dims_ok), 0.5),
-        "bracket_grading": _res(grading, cfg.tol("decomposition")),
-        "theta_pairing": _res(theta_pair, cfg.tol("decomposition")),
-        "k_from_roots": _res(k_from_roots_check(rs, ctx.split), cfg.tol("decomposition")),
+        "bracket_grading": _res(grading, tol),
+        "theta_pairing": _res(theta_pair, tol),
+        "k_from_roots": _res(k_roots, tol),
     }
     section["pass"] = _section_pass(section)
     return section
@@ -90,6 +96,30 @@ def check_parabolic(ctx, rng) -> dict:
     return section
 
 
+# the values of check_kk and check_arnold that no draw enters; those at c read it as the config gives it
+_nondegeneracy = per_instance(lambda data: nondegeneracy_check(data))
+_killing_gap = per_instance(lambda rs: killing_compare_realified(rs.algebra))
+_k_lagrangian = per_instance(
+    lambda rs, split, entries: k_orbit_lagrangian_check(rs.algebra, split, rs.algebra.element_from_entries(entries))[0])
+
+
+@per_instance
+def _verdict(rs, split, entries) -> tuple:
+    """exactness_verdict at c: re_exact, im_exact and the evidence's items."""
+    verdict = exactness_verdict(rs.algebra, split, entries)
+    return verdict["re_exact"], verdict["im_exact"], tuple(verdict["evidence"].items())
+
+
+@per_instance
+def _spectrum_gap(rs, entries) -> float:
+    """max |eigenvalue of ad(c) - the pair differences c_a - c_b|, each seen twice when realified."""
+    alg = rs.algebra
+    ev = np.sort_complex(np.linalg.eigvals(alg.ad_matrix_of(alg.element_from_entries(entries))))
+    expect = [float(a - b) for a in entries for b in entries if a != b] * 2
+    expect = np.sort_complex(np.array(expect + [0.0] * (alg.dim - len(expect)), dtype=complex))
+    return float(np.max(np.abs(ev - expect)))
+
+
 def check_kk(ctx, rng) -> dict:
     alg, cfg = ctx.algebra, ctx.config
     c = alg.element_from_entries(ctx.config.c_entries)
@@ -117,30 +147,35 @@ def check_kk(ctx, rng) -> dict:
         data = ctx.data
         iso = fiber_isotropy_check(data, np.concatenate([np.eye(alg.d)[None], moved]))  # the base fiber, then moved
         section["fiber_isotropy"] = _res(iso, cfg.tol("decomposition"))
-        section["nondegeneracy"] = _res(nondegeneracy_check(data), cfg.tol("eigen"), kind="min")
+        section["nondegeneracy"] = _res(_nondegeneracy(data), cfg.tol("eigen"), kind="min")
     if alg.is_complex:
-        verdict = exactness_verdict(alg, ctx.split, ctx.config.c_entries)
-        section["exactness_verdict"] = verdict
-        section["killing_realified_gap"] = _res(killing_compare_realified(alg), cfg.tol("decomposition"))
-        which = "re" if verdict["re_exact"] else ("im" if verdict["im_exact"] else None)
+        re_exact, im_exact, evidence = _verdict(ctx.rs, ctx.split, cfg.c_entries)
+        section["exactness_verdict"] = {"re_exact": re_exact, "im_exact": im_exact, "evidence": dict(evidence)}
+        section["killing_realified_gap"] = _res(_killing_gap(ctx.rs), cfg.tol("decomposition"))
+        which = "re" if re_exact else ("im" if im_exact else None)
         if which:
-            section["k_lagrangian"] = _res(verdict["evidence"][f"{which}_restriction_max"], cfg.tol("structural"))
+            section["k_lagrangian"] = _res(dict(evidence)[f"{which}_restriction_max"], cfg.tol("structural"))
     else:
-        section["k_lagrangian"] = _res(k_orbit_lagrangian_check(alg, ctx.split, c)[0], cfg.tol("structural"))
+        section["k_lagrangian"] = _res(_k_lagrangian(ctx.rs, ctx.split, cfg.c_entries), cfg.tol("structural"))
     section["pass"] = _section_pass(section)
     return section
 
 
+@per_instance
+def _commute_pairs(data) -> float:
+    """commute_residual over every pair of basis vectors of n(c)."""
+    a, b = np.triu_indices(data.n_dim, 1)
+    return commute_residual(data, np.eye(data.n_dim)[a], np.eye(data.n_dim)[b])
+
+
 def check_flow(ctx, rng) -> dict:
     data, cfg = ctx.data, ctx.config
-    n = data.n_dim
-    V, U0 = rng.standard_normal((2, cfg.samples, n))
+    V, U0 = rng.standard_normal((2, cfg.samples, data.n_dim))
     fp = flow_exact(data, V, U0)
     times = (1.0, -2.0)
     gap = float(np.max(np.abs(fp.eval(np.array(times)) - flow_numeric(data, V, U0, times))))
     values, counts = np.unique(fp.degrees, return_counts=True)
-    a, b = np.triu_indices(n, 1)
-    commute = commute_residual(data, np.eye(n)[a], np.eye(n)[b])
+    commute = _commute_pairs(data)
     g = exp_H(data, V[:25]).matrix
     roundtrip = float(np.max(np.abs(invert_exp_H(data, g) - V[:25])))
     chart = np.max(np.abs(g - linear_chart(data, V[:25]).matrix), axis=(-2, -1)) / np.max(np.abs(g), axis=(-2, -1))
@@ -199,25 +234,19 @@ def check_arnold(ctx, rng) -> dict:
         raise ConfigurationError("the arnold scenario needs real diagonal entries")
     if len(set(entries)) != len(entries):
         raise ConfigurationError("the arnold scenario needs a regular element")
-    # ad(c) spectrum must be the pair differences, each seen twice when realified
-    c = alg.element_from_entries(entries)
-    ev = np.sort_complex(np.linalg.eigvals(alg.ad_matrix_of(c)))
-    expect = [float(a - b) for a in entries for b in entries if a != b] * 2
-    expect = np.sort_complex(np.array(expect + [0.0] * (alg.dim - len(expect)), dtype=complex))
-    spec_gap = float(np.max(np.abs(ev - expect)))
-    verdict = exactness_verdict(alg, ctx.split, entries)
+    spec_gap = _spectrum_gap(ctx.rs, entries)
+    re_exact, im_exact, _ = _verdict(ctx.rs, ctx.split, entries)
     # Re of the holomorphic form is half the realified form (B_R = 2 Re B_C)
-    data = ctx.data
-    pt = orbit_point(alg, c, expm(random_element(alg, rng, 0.3)), validate=False)
+    pt = orbit_point(alg, alg.element_from_entries(entries), expm(random_element(alg, rng, 0.3)), validate=False)
     X, Y = np.moveaxis(alg.from_coords(rng.standard_normal((10, 2, alg.dim))), 1, 0)  # X, then Y per sample
     om_c = complex_trace_form(alg, pt.w, alg.bracket(X, Y))
     scale_gap = float(np.max(np.abs(om_c.real - kk_eval(alg, pt, X, Y) / 2.0)))
     sympl = check_symplecto(ctx, rng)
     out = {
         "ad_spectrum_gap": _res(spec_gap, cfg.tol("decomposition")),
-        "re_exact": verdict["re_exact"],
-        "im_exact": verdict["im_exact"],
-        "re_exact_ok": _res(float(not verdict["re_exact"]), 0.5),
+        "re_exact": re_exact,
+        "im_exact": im_exact,
+        "re_exact_ok": _res(float(not re_exact), 0.5),
         "re_omega_scale_gap": _res(scale_gap, cfg.tol("decomposition") * 100),
         "symplecto": sympl,
     }

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .liecore import (
+    KEPT,
     TOL_DECOMP,
     TOL_EIGEN,
     TOL_STRUCT,
@@ -33,6 +34,7 @@ from .liecore import (
     InconsistencyError,
     build_algebra,
     cartan_split,
+    read_only,
     traceless,
 )
 from .rootspace import maximal_abelian, restricted_roots
@@ -169,31 +171,19 @@ def _entry_json(e):
 STRUCTURE_CACHE_SIZE = 8
 
 
-def _read_only(obj):
-    """Mark every ndarray reachable from obj (through attributes, lists, tuples and dicts) read-only."""
-    if isinstance(obj, np.ndarray):
-        obj.setflags(write=False)
-    elif isinstance(obj, (list, tuple, dict)):
-        for item in obj.values() if isinstance(obj, dict) else obj:
-            _read_only(item)
-    elif hasattr(obj, "__dict__"):
-        _read_only(vars(obj))
-    return obj
-
-
 @functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def _structure(spec: AlgebraSpec):
     """(algebra, Cartan split, restricted roots) of spec, built once per process and shared read-only."""
     algebra = build_algebra(spec)
     split = cartan_split(algebra)
-    return _read_only((algebra, split, restricted_roots(algebra, maximal_abelian(algebra, split))))
+    return read_only((algebra, split, restricted_roots(algebra, maximal_abelian(algebra, split))))
 
 
 @functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def _hyperbolic(spec: AlgebraSpec, entries: tuple[Fraction, ...]):
     """hyperbolic_data at the chamber-sorted entries, built once per process and shared read-only."""
     algebra, _, rs = _structure(spec)
-    return _read_only(hyperbolic_data(algebra, rs, entries))
+    return read_only(hyperbolic_data(algebra, rs, entries))
 
 
 class _Context:
@@ -228,12 +218,14 @@ class _Context:
 
 def run(config: RunConfig) -> dict:
     """Execute the configured checks; returns {body, meta} with a stable body."""
-    t0 = time.perf_counter()
+    t0, builds, built_s = time.perf_counter(), KEPT["builds"], KEPT["s"]
     ctx = _Context(config)
     checks = {}
     for name in config.checks:
         rng = np.random.default_rng(config.seed + sum(map(ord, name)))
         checks[name] = CHECK_FUNCS[name](ctx, rng)
+    # the per-chamber values (liecore.per_instance): certificates and frames
+    ctx.structure_meta.update(certificates_reused=KEPT["builds"] == builds, certificates_s=KEPT["s"] - built_s)
     body = {
         "config": {
             "algebra": {"family": config.algebra.family, "n": config.algebra.n, "field": config.algebra.field},
@@ -255,21 +247,14 @@ def run(config: RunConfig) -> dict:
 def emit_fixture(config: RunConfig) -> dict:
     """Golden structural data: byte-stable, seed-independent."""
     ctx = _Context(config)
-    alg = ctx.algebra
-    rs = ctx.rs
+    alg, rs = ctx.algebra, ctx.rs
     fixture = {
         "algebra": {"family": config.algebra.family, "n": config.algebra.n, "field": config.algebra.field},
         "dim": alg.dim,
         "structure_constants": alg.structure.tolist(),
         "killing_matrix": alg.killing_matrix.tolist(),
-        "roots": [
-            {
-                "alpha": [int(w) for w in r.weights],
-                "functional": r.functional.tolist(),
-                "mult": int(r.multiplicity),
-            }
-            for r in rs.roots
-        ],
+        "roots": [{"alpha": [int(w) for w in r.weights], "functional": r.functional.tolist(),
+                   "mult": int(r.multiplicity)} for r in rs.roots],
         "conventions": CONVENTIONS,
     }
     if ctx.real_entries is not None:
@@ -332,9 +317,7 @@ def main(argv=None) -> int:
             return 2
     else:
         print(text)
-    if args.subcommand == "fixture":
-        return 0
-    return 0 if report["body"]["pass"] else 1
+    return 0 if args.subcommand == "fixture" or report["body"]["pass"] else 1
 
 
 if __name__ == "__main__":

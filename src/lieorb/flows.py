@@ -43,8 +43,8 @@ import numpy as np
 from numpy.polynomial.legendre import legint, leggauss, legval, legvander
 
 from .liecore import TOL_DECOMP, TOL_STRUCT, DecompositionError, GroupElement, InconsistencyError, _as_matrix
-from .liecore import exp_series, raise_first
-from .parabolic import HyperbolicData, per_chamber
+from .liecore import exp_series, per_instance, raise_first
+from .parabolic import HyperbolicData
 
 
 # -- small polynomial helpers (coefficients along axis 0) ----------------------
@@ -95,7 +95,7 @@ class _KernelFrame(NamedTuple):
     B = property(lambda self: len(self.degrees) - 1)
 
 
-@per_chamber
+@per_instance
 def _kernel_frame(data: HyperbolicData) -> _KernelFrame:
     c, degrees = np.diagonal(data.c), np.arange(int(data.block_grades.max()) + 1)[:, None]
     masks = np.stack([np.any(data.n_basis[data.block_grades == b] != 0, axis=0) for b in degrees[1:, 0]])

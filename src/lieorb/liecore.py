@@ -19,6 +19,7 @@ directly.
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass
 from numbers import Rational
 from typing import Callable, Sequence
@@ -391,7 +392,7 @@ def complex_trace_form(algebra: MatrixLieAlgebra, X: np.ndarray, Y: np.ndarray):
 # -- Cartan decomposition ----------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity, so per_instance can key on it
 class CartanSplit:
     """g = k + p with the positive definite inner product -B(X, theta Y)."""
 
@@ -479,6 +480,44 @@ def raise_first(bad: np.ndarray, message: Callable[[tuple], str], error: type = 
     if bad.any():
         i = tuple(int(x) for x in np.argwhere(bad)[0])
         raise error(message(i) + (f" at point {i}" if i else ""))
+
+
+def read_only(obj):
+    """Mark every ndarray reachable from obj (through attributes, lists, tuples and dicts) read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif isinstance(obj, (list, tuple, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            read_only(item)
+    elif hasattr(obj, "__dict__"):
+        read_only(vars(obj))
+    return obj
+
+
+KEPT = {"builds": 0, "s": 0.0, "depth": 0}  # per_instance's outermost builds and their seconds, this process
+
+
+def per_instance(build):
+    """build(obj, *key) once per obj and key, kept in obj._kept with its arrays read-only; a
+    dataclasses.replace'd obj starts with nothing kept, and nothing is kept where build raises."""
+
+    @functools.wraps(build)
+    def kept(obj, *key):
+        store, k = obj._kept, (build,) + key if key else build
+        try:
+            return store[k]
+        except KeyError:
+            pass
+        t0, KEPT["depth"] = time.perf_counter(), KEPT["depth"] + 1
+        try:
+            store[k] = value = read_only(build(obj, *key))
+        finally:
+            KEPT["depth"] -= 1
+            if not KEPT["depth"]:
+                KEPT["builds"], KEPT["s"] = KEPT["builds"] + 1, KEPT["s"] + time.perf_counter() - t0
+        return value
+
+    return kept
 
 
 def positive_qr(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

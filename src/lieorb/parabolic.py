@@ -71,8 +71,8 @@ class HyperbolicData:
     block_grades: np.ndarray
     N0: int = 0
     adn: np.ndarray = field(default=None, repr=False)  # adn[i] = ad(V_i) on n-coords
-    # what per_chamber builds from this instance; dataclasses.replace starts it empty
-    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # what liecore.per_instance builds from this instance; dataclasses.replace starts it empty
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_dim(self) -> int:
@@ -107,20 +107,6 @@ class HyperbolicData:
         """The element sum_j v_j V_j, over any leading batch axes of v."""
         v = np.asarray(v, dtype=float)
         return np.einsum("...j,jab->...ab", v, self.n_basis)
-
-
-def per_chamber(build):
-    """build(data) once per HyperbolicData instance, its tuple of arrays marked read-only."""
-
-    @functools.wraps(build)
-    def frame(data: HyperbolicData):
-        if build not in data._frames:
-            arrays = data._frames[build] = build(data)
-            for x in arrays:
-                x.setflags(write=False)
-        return data._frames[build]
-
-    return frame
 
 
 def hyperbolic_data(
@@ -185,19 +171,10 @@ def hyperbolic_data(
     adn[i, k, j] = v[inside]
 
     data = HyperbolicData(
-        algebra=algebra,
-        c_entries=entries,
-        c=c,
-        z_indices=tuple(z_idx.tolist()),
-        b_indices=b_indices,
-        n_basis=n_basis,
-        nbar_coords=nbar_coords,
-        grades=grades,
-        grades_exact=grades_exact,
-        levels=levels,
-        block_grades=block_grades,
+        algebra=algebra, c_entries=entries, c=c, z_indices=tuple(z_idx.tolist()), b_indices=b_indices,
+        n_basis=n_basis, nbar_coords=nbar_coords, grades=grades, grades_exact=grades_exact, levels=levels,
+        block_grades=block_grades, adn=adn,
     )
-    data.adn = adn
     data.N0 = nilpotency_index(data)
     return data
 

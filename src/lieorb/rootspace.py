@@ -24,7 +24,7 @@ off (`RestrictedRootSystem.weights`): row b is w_b, zero on g_0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,7 @@ class RestrictedRootSystem:
     roots: list[RestrictedRoot]
     zero_indices: np.ndarray  # algebra basis indices spanning g_0 = m + a
     m_coords: np.ndarray      # basis of m, the k-part of g_0 (may be empty)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:

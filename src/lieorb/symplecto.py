@@ -44,11 +44,12 @@ from .liecore import (
     expm,
     in_K_residual,
     iwasawa_decompose,
+    per_instance,
     raise_first,
     random_in_K,
 )
 from .flows import exp_H, linear_chart
-from .parabolic import HyperbolicData, per_chamber
+from .parabolic import HyperbolicData
 
 STEP = 1e-5  # central-difference step of the chart coordinates
 
@@ -114,7 +115,7 @@ class ChartFrame(NamedTuple):
     pairing: np.ndarray  # D K Y^T - Y K D^T, with D the coordinate rows of the frame's fiber parts
 
 
-@per_chamber
+@per_instance
 def chart_frame(data: HyperbolicData) -> ChartFrame:
     """The point-independent parts of pullback_residual and liouville_fd_gap, built once per data."""
     algebra = data.algebra

@@ -482,7 +482,8 @@ def _cached_config(n, field, c, **kw):
     return _cfg(algebra={"family": "sl", "n": n, "field": field}, c=c, **kw)
 
 
-@pytest.mark.parametrize("n, field, c", [(3, "R", [2, 0, -2]), (4, "C", [3, 1, -1, -3])])
+@pytest.mark.parametrize("n, field, c", [(3, "R", [2, 0, -2]), (4, "C", [3, 1, -1, -3]),
+                                         (3, "C", [{"im": 1}, 0, {"im": -1}]), (3, "R", [-1, 0, 1])])
 def test_warm_cache_reports_match_cold(tmp_path, capsys, n, field, c):
     """Each subcommand gives the same exit code, stderr and report body on a warm cache as after clearing it."""
     path, out = tmp_path / "cfg.json", tmp_path / "report.json"
@@ -592,6 +593,53 @@ def test_replaced_data_builds_its_own_frames():
         checks.check_symplecto(ctx, np.random.default_rng(0))
     fresh = cli._Context(cfg)
     assert fresh.data is data and checks.check_symplecto(fresh, np.random.default_rng(0))["pass"]
+
+
+def test_replaced_data_gets_fresh_certificates():
+    """After the chamber's certificates are built, a replaced data with one planted bracket entry builds its own:
+    the planted bracket breaks antisymmetry, so the flows of two basis vectors no longer commute."""
+    cfg = cli.parse_config(_cached_config(4, "R", [3, 1, -1, -3], checks=["kk", "flow"]))
+    ctx = cli._Context(cfg)
+    data = ctx.data
+    warm = cli.run(cfg)["body"]["checks"]
+    assert warm["flow"]["pass"] and warm["flow"]["max_commute_residual"]["value"] <= 1e-15
+    adn = data.adn.copy()
+    adn[0, 5, 4] *= 2  # c_{b_0 b_4 b_5}, against an unplanted c_{b_4 b_0 b_5}
+    ctx.data = dataclasses.replace(data, adn=adn)
+    flow = checks.check_flow(ctx, np.random.default_rng(0))
+    assert flow["max_commute_residual"]["value"] > 1e-3 and not flow["max_commute_residual"]["pass"]
+    assert checks.check_kk(ctx, np.random.default_rng(0))["nondegeneracy"] == warm["kk"]["nondegeneracy"]
+    assert cli.run(cfg)["body"]["checks"] == warm
+
+
+def test_tolerance_overrides_judge_cached_certificates():
+    """Two configs at one chamber that differ only in a tolerance each get their own pass."""
+    _clear_structure_caches()
+    loose, strict = (cli.parse_config(_cached_config(3, "R", [2, 0, -2], checks=["roots", "kk"], tolerances=tol))
+                     for tol in ({}, {"decomposition": 1e-30, "eigen": 1e3}))
+    runs = [cli.run(cfg)["body"]["checks"] for cfg in (loose, strict, loose, strict)]
+    assert runs[0] == runs[2] and runs[1] == runs[3]
+    for key, section, tol in (("k_from_roots", "roots", 1e-30), ("nondegeneracy", "kk", 1e3)):
+        assert runs[0][section][key]["pass"] and runs[0][section]["pass"]
+        assert runs[1][section][key] == {**runs[0][section][key], "tol": tol, "pass": False}
+        assert not runs[1][section]["pass"]
+
+
+def test_second_report_recomputes_no_certificate(monkeypatch):
+    """A second flow-check flows no basis pair, and a second kk-check makes no nondegeneracy_check call:
+    both values come from the chamber's certificates."""
+    _clear_structure_caches()
+    calls = []
+    for name in ("commute_residual", "nondegeneracy_check"):
+        monkeypatch.setattr(checks, name, lambda *a, name=name, f=getattr(checks, name): calls.append(name) or f(*a))
+    cfg = cli.parse_config(_cached_config(4, "R", [3, 1, -1, -3], checks=["flow", "kk"]))
+    first = cli.run(cfg)
+    assert calls == ["commute_residual", "nondegeneracy_check"]
+    second = cli.run(cfg)
+    assert calls == ["commute_residual", "nondegeneracy_check"]
+    assert cli.dumps_report(first["body"]) == cli.dumps_report(second["body"])
+    assert [r["meta"]["structure"]["certificates_reused"] for r in (first, second)] == [False, True]
+    assert first["meta"]["structure"]["certificates_s"] > 0 == second["meta"]["structure"]["certificates_s"]
 
 
 def test_meta_records_structure_reuse():
