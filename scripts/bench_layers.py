@@ -16,7 +16,10 @@ parabolic reports, with the CLI's structure caches cleared before each call
 cached_entry_bytes, the bytes of the distinct ndarray buffers reachable from
 the CLI's cached structure entry (cli._structure: algebra, Cartan split,
 restricted roots).  Past the ladder, build-only rows at sl(8, C), sl(10, C)
-and sl(12, C) record dim g, the build_algebra median and build_peak_mib.  A
+and sl(12, C) record dim g, the build_algebra median and build_peak_mib, and
+restricted-roots rows at sl(12, 16, 20; R) and sl(10, 12, 14; C) record dim g,
+the rank, the number of roots, the restricted_roots median and the
+tracemalloc peak in MiB of one more restricted_roots call (roots_peak_mib).  A
 pass opens with one row for the import cost: the median wall time of
 `import lieorb.cli` (import_s) and the median peak RSS in MiB
 (import_rss_mb) of 5 fresh Python processes.  Each run adds one pass to
@@ -40,6 +43,7 @@ import numpy as np  # after benchlib's thread settings
 
 GRID = [("R", n) for n in range(2, 9)] + [("C", n) for n in range(2, 7)]
 BUILD_ONLY = [("C", n) for n in (8, 10, 12)]
+ROOTS_ONLY = [("R", n) for n in (12, 16, 20)] + [("C", n) for n in (10, 12, 14)]
 IMPORT_PROBE = (
     "import resource, time; t = time.perf_counter(); import lieorb.cli; "
     "print(time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"
@@ -137,6 +141,20 @@ def ladder() -> list[dict]:
             "dim": alg.dim,
             "build_algebra_s": build_s,
             "build_peak_mib": peak_mib(lambda: build_algebra(AlgebraSpec("sl", n, field))),
+        }
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    for field, n in ROOTS_ONLY:
+        alg = build_algebra(AlgebraSpec("sl", n, field))
+        a = maximal_abelian(alg, cartan_split(alg))
+        roots_s, rs = median_time(lambda: restricted_roots(alg, a))
+        row = {
+            "algebra": f"sl({n}, {field})",
+            "dim": alg.dim,
+            "rank": rs.rank,
+            "roots": len(rs.roots),
+            "restricted_roots_s": roots_s,
+            "roots_peak_mib": peak_mib(lambda: restricted_roots(alg, a)),
         }
         print(json.dumps(row), flush=True)
         rows.append(row)

@@ -411,7 +411,9 @@ def theta_rows(algebra: MatrixLieAlgebra, indices, sign: int) -> np.ndarray:
     """
     idx = np.asarray(indices, dtype=int)
     perm, s = algebra.theta_perm, algebra.theta_sign
-    if not np.all(np.isin(perm[idx], idx)):
+    inside = np.zeros(algebra.dim, dtype=bool)
+    inside[idx] = True
+    if not inside[perm[idx]].all():
         raise InconsistencyError("theta_rows: the index set is not theta-stable")
     keep = idx[(perm[idx] > idx) | ((perm[idx] == idx) & (s[idx] == sign))]
     rows = np.zeros((len(keep), algebra.dim))

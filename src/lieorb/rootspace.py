@@ -5,15 +5,18 @@ diagonal, with integer weights w_b: zero on the diagonal, e_i - e_j on E_ij.
 The weights are read off exactly; g_0 is the set of basis indices of weight
 zero, and each root space the set of basis indices of one nonzero weight.
 
-One bracket residual certifies this: [H, X_b] = alpha_b(H) X_b for every
-a-basis element H and every basis vector X_b, with alpha_b the functional of
-w_b on a (zero on g_0).  The basis spans g, so ad(a) is then diagonal in it
-and each joint eigenspace is spanned by the basis vectors of one functional.
-Then a commutes with the Cartan subalgebra g_0, so lies in it; the real
-eigenvalues and the bookkeeping test dim g_0 - dim m = dim a make a the
-whole real diagonal, where distinct weights are distinct functionals.  The
-same test certifies that a is maximal abelian in p.  No eigensolver or rank
-test is needed, and no float tolerance decides any membership.
+Two exact tests on the basis vectors' nonzero entries certify [H, X_b] =
+alpha_b(H) X_b for every a-basis element H and basis vector X_b, with alpha_b
+the functional of w_b on a (zero on g_0): H has no nonzero off-diagonal entry
+H_pq (it would put H_pq into [H, E_qj] off the support of E_qj), and on each
+entry x = X_b[e, c] the residual H_ee x - x H_cc - alpha_b(H) x is within
+TOL_DECOMP.  The basis spans g, so ad(a) is then diagonal in it and each
+joint eigenspace is spanned by the basis vectors of one functional.  Then a
+commutes with the Cartan subalgebra g_0, so lies in it; the real eigenvalues
+and the bookkeeping test dim g_0 - dim m = dim a make a the whole real
+diagonal, where distinct weights are distinct functionals.  The same test
+certifies that a is maximal abelian in p.  No eigensolver or rank test is
+needed, and no float tolerance decides any membership.
 
 Roots are stored twice: as float values on the orthonormalized a-basis
 (`functional`, used for lexicographic ordering) and as the integer vector of
@@ -31,10 +34,11 @@ import numpy as np
 from .liecore import (
     TOL_DECOMP,
     CartanSplit,
+    ConfigurationError,
     InconsistencyError,
     MatrixLieAlgebra,
-    embed_complex,
-    extract_complex,
+    _lookup,
+    _nonzero,
     theta_rows,
 )
 
@@ -101,59 +105,64 @@ def restricted_roots(algebra: MatrixLieAlgebra, a_elements: np.ndarray) -> Restr
     # every basis vector's integer weight: zero on g_0, equal weights share a root space
     W = _integer_weights(algebra, algebra.basis)
     W.setflags(write=False)
-    in_root = W.any(axis=1)
-    root_idx = np.flatnonzero(in_root)
-    weights, owner = np.unique(W[root_idx], axis=0, return_inverse=True)
-    functionals = weights.astype(float) @ _real_diag(algebra, a_basis).T
-    # [H, X_b] = alpha_b(H) X_b for every a-basis element H and every basis
-    # vector X_b, with alpha_b = 0 on g_0, as one batched bracket
-    alpha = np.zeros((algebra.dim, len(a_basis)))
-    alpha[root_idx] = functionals[owner]
-    X = algebra.basis
-    Hs = a_basis[:, None]
-    C = Hs @ X
-    C -= X @ Hs
-    C -= alpha.T[:, :, None, None] * X
-    resid = np.max(np.abs(C), axis=(0, 2, 3))
+    # the basis grouped by weight code (0 on g_0), each group in basis order
+    keys, first, owner = np.unique(weight_code(W), return_index=True, return_inverse=True)
+    members, counts = np.argsort(owner, kind="stable"), np.bincount(owner)
+    ends = [0, *np.cumsum(counts).tolist()]
+    # [H, X_b] = alpha_b(H) X_b for every a-basis element H and every basis vector X_b, with
+    # alpha_b = 0 on g_0: H is diagonal, and the bracket is an exact zero off X_b's entries
+    off = np.max(np.abs(np.where(np.eye(algebra.d, dtype=bool), 0.0, a_basis)), axis=(1, 2))
+    if off.any():
+        h = int(np.argmax(off != 0))
+        raise InconsistencyError(
+            "joint eigenspace is not spanned by basis vectors: "
+            f"root vector residual {off[h]:.2e} off the diagonal of a-basis element {h}"
+        )
+    H = np.diagonal(a_basis, axis1=1, axis2=2)  # its first n entries are the real diagonal
+    weights = W[first]
+    functionals = weights.astype(float) @ H[:, : algebra.n].T
+    b, e, c = _nonzero(algebra.basis)
+    x = algebra.basis[b, e, c]
+    C = H[:, e] * x
+    C -= x * H[:, c]
+    C -= functionals[owner[b]].T * x
+    resid = np.zeros(algebra.dim)
+    np.maximum.at(resid, b, np.max(np.abs(C), axis=0))
     if np.any(resid > TOL_DECOMP):
         b = int(np.argmax(resid > TOL_DECOMP))
         raise InconsistencyError(
             "joint eigenspace is not spanned by basis vectors: "
             f"root vector residual {resid[b]:.2e} at basis index {b}"
         )
-    roots = [RestrictedRoot(f, w, root_idx[owner == k]) for k, (f, w) in enumerate(zip(functionals, weights))]
-    roots.sort(key=lambda r: tuple(r.functional))
-
-    zero_indices = np.flatnonzero(~in_root)
+    # the roots in lexicographic order of their functionals
+    order = np.lexsort(functionals.T[::-1])
+    order = order[keys[order] != 0]
+    roots = [RestrictedRoot(functionals[k], weights[k], members[ends[k] : ends[k + 1]]) for k in order.tolist()]
+    zero_indices = np.flatnonzero(~W.any(axis=1))
     # m is the theta-fixed part of g_0 (g_0 is theta-stable)
     rs = RestrictedRootSystem(
         algebra, a_coords, a_basis, W, roots, zero_indices, theta_rows(algebra, zero_indices, 1)
     )
-    _check_bookkeeping(rs)
+    _check_bookkeeping(rs, keys, counts, order)
     return rs
-
-
-def _real_diag(algebra: MatrixLieAlgebra, H: np.ndarray) -> np.ndarray:
-    """Real diagonal entries of H, over any leading batch axes."""
-    Z = extract_complex(H) if algebra.is_complex else H
-    return np.diagonal(Z, axis1=-2, axis2=-1).real.copy()
 
 
 def _integer_weights(algebra: MatrixLieAlgebra, X: np.ndarray) -> np.ndarray:
     """Diagonal-entry coefficients of the weight vectors in the stack X, snapped to ints.
 
     Row k holds the weights w_l of X[k]: [D_l, X] = w_l X for the diagonal
-    units D_l (embedded for the realified family), with
-    [D_l, X]_ab = (D_l,aa - D_l,bb) X_ab for the whole (vector, l) stack.
+    units D_l (embedded for the realified family, where D_l,aa = 1 at a = l
+    and a = n + l).  [D_l, X]_ab = (D_l,aa - D_l,bb) X_ab is zero off X's
+    nonzero entries, so it and w_l are formed on those entries alone.
     """
     n = algebra.n
-    units = np.eye(n)[:, None] * np.eye(n)
-    D = np.diagonal(embed_complex(units) if algebra.is_complex else units, axis1=-2, axis2=-1)
-    X = X[:, None]
-    C = (D[:, :, None] - D[:, None, :]) * X
-    w = np.sum(C * X, axis=(2, 3)) / np.sum(X * X, axis=(2, 3))
+    D = np.eye(n)[:, np.arange(algebra.d) % n]
+    k, a, b = _nonzero(X)
+    x = X[k, a, b]
+    C = (D[:, a] - D[:, b]) * x
+    w = np.stack([np.bincount(k, v, len(X)) for v in C * x], axis=1) / np.bincount(k, x * x, len(X))[:, None]
     wi = np.rint(w)
-    if np.any(np.abs(w - wi) > 1e-9) or np.max(np.abs(C - wi[:, :, None, None] * X)) > TOL_DECOMP:
+    if np.any(np.abs(w - wi) > 1e-9) or np.max(np.abs(C - wi[k].T * x), initial=0.0) > TOL_DECOMP:
         raise InconsistencyError("root vector is not a diagonal weight vector")
     return wi.astype(np.int64)
 
@@ -162,24 +171,28 @@ def weight_code(W: np.ndarray) -> np.ndarray:
     """Each integer weight row of W as one integer, with its entries as base-b digits.
 
     b = 3 max|w| + 1 exceeds every entry of w_k - w_i - w_j, so
-    code_k = code_i + code_j exactly where w_k = w_i + w_j.
+    code_k = code_i + code_j exactly where w_k = w_i + w_j.  That sum must stay
+    in int64: W is refused where 2 max|w| (1 + b + ... + b^(n-1)) reaches 2^63.
     """
     W = np.asarray(W, dtype=np.int64)
-    return W @ (3 * int(np.max(np.abs(W), initial=0)) + 1) ** np.arange(W.shape[-1])
+    top, n = int(np.max(np.abs(W), initial=0)), W.shape[-1]
+    if 2 * top * sum((3 * top + 1) ** l for l in range(n)) >= 2**63:
+        raise ConfigurationError(f"weight_code: codes of {n} entries up to {top} in size pass the int64 bound 2^63")
+    return W @ (3 * top + 1) ** np.arange(n)
 
 
-def _check_bookkeeping(rs: RestrictedRootSystem) -> None:
+def _check_bookkeeping(rs: RestrictedRootSystem, keys: np.ndarray, counts: np.ndarray, order: np.ndarray) -> None:
+    """Dimensions, root symmetry and multiplicities: keys are the sorted weight codes of the basis
+    groups, counts their sizes, and keys[order] the codes of rs.roots."""
     dim = rs.algebra.dim
-    total = len(rs.zero_indices) + sum(r.multiplicity for r in rs.roots)
+    # the multiplicity of each root w and of -w, 0 where -w is no root
+    mult, neg = counts[order], _lookup(keys, counts, -keys[order])
+    total = len(rs.zero_indices) + int(mult.sum())
     if total != dim:
         raise InconsistencyError(f"dimension bookkeeping failed: {total} != {dim}")
-    by_weights = {tuple(r.weights): r for r in rs.roots}
-    for r in rs.roots:
-        neg = by_weights.get(tuple(-r.weights))
-        if neg is None:
-            raise InconsistencyError("root system is not symmetric")
-        if neg.multiplicity != r.multiplicity:
-            raise InconsistencyError("asymmetric multiplicities")
+    if np.any(neg != mult):
+        first = np.argmax(neg != mult)
+        raise InconsistencyError("root system is not symmetric" if neg[first] == 0 else "asymmetric multiplicities")
     # the p-part of g_0 must equal a
     if len(rs.zero_indices) - rs.m_coords.shape[0] != rs.rank:
         raise InconsistencyError("g_0 does not split as m + a")

@@ -480,6 +480,68 @@ def integer_weights_reference(algebra, X):
     return ws
 
 
+def integer_weights_dense(algebra, X):
+    """rootspace._integer_weights on the dense (len(X), n, d, d) stack of the brackets [D_l, X]."""
+    from lieorb.liecore import TOL_DECOMP, InconsistencyError, embed_complex
+
+    n = algebra.n
+    units = np.eye(n)[:, None] * np.eye(n)
+    D = np.diagonal(embed_complex(units) if algebra.is_complex else units, axis1=-2, axis2=-1)
+    X = X[:, None]
+    C = (D[:, :, None] - D[:, None, :]) * X
+    w = np.sum(C * X, axis=(2, 3)) / np.sum(X * X, axis=(2, 3))
+    wi = np.rint(w)
+    if np.any(np.abs(w - wi) > 1e-9) or np.max(np.abs(C - wi[:, :, None, None] * X)) > TOL_DECOMP:
+        raise InconsistencyError("root vector is not a diagonal weight vector")
+    return wi.astype(np.int64)
+
+
+def root_vector_residual_dense(algebra, a_basis, alpha):
+    """max over the a-basis elements H and all entries of |[H, X_b] - alpha[b](H) X_b|, per basis
+    index b, as one dense (rank, dim, d, d) bracket stack."""
+    X = algebra.basis
+    Hs = a_basis[:, None]
+    C = Hs @ X
+    C -= X @ Hs
+    C -= alpha.T[:, :, None, None] * X
+    return np.max(np.abs(C), axis=(0, 2, 3))
+
+
+def theta_rows_isin(algebra, indices, sign):
+    """liecore.theta_rows with its theta-stability test as np.isin."""
+    idx = np.asarray(indices, dtype=int)
+    perm, s = algebra.theta_perm, algebra.theta_sign
+    assert np.all(np.isin(perm[idx], idx))
+    keep = idx[(perm[idx] > idx) | ((perm[idx] == idx) & (s[idx] == sign))]
+    rows = np.zeros((len(keep), algebra.dim))
+    rows[np.arange(len(keep)), keep] = 1.0
+    rows[np.arange(len(keep)), perm[keep]] += sign * s[keep]
+    return rows
+
+
+def restricted_roots_dense(algebra, a_elements):
+    """The root layer on dense stacks: the weight table, the roots as (functional, weights,
+    members) grouped by np.unique over weight rows and sorted by functional, g_0 and m, with the
+    dense bracket certificate asserted."""
+    from lieorb.liecore import TOL_DECOMP, extract_complex
+    from lieorb.rootspace import _orthonormalize
+
+    a_coords, a_basis = _orthonormalize(algebra, np.asarray(a_elements, dtype=float))
+    W = integer_weights_dense(algebra, algebra.basis)
+    in_root = W.any(axis=1)
+    root_idx = np.flatnonzero(in_root)
+    weights, owner = np.unique(W[root_idx], axis=0, return_inverse=True)
+    Z = extract_complex(a_basis) if algebra.is_complex else a_basis
+    functionals = weights.astype(float) @ np.diagonal(Z, axis1=-2, axis2=-1).real.copy().T
+    alpha = np.zeros((algebra.dim, len(a_basis)))
+    alpha[root_idx] = functionals[owner]
+    assert np.all(root_vector_residual_dense(algebra, a_basis, alpha) <= TOL_DECOMP)
+    roots = [(f, w, root_idx[owner == k]) for k, (f, w) in enumerate(zip(functionals, weights))]
+    roots.sort(key=lambda r: tuple(r[0]))
+    zero_indices = np.flatnonzero(~in_root)
+    return W, roots, a_coords, zero_indices, theta_rows_isin(algebra, zero_indices, 1)
+
+
 def restricted_roots_eigen_reference(algebra, a_elements):
     """Joint eigenspaces of ad(a) by sequential symmetric eigendecomposition with cluster refinement.
 

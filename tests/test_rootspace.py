@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from lieorb import rootspace
 from lieorb.liecore import (
     TOL_EIGEN,
     AlgebraSpec,
+    ConfigurationError,
     InconsistencyError,
     build_algebra,
     cartan_split,
+    embed_complex,
     theta_rows,
 )
 from lieorb.parabolic import hyperbolic_data, z_k_coords
@@ -17,6 +21,7 @@ from lieorb.rootspace import (
     maximal_abelian,
     positive_system,
     restricted_roots,
+    weight_code,
 )
 from oracles import (
     independent_rows_reference,
@@ -26,8 +31,10 @@ from oracles import (
     outside_span,
     positive_system_float,
     projector_onto,
+    restricted_roots_dense,
     restricted_roots_eigen_reference,
     root_value_on,
+    theta_rows_isin,
 )
 
 
@@ -258,6 +265,57 @@ def test_integer_weights_match_loop_form(ws, case):
     assert np.array_equal(expected, np.stack([r.weights for r in rs.roots])[owner])
 
 
+DENSE_CASES = STRUCTURE_CASES + [("R", 8), ("C", 10)]
+
+
+@pytest.mark.parametrize("case", DENSE_CASES, ids=CASE_IDS + ["sl8r", "sl10c"])
+def test_restricted_roots_byte_equal_to_the_dense_forms(ws, case):
+    """restricted_roots and cartan_split, read off the basis's nonzero entries, give bit for bit what
+    the dense (n, d, d) weight and (rank, dim, d, d) bracket stacks give."""
+    field, n = case if isinstance(case, tuple) else (ALGEBRA_SPECS[case].field, ALGEBRA_SPECS[case].n)
+    alg = build_algebra(AlgebraSpec("sl", n, field))
+    split = cartan_split(alg)
+    a = maximal_abelian(alg, split)
+    rs = restricted_roots(alg, a)
+    W, roots, a_coords, zero_indices, m_coords = restricted_roots_dense(alg, a)
+    pairs = [(rs.weights, W), (rs.a_coords, a_coords), (rs.zero_indices, zero_indices), (rs.m_coords, m_coords)]
+    every = np.arange(alg.dim)
+    pairs += [(split.k_coords, theta_rows_isin(alg, every, 1)), (split.p_coords, theta_rows_isin(alg, every, -1))]
+    assert len(rs.roots) == len(roots)
+    for r, (functional, weights, members) in zip(rs.roots, roots):
+        pairs += [(r.functional, functional), (r.weights, weights), (r.members, members)]
+    for got, expected in pairs:
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_restricted_roots_peak_memory():
+    # no (rank, dim, d, d) or (dim, n, d, d) stack: one cold call at sl(10, C)
+    # peaked at 18.2 MiB on those stacks, and at 0.3 MiB on the nonzero entries
+    alg = build_algebra(AlgebraSpec("sl", 10, "C"))
+    a = maximal_abelian(alg, cartan_split(alg))
+    tracemalloc.start()
+    try:
+        restricted_roots(alg, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_weight_code_refuses_codes_past_int64():
+    """Codes of n weight entries up to 1 are base-4 numbers: code_i + code_j stays in int64 up to
+    n = 31 and may not from n = 32 on, which is refused before any code is formed."""
+    W = np.zeros((1, 32), dtype=np.int64)
+    W[0, 0], W[0, -1] = -1, 1
+    message = r"^weight_code: codes of 32 entries up to 1 in size pass the int64 bound 2\^63$"
+    with pytest.raises(ConfigurationError, match=message):
+        weight_code(W)
+    W31 = np.delete(W, 0, axis=1)
+    W31[0, 0] = -1
+    assert weight_code(W31).tolist() == [4**30 - 1]
+
+
 @pytest.mark.parametrize("case", STRUCTURE_CASES, ids=CASE_IDS)
 def test_root_spaces_match_eigensolver_clusters(ws, case):
     """The integer-weight root spaces and g_0 are exactly the clusters of the sequential eigensolve,
@@ -371,4 +429,34 @@ def test_planted_weight_on_g0_is_rejected_by_the_bracket_certificate(monkeypatch
 
     monkeypatch.setattr(rootspace, "_integer_weights", planted)
     with pytest.raises(InconsistencyError, match="joint eigenspace is not spanned by basis vectors"):
+        restricted_roots(alg, a)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("R", "joint eigenspace is not spanned by basis vectors: root vector residual 2.89e-01 off the diagonal of a-basis element 1"),
+        ("C", "joint eigenspace is not spanned by basis vectors: root vector residual 2.04e-01 off the diagonal of a-basis element 1"),
+    ],
+    ids=["sl3r", "sl3c"],
+)
+def test_planted_non_diagonal_a_element_is_rejected(field, message):
+    """An a-element with an off-diagonal entry fails the exact zero test, named by its a-basis index,
+    on sl(3, R) and on the realified sl(3, C) alike."""
+    alg = build_algebra(AlgebraSpec("sl", 3, field))
+    a = maximal_abelian(alg, cartan_split(alg))
+    swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # E_01 + E_10, in p
+    off = embed_complex(swap) if alg.is_complex else swap
+    with pytest.raises(InconsistencyError, match=f"^{message}$"):
+        restricted_roots(alg, np.stack([a[0], off]))
+
+
+def test_planted_non_weight_vector_is_rejected_realified():
+    """As on sl(3, R): E_01 + E_10 / 2, embedded, in place of E_01 carries no single weight."""
+    alg = build_algebra(AlgebraSpec("sl", 3, "C"))
+    a = maximal_abelian(alg, cartan_split(alg))
+    basis = alg.basis.copy()
+    basis[4] = basis[4] + 0.5 * basis[4].T  # basis index 4 is the embedded E_01
+    alg.basis = basis
+    with pytest.raises(InconsistencyError, match="^root vector is not a diagonal weight vector$"):
         restricted_roots(alg, a)
