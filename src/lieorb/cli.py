@@ -6,7 +6,8 @@ Subcommands: roots, parabolic, kk-check, flow-check, symplecto-verify,
 arnold, fixture.  The config selects the algebra, the chamber element c and
 tolerance overrides; the report body is deterministic for a fixed seed
 (timestamps and runtimes live outside the body).  Exit codes: 0 all checks
-pass, 1 a check failed, 2 configuration error, 3 internal inconsistency.
+pass, 1 a check failed, 2 configuration error (a run out of memory too),
+3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
     except (InconsistencyError, DecompositionError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"config error: {args.subcommand} ran out of memory: {exc}", file=sys.stderr)
+        return 2
 
     text = dumps_report(report)
     out_path = args.out or config.output_path

@@ -12,8 +12,9 @@ reads them, and the dense dim^3 tensor is a read-only view built on its first re
 The Killing form is always computed as trace(ad X . ad Y) from the structure
 constants.  The closed multiple of trace(XY) valid for sl is reserved for
 test oracles; the complex trace form appears only in the realified-vs-complex
-comparison, which is the one place the complex structure is consulted
-directly.
+comparison.  The build reads the complex structure J as a signed
+permutation of the basis: it certifies the bracket J-linear, and then
+Jacobi on one basis vector per J-orbit.
 """
 
 from __future__ import annotations
@@ -108,6 +109,16 @@ class MatrixLieAlgebra:
         self._rows, self._cols = np.nonzero(~np.eye(self.n, dtype=bool))
         self.basis = self._build_basis()
         self.J = embed_complex(1j * np.eye(self.n)) if self.is_complex else None
+        self.j_perm = self.j_sign = None
+        if self.is_complex:
+            # J(b_k) = j_sign[k] b_j_perm[k]: i takes the real basis vector of each complex coordinate to
+            # its imaginary one, and that to minus the real one (the layout of coords); _validate certifies it
+            r, self.j_perm, self.j_sign = self.n - 1, np.arange(self.dim), np.ones(self.dim)
+            self.j_perm[:r] += r
+            self.j_perm[r : 2 * r] -= r
+            self.j_perm[2 * r :: 2] += 1
+            self.j_perm[2 * r + 1 :: 2] -= 1
+            self.j_sign[r : 2 * r] = self.j_sign[2 * r + 1 :: 2] = -1
         self.nonzeros = self._structure_constants()
         # B_ij = tr(ad_i ad_j) = sum_ab c[i, b, a] c[j, a, b]: each nonzero (i, b, a) joined with every
         # nonzero (j, a, b); the integer sums are exact in any order
@@ -253,7 +264,12 @@ class MatrixLieAlgebra:
         return c
 
     def _validate(self) -> dict:
-        jacobi = float(jacobi_residual(self.nonzeros))
+        linear, rep = {}, None
+        if self.is_complex:
+            # with the bracket J-linear, Jacobi on one index per J-orbit is Jacobi on every triple
+            linear["complex_linearity"] = float(complex_linearity_residual(self.nonzeros, self.j_perm, self.j_sign))
+            rep = self.j_perm > np.arange(self.dim)
+        jacobi = float(jacobi_residual(self.nonzeros, rep))
         K = self.killing_matrix
         k_sym = float(np.max(np.abs(K - K.T)))
         ev = np.linalg.eigvalsh((K + K.T) / 2)
@@ -270,8 +286,9 @@ class MatrixLieAlgebra:
             "theta_involution": th_sq,
             "theta_isometry": th_iso,
             "theta_automorphism": th_auto,
+            **linear,
         }
-        worst = max(jacobi, k_sym, th_sq, th_iso, th_auto)
+        worst = max(v for key, v in res.items() if key != "killing_condition")
         if worst > TOL_STRUCT or k_cond < TOL_EIGEN:
             raise InconsistencyError(f"algebra failed structural self-checks: {res}")
         return res
@@ -307,7 +324,7 @@ def _lookup(key: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
     return np.where(key[p] == at, values[p], 0)
 
 
-def jacobi_residual(nonzeros: tuple[np.ndarray, ...]) -> int:
+def jacobi_residual(nonzeros: tuple[np.ndarray, ...], rep: np.ndarray | None = None) -> int:
     """max over all (i, j, k, l) of |sum_m c_ijm c_mkl + c_jkm c_mil + c_kim c_mjl|.
 
     c is given by its nonzeros, sorted as MatrixLieAlgebra.nonzeros holds them.
@@ -319,19 +336,30 @@ def jacobi_residual(nonzeros: tuple[np.ndarray, ...]) -> int:
     summed per index after one sort of index and product packed in one int64.
     The defect max |c_ijm + c_jim| is folded in, so a c that is not
     antisymmetric is refused as well.
+
+    A boolean mask rep restricts i, j and k (so a, b and k) to its indices.
+    Where c is J-linear (complex_linearity_residual exactly 0) and rep holds
+    one index per J-orbit, the maximum is still that over all (i, j, k, l):
+    the Jacobi sum is J-linear in each of i, j and k, so every triple's sums
+    are a signed permutation of a masked triple's, or 0 where two of its
+    indices share an orbit.
     """
     i, j, m, v = nonzeros
     dim = 1 + int(max(x.max(initial=0) for x in (i, j, m)))
     v = v.astype(np.int64)
     defect = int(np.max(np.abs(v + _lookup((i * dim + j) * dim + m, v, (j * dim + i) * dim + m)), initial=0))
-    up = np.flatnonzero(i < j)
-    p, q = _join(i, m[up], dim)       # partners (m, k, l) of entry (a, b, m)
-    keep = (j[q] != i[up[p]]) & (j[q] != j[up[p]])
+    up, part = i < j, slice(None)
+    if rep is not None:
+        up, part = up & rep[i] & rep[j], rep[j]
+    up = np.flatnonzero(up)
+    pk, pl, pv = j[part], m[part], v[part]
+    p, q = _join(i[part], m[up], dim)       # partners (m, k, l) = (i, pk, pl)[part][q] of entry (a, b, m)
+    keep = (pk[q] != i[up[p]]) & (pk[q] != j[up[p]])
     p, q = up[p[keep]], q[keep]
-    a, b, k = i[p], j[p], j[q]
+    a, b, k = i[p], j[p], pk[q]
     lo, hi = np.minimum(a, k), np.maximum(b, k)
-    key = ((lo * dim + a + b + k - lo - hi) * dim + hi) * dim + m[q]
-    prod = np.where((a < k) & (k < b), -1, 1) * v[p] * v[q]
+    key = ((lo * dim + a + b + k - lo - hi) * dim + hi) * dim + pl[q]
+    prod = np.where((a < k) & (k < b), -1, 1) * v[p] * pv[q]
     w = int(np.max(np.abs(prod), initial=0)).bit_length() + 1
     packed = np.sort((key << w) + prod + (1 << (w - 1)))
     sums = np.add.reduceat((packed & ((1 << w) - 1)) - (1 << (w - 1)), np.flatnonzero(np.diff(packed >> w, prepend=-1)))
@@ -348,25 +376,47 @@ def signed_permutation(Th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, s
 
 
+def _permuted_residual(nonzeros: tuple[np.ndarray, ...], maps) -> int:
+    """max over (i, j, k) of |c_ijk - t_i u_j w_k c_p(i)q(j)r(k)| for signed permutations
+    maps = ((p, t), (q, u), (r, w)) of the three slots; exact for integer-valued c.
+
+    It can be nonzero only where c or its permuted copy is, so it is read at
+    the nonzero entries of c and their preimages (p^-1(i), q^-1(j), r^-1(k)).
+    """
+    (p, t), (q, u), (r, w) = maps
+    i, j, k, v = nonzeros
+    dim = len(p)
+    key = (i * dim + j) * dim + k
+    i, j, k = (np.concatenate([x, np.argsort(perm)[x]]) for x, perm in ((i, p), (j, q), (k, r)))
+    here = _lookup(key, v, (i * dim + j) * dim + k)
+    there = _lookup(key, v, (p[i] * dim + q[j]) * dim + r[k])
+    # integers and signs: every float operation here is exact
+    return int(np.max(np.abs(here - t[i] * u[j] * w[k] * there), initial=0))
+
+
 def theta_automorphism_residual(nonzeros: tuple[np.ndarray, ...], Th: np.ndarray) -> int:
     """max over (i, j) of |theta [b_i, b_j] - [theta b_i, theta b_j]| in coordinates.
 
     Exact for integer-valued c, given by its nonzeros as in jacobi_residual,
     with no dim^3 product: theta must be a signed permutation of the basis,
     theta(b_k) = s_k b_pi(k), and the residual at (i, j, pi(k)) is then
-    |c_ijk - s_i s_j s_k c_pi(i)pi(j)pi(k)|.  It can be nonzero only where c
-    or its permuted copy is, so it is read at the nonzero entries of c and
-    their preimages under pi.
+    |c_ijk - s_i s_j s_k c_pi(i)pi(j)pi(k)| (_permuted_residual).
     """
-    perm, s = signed_permutation(Th)
-    dim, inv = len(perm), np.argsort(perm)
-    i, j, k, v = nonzeros
-    key = (i * dim + j) * dim + k
-    i, j, k = (np.concatenate([x, inv[x]]) for x in (i, j, k))
-    here = _lookup(key, v, (i * dim + j) * dim + k)
-    there = _lookup(key, v, (perm[i] * dim + perm[j]) * dim + perm[k])
-    # integers and signs: every float operation here is exact
-    return int(np.max(np.abs(here - s[i] * s[j] * s[k] * there), initial=0))
+    return _permuted_residual(nonzeros, (signed_permutation(Th),) * 3)
+
+
+def complex_linearity_residual(nonzeros: tuple[np.ndarray, ...], perm: np.ndarray, sign: np.ndarray) -> int:
+    """max over (i, j) of |[J b_i, b_j] - J [b_i, b_j]| in coordinates, for J b_k = sign_k b_perm(k).
+
+    Exact for integer-valued c, given by its nonzeros as in jacobi_residual:
+    at (i, j, perm(k)) it is |c_ijk - sign_i sign_k c_perm(i)j perm(k)|
+    (_permuted_residual); with c antisymmetric, linearity in the first slot
+    gives it in the second.  J^2 = -1 on the signs is folded in, so perm pairs
+    the basis and perm[k] > k picks one index per J-orbit.
+    """
+    dim = len(perm)
+    j_sq = int(np.max(np.where(perm[perm] == np.arange(dim), np.abs(sign * sign[perm] + 1), 1)))
+    return max(j_sq, _permuted_residual(nonzeros, ((perm, sign), (np.arange(dim), np.ones(dim)), (perm, sign))))
 
 
 def build_algebra(spec: AlgebraSpec) -> MatrixLieAlgebra:

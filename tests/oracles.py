@@ -873,6 +873,20 @@ def theta_automorphism_einsum(c, Th):
     return float(np.max(np.abs(c @ Th.T - np.einsum("pi,qj,pqk->ijk", Th, Th, c, optimize=True))))
 
 
+def complex_linearity_einsum(c, Jm):
+    """max |[J b_i, b_j] - J [b_i, b_j]| from the dense dim^3 contraction, J given by its matrix."""
+    return float(np.max(np.abs(np.einsum("pi,pjk->ijk", Jm, c) - c @ Jm.T)))
+
+
+def complex_bilinear_part(f, Jm):
+    """The C-bilinear part (F - J F(J., .) - J F(., J.) - F(J., J.)) / 4 of a real bilinear map F,
+    given as f[i, j, k] on the basis, with J given by its matrix."""
+    t1 = np.einsum("pi,pjm,km->ijk", Jm, f, Jm)
+    t2 = np.einsum("qj,iqm,km->ijk", Jm, f, Jm)
+    t3 = np.einsum("pi,qj,pqk->ijk", Jm, Jm, f)
+    return (f - t1 - t2 - t3) / 4
+
+
 # -- per-sample draws of the verify checks ------------------------------------
 # Each draws from rng in the order and amounts the batched check must match.
 

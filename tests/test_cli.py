@@ -283,6 +283,22 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["symplecto-verify", "--config", str(tight)]) == 1
 
 
+def test_memory_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    """A MemoryError that escapes a check is a precondition out of reach: exit 2 and one stderr
+    line naming the subcommand, not a traceback and exit 1."""
+
+    def out_of_memory(ctx, rng):
+        raise MemoryError("Unable to allocate 11.5 GiB for an array with shape (15, 7140, 120, 120)")
+
+    monkeypatch.setitem(checks.CHECK_FUNCS, "flow", out_of_memory)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_cfg(checks=["flow"])))
+    assert cli.main(["flow-check", "--config", str(path), "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "flow-check" in err and "11.5 GiB" in err and "Traceback" not in err, err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_large_grade_ratio_chamber_runs(tmp_path):
     # a grade ratio of 3002 must not reach the int64 guard or overflow a float
     path = tmp_path / "cfg.json"

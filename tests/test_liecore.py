@@ -16,6 +16,7 @@ from lieorb.liecore import (
     MatrixLieAlgebra,
     build_algebra,
     cartan_split,
+    complex_linearity_residual,
     embed_complex,
     exp_series,
     expm,
@@ -31,6 +32,8 @@ from lieorb.liecore import (
     theta_rows,
 )
 from oracles import (
+    complex_bilinear_part,
+    complex_linearity_einsum,
     dense_jacobi_residual,
     independent_rows_reference,
     inner,
@@ -50,6 +53,8 @@ from oracles import (
 # largest of the benchmark grids as well
 JACOBI_KEYS = sorted(ALGEBRA_SPECS) + ["sl4c", "sl5r"]
 BYTE_KEYS = sorted(ALGEBRA_SPECS) + ["sl6c", "sl8r"]
+# the realified algebras on which the J-orbit Jacobi route is held to the dense tensor
+J_ORBIT_KEYS = ["sl2c", "sl3c", "sl4c"]
 
 
 def test_spec_validation():
@@ -219,6 +224,77 @@ def test_jacobi_certificate_refuses_non_antisymmetric_c(ws):
             assert jacobi_residual(nonzeros_of(c)) >= 1, f"{key}: fault at {tuple(t)}"
 
 
+def _j_route(alg):
+    """J read off the matrices (independent of j_perm, j_sign) and the mask of one index per J-orbit."""
+    return alg.coords(alg.J @ alg.basis).T, alg.j_perm > np.arange(alg.dim)
+
+
+def test_complex_structure_is_a_certified_signed_permutation(ws):
+    for key in J_ORBIT_KEYS:
+        alg = ws.algebra(key)
+        Jm, rep = _j_route(alg)
+        dense = np.zeros((alg.dim, alg.dim))
+        dense[alg.j_perm, np.arange(alg.dim)] = alg.j_sign
+        assert np.array_equal(dense, Jm) and np.array_equal(Jm @ Jm, -np.eye(alg.dim)), key
+        assert 2 * np.count_nonzero(rep) == alg.dim, key
+        lin = complex_linearity_residual(alg.nonzeros, alg.j_perm, alg.j_sign)
+        assert lin == complex_linearity_einsum(alg.structure, Jm) == alg.build_residuals["complex_linearity"] == 0.0
+        assert jacobi_residual(alg.nonzeros, rep) == 0
+        # the identity is trivially linear, but its empty mask would certify no triple: J^2 = -1 refuses it
+        assert complex_linearity_residual(alg.nonzeros, np.arange(alg.dim), np.ones(alg.dim)) == 2, key
+    real = ws.algebra("sl3r")
+    assert real.j_perm is None and "complex_linearity" not in real.build_residuals
+
+
+def test_j_orbit_jacobi_is_exact_on_c_bilinear_faults(ws):
+    """A C-bilinear planted fault keeps the bracket J-linear, so the Jacobi certificate on one
+    index per J-orbit must equal the dense maximum over all (i, j, k, l) exactly."""
+    seen = []
+    for key in J_ORBIT_KEYS:
+        alg = ws.algebra(key)
+        Jm, rep = _j_route(alg)
+        rng = np.random.default_rng(17)
+        for _ in range(12):
+            i, j = rng.choice(alg.dim, size=2, replace=False)
+            m = rng.integers(alg.dim)
+            f = np.zeros((alg.dim,) * 3)
+            f[i, j, m], f[j, i, m] = 4, -4
+            c = alg.structure + complex_bilinear_part(f, Jm)
+            nz = nonzeros_of(c)
+            assert complex_linearity_residual(nz, alg.j_perm, alg.j_sign) == complex_linearity_einsum(c, Jm) == 0
+            got = jacobi_residual(nz, rep)
+            assert got == dense_jacobi_residual(c), f"{key}: fault at ({i}, {j}, {m})"
+            seen.append(got > 0)
+    assert sum(seen) >= 18, f"planted faults seen {seen}"
+
+
+def test_j_orbit_route_refuses_single_planted_pairs(ws):
+    """One antisymmetric pair is no C-bilinear change: wherever the dense Jacobi residual sees it,
+    the linearity certificate or the J-orbit Jacobi certificate must, and the build refuses it."""
+    refused = 0
+    for key in J_ORBIT_KEYS:
+        alg = ws.algebra(key)
+        Jm, rep = _j_route(alg)
+        bad = build_algebra(alg.spec)
+        rng = np.random.default_rng(19)
+        for _ in range(12):
+            i, j = rng.choice(alg.dim, size=2, replace=False)
+            m = rng.integers(alg.dim)
+            c = alg.structure.copy()
+            c[i, j, m] += 1
+            c[j, i, m] -= 1
+            nz = nonzeros_of(c)
+            lin = complex_linearity_residual(nz, alg.j_perm, alg.j_sign)
+            assert lin == complex_linearity_einsum(c, Jm), f"{key}: fault at ({i}, {j}, {m})"
+            if dense_jacobi_residual(c) > 0:
+                assert lin > 0 or jacobi_residual(nz, rep) > 0, f"{key}: fault at ({i}, {j}, {m})"
+                bad.nonzeros = nz
+                with pytest.raises(InconsistencyError, match="structural self-checks"):
+                    bad._validate()
+                refused += 1
+    assert refused >= 18, refused
+
+
 def test_structure_constants_peak_memory(ws):
     # the joins hold arrays of the basis's nonzeros, not dim^3 temporaries: at
     # sl(6, C) the bound, 0.70 MiB, is a fifth of 1.5 times the 2.6 MiB dense tensor
@@ -235,8 +311,10 @@ def test_structure_constants_peak_memory(ws):
 
 def test_build_peak_memory():
     # the build keeps the structure constants as their nonzeros and builds no
-    # dim^3 array; the Jacobi join's pairs set the peak: at sl(8, C) the bound,
-    # 12.9 MiB, is under half of 1.75 times the 15.3 MiB dense tensor
+    # dim^3 array: at sl(8, C) the relative bound, 12.9 MiB, is under half of
+    # 1.75 times the 15.3 MiB dense tensor.  The Jacobi join runs on one index
+    # per J-orbit, about 1/8 of the products, so the build peaks at 2.2 MiB,
+    # under the absolute 4 MiB bound
     tracemalloc.start()
     try:
         alg = build_algebra(AlgebraSpec("sl", 8, "C"))
@@ -246,6 +324,7 @@ def test_build_peak_memory():
     assert "structure" not in vars(alg)
     nbytes = sum(x.nbytes for x in alg.nonzeros)
     assert peak <= 88 * nbytes, f"peak {peak} bytes for {nbytes} bytes of nonzeros"
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_nonzeros_are_the_sorted_dense_entries(ws):
