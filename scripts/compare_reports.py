@@ -5,13 +5,16 @@
 Each side runs lieorb.cli.main in one process of its own, importing lieorb
 from its --src (the second defaults to this checkout's src/): every
 subcommand but fixture at samples 8 and seeds 0, 3 and 7 on the configs in
-CONFIGS, and the fixture of each config.  A run records its exit code, its
-standard error and its report body (the whole fixture); meta, which holds
-times, is left out.  The script prints one sha256 per side over all runs,
-then every field that differs, and exits 1 if any does.  BLAS runs
-single-threaded, as in the bench ladders.  Beside each sha it prints the
-line count of that side's lieorb/*.py, the size that ROADMAP aim 2 tracks,
-and the wall time of that side's process (its imports and the whole grid).
+CONFIGS, and the fixture of each config.  On the configs in FIXTURE_ONLY,
+sl(6, R) and sl(6, C) at the regular chamber (the largest algebras of the
+perfbench structure workload), it runs the fixture alone.  A run records
+its exit code, its standard error and its report body (the whole fixture);
+meta, which holds times, is left out.  The script prints one sha256 per
+side over all runs, then every field that differs, and exits 1 if any
+does.  BLAS runs single-threaded, as in the bench ladders.  Beside each sha
+it prints the line count of that side's lieorb/*.py, the size that ROADMAP
+aim 2 tracks, and the wall time of that side's process (its imports and
+the whole grid).
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ CONFIGS = {
     "sl(5, R) small c": ("R", ["4/1000", "2/1000", "0", "-2/1000", "-4/1000"]),
     "sl(3, C) imaginary c": ("C", [{"im": 1}, 0, {"im": -1}]),
 }
+# the structure pipeline (build, roots, parabolic data) at sizes where a change of array layout moves bits
+FIXTURE_ONLY = {f"sl(6, {field})": (field, [5 - 2 * k for k in range(6)]) for field in "RC"}
 
 
 def run_side() -> dict:
@@ -50,11 +55,13 @@ def run_side() -> dict:
 
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (field, c) in CONFIGS.items():
+        grid = [(name, config, [(s, seed) for s in SUBCOMMANDS for seed in SEEDS]) for name, config in CONFIGS.items()]
+        grid += [(name, config, []) for name, config in FIXTURE_ONLY.items()]
+        for name, (field, c), runs_of_config in grid:
             cfg = Path(tmp, "config.json")
             cfg.write_text(json.dumps({"algebra": {"family": "sl", "n": len(c), "field": field},
                                        "c": c, "samples": SAMPLES}))
-            for sub, seed in [(s, seed) for s in SUBCOMMANDS for seed in SEEDS] + [("fixture", 0)]:
+            for sub, seed in runs_of_config + [("fixture", 0)]:
                 out = Path(tmp, "report.json")
                 out.unlink(missing_ok=True)
                 err = io.StringIO()

@@ -47,8 +47,8 @@ def _roots_values(rs, split) -> tuple:
     i, j, k, v = alg.nonzeros
     outside = (weight[i] != 0) & (weight[j] != 0) & (weight[k] != weight[i] + weight[j])
     grading = float(np.max(np.abs(v[outside]), initial=0.0))
-    theta = alg.theta_matrix[:, ri]  # column i: theta(X_i)
-    theta_pair = float(np.max(np.abs(np.where(weight[:, None] != -weight[ri], theta, 0.0)), initial=0.0))
+    # theta(X_i) = s_i X_pi(i) must have the weight -weight_i
+    theta_pair = float(np.any(weight[alg.theta_perm[ri]] != -weight[ri]))
     dims_ok = alg.dim == len(rs.zero_indices) + sum(r.multiplicity for r in rs.roots)
     roots = tuple((tuple(int(w) for w in r.weights), int(r.multiplicity)) for r in rs.roots)
     return roots, dims_ok, grading, theta_pair, k_from_roots_check(rs, split)

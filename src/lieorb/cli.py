@@ -78,14 +78,19 @@ class RunConfig:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
 
+def _complex_part(x) -> float:
+    """One part of a complex entry: a number, or a string read exactly as a real entry is ("1/2")."""
+    return float(Fraction(x) if isinstance(x, str) else x)
+
+
 def _parse_entry(e):
     try:
         if isinstance(e, dict):
             if set(e) - {"re", "im"} or isinstance(e.get("re"), dict):
                 raise ConfigurationError(f"bad complex entry {e!r}")
-            im = float(e.get("im", 0.0))
+            im = _complex_part(e.get("im", 0))
             # {"re": x} with "im" absent or zero is the real entry x, read by the rules below
-            v = _parse_entry(e.get("re", 0)) if im == 0 else complex(float(e.get("re", 0.0)), im)
+            v = _parse_entry(e.get("re", 0)) if im == 0 else complex(_complex_part(e.get("re", 0)), im)
         elif isinstance(e, (str, int)) and not isinstance(e, bool):
             v = Fraction(e)
         elif isinstance(e, float) and e == int(e):

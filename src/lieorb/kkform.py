@@ -146,7 +146,8 @@ def k_orbit_lagrangian_check(algebra: MatrixLieAlgebra, split: CartanSplit, c: n
     w = algebra.coords(c)
     if not algebra.is_complex:
         return [upper_max(kk_gram(algebra, w, Yc, Yc))]
-    JYc = algebra.coords(algebra.J @ split.k_basis)
+    JYc = np.empty_like(Yc)  # J b_k = s_k b_pi(k)
+    JYc[:, algebra.j_perm] = Yc * algebra.j_sign
     return [upper_max(0.5 * kk_gram(algebra, w, Yc, Yc)), upper_max(-0.5 * kk_gram(algebra, w, JYc, Yc))]
 
 

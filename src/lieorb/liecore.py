@@ -12,9 +12,11 @@ reads them, and the dense dim^3 tensor is a read-only view built on its first re
 The Killing form is always computed as trace(ad X . ad Y) from the structure
 constants.  The closed multiple of trace(XY) valid for sl is reserved for
 test oracles; the complex trace form appears only in the realified-vs-complex
-comparison.  The build reads the complex structure J as a signed
-permutation of the basis: it certifies the bracket J-linear, and then
-Jacobi on one basis vector per J-orbit.
+comparison.  The Cartan involution theta(X) = -X^T and, over C, the complex
+structure J are each kept as one signed permutation of the basis, read off
+the matrix model; the build certifies the bracket theta-invariant and J-linear
+at the nonzero entries of c, each map's square folded in, and then Jacobi on
+one basis vector per J-orbit.
 """
 
 from __future__ import annotations
@@ -109,16 +111,6 @@ class MatrixLieAlgebra:
         self._rows, self._cols = np.nonzero(~np.eye(self.n, dtype=bool))
         self.basis = self._build_basis()
         self.J = embed_complex(1j * np.eye(self.n)) if self.is_complex else None
-        self.j_perm = self.j_sign = None
-        if self.is_complex:
-            # J(b_k) = j_sign[k] b_j_perm[k]: i takes the real basis vector of each complex coordinate to
-            # its imaginary one, and that to minus the real one (the layout of coords); _validate certifies it
-            r, self.j_perm, self.j_sign = self.n - 1, np.arange(self.dim), np.ones(self.dim)
-            self.j_perm[:r] += r
-            self.j_perm[r : 2 * r] -= r
-            self.j_perm[2 * r :: 2] += 1
-            self.j_perm[2 * r + 1 :: 2] -= 1
-            self.j_sign[r : 2 * r] = self.j_sign[2 * r + 1 :: 2] = -1
         self.nonzeros = self._structure_constants()
         # B_ij = tr(ad_i ad_j) = sum_ab c[i, b, a] c[j, a, b]: each nonzero (i, b, a) joined with every
         # nonzero (j, a, b); the integer sums are exact in any order
@@ -127,10 +119,13 @@ class MatrixLieAlgebra:
         p, q = _join((j * dim + k)[by_jk], k * dim + j, dim * dim)
         q = by_jk[q]
         self.killing_matrix = np.bincount(i[p] * dim + i[q], weights=v[p] * v[q], minlength=dim * dim).reshape(dim, dim)
-        self.theta_matrix = self.coords(self.theta(self.basis)).T
-        # theta(b_k) = theta_sign[k] b_theta_perm[k]
-        self.theta_perm, self.theta_sign = signed_permutation(self.theta_matrix)
-        self.inner_matrix = -self.killing_matrix @ self.theta_matrix
+        # theta(b_k) = theta_sign[k] b_theta_perm[k] and J(b_k) = j_sign[k] b_j_perm[k], read off the matrix model
+        self.theta_perm, self.theta_sign = signed_permutation(self.coords(self.theta(self.basis)).T, "theta")
+        self.j_perm = self.j_sign = None
+        if self.is_complex:
+            self.j_perm, self.j_sign = signed_permutation(self.coords(self.J @ self.basis).T, "J")
+        # -B(b_i, theta b_k) = -s_k K[i, pi(k)], in C order (the BLAS kernels of later products) and no -0.0
+        self.inner_matrix = np.ascontiguousarray(-self.killing_matrix[:, self.theta_perm] * self.theta_sign + 0.0)
         self.build_residuals = self._validate()
 
     # -- basis and coordinates -------------------------------------------
@@ -274,18 +269,15 @@ class MatrixLieAlgebra:
         k_sym = float(np.max(np.abs(K - K.T)))
         ev = np.linalg.eigvalsh((K + K.T) / 2)
         k_cond = float(np.min(np.abs(ev)) / np.max(np.abs(ev)))
-        # theta^2 e_k = s_k s_pi(k) e_pi(pi(k)) and (Th^T K Th)_ij = s_i s_j K_pi(i)pi(j): exact on the signs
         perm, s = self.theta_perm, self.theta_sign
-        th_sq = float(np.max(np.where(perm[perm] == np.arange(self.dim), np.abs(s * s[perm] - 1), 1.0)))
-        th_iso = float(np.max(np.abs(np.outer(s, s) * K[np.ix_(perm, perm)] - K)))
-        th_auto = float(theta_automorphism_residual(self.nonzeros, self.theta_matrix))
         res = {
             "jacobi": jacobi,
             "killing_symmetry": k_sym,
             "killing_condition": k_cond,
-            "theta_involution": th_sq,
-            "theta_isometry": th_iso,
-            "theta_automorphism": th_auto,
+            "theta_involution": float(_square_defect(perm, s, 1)),
+            # (Th^T K Th)_ij = s_i s_j K_pi(i)pi(j): exact on the signs
+            "theta_isometry": float(np.max(np.abs(np.outer(s, s) * K[np.ix_(perm, perm)] - K))),
+            "theta_automorphism": float(theta_automorphism_residual(self.nonzeros, perm, s)),
             **linear,
         }
         worst = max(v for key, v in res.items() if key != "killing_condition")
@@ -366,43 +358,45 @@ def jacobi_residual(nonzeros: tuple[np.ndarray, ...], rep: np.ndarray | None = N
     return max(defect, int(np.max(np.abs(sums), initial=0)))
 
 
-def signed_permutation(Th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pi, s) with Th e_k = s_k e_pi(k); raises unless Th is a signed permutation matrix."""
-    dim = Th.shape[0]
-    perm = np.argmax(np.abs(Th), axis=0)
-    s = Th[perm, np.arange(dim)]
-    if np.count_nonzero(Th) != dim or not np.all(np.abs(s) == 1) or len(set(perm.tolist())) != dim:
-        raise InconsistencyError("build_algebra: theta is not a signed permutation of the basis")
+def signed_permutation(M: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(pi, s) with M e_k = s_k e_pi(k), for the map called name; raises unless M is a signed
+    permutation matrix."""
+    dim = M.shape[0]
+    perm = np.argmax(np.abs(M), axis=0)
+    s = M[perm, np.arange(dim)]
+    if np.count_nonzero(M) != dim or not np.all(np.abs(s) == 1) or len(set(perm.tolist())) != dim:
+        raise InconsistencyError(f"build_algebra: {name} is not a signed permutation of the basis")
     return perm, s
 
 
-def _permuted_residual(nonzeros: tuple[np.ndarray, ...], maps) -> int:
-    """max over (i, j, k) of |c_ijk - t_i u_j w_k c_p(i)q(j)r(k)| for signed permutations
-    maps = ((p, t), (q, u), (r, w)) of the three slots; exact for integer-valued c.
+def _square_defect(perm: np.ndarray, sign: np.ndarray, square: int) -> int:
+    """max |s_k s_pi(k) - square| where pi(pi(k)) = k, and 1 where not: 0 exactly when (pi, s)^2 = square."""
+    return int(np.max(np.where(perm[perm] == np.arange(len(perm)), np.abs(sign * sign[perm] - square), 1)))
 
-    It can be nonzero only where c or its permuted copy is, so it is read at
-    the nonzero entries of c and their preimages (p^-1(i), q^-1(j), r^-1(k)).
+
+def _permuted_residual(nonzeros: tuple[np.ndarray, ...], maps) -> int:
+    """max over the nonzero entries (i, j, k) of c of |c_ijk - t_i u_j w_k c_p(i)q(j)r(k)|, for signed
+    permutations maps = ((p, t), (q, u), (r, w)) of the three slots; exact for integer-valued c.
+
+    For involutions p, q, r it is the max over all (i, j, k): an entry where only the permuted copy
+    is nonzero maps to one of c's, where the same difference is read.  Callers fold that square test in.
     """
     (p, t), (q, u), (r, w) = maps
     i, j, k, v = nonzeros
     dim = len(p)
-    key = (i * dim + j) * dim + k
-    i, j, k = (np.concatenate([x, np.argsort(perm)[x]]) for x, perm in ((i, p), (j, q), (k, r)))
-    here = _lookup(key, v, (i * dim + j) * dim + k)
-    there = _lookup(key, v, (p[i] * dim + q[j]) * dim + r[k])
+    there = _lookup((i * dim + j) * dim + k, v, (p[i] * dim + q[j]) * dim + r[k])
     # integers and signs: every float operation here is exact
-    return int(np.max(np.abs(here - t[i] * u[j] * w[k] * there), initial=0))
+    return int(np.max(np.abs(v - t[i] * u[j] * w[k] * there), initial=0))
 
 
-def theta_automorphism_residual(nonzeros: tuple[np.ndarray, ...], Th: np.ndarray) -> int:
-    """max over (i, j) of |theta [b_i, b_j] - [theta b_i, theta b_j]| in coordinates.
+def theta_automorphism_residual(nonzeros: tuple[np.ndarray, ...], perm: np.ndarray, sign: np.ndarray) -> int:
+    """max over (i, j) of |theta [b_i, b_j] - [theta b_i, theta b_j]| in coordinates, theta b_k = sign_k b_perm(k).
 
-    Exact for integer-valued c, given by its nonzeros as in jacobi_residual,
-    with no dim^3 product: theta must be a signed permutation of the basis,
-    theta(b_k) = s_k b_pi(k), and the residual at (i, j, pi(k)) is then
-    |c_ijk - s_i s_j s_k c_pi(i)pi(j)pi(k)| (_permuted_residual).
+    Exact for integer-valued c, given by its nonzeros as in jacobi_residual, with no dim^3
+    product: at (i, j, perm(k)) it is |c_ijk - sign_i sign_j sign_k c_perm(i)perm(j)perm(k)|
+    (_permuted_residual), read at the nonzeros of c only; theta^2 = 1 is folded in and makes that exact.
     """
-    return _permuted_residual(nonzeros, (signed_permutation(Th),) * 3)
+    return max(_square_defect(perm, sign, 1), _permuted_residual(nonzeros, ((perm, sign),) * 3))
 
 
 def complex_linearity_residual(nonzeros: tuple[np.ndarray, ...], perm: np.ndarray, sign: np.ndarray) -> int:
@@ -410,13 +404,12 @@ def complex_linearity_residual(nonzeros: tuple[np.ndarray, ...], perm: np.ndarra
 
     Exact for integer-valued c, given by its nonzeros as in jacobi_residual:
     at (i, j, perm(k)) it is |c_ijk - sign_i sign_k c_perm(i)j perm(k)|
-    (_permuted_residual); with c antisymmetric, linearity in the first slot
-    gives it in the second.  J^2 = -1 on the signs is folded in, so perm pairs
-    the basis and perm[k] > k picks one index per J-orbit.
+    (_permuted_residual), read at the nonzeros of c only; with c antisymmetric,
+    linearity in the first slot gives it in the second.  J^2 = -1 is folded in and
+    makes that exact, and so perm pairs the basis and perm[k] > k picks one index per J-orbit.
     """
-    dim = len(perm)
-    j_sq = int(np.max(np.where(perm[perm] == np.arange(dim), np.abs(sign * sign[perm] + 1), 1)))
-    return max(j_sq, _permuted_residual(nonzeros, ((perm, sign), (np.arange(dim), np.ones(dim)), (perm, sign))))
+    identity = (np.arange(len(perm)), np.ones(len(perm)))
+    return max(_square_defect(perm, sign, -1), _permuted_residual(nonzeros, ((perm, sign), identity, (perm, sign))))
 
 
 def build_algebra(spec: AlgebraSpec) -> MatrixLieAlgebra:

@@ -148,7 +148,8 @@ def hyperbolic_data(
     block_grades = W[sel] @ np.array([distinct.index(e) for e in entries])
 
     n_basis = algebra.basis[sel]
-    nbar_coords = algebra.theta_matrix[:, sel].T + 0.0  # + 0.0: no signed zeros, as from Th @ e_b
+    nbar_coords = np.zeros((n_dim, algebra.dim))  # theta(V_j) = s_b b_pi(b) for b = sel[j]
+    nbar_coords[np.arange(n_dim), algebra.theta_perm[sel]] = algebra.theta_sign[sel]
 
     # ad(V_i) restricted to n(c), adn[i][k, j] = c_{b_i b_j b_k}: an exact
     # block of the structure constants, read off the nonzeros c_{b_i b_j k},

@@ -212,12 +212,11 @@ def positive_system(rs: RestrictedRootSystem) -> list[RestrictedRoot]:
 def k_from_roots_check(rs: RestrictedRootSystem, split: CartanSplit) -> float:
     """Subspace distance between m + span(X + theta X) and k."""
     algebra = rs.algebra
-    Th = algebra.theta_matrix
     members = np.concatenate([root.members for root in positive_system(rs)])
-    # rows e_b + theta(e_b) for the positive root vectors e_b, after m
-    A = np.concatenate([rs.m_coords, np.eye(algebra.dim)[members] + Th[:, members].T]).T
+    # rows e_b + theta(e_b) = e_b + s_b e_pi(b) for the positive root vectors e_b, after m
+    rows = np.eye(algebra.dim)[members]
+    rows[np.arange(len(members)), algebra.theta_perm[members]] += algebra.theta_sign[members]
+    A = np.concatenate([rs.m_coords, rows]).T
     Qa, _ = np.linalg.qr(A)
     Qk, _ = np.linalg.qr(split.k_coords.T)
-    P1 = Qa @ Qa.T
-    P2 = Qk @ Qk.T
-    return float(np.linalg.norm(P1 - P2, ord=2))
+    return float(np.linalg.norm(Qa @ Qa.T - Qk @ Qk.T, ord=2))

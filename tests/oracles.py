@@ -665,7 +665,7 @@ def hyperbolic_data_per_root(algebra, rs, c_entries):
         z_indices=tuple(z_idx),
         b_indices=b_indices,
         n_basis=algebra.basis[list(b_indices)],
-        nbar_coords=algebra.theta_matrix[:, list(b_indices)].T + 0.0,
+        nbar_coords=nbar_coords_dense(algebra, b_indices),
         grades=np.array([float(nu) for nu in grades_exact]),
         grades_exact=grades_exact,
         levels=tuple((float(nu), grades_exact.count(nu)) for nu in sorted(set(grades_exact))),
@@ -866,6 +866,56 @@ def linear_chart_exact(data, V):
         for i, j in zip(*np.nonzero(np.any(data.n_basis[level] != 0, axis=0))):
             N[i, j] = VN[i, j] / (c[i] - c[j])
     return N + np.eye(d, dtype=int).astype(object), np.diag(np.array(c, dtype=object)), Vm
+
+
+def theta_dense(algebra):
+    """theta as a dense dim x dim matrix: column k holds the coordinates of theta(b_k) = -b_k^T."""
+    return algebra.coords(algebra.theta(algebra.basis)).T
+
+
+def j_layout(algebra):
+    """(perm, sign) with J b_k = sign_k b_perm(k), written out from the layout of coords rather than
+    read off the matrix J: i takes the real basis vector of each complex coordinate to its
+    imaginary one, and that to minus the real one."""
+    r, perm, sign = algebra.n - 1, np.arange(algebra.dim), np.ones(algebra.dim)
+    perm[:r] += r
+    perm[r : 2 * r] -= r
+    perm[2 * r :: 2] += 1
+    perm[2 * r + 1 :: 2] -= 1
+    sign[r : 2 * r] = sign[2 * r + 1 :: 2] = -1
+    return perm, sign
+
+
+def inner_matrix_dense(algebra):
+    """-B(b_i, theta b_k) as the dense product -K Th."""
+    return -algebra.killing_matrix @ theta_dense(algebra)
+
+
+def nbar_coords_dense(algebra, b_indices):
+    """The rows theta(V_j) as columns of the dense theta (+ 0.0 clears its signed zeros)."""
+    return theta_dense(algebra)[:, list(b_indices)].T + 0.0
+
+
+def theta_pairing_dense(rs):
+    """max |theta(X_i)| off the basis vectors of weight -weight_i, over the root vectors X_i, on the dense theta."""
+    from lieorb.rootspace import weight_code
+
+    weight = weight_code(rs.weights)
+    ri = np.flatnonzero(weight)
+    theta = theta_dense(rs.algebra)[:, ri]
+    return float(np.max(np.abs(np.where(weight[:, None] != -weight[ri], theta, 0.0)), initial=0.0))
+
+
+def k_from_roots_dense(rs, split):
+    """rootspace.k_from_roots_check with the rows e_b + theta(e_b) read off the dense theta."""
+    from lieorb.rootspace import positive_system
+
+    Th = theta_dense(rs.algebra)
+    members = np.concatenate([root.members for root in positive_system(rs)])
+    A = np.concatenate([rs.m_coords, np.eye(rs.algebra.dim)[members] + Th[:, members].T]).T
+    Qa, _ = np.linalg.qr(A)
+    Qk, _ = np.linalg.qr(split.k_coords.T)
+    return float(np.linalg.norm(Qa @ Qa.T - Qk @ Qk.T, ord=2))
 
 
 def theta_automorphism_einsum(c, Th):

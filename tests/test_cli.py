@@ -201,6 +201,19 @@ def test_config_errors():
     assert cli.parse_config(_cfg(c=["1/2", "-1/2"])) is not None
 
 
+def test_complex_entry_parts_read_rational_strings():
+    """Each part of a complex entry is a number or a rational string, read exactly as a real entry is;
+    a part that is no finite rational is still refused."""
+    spec = {"family": "sl", "n": 2, "field": "C"}
+    cfg = cli.parse_config(_cfg(algebra=spec, c=[{"re": "1/2", "im": 1}, {"re": -0.5, "im": "-1"}], checks=["kk"]))
+    assert cfg.c_entries == (complex(0.5, 1), complex(-0.5, -1))
+    assert cli.parse_config(_cfg(algebra=spec, c=[{"im": "1/3"}, {"im": "-1/3"}])).c_entries == (1j / 3, -1j / 3)
+    assert cli.run(cfg)["body"]["checks"]["kk"]["pass"]
+    for bad in ({"re": "1/2", "im": "inf"}, {"re": "1/0", "im": 1}):
+        with pytest.raises(cli.ConfigurationError, match="bad entry"):
+            cli.parse_config(_cfg(algebra=spec, c=[bad, {"re": "-1/2", "im": -1}]))
+
+
 def test_fixture_is_a_subcommand_not_a_check():
     # a config naming "fixture" among its checks would run nothing and pass
     with pytest.raises(cli.ConfigurationError, match="unknown check 'fixture'"):

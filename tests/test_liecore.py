@@ -37,8 +37,10 @@ from oracles import (
     dense_jacobi_residual,
     independent_rows_reference,
     inner,
+    j_layout,
     killing,
     theta_automorphism_einsum,
+    theta_dense,
     killing_matrix_einsum,
     killing_matrix_oracle,
     nilpotent_exp_loop,
@@ -143,8 +145,9 @@ def test_jacobi_all_basis_triples(ws):
 def test_theta_index_test_matches_einsum_oracle(ws):
     for key in ALGEBRA_SPECS:
         alg = ws.algebra(key)
-        c, Th = alg.structure, alg.theta_matrix
-        assert theta_automorphism_residual(alg.nonzeros, Th) == theta_automorphism_einsum(c, Th) == 0.0
+        c, Th = alg.structure, theta_dense(alg)
+        perm, sign = signed_permutation(Th, "theta")
+        assert theta_automorphism_residual(alg.nonzeros, perm, sign) == theta_automorphism_einsum(c, Th) == 0.0
         assert alg.build_residuals["theta_automorphism"] == 0.0
         # planted faults: one structure constant moved, where c is nonzero and where it is zero
         rng = np.random.default_rng(9)
@@ -153,7 +156,7 @@ def test_theta_index_test_matches_einsum_oracle(ws):
         for t in planted:
             bad = c.copy()
             bad[tuple(t)] += 2
-            seen.append(theta_automorphism_residual(nonzeros_of(bad), Th))
+            seen.append(theta_automorphism_residual(nonzeros_of(bad), perm, sign))
             assert seen[-1] == theta_automorphism_einsum(bad, Th), (key, t)
         assert max(seen) == 2, key
         # theta that is no signed permutation of the basis is refused
@@ -161,7 +164,7 @@ def test_theta_index_test_matches_einsum_oracle(ws):
             bad = Th.copy()
             bad[0, 1] = off
             with pytest.raises(InconsistencyError, match="signed permutation"):
-                theta_automorphism_residual(alg.nonzeros, bad)
+                theta_automorphism_residual(alg.nonzeros, *signed_permutation(bad, "theta"))
 
 
 @pytest.mark.parametrize("key", ["sl3r", "sl2c"])
@@ -179,7 +182,7 @@ def test_theta_sign_rules_match_dense_products(key):
     for perm, sign in planted:
         Th = np.zeros((dim, dim))
         Th[perm, np.arange(dim)] = sign
-        alg.theta_matrix, alg.theta_perm, alg.theta_sign = Th, perm, sign
+        alg.theta_perm, alg.theta_sign = perm, sign
         try:
             res = alg._validate()
         except InconsistencyError as exc:
@@ -188,6 +191,36 @@ def test_theta_sign_rules_match_dense_products(key):
         assert res["theta_isometry"] == np.max(np.abs(Th.T @ K @ Th - K))
         seen.append(res["theta_involution"] > 0)
     assert seen[:2] == [False, True] and any(seen[2:])
+
+
+def test_certificates_refuse_maps_that_do_not_square_to_one(ws):
+    """theta and J composed with a 3-cycle of three basis indices, or with one sign of a 2-cycle
+    flipped, square to no +/-1, and both certificates are nonzero there.  Ad(diag(i, 1, ..., 1))
+    is a signed permutation of the realified basis that preserves c but squares to -1 on E_0j and
+    E_j0 only: c alone cannot refuse it, and the folded theta^2 = 1 must."""
+    for key in ("sl3r", "sl4r", "sl2c", "sl3c"):
+        alg = ws.algebra(key)
+        dim = alg.dim
+        maps = [(theta_automorphism_residual, alg.theta_perm, alg.theta_sign)]
+        if alg.is_complex:
+            maps.append((complex_linearity_residual, alg.j_perm, alg.j_sign))
+        for residual, perm, sign in maps:
+            assert residual(alg.nonzeros, perm, sign) == 0, key
+            pair = int(np.flatnonzero(perm != np.arange(dim))[0])
+            # the first index of each of the map's first three orbits
+            idx = np.unique(np.minimum(np.arange(dim), perm))[:3]
+            cycled = perm.copy()
+            cycled[idx] = perm[np.roll(idx, 1)]
+            assert not np.array_equal(cycled[cycled], np.arange(dim)), key
+            flipped = sign.copy()
+            flipped[pair] *= -1
+            for p, s in ((cycled, sign), (perm, flipped)):
+                assert residual(alg.nonzeros, p, s) > 0, (key, residual.__name__)
+        if alg.is_complex:
+            g = embed_complex(np.diag([1j] + [1.0] * (alg.n - 1)))
+            A = alg.coords(g @ alg.basis @ g.T).T
+            assert theta_automorphism_einsum(alg.structure, A) == 0.0, key
+            assert theta_automorphism_residual(alg.nonzeros, *signed_permutation(A, "Ad(g)")) == 2, key
 
 
 def test_jacobi_certificate_sees_planted_fault(ws):
@@ -225,7 +258,7 @@ def test_jacobi_certificate_refuses_non_antisymmetric_c(ws):
 
 
 def _j_route(alg):
-    """J read off the matrices (independent of j_perm, j_sign) and the mask of one index per J-orbit."""
+    """J read off the matrices and the mask of one index per J-orbit."""
     return alg.coords(alg.J @ alg.basis).T, alg.j_perm > np.arange(alg.dim)
 
 
@@ -233,8 +266,11 @@ def test_complex_structure_is_a_certified_signed_permutation(ws):
     for key in J_ORBIT_KEYS:
         alg = ws.algebra(key)
         Jm, rep = _j_route(alg)
+        # the layout written out by hand, against the matrix J and the build's reading of it
+        perm, sign = j_layout(alg)
+        assert np.array_equal(perm, alg.j_perm) and np.array_equal(sign, alg.j_sign), key
         dense = np.zeros((alg.dim, alg.dim))
-        dense[alg.j_perm, np.arange(alg.dim)] = alg.j_sign
+        dense[perm, np.arange(alg.dim)] = sign
         assert np.array_equal(dense, Jm) and np.array_equal(Jm @ Jm, -np.eye(alg.dim)), key
         assert 2 * np.count_nonzero(rep) == alg.dim, key
         lin = complex_linearity_residual(alg.nonzeros, alg.j_perm, alg.j_sign)
@@ -596,7 +632,7 @@ def test_independent_rows_match_loop_form_on_rank_deficient_stacks(seed):
     Th[perm, np.arange(dim)] = sign
     assert np.array_equal(Th @ Th, np.eye(dim))
     theta = types.SimpleNamespace(dim=dim, theta_perm=perm, theta_sign=sign)
-    assert all(np.array_equal(x, y) for x, y in zip(signed_permutation(Th), (perm, sign)))
+    assert all(np.array_equal(x, y) for x, y in zip(signed_permutation(Th, "theta"), (perm, sign)))
     # a random union of theta-orbits, in increasing order
     idx = np.flatnonzero(rng.random(dim) < 0.6)
     idx = np.union1d(idx, perm[idx])

@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import ALGEBRA_SPECS
-from lieorb import rootspace
+from lieorb import checks, rootspace
 from lieorb.liecore import (
     TOL_EIGEN,
     AlgebraSpec,
@@ -26,7 +27,10 @@ from lieorb.rootspace import (
 from oracles import (
     independent_rows_reference,
     inner,
+    inner_matrix_dense,
     integer_weights_reference,
+    k_from_roots_dense,
+    nbar_coords_dense,
     negative_of,
     outside_span,
     positive_system_float,
@@ -34,6 +38,8 @@ from oracles import (
     restricted_roots_dense,
     restricted_roots_eigen_reference,
     root_value_on,
+    theta_dense,
+    theta_pairing_dense,
     theta_rows_isin,
 )
 
@@ -183,7 +189,7 @@ def test_theta_pairing(ws):
         for r in rs.roots:
             neg = negative_of(rs, r)
             for x in np.eye(alg.dim)[r.members]:
-                assert outside_span(np.eye(alg.dim)[neg.members], alg.theta_matrix @ x) < 1e-9
+                assert outside_span(np.eye(alg.dim)[neg.members], theta_dense(alg) @ x) < 1e-9
 
 
 def test_bracket_grading(ws):
@@ -346,8 +352,36 @@ def test_independent_rows_match_loop_form_on_structure_inputs(ws, case):
     stacks = [(split.k_coords, every, 1), (split.p_coords, every, -1), (rs.m_coords, rs.zero_indices, 1)]
     stacks += [(z_k_coords(d), list(d.z_indices), 1) for d in datas]
     for got, idx, sign in stacks:
-        expected = independent_rows_reference(np.eye(alg.dim)[idx] + sign * alg.theta_matrix.T[idx])
+        expected = independent_rows_reference(np.eye(alg.dim)[idx] + sign * theta_dense(alg).T[idx])
         assert theta_rows(alg, idx, sign).tobytes() == got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("field, n", [("R", n) for n in range(2, 9)] + [("C", n) for n in range(2, 7)])
+def test_theta_index_forms_match_the_dense_theta(field, n):
+    """inner_matrix (in its C order), nbar_coords at the regular chamber, the theta pairing (also
+    with one root's weight planted wrong) and k_from_roots_check, read off (theta_perm, theta_sign),
+    equal byte for byte what the dense theta gives."""
+    alg = build_algebra(AlgebraSpec("sl", n, field))
+    split = cartan_split(alg)
+    rs = restricted_roots(alg, maximal_abelian(alg, split))
+    dense = inner_matrix_dense(alg)
+    assert alg.inner_matrix.tobytes() == dense.tobytes()
+    assert alg.inner_matrix.flags.c_contiguous and dense.flags.c_contiguous
+    data = hyperbolic_data(alg, rs, [n - 1 - 2 * k for k in range(n)])
+    dense = nbar_coords_dense(alg, data.b_indices)
+    assert data.nbar_coords.tobytes() == dense.tobytes()
+    assert data.nbar_coords.flags.c_contiguous and dense.flags.c_contiguous
+    k_roots = checks._roots_values(rs, split)[4]
+    assert np.float64(k_roots).tobytes() == np.float64(k_from_roots_dense(rs, split)).tobytes()
+    pairings = []
+    for r in (None, 0, len(rs.roots) - 1):
+        W = rs.weights.copy()
+        if r is not None:
+            W[rs.roots[r].members] *= 2  # a weight that theta(X) of the negative root space does not carry
+        planted = dataclasses.replace(rs, weights=W)
+        pairings.append(checks._roots_values(planted, split)[3])
+        assert np.float64(pairings[-1]).tobytes() == np.float64(theta_pairing_dense(planted)).tobytes()
+    assert pairings == [0.0, 1.0, 1.0]
 
 
 def test_theta_rows_reject_an_index_set_that_is_not_theta_stable(ws):
