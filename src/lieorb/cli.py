@@ -79,7 +79,9 @@ class RunConfig:
 
 
 def _complex_part(x) -> float:
-    """One part of a complex entry: a number, or a string read exactly as a real entry is ("1/2")."""
+    """One part of a complex entry: a number, or a string read exactly as a real entry is ("1/2"); not a bool."""
+    if isinstance(x, bool):
+        raise ConfigurationError(f"bad entry {x!r}")
     return float(Fraction(x) if isinstance(x, str) else x)
 
 

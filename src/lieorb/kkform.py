@@ -3,8 +3,9 @@
 Tangent vectors to the orbit at w = Ad(g)c are kept together with a
 representative X (the tangent value is [X, w]), and the two-form is always
 evaluated on representatives as B(w, [X, Y]).  Whole Gram matrices of the
-form come from one contraction with the structure constants (kk_gram);
-kk_eval is the independent scalar route through the matrix bracket.  On
+form are read on the matrices (kk_gram): B(w, .) is one d x d matrix W, and
+B(w, [X_i, Y_j]) = tr([W^T, X_i] Y_j); the structure-constant route is a
+reference in tests/oracles.py.  kk_eval stays the scalar route.  On
 realified complex algebras the real and imaginary parts of the holomorphic
 form are recovered through the complex structure J:
 
@@ -79,18 +80,23 @@ def kk_eval(algebra: MatrixLieAlgebra, pt: OrbitPoint, X: np.ndarray, Y: np.ndar
     return (pt.w_coords[..., None, :] @ algebra.killing_matrix @ bx)[..., 0, 0]
 
 
-def kk_gram(
-    algebra: MatrixLieAlgebra, w_coords: np.ndarray, Xc: np.ndarray, Yc: np.ndarray | None = None
-) -> np.ndarray:
-    """B(w, [X_i, Y_j]) for stacks of coordinate rows: Xc . M_w . Yc^T.
+def form_matrix(algebra: MatrixLieAlgebra, w_coords: np.ndarray) -> np.ndarray:
+    """The d x d matrix W of B(w, .), B(w, Z) = frobenius(W, Z) for Z in the algebra; per point of leading axes."""
+    w = np.asarray(w_coords, dtype=float)[..., :, None]
+    return (algebra.killing_dual @ w).reshape(w.shape[:-2] + (algebra.d, algebra.d))
 
-    M_w[a, b] = sum_k c_abk (K w)_k is the form on basis pairs; Yc defaults
-    to Xc.  Leading axes of w_coords batch over points and broadcast against
-    those of Xc / Yc.
-    """
-    Kw = algebra.killing_matrix @ np.asarray(w_coords)[..., None]
-    M_w = (algebra.structure @ Kw[..., None, :, :])[..., 0]
-    return Xc @ M_w @ np.swapaxes(Xc if Yc is None else Yc, -1, -2)
+
+def frobenius(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum_ab A_i[a, b] B_j[a, b] for stacks of matrices A_i and B_j; leading axes broadcast, one product a point."""
+    return A.reshape(A.shape[:-2] + (-1,)) @ np.swapaxes(B.reshape(B.shape[:-2] + (-1,)), -1, -2)
+
+
+def kk_gram(algebra: MatrixLieAlgebra, w_coords: np.ndarray, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """B(w, [X_i, Y_j]) = tr([W^T, X_i] Y_j), W = form_matrix(w), for stacks of matrices X and Y (default X).
+    Leading axes of w_coords batch over points against those of X / Y; every product is one point's, so a
+    batch equals its per-point calls bit for bit."""
+    W, Xt = form_matrix(algebra, w_coords)[..., None, :, :], np.swapaxes(X, -1, -2)
+    return frobenius(Xt @ W - W @ Xt, X if Y is None else Y)  # [W^T, X_i]^T against Y_j
 
 
 def upper_max(M: np.ndarray) -> float:
@@ -103,20 +109,14 @@ def closedness_check(
     algebra: MatrixLieAlgebra, pt: OrbitPoint, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
 ) -> float:
     """|B(w, [[X,Y],Z]) + B(w, [[Y,Z],X]) + B(w, [[Z,X],Y])|, over leading batch axes as in kk_eval."""
-    b = algebra.bracket
-    total = (
-        kk_eval(algebra, pt, b(X, Y), Z)
-        + kk_eval(algebra, pt, b(Y, Z), X)
-        + kk_eval(algebra, pt, b(Z, X), Y)
-    )
-    return np.abs(total)
+    return np.abs(sum(kk_eval(algebra, pt, algebra.bracket(P, Q), R) for P, Q, R in ((X, Y, Z), (Y, Z, X), (Z, X, Y))))
 
 
 def _omega_svals(data: HyperbolicData, pt: OrbitPoint) -> np.ndarray:
     """Singular values of Omega on Ad(g) of the theta-n + n directions, a basis of g/z(w)."""
     algebra = data.algebra
     rows = np.concatenate([data.nbar_coords, np.eye(algebra.dim)[list(data.b_indices)]])
-    dirs = algebra.coords(pt.g @ algebra.from_coords(rows) @ np.linalg.inv(pt.g))
+    dirs = pt.g @ algebra.from_coords(rows) @ np.linalg.inv(pt.g)
     return np.linalg.svd(kk_gram(algebra, pt.w_coords, dirs), compute_uv=False)
 
 
@@ -130,7 +130,7 @@ def fiber_isotropy_check(data: HyperbolicData, g=None) -> float:
     """max |Omega| over the fiber directions; at the base fiber when g is None, and over a batch of g."""
     algebra = data.algebra
     pt = orbit_point(algebra, data.c, np.eye(algebra.d) if g is None else g, validate=False)
-    dirs = algebra.coords(pt.g[..., None, :, :] @ data.n_basis @ np.linalg.inv(pt.g)[..., None, :, :])
+    dirs = pt.g[..., None, :, :] @ data.n_basis @ np.linalg.inv(pt.g)[..., None, :, :]
     return upper_max(kk_gram(algebra, pt.w_coords, dirs))
 
 
@@ -142,13 +142,10 @@ def k_orbit_lagrangian_check(algebra: MatrixLieAlgebra, split: CartanSplit, c: n
     Together with the half-dimension count this certifies (or refutes) the
     Lagrangian property of the compact orbit.
     """
-    Yc = split.k_coords
-    w = algebra.coords(c)
+    Y, w = split.k_basis, algebra.coords(c)
     if not algebra.is_complex:
-        return [upper_max(kk_gram(algebra, w, Yc, Yc))]
-    JYc = np.empty_like(Yc)  # J b_k = s_k b_pi(k)
-    JYc[:, algebra.j_perm] = Yc * algebra.j_sign
-    return [upper_max(0.5 * kk_gram(algebra, w, Yc, Yc)), upper_max(-0.5 * kk_gram(algebra, w, JYc, Yc))]
+        return [upper_max(kk_gram(algebra, w, Y))]
+    return [upper_max(0.5 * kk_gram(algebra, w, Y)), upper_max(-0.5 * kk_gram(algebra, w, algebra.J @ Y, Y))]
 
 
 def exactness_verdict(

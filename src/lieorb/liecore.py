@@ -6,8 +6,9 @@ fixed once per algebra -- diagonal Cartan part first, then off-diagonal root
 vectors in row-major order of their matrix position -- so structure constants,
 Killing matrices and every downstream fixture are reproducible byte for byte.
 
-The structure constants are kept as their sorted nonzeros; every certificate
-reads them, and the dense dim^3 tensor is a read-only view built on its first read.
+The structure constants are kept as their sorted nonzeros, which every certificate
+reads; the dense dim^3 view, built on its first read, serves the fixture alone (their
+contractions for Omega and ad are references in tests/oracles.py).
 
 The Killing form is always computed as trace(ad X . ad Y) from the structure
 constants.  The closed multiple of trace(XY) valid for sl is reserved for
@@ -194,12 +195,10 @@ class MatrixLieAlgebra:
         """Cartan involution; -X^T realizes it for both supported families."""
         return -np.swapaxes(np.asarray(X, dtype=float), -1, -2)
 
-    def ad_coord(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ad(X) on coordinates, X given by coordinates x (over leading batch axes)."""
-        return np.einsum("...i,ijk->...kj", x, self.structure)
-
     def ad_matrix_of(self, X: np.ndarray) -> np.ndarray:
-        return self.ad_coord(self.coords(X))
+        """Matrix of ad(X) on coordinates, column j that of [X, b_j]; over leading batch axes."""
+        X = np.asarray(X, dtype=float)[..., None, :, :]
+        return np.swapaxes(self.coords(X @ self.basis - self.basis @ X), -1, -2)
 
     def element_from_entries(self, entries: Sequence) -> np.ndarray:
         """Diagonal algebra element from its (traceless) diagonal entries."""
@@ -241,22 +240,25 @@ class MatrixLieAlgebra:
         nz = vals != 0
         i, j, k = np.unravel_index(key[nz], (dim, dim, dim))
         order = np.argsort(np.concatenate([key[nz], (j * dim + i) * dim + k]))
-        out = tuple(np.concatenate(pair)[order] for pair in ((i, j), (j, i), (k, k), (vals[nz], -vals[nz])))
-        for x in out:
-            x.setflags(write=False)
-        return out
+        return read_only(tuple(np.concatenate(pair)[order] for pair in ((i, j), (j, i), (k, k), (vals[nz], -vals[nz]))))
 
     @functools.cached_property
     def structure(self) -> np.ndarray:
         """The dense c[i, j, k], scattered from nonzeros on its first read; read-only, and -0.0 on
-        every zero where i > j, as the fixtures hold it."""
+        every zero where i > j, as the fixtures hold it.  Only the fixture reads it."""
         dim = self.dim
         c = np.zeros((dim, dim, dim))
         c[np.tril_indices(dim, -1)] = -0.0
         i, j, k, v = self.nonzeros
         c[i, j, k] = v
-        c.setflags(write=False)
-        return c
+        return read_only(c)
+
+    @functools.cached_property
+    def killing_dual(self) -> np.ndarray:
+        """The (d^2, dim) rows coords(E_ab) K, read-only, built on its first read: coords is linear, so
+        B(w, Z) = sum_ab W_ab Z_ab for Z in the algebra, W = killing_dual . w read as d x d."""
+        eye = np.eye(self.d * self.d)
+        return read_only(self.coords(eye.reshape(-1, self.d, self.d)) @ self.killing_matrix)
 
     def _validate(self) -> dict:
         linear, rep = {}, None

@@ -104,9 +104,9 @@ class HyperbolicData:
         return np.ascontiguousarray(Z).view(float)
 
     def n_matrix_of(self, v: np.ndarray) -> np.ndarray:
-        """The element sum_j v_j V_j, over any leading batch axes of v."""
+        """The element sum_j v_j V_j over leading batch axes of v: one product, exact as no two V_j share an entry."""
         v = np.asarray(v, dtype=float)
-        return np.einsum("...j,jab->...ab", v, self.n_basis)
+        return (v @ self.n_basis.reshape(self.n_dim, -1)).reshape(v.shape[:-1] + self.n_basis.shape[1:])
 
 
 def hyperbolic_data(

@@ -13,9 +13,12 @@ difference at the chart step STEP conjugates w by exp(+-STEP Y_i), with no
 point re-solved and no element inverted.  liouville_fd_gap checks
 sigma = -d tau by finite differences.  Both checks take batches of points.
 What they read of the chart frame depends on the chamber alone (chart_frame:
-the Y_i, exp(+-STEP Y_i), the moved Y_j and sigma's base-fiber pairing) and
-is built once per HyperbolicData; per point they compute exp_H(V), phi(k, V)
-and its tangents, and pullback_residual returns phi(k, V) with its residual.
+the Y_i, exp(+-STEP Y_i), the matrices of B(., Y_j) and sigma's base-fiber
+pairing) and is built once per HyperbolicData; per point they compute
+exp_H(V), phi(k, V) and its tangents, and pullback_residual returns
+phi(k, V) with its residual.  Every form is evaluated on the matrices the
+checks hold (kkform.kk_gram, kkform.form_matrix); the structure-constant
+route of the Gram is a reference in tests/oracles.py.
 
 Frozen sign conventions (fixed once on sl(2, R), asserted everywhere):
   * eta_V = -B(V, .)
@@ -35,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kkform import OrbitPoint, kk_gram, orbit_point, upper_max
+from .kkform import OrbitPoint, form_matrix, frobenius, kk_gram, orbit_point, upper_max
 from .liecore import (
     TOL_DECOMP,
     CartanSplit,
@@ -109,31 +112,27 @@ class ChartFrame(NamedTuple):
     """The chart frame of a chamber, horizontal (Ys[i], 0) then vertical (0, e_b), and what no point enters."""
 
     Ys: np.ndarray  # horizontal directions V_i + theta(V_i)
-    Y: np.ndarray  # coordinate rows of the frame's base parts: those of Ys, then n zero rows
-    E: np.ndarray  # [+-, i]: exp(+-STEP Y_i)
-    base: np.ndarray  # [+-, i, j]: coordinates of Ad(exp(+-STEP Y_i))^-1 Y_j where j < i, else of Y_j
-    pairing: np.ndarray  # D K Y^T - Y K D^T, with D the coordinate rows of the frame's fiber parts
+    E: np.ndarray  # [+-, i]: exp(+-STEP Y_i); E[::-1] holds their inverses
+    duals: np.ndarray  # [j]: the matrix of B(., Y_j), B(Z, Y_j) = frobenius(Z, duals)[j]
+    pairing: np.ndarray  # sigma's base-fiber part: [n + b, j] = B(V_b, Y_j) = -[j, n + b], else 0
 
 
 @per_instance
 def chart_frame(data: HyperbolicData) -> ChartFrame:
     """The point-independent parts of pullback_residual and liouville_fd_gap, built once per data."""
-    algebra = data.algebra
-    n, d = data.n_dim, algebra.d
     Ys = horizontal_basis(data)
-    Y = algebra.coords(np.concatenate([Ys, np.zeros((n, d, d))]))
     E = expm(STEP * np.array([1.0, -1.0])[:, None, None, None] * Ys)
-    moved = algebra.coords(np.linalg.solve(E[:, :, None], Ys @ E[:, :, None]))
-    base = np.where(np.tri(n, k=-1, dtype=bool)[..., None], moved, Y[:n])  # moved where j < i
-    D = algebra.coords(data.n_matrix_of(np.concatenate([np.zeros((n, n)), np.eye(n)])))
-    DKY = D @ algebra.killing_matrix @ Y.T
-    return ChartFrame(Ys, Y, E, base, DKY - DKY.T)
+    duals = form_matrix(data.algebra, data.algebra.coords(Ys))
+    P, zero = frobenius(data.n_basis, duals), np.zeros((data.n_dim, data.n_dim))
+    return ChartFrame(Ys, E, duals, np.block([[zero, -P.T], [P, zero]]))
 
 
 def _chart_sigma(data: HyperbolicData, pt: CotangentPoint) -> np.ndarray:
     """sigma on the chart frame at the points pt: the frame's pairing - B(V, [Y_i, Y_j])."""
-    algebra, frame = data.algebra, chart_frame(data)
-    return frame.pairing - kk_gram(algebra, algebra.coords(data.n_matrix_of(pt.V)), frame.Y)
+    frame, n = chart_frame(data), data.n_dim
+    sigma = frame.pairing + np.zeros(np.shape(pt.V)[:-1] + frame.pairing.shape)
+    sigma[..., :n, :n] -= kk_gram(data.algebra, data.algebra.coords(data.n_matrix_of(pt.V)), frame.Ys)
+    return sigma
 
 
 def liouville_fd_gap(data: HyperbolicData, pt: CotangentPoint) -> float:
@@ -145,17 +144,17 @@ def liouville_fd_gap(data: HyperbolicData, pt: CotangentPoint) -> float:
     taken by second-order central differences at u = +-h e_i, where only
     exp(+-h Y_i) differs from I: tau_j = -B(V0, Ad(exp(+-h Y_i))^-1 Y_j) for
     j < i < n, -B(V0 +- h e_{i-n}, Y_j) for i >= n, and -B(V0, Y_j) otherwise.
-    The table of Ad(exp(+-h Y_i))^-1 Y_j is the chamber's (chart_frame).
+    The first is -B(Ad(exp(+-h Y_i)) V0, Y_j), with exp(-+h Y_i) as the inverse:
+    point matrices against the chamber's B(., Y_j) (chart_frame), nothing inverted.
     The frozen orientation is sigma = -d tau.
     """
-    algebra, frame = data.algebra, chart_frame(data)
-    n = data.n_dim
-    s = STEP * np.array([1.0, -1.0])
-    KV = algebra.coords(data.n_matrix_of(pt.V)) @ algebra.killing_matrix
-    fiber = algebra.coords(data.n_matrix_of(pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)))
+    frame, n, s = chart_frame(data), data.n_dim, STEP * np.array([1.0, -1.0])
+    V = data.n_matrix_of(pt.V)[..., None, None, :, :]
+    moved = frame.E @ V @ frame.E[::-1]  # [..., +-, i]: Ad(exp(+-h Y_i)) V0
+    fiber = data.n_matrix_of(pt.V[..., None, None, :] + s[:, None, None] * np.eye(n))  # [..., +-, b]: V0 +- h e_b
     tau = np.zeros(np.shape(pt.V)[:-1] + (2, 2 * n, 2 * n))  # [..., +-, direction, component]
-    tau[..., :n, :n] = -(frame.base @ KV[..., None, None, :, None])[..., 0]
-    tau[..., n:, :n] = -(fiber @ algebra.killing_matrix @ frame.Y[:n].T)
+    tau[..., :n, :n] = np.where(np.tri(n, k=-1, dtype=bool), -frobenius(moved, frame.duals), -frobenius(V, frame.duals))
+    tau[..., n:, :n] = -frobenius(fiber, frame.duals)
     dtau = (tau[..., 0, :, :] - tau[..., 1, :, :]) / (2 * STEP)  # dtau[..., i, j] = d_i tau_j
     # sigma = -d tau on the chart tangents at u = 0
     return upper_max(_chart_sigma(data, pt) + (dtau - np.swapaxes(dtau, -1, -2)))
@@ -207,7 +206,7 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> tuple[float, 
                 f"{direction}: tangent gap {gaps[p][j]:.3e} > {tol[p]:.3e}")
 
     raise_first(over.any(axis=-1), missed)
-    return upper_max(kk_gram(algebra, pt0.w_coords, algebra.coords(X)) - _chart_sigma(data, pt)), pt0
+    return upper_max(kk_gram(algebra, pt0.w_coords, X) - _chart_sigma(data, pt)), pt0
 
 
 def section_lagrangian_check(
@@ -221,5 +220,5 @@ def section_lagrangian_check(
     algebra = data.algebra
     k = random_in_K(algebra, rng, (samples,)).matrix
     pt = orbit_point(algebra, data.c, k, validate=False)
-    dirs = algebra.coords(k[:, None] @ split.k_basis @ k.mT[:, None])
+    dirs = k[:, None] @ split.k_basis @ k.mT[:, None]
     return upper_max(kk_gram(algebra, pt.w_coords, dirs))

@@ -37,6 +37,21 @@ def killing_matrix_oracle(algebra):
     return np.einsum("iab,jba->ij", ads, ads)
 
 
+def kk_gram_dense(algebra, w_coords, Xc, Yc=None):
+    """B(w, [X_i, Y_j]) for stacks of coordinate rows by the dim^3 contraction with the structure
+    constants: Xc . M_w . Yc^T with M_w[a, b] = sum_k c_abk (K w)_k; Yc defaults to Xc.  Leading axes of
+    w_coords batch over points and broadcast against those of Xc / Yc."""
+    Kw = algebra.killing_matrix @ np.asarray(w_coords)[..., None]
+    M_w = (algebra.structure @ Kw[..., None, :, :])[..., 0]
+    return Xc @ M_w @ np.swapaxes(Xc if Yc is None else Yc, -1, -2)
+
+
+def ad_coord_einsum(algebra, x):
+    """Matrix of ad(X) on coordinates from the structure constants, X given by coordinates x
+    (over leading batch axes): A[k, j] = sum_i x_i c_ijk."""
+    return np.einsum("...i,ijk->...kj", x, algebra.structure)
+
+
 def killing_matrix_einsum(algebra):
     """tr(ad_i ad_j) by the dim^4 einsum over the library's structure constants, ad_i[a, b] = c[i, b, a]."""
     return np.einsum("iba,jab->ij", algebra.structure, algebra.structure)
@@ -559,7 +574,7 @@ def restricted_roots_eigen_reference(algebra, a_elements):
     L_inv_T = np.linalg.inv(L.T)
     clusters = [(np.eye(algebra.dim), [])]
     for H in a_coords:
-        S = L.T @ algebra.ad_coord(H) @ L_inv_T
+        S = L.T @ ad_coord_einsum(algebra, H) @ L_inv_T
         if np.max(np.abs(S - S.T)) > TOL_DECOMP:
             raise InconsistencyError("ad(H) is not symmetric for the inner product")
         S = (S + S.T) / 2
@@ -711,9 +726,8 @@ def liouville_gram(data, pt, Ys, deltas):
     from lieorb.kkform import kk_gram
 
     algebra = data.algebra
-    Y = algebra.coords(Ys)
-    DKY = algebra.coords(data.n_matrix_of(deltas)) @ algebra.killing_matrix @ Y.T
-    return DKY - DKY.T - kk_gram(algebra, algebra.coords(data.n_matrix_of(pt.V)), Y)
+    DKY = algebra.coords(data.n_matrix_of(deltas)) @ algebra.killing_matrix @ algebra.coords(Ys).T
+    return DKY - DKY.T - kk_gram(algebra, algebra.coords(data.n_matrix_of(pt.V)), Ys)
 
 
 def liouville_eval(data, pt, W1, W2):
@@ -727,11 +741,18 @@ def liouville_eval(data, pt, W1, W2):
 
 
 def chart_sigma_per_call(data, pt, Ys):
-    """sigma on the chart frame: horizontal (Ys[i], 0), then vertical (0, e_b)."""
-    n, d = data.n_dim, data.algebra.d
-    return liouville_gram(
-        data, pt, np.concatenate([Ys, np.zeros((n, d, d))]), np.concatenate([np.zeros((n, n)), np.eye(n)])
-    )
+    """sigma on the chart frame, horizontal (Ys[i], 0) then vertical (0, e_b): the base-fiber pairing
+    B(V_b, Y_j), read against the matrices of B(., Y_j), and -B(V, [Y_i, Y_j]) between horizontals."""
+    from lieorb.kkform import form_matrix, kk_gram
+
+    algebra, n = data.algebra, data.n_dim
+    d2 = algebra.d * algebra.d
+    duals = form_matrix(algebra, algebra.coords(Ys)).reshape(n, d2)
+    P = data.n_basis.reshape(n, d2) @ duals.T
+    sigma = np.zeros(np.shape(pt.V)[:-1] + (2 * n, 2 * n))
+    sigma[..., n:, :n], sigma[..., :n, n:] = P, -P.T
+    sigma[..., :n, :n] = -kk_gram(algebra, algebra.coords(data.n_matrix_of(pt.V)), Ys)
+    return sigma
 
 
 def linear_chart_per_call(data, V):
@@ -760,29 +781,32 @@ def pullback_per_call(data, pt):
     n_inv = np.linalg.inv(nV)
     fiber_reps = data.n_matrix_of(data.n_coords_of(n_inv @ data.n_basis @ nV) / data.grades)
     X = np.concatenate([k @ Ys @ k.mT, k @ nV @ fiber_reps @ n_inv @ k.mT], axis=-3)
-    residual = upper_max(kk_gram(algebra, pt0.w_coords, algebra.coords(X)) - chart_sigma_per_call(data, pt, Ys))
+    residual = upper_max(kk_gram(algebra, pt0.w_coords, X) - chart_sigma_per_call(data, pt, Ys))
     return residual, expm(STEP * np.array([1.0, -1.0])[:, None, None, None] * Ys)
 
 
 def liouville_fd_gap_per_call(data, pt):
-    """liouville_fd_gap with its exp(+-h Y_i), moved directions and sigma built in the call."""
-    from lieorb.kkform import upper_max
+    """liouville_fd_gap with its exp(+-h Y_i), the matrices of B(., Y_j) and sigma built in the call."""
+    from lieorb.kkform import form_matrix, upper_max
     from lieorb.liecore import expm
     from lieorb.symplecto import STEP, horizontal_basis
 
     algebra = data.algebra
-    n = data.n_dim
+    n, d2 = data.n_dim, algebra.d * algebra.d
     Ys = horizontal_basis(data)
-    Yc = algebra.coords(Ys)
     s = STEP * np.array([1.0, -1.0])
-    E = expm(s[:, None, None, None] * Ys)[:, :, None]  # exp(+-h Y_i)
-    moved = algebra.coords(np.linalg.solve(E, Ys @ E))  # [+-, i, j]: Ad(exp(+-h Y_i))^-1 Y_j
-    base = np.where(np.tri(n, k=-1, dtype=bool)[..., None], moved, Yc)  # moved where j < i
-    KV = algebra.coords(data.n_matrix_of(pt.V)) @ algebra.killing_matrix
-    fiber = algebra.coords(data.n_matrix_of(pt.V[..., None, None, :] + s[:, None, None] * np.eye(n)))
+    E = expm(s[:, None, None, None] * Ys)  # exp(+-h Y_i); E[::-1] holds exp(-+h Y_i), their inverses
+    duals = form_matrix(algebra, algebra.coords(Ys)).reshape(n, d2)
+
+    def tau_of(Z):  # -B(Z, Y_j) over the last axis j
+        return -(Z.reshape(Z.shape[:-2] + (d2,)) @ duals.T)
+
+    V = data.n_matrix_of(pt.V)[..., None, None, :, :]
+    fiber = data.n_matrix_of(pt.V[..., None, None, :] + s[:, None, None] * np.eye(n))
     tau = np.zeros(np.shape(pt.V)[:-1] + (2, 2 * n, 2 * n))  # [..., +-, direction, component]
-    tau[..., :n, :n] = -(base @ KV[..., None, None, :, None])[..., 0]
-    tau[..., n:, :n] = -(fiber @ algebra.killing_matrix @ Yc.T)
+    # B(V, Ad(E)^-1 Y_j) = B(Ad(E) V, Y_j): Ad(exp(+-h Y_i)) V where j < i
+    tau[..., :n, :n] = np.where(np.tri(n, k=-1, dtype=bool), tau_of(E @ V @ E[::-1]), tau_of(V))
+    tau[..., n:, :n] = tau_of(fiber)
     dtau = (tau[..., 0, :, :] - tau[..., 1, :, :]) / (2 * STEP)
     return upper_max(chart_sigma_per_call(data, pt, Ys) + (dtau - np.swapaxes(dtau, -1, -2)))
 
@@ -1010,7 +1034,7 @@ def section_lagrangian_loop(data, rng, samples):
     for _ in range(samples):
         k = random_in_K_single(algebra, rng)
         pt = orbit_point(algebra, data.c, k, validate=False)
-        dirs = algebra.coords(k @ split.k_basis @ k.T)
+        dirs = k @ split.k_basis @ k.T
         worst = max(worst, upper_max(kk_gram(algebra, pt.w_coords, dirs)))
     return worst
 

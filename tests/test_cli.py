@@ -209,7 +209,8 @@ def test_complex_entry_parts_read_rational_strings():
     assert cfg.c_entries == (complex(0.5, 1), complex(-0.5, -1))
     assert cli.parse_config(_cfg(algebra=spec, c=[{"im": "1/3"}, {"im": "-1/3"}])).c_entries == (1j / 3, -1j / 3)
     assert cli.run(cfg)["body"]["checks"]["kk"]["pass"]
-    for bad in ({"re": "1/2", "im": "inf"}, {"re": "1/0", "im": 1}):
+    for bad in ({"re": "1/2", "im": "inf"}, {"re": "1/0", "im": 1}, {"re": True, "im": 1}, {"im": True},
+                {"re": 1, "im": False}):
         with pytest.raises(cli.ConfigurationError, match="bad entry"):
             cli.parse_config(_cfg(algebra=spec, c=[bad, {"re": "-1/2", "im": -1}]))
 
@@ -553,6 +554,22 @@ def test_cached_structure_holds_no_dim3_array(n, field):
     algebra = entry[0]
     assert "structure" not in vars(algebra)
     assert not [x for x in reachable_buffers((entry, cli._Context(cfg).data)) if x.size >= algebra.dim**3]
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_form_checks_build_no_dense_structure(field):
+    """kk, symplecto and arnold evaluate every form on matrices: after them the cached algebra holds no
+    dense structure view, and the fixture still writes the dense constants, scattered from the nonzeros."""
+    _clear_structure_caches()
+    names = ["kk", "symplecto"] + (["arnold"] if field == "C" else [])
+    cfg = cli.parse_config(_cached_config(3, field, [1, 0, -1], checks=names))
+    assert all(section["pass"] for section in cli.run(cfg)["body"]["checks"].values())
+    algebra = cli._structure(cfg.algebra)[0]
+    assert "structure" not in vars(algebra)
+    dense = np.zeros((algebra.dim,) * 3)
+    i, j, k, v = algebra.nonzeros
+    dense[i, j, k] = v
+    assert cli.emit_fixture(cfg)["structure_constants"] == dense.tolist()
 
 
 def test_planted_fault_stays_in_its_context():

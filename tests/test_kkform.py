@@ -14,9 +14,11 @@ from lieorb.kkform import (
     nondegeneracy_check,
     orbit_point,
 )
-from lieorb.liecore import TOL_DECOMP, ConfigurationError, DecompositionError, InconsistencyError, random_element
+from lieorb.liecore import TOL_DECOMP, AlgebraSpec, ConfigurationError, DecompositionError, InconsistencyError
+from lieorb.liecore import build_algebra, random_element
 from conftest import ALGEBRA_SPECS
-from oracles import dual_element, killing, killing_matrix_oracle, omega_rank, re_dual_gap
+from oracles import ad_coord_einsum, dual_element, killing, killing_matrix_oracle, kk_gram_dense, omega_rank
+from oracles import re_dual_gap
 
 
 def _pt(ws, key, entries, g=None):
@@ -43,13 +45,14 @@ def test_kk_gram_matches_kk_eval(ws, rng, key):
         pt = orbit_point(alg, c, scipy.linalg.expm(random_element(alg, rng, 0.4)), validate=False)
         Xc = rng.standard_normal((4, alg.dim))
         Yc = rng.standard_normal((3, alg.dim))
-        gram = kk_gram(alg, pt.w_coords, Xc, Yc)
+        gram = kk_gram(alg, pt.w_coords, alg.from_coords(Xc), alg.from_coords(Yc))
         ref = np.array(
             [[kk_eval(alg, pt, alg.from_coords(x), alg.from_coords(y)) for y in Yc] for x in Xc]
         )
         np.testing.assert_allclose(gram, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
         square = np.array([[kk_eval(alg, pt, alg.from_coords(x), alg.from_coords(y)) for y in Xc] for x in Xc])
-        np.testing.assert_allclose(kk_gram(alg, pt.w_coords, Xc), square, rtol=0, atol=1e-12 * np.max(np.abs(square)))
+        np.testing.assert_allclose(kk_gram(alg, pt.w_coords, alg.from_coords(Xc)), square, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(square)))
     # on stacks of points and of pairs, kk_eval and closedness_check equal the per-item calls
     g = scipy.linalg.expm(alg.from_coords(0.4 * rng.standard_normal((4, alg.dim))))
     pts = orbit_point(alg, c, g, validate=False)
@@ -60,6 +63,32 @@ def test_kk_gram_matches_kk_eval(ws, rng, key):
     np.testing.assert_array_equal(
         closedness_check(alg, pts, X, Y, Z), [closedness_check(alg, p, *xyz) for p, *xyz in zip(single, X, Y, Z)]
     )
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec("sl", n, "R") for n in range(2, 7)]
+                         + [AlgebraSpec("sl", n, "C") for n in range(2, 6)], ids=lambda s: f"sl{s.n}{s.field.lower()}")
+def test_kk_gram_matches_the_structure_constant_route(spec):
+    """kk_gram on matrices against the dim^3 contraction with the structure constants, a 4-point batch
+    against its per-point calls, and ad_matrix_of against the structure constants' einsum."""
+    alg, rng = build_algebra(spec), np.random.default_rng(spec.n)
+    c = alg.element_from_entries([alg.n - 1 - 2 * k for k in range(alg.n)])
+    g = scipy.linalg.expm(alg.from_coords(0.4 * rng.standard_normal((4, alg.dim))))
+    pts = orbit_point(alg, c, g, validate=False)
+    Xc, Yc = rng.standard_normal((2, 4, 5, alg.dim))
+    X, Y = alg.from_coords(Xc), alg.from_coords(Yc)
+    for gram, ref in ((kk_gram(alg, pts.w_coords, X, Y), kk_gram_dense(alg, pts.w_coords, Xc, Yc)),
+                      (kk_gram(alg, pts.w_coords, X), kk_gram_dense(alg, pts.w_coords, Xc))):
+        assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(kk_gram(alg, pts.w_coords, X, Y),
+                                  [kk_gram(alg, w, x, y) for w, x, y in zip(pts.w_coords, X, Y)])
+    np.testing.assert_array_equal(kk_gram(alg, pts.w_coords, X), [kk_gram(alg, w, x) for w, x in zip(pts.w_coords, X)])
+    # one stack of directions shared by the batch, as the chart frame's
+    np.testing.assert_array_equal(kk_gram(alg, pts.w_coords, X[0]), [kk_gram(alg, w, X[0]) for w in pts.w_coords])
+    # exact on an integer chamber element; on random elements within rounding of the entries' scale
+    np.testing.assert_array_equal(alg.ad_matrix_of(c), ad_coord_einsum(alg, alg.coords(c)))
+    for x in rng.standard_normal((3, alg.dim)):
+        ref = ad_coord_einsum(alg, x)
+        assert np.max(np.abs(alg.ad_matrix_of(alg.from_coords(x)) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_antisymmetry_and_degeneracy(ws, rng):

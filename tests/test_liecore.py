@@ -32,6 +32,7 @@ from lieorb.liecore import (
     theta_rows,
 )
 from oracles import (
+    ad_coord_einsum,
     complex_bilinear_part,
     complex_linearity_einsum,
     dense_jacobi_residual,
@@ -462,7 +463,7 @@ def test_inner_product_positive_definite_and_ad_p_symmetric(ws, rng):
         assert np.min(np.linalg.eigvalsh(G)) > 0
         coeff = rng.standard_normal(split.p_coords.shape[0])
         Hc = coeff @ split.p_coords
-        A = alg.ad_coord(Hc)
+        A = ad_coord_einsum(alg, Hc)
         # symmetric for <.,.>: G A = (G A)^T
         assert np.max(np.abs(G @ A - A.T @ G)) < 1e-9
 
