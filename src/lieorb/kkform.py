@@ -115,8 +115,7 @@ def closedness_check(
 def _omega_svals(data: HyperbolicData, pt: OrbitPoint) -> np.ndarray:
     """Singular values of Omega on Ad(g) of the theta-n + n directions, a basis of g/z(w)."""
     algebra = data.algebra
-    rows = np.concatenate([data.nbar_coords, np.eye(algebra.dim)[list(data.b_indices)]])
-    dirs = pt.g @ algebra.from_coords(rows) @ np.linalg.inv(pt.g)
+    dirs = pt.g @ np.concatenate([algebra.theta(data.n_basis), data.n_basis]) @ np.linalg.inv(pt.g)
     return np.linalg.svd(kk_gram(algebra, pt.w_coords, dirs), compute_uv=False)
 
 

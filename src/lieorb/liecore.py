@@ -422,7 +422,7 @@ def killing_compare_realified(algebra: MatrixLieAlgebra) -> float:
     """max |B_R(b_i, b_j) - 2 Re B_C(b_i, b_j)| over basis pairs."""
     if not algebra.is_complex:
         raise ConfigurationError("realified comparison needs a complex-realified algebra")
-    Zs = np.stack([extract_complex(b) for b in algebra.basis])
+    Zs = extract_complex(algebra.basis)
     Bc = 2 * algebra.n * np.einsum("iab,jba->ij", Zs, Zs)
     return float(np.max(np.abs(algebra.killing_matrix - 2 * Bc.real)))
 

@@ -62,7 +62,6 @@ class HyperbolicData:
     z_indices: tuple[int, ...]    # algebra basis indices spanning z(c)
     b_indices: tuple[int, ...]    # algebra basis index of V_j, grade order
     n_basis: np.ndarray           # (n_dim, d, d)
-    nbar_coords: np.ndarray       # coordinates of theta(V_j)
     grades: np.ndarray            # float eigenvalue of ad(c) on V_j
     grades_exact: tuple[Fraction, ...]
     levels: tuple[tuple[float, int], ...]   # distinct (nu_j, d_j), increasing
@@ -148,8 +147,6 @@ def hyperbolic_data(
     block_grades = W[sel] @ np.array([distinct.index(e) for e in entries])
 
     n_basis = algebra.basis[sel]
-    nbar_coords = np.zeros((n_dim, algebra.dim))  # theta(V_j) = s_b b_pi(b) for b = sel[j]
-    nbar_coords[np.arange(n_dim), algebra.theta_perm[sel]] = algebra.theta_sign[sel]
 
     # ad(V_i) restricted to n(c), adn[i][k, j] = c_{b_i b_j b_k}: an exact
     # block of the structure constants, read off the nonzeros c_{b_i b_j k},
@@ -173,7 +170,7 @@ def hyperbolic_data(
 
     data = HyperbolicData(
         algebra=algebra, c_entries=entries, c=c, z_indices=tuple(z_idx.tolist()), b_indices=b_indices,
-        n_basis=n_basis, nbar_coords=nbar_coords, grades=grades, grades_exact=grades_exact, levels=levels,
+        n_basis=n_basis, grades=grades, grades_exact=grades_exact, levels=levels,
         block_grades=block_grades, adn=adn,
     )
     data.N0 = nilpotency_index(data)

@@ -18,11 +18,12 @@ diagonal, where distinct weights are distinct functionals.  The same test
 certifies that a is maximal abelian in p.  No eigensolver or rank test is
 needed, and no float tolerance decides any membership.
 
-Roots are stored twice: as float values on the orthonormalized a-basis
-(`functional`, used for lexicographic ordering) and as the integer vector of
-diagonal-entry coefficients (`weights`, used for exact evaluation on rational
-chamber elements).  The system also keeps the per-basis table those are read
-off (`RestrictedRootSystem.weights`): row b is w_b, zero on g_0.
+Roots are stored twice: as float values on the a-basis, orthonormalized by
+one Cholesky factor of its Gram (`functional`, used for lexicographic
+ordering), and as the integer vector of diagonal-entry coefficients
+(`weights`, used for exact evaluation on rational chamber elements).  The
+system also keeps the per-basis table those are read off, formed in one
+bincount (`RestrictedRootSystem.weights`): row b is w_b, zero on g_0.
 """
 
 from __future__ import annotations
@@ -85,19 +86,20 @@ def maximal_abelian(algebra: MatrixLieAlgebra, split: CartanSplit) -> np.ndarray
 
 
 def _orthonormalize(algebra: MatrixLieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt for <.,.> in the given deterministic order."""
-    G = algebra.inner_matrix
-    out = []
-    for x in algebra.coords(mats):
-        v = x.copy()
-        for u in out:
-            v = v - (u @ G @ v) * u
-        nrm = float(np.sqrt(v @ G @ v))
-        if nrm < 1e-12:
-            raise InconsistencyError("dependent vectors in abelian subspace")
-        out.append(v / nrm)
-    a_coords = np.stack(out)
-    return a_coords, algebra.from_coords(a_coords)
+    """Orthonormalize for <.,.> in the given deterministic order, by Cholesky QR: with the Gram
+    X G X^T = L L^T of the coordinate rows X, the rows of L^-1 X are what Gram-Schmidt gives, and
+    the pivots of L are its norms (Golub & Van Loan, Matrix Computations, 5.2).  Its loss of
+    orthogonality grows as eps cond(X)^2, so the rows are certified orthonormal to TOL_DECOMP."""
+    X, G = algebra.coords(mats), algebra.inner_matrix
+    try:
+        L = np.linalg.cholesky(X @ G @ X.T)
+    except np.linalg.LinAlgError:  # a pivot that is not positive
+        L = np.zeros((1, 1))
+    if np.diagonal(L).min() >= 1e-12:
+        a_coords = np.linalg.solve(L, X)
+        if np.max(np.abs(a_coords @ G @ a_coords.T - np.eye(len(X)))) <= TOL_DECOMP:
+            return a_coords, algebra.from_coords(a_coords)
+    raise InconsistencyError("dependent vectors in abelian subspace")
 
 
 def restricted_roots(algebra: MatrixLieAlgebra, a_elements: np.ndarray) -> RestrictedRootSystem:
@@ -160,7 +162,9 @@ def _integer_weights(algebra: MatrixLieAlgebra, X: np.ndarray) -> np.ndarray:
     k, a, b = _nonzero(X)
     x = X[k, a, b]
     C = (D[:, a] - D[:, b]) * x
-    w = np.stack([np.bincount(k, v, len(X)) for v in C * x], axis=1) / np.bincount(k, x * x, len(X))[:, None]
+    # one bincount over the (row, unit) slots k n + l; each slot sums its entries in entry order
+    w = np.bincount((k[:, None] * n + np.arange(n)).ravel(), (C * x).T.ravel(), len(X) * n).reshape(-1, n)
+    w /= np.bincount(k, x * x, len(X))[:, None]
     wi = np.rint(w)
     if np.any(np.abs(w - wi) > 1e-9) or np.max(np.abs(C - wi[k].T * x), initial=0.0) > TOL_DECOMP:
         raise InconsistencyError("root vector is not a diagonal weight vector")

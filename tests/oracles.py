@@ -534,6 +534,25 @@ def theta_rows_isin(algebra, indices, sign):
     return rows
 
 
+def orthonormalize_gram_schmidt(algebra, mats):
+    """Gram-Schmidt for <.,.> in the given deterministic order: one u G v per pair with the dense
+    inner matrix, refusing a norm below 1e-12 (the form rootspace._orthonormalize replaced)."""
+    from lieorb.liecore import InconsistencyError
+
+    G = algebra.inner_matrix
+    out = []
+    for x in algebra.coords(mats):
+        v = x.copy()
+        for u in out:
+            v = v - (u @ G @ v) * u
+        nrm = float(np.sqrt(v @ G @ v))
+        if nrm < 1e-12:
+            raise InconsistencyError("dependent vectors in abelian subspace")
+        out.append(v / nrm)
+    a_coords = np.stack(out)
+    return a_coords, algebra.from_coords(a_coords)
+
+
 def restricted_roots_dense(algebra, a_elements):
     """The root layer on dense stacks: the weight table, the roots as (functional, weights,
     members) grouped by np.unique over weight rows and sorted by functional, g_0 and m, with the
@@ -680,7 +699,6 @@ def hyperbolic_data_per_root(algebra, rs, c_entries):
         z_indices=tuple(z_idx),
         b_indices=b_indices,
         n_basis=algebra.basis[list(b_indices)],
-        nbar_coords=nbar_coords_dense(algebra, b_indices),
         grades=np.array([float(nu) for nu in grades_exact]),
         grades_exact=grades_exact,
         levels=tuple((float(nu), grades_exact.count(nu)) for nu in sorted(set(grades_exact))),

@@ -402,7 +402,7 @@ def test_covector_annihilates_parabolic(ws, rng):
         assert covector_annihilation_gap(data, V) < 1e-10
         # injective: a nonzero V pairs nontrivially with theta-n
         eta = Covector(V)
-        vals = [abs(eta.value_on(data, data.algebra.from_coords(x))) for x in data.nbar_coords]
+        vals = [abs(eta.value_on(data, X)) for X in data.algebra.theta(data.n_basis)]
         assert max(vals) > 1e-6 * np.max(np.abs(V))
 
 

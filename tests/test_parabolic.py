@@ -374,10 +374,8 @@ def test_theta_n_is_opposite(ws):
     data = ws.data("sl3r", (1, 0, -1))
     alg = ws.algebra("sl3r")
     for j, V in enumerate(data.n_basis):
-        lowered = alg.bracket(data.c, alg.from_coords(data.nbar_coords[j]))
-        np.testing.assert_allclose(
-            lowered, -data.grades[j] * alg.from_coords(data.nbar_coords[j]), atol=1e-10
-        )
+        lowered = alg.bracket(data.c, alg.theta(V))
+        np.testing.assert_allclose(lowered, -data.grades[j] * alg.theta(V), atol=1e-10)
 
 
 def test_n_coords_of_gathers_the_coordinates_bit_for_bit(ws):

@@ -32,6 +32,7 @@ from oracles import (
     k_from_roots_dense,
     nbar_coords_dense,
     negative_of,
+    orthonormalize_gram_schmidt,
     outside_span,
     positive_system_float,
     projector_onto,
@@ -358,9 +359,10 @@ def test_independent_rows_match_loop_form_on_structure_inputs(ws, case):
 
 @pytest.mark.parametrize("field, n", [("R", n) for n in range(2, 9)] + [("C", n) for n in range(2, 7)])
 def test_theta_index_forms_match_the_dense_theta(field, n):
-    """inner_matrix (in its C order), nbar_coords at the regular chamber, the theta pairing (also
-    with one root's weight planted wrong) and k_from_roots_check, read off (theta_perm, theta_sign),
-    equal byte for byte what the dense theta gives."""
+    """inner_matrix (in its C order), the theta pairing (also with one root's weight planted wrong)
+    and k_from_roots_check, read off (theta_perm, theta_sign), equal byte for byte what the dense
+    theta gives; theta(n_basis) at the regular chamber equals the dense theta's rows up to the
+    sign of zero."""
     alg = build_algebra(AlgebraSpec("sl", n, field))
     split = cartan_split(alg)
     rs = restricted_roots(alg, maximal_abelian(alg, split))
@@ -368,9 +370,8 @@ def test_theta_index_forms_match_the_dense_theta(field, n):
     assert alg.inner_matrix.tobytes() == dense.tobytes()
     assert alg.inner_matrix.flags.c_contiguous and dense.flags.c_contiguous
     data = hyperbolic_data(alg, rs, [n - 1 - 2 * k for k in range(n)])
-    dense = nbar_coords_dense(alg, data.b_indices)
-    assert data.nbar_coords.tobytes() == dense.tobytes()
-    assert data.nbar_coords.flags.c_contiguous and dense.flags.c_contiguous
+    dense = alg.from_coords(nbar_coords_dense(alg, data.b_indices))
+    assert (alg.theta(data.n_basis) + 0.0).tobytes() == (dense + 0.0).tobytes()
     k_roots = checks._roots_values(rs, split)[4]
     assert np.float64(k_roots).tobytes() == np.float64(k_from_roots_dense(rs, split)).tobytes()
     pairings = []
@@ -400,6 +401,42 @@ def test_orthonormalize_refuses_dependent_elements(ws):
     a = maximal_abelian(alg, ws.split("sl3r"))
     with pytest.raises(InconsistencyError, match="dependent vectors in abelian subspace"):
         rootspace._orthonormalize(alg, np.stack([a[0], a[0]]))
+
+
+@pytest.mark.parametrize("n, eps", [(3, 1e-13), (8, 1e-9)])
+def test_orthonormalize_refuses_a_nearly_dependent_pair(n, eps):
+    """(a_0, a_0 + eps a_1) over sl(n, R).  At sl(3, R), 1e-13, the second Gram-Schmidt norm is
+    below 1e-12, and the Gram rounds that pivot to zero.  At sl(8, R), 1e-9, every pivot of L is
+    above 1e-12 but carries the Gram's rounding: L^-1 X is far from orthonormal, and only the
+    orthonormality certificate refuses it (Gram-Schmidt accepts it, off by about 2e-7)."""
+    alg = build_algebra(AlgebraSpec("sl", n, "R"))
+    a = maximal_abelian(alg, cartan_split(alg))
+    pair = np.stack([a[0], a[0] + eps * a[1]])
+    with pytest.raises(InconsistencyError, match="dependent vectors in abelian subspace"):
+        rootspace._orthonormalize(alg, pair)
+    if n == 3:
+        with pytest.raises(InconsistencyError, match="dependent vectors in abelian subspace"):
+            orthonormalize_gram_schmidt(alg, pair)
+    else:
+        X = alg.coords(pair)
+        assert np.diagonal(np.linalg.cholesky(X @ alg.inner_matrix @ X.T)).min() >= 1e-12
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_orthonormalize_matches_gram_schmidt(monkeypatch, field):
+    """The Cholesky QR a-basis is within 1e-15 of the Gram-Schmidt oracle's and orthonormal to
+    1e-15, and the roots keep the order of weights that the oracle's a-basis gives them."""
+    for n in range(2, 9 if field == "R" else 7):
+        alg = build_algebra(AlgebraSpec("sl", n, field))
+        a = maximal_abelian(alg, cartan_split(alg))
+        a_coords, _ = rootspace._orthonormalize(alg, a)
+        ref_coords, _ = orthonormalize_gram_schmidt(alg, a)
+        assert np.max(np.abs(a_coords - ref_coords)) <= 1e-15, n
+        assert np.max(np.abs(a_coords @ alg.inner_matrix @ a_coords.T - np.eye(len(a)))) <= 1e-15, n
+        order = [r.weights.tolist() for r in restricted_roots(alg, a).roots]
+        with monkeypatch.context() as m:
+            m.setattr(rootspace, "_orthonormalize", orthonormalize_gram_schmidt)
+            assert [r.weights.tolist() for r in restricted_roots(alg, a).roots] == order, n
 
 
 @pytest.mark.parametrize("field, n", [("R", 3), ("R", 5), ("C", 3), ("C", 4)])
