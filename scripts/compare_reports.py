@@ -11,10 +11,13 @@ perfbench structure workload), it runs the fixture alone.  A run records
 its exit code, its standard error and its report body (the whole fixture);
 meta, which holds times, is left out.  The script prints one sha256 per
 side over all runs, then every field that differs, and exits 1 if any
-does.  BLAS runs single-threaded, as in the bench ladders.  Beside each sha
-it prints the line count of that side's lieorb/*.py, the size that ROADMAP
-aim 2 tracks, and the wall time of that side's process (its imports and
-the whole grid).
+does.  It ends with a summary of the moves per field, the path with its
+run key and list indices stripped: the count of moves and the largest
+relative move |a - b| / max(|a|, |b|), and one line that says whether any
+exit code, stderr, pass flag or fixture moved.  BLAS runs single-threaded,
+as in the bench ladders.  Beside each sha it prints the line count of that
+side's lieorb/*.py, the size that ROADMAP aim 2 tracks, and the wall time
+of that side's process (its imports and the whole grid).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -99,6 +103,31 @@ def differences(a, b, path=""):
         yield path, a, b
 
 
+def relative_move(a, b) -> float | None:
+    """|a - b| / max(|a|, |b|) for two numbers (0 when both are 0), else None."""
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        return None
+    top = max(abs(a), abs(b))
+    return abs(a - b) / top if top else 0.0
+
+
+def summarize(diffs, runs) -> None:
+    """Per field, its run key and list indices stripped: the count of moves and the largest relative move."""
+    fields, verdicts = {}, []
+    for path, left, right in diffs:
+        run = next(key for key in runs if path == key or path.startswith(key + "."))
+        field = re.sub(r"\[\d+\]", "", path[len(run) + 1:]) or "<run>"
+        fields.setdefault(field, []).append(relative_move(left, right))
+        if run.startswith("fixture | ") or field in ("<run>", "exit", "stderr") or field.split(".")[-1] == "pass":
+            verdicts.append(path)
+    for field, moves in sorted(fields.items()):
+        rel = [m for m in moves if m is not None]
+        largest = f"largest relative move {max(rel):.3g}" if rel else "not numeric"
+        print(f"summary: {field}: {len(moves)} moved, {largest}")
+    print(f"summary: exit codes, stderr, pass flags and fixtures: {len(verdicts)} moved" if verdicts
+          else "summary: exit codes, stderr, pass flags and fixtures: none moved")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", default=[], help="a directory holding the lieorb package (once or twice)")
@@ -118,6 +147,7 @@ def main(argv=None) -> int:
     diffs = list(differences(*sides))
     for path, left, right in diffs:
         print(f"{path}: {json.dumps(left)} != {json.dumps(right)}")
+    summarize(diffs, sides[0].keys() | sides[1].keys())
     return 1 if diffs else 0
 
 

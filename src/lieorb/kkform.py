@@ -2,12 +2,13 @@
 
 Tangent vectors to the orbit at w = Ad(g)c are kept together with a
 representative X (the tangent value is [X, w]), and the two-form is always
-evaluated on representatives as B(w, [X, Y]).  Whole Gram matrices of the
-form are read on the matrices (kk_gram): B(w, .) is one d x d matrix W, and
-B(w, [X_i, Y_j]) = tr([W^T, X_i] Y_j); the structure-constant route is a
-reference in tests/oracles.py.  kk_eval stays the scalar route.  On
-realified complex algebras the real and imaginary parts of the holomorphic
-form are recovered through the complex structure J:
+evaluated on representatives as B(w, [X, Y]).  Every value of the form is
+read on the matrices through one operator: B(w, .) is the d x d matrix
+W = form_matrix(w), so B(w, [X_i, Y_j]) = tr([W^T, X_i] Y_j) (kk_gram) and
+B(w, [X, Y]) = frobenius(W, [X, Y]) (kk_eval); the structure-constant route
+is a reference in tests/oracles.py.  On realified complex algebras the real
+and imaginary parts of the holomorphic form are recovered through the
+complex structure J:
 
     Re Omega = B_R(w, [X, Y]) / 2,      Im Omega = -B_R(w, [J X, Y]) / 2.
 
@@ -41,7 +42,6 @@ from .parabolic import HyperbolicData
 class OrbitPoint:
     g: np.ndarray
     w: np.ndarray
-    w_coords: np.ndarray
 
 
 def orbit_point(
@@ -71,19 +71,19 @@ def orbit_point(
             gap = np.max(gap, axis=-1)
             raise_first(gap > limit, lambda i: f"orbit_point: conjugate has a different spectrum: eigenvalue gap "
                         f"{gap[i]:.3e} > {limit:.3e}, max|g| = {np.max(np.abs(G[i])):.3e}", InconsistencyError)
-    return OrbitPoint(G, w, algebra.coords(w))
+    return OrbitPoint(G, w)
 
 
 def kk_eval(algebra: MatrixLieAlgebra, pt: OrbitPoint, X: np.ndarray, Y: np.ndarray):
-    """Omega at pt on the tangents represented by X and Y, B(w, [X, Y]); per item over leading batch axes."""
-    bx = algebra.coords(algebra.bracket(X, Y))[..., :, None]
-    return (pt.w_coords[..., None, :] @ algebra.killing_matrix @ bx)[..., 0, 0]
+    """Omega at pt on the tangents represented by X and Y, frobenius(W, [X, Y]) with W = form_matrix(w);
+    one product per item over leading batch axes, so a stack equals its per-item calls bit for bit."""
+    return frobenius(form_matrix(algebra, pt.w)[..., None, :, :], algebra.bracket(X, Y)[..., None, :, :])[..., 0, 0]
 
 
-def form_matrix(algebra: MatrixLieAlgebra, w_coords: np.ndarray) -> np.ndarray:
+def form_matrix(algebra: MatrixLieAlgebra, w: np.ndarray) -> np.ndarray:
     """The d x d matrix W of B(w, .), B(w, Z) = frobenius(W, Z) for Z in the algebra; per point of leading axes."""
-    w = np.asarray(w_coords, dtype=float)[..., :, None]
-    return (algebra.killing_dual @ w).reshape(w.shape[:-2] + (algebra.d, algebra.d))
+    wc = algebra.coords(w)[..., :, None]
+    return (algebra.killing_dual @ wc).reshape(wc.shape[:-2] + (algebra.d, algebra.d))
 
 
 def frobenius(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -91,11 +91,11 @@ def frobenius(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A.reshape(A.shape[:-2] + (-1,)) @ np.swapaxes(B.reshape(B.shape[:-2] + (-1,)), -1, -2)
 
 
-def kk_gram(algebra: MatrixLieAlgebra, w_coords: np.ndarray, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+def kk_gram(algebra: MatrixLieAlgebra, w: np.ndarray, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """B(w, [X_i, Y_j]) = tr([W^T, X_i] Y_j), W = form_matrix(w), for stacks of matrices X and Y (default X).
-    Leading axes of w_coords batch over points against those of X / Y; every product is one point's, so a
+    Leading axes of the matrix w batch over points against those of X / Y; every product is one point's, so a
     batch equals its per-point calls bit for bit."""
-    W, Xt = form_matrix(algebra, w_coords)[..., None, :, :], np.swapaxes(X, -1, -2)
+    W, Xt = form_matrix(algebra, w)[..., None, :, :], np.swapaxes(X, -1, -2)
     return frobenius(Xt @ W - W @ Xt, X if Y is None else Y)  # [W^T, X_i]^T against Y_j
 
 
@@ -112,17 +112,10 @@ def closedness_check(
     return np.abs(sum(kk_eval(algebra, pt, algebra.bracket(P, Q), R) for P, Q, R in ((X, Y, Z), (Y, Z, X), (Z, X, Y))))
 
 
-def _omega_svals(data: HyperbolicData, pt: OrbitPoint) -> np.ndarray:
-    """Singular values of Omega on Ad(g) of the theta-n + n directions, a basis of g/z(w)."""
-    algebra = data.algebra
-    dirs = pt.g @ np.concatenate([algebra.theta(data.n_basis), data.n_basis]) @ np.linalg.inv(pt.g)
-    return np.linalg.svd(kk_gram(algebra, pt.w_coords, dirs), compute_uv=False)
-
-
 def nondegeneracy_check(data: HyperbolicData) -> float:
-    """Smallest singular value of Omega on a basis of g/z(w) at the base point c."""
-    pt = orbit_point(data.algebra, data.c, np.eye(data.algebra.d), validate=False)
-    return float(_omega_svals(data, pt)[-1])
+    """Smallest singular value of Omega at the base point c on the theta-n + n directions, a basis of g/z(c)."""
+    dirs = np.concatenate([data.algebra.theta(data.n_basis), data.n_basis])
+    return float(np.linalg.svd(kk_gram(data.algebra, data.c, dirs), compute_uv=False)[-1])
 
 
 def fiber_isotropy_check(data: HyperbolicData, g=None) -> float:
@@ -130,7 +123,7 @@ def fiber_isotropy_check(data: HyperbolicData, g=None) -> float:
     algebra = data.algebra
     pt = orbit_point(algebra, data.c, np.eye(algebra.d) if g is None else g, validate=False)
     dirs = pt.g[..., None, :, :] @ data.n_basis @ np.linalg.inv(pt.g)[..., None, :, :]
-    return upper_max(kk_gram(algebra, pt.w_coords, dirs))
+    return upper_max(kk_gram(algebra, pt.w, dirs))
 
 
 def k_orbit_lagrangian_check(algebra: MatrixLieAlgebra, split: CartanSplit, c: np.ndarray) -> list[float]:
@@ -141,10 +134,10 @@ def k_orbit_lagrangian_check(algebra: MatrixLieAlgebra, split: CartanSplit, c: n
     Together with the half-dimension count this certifies (or refutes) the
     Lagrangian property of the compact orbit.
     """
-    Y, w = split.k_basis, algebra.coords(c)
+    Y = split.k_basis
     if not algebra.is_complex:
-        return [upper_max(kk_gram(algebra, w, Y))]
-    return [upper_max(0.5 * kk_gram(algebra, w, Y)), upper_max(-0.5 * kk_gram(algebra, w, algebra.J @ Y, Y))]
+        return [upper_max(kk_gram(algebra, c, Y))]
+    return [upper_max(0.5 * kk_gram(algebra, c, Y)), upper_max(-0.5 * kk_gram(algebra, c, algebra.J @ Y, Y))]
 
 
 def exactness_verdict(

@@ -256,7 +256,7 @@ class MatrixLieAlgebra:
     @functools.cached_property
     def killing_dual(self) -> np.ndarray:
         """The (d^2, dim) rows coords(E_ab) K, read-only, built on its first read: coords is linear, so
-        B(w, Z) = sum_ab W_ab Z_ab for Z in the algebra, W = killing_dual . w read as d x d."""
+        B(w, Z) = sum_ab W_ab Z_ab for Z in the algebra, W = killing_dual . coords(w) read as d x d."""
         eye = np.eye(self.d * self.d)
         return read_only(self.coords(eye.reshape(-1, self.d, self.d)) @ self.killing_matrix)
 

@@ -122,7 +122,7 @@ def chart_frame(data: HyperbolicData) -> ChartFrame:
     """The point-independent parts of pullback_residual and liouville_fd_gap, built once per data."""
     Ys = horizontal_basis(data)
     E = expm(STEP * np.array([1.0, -1.0])[:, None, None, None] * Ys)
-    duals = form_matrix(data.algebra, data.algebra.coords(Ys))
+    duals = form_matrix(data.algebra, Ys)
     P, zero = frobenius(data.n_basis, duals), np.zeros((data.n_dim, data.n_dim))
     return ChartFrame(Ys, E, duals, np.block([[zero, -P.T], [P, zero]]))
 
@@ -131,7 +131,7 @@ def _chart_sigma(data: HyperbolicData, pt: CotangentPoint) -> np.ndarray:
     """sigma on the chart frame at the points pt: the frame's pairing - B(V, [Y_i, Y_j])."""
     frame, n = chart_frame(data), data.n_dim
     sigma = frame.pairing + np.zeros(np.shape(pt.V)[:-1] + frame.pairing.shape)
-    sigma[..., :n, :n] -= kk_gram(data.algebra, data.algebra.coords(data.n_matrix_of(pt.V)), frame.Ys)
+    sigma[..., :n, :n] -= kk_gram(data.algebra, data.n_matrix_of(pt.V), frame.Ys)
     return sigma
 
 
@@ -206,7 +206,7 @@ def pullback_residual(data: HyperbolicData, pt: CotangentPoint) -> tuple[float, 
                 f"{direction}: tangent gap {gaps[p][j]:.3e} > {tol[p]:.3e}")
 
     raise_first(over.any(axis=-1), missed)
-    return upper_max(kk_gram(algebra, pt0.w_coords, X) - _chart_sigma(data, pt)), pt0
+    return upper_max(kk_gram(algebra, pt0.w, X) - _chart_sigma(data, pt)), pt0
 
 
 def section_lagrangian_check(
@@ -221,4 +221,4 @@ def section_lagrangian_check(
     k = random_in_K(algebra, rng, (samples,)).matrix
     pt = orbit_point(algebra, data.c, k, validate=False)
     dirs = k[:, None] @ split.k_basis @ k.mT[:, None]
-    return upper_max(kk_gram(algebra, pt.w_coords, dirs))
+    return upper_max(kk_gram(algebra, pt.w, dirs))

@@ -389,11 +389,18 @@ def structure_bracket(algebra, x, y):
     return np.einsum("ijk,i,j->k", algebra.structure, x, y)
 
 
+def omega_svals(data, pt):
+    """Singular values of Omega on Ad(g) of the theta-n + n directions, a basis of g/z(w)."""
+    from lieorb.kkform import kk_gram
+
+    algebra = data.algebra
+    dirs = pt.g @ np.concatenate([algebra.theta(data.n_basis), data.n_basis]) @ np.linalg.inv(pt.g)
+    return np.linalg.svd(kk_gram(algebra, pt.w, dirs), compute_uv=False)
+
+
 def omega_rank(algebra, data, pt):
     """Numerical rank of Omega on a basis of g/z(w) at the orbit point."""
-    from lieorb.kkform import _omega_svals
-
-    svals = _omega_svals(data, pt)
+    svals = omega_svals(data, pt)
     return int(np.sum(svals > 1e-8 * max(1.0, svals[0])))
 
 
@@ -745,7 +752,7 @@ def liouville_gram(data, pt, Ys, deltas):
 
     algebra = data.algebra
     DKY = algebra.coords(data.n_matrix_of(deltas)) @ algebra.killing_matrix @ algebra.coords(Ys).T
-    return DKY - DKY.T - kk_gram(algebra, algebra.coords(data.n_matrix_of(pt.V)), Ys)
+    return DKY - DKY.T - kk_gram(algebra, data.n_matrix_of(pt.V), Ys)
 
 
 def liouville_eval(data, pt, W1, W2):
@@ -765,11 +772,11 @@ def chart_sigma_per_call(data, pt, Ys):
 
     algebra, n = data.algebra, data.n_dim
     d2 = algebra.d * algebra.d
-    duals = form_matrix(algebra, algebra.coords(Ys)).reshape(n, d2)
+    duals = form_matrix(algebra, Ys).reshape(n, d2)
     P = data.n_basis.reshape(n, d2) @ duals.T
     sigma = np.zeros(np.shape(pt.V)[:-1] + (2 * n, 2 * n))
     sigma[..., n:, :n], sigma[..., :n, n:] = P, -P.T
-    sigma[..., :n, :n] = -kk_gram(algebra, algebra.coords(data.n_matrix_of(pt.V)), Ys)
+    sigma[..., :n, :n] = -kk_gram(algebra, data.n_matrix_of(pt.V), Ys)
     return sigma
 
 
@@ -799,7 +806,7 @@ def pullback_per_call(data, pt):
     n_inv = np.linalg.inv(nV)
     fiber_reps = data.n_matrix_of(data.n_coords_of(n_inv @ data.n_basis @ nV) / data.grades)
     X = np.concatenate([k @ Ys @ k.mT, k @ nV @ fiber_reps @ n_inv @ k.mT], axis=-3)
-    residual = upper_max(kk_gram(algebra, pt0.w_coords, X) - chart_sigma_per_call(data, pt, Ys))
+    residual = upper_max(kk_gram(algebra, pt0.w, X) - chart_sigma_per_call(data, pt, Ys))
     return residual, expm(STEP * np.array([1.0, -1.0])[:, None, None, None] * Ys)
 
 
@@ -814,7 +821,7 @@ def liouville_fd_gap_per_call(data, pt):
     Ys = horizontal_basis(data)
     s = STEP * np.array([1.0, -1.0])
     E = expm(s[:, None, None, None] * Ys)  # exp(+-h Y_i); E[::-1] holds exp(-+h Y_i), their inverses
-    duals = form_matrix(algebra, algebra.coords(Ys)).reshape(n, d2)
+    duals = form_matrix(algebra, Ys).reshape(n, d2)
 
     def tau_of(Z):  # -B(Z, Y_j) over the last axis j
         return -(Z.reshape(Z.shape[:-2] + (d2,)) @ duals.T)
@@ -1053,7 +1060,7 @@ def section_lagrangian_loop(data, rng, samples):
         k = random_in_K_single(algebra, rng)
         pt = orbit_point(algebra, data.c, k, validate=False)
         dirs = k @ split.k_basis @ k.T
-        worst = max(worst, upper_max(kk_gram(algebra, pt.w_coords, dirs)))
+        worst = max(worst, upper_max(kk_gram(algebra, pt.w, dirs)))
     return worst
 
 

@@ -157,6 +157,22 @@ def test_level_mask_sees_mislabelled_level():
     assert section["stabilizer_invariance"]["pass"] is False and section["pass"] is False
 
 
+@pytest.mark.parametrize("field", "RC")
+def test_kk_invariance_sees_planted_killing_dual_fault(field):
+    """check_kk's invariance reads B(w, .) through killing_dual, the operator every Gram check uses:
+    with B(b_0, .) planted off by half on a fresh algebra, the form is no longer Ad-invariant."""
+    cfg = cli.parse_config(_cfg(algebra={"family": "sl", "n": 3, "field": field}, c=[1, 0, -1], checks=["kk"]))
+    ctx = cli._Context(cfg)
+    ctx.algebra = liecore.build_algebra(AlgebraSpec("sl", 3, field))  # not the cached one
+    assert checks.check_kk(ctx, np.random.default_rng(0))["invariance"]["pass"]
+    dual = ctx.algebra.killing_dual.copy()
+    dual[:, 0] *= 1.5
+    ctx.algebra.__dict__["killing_dual"] = dual
+    section = checks.check_kk(ctx, np.random.default_rng(0))
+    assert section["invariance"]["value"] > section["invariance"]["tol"]
+    assert section["invariance"]["pass"] is False and section["pass"] is False
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_parabolic_takes_the_empty_stabilizer_draw(n):
     """At a regular sl(n, R) chamber z_k(c) = 0, so the stabilizer draw is an empty stack."""
@@ -601,7 +617,7 @@ def test_symplecto_section_flows_each_sample_once(monkeypatch):
     assert calls == [(cfg.samples, ctx.data.n_dim)] * 2
     [(pts, (_, on))] = returned
     ref = symplecto.phi_lambda(ctx.data, pts, validate=False)
-    assert [x.tobytes() for x in (on.g, on.w, on.w_coords)] == [x.tobytes() for x in (ref.g, ref.w, ref.w_coords)]
+    assert [x.tobytes() for x in (on.g, on.w)] == [x.tobytes() for x in (ref.g, ref.w)]
 
 
 def test_cached_chamber_builds_one_chart_frame(monkeypatch):

@@ -79,7 +79,7 @@ def _pullback_tangent(data, monkeypatch):
     def drifted(algebra, c, g, validate=True):  # w of point 1 only scaled by 1.001
         on = orbit_point(algebra, c, g, validate=validate)
         scale = np.where(np.arange(len(g)) == 1, 1.001, 1.0)
-        return OrbitPoint(on.g, scale[:, None, None] * on.w, scale[:, None] * on.w_coords)
+        return OrbitPoint(on.g, scale[:, None, None] * on.w)
 
     monkeypatch.setattr(symplecto, "orbit_point", drifted)
     return lambda: pullback_residual(data, CotangentPoint(np.stack([np.eye(3)] * 3), _BATCH))

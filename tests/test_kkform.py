@@ -45,13 +45,13 @@ def test_kk_gram_matches_kk_eval(ws, rng, key):
         pt = orbit_point(alg, c, scipy.linalg.expm(random_element(alg, rng, 0.4)), validate=False)
         Xc = rng.standard_normal((4, alg.dim))
         Yc = rng.standard_normal((3, alg.dim))
-        gram = kk_gram(alg, pt.w_coords, alg.from_coords(Xc), alg.from_coords(Yc))
+        gram = kk_gram(alg, pt.w, alg.from_coords(Xc), alg.from_coords(Yc))
         ref = np.array(
             [[kk_eval(alg, pt, alg.from_coords(x), alg.from_coords(y)) for y in Yc] for x in Xc]
         )
         np.testing.assert_allclose(gram, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
         square = np.array([[kk_eval(alg, pt, alg.from_coords(x), alg.from_coords(y)) for y in Xc] for x in Xc])
-        np.testing.assert_allclose(kk_gram(alg, pt.w_coords, alg.from_coords(Xc)), square, rtol=0,
+        np.testing.assert_allclose(kk_gram(alg, pt.w, alg.from_coords(Xc)), square, rtol=0,
                                    atol=1e-12 * np.max(np.abs(square)))
     # on stacks of points and of pairs, kk_eval and closedness_check equal the per-item calls
     g = scipy.linalg.expm(alg.from_coords(0.4 * rng.standard_normal((4, alg.dim))))
@@ -76,14 +76,14 @@ def test_kk_gram_matches_the_structure_constant_route(spec):
     pts = orbit_point(alg, c, g, validate=False)
     Xc, Yc = rng.standard_normal((2, 4, 5, alg.dim))
     X, Y = alg.from_coords(Xc), alg.from_coords(Yc)
-    for gram, ref in ((kk_gram(alg, pts.w_coords, X, Y), kk_gram_dense(alg, pts.w_coords, Xc, Yc)),
-                      (kk_gram(alg, pts.w_coords, X), kk_gram_dense(alg, pts.w_coords, Xc))):
+    for gram, ref in ((kk_gram(alg, pts.w, X, Y), kk_gram_dense(alg, alg.coords(pts.w), Xc, Yc)),
+                      (kk_gram(alg, pts.w, X), kk_gram_dense(alg, alg.coords(pts.w), Xc))):
         assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
-    np.testing.assert_array_equal(kk_gram(alg, pts.w_coords, X, Y),
-                                  [kk_gram(alg, w, x, y) for w, x, y in zip(pts.w_coords, X, Y)])
-    np.testing.assert_array_equal(kk_gram(alg, pts.w_coords, X), [kk_gram(alg, w, x) for w, x in zip(pts.w_coords, X)])
+    np.testing.assert_array_equal(kk_gram(alg, pts.w, X, Y),
+                                  [kk_gram(alg, w, x, y) for w, x, y in zip(pts.w, X, Y)])
+    np.testing.assert_array_equal(kk_gram(alg, pts.w, X), [kk_gram(alg, w, x) for w, x in zip(pts.w, X)])
     # one stack of directions shared by the batch, as the chart frame's
-    np.testing.assert_array_equal(kk_gram(alg, pts.w_coords, X[0]), [kk_gram(alg, w, X[0]) for w in pts.w_coords])
+    np.testing.assert_array_equal(kk_gram(alg, pts.w, X[0]), [kk_gram(alg, w, X[0]) for w in pts.w])
     # exact on an integer chamber element; on random elements within rounding of the entries' scale
     np.testing.assert_array_equal(alg.ad_matrix_of(c), ad_coord_einsum(alg, alg.coords(c)))
     for x in rng.standard_normal((3, alg.dim)):

@@ -3,14 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import DATA_GRID
+from conftest import DATA_GRID, cold_data
 from lieorb import symplecto
 from lieorb.kkform import OrbitPoint, kk_eval, orbit_point
-from lieorb.flows import exp_H
+from lieorb.flows import exp_H, invert_exp_H
 from lieorb.liecore import (
     ConfigurationError,
     DecompositionError,
     GroupElement,
+    MatrixLieAlgebra,
     expm,
     iwasawa_decompose,
     random_element,
@@ -301,7 +302,7 @@ def test_pullback_batch_names_first_failing_point(ws, monkeypatch):
     def drifted(algebra, c, g, validate=True):
         on = orbit_point(algebra, c, g, validate=validate)
         scale = np.where(np.arange(len(g)) == 1, 1.001, 1.0)
-        return OrbitPoint(on.g, scale[:, None, None] * on.w, scale[:, None] * on.w_coords)
+        return OrbitPoint(on.g, scale[:, None, None] * on.w)
 
     monkeypatch.setattr(symplecto, "orbit_point", drifted)
     batch = CotangentPoint(np.stack([np.eye(3)] * 3), np.stack([_V / 4, _V, 2 * _V]))
@@ -341,6 +342,21 @@ def test_pullback_flows_only_its_sample_points(ws, monkeypatch):
     assert calls == [("exp_H", (3, 3)), ("linear_chart", (3, 3))]
 
 
+@pytest.mark.parametrize("field", "RC")
+def test_orbit_map_path_reads_no_coordinates(field, monkeypatch):
+    """phi, pi and the fiber chart on prepared sl(5) data, the perfbench orbit-map path, never call coords."""
+    data = cold_data(field, 5, (4, 2, 0, -2, -4))
+    rng = np.random.default_rng(5)
+    k, V = random_in_K(data.algebra, rng).matrix, rng.standard_normal(data.n_dim)
+    calls = []
+    coords = MatrixLieAlgebra.coords
+    monkeypatch.setattr(MatrixLieAlgebra, "coords", lambda self, X: calls.append(np.shape(X)) or coords(self, X))
+    w = phi_lambda(data, cotangent_point(data, k, V))
+    project_pi(data, w)
+    invert_exp_H(data, exp_H(data, V))
+    assert calls == []
+
+
 def test_chart_frame_matches_per_call_formulas(ws):
     # bit for bit on DATA_GRID: what the frame keeps per data is what each call used to build,
     # and the orbit points pullback_residual returns are phi_lambda's
@@ -352,7 +368,7 @@ def test_chart_frame_matches_per_call_formulas(ws):
         ref, E = pullback_per_call(data, pts)
         assert residual == ref and chart_frame(data).E.tobytes() == E.tobytes(), (key, entries)
         ref_on = phi_lambda(data, pts, validate=False)
-        assert [x.tobytes() for x in (on.g, on.w, on.w_coords)] == [x.tobytes() for x in (ref_on.g, ref_on.w, ref_on.w_coords)], (key, entries)
+        assert [x.tobytes() for x in (on.g, on.w)] == [x.tobytes() for x in (ref_on.g, ref_on.w)], (key, entries)
         assert liouville_fd_gap(data, pts) == liouville_fd_gap_per_call(data, pts), (key, entries)
         fiber = pts.V[:, None, None, :] + STEP * np.array([1.0, -1.0])[:, None, None] * np.eye(data.n_dim)
         assert linear_chart(data, fiber).matrix.tobytes() == linear_chart_per_call(data, fiber).tobytes(), key
