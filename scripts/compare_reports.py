@@ -13,8 +13,10 @@ meta, which holds times, is left out.  The script prints one sha256 per
 side over all runs, then every field that differs, and exits 1 if any
 does.  It ends with a summary of the moves per field, the path with its
 run key and list indices stripped: the count of moves and the largest
-relative move |a - b| / max(|a|, |b|), and one line that says whether any
-exit code, stderr, pass flag or fixture moved.  BLAS runs single-threaded,
+relative move |a - b| / max(|a|, |b|); then one line each for the fields
+present on one side only (removed: only in the first, added: only in the
+second), each with its run count; and one line that says whether any exit
+code, stderr, pass flag or fixture moved.  BLAS runs single-threaded,
 as in the bench ladders.  Beside each sha it prints the line count of that
 side's lieorb/*.py, the size that ROADMAP aim 2 tracks, and the wall time
 of that side's process (its imports and the whole grid).
@@ -49,6 +51,7 @@ CONFIGS = {
     "sl(5, R) small c": ("R", ["4/1000", "2/1000", "0", "-2/1000", "-4/1000"]),
     "sl(3, C) imaginary c": ("C", [{"im": 1}, 0, {"im": -1}]),
 }
+MISSING = "<missing>"  # the value of a key present on the other side only
 # the structure pipeline (build, roots, parabolic data) at sizes where a change of array layout moves bits
 FIXTURE_ONLY = {f"sl(6, {field})": (field, [5 - 2 * k for k in range(6)]) for field in "RC"}
 
@@ -95,7 +98,7 @@ def differences(a, b, path=""):
     """(path, left, right) for every leaf where a and b differ."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(a.keys() | b.keys()):
-            yield from differences(a.get(key, "<missing>"), b.get(key, "<missing>"), f"{path}.{key}" if path else key)
+            yield from differences(a.get(key, MISSING), b.get(key, MISSING), f"{path}.{key}" if path else key)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
             yield from differences(x, y, f"{path}[{i}]")
@@ -112,18 +115,26 @@ def relative_move(a, b) -> float | None:
 
 
 def summarize(diffs, runs) -> None:
-    """Per field, its run key and list indices stripped: the count of moves and the largest relative move."""
-    fields, verdicts = {}, []
+    """Per field, its run key and list indices stripped: the count of moves and the largest relative move;
+    the fields on one side only, with their run counts, apart from the moves."""
+    fields, one_side, verdicts = {}, {"removed": {}, "added": {}}, []
     for path, left, right in diffs:
         run = next(key for key in runs if path == key or path.startswith(key + "."))
         field = re.sub(r"\[\d+\]", "", path[len(run) + 1:]) or "<run>"
-        fields.setdefault(field, []).append(relative_move(left, right))
+        if MISSING in (left, right):
+            counts = one_side["added" if left == MISSING else "removed"]
+            counts[field] = counts.get(field, 0) + 1
+        else:
+            fields.setdefault(field, []).append(relative_move(left, right))
         if run.startswith("fixture | ") or field in ("<run>", "exit", "stderr") or field.split(".")[-1] == "pass":
             verdicts.append(path)
     for field, moves in sorted(fields.items()):
         rel = [m for m in moves if m is not None]
         largest = f"largest relative move {max(rel):.3g}" if rel else "not numeric"
         print(f"summary: {field}: {len(moves)} moved, {largest}")
+    for kind, counts in one_side.items():
+        if counts:
+            print(f"summary: {kind} fields: " + ", ".join(f"{f} ({n} runs)" for f, n in sorted(counts.items())))
     print(f"summary: exit codes, stderr, pass flags and fixtures: {len(verdicts)} moved" if verdicts
           else "summary: exit codes, stderr, pass flags and fixtures: none moved")
 

@@ -25,7 +25,6 @@ from .kkform import (
     fiber_isotropy_check,
     k_orbit_lagrangian_check,
     kk_eval,
-    closedness_check,
     nondegeneracy_check,
     orbit_point,
 )

@@ -19,10 +19,10 @@ from .liecore import ConfigurationError, complex_trace_form, expm, k_from_normal
 from .liecore import per_instance, random_element
 from .rootspace import k_from_roots_check, weight_code
 from .parabolic import z_k_coords
-from .kkform import closedness_check, exactness_verdict, fiber_isotropy_check, k_orbit_lagrangian_check, kk_eval
+from .kkform import exactness_verdict, fiber_isotropy_check, k_orbit_lagrangian_check, kk_eval
 from .kkform import nondegeneracy_check, orbit_point
 from .flows import commute_residual, exp_H, flow_exact, flow_numeric, invert_exp_H, linear_chart
-from .symplecto import CotangentPoint, coset_gap, cotangent_point, liouville_fd_gap, phi_lambda, project_pi
+from .symplecto import CotangentPoint, coset_gap, cotangent_point, liouville_fd_gap, project_pi
 from .symplecto import pullback_residual, section_lagrangian_check
 
 
@@ -37,7 +37,7 @@ def _section_pass(section: dict) -> bool:
 
 @per_instance
 def _roots_values(rs, split) -> tuple:
-    """check_roots' values: each root's (alpha, mult), then dims ok, bracket grading, theta pairing, k_from_roots."""
+    """check_roots' values: each root's (alpha, mult), then bracket grading, theta pairing, k_from_roots."""
     alg = rs.algebra
     # every root space is spanned by basis vectors: each basis index's weight
     # (0 on g_0) as one integer code, which adds where weights do
@@ -49,19 +49,17 @@ def _roots_values(rs, split) -> tuple:
     grading = float(np.max(np.abs(v[outside]), initial=0.0))
     # theta(X_i) = s_i X_pi(i) must have the weight -weight_i
     theta_pair = float(np.any(weight[alg.theta_perm[ri]] != -weight[ri]))
-    dims_ok = alg.dim == len(rs.zero_indices) + sum(r.multiplicity for r in rs.roots)
     roots = tuple((tuple(int(w) for w in r.weights), int(r.multiplicity)) for r in rs.roots)
-    return roots, dims_ok, grading, theta_pair, k_from_roots_check(rs, split)
+    return roots, grading, theta_pair, k_from_roots_check(rs, split)
 
 
 def check_roots(ctx, rng) -> dict:
     rs, tol = ctx.rs, ctx.config.tol("decomposition")
-    roots, dims_ok, grading, theta_pair, k_roots = _roots_values(rs, ctx.split)
+    roots, grading, theta_pair, k_roots = _roots_values(rs, ctx.split)
     section = {
         "roots": [{"alpha": list(alpha), "mult": mult} for alpha, mult in roots],
         "dim_m": int(rs.m_coords.shape[0]),
         "dim_a": int(rs.rank),
-        "dimension_bookkeeping": _res(float(not dims_ok), 0.5),
         "bracket_grading": _res(grading, tol),
         "theta_pairing": _res(theta_pair, tol),
         "k_from_roots": _res(k_roots, tol),
@@ -74,7 +72,6 @@ def check_parabolic(ctx, rng) -> dict:
     data, cfg = ctx.data, ctx.config
     alg = ctx.algebra
     ortho = float(np.max(np.abs(alg.killing_matrix[np.ix_(data.b_indices, data.z_indices + data.b_indices)])))
-    half = data.n_dim * 2 == alg.dim - len(data.z_indices)
     # Ad of the compact stabilizer preserves each eigenvalue level: label the
     # basis indices of n(c) by their grade (NaN off n(c)), one draw per element
     level = np.full(alg.dim, np.nan)
@@ -89,7 +86,6 @@ def check_parabolic(ctx, rng) -> dict:
         "eigenvalues": [[nu, dj] for (nu, dj) in data.levels],
         "N0": data.N0,
         "killing_n_vs_P": _res(ortho, cfg.tol("structural")),
-        "half_dimension": _res(float(not half), 0.5),
         "stabilizer_invariance": _res(ad_inv, cfg.tol("decomposition")),
     }
     section["pass"] = _section_pass(section)
@@ -124,16 +120,15 @@ def check_kk(ctx, rng) -> dict:
     alg, cfg = ctx.algebra, ctx.config
     c = alg.element_from_entries(ctx.config.c_entries)
     real = ctx.real_entries
-    # one draw for all samples, each in the order g, X, Y, Z, h; g and h at scale 0.4; then,
+    # one draw for all samples, each in the order g, X, Y, _, h; g and h at scale 0.4; then,
     # on a real c, the 3 elements that move the fiber; one expm for g, h and those
     draws = rng.standard_normal((max(5, cfg.samples // 4), 5, alg.dim)) * np.array([0.4, 1, 1, 1, 0.4])[:, None]
     moved = 0.4 * rng.standard_normal((0 if real is None else 3, alg.dim))
-    a, X, Y, Z, b = np.moveaxis(alg.from_coords(draws), 1, 0)
+    a, X, Y, _, b = np.moveaxis(alg.from_coords(draws), 1, 0)  # _ is unread; it keeps the draws of h and the fiber
     g, h, moved = np.split(expm(np.concatenate([a, b, alg.from_coords(moved)])), [len(a), 2 * len(a)])
     pt = orbit_point(alg, c, g, validate=False)
     XY, YX, XX = kk_eval(alg, pt, np.stack([X, Y, X]), np.stack([Y, X, X]))
     anti = float(np.max(np.abs(np.concatenate([XY + YX, XX]))))
-    closed = float(np.max(closedness_check(alg, pt, X, Y, Z)))
     pt2 = orbit_point(alg, c, h @ g, validate=False)
     h_inv = np.linalg.inv(h)
     inv = float(np.max(np.abs(kk_eval(alg, pt2, h @ X @ h_inv, h @ Y @ h_inv) - XY)))
@@ -141,7 +136,6 @@ def check_kk(ctx, rng) -> dict:
     section = {
         "antisymmetry": _res(anti, cfg.tol("structural") * scale),
         "invariance": _res(inv, cfg.tol("decomposition") * scale * 10),
-        "closedness": _res(closed, cfg.tol("decomposition") * scale),
     }
     if real is not None:
         data = ctx.data
@@ -186,7 +180,6 @@ def check_flow(ctx, rng) -> dict:
         "max_chart_gap": _res(float(np.max(chart, initial=0.0)), cfg.tol("decomposition")),
         # every point counts once per witness time
         "degree_histogram": {str(k): len(times) * int(v) for k, v in zip(values, counts)},
-        "degree_bound_violations": _res(float(np.any(fp.degrees > fp.degree_bound)), 0.5),
     }
     section["pass"] = _section_pass(section)
     return section
@@ -207,15 +200,12 @@ def check_symplecto(ctx, rng) -> dict:
     pts, fd_pts = (CotangentPoint(drawn.k[part], drawn.V[part]) for part in (slice(n), slice(n, None)))
     pull, on = pullback_residual(data, pts)
     bundle = coset_gap(data, project_pi(data, on).k, pts.k)
-    zero = phi_lambda(data, CotangentPoint(pts.k, np.zeros_like(pts.V)), validate=False)
-    zero_gap = float(np.max(np.abs(zero.w - pts.k @ data.c @ pts.k.mT)))
     liou = liouville_fd_gap(data, fd_pts)
     section_res = section_lagrangian_check(data, ctx.split, rng, samples=max(3, cfg.samples // 4))
     out = {
         "pullback_max_residual": _res(pull, cfg.tol("finite_difference")),
         "bundle_residual": _res(bundle, cfg.tol("decomposition")),
         "section_residual": _res(section_res, cfg.tol("decomposition")),
-        "zero_section_gap": _res(zero_gap, cfg.tol("decomposition")),
         "liouville_fd_gap": _res(liou, cfg.tol("finite_difference")),
         "samples": cfg.samples,
         "seed": cfg.seed,

@@ -174,11 +174,10 @@ def _hv_series(data: HyperbolicData, V: np.ndarray, U: np.ndarray, deg: int) -> 
 
 @dataclass(frozen=True, eq=False)
 class FlowPolynomial:
-    """Integral curve U(t) = sum_m coeffs[m] t^m of h_V, exact in t, of degree <= degree_bound;
+    """Integral curve U(t) = sum_m coeffs[m] t^m of h_V, exact in t, of degree <= the top block grade B;
     degrees holds each point's own degree, its top coefficient above flow_exact's cut."""
 
     coeffs: np.ndarray
-    degree_bound: int
     degrees: np.ndarray
 
     @property
@@ -244,7 +243,7 @@ def flow_exact(data: HyperbolicData, V: np.ndarray, U0: np.ndarray) -> FlowPolyn
         resid, limit = np.abs(E).max(axis=(0, -1)), TOL_STRUCT * scale
         if (resid <= limit).all():
             kept = (size > cut).any(axis=-1)
-            return FlowPolynomial(Ut, f.B, (kept * f.degrees[: deg + 1].reshape((-1,) + (1,) * scale.ndim)).max(axis=0))
+            return FlowPolynomial(Ut, (kept * f.degrees[: deg + 1].reshape((-1,) + (1,) * scale.ndim)).max(axis=0))
     raise_first(~(resid <= limit), lambda i: f"flow_exact: flow polynomial fails its defining equation "
                 f"{data.where(V[i], U0[i])}: residual {resid[i]:.3e} > {limit[i]:.3e}", InconsistencyError)
 

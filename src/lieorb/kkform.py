@@ -14,7 +14,9 @@ complex structure J:
 
 Exactness of Re/Im Omega is decided only through the two equivalent criteria
 (spectrum of ad(c); vanishing of the restricted form on the compact orbit);
-no primitive one-form is ever constructed.
+no primitive one-form is ever constructed.  Closedness has no check here: its
+cyclic sum vanishes by Jacobi for any linear B(w, .), and build_algebra
+certifies Jacobi exactly.
 """
 
 from __future__ import annotations
@@ -103,13 +105,6 @@ def upper_max(M: np.ndarray) -> float:
     """max |M_ij| over i < j and any leading batch axes; 0 when there is no such pair."""
     i, j = np.triu_indices(M.shape[-1], 1)
     return float(np.max(np.abs(M[..., i, j]), initial=0.0))
-
-
-def closedness_check(
-    algebra: MatrixLieAlgebra, pt: OrbitPoint, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
-) -> float:
-    """|B(w, [[X,Y],Z]) + B(w, [[Y,Z],X]) + B(w, [[Z,X],Y])|, over leading batch axes as in kk_eval."""
-    return np.abs(sum(kk_eval(algebra, pt, algebra.bracket(P, Q), R) for P, Q, R in ((X, Y, Z), (Y, Z, X), (Z, X, Y))))
 
 
 def nondegeneracy_check(data: HyperbolicData) -> float:

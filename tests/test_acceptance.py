@@ -194,7 +194,7 @@ def test_criterion_6_flow_suite(ws):
             V = rng.standard_normal(data.n_dim)
             roundtrip = max(roundtrip, float(np.max(np.abs(invert_exp_H(data, exp_H(data, V)) - V))))
             fp = flow_exact(data, V, rng.standard_normal(data.n_dim))
-            degree_ok = degree_ok and fp.degree <= fp.degree_bound  # tails < 1e-12 by construction
+            degree_ok = degree_ok and fp.degree <= int(data.block_grades.max())  # tails < 1e-12 by construction
     ok = gap < 1e-8 and commute < 1e-9 and roundtrip < 1e-9 and degree_ok
     _report(
         6,

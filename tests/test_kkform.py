@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from lieorb.kkform import (
-    closedness_check,
     exactness_verdict,
     fiber_isotropy_check,
     k_orbit_lagrangian_check,
@@ -53,16 +52,13 @@ def test_kk_gram_matches_kk_eval(ws, rng, key):
         square = np.array([[kk_eval(alg, pt, alg.from_coords(x), alg.from_coords(y)) for y in Xc] for x in Xc])
         np.testing.assert_allclose(kk_gram(alg, pt.w, alg.from_coords(Xc)), square, rtol=0,
                                    atol=1e-12 * np.max(np.abs(square)))
-    # on stacks of points and of pairs, kk_eval and closedness_check equal the per-item calls
+    # on stacks of points and of pairs, kk_eval equals the per-item calls
     g = scipy.linalg.expm(alg.from_coords(0.4 * rng.standard_normal((4, alg.dim))))
     pts = orbit_point(alg, c, g, validate=False)
-    X, Y, Z = alg.from_coords(rng.standard_normal((3, 4, alg.dim)))
+    X, Y = alg.from_coords(rng.standard_normal((2, 4, alg.dim)))
     single = [orbit_point(alg, c, gi, validate=False) for gi in g]
     np.testing.assert_array_equal(kk_eval(alg, pts, X, Y), [kk_eval(alg, p, x, y) for p, x, y in zip(single, X, Y)])
     np.testing.assert_array_equal(kk_eval(alg, single[0], X, Y), [kk_eval(alg, single[0], x, y) for x, y in zip(X, Y)])
-    np.testing.assert_array_equal(
-        closedness_check(alg, pts, X, Y, Z), [closedness_check(alg, p, *xyz) for p, *xyz in zip(single, X, Y, Z)]
-    )
 
 
 @pytest.mark.parametrize("spec", [AlgebraSpec("sl", n, "R") for n in range(2, 7)]
@@ -125,21 +121,6 @@ def test_g_invariance(ws, rng):
         X, Y = random_element(alg, rng), random_element(alg, rng)
         lhs = kk_eval(alg, pt2, g @ X @ g_inv, g @ Y @ g_inv)
         assert lhs == pytest.approx(kk_eval(alg, pt, X, Y), abs=1e-9 * max(1, abs(lhs)))
-
-
-def test_closedness(ws, rng):
-    alg = ws.algebra("sl3r")
-    c = alg.element_from_entries((1, 0, -1))
-    for _ in range(10):
-        g = scipy.linalg.expm(random_element(alg, rng, 0.4))
-        pt = orbit_point(alg, c, g, validate=False)
-        X, Y, Z = (random_element(alg, rng) for _ in range(3))
-        assert closedness_check(alg, pt, X, Y, Z) < 1e-9
-        assert closedness_check(alg, pt, X, X, Z) < 1e-9
-    data = ws.data("sl3r", (1, 0, -1))
-    pt = orbit_point(alg, c, np.eye(3))
-    Zc = alg.basis[data.z_indices[0]]
-    assert closedness_check(alg, pt, random_element(alg, rng), random_element(alg, rng), Zc) < 1e-9
 
 
 def test_nondegeneracy(ws, rng):

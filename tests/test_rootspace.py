@@ -184,6 +184,31 @@ def test_dimension_bookkeeping(ws):
         assert total == alg.dim
 
 
+@pytest.mark.parametrize("plant, message", [("key", "root system is not symmetric"),
+                                            ("count", "asymmetric multiplicities")])
+def test_bookkeeping_refuses_an_asymmetric_root_system(ws, monkeypatch, plant, message):
+    """_check_bookkeeping, given the weight codes, group sizes and root order that restricted_roots built for
+    sl(3, C), refuses a largest code with no negative and a multiplicity moved between two roots, while the
+    dimensions still add up."""
+    alg, seen = ws.algebra("sl3c"), []
+    monkeypatch.setattr(rootspace, "_check_bookkeeping", lambda *args: seen.append(args))
+    restricted_roots(alg, maximal_abelian(alg, ws.split("sl3c")))
+    monkeypatch.undo()
+    [(rs, keys, counts, order)] = seen
+    rootspace._check_bookkeeping(rs, keys, counts, order)
+    keys, counts = keys.copy(), counts.copy()
+    if plant == "key":
+        keys[-1] += 1  # the largest code, still sorted; neither it nor its old negative has a partner
+    else:
+        w, u = order[0], order[1]
+        assert keys[u] != -keys[w] and set(counts[order]) == {2}
+        counts[w] += 1  # w and -w now differ by one, and so do u and -u
+        counts[u] -= 1
+    assert len(rs.zero_indices) + counts[order].sum() == alg.dim
+    with pytest.raises(InconsistencyError, match=f"^{message}$"):
+        rootspace._check_bookkeeping(rs, keys, counts, order)
+
+
 def test_theta_pairing(ws):
     for key in ("sl3r", "sl3c"):
         alg, rs = ws.algebra(key), ws.rs(key)
@@ -372,7 +397,7 @@ def test_theta_index_forms_match_the_dense_theta(field, n):
     data = hyperbolic_data(alg, rs, [n - 1 - 2 * k for k in range(n)])
     dense = alg.from_coords(nbar_coords_dense(alg, data.b_indices))
     assert (alg.theta(data.n_basis) + 0.0).tobytes() == (dense + 0.0).tobytes()
-    k_roots = checks._roots_values(rs, split)[4]
+    k_roots = checks._roots_values(rs, split)[3]
     assert np.float64(k_roots).tobytes() == np.float64(k_from_roots_dense(rs, split)).tobytes()
     pairings = []
     for r in (None, 0, len(rs.roots) - 1):
@@ -380,7 +405,7 @@ def test_theta_index_forms_match_the_dense_theta(field, n):
         if r is not None:
             W[rs.roots[r].members] *= 2  # a weight that theta(X) of the negative root space does not carry
         planted = dataclasses.replace(rs, weights=W)
-        pairings.append(checks._roots_values(planted, split)[3])
+        pairings.append(checks._roots_values(planted, split)[2])
         assert np.float64(pairings[-1]).tobytes() == np.float64(theta_pairing_dense(planted)).tobytes()
     assert pairings == [0.0, 1.0, 1.0]
 

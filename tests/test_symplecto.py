@@ -410,3 +410,14 @@ def test_horizontal_basis_spans_complement(ws):
     assert Ys.shape[0] == data.n_dim
     coords = np.stack([ws.algebra("sl3r").coords(Y) for Y in Ys])
     assert np.linalg.matrix_rank(coords) == data.n_dim
+
+
+@pytest.mark.parametrize("key, entries", [("sl2r", (1, -1)), ("sl3r", (1, 0, -1))])
+def test_coset_gap_refuses_a_boost_that_fixes_c(ws, key, entries):
+    """A boost in the (0, n - 1) plane keeps m c m^T = c but is not in K, so only coset_gap's in-K term sees it."""
+    data = ws.data(key, entries)
+    n, t = data.algebra.d, 0.3
+    m = np.eye(n)
+    m[np.ix_([0, n - 1], [0, n - 1])] = [[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]]
+    assert np.max(np.abs(m @ data.c @ m.T - data.c)) < 1e-15
+    assert coset_gap(data, np.eye(n), m) > 0.6  # |m^T m - I| = sinh(2t) = 0.637
